@@ -34,6 +34,8 @@
 //! The [`energy`] module carries the 28 nm per-op energy/area constants and
 //! produces the Fig. 15 breakdowns.
 
+#![forbid(unsafe_code)]
+
 pub mod accelerator;
 pub mod bum;
 pub mod config;

@@ -9,8 +9,7 @@
 //! arms (and bit-identical by the determinism contract, so every arm
 //! does exactly the same numerical work).
 //!
-//! Bench IDs follow the repo convention `serve/<case>/t<workers>`; CI
-//! exports the minimums to `BENCH_PR7.json` via `CRITERION_JSON`.
+//! Bench IDs follow the repo convention `serve/<case>/t<workers>`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use instant3d_core::TrainConfig;

@@ -7,6 +7,8 @@
 //! `--quick` (or set `INSTANT3D_QUICK=1`) to shrink the training budgets
 //! for smoke runs.
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod table;
 pub mod workloads;

@@ -1,9 +1,19 @@
 //! In-tree contract conformance suite for the instant3d workspace.
 //!
-//! Layer 1 of the two-layer contract-verification subsystem described in
+//! The static half of the contract enforcement described in
 //! `crates/nerf/src/kernels/mod.rs` ("Contract enforcement"): a set of
 //! lint passes over a hand-rolled lexer ([`lexer`]) that verify the
-//! kernel-contract marker grammar workspace-wide:
+//! kernel-contract marker grammar workspace-wide. The crate has no
+//! dependencies — it reads the engine's sources, it does not compile them.
+//!
+//! # Contract enforcement
+//!
+//! | | proves | how |
+//! |---|---|---|
+//! | **The compiler** | parallel tasks write disjoint, in-bounds, gap-free ranges | every dispatch seam is `par_chunks_mut().zip(..)` or a `split_at_mut` partition over `&mut` slices; `#![forbid(unsafe_code)]` / `#![deny(unsafe_code)]` at every crate root make a raw-pointer dispatcher justify itself |
+//! | **`checked` + these lints** | what types do not see | the `checked` backend (`crates/nerf/src/kernels/checked.rs`) re-runs every kernel seam through the scalar reference on a shadow copy and panics on the first diverging bit (accumulation order); the passes below pin FMA placement, the `unsafe` / `target_feature` census, atomics orderings, determinism and the panic census |
+//!
+//! # Lint passes
 //!
 //! * **fma-strict** — `mul_add` / `fadd_fast` / `fmul_fast` are forbidden
 //!   in strict kernel modules unless the enclosing function carries a
@@ -28,19 +38,8 @@
 //! line itself or on a line above it, reachable by walking up through
 //! contiguous comment-only and attribute lines; a blank line or an
 //! unrelated code line breaks the walk.
-//!
-//! Beyond the lexical passes, [`run_all`] also runs the **static
-//! write-plan prover** ([`prover`], fed by [`plan`]): every parallel
-//! dispatch seam in the engine crates declares its per-task write
-//! intervals symbolically, and the prover discharges disjointness and
-//! exact coverage for *all* shape-parameter values — not just the shapes
-//! an execution happened to visit. An unprovable plan is a `write-plan`
-//! violation anchored at the dispatch site.
-//!
-//! Layer 2 (the dynamic disjoint-write race detector) lives in
-//! `crates/nerf/src/kernels/checked.rs` as the `checked` backend; its
-//! plan-conformance mode cross-checks the recorded writes against the
-//! same declared plans the prover verifies.
+
+#![forbid(unsafe_code)]
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -48,8 +47,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod lexer;
-pub mod plan;
-pub mod prover;
 use lexer::{lex, Tok, TokKind};
 
 /// Strict-tier kernel modules where FMA contraction is forbidden outside
@@ -76,7 +73,6 @@ pub const PANIC_CENSUS_FILES: &[&str] = &[
     "crates/nerf/src/kernels/checked.rs",
     "crates/nerf/src/kernels/fast.rs",
     "crates/nerf/src/kernels/instrumented.rs",
-    "crates/nerf/src/kernels/plan.rs",
     "crates/core/src/batch.rs",
     "crates/core/src/trainer.rs",
     "crates/core/src/render.rs",
@@ -193,9 +189,6 @@ pub struct Report {
     pub violations: Vec<Violation>,
     pub baselined: Vec<Violation>,
     pub files_scanned: usize,
-    /// Write plans run through the symbolic prover (failures are
-    /// `write-plan` violations).
-    pub plans_checked: usize,
 }
 
 impl Report {
@@ -843,11 +836,6 @@ pub fn run_all(root: &Path) -> Report {
             });
         }
     }
-    // The static write-plan prover: every declared parallel dispatch
-    // plan must be disjoint and covering for all shapes.
-    let (plans_checked, plan_violations) = plan::prove_all();
-    report.plans_checked = plans_checked;
-    report.violations.extend(plan_violations);
     report
 }
 

@@ -181,50 +181,6 @@ fn unjustified_panics_in_hot_path_modules_fail() {
     assert!(lints(&vs2, "panic-census").is_empty(), "{vs2:?}");
 }
 
-/// Every write plan declared at the engine's parallel dispatch seams is
-/// proved disjoint-and-covering for all shapes — the `tree_is_clean`
-/// analogue for the prover, pinned separately so a plan regression is
-/// named even if a lexical lint also fires.
-#[test]
-fn declared_write_plans_prove_for_all_shapes() {
-    let (checked, violations) = instant3d_conformance::plan::prove_all();
-    assert!(checked >= 12, "dispatch seams missing plans: {checked}");
-    assert!(
-        violations.is_empty(),
-        "unproven write plans:\n{}",
-        violations
-            .iter()
-            .map(|v| format!("  {v}\n"))
-            .collect::<String>()
-    );
-}
-
-/// A deliberately overlapping plan (each task claims one extra trailing
-/// element) is rejected with a diagnostic naming both clashing tasks and
-/// their concrete ranges — the end-to-end negative fixture for the
-/// prover surface.
-#[test]
-fn overlapping_plan_fixture_is_caught_with_both_tasks_named() {
-    use instant3d_nerf::kernels::plan::{con, par, WritePlan};
-    let mut plan = WritePlan::chunked(
-        "crates/nerf/src/grid.rs:1 fixture::overlapping",
-        "fixture buffer",
-        "n",
-        "chunk",
-        None,
-    );
-    plan.end = par(plan.task)
-        .add(con(1))
-        .mul(par(1))
-        .add(con(1))
-        .min(par(0));
-    let err = instant3d_conformance::prover::prove_plan(&plan)
-        .expect_err("overlapping plan must not prove");
-    assert!(err.contains("tasks-ordered"), "{err}");
-    assert!(err.contains("overlapping task"), "{err}");
-    assert!(err.contains("writes ["), "{err}");
-}
-
 /// The checked-in manifest matches the real vendor/rayon tree exactly —
 /// deleting a protocol site (or adding one) without updating the
 /// manifest is caught.

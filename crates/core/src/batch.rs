@@ -313,31 +313,6 @@ impl BatchWorkspace {
     /// [`BatchWorkspace::cache`].
     pub fn composite_all(&mut self, background: Vec3) {
         self.cache.reserve_for(&self.rays);
-        // Under plan conformance, register the per-ray cut partition as
-        // the declared plan for all three cache buffers: every cache
-        // write the checked backend records must stay inside its ray's
-        // declared sample range.
-        let _plan_guards = self.backend.plan_conformance().then(|| {
-            let nrays = self.rays.num_rays();
-            let mut cuts: Vec<i128> = Vec::with_capacity(nrays + 1);
-            cuts.push(0);
-            for r in 0..nrays {
-                cuts.push(self.rays.ray_range(r).end as i128);
-            }
-            let plan = instant3d_nerf::render::composite_cache_write_plan().instantiate(
-                &[
-                    ("rays", nrays as i128),
-                    ("samples", self.rays.num_samples() as i128),
-                ],
-                &[&cuts],
-            );
-            let ledger = instant3d_nerf::kernels::WriteLedger::global();
-            [
-                ledger.expect_plan(&plan, self.cache.weights.as_ptr()),
-                ledger.expect_plan(&plan, self.cache.trans.as_ptr()),
-                ledger.expect_plan(&plan, self.cache.one_minus_alpha.as_ptr()),
-            ]
-        });
         for r in 0..self.rays.num_rays() {
             let range = self.rays.ray_range(r);
             let (out, active) = self.backend.composite_ray(

@@ -52,6 +52,8 @@
 //! * [`profile`] — per-pipeline-step operation counts, both measured and
 //!   paper-scale, consumed by the device and accelerator models.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod checkpoint;
 pub mod config;

@@ -172,70 +172,6 @@ impl TileLayout {
         (self.tiles_x * self.tiles_y) as usize
     }
 
-    /// The declared [`WritePlan`](instant3d_nerf::kernels::WritePlan)s of
-    /// the tile decomposition: the frame is the product of a chunked
-    /// x-axis partition (columns in `tile`-wide chunks, border remainder
-    /// clipped) and the same partition over rows. The conformance prover
-    /// verifies each axis is disjoint and gap-free for **all**
-    /// `(frame_w, frame_h, tile)` — so every pixel belongs to exactly one
-    /// tile, the invariant the tile runners' independent per-tile buffers
-    /// (and the frame reassembly in [`FrameScheduler::frame`]) rest on.
-    pub fn write_plans() -> [instant3d_nerf::kernels::WritePlan; 2] {
-        [
-            instant3d_nerf::kernels::WritePlan::chunked(
-                concat!(file!(), ":", line!(), " TileLayout::tile_rect"),
-                "frame columns (tile x-partition)",
-                "frame_w",
-                "tile",
-                None,
-            ),
-            instant3d_nerf::kernels::WritePlan::chunked(
-                concat!(file!(), ":", line!(), " TileLayout::tile_rect"),
-                "frame rows (tile y-partition)",
-                "frame_h",
-                "tile",
-                None,
-            ),
-        ]
-    }
-
-    /// Checks every tile rect against the instantiated write plans: tile
-    /// `(tx, ty)`'s pixel rectangle must be exactly the product of the
-    /// x/y partitions' declared intervals — the runtime anti-drift
-    /// counterpart of the prover's symbolic coverage proof, run by
-    /// [`FrameScheduler::render_frame`] under
-    /// [`Kernels::plan_conformance`](instant3d_nerf::kernels::Kernels::plan_conformance).
-    pub fn assert_plan_conformance(&self) {
-        let [x_plan, y_plan] = Self::write_plans();
-        let shape = |total: u32| {
-            [
-                ("frame_w", i128::from(total)),
-                ("frame_h", i128::from(total)),
-                ("tile", i128::from(self.tile)),
-            ]
-        };
-        let x = x_plan.instantiate(&shape(self.frame_w), &[]);
-        let y = y_plan.instantiate(&shape(self.frame_h), &[]);
-        assert_eq!(
-            (x.tasks.len(), y.tasks.len()),
-            (self.tiles_x as usize, self.tiles_y as usize),
-            "tile grid escapes the declared plan"
-        );
-        for idx in 0..self.tile_count() {
-            let r = self.tile_rect(idx);
-            let (xs, xe) = x.tasks[(idx as u32 % self.tiles_x) as usize];
-            let (ys, ye) = y.tasks[(idx as u32 / self.tiles_x) as usize];
-            assert!(
-                r.x0 as usize == xs
-                    && (r.x0 + r.w) as usize == xe
-                    && r.y0 as usize == ys
-                    && (r.y0 + r.h) as usize == ye,
-                "tile {idx} rect {r:?} escapes its declared plan intervals \
-                 [{xs}, {xe}) × [{ys}, {ye})"
-            );
-        }
-    }
-
     /// The clipped pixel rectangle of tile `idx` (row-major).
     pub fn tile_rect(&self, idx: usize) -> TileRect {
         debug_assert!(idx < self.tile_count());
@@ -449,9 +385,6 @@ impl FrameScheduler {
     ) -> FrameProgress {
         let versions = grid_versions(model);
         let occ_sig = occ.map_or(0, OccupancyGrid::content_signature);
-        if model.kernel_backend().plan_conformance() {
-            self.layout.assert_plan_conformance();
-        }
 
         // Invalidate drifted tiles, then select up to the budget's quota
         // of stale ones, round-robin from the cursor.
@@ -761,6 +694,44 @@ mod tests {
                 covered.iter().all(|&c| c == 1),
                 "{w}x{h}/{tile} not a partition"
             );
+        }
+    }
+
+    /// The tile arithmetic, exhaustively: for every small shape each pixel
+    /// lies in exactly one tile rect and the grid is `ceil × ceil`.
+    #[test]
+    fn every_small_layout_is_an_exact_partition() {
+        let mut covered = Vec::new();
+        for w in 1..=40u32 {
+            for h in 1..=40u32 {
+                for tile in 1..=40u32 {
+                    let layout = TileLayout::new(w, h, tile);
+                    assert_eq!(
+                        layout.tile_count(),
+                        (w.div_ceil(tile) * h.div_ceil(tile)) as usize,
+                        "{w}x{h}/{tile} tile count"
+                    );
+                    covered.clear();
+                    covered.resize((w * h) as usize, 0u8);
+                    for i in 0..layout.tile_count() {
+                        let r = layout.tile_rect(i);
+                        assert!(r.w >= 1 && r.h >= 1, "{w}x{h}/{tile} empty tile {i}");
+                        assert!(
+                            r.x0 + r.w <= w && r.y0 + r.h <= h,
+                            "{w}x{h}/{tile} tile {i} escapes the frame"
+                        );
+                        for y in r.y0..r.y0 + r.h {
+                            for x in r.x0..r.x0 + r.w {
+                                covered[(y * w + x) as usize] += 1;
+                            }
+                        }
+                    }
+                    assert!(
+                        covered.iter().all(|&c| c == 1),
+                        "{w}x{h}/{tile} not a partition"
+                    );
+                }
+            }
         }
     }
 

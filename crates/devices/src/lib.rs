@@ -15,6 +15,8 @@
 //! counts produced by our trainer. Each calibrated constant is documented
 //! at its definition.
 
+#![forbid(unsafe_code)]
+
 pub mod breakdown;
 pub mod energy;
 pub mod perf;

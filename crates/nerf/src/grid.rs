@@ -827,6 +827,7 @@ impl HashGrid {
 
     /// Fused (lossy-tier) level-major encode: the level body of
     /// [`HashGrid::encode_batch_fast`], see there for the contract.
+    #[allow(unsafe_code)]
     pub(crate) fn encode_level_fast(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         if crate::simd::avx2_fma_available() {
@@ -842,6 +843,7 @@ impl HashGrid {
     // AVX2+FMA target features, established by the caller's guard.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
+    #[allow(unsafe_code)]
     unsafe fn encode_level_fast_avx2(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
         self.encode_level_fast_body(l, unit_positions, out);
     }
@@ -925,69 +927,12 @@ impl HashGrid {
         }
     }
 
-    /// Parallel unobserved batched encode: points are split into fixed-size
+    /// Parallel unobserved batched encode through an explicit kernel
+    /// backend (see [`crate::kernels`]): points are split into fixed-size
     /// chunks processed on the rayon pool, each chunk running the
-    /// level-major SoA kernel. All writes are disjoint output rows, so the
-    /// result is bit-identical for any worker count.
-    pub fn par_encode_batch(&self, unit_positions: &[Vec3], out: &mut [f32]) {
-        self.par_encode_batch_with(&crate::kernels::scalar(), unit_positions, out);
-    }
-
-    /// The declared [`WritePlan`](crate::kernels::WritePlan) of
-    /// [`HashGrid::par_encode_batch_with`]: `ceil(points/chunk)` tasks,
-    /// task `t` writing rows `[t·chunk, min((t+1)·chunk, points))` of
-    /// `output_dim` elements each — verified disjoint and gap-free for
-    /// all shapes by the conformance prover, and enforced at runtime
-    /// under [`Kernels::plan_conformance`](crate::kernels::Kernels).
-    pub fn encode_write_plan() -> crate::kernels::WritePlan {
-        crate::kernels::WritePlan::chunked(
-            concat!(file!(), ":", line!(), " HashGrid::par_encode_batch_with"),
-            "encode SoA output",
-            "points",
-            "chunk",
-            Some("output_dim"),
-        )
-    }
-
-    /// The declared write plan of
-    /// [`HashGrid::par_encode_batch_levels_with`] — the same chunked row
-    /// decomposition as [`HashGrid::encode_write_plan`]; only the listed
-    /// levels' columns inside each row chunk are touched, which is a
-    /// refinement of the declared per-task interval.
-    pub fn encode_levels_write_plan() -> crate::kernels::WritePlan {
-        crate::kernels::WritePlan::chunked(
-            concat!(
-                file!(),
-                ":",
-                line!(),
-                " HashGrid::par_encode_batch_levels_with"
-            ),
-            "level-subset encode SoA output",
-            "points",
-            "chunk",
-            Some("output_dim"),
-        )
-    }
-
-    /// The declared write plan of [`HashGrid::par_backward_batch_with`]:
-    /// one task per grid level, task `l` owning
-    /// `[param_offsets[l], param_offsets[l+1])` of the flat gradient
-    /// buffer — a cut partition whose monotone offset table the dispatch
-    /// supplies (and [`WritePlan::instantiate`](crate::kernels::WritePlan)
-    /// re-validates) at each concrete shape.
-    pub fn scatter_write_plan() -> crate::kernels::WritePlan {
-        crate::kernels::WritePlan::cut_partition(
-            concat!(file!(), ":", line!(), " HashGrid::par_backward_batch_with"),
-            "grid gradient buffer",
-            "param_offsets",
-            "levels",
-            "params",
-        )
-    }
-
-    /// [`HashGrid::par_encode_batch`] with an explicit kernel backend
-    /// (see [`crate::kernels`]); results are bit-identical across
-    /// backends, chunkings and worker counts. Backends that request
+    /// backend's level-major SoA kernel. All writes are disjoint output
+    /// rows, so the result is bit-identical across strict backends,
+    /// chunkings and worker counts. Backends that request
     /// [`crate::kernels::Kernels::sequential_grid`] execution (recording
     /// co-sim backends) get the whole batch as one chunk on the calling
     /// thread.
@@ -1006,25 +951,7 @@ impl HashGrid {
         );
         let n = unit_positions.len();
         const CHUNK: usize = 256;
-        let sequential =
-            n <= CHUNK || rayon::current_num_threads() <= 1 || backend.sequential_grid();
-        let _plan = backend.plan_conformance().then(|| {
-            // The instantiated chunk must match the branch actually taken:
-            // the sequential fallback writes the whole batch as one task.
-            let chunk = if sequential { n.max(1) } else { CHUNK };
-            crate::kernels::WriteLedger::global().expect_plan(
-                &Self::encode_write_plan().instantiate(
-                    &[
-                        ("points", n as i128),
-                        ("chunk", chunk as i128),
-                        ("output_dim", w as i128),
-                    ],
-                    &[],
-                ),
-                out.as_ptr(),
-            )
-        });
-        if sequential {
+        if n <= CHUNK || rayon::current_num_threads() <= 1 || backend.sequential_grid() {
             backend.grid_encode_chunk(self, unit_positions, out);
             return;
         }
@@ -1075,23 +1002,7 @@ impl HashGrid {
         }
         let n = unit_positions.len();
         const CHUNK: usize = 256;
-        let sequential =
-            n <= CHUNK || rayon::current_num_threads() <= 1 || backend.sequential_grid();
-        let _plan = backend.plan_conformance().then(|| {
-            let chunk = if sequential { n.max(1) } else { CHUNK };
-            crate::kernels::WriteLedger::global().expect_plan(
-                &Self::encode_levels_write_plan().instantiate(
-                    &[
-                        ("points", n as i128),
-                        ("chunk", chunk as i128),
-                        ("output_dim", w as i128),
-                    ],
-                    &[],
-                ),
-                out.as_ptr(),
-            )
-        });
-        if sequential {
+        if n <= CHUNK || rayon::current_num_threads() <= 1 || backend.sequential_grid() {
             backend.grid_encode_levels_chunk(self, levels, unit_positions, out);
             return;
         }
@@ -1126,21 +1037,6 @@ impl HashGrid {
         for (p, row) in unit_positions.iter().zip(d_out.chunks(w)) {
             self.backward_into(*p, row, grads, obs);
         }
-    }
-
-    /// Parallel unobserved batched scatter: one task per grid level, each
-    /// owning that level's disjoint slice of the gradient buffer and
-    /// walking all points in order. Per-parameter accumulation order is
-    /// point order — exactly the scalar kernel's — so results are
-    /// bit-identical to [`HashGrid::backward_batch_into`] for any worker
-    /// count.
-    pub fn par_backward_batch(
-        &self,
-        unit_positions: &[Vec3],
-        d_out: &[f32],
-        grads: &mut GridGradients,
-    ) {
-        self.par_backward_batch_with(&crate::kernels::scalar(), unit_positions, d_out, grads);
     }
 
     /// One level's scatter, scalar reference kernel: walks all points in
@@ -1259,6 +1155,7 @@ impl HashGrid {
     /// is deterministic for any worker count; it differs from the strict
     /// kernels only by bounded rounding. `features_per_entry != 2` falls
     /// back to the scalar kernel.
+    #[allow(unsafe_code)]
     pub(crate) fn scatter_level_fast(
         &self,
         l: usize,
@@ -1280,6 +1177,7 @@ impl HashGrid {
     // AVX2+FMA target features, established by the caller's guard.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
+    #[allow(unsafe_code)]
     unsafe fn scatter_level_fast_avx2(
         &self,
         l: usize,
@@ -1343,10 +1241,13 @@ impl HashGrid {
         }
     }
 
-    /// [`HashGrid::par_backward_batch`] with an explicit kernel backend
-    /// (see [`crate::kernels`]); per-parameter accumulation stays in point
-    /// order on every backend, so results are bit-identical across
-    /// backends and worker counts. Backends that request
+    /// Parallel unobserved batched scatter through an explicit kernel
+    /// backend (see [`crate::kernels`]): one task per grid level, each
+    /// owning that level's disjoint slice of the gradient buffer and
+    /// walking all points in order. Per-parameter accumulation order is
+    /// point order — exactly the scalar kernel's — on every backend, so
+    /// results are bit-identical to [`HashGrid::backward_batch_into`]
+    /// across strict backends and worker counts. Backends that request
     /// [`crate::kernels::Kernels::sequential_grid`] execution get the
     /// levels one by one, in level order, on the calling thread.
     pub fn par_backward_batch_with(
@@ -1356,7 +1257,6 @@ impl HashGrid {
         d_out: &[f32],
         grads: &mut GridGradients,
     ) {
-        use rayon::prelude::*;
         let w = self.output_dim();
         assert_eq!(
             d_out.len(),
@@ -1368,37 +1268,15 @@ impl HashGrid {
             self.params.len(),
             "gradient buffer mismatch"
         );
-        let _plan = backend.plan_conformance().then(|| {
-            let offsets: Vec<i128> = self.param_offsets.iter().map(|&o| o as i128).collect();
-            crate::kernels::WriteLedger::global().expect_plan(
-                &Self::scatter_write_plan().instantiate(
-                    &[
-                        ("levels", self.levels.len() as i128),
-                        ("params", self.params.len() as i128),
-                    ],
-                    &[&offsets],
-                ),
-                grads.values.as_ptr(),
-            )
-        });
-        // Slice the flat gradient buffer into per-level disjoint regions.
-        let mut level_slices: Vec<(usize, &mut [f32])> = Vec::with_capacity(self.levels.len());
-        let mut rest: &mut [f32] = &mut grads.values;
-        for l in 0..self.levels.len() {
-            let len = self.param_offsets[l + 1] - self.param_offsets[l];
-            let (head, tail) = rest.split_at_mut(len);
-            level_slices.push((l, head));
-            rest = tail;
-        }
-        if backend.sequential_grid() {
-            for (l, level_grads) in level_slices {
+        for_each_level_slice(
+            0,
+            &mut grads.values,
+            &self.param_offsets,
+            !backend.sequential_grid(),
+            &|l, level_grads| {
                 backend.grid_scatter_level(self, l, level_grads, unit_positions, d_out);
-            }
-        } else {
-            level_slices.into_par_iter().for_each(|(l, level_grads)| {
-                backend.grid_scatter_level(self, l, level_grads, unit_positions, d_out);
-            });
-        }
+            },
+        );
         grads.count += unit_positions.len();
     }
 
@@ -1413,6 +1291,95 @@ impl HashGrid {
     /// Table reads performed per encoded point (8 corners × L levels).
     pub fn reads_per_point(&self) -> usize {
         8 * self.cfg.levels
+    }
+}
+
+/// The level partition behind [`HashGrid::par_backward_batch_with`]:
+/// calls `task(first_level + i, slice_i)` once per level, where `cuts` is
+/// the `levels + 1` entry offset table of those levels and `slice_i` is
+/// `values[cuts[i] - cuts[0]..cuts[i + 1] - cuts[0]]`. The slices are cut
+/// by `split_at_mut` down a binary tree, so each task owns exactly its
+/// level's range — disjoint and gap-free by construction, with no
+/// per-dispatch allocation. `parallel` forks the two halves with
+/// `rayon::join`; otherwise they run in ascending level order on the
+/// calling thread.
+///
+/// The overlap fixtures the `checked` backend once caught at run time are
+/// type errors at this seam. Two disjoint level slices may go to two
+/// concurrent tasks:
+///
+/// ```
+/// use instant3d_nerf::grid::{HashGrid, HashGridConfig};
+/// use instant3d_nerf::kernels;
+///
+/// let grid = HashGrid::new(HashGridConfig { levels: 2, ..HashGridConfig::default() });
+/// let backend = kernels::simd();
+/// let mut grads = grid.zero_grads();
+/// let cut = grid.levels()[0].table_size as usize * grid.config().features_per_entry;
+/// let (lo, hi) = grads.values.split_at_mut(cut);
+/// rayon::join(
+///     || backend.grid_scatter_level(&grid, 0, lo, &[], &[]),
+///     || backend.grid_scatter_level(&grid, 1, hi, &[], &[]),
+/// );
+/// ```
+///
+/// Overlapping slices — level 1 starting halfway into level 0 — may not:
+///
+/// ```compile_fail,E0499
+/// use instant3d_nerf::grid::{HashGrid, HashGridConfig};
+/// use instant3d_nerf::kernels;
+///
+/// let grid = HashGrid::new(HashGridConfig { levels: 2, ..HashGridConfig::default() });
+/// let backend = kernels::simd();
+/// let mut grads = grid.zero_grads();
+/// let cut = grid.levels()[0].table_size as usize * grid.config().features_per_entry;
+/// let (lo, hi) = (&mut grads.values[..cut], &mut grads.values[cut / 2..]);
+/// rayon::join(
+///     || backend.grid_scatter_level(&grid, 0, lo, &[], &[]),
+///     || backend.grid_scatter_level(&grid, 1, hi, &[], &[]),
+/// );
+/// ```
+///
+/// Nor can a level slice be kept across a dispatch, which borrows the
+/// whole gradient buffer exclusively:
+///
+/// ```compile_fail,E0499
+/// use instant3d_nerf::grid::{HashGrid, HashGridConfig};
+/// use instant3d_nerf::kernels;
+///
+/// let grid = HashGrid::new(HashGridConfig { levels: 2, ..HashGridConfig::default() });
+/// let mut grads = grid.zero_grads();
+/// let kept = &mut grads.values[..4];
+/// grid.par_backward_batch_with(&kernels::simd(), &[], &[], &mut grads);
+/// kept[0] = 1.0;
+/// ```
+fn for_each_level_slice<F>(
+    first_level: usize,
+    values: &mut [f32],
+    cuts: &[usize],
+    parallel: bool,
+    task: &F,
+) where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    let levels = cuts.len() - 1;
+    if levels <= 1 {
+        if levels == 1 {
+            task(first_level, values);
+        }
+        return;
+    }
+    let mid = levels / 2;
+    let (lo, hi) = values.split_at_mut(cuts[mid] - cuts[0]);
+    let (lo_cuts, hi_cuts) = (&cuts[..=mid], &cuts[mid..]);
+    if parallel {
+        rayon::join(
+            || for_each_level_slice(first_level, lo, lo_cuts, true, task),
+            || for_each_level_slice(first_level + mid, hi, hi_cuts, true, task),
+        );
+    } else {
+        for_each_level_slice(first_level, lo, lo_cuts, false, task);
+        for_each_level_slice(first_level + mid, hi, hi_cuts, false, task);
     }
 }
 

@@ -1,402 +1,30 @@
-//! The dynamic disjoint-write race detector backend.
+//! The scalar shadow-execution backend.
 //!
 //! [`CheckedKernels`] (`"checked"`) is a strict-tier backend that wraps
-//! [`SimdKernels`] and *executes* the two halves of the disjoint-write
-//! contract the engine's parallelism rests on (see the
-//! [contract-enforcement docs](super#contract-enforcement)):
+//! [`SimdKernels`] and *executes* the half of the strict contract the type
+//! system cannot see (see the
+//! [contract-enforcement docs](super#contract-enforcement)): **fixed
+//! accumulation order**. Every kernel seam is re-run through the scalar
+//! reference kernels ([`ScalarKernels`]) on a shadow copy of its output
+//! and compared bit-for-bit, so a task that writes only its own range but
+//! reorders additions (the one way worker count can still leak into
+//! results) panics, naming the kernel and the first diverging element.
 //!
-//! 1. **Pairwise disjointness** — the write range of every
-//!    [`Kernels::grid_scatter_level`] task, MLP gradient row-chunk task
-//!    (recorded from inside the batched backward via
-//!    [`GemvMode::Checked`](crate::mlp)), and compositing cache write is
-//!    shadow-recorded in a process-wide [`WriteLedger`]; any overlap
-//!    between two tasks of the same dispatch panics with **both** task
-//!    identities and the clashing byte ranges.
-//! 2. **Fixed accumulation order** — every kernel output is re-derived
-//!    through the scalar reference kernels ([`ScalarKernels`]) and
-//!    compared bit-for-bit, so a task that writes only its own range but
-//!    reorders additions (the other way worker count leaks into results)
-//!    panics too, naming the kernel and the first diverging element.
-//!
-//! The ledger tracks three kinds of evidence:
-//!
-//! * **Keyed epochs** for the grid scatter: tasks of one
-//!   `par_backward_batch_with` dispatch share the `(grid, d_out)` key, so
-//!   per-level slices are checked against each other even when a single
-//!   worker runs them back to back. An epoch retires when all levels have
-//!   reported (a complete dispatch) or resets when a level re-arrives (a
-//!   new dispatch reusing the same buffers).
-//! * **Scopes** for the MLP backward sweeps: `backward_batch_impl` opens
-//!   a scope per parallel sweep and records each row/item chunk into it;
-//!   entries accumulate until the sweep finishes, catching overlap even
-//!   between chunks that never ran concurrently.
-//! * **An active set** for everything in flight: encode chunks and
-//!   compositing cache slices register while executing, catching
-//!   cross-dispatch aliasing (two concurrent rays sharing cache rows).
+//! Write *disjointness* needs no run-time check: every dispatch seam hands
+//! its tasks `&mut` slices cut by `par_chunks_mut` / `split_at_mut`, so
+//! overlapping or aliased writes are compile errors.
 //!
 //! The backend is registered in the [`BackendRegistry`](super) as
 //! `"checked"` and rides the CI strict backend × worker matrix, so the
-//! disjoint-write contract is re-proven on every push instead of trusted.
+//! accumulation-order contract is re-executed on every push instead of
+//! trusted.
 
-use super::plan::ConcretePlan;
 use super::{Kernels, ScalarKernels, SimdKernels};
 use crate::grid::HashGrid;
 use crate::math::Vec3;
-use crate::mlp::{GemvMode, Mlp, MlpBatchWorkspace, MlpGradients};
+use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
 use crate::render::RenderOutput;
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// Byte range of a `f32` slice in the process address space — the ledger
-/// key for write-disjointness checks.
-fn byte_range(s: &[f32]) -> (usize, usize) {
-    let start = s.as_ptr() as usize;
-    (start, start + std::mem::size_of_val(s))
-}
-
-fn overlaps(a: (usize, usize), b: (usize, usize)) -> bool {
-    a.0 < b.1 && b.0 < a.1
-}
-
-#[derive(Debug)]
-struct Entry {
-    /// Which task within the epoch (the grid level for scatter epochs; a
-    /// running index for scopes — duplicates reset keyed epochs).
-    task_key: u64,
-    range: (usize, usize),
-    task: String,
-}
-
-#[derive(Debug)]
-struct Epoch {
-    /// Identity of the dispatch: `(grid, d_out ptr, d_out len)` for the
-    /// scatter; scopes use a unique synthetic key.
-    key: (usize, usize, usize),
-    /// Tasks expected in a complete dispatch; the epoch retires once all
-    /// have reported (`usize::MAX` for scopes, which retire on drop).
-    total_tasks: usize,
-    label: String,
-    entries: Vec<Entry>,
-}
-
-#[derive(Debug)]
-struct ActiveSpan {
-    id: u64,
-    range: (usize, usize),
-    task: String,
-}
-
-/// One registered [`ConcretePlan`]: the byte span it covers and the
-/// declared per-task byte ranges every recorded write inside the span
-/// must stay within (see [`WriteLedger::expect_plan`]).
-#[derive(Debug)]
-struct PlanExpectation {
-    id: u64,
-    site: &'static str,
-    buffer: &'static str,
-    /// Byte span of the whole planned output buffer.
-    span: (usize, usize),
-    /// Declared per-task byte ranges, in task order.
-    tasks: Vec<(usize, usize)>,
-}
-
-/// The process-wide write ledger behind [`CheckedKernels`]: records the
-/// write range and identity of every checked kernel task and panics —
-/// naming both tasks — when two ranges of one dispatch overlap.
-#[derive(Debug, Default)]
-pub struct WriteLedger {
-    epochs: Mutex<Vec<Epoch>>,
-    active: Mutex<Vec<ActiveSpan>>,
-    expectations: Mutex<Vec<PlanExpectation>>,
-    next_id: AtomicU64,
-}
-
-/// Bounded epoch history: keyed epochs self-retire when complete, so this
-/// only bounds leakage from dispatches aborted mid-flight (e.g. by an
-/// unrelated test panic).
-const MAX_EPOCHS: usize = 64;
-
-impl WriteLedger {
-    /// The ledger shared by the registered `"checked"` backend and the
-    /// [`GemvMode::Checked`] recording hooks inside the MLP backward.
-    pub fn global() -> &'static WriteLedger {
-        static LEDGER: OnceLock<WriteLedger> = OnceLock::new();
-        LEDGER.get_or_init(WriteLedger::default)
-    }
-
-    /// Poison-tolerant lock: a detected violation panics while the lock
-    /// is held, and the negative tests must be able to keep using the
-    /// ledger afterwards — the inner data is always left consistent.
-    fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        m.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Forgets all recorded epochs, in-flight spans and plan
-    /// expectations. Test hook: after a caught violation panic the
-    /// aborted dispatch's entries are stale.
-    pub fn reset(&self) {
-        Self::lock(&self.epochs).clear();
-        Self::lock(&self.active).clear();
-        Self::lock(&self.expectations).clear();
-    }
-
-    /// Registers a dispatch's instantiated [`WritePlan`](super::WritePlan)
-    /// as the ground truth for the buffer at `base`: until the returned
-    /// guard drops, every write range recorded in the ledger that touches
-    /// the plan's byte span must fall entirely inside **one** declared
-    /// task range, or the ledger panics naming the dispatch site, the
-    /// writing task, and the nearest declared range — the plan-conformance
-    /// mode that keeps the statically proven plan from drifting away from
-    /// the code (see the
-    /// [contract-enforcement docs](super#contract-enforcement)).
-    pub fn expect_plan(&self, plan: &ConcretePlan, base: *const f32) -> PlanGuard<'_> {
-        let elem = std::mem::size_of::<f32>();
-        let base = base as usize;
-        // ORDERING: Relaxed — id uniqueness only (see `open_scope`).
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        Self::lock(&self.expectations).push(PlanExpectation {
-            id,
-            site: plan.site,
-            buffer: plan.buffer,
-            span: (base, base + plan.len * elem),
-            tasks: plan
-                .tasks
-                .iter()
-                .map(|&(s, e)| (base + s * elem, base + e * elem))
-                .collect(),
-        });
-        PlanGuard { ledger: self, id }
-    }
-
-    /// Asserts a recorded write range conforms to every registered plan
-    /// expectation whose span it touches (zero-length writes are vacuous).
-    fn check_plan(&self, task: &str, range: (usize, usize)) {
-        if range.0 >= range.1 {
-            return;
-        }
-        let expectations = Self::lock(&self.expectations);
-        for exp in expectations.iter() {
-            if !overlaps(exp.span, range) {
-                continue;
-            }
-            if exp.tasks.iter().any(|&(s, e)| s <= range.0 && range.1 <= e) {
-                continue;
-            }
-            // The nearest declared range makes the drift diagnostic
-            // actionable: it is the task the write was presumably meant
-            // to stay inside.
-            let nearest = exp
-                .tasks
-                .iter()
-                .min_by_key(|&&(s, e)| {
-                    (range.0 as i128 - s as i128).unsigned_abs()
-                        + (range.1 as i128 - e as i128).unsigned_abs()
-                })
-                .copied();
-            let nearest = match nearest {
-                Some((s, e)) => format!("nearest declared task range 0x{s:x}..0x{e:x}"),
-                None => "the plan declares no task ranges".to_string(),
-            };
-            let msg = format!(
-                "checked backend: write-plan drift at `{}`: task `{task}` writes \
-                 0x{:x}..0x{:x} outside the statically declared plan for buffer \
-                 `{}`; {nearest}",
-                exp.site, range.0, range.1, exp.buffer
-            );
-            drop(expectations);
-            // PANICS: a real write escaping the statically proven plan
-            // voids the disjointness proof — plan conformance requires
-            // aborting with both ranges, exactly like an observed overlap.
-            panic!("{msg}");
-        }
-    }
-
-    /// Records one task of a keyed dispatch epoch, panicking (with both
-    /// task identities) when its write range overlaps another task already
-    /// recorded in the same epoch.
-    fn record_keyed(
-        &self,
-        key: (usize, usize, usize),
-        label: &str,
-        total_tasks: usize,
-        task_key: u64,
-        task: String,
-        range: (usize, usize),
-    ) {
-        // Plan conformance first, before the epoch lock (the two checks
-        // take their locks one at a time, in a fixed order).
-        self.check_plan(&task, range);
-        let mut epochs = Self::lock(&self.epochs);
-        let idx = match epochs.iter().position(|e| e.key == key) {
-            Some(i) => i,
-            None => {
-                if epochs.len() >= MAX_EPOCHS {
-                    epochs.remove(0);
-                }
-                epochs.push(Epoch {
-                    key,
-                    total_tasks,
-                    label: label.to_string(),
-                    entries: Vec::new(),
-                });
-                epochs.len() - 1
-            }
-        };
-        let epoch = &mut epochs[idx];
-        if epoch.entries.iter().any(|e| e.task_key == task_key) {
-            // The same task arriving again means a new dispatch is reusing
-            // the buffers; the previous epoch's evidence is obsolete.
-            epoch.entries.clear();
-        }
-        if let Some(prev) = epoch.entries.iter().find(|e| overlaps(e.range, range)) {
-            let msg = violation(&epoch.label, &task, range, &prev.task, prev.range);
-            drop(epochs);
-            // PANICS: two tasks of one dispatch claiming overlapping
-            // ranges is a data race under the disjoint-write contract —
-            // aborting with both identities is the detector's purpose.
-            panic!("{msg}");
-        }
-        epoch.entries.push(Entry {
-            task_key,
-            range,
-            task,
-        });
-        if epoch.entries.len() >= epoch.total_tasks {
-            // Complete dispatch: every task reported disjoint. Retiring the
-            // epoch keeps recycled allocations from colliding with stale
-            // evidence.
-            epochs.remove(idx);
-        }
-    }
-
-    /// Opens a scope: a dispatch whose tasks are recorded via
-    /// [`LedgerScope::record`] and whose evidence is discarded when the
-    /// scope drops (the parallel sweep is over).
-    pub(crate) fn open_scope(&self, label: String) -> LedgerScope<'_> {
-        // ORDERING: Relaxed — the counter only needs uniqueness, no
-        // cross-thread ordering; scope ids are never compared across
-        // threads except for equality.
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let key = (usize::MAX, id as usize, 0);
-        let mut epochs = Self::lock(&self.epochs);
-        if epochs.len() >= MAX_EPOCHS {
-            epochs.remove(0);
-        }
-        epochs.push(Epoch {
-            key,
-            total_tasks: usize::MAX,
-            label,
-            entries: Vec::new(),
-        });
-        LedgerScope { ledger: self, key }
-    }
-
-    /// Marks a write range as in flight for the duration of the returned
-    /// guard, panicking when it overlaps any other in-flight range.
-    fn enter(&self, task: &str, ranges: &[(usize, usize)]) -> ActiveGuard<'_> {
-        for &range in ranges {
-            self.check_plan(task, range);
-        }
-        let mut active = Self::lock(&self.active);
-        let mut ids = Vec::with_capacity(ranges.len());
-        for &range in ranges {
-            if let Some(prev) = active.iter().find(|s| overlaps(s.range, range)) {
-                let msg = violation(
-                    "concurrent kernel writes",
-                    task,
-                    range,
-                    &prev.task,
-                    prev.range,
-                );
-                drop(active);
-                // PANICS: two in-flight kernels over overlapping ranges
-                // is a live data race — abort with both identities.
-                panic!("{msg}");
-            }
-            // ORDERING: Relaxed — id uniqueness only (see `open_scope`).
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            ids.push(id);
-            active.push(ActiveSpan {
-                id,
-                range,
-                task: task.to_string(),
-            });
-        }
-        ActiveGuard { ledger: self, ids }
-    }
-}
-
-/// A recording scope for one parallel sweep (see
-/// [`WriteLedger::open_scope`]).
-#[derive(Debug)]
-pub(crate) struct LedgerScope<'l> {
-    ledger: &'l WriteLedger,
-    key: (usize, usize, usize),
-}
-
-impl LedgerScope<'_> {
-    /// Records one task's write range into the scope, panicking with both
-    /// task identities when it overlaps a previously recorded one.
-    pub(crate) fn record(&self, task: String, range: (usize, usize)) {
-        // Scope task keys are a running index: never equal, so recording
-        // n chunks never triggers the keyed-epoch reset path.
-        // ORDERING: Relaxed — id uniqueness only (see `open_scope`).
-        let task_key = self.ledger.next_id.fetch_add(1, Ordering::Relaxed);
-        self.ledger
-            .record_keyed(self.key, "", usize::MAX, task_key, task, range);
-    }
-}
-
-impl Drop for LedgerScope<'_> {
-    fn drop(&mut self) {
-        let mut epochs = WriteLedger::lock(&self.ledger.epochs);
-        epochs.retain(|e| e.key != self.key);
-    }
-}
-
-struct ActiveGuard<'l> {
-    ledger: &'l WriteLedger,
-    ids: Vec<u64>,
-}
-
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        let mut active = WriteLedger::lock(&self.ledger.active);
-        active.retain(|s| !self.ids.contains(&s.id));
-    }
-}
-
-/// Holds one registered plan expectation alive (see
-/// [`WriteLedger::expect_plan`]); dropping it retires the expectation —
-/// the dispatch is over and the buffer may be reused under a new plan.
-#[derive(Debug)]
-pub struct PlanGuard<'l> {
-    ledger: &'l WriteLedger,
-    id: u64,
-}
-
-impl Drop for PlanGuard<'_> {
-    fn drop(&mut self) {
-        let mut expectations = WriteLedger::lock(&self.ledger.expectations);
-        expectations.retain(|e| e.id != self.id);
-    }
-}
-
-fn violation(
-    context: &str,
-    new_task: &str,
-    new_range: (usize, usize),
-    prev_task: &str,
-    prev_range: (usize, usize),
-) -> String {
-    format!(
-        "checked backend: disjoint-write contract violation ({context}): \
-         task `{new_task}` writes 0x{:x}..0x{:x} overlapping task `{prev_task}` \
-         writes 0x{:x}..0x{:x}",
-        new_range.0, new_range.1, prev_range.0, prev_range.1
-    )
-}
 
 /// Panics with the kernel identity and first diverging element when a
 /// checked kernel's bits differ from the scalar reference — the runtime
@@ -445,7 +73,7 @@ fn compare_render(
     );
 }
 
-/// The `"checked"` strict-tier race-detector backend (see the
+/// The `"checked"` strict-tier shadow-execution backend (see the
 /// [module docs](self)).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CheckedKernels {
@@ -454,14 +82,9 @@ pub struct CheckedKernels {
 }
 
 impl CheckedKernels {
-    /// A fresh checker (state lives in the shared [`WriteLedger`]).
+    /// A fresh checker (stateless: every call compares and returns).
     pub fn new() -> Self {
         CheckedKernels::default()
-    }
-
-    /// The ledger this backend records into.
-    pub fn ledger(&self) -> &'static WriteLedger {
-        WriteLedger::global()
     }
 }
 
@@ -474,20 +97,8 @@ impl Kernels for CheckedKernels {
         self
     }
 
-    fn plan_conformance(&self) -> bool {
-        // The dispatch drivers register each seam's instantiated
-        // `WritePlan` with the ledger, which then holds every recorded
-        // write to the statically proven ranges.
-        true
-    }
-
     fn grid_encode_chunk(&self, grid: &HashGrid, unit_positions: &[Vec3], out: &mut [f32]) {
-        let task = format!(
-            "grid encode chunk ({} points -> 0x{:x})",
-            unit_positions.len(),
-            out.as_ptr() as usize
-        );
-        let _guard = self.ledger().enter(&task, &[byte_range(out)]);
+        let task = format!("grid encode chunk ({} points)", unit_positions.len());
         let mut shadow = out.to_vec();
         self.inner.grid_encode_chunk(grid, unit_positions, out);
         self.reference
@@ -503,11 +114,9 @@ impl Kernels for CheckedKernels {
         out: &mut [f32],
     ) {
         let task = format!(
-            "grid encode levels chunk (levels {levels:?}, {} points -> 0x{:x})",
-            unit_positions.len(),
-            out.as_ptr() as usize
+            "grid encode levels chunk (levels {levels:?}, {} points)",
+            unit_positions.len()
         );
-        let _guard = self.ledger().enter(&task, &[byte_range(out)]);
         // The level-subset encode must leave other levels' columns
         // untouched: the shadow starts from the same pre-state so any
         // out-of-subset write diverges the comparison.
@@ -527,29 +136,10 @@ impl Kernels for CheckedKernels {
         unit_positions: &[Vec3],
         d_out: &[f32],
     ) {
-        let range = byte_range(level_grads);
         let task = format!(
-            "grid scatter level {level} ({} points -> 0x{:x}..0x{:x})",
-            unit_positions.len(),
-            range.0,
-            range.1
+            "grid scatter level {level} ({} points)",
+            unit_positions.len()
         );
-        // All levels of one `par_backward_batch_with` dispatch share the
-        // (grid, d_out) key — their slices of the flat gradient buffer
-        // must be pairwise disjoint whether or not they run concurrently.
-        self.ledger().record_keyed(
-            (
-                grid as *const HashGrid as usize,
-                d_out.as_ptr() as usize,
-                d_out.len(),
-            ),
-            "grid gradient scatter dispatch",
-            grid.levels().len(),
-            level as u64,
-            task.clone(),
-            range,
-        );
-        let _guard = self.ledger().enter(&task, &[range]);
         let mut shadow = level_grads.to_vec();
         self.inner
             .grid_scatter_level(grid, level, level_grads, unit_positions, d_out);
@@ -565,11 +155,11 @@ impl Kernels for CheckedKernels {
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
         let mut shadow_ws = mlp.batch_workspace(inputs.len() / mlp.in_dim().max(1));
-        let shadow: Vec<f32> = mlp
-            .forward_batch_impl(GemvMode::Scalar, inputs, &mut shadow_ws)
-            .to_vec();
-        let out = mlp.forward_batch_impl(GemvMode::Checked, inputs, ws);
-        compare_bits("mlp forward batch", out, &shadow);
+        let shadow = self
+            .reference
+            .mlp_forward_batch(mlp, inputs, &mut shadow_ws);
+        let out = self.inner.mlp_forward_batch(mlp, inputs, ws);
+        compare_bits("mlp forward batch", out, shadow);
         out
     }
 
@@ -588,14 +178,15 @@ impl Kernels for CheckedKernels {
         // accumulate across calls).
         let mut shadow_grads = grads.clone();
         let mut shadow_d_input = d_input.to_vec();
-        mlp.backward_batch_impl(
-            GemvMode::Scalar,
+        self.reference.mlp_backward_batch(
+            mlp,
             d_output,
             ws,
             &mut shadow_grads,
             &mut shadow_d_input,
         );
-        mlp.backward_batch_impl(GemvMode::Checked, d_output, ws, grads, d_input);
+        self.inner
+            .mlp_backward_batch(mlp, d_output, ws, grads, d_input);
         for (i, ((gw, gb), (sw, sb))) in grads.layers.iter().zip(&shadow_grads.layers).enumerate() {
             compare_bits(
                 &format!("mlp backward batch (layer {i} weight grads)"),
@@ -636,17 +227,7 @@ impl Kernels for CheckedKernels {
                 real
             }
             Some((weights, trans, oma)) => {
-                let task = format!(
-                    "composite ray ({} samples, cache -> 0x{:x})",
-                    t.len(),
-                    weights.as_ptr() as usize
-                );
-                // Concurrent rays (tile renderer workers) must own
-                // disjoint cache rows.
-                let _guard = self.ledger().enter(
-                    &task,
-                    &[byte_range(weights), byte_range(trans), byte_range(oma)],
-                );
+                let task = format!("composite ray ({} samples, cached)", t.len());
                 // Early termination leaves the cache tail untouched: the
                 // shadow starts from the same pre-state so the comparison
                 // covers exactly what the kernel wrote.
@@ -685,7 +266,7 @@ mod tests {
     use crate::grid::{HashGrid, HashGridConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::panic::catch_unwind;
 
     fn tiny_grid() -> HashGrid {
         HashGrid::new_random(
@@ -721,7 +302,7 @@ mod tests {
         ScalarKernels.grid_encode_chunk(&grid, &pts, &mut reference);
         assert_eq!(out, reference);
 
-        // A full, disjoint scatter dispatch passes and retires its epoch.
+        // A full scatter dispatch passes the per-level shadow comparison.
         let d_out = vec![0.125f32; pts.len() * w];
         let mut grads = grid.zero_grads();
         grid.par_backward_batch_with(
@@ -733,139 +314,6 @@ mod tests {
         let mut ref_grads = grid.zero_grads();
         grid.par_backward_batch_with(&super::super::scalar(), &pts, &d_out, &mut ref_grads);
         assert_eq!(grads.values, ref_grads.values);
-    }
-
-    #[test]
-    fn overlapping_scatter_write_panics_with_both_task_identities() {
-        let grid = tiny_grid();
-        let backend = CheckedKernels::new();
-        let pts = points(9);
-        let d_out = vec![0.25f32; pts.len() * grid.output_dim()];
-        let mut grads = grid.zero_grads();
-        let level_len = grads.values.len() / grid.levels().len();
-        // Level 0 claims the buffer's head; level 1 then claims a slice
-        // starting halfway into it — a seeded violation of the
-        // disjoint-slicing invariant `par_backward_batch_with` upholds.
-        // (The overlap is caught at record time, before either slice
-        // shape could matter to the kernels.)
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            backend.grid_scatter_level(&grid, 0, &mut grads.values[..level_len], &pts, &d_out);
-            backend.grid_scatter_level(&grid, 1, &mut grads.values[level_len / 2..], &pts, &d_out);
-        }))
-        .expect_err("overlapping scatter slices must panic");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("panic payload is the diagnostic string");
-        assert!(
-            msg.contains("disjoint-write contract violation"),
-            "names the contract: {msg}"
-        );
-        assert!(
-            msg.contains("grid scatter level 1"),
-            "names the offending task: {msg}"
-        );
-        assert!(
-            msg.contains("grid scatter level 0"),
-            "names the other task: {msg}"
-        );
-        // The aborted dispatch leaves stale evidence behind — discard it.
-        WriteLedger::global().reset();
-    }
-
-    #[test]
-    fn concurrent_overlap_in_the_active_set_panics() {
-        let ledger = WriteLedger::default();
-        let _a = ledger.enter("task A", &[(1000, 2000)]);
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            let _b = ledger.enter("task B", &[(1990, 2010)]);
-        }))
-        .expect_err("overlapping in-flight ranges must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap();
-        assert!(msg.contains("task B") && msg.contains("task A"), "{msg}");
-        // Disjoint ranges enter fine, and guards release their spans.
-        drop(ledger.enter("task C", &[(2000, 3000)]));
-        drop(_a);
-        let _d = ledger.enter("task D", &[(1500, 1600)]);
-    }
-
-    #[test]
-    fn scope_records_catch_overlap_and_clear_on_drop() {
-        let ledger = WriteLedger::default();
-        {
-            let scope = ledger.open_scope("sweep".to_string());
-            scope.record("rows 0..4".to_string(), (0, 64));
-            scope.record("rows 4..8".to_string(), (64, 128));
-            let err = catch_unwind(AssertUnwindSafe(|| {
-                scope.record("rows 3..5".to_string(), (48, 80));
-            }))
-            .expect_err("overlapping rows must panic");
-            let msg = err.downcast_ref::<String>().cloned().unwrap();
-            assert!(msg.contains("rows 3..5"), "{msg}");
-        }
-        // Scope dropped: the same ranges are recordable again.
-        let scope = ledger.open_scope("sweep 2".to_string());
-        scope.record("rows 0..8".to_string(), (0, 128));
-    }
-
-    #[test]
-    fn plan_drift_is_caught_naming_site_and_both_ranges() {
-        use crate::kernels::plan::WritePlan;
-        let ledger = WriteLedger::default();
-        let plan = WritePlan::chunked("plan.rs:1 demo_dispatch", "demo_out", "n", "chunk", None)
-            .instantiate(&[("n", 10), ("chunk", 4)], &[]);
-        let buf = [0.0f32; 10];
-        let _guard = ledger.expect_plan(&plan, buf.as_ptr());
-        let base = buf.as_ptr() as usize;
-        // Writes inside a single declared task range conform…
-        drop(ledger.enter("chunk 0", &[(base, base + 16)]));
-        drop(ledger.enter("tail half", &[(base + 32, base + 36)]));
-        // …a zero-length write is vacuous…
-        drop(ledger.enter("empty", &[(base + 2, base + 2)]));
-        // …but a write straddling two declared tasks is drift: the code
-        // no longer matches the plan the prover verified.
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            let _g = ledger.enter("straddler", &[(base + 8, base + 24)]);
-        }))
-        .expect_err("a write escaping its declared task range must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap();
-        assert!(msg.contains("write-plan drift"), "{msg}");
-        assert!(msg.contains("demo_dispatch"), "names the site: {msg}");
-        assert!(msg.contains("straddler"), "names the writing task: {msg}");
-        assert!(
-            msg.contains("nearest declared task range"),
-            "names the declared range: {msg}"
-        );
-        // The scope/record path is held to the plan too.
-        let scope = ledger.open_scope("sweep".to_string());
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            scope.record("rogue rows".to_string(), (base + 14, base + 18));
-        }))
-        .expect_err("recorded writes are checked against the plan");
-        let msg = err.downcast_ref::<String>().cloned().unwrap();
-        assert!(
-            msg.contains("write-plan drift") && msg.contains("rogue rows"),
-            "{msg}"
-        );
-    }
-
-    #[test]
-    fn plan_expectations_retire_with_their_guard() {
-        use crate::kernels::plan::WritePlan;
-        let ledger = WriteLedger::default();
-        let plan = WritePlan::chunked("plan.rs:2 demo", "demo_out", "n", "chunk", None)
-            .instantiate(&[("n", 8), ("chunk", 4)], &[]);
-        let buf = [0.0f32; 8];
-        let base = buf.as_ptr() as usize;
-        {
-            let _guard = ledger.expect_plan(&plan, buf.as_ptr());
-            let err = catch_unwind(AssertUnwindSafe(|| {
-                let _g = ledger.enter("straddler", &[(base + 8, base + 24)]);
-            }));
-            assert!(err.is_err());
-        }
-        // Guard dropped: the same range is unconstrained again.
-        drop(ledger.enter("straddler", &[(base + 8, base + 24)]));
     }
 
     #[test]

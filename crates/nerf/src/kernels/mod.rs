@@ -18,11 +18,10 @@
 //! * [`FastKernels`] (`"fast"`) — the first **lossy-tier** backend: fused
 //!   multiply-add kernels with runtime-detected AVX2/FMA specialisations,
 //!   trading bit-identity for speed under a declared [`Tolerance`].
-//! * [`CheckedKernels`] (`"checked"`) — the strict-tier dynamic race
-//!   detector: wraps the SIMD kernels, shadow-records every disjoint-write
-//!   task's byte range in a [`WriteLedger`] (panicking with both task
-//!   identities on overlap) and re-derives every output through the scalar
-//!   reference to pin the fixed accumulation order.
+//! * [`CheckedKernels`] (`"checked"`) — the strict-tier shadow executor:
+//!   wraps the SIMD kernels and re-derives every output through the scalar
+//!   reference, panicking on the first diverging bit, to pin the fixed
+//!   accumulation order.
 //!
 //! New backends register at runtime through [`register`]; everything that
 //! names a backend — `TrainConfig::kernel_backend`, the
@@ -115,16 +114,24 @@
 //!
 //! # Contract enforcement
 //!
-//! The tier contracts above are machine-checked on two levels; a new
-//! backend opts in simply by registering, since both checkers key off the
-//! registry's tier split.
+//! The strict contract has two halves, each carried by the one mechanism
+//! that can actually see it; a new backend opts in simply by registering.
 //!
-//! **Static level — the conformance linter** (`cargo run -p
-//! instant3d-conformance`, also a `#[test]` in that crate) lexes the
-//! workspace sources (comment/string aware) and enforces a small marker
-//! grammar; all markers are line comments immediately above the item they
-//! cover (attributes and further comment lines may sit between), except
-//! where noted:
+//! | | proves | how |
+//! |---|---|---|
+//! | **The compiler** | parallel tasks write **disjoint, in-bounds, gap-free** ranges | every dispatch seam hands its tasks `&mut` slices cut by `par_chunks_mut().zip(..)` or a `split_at_mut` partition (the per-level scatter's lives in one private helper in `grid.rs`), and `#![deny(unsafe_code)]` keeps a raw-pointer dispatcher from appearing unannounced — an overlapping, aliased or outliving write is a compile error (`compile_fail` doctests on that helper and on [`RayBatchCache`](crate::render::RayBatchCache)) |
+//! | **`checked` + the lints** | what types do not see: **accumulation order**, FMA placement, the `unsafe`/`target_feature` census, atomics orderings, determinism | [`CheckedKernels`] re-runs every seam through [`ScalarKernels`] on a shadow copy and panics on the first diverging bit; the conformance linter enforces the marker grammar below |
+//!
+//! `checked` rides the CI strict backend × worker matrix
+//! (`.github/workflows/ci.yml`), whose axis is derived from the registry
+//! by `tests/backend_api.rs`, so neither a new strict backend nor the
+//! checker itself can silently drop out.
+//!
+//! **The conformance linter** (`cargo run -p instant3d-conformance`, also
+//! a `#[test]` in that crate) lexes the workspace sources (comment/string
+//! aware) and enforces a small marker grammar; all markers are line
+//! comments immediately above the item they cover (attributes and further
+//! comment lines may sit between), except where noted:
 //!
 //! * `// CONTRACT: lossy-tier` — required on any function in a strict
 //!   kernel module (`grid.rs`, `mlp.rs`, `render.rs`, `simd.rs`,
@@ -147,66 +154,20 @@
 //!   order and wall-clock reads must never feed kernel numerics.
 //! * `// PANICS:` — required on every `unwrap`/`expect`/`panic!` in the
 //!   kernel and trainer hot-path modules (the strict kernel files plus
-//!   `kernels/{checked,fast,instrumented,plan}.rs` and
+//!   `kernels/{checked,fast,instrumented}.rs` and
 //!   `core/{batch,trainer,render}.rs`), justifying why aborting is the
 //!   contractually correct response. A hot-path panic without a stated
 //!   contract behind it is a latent reliability bug.
-//!
-//! **Static level — the write-plan prover.** Every parallel dispatch seam
-//! (grid encode chunks, per-level gradient scatter, the MLP forward /
-//! backward sweeps, the per-ray compositing cache, the tile renderer)
-//! declares a [`WritePlan`](plan::WritePlan): its per-task write
-//! intervals as symbolic expressions of shape parameters (see the
-//! [plan grammar](plan)). The conformance crate's prover
-//! (`instant3d-conformance`, `src/prover.rs`) discharges, for **all**
-//! in-bounds parameter values:
-//!
-//! * **pairwise disjointness** — task `t` ends at or before task `t+1`
-//!   starts (tasks are declared in buffer order, so ordering ⇒
-//!   disjointness), and
-//! * **exact coverage** — the first task starts at 0, consecutive tasks
-//!   leave no gap, the last task ends at `total`, and zero tasks implies
-//!   an empty buffer,
-//!
-//! so the disjoint-write half of the strict contract holds for every
-//! shape, not just the shapes the tests happened to run. Diagnostics are
-//! `file:line`-style, carrying a concrete counterexample shape and the
-//! two clashing task ranges.
-//!
-//! **Dynamic level — the `"checked"` backend** ([`CheckedKernels`])
-//! executes the disjoint-write contract: every scatter / MLP-gradient-row
-//! / compositing task's write range is recorded in the [`WriteLedger`]
-//! and checked for pairwise overlap (panicking with both task
-//! identities), and every kernel output is compared bit-for-bit against
-//! the scalar reference, pinning the fixed per-output accumulation order.
-//! It rides the CI strict backend × worker matrix
-//! (`.github/workflows/ci.yml`), whose axis is derived from the registry
-//! by `tests/backend_api.rs`, so neither a new strict backend nor the
-//! checker itself can silently drop out.
-//!
-//! **Plan conformance** closes the loop between the two levels. When a
-//! backend opts in via [`Kernels::plan_conformance`] (the `checked`
-//! backend does), each dispatch site instantiates its `WritePlan` at the
-//! concrete shape ([`plan::WritePlan::instantiate`] — which re-validates
-//! the declared parameter bounds and cut-table axioms) and registers the
-//! resulting task ranges with the ledger
-//! ([`WriteLedger::expect_plan`]); the ledger then asserts every
-//! dynamically recorded write range falls **inside one declared task
-//! range** of the plan, panicking with the site, the writing task, and
-//! the nearest declared range on drift. The statically proven plan and
-//! the code it describes cannot silently diverge.
 
 mod builtin;
 mod checked;
 mod fast;
 mod instrumented;
-pub mod plan;
 
 pub use builtin::{ScalarKernels, SimdKernels};
-pub use checked::{CheckedKernels, PlanGuard, WriteLedger};
+pub use checked::CheckedKernels;
 pub use fast::FastKernels;
 pub use instrumented::{InstrumentedKernels, RecordedStreams, StreamSegment};
-pub use plan::{ConcretePlan, WritePlan};
 
 use crate::grid::HashGrid;
 use crate::math::Vec3;
@@ -469,19 +430,6 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
     fn sequential_grid(&self) -> bool {
         false
     }
-
-    /// When `true`, the dispatch drivers instantiate each seam's declared
-    /// [`WritePlan`](plan::WritePlan) at the concrete shape and register
-    /// it with the [`WriteLedger`] ([`WriteLedger::expect_plan`]) before
-    /// dispatching, so every write range the backend records is asserted
-    /// to fall inside the statically proven plan (see the
-    /// [module docs](self#contract-enforcement)). Defaults to `false`;
-    /// only backends that actually record writes into the ledger (the
-    /// `checked` backend) should opt in — for everything else the
-    /// expectations would be dead weight on the hot path.
-    fn plan_conformance(&self) -> bool {
-        false
-    }
 }
 
 /// A shared, cheaply clonable handle to a registered (or ad-hoc) backend.
@@ -732,9 +680,9 @@ pub fn fast() -> BackendHandle {
     get("fast").expect("built-in fast backend")
 }
 
-/// The strict-tier dynamic race-detector backend (always registered): SIMD
-/// numerics plus disjoint-write ledger recording and scalar shadow
-/// comparison — see [`CheckedKernels`].
+/// The strict-tier shadow-execution backend (always registered): SIMD
+/// numerics plus a bitwise scalar shadow comparison of every seam — see
+/// [`CheckedKernels`].
 pub fn checked() -> BackendHandle {
     get("checked").expect("built-in checked backend")
 }

@@ -12,8 +12,8 @@
 //! * [`grid`] — the multiresolution hash-grid encoding of Instant-NGP
 //!   (Step ③-①): trilinear interpolation forward and gradient scatter
 //!   backward, with optional access observers for trace capture. Batched
-//!   SoA kernels (`encode_batch_into`, `par_encode_batch`,
-//!   `backward_batch_into`, `par_backward_batch`) process whole point
+//!   SoA kernels (`encode_batch_into`, `par_encode_batch_with`,
+//!   `backward_batch_into`, `par_backward_batch_with`) process whole point
 //!   batches — level-major for cache locality, level-parallel for the
 //!   scatter — with bit-identical results to the scalar kernels.
 //! * [`kernels`] — the **open kernel-backend API**: the [`Kernels`] trait
@@ -33,8 +33,9 @@
 //!   kernels are built on.
 //! * [`sh`] — spherical-harmonics direction encoding for the color head.
 //! * [`mlp`] — small fully-connected networks with hand-derived backprop
-//!   (Step ③-②); `forward_batch` / `backward_batch` run whole batches
-//!   over retained row-major activations (no re-forward in backward).
+//!   (Step ③-②); `forward_batch_with` / `backward_batch_with` run whole
+//!   batches over retained row-major activations (no re-forward in
+//!   backward).
 //! * [`adam`] — the Adam optimizer used for both grids and MLPs.
 //! * [`render`] — classical volume rendering (Eq. 1), forward and backward
 //!   (Steps ④–⑥).
@@ -55,6 +56,12 @@
 //! let emb = grid.encode(Vec3::new(0.3, 0.4, 0.5));
 //! assert_eq!(emb.len(), grid.output_dim());
 //! ```
+
+// The only `unsafe` in this crate is `#[target_feature]` fns, their
+// runtime-guarded call sites and the SSE2 lane intrinsics in `simd.rs`,
+// each opted in with an item-level `#[allow(unsafe_code)]`; anything
+// else — a raw-pointer dispatcher, say — has to justify itself.
+#![deny(unsafe_code)]
 
 pub mod activation;
 pub mod adam;

@@ -181,6 +181,7 @@ impl Linear {
     // AVX2+FMA target features, established by the caller's guard.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
+    #[allow(unsafe_code)]
     unsafe fn forward_into_fused_avx2(
         &self,
         wt: &[f32],
@@ -195,6 +196,7 @@ impl Linear {
     /// results on both arms (`f32::mul_add` is correctly rounded
     /// everywhere), so the specialization is purely speed.
     #[inline]
+    #[allow(unsafe_code)]
     fn forward_into_fused(&self, wt: &[f32], x: &[f32], pre: &mut [f32], out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
         if simd::avx2_fma_available() {
@@ -218,12 +220,6 @@ pub(crate) enum GemvMode {
     Simd,
     /// Fused multiply-add GEMV — lossy tier, one rounding per term.
     Fused,
-    /// The SIMD arithmetic with disjoint-write ledger recording: every
-    /// parallel gradient row/item chunk registers its write range with
-    /// the `"checked"` backend's [`crate::kernels::WriteLedger`], which
-    /// panics (naming both tasks) on overlap. Numerics are exactly
-    /// [`GemvMode::Simd`]'s.
-    Checked,
 }
 
 impl GemvMode {
@@ -232,7 +228,7 @@ impl GemvMode {
     fn axpy(self, y: &mut [f32], a: f32, x: &[f32]) {
         match self {
             GemvMode::Scalar => simd::axpy(false, y, a, x),
-            GemvMode::Simd | GemvMode::Checked => simd::axpy(true, y, a, x),
+            GemvMode::Simd => simd::axpy(true, y, a, x),
             GemvMode::Fused => simd::axpy_fused(y, a, x),
         }
     }
@@ -309,6 +305,7 @@ fn grad_rows_fused_body(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
+#[allow(unsafe_code)]
 unsafe fn grad_rows_fused_avx2(
     x: &[f32],
     dz: &[f32],
@@ -328,6 +325,7 @@ unsafe fn grad_rows_fused_avx2(
 /// everywhere), so the specialization is purely speed.
 #[inline]
 #[allow(clippy::too_many_arguments)]
+#[allow(unsafe_code)]
 fn grad_rows_fused(
     x: &[f32],
     dz: &[f32],
@@ -395,6 +393,7 @@ fn input_grad_fused_body(dnc: &mut [f32], dzc: &[f32], w_flat: &[f32], iw: usize
 // AVX2+FMA target features, established by the caller's guard.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
+#[allow(unsafe_code)]
 unsafe fn input_grad_fused_avx2(
     dnc: &mut [f32],
     dzc: &[f32],
@@ -409,6 +408,7 @@ unsafe fn input_grad_fused_avx2(
 /// feature check per item chunk instead of one per `(item, row)` axpy.
 /// Bit-identical on both arms, so the specialization is purely speed.
 #[inline]
+#[allow(unsafe_code)]
 fn input_grad_fused(dnc: &mut [f32], dzc: &[f32], w_flat: &[f32], iw: usize, ow: usize) {
     #[cfg(target_arch = "x86_64")]
     if simd::avx2_fma_available() {
@@ -518,7 +518,7 @@ pub struct MlpWorkspace {
 /// zero steady-state allocation.
 #[derive(Debug, Clone)]
 pub struct MlpBatchWorkspace {
-    /// Items currently stored (set by the last `forward_batch`).
+    /// Items currently stored (set by the last `forward_batch_with`).
     n: usize,
     /// acts[0] is the input copy (`n × in_dim`); acts[i+1] is layer i's
     /// activated output (`n × out_dim_i`), row-major.
@@ -535,7 +535,7 @@ pub struct MlpBatchWorkspace {
 }
 
 impl MlpBatchWorkspace {
-    /// Items stored by the most recent `forward_batch`.
+    /// Items stored by the most recent `forward_batch_with`.
     pub fn len(&self) -> usize {
         self.n
     }
@@ -774,86 +774,19 @@ impl Mlp {
         Some(n.div_ceil(threads * 4).max(16))
     }
 
-    /// The declared [`WritePlan`](crate::kernels::WritePlan)s of
-    /// [`Mlp::forward_batch_impl`]'s per-layer parallel sweep: the
-    /// post-activation (`y`) and pre-activation (`pre`) buffers are both
-    /// written in item chunks of `out_dim` elements — verified disjoint
-    /// and gap-free for all shapes by the conformance prover.
-    pub fn forward_write_plans() -> [crate::kernels::WritePlan; 2] {
-        [
-            crate::kernels::WritePlan::chunked(
-                concat!(file!(), ":", line!(), " Mlp::forward_batch_impl"),
-                "layer activations (y)",
-                "items",
-                "chunk",
-                Some("out_dim"),
-            ),
-            crate::kernels::WritePlan::chunked(
-                concat!(file!(), ":", line!(), " Mlp::forward_batch_impl"),
-                "layer pre-activations (pre)",
-                "items",
-                "chunk",
-                Some("out_dim"),
-            ),
-        ]
-    }
-
-    /// The declared write plans of [`Mlp::backward_batch_impl`]'s three
-    /// per-layer parallel sweeps: the in-place `dz` activation-derivative
-    /// sweep (item chunks × `out_dim`), the parameter-gradient sweep
-    /// (output-row chunks: `in_dim` weight elements and one bias element
-    /// per row), and the input-gradient sweep (item chunks × `in_dim`).
-    pub fn backward_write_plans() -> [crate::kernels::WritePlan; 4] {
-        [
-            crate::kernels::WritePlan::chunked(
-                concat!(file!(), ":", line!(), " Mlp::backward_batch_impl"),
-                "dz activation-derivative sweep (d_cur)",
-                "items",
-                "chunk",
-                Some("out_dim"),
-            ),
-            crate::kernels::WritePlan::chunked(
-                concat!(file!(), ":", line!(), " Mlp::backward_batch_impl"),
-                "weight gradients (gw)",
-                "rows",
-                "row_chunk",
-                Some("in_dim"),
-            ),
-            crate::kernels::WritePlan::chunked(
-                concat!(file!(), ":", line!(), " Mlp::backward_batch_impl"),
-                "bias gradients (gb)",
-                "rows",
-                "row_chunk",
-                None,
-            ),
-            crate::kernels::WritePlan::chunked(
-                concat!(file!(), ":", line!(), " Mlp::backward_batch_impl"),
-                "input gradients (d_next)",
-                "items",
-                "chunk",
-                Some("in_dim"),
-            ),
-        ]
-    }
-
     /// Batched forward pass over `n = inputs.len() / in_dim` row-major
-    /// items; returns the `n × out_dim` output slice living inside `ws`.
+    /// items through an explicit kernel backend ([`crate::kernels`]);
+    /// returns the `n × out_dim` output slice living inside `ws`.
     ///
     /// Per-item arithmetic is identical to [`Mlp::forward`], and all
-    /// parallel writes are disjoint rows, so results are bit-identical to
-    /// the scalar path for any worker count. Activations stay in `ws` for
-    /// [`Mlp::backward_batch`] — no re-forward needed.
+    /// parallel writes are disjoint rows, so strict-tier results are
+    /// bit-identical to the scalar path for any batch size and worker
+    /// count. Activations stay in `ws` for [`Mlp::backward_batch_with`] —
+    /// no re-forward needed.
     ///
     /// # Panics
     ///
     /// Panics if `inputs.len()` is not a multiple of `self.in_dim()`.
-    pub fn forward_batch<'w>(&self, inputs: &[f32], ws: &'w mut MlpBatchWorkspace) -> &'w [f32] {
-        self.forward_batch_impl(GemvMode::Scalar, inputs, ws)
-    }
-
-    /// [`Mlp::forward_batch`] with an explicit kernel backend
-    /// ([`crate::kernels`]); outputs are bit-identical to the scalar
-    /// backend for any batch size and worker count.
     pub fn forward_batch_with<'w>(
         &self,
         backend: &BackendHandle,
@@ -889,43 +822,7 @@ impl Mlp {
             let x = &head[i][..n * spec.in_dim];
             let y = &mut tail[0][..n * spec.out_dim];
             let pre = &mut ws.pre[i][..n * spec.out_dim];
-            let chunk_opt = Self::par_item_chunk(n, layer.flops());
-            // Checked mode shadow-records every chunk's y/pre write range
-            // and registers the declared write plan (instantiated with
-            // the chunk the branch below actually uses), so the sweep is
-            // held to the statically proven decomposition.
-            let fwd_scope = (mode == GemvMode::Checked).then(|| {
-                crate::kernels::WriteLedger::global()
-                    .open_scope(format!("mlp layer {i} forward sweep"))
-            });
-            let _fwd_plans = (mode == GemvMode::Checked).then(|| {
-                let shape = [
-                    ("items", n as i128),
-                    ("chunk", chunk_opt.unwrap_or(n.max(1)) as i128),
-                    ("out_dim", spec.out_dim as i128),
-                ];
-                let [y_plan, pre_plan] = Self::forward_write_plans();
-                let ledger = crate::kernels::WriteLedger::global();
-                (
-                    ledger.expect_plan(&y_plan.instantiate(&shape, &[]), y.as_ptr()),
-                    ledger.expect_plan(&pre_plan.instantiate(&shape, &[]), pre.as_ptr()),
-                )
-            });
             let run_rows = |xc: &[f32], prec: &mut [f32], yc: &mut [f32]| {
-                if let Some(scope) = &fwd_scope {
-                    let record = |what: &str, s: &[f32]| {
-                        let start = s.as_ptr() as usize;
-                        scope.record(
-                            format!(
-                                "layer {i} forward {what} chunk ({} items @0x{start:x})",
-                                s.len() / spec.out_dim
-                            ),
-                            (start, start + std::mem::size_of_val(s)),
-                        );
-                    };
-                    record("y", yc);
-                    record("pre", prec);
-                }
                 let rows = yc.len() / spec.out_dim;
                 for r in 0..rows {
                     let xr = &xc[r * spec.in_dim..(r + 1) * spec.in_dim];
@@ -933,14 +830,12 @@ impl Mlp {
                     let yr = &mut yc[r * spec.out_dim..(r + 1) * spec.out_dim];
                     match mode {
                         GemvMode::Scalar => layer.forward_into(xr, prer, yr),
-                        GemvMode::Simd | GemvMode::Checked => {
-                            layer.forward_into_simd(wt, xr, prer, yr)
-                        }
+                        GemvMode::Simd => layer.forward_into_simd(wt, xr, prer, yr),
                         GemvMode::Fused => layer.forward_into_fused(wt, xr, prer, yr),
                     }
                 }
             };
-            match chunk_opt {
+            match Self::par_item_chunk(n, layer.flops()) {
                 Some(chunk) => {
                     y.par_chunks_mut(chunk * spec.out_dim)
                         .zip(pre.par_chunks_mut(chunk * spec.out_dim))
@@ -955,36 +850,23 @@ impl Mlp {
         &ws.acts.last().unwrap()[..n * self.out_dim()]
     }
 
-    /// Batched backward pass for the most recent [`Mlp::forward_batch`] on
-    /// `ws` (`d_output` is `n × out_dim`, row-major).
+    /// Batched backward pass for the most recent
+    /// [`Mlp::forward_batch_with`] on `ws` (`d_output` is `n × out_dim`,
+    /// row-major), through an explicit kernel backend ([`crate::kernels`]).
     ///
     /// Accumulates parameter gradients into `grads` (per-parameter
-    /// accumulation runs in item order, matching `n` scalar
-    /// [`Mlp::backward`] calls bit-for-bit) and writes the input gradients
+    /// accumulation runs in item order) and writes the input gradients
     /// into `d_input` (`n × in_dim`; pass an empty slice to skip).
     /// Parallelism: items for the activation/input-gradient sweeps, output
     /// *rows* for the parameter-gradient sweep — every write is disjoint,
-    /// so results do not depend on the worker count.
+    /// so results do not depend on the worker count. Strict-tier backends
+    /// produce gradients bit-identical to the scalar backend (and to `n`
+    /// scalar [`Mlp::backward`] calls); lossy-tier backends stay within
+    /// their declared tolerance.
     ///
     /// # Panics
     ///
     /// Panics if buffer widths mismatch the workspace batch.
-    pub fn backward_batch(
-        &self,
-        d_output: &[f32],
-        ws: &mut MlpBatchWorkspace,
-        grads: &mut MlpGradients,
-        d_input: &mut [f32],
-    ) {
-        self.backward_batch_impl(GemvMode::Scalar, d_output, ws, grads, d_input);
-    }
-
-    /// [`Mlp::backward_batch`] with an explicit kernel backend
-    /// ([`crate::kernels`]). Strict-tier backends produce gradients
-    /// bit-identical to the scalar backend (and to `n` scalar
-    /// [`Mlp::backward`] calls); lossy-tier backends stay within their
-    /// declared tolerance. Either way the result is the same for any
-    /// worker count.
     pub fn backward_batch_with(
         &self,
         backend: &BackendHandle,
@@ -1039,65 +921,22 @@ impl Mlp {
             let x = &acts[i][..n * iw];
             let y = &acts[i + 1][..n * ow];
             let pre_l = &pre[i][..n * ow];
-            // dz = dy ⊙ act'(pre), in place over the n×ow prefix. The
-            // checked-mode scope/plan guards live in this block: the same
-            // allocation is rewritten under a different decomposition
-            // next layer (after the d_cur/d_next swap), so the evidence
-            // and the plan expectation must retire with the sweep.
-            {
-                let chunk_opt = Self::par_item_chunk(n, ow);
-                let dz_scope = (mode == GemvMode::Checked).then(|| {
-                    crate::kernels::WriteLedger::global()
-                        .open_scope(format!("mlp layer {i} dz sweep"))
-                });
-                let _dz_plan = (mode == GemvMode::Checked).then(|| {
-                    let [dz_plan, _, _, _] = Self::backward_write_plans();
-                    crate::kernels::WriteLedger::global().expect_plan(
-                        &dz_plan.instantiate(
-                            &[
-                                ("items", n as i128),
-                                ("chunk", chunk_opt.unwrap_or(n.max(1)) as i128),
-                                ("out_dim", ow as i128),
-                            ],
-                            &[],
-                        ),
-                        d_cur.as_ptr(),
-                    )
-                });
-                match chunk_opt {
-                    Some(chunk) => {
-                        d_cur[..n * ow]
-                            .par_chunks_mut(chunk * ow)
-                            .zip(pre_l.par_chunks(chunk * ow))
-                            .zip(y.par_chunks(chunk * ow))
-                            .for_each(|((dc, prec), yc)| {
-                                if let Some(scope) = &dz_scope {
-                                    let start = dc.as_ptr() as usize;
-                                    scope.record(
-                                        format!(
-                                            "layer {i} dz chunk ({} items @0x{start:x})",
-                                            dc.len() / ow
-                                        ),
-                                        (start, start + std::mem::size_of_val(&dc[..])),
-                                    );
-                                }
-                                for ((d, p), a) in dc.iter_mut().zip(prec).zip(yc) {
-                                    *d *= spec.activation.derivative(*p, *a);
-                                }
-                            });
-                    }
-                    None => {
-                        if let Some(scope) = &dz_scope {
-                            let s = &d_cur[..n * ow];
-                            let start = s.as_ptr() as usize;
-                            scope.record(
-                                format!("layer {i} dz whole batch ({n} items)"),
-                                (start, start + std::mem::size_of_val(s)),
-                            );
-                        }
-                        for ((d, p), a) in d_cur[..n * ow].iter_mut().zip(pre_l).zip(y) {
-                            *d *= spec.activation.derivative(*p, *a);
-                        }
+            // dz = dy ⊙ act'(pre), in place over the n×ow prefix.
+            match Self::par_item_chunk(n, ow) {
+                Some(chunk) => {
+                    d_cur[..n * ow]
+                        .par_chunks_mut(chunk * ow)
+                        .zip(pre_l.par_chunks(chunk * ow))
+                        .zip(y.par_chunks(chunk * ow))
+                        .for_each(|((dc, prec), yc)| {
+                            for ((d, p), a) in dc.iter_mut().zip(prec).zip(yc) {
+                                *d *= spec.activation.derivative(*p, *a);
+                            }
+                        });
+                }
+                None => {
+                    for ((d, p), a) in d_cur[..n * ow].iter_mut().zip(pre_l).zip(y) {
+                        *d *= spec.activation.derivative(*p, *a);
                     }
                 }
             }
@@ -1107,44 +946,7 @@ impl Mlp {
             // output row; per-parameter accumulation stays in item order,
             // so results match the scalar path bit-for-bit.
             let (gw, gb) = &mut grads.layers[i];
-            let row_chunk = if Self::par_item_chunk(n, iw * ow).is_some() {
-                ow.div_ceil(rayon::current_num_threads().max(1) * 2).max(1)
-            } else {
-                ow
-            };
-            // Checked mode shadow-records every row-chunk task's write
-            // range; overlap between two chunks of this sweep panics with
-            // both task identities. The declared row-chunk plans hold the
-            // recorded ranges to the statically proven decomposition.
-            let grad_scope = (mode == GemvMode::Checked).then(|| {
-                crate::kernels::WriteLedger::global()
-                    .open_scope(format!("mlp layer {i} param-grad sweep"))
-            });
-            let _grad_plans = (mode == GemvMode::Checked).then(|| {
-                let [_, gw_plan, gb_plan, _] = Self::backward_write_plans();
-                let shape = [
-                    ("rows", ow as i128),
-                    ("row_chunk", row_chunk.max(1) as i128),
-                    ("in_dim", iw as i128),
-                ];
-                let ledger = crate::kernels::WriteLedger::global();
-                (
-                    ledger.expect_plan(&gw_plan.instantiate(&shape, &[]), gw.as_ptr()),
-                    ledger.expect_plan(&gb_plan.instantiate(&shape[..2], &[]), gb.as_ptr()),
-                )
-            });
             let accumulate_rows = |o0: usize, gw_rows: &mut [f32], gb_rows: &mut [f32]| {
-                if let Some(scope) = &grad_scope {
-                    let record = |what: &str, s: &[f32]| {
-                        let start = s.as_ptr() as usize;
-                        scope.record(
-                            format!("layer {i} {what} rows {o0}..{}", o0 + gb_rows.len()),
-                            (start, start + std::mem::size_of_val(s)),
-                        );
-                    };
-                    record("weight-grad", gw_rows);
-                    record("bias-grad", gb_rows);
-                }
                 if mode == GemvMode::Fused {
                     // Item-blocked fused sweep with one AVX2 dispatch per
                     // row chunk (lossy tier; item order preserved).
@@ -1162,6 +964,11 @@ impl Mlp {
                     }
                 }
             };
+            let row_chunk = if Self::par_item_chunk(n, iw * ow).is_some() {
+                ow.div_ceil(rayon::current_num_threads().max(1) * 2).max(1)
+            } else {
+                ow
+            };
             if row_chunk >= ow {
                 accumulate_rows(0, gw, gb);
             } else {
@@ -1177,45 +984,12 @@ impl Mlp {
                 break;
             }
             let w_flat = &layer.w;
-            // Checked mode records the input-gradient item chunks too —
-            // the other parallel write path of the backward.
-            let input_scope = (mode == GemvMode::Checked).then(|| {
-                crate::kernels::WriteLedger::global()
-                    .open_scope(format!("mlp layer {i} input-grad sweep"))
-            });
-            let _input_plan = (mode == GemvMode::Checked).then(|| {
-                let [_, _, _, d_next_plan] = Self::backward_write_plans();
-                crate::kernels::WriteLedger::global().expect_plan(
-                    &d_next_plan.instantiate(
-                        &[
-                            ("items", n as i128),
-                            (
-                                "chunk",
-                                Self::par_item_chunk(n, iw * ow).unwrap_or(n.max(1)) as i128,
-                            ),
-                            ("in_dim", iw as i128),
-                        ],
-                        &[],
-                    ),
-                    d_next.as_ptr(),
-                )
-            });
             match Self::par_item_chunk(n, iw * ow) {
                 Some(chunk) => {
                     d_next[..n * iw]
                         .par_chunks_mut(chunk * iw)
                         .zip(dz.par_chunks(chunk * ow))
                         .for_each(|(dnc, dzc)| {
-                            if let Some(scope) = &input_scope {
-                                let start = dnc.as_ptr() as usize;
-                                scope.record(
-                                    format!(
-                                        "layer {i} input-grad chunk ({} items @0x{start:x})",
-                                        dnc.len() / iw
-                                    ),
-                                    (start, start + std::mem::size_of_val(&dnc[..])),
-                                );
-                            }
                             if mode == GemvMode::Fused {
                                 // Row-blocked fused sweep, one AVX2
                                 // dispatch per item chunk (lossy tier).

@@ -235,6 +235,62 @@ impl RayBatch {
 
 /// Flat per-sample compositing state for a whole [`RayBatch`], retained for
 /// the backward pass (the SoA counterpart of [`RenderCache`]).
+///
+/// Ray `r` owns rows `batch.ray_range(r)` of the three per-sample buffers
+/// and its compositing task receives them as `&mut` sub-slices, so rays
+/// with disjoint rows may composite concurrently:
+///
+/// ```
+/// use instant3d_nerf::math::Vec3;
+/// use instant3d_nerf::render::{composite_slices, RayBatchCache};
+///
+/// // Two rays of two samples each: ray 0 owns rows 0..2, ray 1 rows 2..4.
+/// let (t, dt, sigma, rgb) = ([0.5f32, 0.6], [0.1f32; 2], [1.0f32; 2], [Vec3::ZERO; 2]);
+/// let mut cache = RayBatchCache::default();
+/// for buf in [&mut cache.weights, &mut cache.trans, &mut cache.one_minus_alpha] {
+///     buf.resize(4, 0.0);
+/// }
+/// let ray = |rows| composite_slices(&t, &dt, &sigma, &rgb, Vec3::ZERO, Some(rows));
+/// let (w0, w1) = cache.weights.split_at_mut(2);
+/// let (t0, t1) = cache.trans.split_at_mut(2);
+/// let (o0, o1) = cache.one_minus_alpha.split_at_mut(2);
+/// rayon::join(|| ray((w0, t0, o0)), || ray((w1, t1, o1)));
+/// ```
+///
+/// Two concurrent rays sharing cache rows — once a run-time fixture of
+/// the `checked` backend — is a type error:
+///
+/// ```compile_fail,E0524
+/// # use instant3d_nerf::math::Vec3;
+/// # use instant3d_nerf::render::{composite_slices, RayBatchCache};
+/// #
+/// # // Two rays of two samples each: ray 0 owns rows 0..2, ray 1 rows 2..4.
+/// # let (t, dt, sigma, rgb) = ([0.5f32, 0.6], [0.1f32; 2], [1.0f32; 2], [Vec3::ZERO; 2]);
+/// # let mut cache = RayBatchCache::default();
+/// # for buf in [&mut cache.weights, &mut cache.trans, &mut cache.one_minus_alpha] {
+/// #     buf.resize(4, 0.0);
+/// # }
+/// # let ray = |rows| composite_slices(&t, &dt, &sigma, &rgb, Vec3::ZERO, Some(rows));
+/// let c = &mut cache;
+/// rayon::join(
+///     || ray((&mut c.weights[0..2], &mut c.trans[0..2], &mut c.one_minus_alpha[0..2])),
+///     || ray((&mut c.weights[1..3], &mut c.trans[1..3], &mut c.one_minus_alpha[1..3])),
+/// );
+/// ```
+///
+/// and so is keeping a ray's rows across a batch dispatch, which borrows
+/// the whole cache exclusively:
+///
+/// ```compile_fail,E0499
+/// # use instant3d_nerf::math::Vec3;
+/// # use instant3d_nerf::render::{composite_batch, RayBatch, RayBatchCache};
+/// # let batch = RayBatch::new();
+/// # let mut cache = RayBatchCache::default();
+/// # cache.weights.resize(2, 0.0);
+/// let kept = &mut cache.weights[0..2];
+/// composite_batch(&batch, Vec3::ZERO, &mut cache);
+/// kept[0] = 1.0;
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct RayBatchCache {
     /// Compositing weight w_k, per sample (valid up to each ray's `active`).
@@ -486,6 +542,7 @@ fn composite_slices_fast_body(
 // AVX2+FMA target features, established by the caller's guard.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
+#[allow(unsafe_code)]
 unsafe fn composite_slices_fast_avx2(
     t: &[f32],
     dt: &[f32],
@@ -504,6 +561,7 @@ unsafe fn composite_slices_fast_avx2(
 /// two). `f32::mul_add` is correctly rounded on every path, so results are
 /// identical whether the AVX2/FMA specialization or the portable fallback
 /// runs — feature detection only picks the faster encoding.
+#[allow(unsafe_code)]
 pub fn composite_slices_fast(
     t: &[f32],
     dt: &[f32],
@@ -548,25 +606,6 @@ pub fn composite_backward_slices(
         d_sigma[k] = d_color.dot(dc_dsigma);
         suffix += rgb[k] * w;
     }
-}
-
-/// The declared [`WritePlan`](crate::kernels::WritePlan) of the per-ray
-/// compositing cache writes (`RayBatchCache::{weights, trans,
-/// one_minus_alpha}`): one task per ray, ray `r` owning
-/// `[offsets[r], offsets[r+1])` of each flat per-sample buffer — a cut
-/// partition over the batch's monotone sample-offset table
-/// ([`RayBatch::ray_range`]), verified disjoint and gap-free for all
-/// shapes by the conformance prover. The batched compositing dispatches
-/// ([`composite_batch`] and the engine's `BatchWorkspace::composite_all`)
-/// instantiate it per buffer under plan conformance.
-pub fn composite_cache_write_plan() -> crate::kernels::WritePlan {
-    crate::kernels::WritePlan::cut_partition(
-        concat!(file!(), ":", line!(), " composite_batch"),
-        "ray compositing cache",
-        "ray_offsets",
-        "rays",
-        "samples",
-    )
 }
 
 /// Composites every ray of `batch` front-to-back, filling `cache`.

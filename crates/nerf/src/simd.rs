@@ -181,6 +181,7 @@ macro_rules! f32x4_binop {
         impl std::ops::$trait for F32x4 {
             type Output = F32x4;
             #[inline(always)]
+            #[allow(unsafe_code)]
             fn $method(self, rhs: F32x4) -> F32x4 {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: SSE2 is part of the x86_64 baseline ISA, and
@@ -311,6 +312,7 @@ fn axpy_fused_body(y: &mut [f32], a: f32, x: &[f32]) {
 // exist at runtime, which every caller must establish first.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
+#[allow(unsafe_code)]
 unsafe fn axpy_fused_avx2(y: &mut [f32], a: f32, x: &[f32]) {
     // Same body; under this target feature LLVM vectorizes the `mul_add`
     // sweep to 256-bit `vfmadd` — bit-identical to the portable path,
@@ -326,6 +328,7 @@ unsafe fn axpy_fused_avx2(y: &mut [f32], a: f32, x: &[f32]) {
 ///
 /// Panics if `x` is shorter than `y`.
 #[inline]
+#[allow(unsafe_code)]
 pub fn axpy_fused(y: &mut [f32], a: f32, x: &[f32]) {
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {

@@ -278,7 +278,7 @@ proptest! {
         let mut level_major = vec![0.0f32; positions.len() * w];
         grid.encode_batch_level_major(&positions, &mut level_major);
         let mut parallel = vec![0.0f32; positions.len() * w];
-        grid.par_encode_batch(&positions, &mut parallel);
+        grid.par_encode_batch_with(&kernels::scalar(), &positions, &mut parallel);
         let mut lanes = vec![0.0f32; positions.len() * w];
         grid.encode_batch_simd(&positions, &mut lanes);
         let mut par_lanes = vec![0.0f32; positions.len() * w];
@@ -323,7 +323,7 @@ proptest! {
         let mut batched = grid.zero_grads();
         grid.backward_batch_into(&positions, &d_out, &mut batched, &mut NullObserver);
         let mut parallel = grid.zero_grads();
-        grid.par_backward_batch(&positions, &d_out, &mut parallel);
+        grid.par_backward_batch_with(&kernels::scalar(), &positions, &d_out, &mut parallel);
         let mut lanes = grid.zero_grads();
         grid.par_backward_batch_with(&kernels::simd(), &positions, &d_out, &mut lanes);
 
@@ -348,7 +348,9 @@ proptest! {
         );
         let inputs: Vec<f32> = rows.iter().flat_map(|&(a, b, c, d)| [a, b, c, d]).collect();
         let mut bws = mlp.batch_workspace(rows.len());
-        let out = mlp.forward_batch(&inputs, &mut bws).to_vec();
+        let out = mlp
+            .forward_batch_with(&kernels::scalar(), &inputs, &mut bws)
+            .to_vec();
         let mut bws_simd = mlp.batch_workspace(rows.len());
         let out_simd = mlp
             .forward_batch_with(&kernels::simd(), &inputs, &mut bws_simd)

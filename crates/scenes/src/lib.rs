@@ -29,6 +29,8 @@
 //! assert!(!ds.test_views.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dataset;
 pub mod primitives;
 pub mod scannet;

@@ -60,6 +60,8 @@
 //! [`BatchWorkspace`]: instant3d_core::BatchWorkspace
 //! [`WorkloadStats`]: instant3d_core::WorkloadStats
 
+#![forbid(unsafe_code)]
+
 pub mod fleet;
 pub mod job;
 pub mod pool;

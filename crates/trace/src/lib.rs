@@ -18,6 +18,8 @@
 //! implement the paper's analyses; [`stats`] provides the histogram /
 //! percentile plumbing.
 
+#![forbid(unsafe_code)]
+
 pub mod capture;
 pub mod cluster;
 pub mod record;
