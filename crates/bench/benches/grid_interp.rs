@@ -85,6 +85,7 @@ fn bench_encode_batch(c: &mut Criterion) {
         .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
         .collect();
     let mut out = vec![0.0f32; points.len() * grid.output_dim()];
+    let all_levels: Vec<usize> = (0..grid.levels().len()).collect();
     c.bench_function("grid/encode_batch1024_point_major", |b| {
         b.iter(|| {
             grid.encode_batch_into(black_box(&points), &mut out, &mut NullObserver);
@@ -100,7 +101,12 @@ fn bench_encode_batch(c: &mut Criterion) {
             &format!("grid/encode_batch1024/{}", stamp_serial(&backend)),
             |b| {
                 b.iter(|| {
-                    backend.grid_encode_chunk(&grid, black_box(&points), &mut out);
+                    backend.grid_encode_levels_chunk(
+                        &grid,
+                        &all_levels,
+                        black_box(&points),
+                        &mut out,
+                    );
                     black_box(out[0])
                 })
             },

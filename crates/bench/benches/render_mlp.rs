@@ -8,9 +8,7 @@ use instant3d_nerf::activation::Activation;
 use instant3d_nerf::kernels;
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::mlp::{Mlp, MlpConfig};
-use instant3d_nerf::render::{
-    composite, composite_backward, composite_slices_with, RaySample, RenderCache,
-};
+use instant3d_nerf::render::{composite, composite_backward, RaySample, RenderCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -110,8 +108,7 @@ fn bench_composite_backends(c: &mut Criterion) {
             &format!("render/composite_slices64/{backend}/t{threads}"),
             |b| {
                 b.iter(|| {
-                    black_box(composite_slices_with(
-                        &backend,
+                    black_box(backend.composite_ray(
                         &t,
                         &dt,
                         &sigma,

@@ -15,8 +15,9 @@
 //!
 //! # Lint passes
 //!
-//! * **fma-strict** — `mul_add` / `fadd_fast` / `fmul_fast` are forbidden
-//!   in strict kernel modules unless the enclosing function carries a
+//! * **fma-strict** — `mul_add` / `fadd_fast` / `fmul_fast`, and naming
+//!   the `Fused` accumulate policy, are forbidden in strict kernel
+//!   modules unless the enclosing function carries a
 //!   `// CONTRACT: lossy-tier` marker.
 //! * **unsafe-safety** — every `unsafe` block / fn / impl in `crates/*/src`
 //!   and `vendor/rayon/src` must be covered by a `// SAFETY:` comment or a
@@ -78,7 +79,9 @@ pub const PANIC_CENSUS_FILES: &[&str] = &[
     "crates/core/src/render.rs",
 ];
 
-const FMA_IDENTS: &[&str] = &["mul_add", "fadd_fast", "fmul_fast"];
+/// The fused operations, plus `Fused`: the single-rounding accumulate
+/// policy of `nerf::simd`, which turns a shared lane body into FMA code.
+const FMA_IDENTS: &[&str] = &["mul_add", "fadd_fast", "fmul_fast", "Fused"];
 const SAFETY_NEEDLES: &[&str] = &["SAFETY:", "# Safety"];
 const CALLER_NEEDLES: &[&str] = &["CALLER:"];
 const ORDERING_NEEDLES: &[&str] = &["ORDERING:"];

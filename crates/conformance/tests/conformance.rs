@@ -39,7 +39,7 @@ fn unmarked_mul_add_in_strict_module_fails_with_file_line() {
     let src = include_str!("fixtures/fma_unmarked.rs");
     let vs = lint_source("crates/nerf/src/grid.rs", src, &Config::default());
     let fma = lints(&vs, "fma-strict");
-    assert_eq!(fma.len(), 1, "expected exactly one fma violation: {vs:?}");
+    assert_eq!(fma.len(), 2, "expected exactly two fma violations: {vs:?}");
     assert_eq!(fma[0].file, "crates/nerf/src/grid.rs");
     // The unmarked call site; the marked `lossy_helper` below it is clean.
     let line = src
@@ -49,6 +49,11 @@ fn unmarked_mul_add_in_strict_module_fails_with_file_line() {
         + 1;
     assert_eq!(fma[0].line, line);
     assert!(fma[0].message.contains("strict_kernel"));
+    // Naming the fused accumulate policy is the same violation as writing
+    // `mul_add`; the marked `lossy_monomorph` below it is clean.
+    let line = src.lines().position(|l| l.contains("::Fused>")).unwrap() as u32 + 1;
+    assert_eq!(fma[1].line, line);
+    assert!(fma[1].message.contains("`Fused`") && fma[1].message.contains("strict_monomorph"));
 }
 
 #[test]

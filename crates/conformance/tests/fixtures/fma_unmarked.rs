@@ -15,3 +15,13 @@ fn lossy_helper(a: f32, b: f32, c: f32) -> f32 {
 fn plain(a: f32, b: f32, c: f32) -> f32 {
     a * b + c
 }
+
+fn strict_monomorph(acc: f32, w: f32, x: f32) -> f32 {
+    // VIOLATION: the fused accumulate policy named in a strict module.
+    lane_body::<crate::simd::Fused>(acc, w, x)
+}
+
+// CONTRACT: lossy-tier — the fast backend's monomorph of the shared body.
+fn lossy_monomorph(acc: f32, w: f32, x: f32) -> f32 {
+    lane_body::<crate::simd::Fused>(acc, w, x)
+}

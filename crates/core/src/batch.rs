@@ -476,31 +476,6 @@ impl BatchWorkspace {
             }
         }
     }
-
-    /// Batched density probe: returns `σ` for every position, reusing this
-    /// workspace's buffers. Values are identical to per-point
-    /// [`NerfModel::density_at`] calls.
-    ///
-    /// The trainer's occupancy refresh no longer routes through here — it
-    /// runs on `instant3d_nerf::occupancy::OccupancyWorkspace`, which adds
-    /// a persistent per-level-versioned cell→embedding cache on top of the
-    /// same kernel seams. This probe remains for ad-hoc density sweeps
-    /// (field visualisation, tests).
-    pub fn density_batch(&mut self, model: &NerfModel, positions: &[Vec3]) -> &[f32] {
-        let aabb = model.aabb();
-        self.unit_positions.clear();
-        self.unit_positions
-            .extend(positions.iter().map(|p| aabb.to_unit(*p)));
-        self.emb_d.resize(positions.len() * self.emb_d_dim, 0.0);
-        model.density_grid().par_encode_batch_with(
-            &self.backend,
-            &self.unit_positions,
-            &mut self.emb_d,
-        );
-        model
-            .sigma_mlp()
-            .forward_batch_with(&self.backend, &self.emb_d, &mut self.ws_sigma)
-    }
 }
 
 #[cfg(test)]
@@ -592,19 +567,5 @@ mod tests {
         assert!(obs.0 > 0);
         assert_eq!(a.emb_d, b.emb_d);
         assert_eq!(a.emb_c, b.emb_c);
-    }
-
-    #[test]
-    fn density_batch_matches_density_at() {
-        let m = model(GridTopology::Decoupled);
-        let mut ws = BatchWorkspace::new(&m);
-        let mut sws = m.workspace();
-        let positions: Vec<Vec3> = (0..17)
-            .map(|i| Vec3::splat(0.05 + 0.05 * i as f32))
-            .collect();
-        let batched = ws.density_batch(&m, &positions).to_vec();
-        for (p, b) in positions.iter().zip(batched) {
-            assert_eq!(m.density_at(*p, &mut sws), b);
-        }
     }
 }

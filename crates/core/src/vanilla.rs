@@ -367,8 +367,7 @@ impl VanillaTrainer {
         let mut total_loss = 0.0;
         for (r, tr) in self.ray_scratch.iter().enumerate() {
             let range = bws.rays.ray_range(r);
-            let (out, active) = instant3d_nerf::render::composite_slices_with(
-                &cfg.kernel_backend,
+            let (out, active) = cfg.kernel_backend.composite_ray(
                 &bws.rays.t[range.clone()],
                 &bws.rays.dt[range.clone()],
                 &bws.rays.sigma[range.clone()],

@@ -132,14 +132,6 @@ fn runtime_registered_backend_enters_the_golden_gate_and_reports_stats() {
         fn as_any(&self) -> &dyn std::any::Any {
             self
         }
-        fn grid_encode_chunk(
-            &self,
-            grid: &instant3d_nerf::HashGrid,
-            pts: &[instant3d_nerf::Vec3],
-            out: &mut [f32],
-        ) {
-            self.0.grid_encode_chunk(grid, pts, out);
-        }
         fn grid_encode_levels_chunk(
             &self,
             grid: &instant3d_nerf::HashGrid,

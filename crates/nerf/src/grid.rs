@@ -20,10 +20,10 @@
 
 use crate::adam::Adam;
 use crate::fp16;
-use crate::hash::{spatial_hash, vertex_address, AddressMode, CORNER_OFFSETS};
+use crate::hash::{vertex_address, AddressMode, CORNER_OFFSETS};
 use crate::kernels::BackendHandle;
 use crate::math::Vec3;
-use crate::simd::F32x8;
+use crate::simd::{Accumulate, F32x8};
 use rand::Rng;
 
 /// Memory-access phase, used by observers and the accelerator simulator.
@@ -239,6 +239,8 @@ pub struct HashGrid {
     /// `params[offset_l .. offset_l + table_size_l * F]`.
     params: Vec<f32>,
     param_offsets: Vec<usize>,
+    /// `0..levels`, the level list of a full encode.
+    level_ids: Vec<usize>,
     /// Per-level parameter versions: `level_versions[l]` changes whenever
     /// level `l`'s features may have changed. Consumers (the occupancy
     /// subsystem's embedding cache) compare versions to skip re-encoding
@@ -289,6 +291,7 @@ impl HashGrid {
             levels,
             params: vec![0.0; param_cursor],
             param_offsets,
+            level_ids: (0..num_levels).collect(),
             level_versions: vec![0; num_levels],
             version_clock: 0,
         }
@@ -563,37 +566,14 @@ impl HashGrid {
         }
     }
 
-    /// Unobserved batched encode, restructured level-major for SoA cache
-    /// locality: each level's table is streamed over all points before the
-    /// next level is touched. Per-point arithmetic (and therefore every
-    /// output bit) matches [`HashGrid::encode_batch_into`] exactly; only
-    /// the memory-access order differs, which is why this variant takes no
-    /// observer.
-    pub fn encode_batch_level_major(&self, unit_positions: &[Vec3], out: &mut [f32]) {
-        let w = self.output_dim();
-        assert_eq!(
-            out.len(),
-            unit_positions.len() * w,
-            "SoA output buffer size mismatch"
-        );
-        for l in 0..self.levels.len() {
-            self.encode_level_scalar(l, unit_positions, out);
-        }
-    }
-
-    /// One level's encode, scalar kernel: streams level `l`'s table over
-    /// all points, writing that level's `F` columns of the
-    /// `n × output_dim` SoA buffer (all other columns are untouched).
-    pub(crate) fn encode_level_scalar(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
-        self.encode_level_observed(l, unit_positions, out, &mut NullObserver);
-    }
-
-    /// [`HashGrid::encode_level_scalar`] with table reads reported to
-    /// `obs` — the building block for observing kernel backends (the
-    /// instrumented co-sim backend records the batched engine's real
-    /// read stream through this). The arithmetic is the scalar level
-    /// kernel's, so outputs are bit-identical to every conforming backend;
-    /// a [`NullObserver`] compiles down to the unobserved kernel.
+    /// One level's encode, scalar reference kernel: streams level `l`'s
+    /// table over all points, writing that level's `F` columns of the
+    /// `n × output_dim` SoA buffer (all other columns are untouched), with
+    /// table reads reported to `obs` — the building block for observing
+    /// kernel backends (the instrumented co-sim backend records the
+    /// batched engine's real read stream through this). Outputs are
+    /// bit-identical to every conforming backend; a [`NullObserver`]
+    /// compiles down to the unobserved kernel.
     pub fn encode_level_observed<O: GridAccessObserver + ?Sized>(
         &self,
         l: usize,
@@ -685,30 +665,39 @@ impl HashGrid {
             iy[k] = cy[k] as u32;
             iz[k] = cz[k] as u32;
         }
-        // Hashed levels always use a power-of-two table, so the Eq. 3
-        // modulo reduces to a mask with the identical result.
-        let hash_mask = (level.mode == AddressMode::Hashed && level.table_size.is_power_of_two())
-            .then(|| level.table_size - 1);
         // The scalar kernel computes (wx*wy)*wz left-associated; the four
         // distinct wx*wy products are shared across corner pairs here —
         // same association, same bits, 4 fewer lane multiplies.
         let wxy = [gx * gy, fx * gy, gx * fy, fx * fy];
+        for (c, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
+            let wz = if dz == 1 { fz } else { gz };
+            weights[c] = wxy[(dx + dy * 2) as usize] * wz;
+        }
         // Per-axis address terms, computed once per lane instead of once
         // per corner. Unsigned arithmetic is exact mod 2^32, so combining
         // precomputed y/z terms yields bit-identical addresses to the
         // per-corner `spatial_hash` / `dense_index` calls.
-        let mut yt = [[0u32; F32x8::LANES]; 2];
-        let mut zt = [[0u32; F32x8::LANES]; 2];
-        match (level.mode, hash_mask) {
-            (AddressMode::Hashed, Some(_)) => {
+        let mut yt = [[0u32; LANES]; 2];
+        let mut zt = [[0u32; LANES]; 2];
+        match level.mode {
+            AddressMode::Hashed => {
+                // A hashed level's table is `1 << log2_table_size` entries,
+                // so the Eq. 3 modulo is a mask with the identical result.
+                let mask = level.table_size - 1;
                 for k in 0..LANES {
                     yt[0][k] = iy[k].wrapping_mul(crate::hash::PI_2);
                     yt[1][k] = (iy[k] + 1).wrapping_mul(crate::hash::PI_2);
                     zt[0][k] = iz[k].wrapping_mul(crate::hash::PI_3);
                     zt[1][k] = (iz[k] + 1).wrapping_mul(crate::hash::PI_3);
                 }
+                for (ac, &(dx, dy, dz)) in addrs.iter_mut().zip(&CORNER_OFFSETS) {
+                    for k in 0..LANES {
+                        // PI_1 == 1, so the x term is the coordinate itself.
+                        ac[k] = ((ix[k] + dx) ^ yt[dy as usize][k] ^ zt[dz as usize][k]) & mask;
+                    }
+                }
             }
-            (AddressMode::Dense, _) => {
+            AddressMode::Dense => {
                 let n = level.resolution + 1;
                 for k in 0..LANES {
                     yt[0][k] = iy[k] * n;
@@ -716,63 +705,35 @@ impl HashGrid {
                     zt[0][k] = iz[k] * n * n;
                     zt[1][k] = (iz[k] + 1) * n * n;
                 }
-            }
-            (AddressMode::Hashed, None) => {}
-        }
-        for (c, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
-            let wz = if dz == 1 { fz } else { gz };
-            weights[c] = wxy[(dx + dy * 2) as usize] * wz;
-            let ac = &mut addrs[c];
-            let (yc, zc) = (&yt[dy as usize], &zt[dz as usize]);
-            match (level.mode, hash_mask) {
-                (AddressMode::Hashed, Some(mask)) => {
+                for (ac, &(dx, dy, dz)) in addrs.iter_mut().zip(&CORNER_OFFSETS) {
                     for k in 0..LANES {
-                        // PI_1 == 1, so the x term is the coordinate itself.
-                        ac[k] = ((ix[k] + dx) ^ yc[k] ^ zc[k]) & mask;
-                    }
-                }
-                (AddressMode::Hashed, None) => {
-                    for k in 0..LANES {
-                        ac[k] = spatial_hash(ix[k] + dx, iy[k] + dy, iz[k] + dz, level.table_size);
-                    }
-                }
-                (AddressMode::Dense, _) => {
-                    for k in 0..LANES {
-                        ac[k] = (ix[k] + dx) + yc[k] + zc[k];
+                        ac[k] = (ix[k] + dx) + yt[dy as usize][k] + zt[dz as usize][k];
                     }
                 }
             }
         }
     }
 
-    /// SIMD lane-batched level-major encode: lanes of [`F32x8::LANES`]
-    /// points move through each level together — trilinear weights and the
+    /// One level's encode, lane-batched: lanes of [`F32x8::LANES`] points
+    /// move through the level together — trilinear weights and the
     /// 8-corner × F=2 accumulation run lane-parallel, table gathers stay
-    /// per-lane. Per-point operation order is exactly the scalar kernel's
-    /// (see [`crate::simd`] for the contract), so output bits match
-    /// [`HashGrid::encode_batch_level_major`] for every batch size,
-    /// including the scalar remainder tail. Grids with
+    /// per-lane, and the remainder tail (< LANES points) runs the same
+    /// per-point sequence on scalars, so results do not depend on where a
+    /// point falls in the batch. The one body behind both lane backends
+    /// (see [`crate::simd`]): with `Strict` accumulation every output bit
+    /// matches [`HashGrid::encode_level_observed`]; with `Fused` each
+    /// corner folds into one rounding instead of two. Grids with
     /// `features_per_entry != 2` fall back to the scalar kernel.
-    pub fn encode_batch_simd(&self, unit_positions: &[Vec3], out: &mut [f32]) {
-        let w = self.output_dim();
-        assert_eq!(
-            out.len(),
-            unit_positions.len() * w,
-            "SoA output buffer size mismatch"
-        );
-        for l in 0..self.levels.len() {
-            self.encode_level_simd(l, unit_positions, out);
-        }
-    }
-
-    /// One level's encode, SIMD kernel (lane-batched weights, per-lane
-    /// gathers, scalar remainder tail) — the level body of
-    /// [`HashGrid::encode_batch_simd`]. Falls back to the scalar level
-    /// kernel when `features_per_entry != 2`.
-    pub(crate) fn encode_level_simd(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
+    #[inline(always)]
+    pub(crate) fn encode_level_lanes<A: Accumulate>(
+        &self,
+        l: usize,
+        unit_positions: &[Vec3],
+        out: &mut [f32],
+    ) {
         const LANES: usize = F32x8::LANES;
         if self.cfg.features_per_entry != 2 {
-            return self.encode_level_scalar(l, unit_positions, out);
+            return self.encode_level_observed(l, unit_positions, out, &mut NullObserver);
         }
         let w = self.output_dim();
         let n = unit_positions.len();
@@ -799,8 +760,8 @@ impl HashGrid {
                     f0[k] = self.params[src];
                     f1[k] = self.params[src + 1];
                 }
-                acc0 += weights[c] * F32x8(f0);
-                acc1 += weights[c] * F32x8(f1);
+                acc0 = A::lanes(acc0, weights[c], F32x8(f0));
+                acc1 = A::lanes(acc1, weights[c], F32x8(f1));
             }
             for k in 0..LANES {
                 let dst = (i + k) * w + col;
@@ -808,16 +769,14 @@ impl HashGrid {
                 out[dst + 1] = acc1[k];
             }
         }
-        // Remainder tail (< LANES points): the scalar F = 2 loop.
         for (i, p) in unit_positions.iter().enumerate().skip(full) {
             let (pa, pw) = self.corners(level, *p);
             let mut acc0 = 0.0f32;
             let mut acc1 = 0.0f32;
             for c in 0..8 {
                 let src = base + pa[c] as usize * 2;
-                let wgt = pw[c];
-                acc0 += wgt * self.params[src];
-                acc1 += wgt * self.params[src + 1];
+                acc0 = A::scalar(acc0, pw[c], self.params[src]);
+                acc1 = A::scalar(acc1, pw[c], self.params[src + 1]);
             }
             let dst = i * w + col;
             out[dst] = acc0;
@@ -825,8 +784,13 @@ impl HashGrid {
         }
     }
 
-    /// Fused (lossy-tier) level-major encode: the level body of
-    /// [`HashGrid::encode_batch_fast`], see there for the contract.
+    /// One level's encode for the lossy `fast` backend: the `Fused`
+    /// monomorph of [`HashGrid::encode_level_lanes`]. The fused accumulate
+    /// is correctly rounded on every path, so the AVX2/FMA specialization and
+    /// the portable fallback produce the same bits — deterministic across
+    /// hosts, batch sizes, chunkings and worker counts, and different from
+    /// the strict kernels only by bounded rounding.
+    // CONTRACT: lossy-tier — fused interpolation backing `FastKernels`.
     #[allow(unsafe_code)]
     pub(crate) fn encode_level_fast(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
@@ -834,9 +798,10 @@ impl HashGrid {
             // SAFETY: AVX2+FMA presence was just verified at runtime.
             return unsafe { self.encode_level_fast_avx2(l, unit_positions, out) };
         }
-        self.encode_level_fast_body(l, unit_positions, out);
+        self.encode_level_lanes::<crate::simd::Fused>(l, unit_positions, out);
     }
 
+    // CONTRACT: lossy-tier — fused interpolation backing `FastKernels`.
     // CALLER: `encode_level_fast` gates this behind
     // `simd::avx2_fma_available()` runtime detection.
     // SAFETY: only safe slice code inside; the sole obligation is the
@@ -845,135 +810,38 @@ impl HashGrid {
     #[target_feature(enable = "avx2,fma")]
     #[allow(unsafe_code)]
     unsafe fn encode_level_fast_avx2(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
-        self.encode_level_fast_body(l, unit_positions, out);
+        self.encode_level_lanes::<crate::simd::Fused>(l, unit_positions, out);
     }
 
-    // CONTRACT: lossy-tier — fused interpolation backing `FastKernels`.
-    #[inline(always)]
-    fn encode_level_fast_body(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
-        const LANES: usize = F32x8::LANES;
-        if self.cfg.features_per_entry != 2 {
-            return self.encode_level_scalar(l, unit_positions, out);
-        }
-        let w = self.output_dim();
-        let n = unit_positions.len();
-        let full = n - n % LANES;
-        let mut addrs = [[0u32; LANES]; 8];
-        let mut weights = [F32x8::ZERO; 8];
-        let level = &self.levels[l];
-        let base = self.param_offsets[l];
-        let col = l * 2;
-        for i in (0..full).step_by(LANES) {
-            Self::corners_lanes(
-                level,
-                &unit_positions[i..i + LANES],
-                &mut addrs,
-                &mut weights,
-            );
-            let mut acc0 = F32x8::ZERO;
-            let mut acc1 = F32x8::ZERO;
-            for c in 0..8 {
-                let mut f0 = [0.0f32; LANES];
-                let mut f1 = [0.0f32; LANES];
-                for k in 0..LANES {
-                    let src = base + addrs[c][k] as usize * 2;
-                    f0[k] = self.params[src];
-                    f1[k] = self.params[src + 1];
-                }
-                acc0 = weights[c].mul_add(F32x8(f0), acc0);
-                acc1 = weights[c].mul_add(F32x8(f1), acc1);
-            }
-            for k in 0..LANES {
-                let dst = (i + k) * w + col;
-                out[dst] = acc0[k];
-                out[dst + 1] = acc1[k];
-            }
-        }
-        // Remainder tail: the same per-point fused sequence, scalar.
-        for (i, p) in unit_positions.iter().enumerate().skip(full) {
-            let (pa, pw) = self.corners(level, *p);
-            let mut acc0 = 0.0f32;
-            let mut acc1 = 0.0f32;
-            for c in 0..8 {
-                let src = base + pa[c] as usize * 2;
-                let wgt = pw[c];
-                acc0 = wgt.mul_add(self.params[src], acc0);
-                acc1 = wgt.mul_add(self.params[src + 1], acc1);
-            }
-            let dst = i * w + col;
-            out[dst] = acc0;
-            out[dst + 1] = acc1;
-        }
-    }
-
-    /// Fused (lossy-tier) level-major encode: the lane walk, table gathers
-    /// and trilinear weights are exactly [`HashGrid::encode_batch_simd`]'s,
-    /// but the 8-corner accumulation uses `mul_add` — one rounding per
-    /// corner instead of two. The lane path and the scalar remainder tail
-    /// execute the *identical* per-point fused sequence (`f32::mul_add` is
-    /// correctly rounded everywhere, AVX2 or not), so results are still
-    /// deterministic across batch sizes, chunkings and worker counts —
-    /// they just differ from the strict kernels by bounded rounding.
-    /// Grids with `features_per_entry != 2` fall back to the scalar kernel.
-    pub fn encode_batch_fast(&self, unit_positions: &[Vec3], out: &mut [f32]) {
-        let w = self.output_dim();
-        assert_eq!(
-            out.len(),
-            unit_positions.len() * w,
-            "SoA output buffer size mismatch"
-        );
-        for l in 0..self.levels.len() {
-            self.encode_level_fast(l, unit_positions, out);
-        }
-    }
-
-    /// Parallel unobserved batched encode through an explicit kernel
-    /// backend (see [`crate::kernels`]): points are split into fixed-size
-    /// chunks processed on the rayon pool, each chunk running the
-    /// backend's level-major SoA kernel. All writes are disjoint output
-    /// rows, so the result is bit-identical across strict backends,
-    /// chunkings and worker counts. Backends that request
-    /// [`crate::kernels::Kernels::sequential_grid`] execution (recording
-    /// co-sim backends) get the whole batch as one chunk on the calling
-    /// thread.
+    /// Parallel unobserved batched encode of every level through an
+    /// explicit kernel backend (see [`crate::kernels`]):
+    /// [`HashGrid::par_encode_batch_levels_with`] with the all-levels list.
     pub fn par_encode_batch_with(
         &self,
         backend: &BackendHandle,
         unit_positions: &[Vec3],
         out: &mut [f32],
     ) {
-        use rayon::prelude::*;
-        let w = self.output_dim();
-        assert_eq!(
-            out.len(),
-            unit_positions.len() * w,
-            "SoA output buffer size mismatch"
-        );
-        let n = unit_positions.len();
-        const CHUNK: usize = 256;
-        if n <= CHUNK || rayon::current_num_threads() <= 1 || backend.sequential_grid() {
-            backend.grid_encode_chunk(self, unit_positions, out);
-            return;
-        }
-        out.par_chunks_mut(CHUNK * w)
-            .zip(unit_positions.par_chunks(CHUNK))
-            .for_each(|(out_chunk, pos_chunk)| {
-                backend.grid_encode_chunk(self, pos_chunk, out_chunk);
-            });
+        self.par_encode_batch_levels_with(backend, &self.level_ids, unit_positions, out);
     }
 
-    /// Parallel batched encode of a *subset of levels*: like
-    /// [`HashGrid::par_encode_batch_with`], but only the listed levels'
-    /// columns of the `n × output_dim` SoA buffer are (re)computed; all
-    /// other columns are left exactly as they were. This is the seam the
-    /// occupancy subsystem's persistent cell→embedding cache uses to
-    /// re-encode only levels whose parameters changed since the cache was
-    /// filled (see [`HashGrid::level_versions`]).
+    /// Parallel unobserved batched encode of a *subset of levels* through
+    /// an explicit kernel backend: points are split into fixed-size chunks
+    /// processed on the rayon pool, each chunk running the backend's
+    /// level-major SoA kernel for the listed levels in list order. Only
+    /// those levels' columns of the `n × output_dim` SoA buffer are
+    /// (re)computed; all other columns are left exactly as they were —
+    /// which is how the occupancy subsystem's persistent cell→embedding
+    /// cache re-encodes only levels whose parameters changed since the
+    /// cache was filled (see [`HashGrid::level_versions`]).
     ///
-    /// Each level's per-point arithmetic is the same kernel the full
-    /// encode runs, so the refreshed columns are bit-identical to a full
-    /// [`HashGrid::par_encode_batch_with`] — across backends, chunkings
-    /// and worker counts.
+    /// All writes are disjoint output rows and each level's per-point
+    /// arithmetic is independent of the rest of the list, so the result
+    /// is bit-identical across strict backends, chunkings, worker counts
+    /// and level subsets. Backends that request
+    /// [`crate::kernels::Kernels::sequential_grid`] execution (recording
+    /// co-sim backends) get the whole batch as one chunk on the calling
+    /// thread.
     ///
     /// # Panics
     ///
@@ -1040,20 +908,9 @@ impl HashGrid {
     }
 
     /// One level's scatter, scalar reference kernel: walks all points in
-    /// order, accumulating into that level's disjoint gradient slice.
-    pub(crate) fn scatter_level_scalar(
-        &self,
-        l: usize,
-        level_grads: &mut [f32],
-        unit_positions: &[Vec3],
-        d_out: &[f32],
-    ) {
-        self.scatter_level_observed(l, level_grads, unit_positions, d_out, &mut NullObserver);
-    }
-
-    /// [`HashGrid::scatter_level_scalar`] with every gradient write
-    /// reported to `obs` — the backward counterpart of
-    /// [`HashGrid::encode_level_observed`] (the instrumented co-sim
+    /// order, accumulating into that level's disjoint gradient slice, with
+    /// every gradient write reported to `obs` — the backward counterpart
+    /// of [`HashGrid::encode_level_observed`] (the instrumented co-sim
     /// backend records the engine's real update stream through this).
     /// `level_grads` is level `l`'s disjoint slice of the flat gradient
     /// buffer; per-parameter accumulation runs in point order, so the
@@ -1099,14 +956,19 @@ impl HashGrid {
         }
     }
 
-    /// One level's scatter, SIMD kernel: corner addresses and trilinear
-    /// weights are precomputed lane-batched ([`HashGrid::corners_lanes`]),
-    /// then the 8-corner × F=2 accumulation walks the lane's points *in
-    /// point order* — scatters can collide on a table entry, so the
-    /// accumulation itself must stay sequential per parameter to preserve
-    /// the scalar kernel's addition order. Bit-identical to
-    /// [`HashGrid::scatter_level_scalar`].
-    pub(crate) fn scatter_level_simd(
+    /// One level's scatter, lane-batched: corner addresses and trilinear
+    /// weights are precomputed per lane of [`F32x8::LANES`] points, then
+    /// the 8-corner × F=2 accumulation walks the lane's points *in point
+    /// order* — scatters can collide on a table entry, so the accumulation
+    /// itself stays sequential per parameter on every backend, and the
+    /// result is deterministic for any worker count. The one body behind
+    /// both lane backends (see [`crate::simd`]): with `Strict`
+    /// accumulation it is bit-identical to
+    /// [`HashGrid::scatter_level_observed`]; with `Fused` each
+    /// `grad += w·g` folds into one rounding. `features_per_entry != 2`
+    /// falls back to the scalar kernel.
+    #[inline(always)]
+    pub(crate) fn scatter_level_lanes<A: Accumulate>(
         &self,
         l: usize,
         level_grads: &mut [f32],
@@ -1114,9 +976,9 @@ impl HashGrid {
         d_out: &[f32],
     ) {
         const LANES: usize = F32x8::LANES;
-        let f = self.cfg.features_per_entry;
-        if f != 2 {
-            return self.scatter_level_scalar(l, level_grads, unit_positions, d_out);
+        if self.cfg.features_per_entry != 2 {
+            let obs = &mut NullObserver;
+            return self.scatter_level_observed(l, level_grads, unit_positions, d_out, obs);
         }
         let w = self.output_dim();
         let level = &self.levels[l];
@@ -1138,23 +1000,27 @@ impl HashGrid {
                 for c in 0..8 {
                     let wgt = weights[c][k];
                     let dst = addrs[c][k] as usize * 2;
-                    level_grads[dst] += wgt * g0;
-                    level_grads[dst + 1] += wgt * g1;
+                    level_grads[dst] = A::scalar(level_grads[dst], wgt, g0);
+                    level_grads[dst + 1] = A::scalar(level_grads[dst + 1], wgt, g1);
                 }
             }
         }
-        if full < n {
-            self.scatter_level_scalar(l, level_grads, &unit_positions[full..], &d_out[full * w..]);
+        for (i, p) in unit_positions.iter().enumerate().skip(full) {
+            let (pa, pw) = self.corners(level, *p);
+            let g0 = d_out[i * w + col];
+            let g1 = d_out[i * w + col + 1];
+            for c in 0..8 {
+                let dst = pa[c] as usize * 2;
+                level_grads[dst] = A::scalar(level_grads[dst], pw[c], g0);
+                level_grads[dst + 1] = A::scalar(level_grads[dst + 1], pw[c], g1);
+            }
         }
     }
 
-    /// Fused (lossy-tier) scatter: lane-batched corner/weight precompute
-    /// like [`HashGrid::scatter_level_simd`], per-parameter accumulation in
-    /// point order like every backend, but each `grad += w·g` folds into a
-    /// single `mul_add` rounding. Point order is preserved, so the result
-    /// is deterministic for any worker count; it differs from the strict
-    /// kernels only by bounded rounding. `features_per_entry != 2` falls
-    /// back to the scalar kernel.
+    /// One level's scatter for the lossy `fast` backend: the `Fused`
+    /// monomorph of [`HashGrid::scatter_level_lanes`], with the same
+    /// AVX2/FMA-or-portable dispatch as [`HashGrid::encode_level_fast`].
+    // CONTRACT: lossy-tier — fused scatter backing `FastKernels`.
     #[allow(unsafe_code)]
     pub(crate) fn scatter_level_fast(
         &self,
@@ -1168,9 +1034,10 @@ impl HashGrid {
             // SAFETY: AVX2+FMA presence was just verified at runtime.
             return unsafe { self.scatter_level_fast_avx2(l, level_grads, unit_positions, d_out) };
         }
-        self.scatter_level_fast_body(l, level_grads, unit_positions, d_out);
+        self.scatter_level_lanes::<crate::simd::Fused>(l, level_grads, unit_positions, d_out);
     }
 
+    // CONTRACT: lossy-tier — fused scatter backing `FastKernels`.
     // CALLER: `scatter_level_fast` gates this behind
     // `simd::avx2_fma_available()` runtime detection.
     // SAFETY: only safe slice code inside; the sole obligation is the
@@ -1185,60 +1052,7 @@ impl HashGrid {
         unit_positions: &[Vec3],
         d_out: &[f32],
     ) {
-        self.scatter_level_fast_body(l, level_grads, unit_positions, d_out);
-    }
-
-    // CONTRACT: lossy-tier — fused scatter backing `FastKernels`.
-    #[inline(always)]
-    fn scatter_level_fast_body(
-        &self,
-        l: usize,
-        level_grads: &mut [f32],
-        unit_positions: &[Vec3],
-        d_out: &[f32],
-    ) {
-        const LANES: usize = F32x8::LANES;
-        let f = self.cfg.features_per_entry;
-        if f != 2 {
-            return self.scatter_level_scalar(l, level_grads, unit_positions, d_out);
-        }
-        let w = self.output_dim();
-        let level = &self.levels[l];
-        let col = l * 2;
-        let n = unit_positions.len();
-        let full = n - n % LANES;
-        let mut addrs = [[0u32; LANES]; 8];
-        let mut weights = [F32x8::ZERO; 8];
-        for i in (0..full).step_by(LANES) {
-            Self::corners_lanes(
-                level,
-                &unit_positions[i..i + LANES],
-                &mut addrs,
-                &mut weights,
-            );
-            for k in 0..LANES {
-                let g0 = d_out[(i + k) * w + col];
-                let g1 = d_out[(i + k) * w + col + 1];
-                for c in 0..8 {
-                    let wgt = weights[c][k];
-                    let dst = addrs[c][k] as usize * 2;
-                    level_grads[dst] = wgt.mul_add(g0, level_grads[dst]);
-                    level_grads[dst + 1] = wgt.mul_add(g1, level_grads[dst + 1]);
-                }
-            }
-        }
-        // Remainder tail: the same per-point fused sequence, scalar.
-        for (i, p) in unit_positions.iter().enumerate().skip(full) {
-            let (pa, pw) = self.corners(level, *p);
-            let g0 = d_out[i * w + col];
-            let g1 = d_out[i * w + col + 1];
-            for c in 0..8 {
-                let wgt = pw[c];
-                let dst = pa[c] as usize * 2;
-                level_grads[dst] = wgt.mul_add(g0, level_grads[dst]);
-                level_grads[dst + 1] = wgt.mul_add(g1, level_grads[dst + 1]);
-            }
-        }
+        self.scatter_level_lanes::<crate::simd::Fused>(l, level_grads, unit_positions, d_out);
     }
 
     /// Parallel unobserved batched scatter through an explicit kernel
@@ -1657,8 +1471,12 @@ mod tests {
 
     #[test]
     fn level_subset_encode_matches_full_encode_columns() {
-        let g = small_grid();
         let mut rng = StdRng::seed_from_u64(21);
+        let cfg = HashGridConfig {
+            levels: 4,
+            ..small_grid().config().clone()
+        };
+        let g = HashGrid::new_random(cfg, &mut rng);
         let points: Vec<Vec3> = (0..37)
             .map(|_| {
                 Vec3::new(
@@ -1670,23 +1488,32 @@ mod tests {
             .collect();
         let w = g.output_dim();
         let f = g.config().features_per_entry;
+        // The point-major scalar reference every strict backend must match.
+        let mut reference = vec![0.0f32; points.len() * w];
+        g.encode_batch_into(&points, &mut reference, &mut NullObserver);
         for backend in crate::kernels::registered() {
-            // Per-backend golden: a lossy backend's subset encode must
-            // match that backend's own full encode (self-consistency);
-            // for strict backends this is also the scalar golden.
+            // A lossy backend's subset encode must match that backend's own
+            // full encode (self-consistency); a strict backend's full encode
+            // is the scalar reference.
             let mut full = vec![0.0f32; points.len() * w];
-            backend.grid_encode_chunk(&g, &points, &mut full);
-            // Sentinel-filled buffer: untouched columns must keep it.
-            let mut partial = vec![-7.0f32; points.len() * w];
-            g.par_encode_batch_levels_with(&backend, &[1], &points, &mut partial);
-            for i in 0..points.len() {
-                for l in 0..g.levels().len() {
-                    for k in 0..f {
-                        let idx = i * w + l * f + k;
-                        if l == 1 {
-                            assert_eq!(partial[idx], full[idx], "{backend} point {i}");
-                        } else {
-                            assert_eq!(partial[idx], -7.0, "{backend} column {l} touched");
+            g.par_encode_batch_with(&backend, &points, &mut full);
+            if backend.tier().is_strict() {
+                assert_eq!(full, reference, "{backend}");
+            }
+            // Unsorted and repeated lists recompute the same columns.
+            for levels in [&[1usize][..], &[3, 1, 1][..]] {
+                // Sentinel-filled buffer: untouched columns must keep it.
+                let mut partial = vec![-7.0f32; points.len() * w];
+                g.par_encode_batch_levels_with(&backend, levels, &points, &mut partial);
+                for i in 0..points.len() {
+                    for l in 0..g.levels().len() {
+                        for k in 0..f {
+                            let idx = i * w + l * f + k;
+                            if levels.contains(&l) {
+                                assert_eq!(partial[idx], full[idx], "{backend} point {i}");
+                            } else {
+                                assert_eq!(partial[idx], -7.0, "{backend} column {l} touched");
+                            }
                         }
                     }
                 }
@@ -1695,11 +1522,6 @@ mod tests {
             let mut untouched = vec![-3.0f32; points.len() * w];
             g.par_encode_batch_levels_with(&backend, &[], &points, &mut untouched);
             assert!(untouched.iter().all(|&v| v == -3.0));
-            // All levels: identical to the full encode.
-            let all: Vec<usize> = (0..g.levels().len()).collect();
-            let mut whole = vec![0.0f32; points.len() * w];
-            g.par_encode_batch_levels_with(&backend, &all, &points, &mut whole);
-            assert_eq!(whole, full, "{backend}");
         }
     }
 }

@@ -2,10 +2,11 @@
 //! the lane-batched SIMD kernels.
 
 use super::Kernels;
-use crate::grid::HashGrid;
+use crate::grid::{HashGrid, NullObserver};
 use crate::math::Vec3;
 use crate::mlp::{GemvMode, Mlp, MlpBatchWorkspace, MlpGradients};
-use crate::render::{composite_slices, composite_slices_simd, RenderOutput};
+use crate::render::{composite_slices, composite_slices_lanes, RenderOutput};
+use crate::simd::Strict;
 use std::any::Any;
 
 /// The scalar reference backend (`"scalar"`): level-major scalar grid
@@ -24,10 +25,6 @@ impl Kernels for ScalarKernels {
         self
     }
 
-    fn grid_encode_chunk(&self, grid: &HashGrid, unit_positions: &[Vec3], out: &mut [f32]) {
-        grid.encode_batch_level_major(unit_positions, out);
-    }
-
     fn grid_encode_levels_chunk(
         &self,
         grid: &HashGrid,
@@ -36,7 +33,7 @@ impl Kernels for ScalarKernels {
         out: &mut [f32],
     ) {
         for &l in levels {
-            grid.encode_level_scalar(l, unit_positions, out);
+            grid.encode_level_observed(l, unit_positions, out, &mut NullObserver);
         }
     }
 
@@ -48,7 +45,8 @@ impl Kernels for ScalarKernels {
         unit_positions: &[Vec3],
         d_out: &[f32],
     ) {
-        grid.scatter_level_scalar(level, level_grads, unit_positions, d_out);
+        let obs = &mut NullObserver;
+        grid.scatter_level_observed(level, level_grads, unit_positions, d_out, obs);
     }
 
     fn mlp_forward_batch<'w>(
@@ -84,9 +82,10 @@ impl Kernels for ScalarKernels {
     }
 }
 
-/// The lane-batched SIMD backend (`"simd"`, the default): grid
-/// encode/scatter with lane-batched corner weights and addresses, the
-/// transposed-weight row GEMV, lane-batched `−σδ` compositing products.
+/// The lane-batched SIMD backend (`"simd"`, the default): the `Strict`
+/// monomorphs of the shared lane bodies (grid encode/scatter with
+/// lane-batched corner weights and addresses, lane-batched `−σδ`
+/// compositing products) and the transposed-weight row GEMV.
 /// Bit-identical to [`ScalarKernels`] by the additive-order / no-FMA
 /// contract (see [`crate::simd`] and the [`super`] module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -101,10 +100,6 @@ impl Kernels for SimdKernels {
         self
     }
 
-    fn grid_encode_chunk(&self, grid: &HashGrid, unit_positions: &[Vec3], out: &mut [f32]) {
-        grid.encode_batch_simd(unit_positions, out);
-    }
-
     fn grid_encode_levels_chunk(
         &self,
         grid: &HashGrid,
@@ -113,7 +108,7 @@ impl Kernels for SimdKernels {
         out: &mut [f32],
     ) {
         for &l in levels {
-            grid.encode_level_simd(l, unit_positions, out);
+            grid.encode_level_lanes::<Strict>(l, unit_positions, out);
         }
     }
 
@@ -125,7 +120,7 @@ impl Kernels for SimdKernels {
         unit_positions: &[Vec3],
         d_out: &[f32],
     ) {
-        grid.scatter_level_simd(level, level_grads, unit_positions, d_out);
+        grid.scatter_level_lanes::<Strict>(level, level_grads, unit_positions, d_out);
     }
 
     fn mlp_forward_batch<'w>(
@@ -157,6 +152,6 @@ impl Kernels for SimdKernels {
         background: Vec3,
         cache: Option<(&mut [f32], &mut [f32], &mut [f32])>,
     ) -> (RenderOutput, usize) {
-        composite_slices_simd(t, dt, sigma, rgb, background, cache)
+        composite_slices_lanes::<Strict>(t, dt, sigma, rgb, background, cache)
     }
 }

@@ -73,8 +73,9 @@ fn compare_render(
     );
 }
 
-/// The `"checked"` strict-tier shadow-execution backend (see the
-/// [module docs](self)).
+/// The `"checked"` strict-tier shadow-execution backend: wraps
+/// [`SimdKernels`], re-runs every seam through [`ScalarKernels`] on a
+/// shadow copy and panics on the first diverging bit.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CheckedKernels {
     inner: SimdKernels,
@@ -95,15 +96,6 @@ impl Kernels for CheckedKernels {
 
     fn as_any(&self) -> &dyn Any {
         self
-    }
-
-    fn grid_encode_chunk(&self, grid: &HashGrid, unit_positions: &[Vec3], out: &mut [f32]) {
-        let task = format!("grid encode chunk ({} points)", unit_positions.len());
-        let mut shadow = out.to_vec();
-        self.inner.grid_encode_chunk(grid, unit_positions, out);
-        self.reference
-            .grid_encode_chunk(grid, unit_positions, &mut shadow);
-        compare_bits(&task, out, &shadow);
     }
 
     fn grid_encode_levels_chunk(
@@ -296,10 +288,11 @@ mod tests {
         let backend = CheckedKernels::new();
         let pts = points(33);
         let w = grid.output_dim();
+        let all: Vec<usize> = (0..grid.levels().len()).collect();
         let mut out = vec![0.0f32; pts.len() * w];
-        backend.grid_encode_chunk(&grid, &pts, &mut out);
+        backend.grid_encode_levels_chunk(&grid, &all, &pts, &mut out);
         let mut reference = vec![0.0f32; pts.len() * w];
-        ScalarKernels.grid_encode_chunk(&grid, &pts, &mut reference);
+        ScalarKernels.grid_encode_levels_chunk(&grid, &all, &pts, &mut reference);
         assert_eq!(out, reference);
 
         // A full scatter dispatch passes the per-level shadow comparison.

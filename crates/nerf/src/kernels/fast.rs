@@ -1,11 +1,13 @@
 //! The first lossy-tier backend: fused multiply-add kernels with
 //! runtime-detected AVX2/FMA specializations.
 //!
-//! [`FastKernels`] rewrites the three training hot paths — MLP GEMV
-//! forward/backward, grid-encode corner interpolation, compositing —
-//! with `f32::mul_add`: one rounding per multiply-accumulate instead of
-//! two, and (where AVX2+FMA is present) a single `vfmadd` instruction
-//! per lane instead of a multiply + add pair. That breaks the strict
+//! [`FastKernels`] runs the training hot paths — MLP GEMV
+//! forward/backward, grid encode/scatter, compositing — with
+//! `f32::mul_add`: one rounding per multiply-accumulate instead of two,
+//! and (where AVX2+FMA is present) a single `vfmadd` instruction per lane
+//! instead of a multiply + add pair. The grid and compositing kernels are
+//! the `Fused` monomorphs of the lane bodies `simd` runs `Strict` (see
+//! [`crate::simd`]); the GEMV sweeps are `mlp`'s own. That breaks the strict
 //! tier's bit-identity contract, so the backend registers as
 //! [`Tier::Lossy`](super::Tier::Lossy) with the tolerance declared in
 //! [`FastKernels::TOLERANCE`] — enforced per-kernel by the tolerance
@@ -16,7 +18,7 @@
 //! - **Deterministic everywhere.** `f32::mul_add` is correctly rounded
 //!   on every Rust target (hardware `vfmadd` and the portable libm
 //!   fallback agree bit-for-bit), and the fast kernels run the identical
-//!   per-point fused sequence on the lane path and the scalar tail. So
+//!   per-point fused sequence wherever a point falls in a lane. So
 //!   `fast` results are reproducible across machines, chunkings and
 //!   worker counts — they are *lossy relative to the scalar reference*,
 //!   not nondeterministic.
@@ -69,10 +71,6 @@ impl Kernels for FastKernels {
         self
     }
 
-    fn grid_encode_chunk(&self, grid: &HashGrid, unit_positions: &[Vec3], out: &mut [f32]) {
-        grid.encode_batch_fast(unit_positions, out);
-    }
-
     fn grid_encode_levels_chunk(
         &self,
         grid: &HashGrid,
@@ -102,7 +100,7 @@ impl Kernels for FastKernels {
         inputs: &[f32],
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        mlp.forward_batch_impl(GemvMode::Fused, inputs, ws)
+        mlp.forward_batch_impl(GemvMode::Fma, inputs, ws)
     }
 
     fn mlp_backward_batch(
@@ -113,7 +111,7 @@ impl Kernels for FastKernels {
         grads: &mut MlpGradients,
         d_input: &mut [f32],
     ) {
-        mlp.backward_batch_impl(GemvMode::Fused, d_output, ws, grads, d_input);
+        mlp.backward_batch_impl(GemvMode::Fma, d_output, ws, grads, d_input);
     }
 
     fn composite_ray(

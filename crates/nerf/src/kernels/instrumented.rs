@@ -121,7 +121,8 @@ impl GridAccessObserver for StreamObserver<'_> {
 }
 
 /// The `"instrumented"` backend: [`SimdKernels`] numerics with an
-/// attachable address-stream recorder (see the [module docs](self)).
+/// attachable address-stream recorder for the hash-grid read/update
+/// streams of real training steps.
 ///
 /// A shared instance is registered as a built-in
 /// ([`super::instrumented`]); isolated co-sim sessions can wrap a fresh
@@ -211,22 +212,6 @@ impl Kernels for InstrumentedKernels {
         self
     }
 
-    fn grid_encode_chunk(&self, grid: &HashGrid, unit_positions: &[Vec3], out: &mut [f32]) {
-        if !self.is_recording() {
-            return self.inner.grid_encode_chunk(grid, unit_positions, out);
-        }
-        // Observed scalar bodies: same level-major order and bits as the
-        // SIMD kernels, plus the address stream.
-        let mut obs = StreamObserver {
-            grid,
-            addrs: Vec::with_capacity(unit_positions.len() * grid.reads_per_point()),
-        };
-        for l in 0..grid.levels().len() {
-            grid.encode_level_observed(l, unit_positions, out, &mut obs);
-        }
-        self.push_segment(AccessPhase::FeedForward, grid, obs.addrs);
-    }
-
     fn grid_encode_levels_chunk(
         &self,
         grid: &HashGrid,
@@ -239,6 +224,8 @@ impl Kernels for InstrumentedKernels {
                 .inner
                 .grid_encode_levels_chunk(grid, levels, unit_positions, out);
         }
+        // Observed scalar bodies: same level-major order and bits as the
+        // SIMD kernels, plus the address stream.
         let mut obs = StreamObserver {
             grid,
             addrs: Vec::with_capacity(unit_positions.len() * 8 * levels.len()),

@@ -1,23 +1,30 @@
 //! The open kernel-backend API: the [`Kernels`] trait, the process-wide
-//! [`BackendRegistry`], and the built-in backends.
+//! backend registry, and the built-in backends.
 //!
-//! The batched SoA engine dispatches every hot kernel — grid encode /
-//! level-subset encode, per-level gradient scatter, the MLP batched
-//! forward/backward, and per-ray compositing — through a [`Kernels`] trait
-//! object instead of a closed enum. Five backends ship in-tree:
+//! The batched SoA engine dispatches every hot kernel through a
+//! [`Kernels`] trait object instead of a closed enum. The trait has five
+//! seams: the level-subset grid encode ([`Kernels::grid_encode_levels_chunk`];
+//! a full encode is the subset of every level), the per-level gradient
+//! scatter ([`Kernels::grid_scatter_level`]), the MLP batched forward and
+//! backward ([`Kernels::mlp_forward_batch`], [`Kernels::mlp_backward_batch`])
+//! and per-ray compositing ([`Kernels::composite_ray`]). Five backends
+//! ship in-tree:
 //!
 //! * [`ScalarKernels`] (`"scalar"`) — the scalar reference kernels, the
 //!   executable specification every other backend is tested against.
 //! * [`SimdKernels`] (`"simd"`, the default) — lane-batched SIMD kernels
-//!   built on the [`crate::simd`] lane types.
+//!   built on the [`crate::simd`] lane types: one lane body per grid and
+//!   compositing seam, generic over the accumulate policy that
+//!   [`crate::simd`] owns; `simd` runs the `Strict` monomorphs.
 //! * [`InstrumentedKernels`] (`"instrumented"`) — a co-simulation backend
 //!   that wraps the SIMD kernels and, when recording is switched on,
 //!   captures the hash-grid read/update address streams of real training
 //!   steps for the `instant3d-accel` FRM/BUM cycle simulators — online
 //!   Fig. 12/13-style utilisation measurement with no trace files.
-//! * [`FastKernels`] (`"fast"`) — the first **lossy-tier** backend: fused
-//!   multiply-add kernels with runtime-detected AVX2/FMA specialisations,
-//!   trading bit-identity for speed under a declared [`Tolerance`].
+//! * [`FastKernels`] (`"fast"`) — the first **lossy-tier** backend: the
+//!   `Fused` monomorphs of the same lane bodies plus fused GEMV sweeps,
+//!   with runtime-detected AVX2/FMA specialisations, trading bit-identity
+//!   for speed under a declared [`Tolerance`].
 //! * [`CheckedKernels`] (`"checked"`) — the strict-tier shadow executor:
 //!   wraps the SIMD kernels and re-derives every output through the scalar
 //!   reference, panicking on the first diverging bit, to pin the fixed
@@ -135,10 +142,13 @@
 //!
 //! * `// CONTRACT: lossy-tier` — required on any function in a strict
 //!   kernel module (`grid.rs`, `mlp.rs`, `render.rs`, `simd.rs`,
-//!   `kernels/builtin.rs`) that uses `mul_add`/`fadd_fast`/`fmul_fast`.
-//!   Only the fused helpers backing a `Tier::Lossy` backend may carry it;
-//!   an unmarked fused op in a strict module fails the lint, so FMA cannot
-//!   silently leak into the bit-identity tier.
+//!   `kernels/builtin.rs`) that uses `mul_add`/`fadd_fast`/`fmul_fast`
+//!   or names `Fused`, the single-rounding accumulate policy of
+//!   [`crate::simd`] — instantiating a shared lane body with it is writing
+//!   `mul_add` by another name. Only the fused helpers backing a
+//!   `Tier::Lossy` backend may carry the marker; an unmarked fused op in a
+//!   strict module fails the lint, so FMA cannot silently leak into the
+//!   bit-identity tier.
 //! * `// SAFETY:` — required immediately before every `unsafe` block,
 //!   `unsafe fn` and `unsafe impl` in `crates/` and `vendor/rayon/src/`
 //!   (a `# Safety` doc section on the item also satisfies it).
@@ -355,17 +365,15 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
         true
     }
 
-    /// Encodes one chunk of unit-cube points across **all** grid levels
-    /// into the `chunk × output_dim` row-major SoA slice `out`.
+    /// Encodes one chunk of unit-cube points for the listed grid levels,
+    /// in list order, into the `chunk × output_dim` row-major SoA slice
+    /// `out`, leaving every other level's columns untouched.
     ///
-    /// Called by [`HashGrid::par_encode_batch_with`] once per disjoint
-    /// chunk (or once for the whole batch when the backend asks for
-    /// [`Kernels::sequential_grid`] execution).
-    fn grid_encode_chunk(&self, grid: &HashGrid, unit_positions: &[Vec3], out: &mut [f32]);
-
-    /// Encodes one chunk for a **subset of levels**, leaving every other
-    /// level's columns of `out` untouched (the occupancy cache's
-    /// dirty-level refresh seam, [`HashGrid::par_encode_batch_levels_with`]).
+    /// Called by [`HashGrid::par_encode_batch_levels_with`] once per
+    /// disjoint chunk (or once for the whole batch when the backend asks
+    /// for [`Kernels::sequential_grid`] execution) — with every level for
+    /// a full encode ([`HashGrid::par_encode_batch_with`]), with the dirty
+    /// levels for the occupancy cache's refresh.
     fn grid_encode_levels_chunk(
         &self,
         grid: &HashGrid,
@@ -407,10 +415,11 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
         d_input: &mut [f32],
     );
 
-    /// Composites one ray's SoA sample slices front-to-back (the seam
-    /// behind [`crate::render::composite_slices_with`]). Returns the
-    /// render output and the integrated (pre-early-termination) sample
-    /// count; cache slices receive per-sample state when provided.
+    /// Composites one ray's SoA sample slices front-to-back
+    /// ([`crate::render::composite_slices`] is the scalar reference).
+    /// Returns the render output and the integrated
+    /// (pre-early-termination) sample count; cache slices receive
+    /// per-sample state when provided.
     fn composite_ray(
         &self,
         t: &[f32],
@@ -791,9 +800,6 @@ mod tests {
             fn available(&self) -> bool {
                 false // the hypothetical feature is absent everywhere
             }
-            fn grid_encode_chunk(&self, g: &HashGrid, p: &[Vec3], o: &mut [f32]) {
-                self.0.grid_encode_chunk(g, p, o)
-            }
             fn grid_encode_levels_chunk(
                 &self,
                 g: &HashGrid,
@@ -913,7 +919,6 @@ mod tests {
             fn as_any(&self) -> &dyn std::any::Any {
                 self
             }
-            fn grid_encode_chunk(&self, _: &HashGrid, _: &[Vec3], _: &mut [f32]) {}
             fn grid_encode_levels_chunk(
                 &self,
                 _: &HashGrid,

@@ -17,20 +17,24 @@
 //!   batches — level-major for cache locality, level-parallel for the
 //!   scatter — with bit-identical results to the scalar kernels.
 //! * [`kernels`] — the **open kernel-backend API**: the [`Kernels`] trait
-//!   the batched engine dispatches through (grid encode / level-subset
-//!   encode, per-level scatter, MLP forward/backward, compositing), the
-//!   process-wide name registry powering `TrainConfig`, the
-//!   `INSTANT3D_KERNEL_BACKEND` env override, bench IDs and workload
-//!   stats, and three in-tree backends: the scalar reference
-//!   ([`kernels::ScalarKernels`]), the lane-batched SIMD default
-//!   ([`kernels::SimdKernels`]) and an instrumented co-simulation backend
+//!   the batched engine dispatches through — five seams: level-subset grid
+//!   encode (a full encode is every level), per-level scatter, MLP
+//!   forward, MLP backward, compositing — the process-wide name registry
+//!   powering `TrainConfig`, the `INSTANT3D_KERNEL_BACKEND` env override,
+//!   bench IDs and workload stats, and five in-tree backends: the scalar
+//!   reference ([`kernels::ScalarKernels`]), the lane-batched SIMD default
+//!   ([`kernels::SimdKernels`]), an instrumented co-simulation backend
 //!   ([`kernels::InstrumentedKernels`]) that records live training
-//!   address streams for the `instant3d-accel` FRM/BUM simulators.
-//!   Registering a backend claims the **bit-identity contract**
-//!   (additive-order-preserving, FMA-free — see the module docs); the
-//!   differential suites iterate over every registered backend to pin it.
-//! * [`simd`] — portable fixed-width SIMD lane types the SIMD backend's
-//!   kernels are built on.
+//!   address streams for the `instant3d-accel` FRM/BUM simulators, the
+//!   lossy fused-multiply-add backend ([`kernels::FastKernels`]) and the
+//!   scalar shadow executor ([`kernels::CheckedKernels`]). Registering a
+//!   backend claims a tier: the **bit-identity contract**
+//!   (additive-order-preserving, FMA-free) or a declared tolerance — see
+//!   the module docs; the differential suites iterate over every
+//!   registered backend to pin it.
+//! * [`simd`] — portable fixed-width SIMD lane types the lane kernels are
+//!   built on, and the accumulate policy that makes one lane body serve
+//!   both `simd` (two roundings per accumulate) and `fast` (one).
 //! * [`sh`] — spherical-harmonics direction encoding for the color head.
 //! * [`mlp`] — small fully-connected networks with hand-derived backprop
 //!   (Step ③-②); `forward_batch_with` / `backward_batch_with` run whole

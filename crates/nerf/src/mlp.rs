@@ -219,7 +219,7 @@ pub(crate) enum GemvMode {
     /// Lane-batched GEMV, bit-identical to scalar (separate mul/add).
     Simd,
     /// Fused multiply-add GEMV — lossy tier, one rounding per term.
-    Fused,
+    Fma,
 }
 
 impl GemvMode {
@@ -229,7 +229,7 @@ impl GemvMode {
         match self {
             GemvMode::Scalar => simd::axpy(false, y, a, x),
             GemvMode::Simd => simd::axpy(true, y, a, x),
-            GemvMode::Fused => simd::axpy_fused(y, a, x),
+            GemvMode::Fma => simd::axpy_fused(y, a, x),
         }
     }
 }
@@ -831,7 +831,7 @@ impl Mlp {
                     match mode {
                         GemvMode::Scalar => layer.forward_into(xr, prer, yr),
                         GemvMode::Simd => layer.forward_into_simd(wt, xr, prer, yr),
-                        GemvMode::Fused => layer.forward_into_fused(wt, xr, prer, yr),
+                        GemvMode::Fma => layer.forward_into_fused(wt, xr, prer, yr),
                     }
                 }
             };
@@ -947,7 +947,7 @@ impl Mlp {
             // so results match the scalar path bit-for-bit.
             let (gw, gb) = &mut grads.layers[i];
             let accumulate_rows = |o0: usize, gw_rows: &mut [f32], gb_rows: &mut [f32]| {
-                if mode == GemvMode::Fused {
+                if mode == GemvMode::Fma {
                     // Item-blocked fused sweep with one AVX2 dispatch per
                     // row chunk (lossy tier; item order preserved).
                     return grad_rows_fused(x, dz, iw, ow, n, o0, gw_rows, gb_rows);
@@ -990,7 +990,7 @@ impl Mlp {
                         .par_chunks_mut(chunk * iw)
                         .zip(dz.par_chunks(chunk * ow))
                         .for_each(|(dnc, dzc)| {
-                            if mode == GemvMode::Fused {
+                            if mode == GemvMode::Fma {
                                 // Row-blocked fused sweep, one AVX2
                                 // dispatch per item chunk (lossy tier).
                                 return input_grad_fused(dnc, dzc, w_flat, iw, ow);
@@ -1007,7 +1007,7 @@ impl Mlp {
                             }
                         });
                 }
-                None if mode == GemvMode::Fused => {
+                None if mode == GemvMode::Fma => {
                     input_grad_fused(&mut d_next[..n * iw], dz, w_flat, iw, ow);
                 }
                 None => {

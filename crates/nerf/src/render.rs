@@ -18,9 +18,8 @@
 //! S_k     = Σ_{j>k} w_j c_j + T_end · bg    (suffix color)
 //! ```
 
-use crate::kernels::BackendHandle;
 use crate::math::Vec3;
-use crate::simd::F32x8;
+use crate::simd::{Accumulate, F32x8, Strict};
 
 /// One integration sample along a ray: position parameters and the queried
 /// features (density σ and color c) from Step ③.
@@ -318,11 +317,12 @@ impl RayBatchCache {
     }
 }
 
-/// The sequential per-ray compositing recurrence, shared verbatim by both
-/// kernel backends of [`composite_slices_with`] — the backends only differ
-/// in how `one_minus_alpha` values are *produced* (per sample vs a
-/// lane-batched `−σδ` precompute); every consuming operation lives here,
-/// so the loop body cannot drift between backends.
+/// The sequential per-ray compositing recurrence, shared verbatim by every
+/// compositing kernel — they only differ in how `one_minus_alpha` values
+/// are *produced* (per sample vs a lane-batched `−σδ` precompute) and in
+/// how the color/depth accumulates are rounded (see [`crate::simd`]);
+/// every consuming operation lives here, so the loop body cannot drift
+/// between backends.
 struct CompositeAccum {
     color: Vec3,
     depth: f32,
@@ -343,8 +343,10 @@ impl CompositeAccum {
     }
 
     /// Integrates sample `k`; returns `true` when the ray early-terminates.
+    /// Weight, cache and early-termination logic are the same for every
+    /// policy; `A` only rounds the color/depth accumulates.
     #[inline(always)]
-    fn step(
+    fn step<A: Accumulate>(
         &mut self,
         k: usize,
         one_minus_alpha: f32,
@@ -359,40 +361,10 @@ impl CompositeAccum {
             ct[k] = self.trans;
             co[k] = one_minus_alpha;
         }
-        self.color += rgb[k] * w;
-        self.depth += t[k] * w;
-        self.opacity += w;
-        self.trans *= one_minus_alpha;
-        self.active = k + 1;
-        self.trans < EARLY_STOP_TRANSMITTANCE
-    }
-
-    /// Fused-tier variant of [`CompositeAccum::step`]: the color/depth
-    /// accumulations fold their multiply into the add with a single
-    /// rounding (`f32::mul_add`). Weight, cache and early-termination
-    /// logic are shared verbatim; only the accumulation rounding differs,
-    /// bounded by the lossy backend's declared tolerance.
-    // CONTRACT: lossy-tier — fused compositing step backing `FastKernels`.
-    #[inline(always)]
-    fn step_fused(
-        &mut self,
-        k: usize,
-        one_minus_alpha: f32,
-        t: &[f32],
-        rgb: &[Vec3],
-        cache: &mut Option<(&mut [f32], &mut [f32], &mut [f32])>,
-    ) -> bool {
-        let alpha = 1.0 - one_minus_alpha;
-        let w = self.trans * alpha;
-        if let Some((cw, ct, co)) = cache.as_mut() {
-            cw[k] = w;
-            ct[k] = self.trans;
-            co[k] = one_minus_alpha;
-        }
-        self.color.x = rgb[k].x.mul_add(w, self.color.x);
-        self.color.y = rgb[k].y.mul_add(w, self.color.y);
-        self.color.z = rgb[k].z.mul_add(w, self.color.z);
-        self.depth = t[k].mul_add(w, self.depth);
+        self.color.x = A::scalar(self.color.x, w, rgb[k].x);
+        self.color.y = A::scalar(self.color.y, w, rgb[k].y);
+        self.color.z = A::scalar(self.color.z, w, rgb[k].z);
+        self.depth = A::scalar(self.depth, w, t[k]);
         self.opacity += w;
         self.trans *= one_minus_alpha;
         self.active = k + 1;
@@ -428,76 +400,24 @@ pub fn composite_slices(
     for k in 0..t.len() {
         debug_assert!(sigma[k] >= 0.0, "density must be non-negative");
         let one_minus_alpha = (-sigma[k] * dt[k]).exp();
-        if acc.step(k, one_minus_alpha, t, rgb, &mut cache) {
+        if acc.step::<Strict>(k, one_minus_alpha, t, rgb, &mut cache) {
             break;
         }
     }
     acc.finish(background)
 }
 
-/// [`composite_slices`] with an explicit kernel backend
-/// ([`crate::kernels`]): dispatches to the backend's
-/// [`crate::kernels::Kernels::composite_ray`]. Outputs, cache contents and
-/// the integrated sample count are bit-identical across backends.
-pub fn composite_slices_with(
-    backend: &BackendHandle,
-    t: &[f32],
-    dt: &[f32],
-    sigma: &[f32],
-    rgb: &[Vec3],
-    background: Vec3,
-    cache: Option<(&mut [f32], &mut [f32], &mut [f32])>,
-) -> (RenderOutput, usize) {
-    backend.composite_ray(t, dt, sigma, rgb, background, cache)
-}
-
-/// The SIMD compositing kernel: precomputes the per-sample `(−σ·δ)`
-/// products in lanes of 8 (the `exp` stays scalar per lane — vector exp
-/// approximations would break bit-equality) and keeps the transmittance
-/// recurrence, cache writes and early termination sequential, so outputs,
-/// cache contents and the integrated sample count are bit-identical to
-/// [`composite_slices`].
-pub fn composite_slices_simd(
-    t: &[f32],
-    dt: &[f32],
-    sigma: &[f32],
-    rgb: &[Vec3],
-    background: Vec3,
-    mut cache: Option<(&mut [f32], &mut [f32], &mut [f32])>,
-) -> (RenderOutput, usize) {
-    const LANES: usize = F32x8::LANES;
-    let n = t.len();
-    let mut acc = CompositeAccum::new();
-    let mut oma = [0.0f32; LANES];
-    'rays: for c0 in (0..n).step_by(LANES) {
-        let m = (n - c0).min(LANES);
-        if m == LANES {
-            let mut negs = [0.0f32; LANES];
-            for (k, s) in sigma[c0..c0 + LANES].iter().enumerate() {
-                negs[k] = -s;
-            }
-            let prod = F32x8(negs) * F32x8::from_slice(&dt[c0..]);
-            for (k, o) in oma.iter_mut().enumerate() {
-                *o = prod[k].exp();
-            }
-        } else {
-            for k in 0..m {
-                oma[k] = (-sigma[c0 + k] * dt[c0 + k]).exp();
-            }
-        }
-        for (k, &one_minus_alpha) in oma.iter().enumerate().take(m) {
-            let kk = c0 + k;
-            debug_assert!(sigma[kk] >= 0.0, "density must be non-negative");
-            if acc.step(kk, one_minus_alpha, t, rgb, &mut cache) {
-                break 'rays;
-            }
-        }
-    }
-    acc.finish(background)
-}
-
+/// The lane-batched compositing kernel: precomputes the per-sample
+/// `(−σ·δ)` products in lanes of 8 (the `exp` stays scalar per lane —
+/// vector exp approximations would break bit-equality) and keeps the
+/// transmittance recurrence, cache writes and early termination
+/// sequential. The one body behind both lane backends: with `Strict`
+/// accumulation (the `simd` backend) outputs, cache contents and the
+/// integrated sample count are bit-identical to [`composite_slices`];
+/// with `Fused` ([`composite_slices_fast`]) the color/depth accumulates
+/// round once instead of twice.
 #[inline(always)]
-fn composite_slices_fast_body(
+pub(crate) fn composite_slices_lanes<A: Accumulate>(
     t: &[f32],
     dt: &[f32],
     sigma: &[f32],
@@ -528,7 +448,7 @@ fn composite_slices_fast_body(
         for (k, &one_minus_alpha) in oma.iter().enumerate().take(m) {
             let kk = c0 + k;
             debug_assert!(sigma[kk] >= 0.0, "density must be non-negative");
-            if acc.step_fused(kk, one_minus_alpha, t, rgb, &mut cache) {
+            if acc.step::<A>(kk, one_minus_alpha, t, rgb, &mut cache) {
                 break 'rays;
             }
         }
@@ -536,6 +456,7 @@ fn composite_slices_fast_body(
     acc.finish(background)
 }
 
+// CONTRACT: lossy-tier — fused compositing backing `FastKernels`.
 // CALLER: `composite_slices_fast` gates this behind
 // `simd::avx2_fma_available()` runtime detection.
 // SAFETY: only safe slice code inside; the sole obligation is the
@@ -551,16 +472,16 @@ unsafe fn composite_slices_fast_avx2(
     background: Vec3,
     cache: Option<(&mut [f32], &mut [f32], &mut [f32])>,
 ) -> (RenderOutput, usize) {
-    composite_slices_fast_body(t, dt, sigma, rgb, background, cache)
+    composite_slices_lanes::<crate::simd::Fused>(t, dt, sigma, rgb, background, cache)
 }
 
-/// The fused (lossy-tier) compositing kernel: the `(−σ·δ)` lane precompute
-/// and scalar `exp` mirror [`composite_slices_simd`], but the color/depth
-/// accumulations use `f32::mul_add`, so outputs differ from the strict
-/// kernels by bounded rounding (one rounding per accumulate instead of
-/// two). `f32::mul_add` is correctly rounded on every path, so results are
-/// identical whether the AVX2/FMA specialization or the portable fallback
-/// runs — feature detection only picks the faster encoding.
+/// The fused (lossy-tier) compositing kernel: outputs differ from the
+/// strict kernels by bounded rounding (one rounding per color/depth
+/// accumulate instead of two). The fused accumulate is correctly rounded
+/// on every path, so results are identical whether the AVX2/FMA
+/// specialization or the portable fallback runs — feature detection only
+/// picks the faster encoding.
+// CONTRACT: lossy-tier — fused compositing backing `FastKernels`.
 #[allow(unsafe_code)]
 pub fn composite_slices_fast(
     t: &[f32],
@@ -575,7 +496,7 @@ pub fn composite_slices_fast(
         // SAFETY: AVX2+FMA presence was just verified at runtime.
         return unsafe { composite_slices_fast_avx2(t, dt, sigma, rgb, background, cache) };
     }
-    composite_slices_fast_body(t, dt, sigma, rgb, background, cache)
+    composite_slices_lanes::<crate::simd::Fused>(t, dt, sigma, rgb, background, cache)
 }
 
 /// Backward pass of [`composite_slices`]: writes dL/dσ and dL/dc for every

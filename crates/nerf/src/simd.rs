@@ -22,9 +22,10 @@
 //!   the infinitely-precise product and rounds once, so `fma(a, b, c) !=
 //!   a*b + c` in general; using it would silently break the contract. The
 //!   strict kernels therefore never call [`F32x4::mul_add`] /
-//!   [`F32x8::mul_add`] or [`axpy_fused`] — those exist for the **lossy
-//!   tier** ([`crate::kernels::Tier::Lossy`]), whose backends trade
-//!   bit-identity for FMA throughput under a declared tolerance.
+//!   [`F32x8::mul_add`] or [`axpy_fused`], and never name the `Fused`
+//!   accumulate policy (below) — those exist for the **lossy tier**
+//!   ([`crate::kernels::Tier::Lossy`]), whose backends trade bit-identity
+//!   for FMA throughput under a declared tolerance.
 //! * Lane arithmetic (`+`, `-`, `*`, `min`, `max`, `floor`) is exact
 //!   per-lane IEEE 754 — identical to the corresponding `f32` operator on
 //!   that lane's value. Approximate vector math (rsqrt, rcp, vector exp)
@@ -38,6 +39,20 @@
 //! so a registered third-party strict backend is held to the same
 //! contract.
 //!
+//! # The accumulate policy: one lane body per seam
+//!
+//! How an accumulate `acc + w·x` is rounded is decided in this module and
+//! nowhere else. The lane-batched grid encode, grid scatter and
+//! compositing bodies are each written **once**, `#[inline(always)]` and
+//! generic over the crate-private `Accumulate` policy: `Strict` rounds
+//! twice (`acc + w * x`, the scalar reference's arithmetic — the `simd`
+//! backend is this monomorph) and `Fused` rounds once (`w.mul_add(x,
+//! acc)` — the `fast` backend is this monomorph, instantiated inside its
+//! `#[target_feature(enable = "avx2,fma")]` wrappers and their portable
+//! fallback). The conformance linter treats the identifier `Fused` in a
+//! strict kernel module exactly like a literal `mul_add`: the naming
+//! function must carry `// CONTRACT: lossy-tier`.
+//!
 //! # The fused (lossy-tier) helpers
 //!
 //! The fused helpers are built on `f32::mul_add`, which is **correctly
@@ -45,8 +60,8 @@
 //! portable libm fallback produce the same bits, so lossy kernels built on
 //! them are still deterministic across hosts — AVX2/FMA, detected once at
 //! runtime via [`avx2_fma_available`], is purely a speed specialization.
-//! [`axpy_fused`] and the lossy kernels' inner loops are written as plain
-//! `mul_add` array sweeps and compiled twice: once under
+//! [`axpy_fused`] and the `Fused` monomorphs are plain `mul_add` array
+//! sweeps compiled twice: once under
 //! `#[target_feature(enable = "avx2,fma")]` (LLVM emits 256-bit `vfmadd`)
 //! and once portably (scalar `fma`), dispatched per call.
 //!
@@ -130,9 +145,9 @@ macro_rules! lane_common {
 
             /// Per-lane fused multiply-add `self * b + c`, rounded **once**
             /// (`f32::mul_add`). Lossy-tier only: a strict kernel calling
-            /// this breaks the bit-identity contract (see the
-            /// [module docs](self)). Correctly rounded on every path, so
-            /// hardware FMA and the portable fallback agree bitwise.
+            /// this breaks the bit-identity contract (see the module
+            /// docs). Correctly rounded on every path, so hardware FMA
+            /// and the portable fallback agree bitwise.
             // CONTRACT: lossy-tier — single-rounding FMA primitive; only
             // fused (lossy) kernels may call this.
             #[inline(always)]
@@ -244,6 +259,51 @@ macro_rules! f32x8_binop {
 f32x8_binop!(Add, add, +);
 f32x8_binop!(Sub, sub, -);
 f32x8_binop!(Mul, mul, *);
+
+/// How the shared lane kernels round one accumulate `acc + w·x` — the
+/// only difference between the `simd` and `fast` grid encode, grid
+/// scatter and compositing kernels (see the module docs).
+pub(crate) trait Accumulate {
+    /// `acc + w·x` on one scalar.
+    fn scalar(acc: f32, w: f32, x: f32) -> f32;
+    /// `acc + w·x` per lane.
+    fn lanes(acc: F32x8, w: F32x8, x: F32x8) -> F32x8;
+}
+
+/// A distinct IEEE multiply then a distinct IEEE add: two roundings, the
+/// scalar reference's arithmetic.
+pub(crate) struct Strict;
+
+impl Accumulate for Strict {
+    #[inline(always)]
+    fn scalar(acc: f32, w: f32, x: f32) -> f32 {
+        acc + w * x
+    }
+
+    #[inline(always)]
+    fn lanes(acc: F32x8, w: F32x8, x: F32x8) -> F32x8 {
+        acc + w * x
+    }
+}
+
+/// One correctly-rounded fused multiply-add per accumulate.
+// CONTRACT: lossy-tier — the accumulate policy of `FastKernels` only.
+pub(crate) struct Fused;
+
+// CONTRACT: lossy-tier — the accumulate policy of `FastKernels` only.
+impl Accumulate for Fused {
+    // CONTRACT: lossy-tier — single-rounding accumulate.
+    #[inline(always)]
+    fn scalar(acc: f32, w: f32, x: f32) -> f32 {
+        w.mul_add(x, acc)
+    }
+
+    // CONTRACT: lossy-tier — single-rounding accumulate.
+    #[inline(always)]
+    fn lanes(acc: F32x8, w: F32x8, x: F32x8) -> F32x8 {
+        w.mul_add(x, acc)
+    }
+}
 
 /// `y[i] += a * x[i]`, elementwise; `use_simd` selects the lane-batched
 /// sweep.

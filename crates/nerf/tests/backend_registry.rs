@@ -30,11 +30,6 @@ impl Kernels for CountingKernels {
         self
     }
 
-    fn grid_encode_chunk(&self, grid: &HashGrid, pts: &[Vec3], out: &mut [f32]) {
-        self.grid_calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.grid_encode_chunk(grid, pts, out);
-    }
-
     fn grid_encode_levels_chunk(
         &self,
         grid: &HashGrid,

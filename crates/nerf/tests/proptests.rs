@@ -275,21 +275,15 @@ proptest! {
 
         let mut batched = vec![0.0f32; positions.len() * w];
         grid.encode_batch_into(&positions, &mut batched, &mut NullObserver);
-        let mut level_major = vec![0.0f32; positions.len() * w];
-        grid.encode_batch_level_major(&positions, &mut level_major);
         let mut parallel = vec![0.0f32; positions.len() * w];
         grid.par_encode_batch_with(&kernels::scalar(), &positions, &mut parallel);
-        let mut lanes = vec![0.0f32; positions.len() * w];
-        grid.encode_batch_simd(&positions, &mut lanes);
         let mut par_lanes = vec![0.0f32; positions.len() * w];
         grid.par_encode_batch_with(&kernels::simd(), &positions, &mut par_lanes);
 
         for (i, p) in positions.iter().enumerate() {
             let scalar = grid.encode(*p);
             prop_assert_eq!(&batched[i * w..(i + 1) * w], &scalar[..], "point-major row {}", i);
-            prop_assert_eq!(&level_major[i * w..(i + 1) * w], &scalar[..], "level-major row {}", i);
             prop_assert_eq!(&parallel[i * w..(i + 1) * w], &scalar[..], "parallel row {}", i);
-            prop_assert_eq!(&lanes[i * w..(i + 1) * w], &scalar[..], "simd row {}", i);
             prop_assert_eq!(&par_lanes[i * w..(i + 1) * w], &scalar[..], "par simd row {}", i);
         }
     }
@@ -453,8 +447,8 @@ proptest! {
         let mut w2 = vec![0.0f32; n];
         let mut t2 = vec![0.0f32; n];
         let mut o2 = vec![0.0f32; n];
-        let (soa_simd, active_simd) = instant3d_nerf::render::composite_slices_with(
-            &kernels::simd(), &t, &dts, &sg, &rgb, background,
+        let (soa_simd, active_simd) = kernels::simd().composite_ray(
+            &t, &dts, &sg, &rgb, background,
             Some((&mut w2, &mut t2, &mut o2)),
         );
         prop_assert_eq!(soa_simd, aos);

@@ -22,7 +22,7 @@ use instant3d_nerf::grid::{HashGrid, HashGridConfig};
 use instant3d_nerf::kernels::{self, BackendHandle};
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::mlp::{Mlp, MlpConfig};
-use instant3d_nerf::render::{composite_slices, composite_slices_with};
+use instant3d_nerf::render::composite_slices;
 use instant3d_nerf::simd;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -46,6 +46,13 @@ fn points(n: usize, seed: u64) -> Vec<Vec3> {
 
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Whole-batch, single-chunk encode of every level straight through the
+/// backend seam (the parallel dispatcher re-chunks at 256 points).
+fn encode_chunk(backend: &BackendHandle, g: &HashGrid, pts: &[Vec3], out: &mut [f32]) {
+    let all: Vec<usize> = (0..g.levels().len()).collect();
+    backend.grid_encode_levels_chunk(g, &all, pts, out);
 }
 
 /// Default-shaped grid (dense + hashed levels, fp16 storage like training).
@@ -110,8 +117,8 @@ fn grid_encode_backends_bit_equal_scalar_across_batch_shapes() {
         let pts = points(n, 1000 + n as u64);
         let mut scalar = vec![0.0f32; n * w];
         let mut lanes = vec![0.0f32; n * w];
-        g.encode_batch_level_major(&pts, &mut scalar);
-        g.encode_batch_simd(&pts, &mut lanes);
+        encode_chunk(&kernels::scalar(), &g, &pts, &mut scalar);
+        encode_chunk(&kernels::simd(), &g, &pts, &mut lanes);
         assert_eq!(bits(&scalar), bits(&lanes), "encode n={n}");
         // And through the backend dispatcher (chunked parallel path), for
         // every registered backend.
@@ -160,8 +167,8 @@ fn grid_kernels_agree_under_hash_collision_aliasing() {
         let pts = points(n, 3000 + n as u64);
         let mut a = vec![0.0f32; n * w];
         let mut b = vec![0.0f32; n * w];
-        g.encode_batch_level_major(&pts, &mut a);
-        g.encode_batch_simd(&pts, &mut b);
+        encode_chunk(&kernels::scalar(), &g, &pts, &mut a);
+        encode_chunk(&kernels::simd(), &g, &pts, &mut b);
         assert_eq!(bits(&a), bits(&b), "colliding encode n={n}");
 
         let d_out: Vec<f32> = (0..n * w).map(|i| ((i % 5) as f32 - 2.0) * 0.51).collect();
@@ -186,8 +193,8 @@ fn grid_encode_agrees_on_fp16_edge_features() {
         let pts = points(57, 4000 + seed); // 57 = 7×8 + 1 tail
         let mut a = vec![0.0f32; pts.len() * w];
         let mut b = vec![0.0f32; pts.len() * w];
-        g.encode_batch_level_major(&pts, &mut a);
-        g.encode_batch_simd(&pts, &mut b);
+        encode_chunk(&kernels::scalar(), &g, &pts, &mut a);
+        encode_chunk(&kernels::simd(), &g, &pts, &mut b);
         assert_eq!(bits(&a), bits(&b), "fp16-edge encode seed={seed}");
     }
 }
@@ -230,8 +237,8 @@ fn grid_quantize_storage_with_subnormal_features_is_stable() {
     let pts = points(33, 5000);
     let mut a = vec![0.0f32; pts.len() * w];
     let mut b = vec![0.0f32; pts.len() * w];
-    g.encode_batch_level_major(&pts, &mut a);
-    g.encode_batch_simd(&pts, &mut b);
+    encode_chunk(&kernels::scalar(), &g, &pts, &mut a);
+    encode_chunk(&kernels::simd(), &g, &pts, &mut b);
     assert_eq!(bits(&a), bits(&b));
 }
 
@@ -331,8 +338,7 @@ fn composite_backends_bit_equal_scalar_including_early_termination() {
                 let mut cw_b = vec![0.0f32; n];
                 let mut ct_b = vec![0.0f32; n];
                 let mut co_b = vec![0.0f32; n];
-                let (out_b, act_b) = composite_slices_with(
-                    &backend,
+                let (out_b, act_b) = backend.composite_ray(
                     &t,
                     &dt,
                     &sigma,
@@ -377,8 +383,8 @@ proptest! {
         let pts = points(n, seed.wrapping_mul(31) + n as u64);
         let mut a = vec![0.0f32; n * w];
         let mut b = vec![0.0f32; n * w];
-        g.encode_batch_level_major(&pts, &mut a);
-        g.encode_batch_simd(&pts, &mut b);
+        encode_chunk(&kernels::scalar(), &g, &pts, &mut a);
+        encode_chunk(&kernels::simd(), &g, &pts, &mut b);
         prop_assert_eq!(bits(&a), bits(&b));
 
         let d_out: Vec<f32> = (0..n * w).map(|i| ((i % 23) as f32 - 11.0) * 0.17).collect();
@@ -447,8 +453,8 @@ proptest! {
         let mut cw_b = vec![0.0f32; n];
         let mut ct_b = vec![0.0f32; n];
         let mut co_b = vec![0.0f32; n];
-        let (ob, ab) = composite_slices_with(
-            &kernels::simd(), &t, &dt, &sigmas, &rgb, background,
+        let (ob, ab) = kernels::simd().composite_ray(
+            &t, &dt, &sigmas, &rgb, background,
             Some((&mut cw_b, &mut ct_b, &mut co_b)),
         );
         prop_assert_eq!(oa, ob);

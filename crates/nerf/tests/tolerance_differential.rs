@@ -15,15 +15,15 @@
 //! Lossy ≠ nondeterministic: the suite also pins each lossy backend to
 //! *itself*, bitwise — repeated runs and re-chunked batches must agree
 //! exactly, because `f32::mul_add` is correctly rounded everywhere and
-//! the fast kernels run the identical per-point fused sequence on the
-//! lane path and the scalar tail.
+//! the fast kernels run the identical per-point fused sequence wherever
+//! a point falls in a lane.
 
 use instant3d_nerf::activation::Activation;
 use instant3d_nerf::grid::{HashGrid, HashGridConfig};
 use instant3d_nerf::kernels::{self, BackendHandle, Tolerance};
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::mlp::{Mlp, MlpConfig};
-use instant3d_nerf::render::{composite_slices, composite_slices_with};
+use instant3d_nerf::render::{composite_slices, RenderOutput};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -45,6 +45,13 @@ fn points(n: usize, seed: u64) -> Vec<Vec3> {
 
 fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Whole-batch, single-chunk encode of every level straight through the
+/// backend seam (the parallel dispatcher re-chunks at 256 points).
+fn encode_chunk(backend: &BackendHandle, g: &HashGrid, pts: &[Vec3], out: &mut [f32]) {
+    let all: Vec<usize> = (0..g.levels().len()).collect();
+    backend.grid_encode_levels_chunk(g, &all, pts, out);
 }
 
 /// Default-shaped grid (dense + hashed levels, fp16 storage like training).
@@ -77,6 +84,18 @@ fn colliding_grid(seed: u64) -> HashGrid {
         },
         seed,
     )
+}
+
+/// A render output's six scalars, for slice-wise comparison.
+fn flat(o: &RenderOutput) -> [f32; 6] {
+    [
+        o.color.x,
+        o.color.y,
+        o.color.z,
+        o.depth,
+        o.opacity,
+        o.transmittance,
+    ]
 }
 
 /// The backend's declared tolerance — registering as lossy without one
@@ -121,7 +140,7 @@ fn grid_encode_within_declared_tolerance_across_batch_shapes() {
         for &n in &BATCH_SIZES {
             let pts = points(n, 1000 + n as u64);
             let mut scalar = vec![0.0f32; n * w];
-            g.encode_batch_level_major(&pts, &mut scalar);
+            encode_chunk(&kernels::scalar(), &g, &pts, &mut scalar);
             for backend in kernels::registered_lossy() {
                 let tol = declared(&backend);
                 let mut lossy = vec![0.0f32; n * w];
@@ -263,8 +282,7 @@ fn composite_within_declared_tolerance_including_early_termination() {
                 let mut cw_b = vec![0.0f32; n];
                 let mut ct_b = vec![0.0f32; n];
                 let mut co_b = vec![0.0f32; n];
-                let (out_b, act_b) = composite_slices_with(
-                    &backend,
+                let (out_b, act_b) = backend.composite_ray(
                     &t,
                     &dt,
                     &sigma,
@@ -277,23 +295,12 @@ fn composite_within_declared_tolerance_including_early_termination() {
                 // the knife edge, so the active counts must agree.
                 assert_eq!(act_a, act_b, "{backend} active n={n} dense={dense}");
                 let ctx = format!("{backend} n={n} dense={dense}");
-                let flat_a = [
-                    out_a.color.x,
-                    out_a.color.y,
-                    out_a.color.z,
-                    out_a.depth,
-                    out_a.opacity,
-                    out_a.transmittance,
-                ];
-                let flat_b = [
-                    out_b.color.x,
-                    out_b.color.y,
-                    out_b.color.z,
-                    out_b.depth,
-                    out_b.opacity,
-                    out_b.transmittance,
-                ];
-                check(&tol, &format!("composite out {ctx}"), &flat_b, &flat_a);
+                check(
+                    &tol,
+                    &format!("composite out {ctx}"),
+                    &flat(&out_b),
+                    &flat(&out_a),
+                );
                 check(&tol, &format!("weights cache {ctx}"), &cw_b, &cw_a);
                 check(&tol, &format!("trans cache {ctx}"), &ct_b, &ct_a);
                 check(&tol, &format!("alpha cache {ctx}"), &co_b, &co_a);
@@ -307,17 +314,17 @@ fn lossy_backends_are_deterministic_and_chunking_invariant_tolerance_tier() {
     // Lossy relative to scalar, but bit-exact relative to themselves:
     // repeated runs and arbitrary re-chunkings of the same batch must
     // produce identical bits, because every fast kernel runs the same
-    // per-point fused sequence regardless of lane/tail placement.
+    // per-point fused sequence regardless of lane placement.
     let g = training_grid(41);
     let w = g.output_dim();
     let n = 300;
     let pts = points(n, 9000);
     for backend in kernels::registered_lossy() {
         let mut whole = vec![0.0f32; n * w];
-        backend.grid_encode_chunk(&g, &pts, &mut whole);
+        encode_chunk(&backend, &g, &pts, &mut whole);
         // Rerun: identical bits.
         let mut again = vec![0.0f32; n * w];
-        backend.grid_encode_chunk(&g, &pts, &mut again);
+        encode_chunk(&backend, &g, &pts, &mut again);
         assert_eq!(bits(&whole), bits(&again), "{backend} rerun");
         // Re-chunked (including splits off the lane boundary): identical
         // bits to the single-chunk encode.
@@ -325,8 +332,8 @@ fn lossy_backends_are_deterministic_and_chunking_invariant_tolerance_tier() {
             let mut chunked = vec![0.0f32; n * w];
             let (head_p, tail_p) = pts.split_at(split);
             let (head_o, tail_o) = chunked.split_at_mut(split * w);
-            backend.grid_encode_chunk(&g, head_p, head_o);
-            backend.grid_encode_chunk(&g, tail_p, tail_o);
+            encode_chunk(&backend, &g, head_p, head_o);
+            encode_chunk(&backend, &g, tail_p, tail_o);
             assert_eq!(
                 bits(&whole),
                 bits(&chunked),
@@ -362,11 +369,86 @@ fn fast_backend_diverges_from_scalar_somewhere_tolerance_tier() {
     let pts = points(n, 7000);
     let mut scalar = vec![0.0f32; n * w];
     let mut fast = vec![0.0f32; n * w];
-    g.encode_batch_level_major(&pts, &mut scalar);
-    kernels::fast().grid_encode_chunk(&g, &pts, &mut fast);
+    encode_chunk(&kernels::scalar(), &g, &pts, &mut scalar);
+    encode_chunk(&kernels::fast(), &g, &pts, &mut fast);
     assert_ne!(
         bits(&scalar),
         bits(&fast),
         "fused encode should differ from the scalar reference in at least one bit"
     );
+}
+
+/// FNV-1a (64-bit) over the little-endian bit patterns of `xs`.
+fn fnv1a(hash: &mut u64, xs: &[f32]) {
+    for b in xs.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        *hash = (*hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn lane_kernel_bits_are_pinned_across_commits() {
+    // The tolerance checks above only *bound* a lossy backend's bits, and
+    // `fast` shares its lane bodies with `simd`, so a refactor of a shared
+    // body could re-round `fast` without failing anything. These digests
+    // were computed before the bodies were shared; `simd` rides along as
+    // the strict monomorph of the same code.
+    const PINNED: [(&str, [u64; 3]); 2] = [
+        (
+            "fast",
+            [0x2e6576a5c47abb5c, 0x2286f9b57a68e3f1, 0x02fcde448523b932],
+        ),
+        (
+            "simd",
+            [0x12d5c9645dc31198, 0x90a103f752fc0459, 0x042d55ce15de4bfc],
+        ),
+    ];
+    let g = training_grid(97);
+    let w = g.output_dim();
+    for (name, pinned) in PINNED {
+        let backend = kernels::resolve(name);
+        let mut digests = [FNV_OFFSET; 3];
+        for n in [1usize, 7, 8, 9, 300, 1000] {
+            let pts = points(n, 5000 + n as u64);
+            let mut emb = vec![0.0f32; n * w];
+            encode_chunk(&backend, &g, &pts, &mut emb);
+            fnv1a(&mut digests[0], &emb);
+
+            let d_out: Vec<f32> = (0..n * w).map(|i| 0.37 * ((i % 11) as f32 - 5.0)).collect();
+            let mut grads = g.zero_grads();
+            g.par_backward_batch_with(&backend, &pts, &d_out, &mut grads);
+            fnv1a(&mut digests[1], &grads.values);
+
+            // dense = 0.5 integrates the full ray; 5000 early-terminates.
+            let mut rng = StdRng::seed_from_u64(6000 + n as u64);
+            for dense in [0.5f32, 5000.0] {
+                let t: Vec<f32> = (0..n).map(|k| (k as f32 + 0.5) / n as f32).collect();
+                let dt = vec![1.0 / n as f32; n];
+                let sigma: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() * dense).collect();
+                let rgb: Vec<Vec3> = (0..n)
+                    .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
+                    .collect();
+                let mut cache = [vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]];
+                let [cw, ct, co] = &mut cache;
+                let (out, active) = backend.composite_ray(
+                    &t,
+                    &dt,
+                    &sigma,
+                    &rgb,
+                    Vec3::new(0.2, 0.4, 0.8),
+                    Some((cw, ct, co)),
+                );
+                fnv1a(&mut digests[2], &flat(&out));
+                fnv1a(&mut digests[2], &[active as f32]);
+                for buf in &cache {
+                    fnv1a(&mut digests[2], buf);
+                }
+            }
+        }
+        assert_eq!(
+            digests, pinned,
+            "{name} [encode, scatter, composite] digests: {digests:#018x?}"
+        );
+    }
 }

@@ -10,8 +10,8 @@
 //!
 //! # Job lifecycle
 //!
-//! A [`JobSpec`](job::JobSpec) describes a scene, a [`TrainConfig`], a
-//! seed and an iteration/checkpoint budget. The [`Fleet`](fleet::Fleet)
+//! A [`JobSpec`] describes a scene, a [`TrainConfig`], a
+//! seed and an iteration/checkpoint budget. The [`Fleet`]
 //! scheduler drives each spec through:
 //!
 //! 1. **Queued** — the spec sits in the fleet's round-robin queue.
@@ -27,7 +27,7 @@
 //!    `vendor/rayon`) keeps co-scheduled regions interleaving fairly.
 //! 4. **Checkpointed** — every `checkpoint_every` iterations the job's
 //!    model is serialized through `core::checkpoint` into the fleet's
-//!    LRU [`CheckpointStore`](store::CheckpointStore); idle entries are
+//!    LRU [`CheckpointStore`]; idle entries are
 //!    evicted when the cap is exceeded.
 //! 5. **Retired** — at the iteration budget the final checkpoint is
 //!    written, both workspaces return to the pool (the occupancy one is

@@ -164,14 +164,14 @@ fn ci_matrix_backend_axis_is_derived_from_the_registry() {
     assert!(seen_strict, "no strict-tier backend axis in ci.yml");
     assert!(seen_lossy, "no lossy-tier backend axis in ci.yml");
 
-    // The race-detector backend is pinned by name on top of the
+    // The scalar shadow-execution backend is pinned by name on top of the
     // registry-derived set equality: dropping `checked` from the registry
     // (which would silently remove its CI arm *and* its golden-suite
     // coverage) must fail here, not just reshape the matrix.
     assert!(
         strict.contains(&"checked"),
-        "the `checked` race-detector backend must stay registered at the \
-         strict tier so the CI matrix and golden suites keep covering it"
+        "the `checked` scalar shadow-execution backend must stay registered at \
+         the strict tier so the CI matrix and golden suites keep covering it"
     );
     assert!(
         axes.iter().any(|axis| axis.contains(&"checked")),
