@@ -390,25 +390,44 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 #[test]
 fn lane_kernel_bits_are_pinned_across_commits() {
     // The tolerance checks above only *bound* a lossy backend's bits, and
-    // `fast` shares its lane bodies with `simd`, so a refactor of a shared
-    // body could re-round `fast` without failing anything. These digests
-    // were computed before the bodies were shared; `simd` rides along as
-    // the strict monomorph of the same code.
-    const PINNED: [(&str, [u64; 3]); 2] = [
+    // `fast` shares its lane bodies and MLP sweeps with `simd`, so a
+    // refactor of a shared body could re-round `fast` without failing
+    // anything. Each digest was computed at the commit before its body
+    // was shared; `simd` rides along as the strict monomorph of the same
+    // code.
+    const PINNED: [(&str, [u64; 5]); 2] = [
         (
             "fast",
-            [0x2e6576a5c47abb5c, 0x2286f9b57a68e3f1, 0x02fcde448523b932],
+            [
+                0x2e6576a5c47abb5c,
+                0x2286f9b57a68e3f1,
+                0x02fcde448523b932,
+                0x679b54daa1fd5456,
+                0x0cf50e1fc3fb2a6f,
+            ],
         ),
         (
             "simd",
-            [0x12d5c9645dc31198, 0x90a103f752fc0459, 0x042d55ce15de4bfc],
+            [
+                0x12d5c9645dc31198,
+                0x90a103f752fc0459,
+                0x042d55ce15de4bfc,
+                0x596a0ac1a63d64a5,
+                0x1da64951f3eadc7d,
+            ],
         ),
     ];
     let g = training_grid(97);
     let w = g.output_dim();
+    // Layers 7→13→6→3: `in_dim % 4` ∈ {3, 1, 2} (forward tails) and
+    // `out_dim % 4` ∈ {1, 2, 3} (input-gradient tails).
+    let mlp = Mlp::new(
+        MlpConfig::new(7, &[13, 6], 3, Activation::Relu, Activation::Sigmoid),
+        &mut StdRng::seed_from_u64(97),
+    );
     for (name, pinned) in PINNED {
         let backend = kernels::resolve(name);
-        let mut digests = [FNV_OFFSET; 3];
+        let mut digests = [FNV_OFFSET; 5];
         for n in [1usize, 7, 8, 9, 300, 1000] {
             let pts = points(n, 5000 + n as u64);
             let mut emb = vec![0.0f32; n * w];
@@ -446,9 +465,29 @@ fn lane_kernel_bits_are_pinned_across_commits() {
                 }
             }
         }
+        // Item tails `n % 4` ∈ {1, 2, 3} (parameter-gradient sweep), on
+        // both sides of the parallel cutoff.
+        for n in [1usize, 6, 7, 258, 1001] {
+            let mut rng = StdRng::seed_from_u64(7000 + n as u64);
+            let inputs: Vec<f32> = (0..n * 7).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+            let d_out: Vec<f32> = (0..n * 3).map(|_| rng.gen::<f32>() - 0.5).collect();
+            let mut ws = mlp.batch_workspace(n);
+            fnv1a(
+                &mut digests[3],
+                mlp.forward_batch_with(&backend, &inputs, &mut ws),
+            );
+            let mut grads = mlp.zero_grads();
+            let mut d_in = vec![0.0f32; n * 7];
+            mlp.backward_batch_with(&backend, &d_out, &mut ws, &mut grads, &mut d_in);
+            for (gw, gb) in &grads.layers {
+                fnv1a(&mut digests[4], gw);
+                fnv1a(&mut digests[4], gb);
+            }
+            fnv1a(&mut digests[4], &d_in);
+        }
         assert_eq!(
             digests, pinned,
-            "{name} [encode, scatter, composite] digests: {digests:#018x?}"
+            "{name} [encode, scatter, composite, mlp forward, mlp backward] digests: {digests:#018x?}"
         );
     }
 }
