@@ -15,9 +15,10 @@
 //!
 //! # Lint passes
 //!
-//! * **fma-strict** — `mul_add` / `fadd_fast` / `fmul_fast`, and naming
-//!   the `Fused` accumulate policy, are forbidden in strict kernel
-//!   modules unless the enclosing function carries a
+//! * **fma-strict** — in strict kernel modules a literal `mul_add` /
+//!   `fadd_fast` / `fmul_fast` may be spelled only in `nerf::simd` (the
+//!   home of the accumulate policy), and there — like naming the `Fused`
+//!   policy in any of them — only in a function that carries a
 //!   `// CONTRACT: lossy-tier` marker.
 //! * **unsafe-safety** — every `unsafe` block / fn / impl in `crates/*/src`
 //!   and `vendor/rayon/src` must be covered by a `// SAFETY:` comment or a
@@ -80,8 +81,12 @@ pub const PANIC_CENSUS_FILES: &[&str] = &[
 ];
 
 /// The fused operations, plus `Fused`: the single-rounding accumulate
-/// policy of `nerf::simd`, which turns a shared lane body into FMA code.
-const FMA_IDENTS: &[&str] = &["mul_add", "fadd_fast", "fmul_fast", "Fused"];
+/// policy of `nerf::simd`, which turns a shared kernel body into FMA code.
+const FMA_IDENTS: &[&str] = &["mul_add", "fadd_fast", "fmul_fast", FUSED_POLICY];
+const FUSED_POLICY: &str = "Fused";
+/// The one strict kernel module that may spell a fused operation
+/// literally; every other one reaches FMA code by naming [`FUSED_POLICY`].
+const FMA_POLICY_FILE: &str = "crates/nerf/src/simd.rs";
 const SAFETY_NEEDLES: &[&str] = &["SAFETY:", "# Safety"];
 const CALLER_NEEDLES: &[&str] = &["CALLER:"];
 const ORDERING_NEEDLES: &[&str] = &["ORDERING:"];
@@ -477,21 +482,30 @@ fn fma_pass(s: &Source<'_>, out: &mut Vec<Violation>) {
         if s.in_test_span(t.line) {
             continue;
         }
-        let (anchor, who) = match s.enclosing_fn(ci) {
-            Some(f) => (f.decl_line, format!("fn `{}`", f.name)),
-            None => (t.line, "enclosing item".to_string()),
+        let message = if t.text != FUSED_POLICY && !path_matches(&s.rel, FMA_POLICY_FILE) {
+            format!(
+                "literal `{}` outside `{FMA_POLICY_FILE}`: round through the `{FUSED_POLICY}` accumulate policy instead",
+                t.text
+            )
+        } else {
+            let (anchor, who) = match s.enclosing_fn(ci) {
+                Some(f) => (f.decl_line, format!("fn `{}`", f.name)),
+                None => (t.line, "enclosing item".to_string()),
+            };
+            if s.covered(anchor, CONTRACT_NEEDLES) {
+                continue;
+            }
+            format!(
+                "`{}` in strict kernel module without `// CONTRACT: lossy-tier` marker on {who}",
+                t.text
+            )
         };
-        if !s.covered(anchor, CONTRACT_NEEDLES) {
-            out.push(Violation {
-                file: s.rel.clone(),
-                line: t.line,
-                lint: "fma-strict",
-                message: format!(
-                    "`{}` in strict kernel module without `// CONTRACT: lossy-tier` marker on {who}",
-                    t.text
-                ),
-            });
-        }
+        out.push(Violation {
+            file: s.rel.clone(),
+            line: t.line,
+            lint: "fma-strict",
+            message,
+        });
     }
 }
 

@@ -37,10 +37,10 @@ fn tree_is_clean() {
 #[test]
 fn unmarked_mul_add_in_strict_module_fails_with_file_line() {
     let src = include_str!("fixtures/fma_unmarked.rs");
-    let vs = lint_source("crates/nerf/src/grid.rs", src, &Config::default());
+    let vs = lint_source("crates/nerf/src/simd.rs", src, &Config::default());
     let fma = lints(&vs, "fma-strict");
     assert_eq!(fma.len(), 2, "expected exactly two fma violations: {vs:?}");
-    assert_eq!(fma[0].file, "crates/nerf/src/grid.rs");
+    assert_eq!(fma[0].file, "crates/nerf/src/simd.rs");
     // The unmarked call site; the marked `lossy_helper` below it is clean.
     let line = src
         .lines()
@@ -54,6 +54,15 @@ fn unmarked_mul_add_in_strict_module_fails_with_file_line() {
     let line = src.lines().position(|l| l.contains("::Fused>")).unwrap() as u32 + 1;
     assert_eq!(fma[1].line, line);
     assert!(fma[1].message.contains("`Fused`") && fma[1].message.contains("strict_monomorph"));
+    // Only `simd.rs` may spell a fused op: in any other strict module the
+    // marked `lossy_helper` literal is a violation too, while naming
+    // `Fused` under the marker (`lossy_monomorph`) stays clean.
+    let vs = lint_source("crates/nerf/src/mlp.rs", src, &Config::default());
+    let fma = lints(&vs, "fma-strict");
+    assert_eq!(fma.len(), 3, "literal under the marker: {vs:?}");
+    let helper = src.lines().position(|l| l.contains("fn lossy_helper"));
+    assert_eq!(fma[1].line, helper.unwrap() as u32 + 2, "its body line");
+    assert!(fma[1].message.contains("literal `mul_add` outside"));
 }
 
 #[test]

@@ -1,5 +1,7 @@
-// Fixture: linted as if it were a strict kernel module
-// (crates/nerf/src/grid.rs). Not compiled — driven via include_str!.
+// Fixture: linted as if it were a strict kernel module — as
+// crates/nerf/src/simd.rs, which may spell a fused op under the marker,
+// and as crates/nerf/src/mlp.rs, which may not. Not compiled — driven via
+// include_str!.
 
 fn strict_kernel(a: f32, b: f32, c: f32) -> f32 {
     // VIOLATION: fused multiply-add in a strict module, no marker.

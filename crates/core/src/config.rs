@@ -226,13 +226,24 @@ impl TrainConfig {
         if self.density_update_every == 0 || self.color_update_every == 0 {
             return Err("update periods must be >= 1".into());
         }
-        if self.density_size_factor <= 0.0 || self.color_size_factor <= 0.0 {
-            return Err("size factors must be positive".into());
+        // Written so that NaN fails each float check: a one-sided
+        // comparison with NaN is false.
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        if !positive(self.density_size_factor) || !positive(self.color_size_factor) {
+            return Err("size factors must be positive and finite".into());
+        }
+        for (name, lr) in [("grid_lr", self.grid_lr), ("mlp_lr", self.mlp_lr)] {
+            if !(lr.is_finite() && lr >= 0.0) {
+                return Err(format!("{name} {lr} must be finite and non-negative"));
+            }
+        }
+        if !self.occupancy_threshold.is_finite() {
+            return Err("occupancy_threshold must be finite".into());
         }
         if self.mlp_hidden_dim == 0 {
             return Err("mlp_hidden_dim must be positive".into());
         }
-        if self.lr_decay_factor <= 0.0 || self.lr_decay_factor > 1.0 {
+        if !(self.lr_decay_factor > 0.0 && self.lr_decay_factor <= 1.0) {
             return Err("lr_decay_factor must be in (0, 1]".into());
         }
         if self.lr_decay_every == 0 {
@@ -314,6 +325,31 @@ mod tests {
         let mut cfg = TrainConfig::fast_preview();
         cfg.occupancy_update_every = 0;
         assert!(cfg.validate().is_err());
+
+        // Non-finite floats (a NaN learning rate poisons every parameter
+        // on the first Adam step) and negative learning rates.
+        let floats: [fn(&mut TrainConfig, f32); 6] = [
+            |c, v| c.grid_lr = v,
+            |c, v| c.mlp_lr = v,
+            |c, v| c.lr_decay_factor = v,
+            |c, v| c.density_size_factor = v as f64,
+            |c, v| c.color_size_factor = v as f64,
+            |c, v| c.occupancy_threshold = v,
+        ];
+        for (i, set) in floats.iter().enumerate() {
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut cfg = TrainConfig::fast_preview();
+                set(&mut cfg, bad);
+                assert!(cfg.validate().is_err(), "float field {i} = {bad}");
+            }
+        }
+        for set in &floats[..2] {
+            let mut cfg = TrainConfig::fast_preview();
+            set(&mut cfg, -1e-3);
+            assert!(cfg.validate().is_err());
+            set(&mut cfg, 0.0);
+            assert_eq!(cfg.validate(), Ok(()));
+        }
     }
 
     #[test]

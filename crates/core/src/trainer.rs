@@ -363,7 +363,7 @@ impl Trainer {
     /// path by golden tests (identical losses, parameters, workload
     /// counters and trace streams).
     pub fn step_scalar<R: Rng + ?Sized>(&mut self, rng: &mut R) -> StepStats {
-        self.step_impl(rng, &mut NullBranchObserver, None)
+        self.step_impl(rng, &mut NullBranchObserver)
     }
 
     /// Scalar reference iteration with access tracing (see
@@ -373,7 +373,7 @@ impl Trainer {
         rng: &mut R,
         obs: &mut O,
     ) -> StepStats {
-        self.step_impl(rng, obs, None)
+        self.step_impl(rng, obs)
     }
 
     /// The batched SoA training iteration (see [`crate::batch`]).
@@ -499,26 +499,11 @@ impl Trainer {
         }
     }
 
-    #[allow(unused_assignments)] // the lap! clock's final store is unread
     fn step_impl<R: Rng + ?Sized, O: BranchObserver + ?Sized>(
         &mut self,
         rng: &mut R,
         obs: &mut O,
-        mut timer: Option<&mut crate::timing::StepTimer>,
     ) -> StepStats {
-        use crate::profile::PipelineStep as Ps;
-        use std::time::Instant;
-        // Lap clock: charges elapsed time to a step when timing is on.
-        let mut last = Instant::now();
-        macro_rules! lap {
-            ($step:expr) => {
-                if let Some(t) = timer.as_deref_mut() {
-                    let now = Instant::now();
-                    t.add($step, now - last);
-                    last = now;
-                }
-            };
-        }
         let update_density = self.density_schedule.should_update(self.iter);
         let update_color = match self.model.topology() {
             GridTopology::Coupled => update_density,
@@ -528,7 +513,6 @@ impl Trainer {
         // Steps ① + ②: pixel batch → rays.
         let batch = sample_pixel_batch(&self.cameras, &self.images, self.cfg.rays_per_batch, rng);
         self.grads.zero();
-        lap!(Ps::SamplePixels);
 
         let emb_d_dim = self.model.density_grid().output_dim();
         let emb_c_dim = self.ws.emb_c.len();
@@ -556,7 +540,6 @@ impl Trainer {
             emb_d_cache.clear();
             emb_c_cache.clear();
             self.model.encode_dir(tr.ray.dir, &mut sh);
-            lap!(Ps::MapRays);
 
             for &(t, dt) in &segs {
                 let p = tr.ray.at(t);
@@ -567,28 +550,23 @@ impl Trainer {
                 }
                 // Step ③-① forward: grid reads.
                 self.model.encode_point(p, &mut self.ws, obs);
-                lap!(Ps::GridForward);
                 // Step ③-② forward: MLP heads.
                 let (sigma, rgb) = self.model.heads_forward(&sh, &mut self.ws);
                 samples.push(RaySample { t, dt, sigma, rgb });
                 positions.push(p);
                 emb_d_cache.extend_from_slice(&self.ws.emb_d);
                 emb_c_cache.extend_from_slice(&self.ws.emb_c);
-                lap!(Ps::MlpForward);
             }
             total_points += samples.len();
 
             // Step ④: composite; Step ⑤: loss.
             let out = composite(&samples, self.background, Some(&mut cache));
-            lap!(Ps::VolumeRender);
             let (loss, d_color_raw) = pixel_loss(out.color, tr.target);
             total_loss += loss;
             let d_color = d_color_raw * inv_batch;
-            lap!(Ps::ComputeLoss);
 
             // Step ⑥: backward through rendering, heads and grids.
             let sample_grads = composite_backward(&samples, self.background, &cache, &out, d_color);
-            lap!(Ps::VolumeRender);
             for (k, p) in positions.iter().enumerate() {
                 self.model.heads_backward(
                     &emb_d_cache[k * emb_d_dim..(k + 1) * emb_d_dim],
@@ -599,10 +577,8 @@ impl Trainer {
                     &mut self.ws,
                     &mut self.grads,
                 );
-                lap!(Ps::MlpBackward);
                 self.model
                     .scatter_grids(*p, &mut self.ws, &mut self.grads, obs, update_color);
-                lap!(Ps::GridBackward);
             }
         }
 
@@ -611,8 +587,8 @@ impl Trainer {
             update_color,
             batch.len(),
             total_points,
-            timer,
-            last,
+            None,
+            std::time::Instant::now(),
         );
         StepStats {
             loss: total_loss * inv_batch,

@@ -4,13 +4,13 @@
 use super::Kernels;
 use crate::grid::{HashGrid, NullObserver};
 use crate::math::Vec3;
-use crate::mlp::{GemvMode, Mlp, MlpBatchWorkspace, MlpGradients};
+use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
 use crate::render::{composite_slices, composite_slices_lanes, RenderOutput};
 use crate::simd::Strict;
 use std::any::Any;
 
 /// The scalar reference backend (`"scalar"`): level-major scalar grid
-/// kernels, the row-major scalar GEMV, scalar compositing. This is the
+/// kernels, the unblocked row-major MLP rows, scalar compositing. This is the
 /// executable specification — every other backend's bits are pinned
 /// against it by the differential suites.
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,7 +55,7 @@ impl Kernels for ScalarKernels {
         inputs: &[f32],
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        mlp.forward_batch_impl(GemvMode::Scalar, inputs, ws)
+        mlp.forward_batch_impl(&Sweeps::SCALAR, inputs, ws)
     }
 
     fn mlp_backward_batch(
@@ -66,7 +66,7 @@ impl Kernels for ScalarKernels {
         grads: &mut MlpGradients,
         d_input: &mut [f32],
     ) {
-        mlp.backward_batch_impl(GemvMode::Scalar, d_output, ws, grads, d_input);
+        mlp.backward_batch_impl(&Sweeps::SCALAR, d_output, ws, grads, d_input);
     }
 
     fn composite_ray(
@@ -83,9 +83,9 @@ impl Kernels for ScalarKernels {
 }
 
 /// The lane-batched SIMD backend (`"simd"`, the default): the `Strict`
-/// monomorphs of the shared lane bodies (grid encode/scatter with
+/// monomorphs of the shared kernel bodies (grid encode/scatter with
 /// lane-batched corner weights and addresses, lane-batched `−σδ`
-/// compositing products) and the transposed-weight row GEMV.
+/// compositing products, the four-wide blocked MLP sweeps).
 /// Bit-identical to [`ScalarKernels`] by the additive-order / no-FMA
 /// contract (see [`crate::simd`] and the [`super`] module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -129,7 +129,7 @@ impl Kernels for SimdKernels {
         inputs: &[f32],
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        mlp.forward_batch_impl(GemvMode::Simd, inputs, ws)
+        mlp.forward_batch_impl(&Sweeps::STRICT, inputs, ws)
     }
 
     fn mlp_backward_batch(
@@ -140,7 +140,7 @@ impl Kernels for SimdKernels {
         grads: &mut MlpGradients,
         d_input: &mut [f32],
     ) {
-        mlp.backward_batch_impl(GemvMode::Simd, d_output, ws, grads, d_input);
+        mlp.backward_batch_impl(&Sweeps::STRICT, d_output, ws, grads, d_input);
     }
 
     fn composite_ray(

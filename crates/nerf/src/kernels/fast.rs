@@ -1,13 +1,12 @@
 //! The first lossy-tier backend: fused multiply-add kernels with
 //! runtime-detected AVX2/FMA specializations.
 //!
-//! [`FastKernels`] runs the training hot paths — MLP GEMV
-//! forward/backward, grid encode/scatter, compositing — with
-//! `f32::mul_add`: one rounding per multiply-accumulate instead of two,
-//! and (where AVX2+FMA is present) a single `vfmadd` instruction per lane
-//! instead of a multiply + add pair. The grid and compositing kernels are
-//! the `Fused` monomorphs of the lane bodies `simd` runs `Strict` (see
-//! [`crate::simd`]); the GEMV sweeps are `mlp`'s own. That breaks the strict
+//! [`FastKernels`] runs the training hot paths — MLP forward/backward
+//! sweeps, grid encode/scatter, compositing — with `f32::mul_add`: one
+//! rounding per multiply-accumulate instead of two, and (where AVX2+FMA
+//! is present) a single `vfmadd` instruction per lane instead of a
+//! multiply + add pair. Every kernel is the `Fused` monomorph of the body
+//! `simd` runs `Strict` (see [`crate::simd`]). That breaks the strict
 //! tier's bit-identity contract, so the backend registers as
 //! [`Tier::Lossy`](super::Tier::Lossy) with the tolerance declared in
 //! [`FastKernels::TOLERANCE`] — enforced per-kernel by the tolerance
@@ -31,7 +30,7 @@
 use super::{Kernels, Tier, Tolerance};
 use crate::grid::HashGrid;
 use crate::math::Vec3;
-use crate::mlp::{GemvMode, Mlp, MlpBatchWorkspace, MlpGradients};
+use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
 use crate::render::{composite_slices_fast, RenderOutput};
 use std::any::Any;
 
@@ -100,7 +99,7 @@ impl Kernels for FastKernels {
         inputs: &[f32],
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        mlp.forward_batch_impl(GemvMode::Fma, inputs, ws)
+        mlp.forward_batch_impl(&Sweeps::FUSED, inputs, ws)
     }
 
     fn mlp_backward_batch(
@@ -111,7 +110,7 @@ impl Kernels for FastKernels {
         grads: &mut MlpGradients,
         d_input: &mut [f32],
     ) {
-        mlp.backward_batch_impl(GemvMode::Fma, d_output, ws, grads, d_input);
+        mlp.backward_batch_impl(&Sweeps::FUSED, d_output, ws, grads, d_input);
     }
 
     fn composite_ray(

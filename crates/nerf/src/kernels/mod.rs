@@ -13,18 +13,19 @@
 //! * [`ScalarKernels`] (`"scalar"`) — the scalar reference kernels, the
 //!   executable specification every other backend is tested against.
 //! * [`SimdKernels`] (`"simd"`, the default) — lane-batched SIMD kernels
-//!   built on the [`crate::simd`] lane types: one lane body per grid and
-//!   compositing seam, generic over the accumulate policy that
-//!   [`crate::simd`] owns; `simd` runs the `Strict` monomorphs.
+//!   built on the [`crate::simd`] lane types: one body per grid,
+//!   compositing and MLP seam (one blocked body per MLP sweep), generic
+//!   over the accumulate policy that [`crate::simd`] owns; `simd` runs the
+//!   `Strict` monomorphs.
 //! * [`InstrumentedKernels`] (`"instrumented"`) — a co-simulation backend
 //!   that wraps the SIMD kernels and, when recording is switched on,
 //!   captures the hash-grid read/update address streams of real training
 //!   steps for the `instant3d-accel` FRM/BUM cycle simulators — online
 //!   Fig. 12/13-style utilisation measurement with no trace files.
 //! * [`FastKernels`] (`"fast"`) — the first **lossy-tier** backend: the
-//!   `Fused` monomorphs of the same lane bodies plus fused GEMV sweeps,
-//!   with runtime-detected AVX2/FMA specialisations, trading bit-identity
-//!   for speed under a declared [`Tolerance`].
+//!   `Fused` monomorphs of the same bodies, with runtime-detected AVX2/FMA
+//!   specialisations, trading bit-identity for speed under a declared
+//!   [`Tolerance`].
 //! * [`CheckedKernels`] (`"checked"`) — the strict-tier shadow executor:
 //!   wraps the SIMD kernels and re-derives every output through the scalar
 //!   reference, panicking on the first diverging bit, to pin the fixed
@@ -142,13 +143,15 @@
 //!
 //! * `// CONTRACT: lossy-tier` — required on any function in a strict
 //!   kernel module (`grid.rs`, `mlp.rs`, `render.rs`, `simd.rs`,
-//!   `kernels/builtin.rs`) that uses `mul_add`/`fadd_fast`/`fmul_fast`
-//!   or names `Fused`, the single-rounding accumulate policy of
-//!   [`crate::simd`] — instantiating a shared lane body with it is writing
-//!   `mul_add` by another name. Only the fused helpers backing a
-//!   `Tier::Lossy` backend may carry the marker; an unmarked fused op in a
-//!   strict module fails the lint, so FMA cannot silently leak into the
-//!   bit-identity tier.
+//!   `kernels/builtin.rs`) that names `Fused`, the single-rounding
+//!   accumulate policy of [`crate::simd`] — instantiating a shared body
+//!   with it is writing `mul_add` by another name. A literal
+//!   `mul_add`/`fadd_fast`/`fmul_fast` is legal only in `simd.rs`, where
+//!   the policy lives, under the same marker; anywhere else in those
+//!   modules it fails the lint even when marked. Only the fused wrappers
+//!   backing a `Tier::Lossy` backend may carry the marker; an unmarked
+//!   `Fused` in a strict module fails the lint, so FMA cannot silently
+//!   leak into the bit-identity tier.
 //! * `// SAFETY:` — required immediately before every `unsafe` block,
 //!   `unsafe fn` and `unsafe impl` in `crates/` and `vendor/rayon/src/`
 //!   (a `# Safety` doc section on the item also satisfies it).

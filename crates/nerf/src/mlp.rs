@@ -7,10 +7,19 @@
 //! enough that a straightforward cache-friendly implementation is fast; the
 //! accelerator models them on a systolic array / multiplier-adder tree
 //! (`instant3d-accel::mlp_unit`).
+//!
+//! The batched passes run three sweeps per layer — forward rows,
+//! parameter-gradient rows, input gradient — and each is written twice
+//! here: the hand-written unblocked scalar reference, and one four-wide
+//! blocked body generic over the accumulate policy of [`crate::simd`],
+//! which both lane backends instantiate (`simd` with `Strict`, `fast`
+//! with `Fused`). Blocking over inputs, items or output rows never
+//! reorders the sum that forms any one output, so the `Strict` monomorph
+//! has the reference's bits.
 
 use crate::activation::Activation;
 use crate::kernels::BackendHandle;
-use crate::simd::{self, F32x8};
+use crate::simd::{self, Accumulate, Strict};
 use rand::Rng;
 use rayon::prelude::*;
 
@@ -79,8 +88,8 @@ impl Linear {
     }
 
     /// Writes the column-major transpose of `w` into `wt`
-    /// (`wt[i * out_dim + o] = w[o * in_dim + i]`) — the layout the SIMD
-    /// GEMV reads as contiguous output-neuron tiles.
+    /// (`wt[i * out_dim + o] = w[o * in_dim + i]`) — the layout the blocked
+    /// forward sweep reads as contiguous output-neuron rows.
     fn fill_transposed(&self, wt: &mut Vec<f32>) {
         let (iw, ow) = (self.spec.in_dim, self.spec.out_dim);
         wt.resize(iw * ow, 0.0);
@@ -91,171 +100,153 @@ impl Linear {
         }
     }
 
-    /// SIMD row GEMV over the transposed weights `wt`: output neurons are
-    /// processed in lanes of 8, each accumulating `b[o] + Σ_i w[o,i]·x[i]`
-    /// with the same `i`-ascending addition order (and separate mul/add —
-    /// no FMA) as [`Linear::forward_into`], so every output bit matches
-    /// the scalar kernel. Lanes batch *independent* output neurons; no
-    /// cross-lane reduction occurs.
-    #[inline]
-    fn forward_into_simd(&self, wt: &[f32], x: &[f32], pre: &mut [f32], out: &mut [f32]) {
-        const LANES: usize = F32x8::LANES;
+    /// Reference forward rows for a chunk of items: one
+    /// [`Linear::forward_into`] per item over the row-major weights (the
+    /// transposed copy is unused).
+    fn forward_rows_scalar(&self, _wt: &[f32], xc: &[f32], prec: &mut [f32], yc: &mut [f32]) {
         let (iw, ow) = (self.spec.in_dim, self.spec.out_dim);
-        debug_assert_eq!(x.len(), iw);
-        debug_assert_eq!(wt.len(), iw * ow);
-        let full = ow - ow % LANES;
-        let mut o0 = 0;
-        while o0 < full {
-            let mut acc = F32x8::from_slice(&self.b[o0..]);
-            for (i, &xi) in x.iter().enumerate() {
-                acc += F32x8::from_slice(&wt[i * ow + o0..]) * F32x8::splat(xi);
-            }
-            acc.write_to(&mut pre[o0..]);
-            o0 += LANES;
-        }
-        for o in full..ow {
-            let mut acc = self.b[o];
-            for (i, &xi) in x.iter().enumerate() {
-                acc += wt[i * ow + o] * xi;
-            }
-            pre[o] = acc;
-        }
-        for o in 0..ow {
-            out[o] = self.spec.activation.apply(pre[o]);
+        for ((x, pre), y) in xc
+            .chunks_exact(iw)
+            .zip(prec.chunks_exact_mut(ow))
+            .zip(yc.chunks_exact_mut(ow))
+        {
+            self.forward_into(x, pre, y);
         }
     }
 
-    /// Fused (lossy-tier) row GEMV body: every `w·x` term is folded into
-    /// the accumulator with one `f32::mul_add` rounding instead of two,
-    /// and inputs are blocked four at a time so each `pre` element is
-    /// loaded/stored once per four terms (the chained per-element fma
-    /// sequence `fma(w3,x3, fma(w2,x2, fma(w1,x1, fma(w0,x0, p))))` keeps
-    /// `i`-ascending term order; the block boundary depends only on the
-    /// layer shape, so results are deterministic). Divergence from
-    /// [`Linear::forward_into`] is per-term rounding only — bounded by
-    /// the backend's declared tolerance. Written as plain
-    /// output-contiguous sweeps over the transposed weights so the AVX2
-    /// wrapper autovectorizes them to 256-bit `vfmadd`.
-    // CONTRACT: lossy-tier — fused GEMV backing `FastKernels` only.
+    /// Blocked forward rows for a chunk of items, over the transposed
+    /// weights `wt`: inputs are blocked four at a time so each `pre`
+    /// element is loaded/stored once per four terms, and every sweep is a
+    /// plain output-contiguous loop the compiler vectorizes. Each output
+    /// still accumulates `b[o] + Σ_i w[o,i]·x[i]` in `i`-ascending order
+    /// (the block boundary depends only on the layer shape), so the
+    /// `Strict` monomorph has [`Linear::forward_into`]'s bits and the
+    /// `Fused` one differs from it by per-term rounding only. The one body
+    /// behind both lane backends (see [`crate::simd`]).
     #[inline(always)]
-    fn forward_into_fused_body(&self, wt: &[f32], x: &[f32], pre: &mut [f32], out: &mut [f32]) {
+    fn forward_rows<A: Accumulate>(
+        &self,
+        wt: &[f32],
+        xc: &[f32],
+        prec: &mut [f32],
+        yc: &mut [f32],
+    ) {
         let (iw, ow) = (self.spec.in_dim, self.spec.out_dim);
-        debug_assert_eq!(x.len(), iw);
         debug_assert_eq!(wt.len(), iw * ow);
-        pre[..ow].copy_from_slice(&self.b);
         let full = iw - iw % 4;
-        let mut i = 0;
-        while i < full {
-            let (x0, x1, x2, x3) = (x[i], x[i + 1], x[i + 2], x[i + 3]);
-            let r0 = &wt[i * ow..(i + 1) * ow];
-            let r1 = &wt[(i + 1) * ow..(i + 2) * ow];
-            let r2 = &wt[(i + 2) * ow..(i + 3) * ow];
-            let r3 = &wt[(i + 3) * ow..(i + 4) * ow];
-            for ((((p, &w0), &w1), &w2), &w3) in
-                pre[..ow].iter_mut().zip(r0).zip(r1).zip(r2).zip(r3)
-            {
-                let mut acc = w0.mul_add(x0, *p);
-                acc = w1.mul_add(x1, acc);
-                acc = w2.mul_add(x2, acc);
-                acc = w3.mul_add(x3, acc);
-                *p = acc;
+        for ((x, pre), y) in xc
+            .chunks_exact(iw)
+            .zip(prec.chunks_exact_mut(ow))
+            .zip(yc.chunks_exact_mut(ow))
+        {
+            pre.copy_from_slice(&self.b);
+            let mut i = 0;
+            while i < full {
+                let (x0, x1, x2, x3) = (x[i], x[i + 1], x[i + 2], x[i + 3]);
+                let r0 = &wt[i * ow..(i + 1) * ow];
+                let r1 = &wt[(i + 1) * ow..(i + 2) * ow];
+                let r2 = &wt[(i + 2) * ow..(i + 3) * ow];
+                let r3 = &wt[(i + 3) * ow..(i + 4) * ow];
+                for ((((p, &w0), &w1), &w2), &w3) in pre.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3)
+                {
+                    let mut acc = A::scalar(*p, w0, x0);
+                    acc = A::scalar(acc, w1, x1);
+                    acc = A::scalar(acc, w2, x2);
+                    acc = A::scalar(acc, w3, x3);
+                    *p = acc;
+                }
+                i += 4;
             }
-            i += 4;
-        }
-        while i < iw {
-            let xi = x[i];
-            let wrow = &wt[i * ow..(i + 1) * ow];
-            for (p, w) in pre[..ow].iter_mut().zip(wrow) {
-                *p = w.mul_add(xi, *p);
+            while i < iw {
+                let xi = x[i];
+                for (p, &w) in pre.iter_mut().zip(&wt[i * ow..(i + 1) * ow]) {
+                    *p = A::scalar(*p, w, xi);
+                }
+                i += 1;
             }
-            i += 1;
-        }
-        for (y, p) in out[..ow].iter_mut().zip(&pre[..ow]) {
-            *y = self.spec.activation.apply(*p);
+            for (y, p) in y.iter_mut().zip(pre.iter()) {
+                *y = self.spec.activation.apply(*p);
+            }
         }
     }
 
-    // CALLER: `forward_into_fused` gates this behind
+    /// [`Linear::forward_rows`] for the lossy `fast` backend: the `Fused`
+    /// monomorph, with one AVX2/FMA dispatch per chunk. The fused
+    /// accumulate is correctly rounded on every path, so both arms produce
+    /// the same bits and the specialization is purely speed.
+    // CONTRACT: lossy-tier — fused forward sweep backing `FastKernels`.
+    #[allow(unsafe_code)]
+    fn forward_rows_fused(&self, wt: &[f32], xc: &[f32], prec: &mut [f32], yc: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if simd::avx2_fma_available() {
+            // SAFETY: AVX2+FMA presence was just verified at runtime.
+            return unsafe { self.forward_rows_fused_avx2(wt, xc, prec, yc) };
+        }
+        self.forward_rows::<simd::Fused>(wt, xc, prec, yc);
+    }
+
+    // CONTRACT: lossy-tier — fused forward sweep backing `FastKernels`.
+    // CALLER: `forward_rows_fused` gates this behind
     // `simd::avx2_fma_available()` runtime detection.
     // SAFETY: only safe slice code inside; the sole obligation is the
     // AVX2+FMA target features, established by the caller's guard.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2,fma")]
     #[allow(unsafe_code)]
-    unsafe fn forward_into_fused_avx2(
+    unsafe fn forward_rows_fused_avx2(
         &self,
         wt: &[f32],
-        x: &[f32],
-        pre: &mut [f32],
-        out: &mut [f32],
+        xc: &[f32],
+        prec: &mut [f32],
+        yc: &mut [f32],
     ) {
-        self.forward_into_fused_body(wt, x, pre, out);
-    }
-
-    /// Fused row GEMV with per-call AVX2/FMA dispatch; bit-identical
-    /// results on both arms (`f32::mul_add` is correctly rounded
-    /// everywhere), so the specialization is purely speed.
-    #[inline]
-    #[allow(unsafe_code)]
-    fn forward_into_fused(&self, wt: &[f32], x: &[f32], pre: &mut [f32], out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if simd::avx2_fma_available() {
-            // SAFETY: guarded by runtime AVX2+FMA detection.
-            unsafe {
-                return self.forward_into_fused_avx2(wt, x, pre, out);
-            }
-        }
-        self.forward_into_fused_body(wt, x, pre, out);
+        self.forward_rows::<simd::Fused>(wt, xc, prec, yc);
     }
 }
 
-/// Which arithmetic the shared batched MLP bodies run: the strict scalar
-/// reference, the strict lane-batched SIMD path, or the lossy fused (FMA)
-/// path with runtime AVX2 dispatch ([`crate::kernels::FastKernels`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GemvMode {
-    /// Scalar reference GEMV — the executable specification.
-    Scalar,
-    /// Lane-batched GEMV, bit-identical to scalar (separate mul/add).
-    Simd,
-    /// Fused multiply-add GEMV — lossy tier, one rounding per term.
-    Fma,
-}
-
-impl GemvMode {
-    /// The mode's axpy for the backward sweeps.
-    #[inline(always)]
-    fn axpy(self, y: &mut [f32], a: f32, x: &[f32]) {
-        match self {
-            GemvMode::Scalar => simd::axpy(false, y, a, x),
-            GemvMode::Simd => simd::axpy(true, y, a, x),
-            GemvMode::Fma => simd::axpy_fused(y, a, x),
-        }
-    }
-}
-
-/// Fused parameter-gradient sweep for a block of output rows
-/// (`gb_rows.len()` rows starting at `o0`): items are blocked four at a
-/// time so each gradient element is loaded/stored once per four fused
-/// terms instead of once per term. The chained per-element sequence
-/// `fma(x3,d3, fma(x2,d2, fma(x1,d1, fma(x0,d0, g))))` keeps the
-/// item-ascending accumulation order (and the bias adds stay plain
-/// left-associated sums, bit-identical to the strict path); the block
-/// boundary depends only on `n`, never on the row chunking, so results
-/// are worker-count invariant.
-// CONTRACT: lossy-tier — fused gradient sweep backing `FastKernels` only.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn grad_rows_fused_body(
+/// Reference parameter-gradient rows `o0..o0 + gb_rows.len()` of one layer
+/// over every item (`x` is `n × iw`, `dz` is `n × ow`): item-outer, so each
+/// parameter accumulates in item order.
+fn grad_rows_scalar(
     x: &[f32],
     dz: &[f32],
     iw: usize,
     ow: usize,
-    n: usize,
     o0: usize,
     gw_rows: &mut [f32],
     gb_rows: &mut [f32],
 ) {
+    for (xr, dzr) in x.chunks_exact(iw).zip(dz.chunks_exact(ow)) {
+        let rows = gb_rows.iter_mut().zip(gw_rows.chunks_exact_mut(iw));
+        for (j, (gb, grow)) in rows.enumerate() {
+            let d = dzr[o0 + j];
+            *gb += d;
+            for (g, &xk) in grow.iter_mut().zip(xr) {
+                *g += d * xk;
+            }
+        }
+    }
+}
+
+/// Blocked parameter-gradient rows (same arguments as
+/// [`grad_rows_scalar`]): items are blocked four at a time so each
+/// gradient element is loaded/stored once per four terms. The chained
+/// accumulate keeps the item-ascending order per parameter, the bias adds
+/// are plain left-associated sums, and the block boundary depends only on
+/// `n`, never on the row chunking — so the `Strict` monomorph has the
+/// reference's bits at any worker count and the `Fused` one differs by
+/// per-term rounding only.
+#[inline(always)]
+fn grad_rows<A: Accumulate>(
+    x: &[f32],
+    dz: &[f32],
+    iw: usize,
+    ow: usize,
+    o0: usize,
+    gw_rows: &mut [f32],
+    gb_rows: &mut [f32],
+) {
+    let n = x.len() / iw;
     let rows = gb_rows.len();
     let full = n - n % 4;
     let mut item = 0;
@@ -274,11 +265,11 @@ fn grad_rows_fused_body(
             gb_rows[j] = gb_rows[j] + d0 + d1 + d2 + d3;
             let grow = &mut gw_rows[j * iw..(j + 1) * iw];
             for ((((g, &a0), &a1), &a2), &a3) in grow.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
-                let mut a = a0.mul_add(d0, *g);
-                a = a1.mul_add(d1, a);
-                a = a2.mul_add(d2, a);
-                a = a3.mul_add(d3, a);
-                *g = a;
+                let mut acc = A::scalar(*g, a0, d0);
+                acc = A::scalar(acc, a1, d1);
+                acc = A::scalar(acc, a2, d2);
+                acc = A::scalar(acc, a3, d3);
+                *g = acc;
             }
         }
         item += 4;
@@ -291,102 +282,120 @@ fn grad_rows_fused_body(
             gb_rows[j] += d;
             let grow = &mut gw_rows[j * iw..(j + 1) * iw];
             for (g, &xk) in grow.iter_mut().zip(xr) {
-                *g = xk.mul_add(d, *g);
+                *g = A::scalar(*g, xk, d);
             }
         }
         item += 1;
     }
 }
 
-// CALLER: `grad_rows_fused` gates this behind
-// `simd::avx2_fma_available()` runtime detection.
-// SAFETY: only safe slice code inside; the sole obligation is the
-// AVX2+FMA target features, established by the caller's guard.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-#[allow(unsafe_code)]
-unsafe fn grad_rows_fused_avx2(
-    x: &[f32],
-    dz: &[f32],
-    iw: usize,
-    ow: usize,
-    n: usize,
-    o0: usize,
-    gw_rows: &mut [f32],
-    gb_rows: &mut [f32],
-) {
-    grad_rows_fused_body(x, dz, iw, ow, n, o0, gw_rows, gb_rows);
-}
-
-/// Whole-sweep AVX2/FMA dispatch for the fused parameter gradients: one
-/// feature check per row chunk instead of one per `(item, row)` axpy.
-/// Bit-identical on both arms (`f32::mul_add` is correctly rounded
-/// everywhere), so the specialization is purely speed.
-#[inline]
-#[allow(clippy::too_many_arguments)]
+/// [`grad_rows`] for the lossy `fast` backend: the `Fused` monomorph, with
+/// one AVX2/FMA dispatch per row chunk (same bits on both arms).
+// CONTRACT: lossy-tier — fused gradient sweep backing `FastKernels`.
 #[allow(unsafe_code)]
 fn grad_rows_fused(
     x: &[f32],
     dz: &[f32],
     iw: usize,
     ow: usize,
-    n: usize,
     o0: usize,
     gw_rows: &mut [f32],
     gb_rows: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
     if simd::avx2_fma_available() {
-        // SAFETY: guarded by runtime AVX2+FMA detection.
-        unsafe {
-            return grad_rows_fused_avx2(x, dz, iw, ow, n, o0, gw_rows, gb_rows);
-        }
+        // SAFETY: AVX2+FMA presence was just verified at runtime.
+        return unsafe { grad_rows_fused_avx2(x, dz, iw, ow, o0, gw_rows, gb_rows) };
     }
-    grad_rows_fused_body(x, dz, iw, ow, n, o0, gw_rows, gb_rows);
+    grad_rows::<simd::Fused>(x, dz, iw, ow, o0, gw_rows, gb_rows);
 }
 
-/// Fused input-gradient sweep `dn = Wᵀ dz` for a chunk of items: output
-/// rows are blocked four at a time so each `dn` element is
-/// loaded/stored once per four fused terms. The chained fma keeps the
-/// `o`-ascending term order and the block boundary depends only on
-/// `ow`, so results are chunking- and worker-count invariant.
-// CONTRACT: lossy-tier — fused input-gradient sweep backing `FastKernels`.
+// CONTRACT: lossy-tier — fused gradient sweep backing `FastKernels`.
+// CALLER: `grad_rows_fused` gates this behind
+// `simd::avx2_fma_available()` runtime detection.
+// SAFETY: only safe slice code inside; the sole obligation is the
+// AVX2+FMA target features, established by the caller's guard.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+#[allow(unsafe_code)]
+unsafe fn grad_rows_fused_avx2(
+    x: &[f32],
+    dz: &[f32],
+    iw: usize,
+    ow: usize,
+    o0: usize,
+    gw_rows: &mut [f32],
+    gb_rows: &mut [f32],
+) {
+    grad_rows::<simd::Fused>(x, dz, iw, ow, o0, gw_rows, gb_rows);
+}
+
+/// Reference input gradient `dn = Wᵀ dz` for a chunk of items (`dnc` is
+/// `rows × iw`, `dzc` is `rows × ow`, `w` the row-major weights): each
+/// element accumulates in `o`-ascending order.
+fn input_grad_scalar(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
+    for (dn, dzr) in dnc.chunks_exact_mut(iw).zip(dzc.chunks_exact(ow)) {
+        dn.fill(0.0);
+        for (&d, wr) in dzr.iter().zip(w.chunks_exact(iw)) {
+            for (y, &wk) in dn.iter_mut().zip(wr) {
+                *y += d * wk;
+            }
+        }
+    }
+}
+
+/// Blocked input gradient (same arguments as [`input_grad_scalar`]):
+/// output rows are blocked four at a time so each `dn` element is
+/// loaded/stored once per four terms. The chained accumulate keeps the
+/// `o`-ascending term order and the block boundary depends only on `ow`,
+/// so results are chunking- and worker-count invariant: the `Strict`
+/// monomorph has the reference's bits, the `Fused` one differs by
+/// per-term rounding only.
 #[inline(always)]
-fn input_grad_fused_body(dnc: &mut [f32], dzc: &[f32], w_flat: &[f32], iw: usize, ow: usize) {
-    let rows = dnc.len() / iw;
+fn input_grad<A: Accumulate>(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
     let full = ow - ow % 4;
-    for r in 0..rows {
-        let dn = &mut dnc[r * iw..(r + 1) * iw];
-        let dzr = &dzc[r * ow..(r + 1) * ow];
+    for (dn, dzr) in dnc.chunks_exact_mut(iw).zip(dzc.chunks_exact(ow)) {
         dn.fill(0.0);
         let mut o = 0;
         while o < full {
             let (d0, d1, d2, d3) = (dzr[o], dzr[o + 1], dzr[o + 2], dzr[o + 3]);
-            let w0 = &w_flat[o * iw..(o + 1) * iw];
-            let w1 = &w_flat[(o + 1) * iw..(o + 2) * iw];
-            let w2 = &w_flat[(o + 2) * iw..(o + 3) * iw];
-            let w3 = &w_flat[(o + 3) * iw..(o + 4) * iw];
+            let w0 = &w[o * iw..(o + 1) * iw];
+            let w1 = &w[(o + 1) * iw..(o + 2) * iw];
+            let w2 = &w[(o + 2) * iw..(o + 3) * iw];
+            let w3 = &w[(o + 3) * iw..(o + 4) * iw];
             for ((((y, &a0), &a1), &a2), &a3) in dn.iter_mut().zip(w0).zip(w1).zip(w2).zip(w3) {
-                let mut a = a0.mul_add(d0, *y);
-                a = a1.mul_add(d1, a);
-                a = a2.mul_add(d2, a);
-                a = a3.mul_add(d3, a);
-                *y = a;
+                let mut acc = A::scalar(*y, a0, d0);
+                acc = A::scalar(acc, a1, d1);
+                acc = A::scalar(acc, a2, d2);
+                acc = A::scalar(acc, a3, d3);
+                *y = acc;
             }
             o += 4;
         }
         while o < ow {
             let d = dzr[o];
-            let wr = &w_flat[o * iw..(o + 1) * iw];
-            for (y, &w) in dn.iter_mut().zip(wr) {
-                *y = w.mul_add(d, *y);
+            for (y, &wk) in dn.iter_mut().zip(&w[o * iw..(o + 1) * iw]) {
+                *y = A::scalar(*y, wk, d);
             }
             o += 1;
         }
     }
 }
 
+/// [`input_grad`] for the lossy `fast` backend: the `Fused` monomorph, with
+/// one AVX2/FMA dispatch per item chunk (same bits on both arms).
+// CONTRACT: lossy-tier — fused input-gradient sweep backing `FastKernels`.
+#[allow(unsafe_code)]
+fn input_grad_fused(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if simd::avx2_fma_available() {
+        // SAFETY: AVX2+FMA presence was just verified at runtime.
+        return unsafe { input_grad_fused_avx2(dnc, dzc, w, iw, ow) };
+    }
+    input_grad::<simd::Fused>(dnc, dzc, w, iw, ow);
+}
+
+// CONTRACT: lossy-tier — fused input-gradient sweep backing `FastKernels`.
 // CALLER: `input_grad_fused` gates this behind
 // `simd::avx2_fma_available()` runtime detection.
 // SAFETY: only safe slice code inside; the sole obligation is the
@@ -394,30 +403,51 @@ fn input_grad_fused_body(dnc: &mut [f32], dzc: &[f32], w_flat: &[f32], iw: usize
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(unsafe_code)]
-unsafe fn input_grad_fused_avx2(
-    dnc: &mut [f32],
-    dzc: &[f32],
-    w_flat: &[f32],
-    iw: usize,
-    ow: usize,
-) {
-    input_grad_fused_body(dnc, dzc, w_flat, iw, ow);
+unsafe fn input_grad_fused_avx2(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
+    input_grad::<simd::Fused>(dnc, dzc, w, iw, ow);
 }
 
-/// Whole-chunk AVX2/FMA dispatch for the fused input gradients: one
-/// feature check per item chunk instead of one per `(item, row)` axpy.
-/// Bit-identical on both arms, so the specialization is purely speed.
-#[inline]
-#[allow(unsafe_code)]
-fn input_grad_fused(dnc: &mut [f32], dzc: &[f32], w_flat: &[f32], iw: usize, ow: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_fma_available() {
-        // SAFETY: guarded by runtime AVX2+FMA detection.
-        unsafe {
-            return input_grad_fused_avx2(dnc, dzc, w_flat, iw, ow);
-        }
-    }
-    input_grad_fused_body(dnc, dzc, w_flat, iw, ow);
+/// The three sweeps a built-in backend runs inside the shared batch
+/// drivers ([`Mlp::forward_batch_impl`], [`Mlp::backward_batch_impl`]),
+/// fixed where the backend calls the driver: the drivers only chunk,
+/// they never ask which backend they serve.
+pub(crate) struct Sweeps {
+    forward_rows: ForwardRows,
+    grad_rows: GradRows,
+    input_grad: InputGrad,
+}
+
+/// Forward rows of one layer for a chunk of items:
+/// `(layer, transposed weights, x, pre, y)`.
+type ForwardRows = fn(&Linear, &[f32], &[f32], &mut [f32], &mut [f32]);
+/// Parameter gradients of a block of output rows over every item:
+/// `(x, dz, iw, ow, first row, weight-gradient rows, bias-gradient rows)`.
+type GradRows = fn(&[f32], &[f32], usize, usize, usize, &mut [f32], &mut [f32]);
+/// Input gradient `dn = Wᵀ dz` for a chunk of items:
+/// `(dn, dz, row-major weights, iw, ow)`.
+type InputGrad = fn(&mut [f32], &[f32], &[f32], usize, usize);
+
+impl Sweeps {
+    /// The hand-written unblocked rows — the executable specification.
+    pub(crate) const SCALAR: Sweeps = Sweeps {
+        forward_rows: Linear::forward_rows_scalar,
+        grad_rows: grad_rows_scalar,
+        input_grad: input_grad_scalar,
+    };
+    /// The blocked sweeps rounding twice per accumulate — bit-identical
+    /// to [`Sweeps::SCALAR`].
+    pub(crate) const STRICT: Sweeps = Sweeps {
+        forward_rows: Linear::forward_rows::<Strict>,
+        grad_rows: grad_rows::<Strict>,
+        input_grad: input_grad::<Strict>,
+    };
+    /// The same blocked sweeps rounding once per accumulate — lossy tier
+    /// ([`crate::kernels::FastKernels`]), AVX2/FMA-dispatched per chunk.
+    pub(crate) const FUSED: Sweeps = Sweeps {
+        forward_rows: Linear::forward_rows_fused,
+        grad_rows: grad_rows_fused,
+        input_grad: input_grad_fused,
+    };
 }
 
 /// A multilayer perceptron assembled from [`Linear`] layers.
@@ -529,8 +559,8 @@ pub struct MlpBatchWorkspace {
     d_cur: Vec<f32>,
     d_next: Vec<f32>,
     /// Column-major (transposed) weight scratch per layer, rebuilt by each
-    /// SIMD forward pass (weights change between optimizer steps). Lets the
-    /// lane-batched GEMV read contiguous output-neuron tiles.
+    /// forward pass (weights change between optimizer steps). Lets the
+    /// blocked forward sweep read contiguous output-neuron rows.
     wt: Vec<Vec<f32>>,
 }
 
@@ -796,13 +826,13 @@ impl Mlp {
         backend.mlp_forward_batch(self, inputs, ws)
     }
 
-    /// The shared body of the built-in backends' batched forward. The SIMD
-    /// and fused modes run their row GEMVs over per-layer transposed
-    /// weights (rebuilt each call — weights change between optimizer
-    /// steps).
+    /// The one batched forward driver of the built-in backends: it
+    /// chunks items over the pool and hands each chunk to
+    /// `sweeps.forward_rows`, with per-layer transposed weights rebuilt
+    /// each call (weights change between optimizer steps).
     pub(crate) fn forward_batch_impl<'w>(
         &self,
-        mode: GemvMode,
+        sweeps: &Sweeps,
         inputs: &[f32],
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
@@ -814,35 +844,22 @@ impl Mlp {
         ws.acts[0][..n * iw].copy_from_slice(inputs);
         for (i, layer) in self.layers.iter().enumerate() {
             let spec = layer.spec;
-            if mode != GemvMode::Scalar {
-                layer.fill_transposed(&mut ws.wt[i]);
-            }
+            layer.fill_transposed(&mut ws.wt[i]);
             let wt: &[f32] = &ws.wt[i];
             let (head, tail) = ws.acts.split_at_mut(i + 1);
             let x = &head[i][..n * spec.in_dim];
             let y = &mut tail[0][..n * spec.out_dim];
             let pre = &mut ws.pre[i][..n * spec.out_dim];
-            let run_rows = |xc: &[f32], prec: &mut [f32], yc: &mut [f32]| {
-                let rows = yc.len() / spec.out_dim;
-                for r in 0..rows {
-                    let xr = &xc[r * spec.in_dim..(r + 1) * spec.in_dim];
-                    let prer = &mut prec[r * spec.out_dim..(r + 1) * spec.out_dim];
-                    let yr = &mut yc[r * spec.out_dim..(r + 1) * spec.out_dim];
-                    match mode {
-                        GemvMode::Scalar => layer.forward_into(xr, prer, yr),
-                        GemvMode::Simd => layer.forward_into_simd(wt, xr, prer, yr),
-                        GemvMode::Fma => layer.forward_into_fused(wt, xr, prer, yr),
-                    }
-                }
-            };
             match Self::par_item_chunk(n, layer.flops()) {
                 Some(chunk) => {
                     y.par_chunks_mut(chunk * spec.out_dim)
                         .zip(pre.par_chunks_mut(chunk * spec.out_dim))
                         .zip(x.par_chunks(chunk * spec.in_dim))
-                        .for_each(|((yc, prec), xc)| run_rows(xc, prec, yc));
+                        .for_each(|((yc, prec), xc)| {
+                            (sweeps.forward_rows)(layer, wt, xc, prec, yc)
+                        });
                 }
-                None => run_rows(x, pre, y),
+                None => (sweeps.forward_rows)(layer, wt, x, pre, y),
             }
         }
         // PANICS: `acts` holds `layers + 1` buffers and `Mlp::new`
@@ -878,16 +895,14 @@ impl Mlp {
         backend.mlp_backward_batch(self, d_output, ws, grads, d_input);
     }
 
-    /// The shared body of the built-in backends' batched backward. The
-    /// SIMD mode vectorizes the parameter-gradient and input-gradient
-    /// inner sweeps ([`simd::axpy`]) across independent parameters; the
-    /// fused mode runs register-blocked fma sweeps ([`grad_rows_fused`],
-    /// [`input_grad_fused`] — one rounding per term, four terms per
-    /// load/store). Accumulation per parameter stays in item order on
-    /// every mode.
+    /// The one batched backward driver of the built-in backends: the
+    /// activation derivative runs here, the parameter gradients go to
+    /// `sweeps.grad_rows` (parallel over disjoint output rows) and the
+    /// input gradients to `sweeps.input_grad` (parallel over items).
+    /// Accumulation per parameter stays in item order on every sweep set.
     pub(crate) fn backward_batch_impl(
         &self,
-        mode: GemvMode,
+        sweeps: &Sweeps,
         d_output: &[f32],
         ws: &mut MlpBatchWorkspace,
         grads: &mut MlpGradients,
@@ -941,41 +956,24 @@ impl Mlp {
                 }
             }
             let dz = &d_cur[..n * ow];
-            // Parameter gradients, parallel over disjoint output rows.
-            // Item-outer iteration keeps each input row hot across every
-            // output row; per-parameter accumulation stays in item order,
-            // so results match the scalar path bit-for-bit.
+            // Parameter gradients, parallel over disjoint output rows;
+            // each row block sweeps every item, so per-parameter
+            // accumulation stays in item order whatever the row chunking.
             let (gw, gb) = &mut grads.layers[i];
-            let accumulate_rows = |o0: usize, gw_rows: &mut [f32], gb_rows: &mut [f32]| {
-                if mode == GemvMode::Fma {
-                    // Item-blocked fused sweep with one AVX2 dispatch per
-                    // row chunk (lossy tier; item order preserved).
-                    return grad_rows_fused(x, dz, iw, ow, n, o0, gw_rows, gb_rows);
-                }
-                let rows = gb_rows.len();
-                for item in 0..n {
-                    let xr = &x[item * iw..(item + 1) * iw];
-                    let dzr = &dz[item * ow..(item + 1) * ow];
-                    for j in 0..rows {
-                        let d = dzr[o0 + j];
-                        gb_rows[j] += d;
-                        let grow = &mut gw_rows[j * iw..(j + 1) * iw];
-                        mode.axpy(grow, d, xr);
-                    }
-                }
-            };
             let row_chunk = if Self::par_item_chunk(n, iw * ow).is_some() {
                 ow.div_ceil(rayon::current_num_threads().max(1) * 2).max(1)
             } else {
                 ow
             };
             if row_chunk >= ow {
-                accumulate_rows(0, gw, gb);
+                (sweeps.grad_rows)(x, dz, iw, ow, 0, gw, gb);
             } else {
                 gw.par_chunks_mut(row_chunk * iw)
                     .zip(gb.par_chunks_mut(row_chunk))
                     .enumerate()
-                    .for_each(|(t, (gwc, gbc))| accumulate_rows(t * row_chunk, gwc, gbc));
+                    .for_each(|(t, (gwc, gbc))| {
+                        (sweeps.grad_rows)(x, dz, iw, ow, t * row_chunk, gwc, gbc)
+                    });
             }
             // Input gradient d_next = Wᵀ dz, parallel over items. The
             // first layer's input gradient is dead when the caller passes
@@ -989,38 +987,9 @@ impl Mlp {
                     d_next[..n * iw]
                         .par_chunks_mut(chunk * iw)
                         .zip(dz.par_chunks(chunk * ow))
-                        .for_each(|(dnc, dzc)| {
-                            if mode == GemvMode::Fma {
-                                // Row-blocked fused sweep, one AVX2
-                                // dispatch per item chunk (lossy tier).
-                                return input_grad_fused(dnc, dzc, w_flat, iw, ow);
-                            }
-                            let rows = dnc.len() / iw;
-                            for r in 0..rows {
-                                let dn = &mut dnc[r * iw..(r + 1) * iw];
-                                dn.fill(0.0);
-                                for o in 0..ow {
-                                    let d = dzc[r * ow + o];
-                                    let wr = &w_flat[o * iw..(o + 1) * iw];
-                                    mode.axpy(dn, d, wr);
-                                }
-                            }
-                        });
+                        .for_each(|(dnc, dzc)| (sweeps.input_grad)(dnc, dzc, w_flat, iw, ow));
                 }
-                None if mode == GemvMode::Fma => {
-                    input_grad_fused(&mut d_next[..n * iw], dz, w_flat, iw, ow);
-                }
-                None => {
-                    for r in 0..n {
-                        let dn = &mut d_next[r * iw..(r + 1) * iw];
-                        dn.fill(0.0);
-                        for o in 0..ow {
-                            let d = dz[r * ow + o];
-                            let wr = &w_flat[o * iw..(o + 1) * iw];
-                            mode.axpy(dn, d, wr);
-                        }
-                    }
-                }
+                None => (sweeps.input_grad)(&mut d_next[..n * iw], dz, w_flat, iw, ow),
             }
             std::mem::swap(d_cur, d_next);
         }
@@ -1056,6 +1025,48 @@ mod tests {
             MlpConfig::new(4, &[8, 8], 3, Activation::Relu, out_act),
             &mut rng,
         )
+    }
+
+    #[test]
+    fn fused_sweeps_have_the_same_bits_on_both_dispatch_arms() {
+        // On an AVX2 host the dispatching wrappers take the
+        // `#[target_feature]` arm and nothing else runs the portable
+        // `Fused` monomorph; the lossy tier's cross-host determinism rests
+        // on the two agreeing. Tails in all three blocked dimensions:
+        // in_dim % 4 = 3, out_dim % 4 = 1, n % 4 = 2.
+        let (iw, ow, n) = (7, 5, 6);
+        let mut rng = StdRng::seed_from_u64(3);
+        let spec = LayerSpec {
+            in_dim: iw,
+            out_dim: ow,
+            activation: Activation::Relu,
+        };
+        let mut layer = Linear::new(spec, &mut rng);
+        layer.b.fill(0.3);
+        let mut wt = Vec::new();
+        layer.fill_transposed(&mut wt);
+        let x: Vec<f32> = (0..n * iw).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+        let dz: Vec<f32> = (0..n * ow).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let portable = Sweeps {
+            forward_rows: Linear::forward_rows::<simd::Fused>,
+            grad_rows: grad_rows::<simd::Fused>,
+            input_grad: input_grad::<simd::Fused>,
+        };
+        let run = |sweeps: &Sweeps| {
+            let (mut pre, mut y) = (vec![0.0; n * ow], vec![0.0; n * ow]);
+            (sweeps.forward_rows)(&layer, &wt, &x, &mut pre, &mut y);
+            // Rows 1.. of the layer, accumulated onto non-zero gradients.
+            let (mut gw, mut gb) = (vec![0.25; (ow - 1) * iw], vec![-0.5; ow - 1]);
+            (sweeps.grad_rows)(&x, &dz, iw, ow, 1, &mut gw, &mut gb);
+            let mut dn = vec![0.0; n * iw];
+            (sweeps.input_grad)(&mut dn, &dz, &layer.w, iw, ow);
+            [bits(&pre), bits(&y), bits(&gw), bits(&gb), bits(&dn)]
+        };
+        assert_eq!(run(&Sweeps::FUSED), run(&portable));
+        // And the fused sweeps really round differently from the strict
+        // ones here, so equal bits above are not vacuous.
+        assert_ne!(run(&Sweeps::FUSED), run(&Sweeps::STRICT));
     }
 
     #[test]

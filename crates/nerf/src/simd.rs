@@ -1,7 +1,7 @@
 //! Portable fixed-width SIMD lane types.
 //!
 //! The hot kernels of this crate — hash-grid encode/scatter
-//! ([`crate::grid`]), the 64-wide MLP GEMV ([`crate::mlp`]) and per-ray
+//! ([`crate::grid`]), the 64-wide MLP sweeps ([`crate::mlp`]) and per-ray
 //! compositing ([`crate::render`]) — exist in interchangeable
 //! implementations dispatched through the open backend API
 //! ([`crate::kernels`]): the scalar reference kernels, and lane-batched
@@ -22,8 +22,8 @@
 //!   the infinitely-precise product and rounds once, so `fma(a, b, c) !=
 //!   a*b + c` in general; using it would silently break the contract. The
 //!   strict kernels therefore never call [`F32x4::mul_add`] /
-//!   [`F32x8::mul_add`] or [`axpy_fused`], and never name the `Fused`
-//!   accumulate policy (below) — those exist for the **lossy tier**
+//!   [`F32x8::mul_add`], and never name the `Fused` accumulate policy
+//!   (below) — those exist for the **lossy tier**
 //!   ([`crate::kernels::Tier::Lossy`]), whose backends trade bit-identity
 //!   for FMA throughput under a declared tolerance.
 //! * Lane arithmetic (`+`, `-`, `*`, `min`, `max`, `floor`) is exact
@@ -43,25 +43,26 @@
 //!
 //! How an accumulate `acc + w·x` is rounded is decided in this module and
 //! nowhere else. The lane-batched grid encode, grid scatter and
-//! compositing bodies are each written **once**, `#[inline(always)]` and
-//! generic over the crate-private `Accumulate` policy: `Strict` rounds
-//! twice (`acc + w * x`, the scalar reference's arithmetic — the `simd`
-//! backend is this monomorph) and `Fused` rounds once (`w.mul_add(x,
-//! acc)` — the `fast` backend is this monomorph, instantiated inside its
-//! `#[target_feature(enable = "avx2,fma")]` wrappers and their portable
-//! fallback). The conformance linter treats the identifier `Fused` in a
-//! strict kernel module exactly like a literal `mul_add`: the naming
-//! function must carry `// CONTRACT: lossy-tier`.
+//! compositing bodies and the three blocked MLP sweeps (forward rows,
+//! parameter-gradient rows, input gradient) are each written **once**,
+//! `#[inline(always)]` and generic over the crate-private `Accumulate`
+//! policy: `Strict` rounds twice (`acc + w * x`, the scalar reference's
+//! arithmetic — the `simd` backend is this monomorph) and `Fused` rounds
+//! once (`w.mul_add(x, acc)` — the `fast` backend is this monomorph,
+//! instantiated inside its `#[target_feature(enable = "avx2,fma")]`
+//! wrappers and their portable fallback). The conformance linter lets
+//! only this module spell a fused operation, and treats the identifier
+//! `Fused` in a strict kernel module like one: the naming function must
+//! carry `// CONTRACT: lossy-tier`.
 //!
-//! # The fused (lossy-tier) helpers
+//! # The fused (lossy-tier) policy
 //!
-//! The fused helpers are built on `f32::mul_add`, which is **correctly
-//! rounded** (IEEE 754 fusedMultiplyAdd): a hardware `vfmadd` and the
-//! portable libm fallback produce the same bits, so lossy kernels built on
-//! them are still deterministic across hosts — AVX2/FMA, detected once at
-//! runtime via [`avx2_fma_available`], is purely a speed specialization.
-//! [`axpy_fused`] and the `Fused` monomorphs are plain `mul_add` array
-//! sweeps compiled twice: once under
+//! `Fused` is built on `f32::mul_add`, which is **correctly rounded**
+//! (IEEE 754 fusedMultiplyAdd): a hardware `vfmadd` and the portable libm
+//! fallback produce the same bits, so lossy kernels built on it are still
+//! deterministic across hosts — AVX2/FMA, detected once at runtime via
+//! [`avx2_fma_available`], is purely a speed specialization. The `Fused`
+//! monomorphs are compiled twice: once under
 //! `#[target_feature(enable = "avx2,fma")]` (LLVM emits 256-bit `vfmadd`)
 //! and once portably (scalar `fma`), dispatched per call.
 //!
@@ -260,9 +261,9 @@ f32x8_binop!(Add, add, +);
 f32x8_binop!(Sub, sub, -);
 f32x8_binop!(Mul, mul, *);
 
-/// How the shared lane kernels round one accumulate `acc + w·x` — the
+/// How the shared kernel bodies round one accumulate `acc + w·x` — the
 /// only difference between the `simd` and `fast` grid encode, grid
-/// scatter and compositing kernels (see the module docs).
+/// scatter, compositing and MLP kernels (see the module docs).
 pub(crate) trait Accumulate {
     /// `acc + w·x` on one scalar.
     fn scalar(acc: f32, w: f32, x: f32) -> f32;
@@ -305,38 +306,6 @@ impl Accumulate for Fused {
     }
 }
 
-/// `y[i] += a * x[i]`, elementwise; `use_simd` selects the lane-batched
-/// sweep.
-///
-/// Each `y[i]` receives exactly one add of one product on either path,
-/// so results are bit-identical — this is the vectorizable inner loop of
-/// the MLP parameter-gradient and input-gradient sweeps.
-///
-/// # Panics
-///
-/// Panics if `x` is shorter than `y`.
-#[inline]
-pub fn axpy(use_simd: bool, y: &mut [f32], a: f32, x: &[f32]) {
-    if use_simd {
-        let n = y.len();
-        let full = n - n % F32x8::LANES;
-        let av = F32x8::splat(a);
-        let mut i = 0;
-        while i < full {
-            let r = F32x8::from_slice(&y[i..]) + av * F32x8::from_slice(&x[i..]);
-            r.write_to(&mut y[i..]);
-            i += F32x8::LANES;
-        }
-        for (yi, xi) in y[full..].iter_mut().zip(&x[full..]) {
-            *yi += a * xi;
-        }
-    } else {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += a * xi;
-        }
-    }
-}
-
 /// Whether this host can run the AVX2+FMA specializations of the fused
 /// (lossy-tier) kernels. Detected once per process and cached; always
 /// `false` off x86_64. Purely a speed question — the portable `mul_add`
@@ -358,63 +327,9 @@ pub fn avx2_fma_available() -> bool {
     }
 }
 
-// CONTRACT: lossy-tier — fused axpy body backing `FastKernels` only.
-#[inline(always)]
-fn axpy_fused_body(y: &mut [f32], a: f32, x: &[f32]) {
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi = xi.mul_add(a, *yi);
-    }
-}
-
-// CALLER: `axpy_fused` gates this behind `avx2_fma_available()`
-// (cached `is_x86_feature_detected!("avx2")` + `("fma")`).
-// SAFETY: no raw-pointer math; the only obligation is that AVX2+FMA
-// exist at runtime, which every caller must establish first.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(unsafe_code)]
-unsafe fn axpy_fused_avx2(y: &mut [f32], a: f32, x: &[f32]) {
-    // Same body; under this target feature LLVM vectorizes the `mul_add`
-    // sweep to 256-bit `vfmadd` — bit-identical to the portable path,
-    // because `f32::mul_add` is correctly rounded either way.
-    axpy_fused_body(y, a, x);
-}
-
-/// `y[i] = fma(a, x[i], y[i])`, elementwise — the **fused** axpy of the
-/// lossy-tier kernels. One rounding per element instead of [`axpy`]'s
-/// two, dispatched to an AVX2/FMA specialization when the host has it.
-///
-/// # Panics
-///
-/// Panics if `x` is shorter than `y`.
-#[inline]
-#[allow(unsafe_code)]
-pub fn axpy_fused(y: &mut [f32], a: f32, x: &[f32]) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: guarded by runtime AVX2+FMA detection.
-        unsafe {
-            return axpy_fused_avx2(y, a, x);
-        }
-    }
-    axpy_fused_body(y, a, x);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn axpy_paths_are_bit_identical() {
-        let x: Vec<f32> = (0..19).map(|i| 0.1 + i as f32 * 0.37).collect();
-        let mut ya: Vec<f32> = (0..19).map(|i| -0.5 + i as f32 * 0.11).collect();
-        let mut yb = ya.clone();
-        axpy(false, &mut ya, -0.625, &x);
-        axpy(true, &mut yb, -0.625, &x);
-        for (a, b) in ya.iter().zip(&yb) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
 
     #[test]
     fn lane_ops_match_scalar_ops_bitwise() {
@@ -491,30 +406,6 @@ mod tests {
         for k in 0..4 {
             assert_eq!(q[k].to_bits(), a[k].mul_add(b[k], c[k]).to_bits());
         }
-    }
-
-    #[test]
-    fn axpy_fused_matches_per_element_mul_add_bitwise() {
-        // Both dispatch arms (AVX2 and portable) must equal the scalar
-        // `f32::mul_add` reference — the determinism claim of the lossy
-        // tier. Odd length exercises the vectorizer's remainder tail.
-        let x: Vec<f32> = (0..37).map(|i| 0.1 + i as f32 * 0.37).collect();
-        let y0: Vec<f32> = (0..37).map(|i| -0.5 + i as f32 * 0.11).collect();
-        let a = -0.625f32;
-        let expect: Vec<u32> = y0
-            .iter()
-            .zip(&x)
-            .map(|(yi, xi)| xi.mul_add(a, *yi).to_bits())
-            .collect();
-        let mut y = y0.clone();
-        axpy_fused(&mut y, a, &x);
-        let got: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, expect);
-        // The portable body agrees regardless of what the dispatcher picked.
-        let mut y = y0.clone();
-        axpy_fused_body(&mut y, a, &x);
-        let portable: Vec<u32> = y.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(portable, expect);
     }
 
     #[test]

@@ -2,17 +2,18 @@
 //! backend to the scalar reference kernels, bit for bit.
 //!
 //! Every hot kernel (grid encode, grid backward-scatter, MLP forward /
-//! backward, per-ray compositing, the axpy sweep) is run on **every
-//! strict backend in the registry**
+//! backward, per-ray compositing) is run on **every strict backend in the
+//! registry**
 //! (`instant3d_nerf::kernels::registered_strict()` — scalar, simd,
 //! instrumented, plus anything registered at runtime; a strict backend
 //! cannot register without entering this harness; lossy-tier backends
 //! are gated by `tolerance_differential.rs` instead) over batch
-//! sizes that exercise the remainder tails
-//! (`N % 8 != 0`), the empty batch, single points, lane-exact batches and
-//! multi-chunk batches — plus adversarial table contents: fp16-quantized
-//! features including subnormals and signed zeros, and tiny hash tables
-//! that force lane-internal address collisions. Equality is asserted on
+//! sizes that exercise the remainder tails (`N % 8 != 0` for the lane
+//! kernels, `N % 4 != 0` for the blocked MLP sweeps), the empty batch,
+//! single points, lane-exact batches and multi-chunk batches — plus
+//! adversarial table contents: fp16-quantized features including
+//! subnormals and signed zeros, and tiny hash tables that force
+//! lane-internal address collisions. Equality is asserted on
 //! raw bits (`assert_eq!` on `f32` is bitwise up to `0.0 == -0.0`; sign
 //! checks cover the zero cases explicitly where they matter).
 
@@ -23,14 +24,15 @@ use instant3d_nerf::kernels::{self, BackendHandle};
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::mlp::{Mlp, MlpConfig};
 use instant3d_nerf::render::composite_slices;
-use instant3d_nerf::simd;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Batch sizes that cover N=0, N=1, sub-lane, lane-exact, lane+tail and
-/// multi-chunk (the parallel dispatch chunks at 256) shapes.
-const BATCH_SIZES: [usize; 10] = [0, 1, 3, 7, 8, 9, 15, 64, 257, 300];
+/// multi-chunk (the parallel dispatch chunks at 256) shapes, with every
+/// `N % 4` (the MLP sweeps' item block) on both sides of the MLP's
+/// parallel cutoff.
+const BATCH_SIZES: [usize; 12] = [0, 1, 3, 6, 7, 8, 9, 15, 64, 257, 258, 300];
 
 fn grid(cfg: HashGridConfig, seed: u64) -> HashGrid {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -244,12 +246,14 @@ fn grid_quantize_storage_with_subnormal_features_is_stable() {
 
 #[test]
 fn mlp_forward_backends_bit_equal_scalar_across_widths_and_batches() {
-    // Output widths exercising every lane-tail shape (ow % 8 ∈ {0,1,3,5}).
+    // The forward sweep blocks inputs four wide: layer input widths
+    // cover in_dim % 4 ∈ {0, 1, 2, 3} (64/16/8, 13, 6, 11/7).
     for (hidden, out_dim) in [
         (vec![64usize], 64usize),
         (vec![16], 1),
         (vec![8, 8], 3),
         (vec![13], 5),
+        (vec![11, 7], 2),
     ] {
         let mut rng = StdRng::seed_from_u64(7 + out_dim as u64);
         let mlp = Mlp::new(
@@ -275,37 +279,41 @@ fn mlp_forward_backends_bit_equal_scalar_across_widths_and_batches() {
 
 #[test]
 fn mlp_backward_backends_bit_equal_scalar() {
-    let mut rng = StdRng::seed_from_u64(23);
-    let mlp = Mlp::new(
-        MlpConfig::new(10, &[64], 3, Activation::Relu, Activation::None),
-        &mut rng,
-    );
-    for &n in &BATCH_SIZES {
-        let inputs: Vec<f32> = (0..n * 10)
-            .map(|i| ((i % 13) as f32 - 6.0) * 0.21)
-            .collect();
-        let d_out: Vec<f32> = (0..n * 3).map(|i| ((i % 7) as f32 - 3.0) * 0.33).collect();
-        let run = |backend: &BackendHandle| {
-            let mut ws = mlp.batch_workspace(n);
-            mlp.forward_batch_with(backend, &inputs, &mut ws);
-            let mut grads = mlp.zero_grads();
-            let mut d_in = vec![0.0f32; n * 10];
-            mlp.backward_batch_with(backend, &d_out, &mut ws, &mut grads, &mut d_in);
-            (grads, d_in)
-        };
-        let (ga, da) = run(&kernels::scalar());
-        for backend in kernels::registered_strict() {
-            let (gb, db) = run(&backend);
-            assert_eq!(ga.count, gb.count);
-            for (li, ((wa, ba), (wb, bb))) in ga.layers.iter().zip(&gb.layers).enumerate() {
-                assert_eq!(
-                    bits(wa),
-                    bits(wb),
-                    "{backend} layer {li} weight grads n={n}"
-                );
-                assert_eq!(bits(ba), bits(bb), "{backend} layer {li} bias grads n={n}");
+    // The input-gradient sweep blocks output rows four wide: layer output
+    // widths cover out_dim % 4 ∈ {0, 1, 2, 3} (64, 13, 6, 3).
+    for hidden in [&[64usize][..], &[13, 6]] {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mlp = Mlp::new(
+            MlpConfig::new(10, hidden, 3, Activation::Relu, Activation::None),
+            &mut rng,
+        );
+        for &n in &BATCH_SIZES {
+            let inputs: Vec<f32> = (0..n * 10)
+                .map(|i| ((i % 13) as f32 - 6.0) * 0.21)
+                .collect();
+            let d_out: Vec<f32> = (0..n * 3).map(|i| ((i % 7) as f32 - 3.0) * 0.33).collect();
+            let run = |backend: &BackendHandle| {
+                let mut ws = mlp.batch_workspace(n);
+                mlp.forward_batch_with(backend, &inputs, &mut ws);
+                let mut grads = mlp.zero_grads();
+                let mut d_in = vec![0.0f32; n * 10];
+                mlp.backward_batch_with(backend, &d_out, &mut ws, &mut grads, &mut d_in);
+                (grads, d_in)
+            };
+            let (ga, da) = run(&kernels::scalar());
+            for backend in kernels::registered_strict() {
+                let (gb, db) = run(&backend);
+                assert_eq!(ga.count, gb.count);
+                for (li, ((wa, ba), (wb, bb))) in ga.layers.iter().zip(&gb.layers).enumerate() {
+                    assert_eq!(
+                        bits(wa),
+                        bits(wb),
+                        "{backend} layer {li} weight grads n={n}"
+                    );
+                    assert_eq!(bits(ba), bits(bb), "{backend} layer {li} bias grads n={n}");
+                }
+                assert_eq!(bits(&da), bits(&db), "{backend} input grads n={n}");
             }
-            assert_eq!(bits(&da), bits(&db), "{backend} input grads n={n}");
         }
     }
 }
@@ -353,18 +361,6 @@ fn composite_backends_bit_equal_scalar_including_early_termination() {
                 assert_eq!(bits(&co_a), bits(&co_b), "{backend} alpha cache n={n}");
             }
         }
-    }
-}
-
-#[test]
-fn axpy_simd_bit_equals_scalar_on_tails() {
-    for &n in &[0usize, 1, 5, 8, 13, 16, 31] {
-        let x: Vec<f32> = (0..n).map(|i| ((i % 9) as f32 - 4.0) * 0.77).collect();
-        let mut ya: Vec<f32> = (0..n).map(|i| (i as f32) * 0.11 - 1.0).collect();
-        let mut yb = ya.clone();
-        simd::axpy(false, &mut ya, -0.625, &x);
-        simd::axpy(true, &mut yb, -0.625, &x);
-        assert_eq!(bits(&ya), bits(&yb), "axpy n={n}");
     }
 }
 

@@ -28,8 +28,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Batch sizes that cover N=0, N=1, sub-lane, lane-exact, lane+tail and
-/// multi-chunk (the parallel dispatch chunks at 256) shapes.
-const BATCH_SIZES: [usize; 10] = [0, 1, 3, 7, 8, 9, 15, 64, 257, 300];
+/// multi-chunk (the parallel dispatch chunks at 256) shapes, with every
+/// `N % 4` (the MLP sweeps' item block) on both sides of the MLP's
+/// parallel cutoff.
+const BATCH_SIZES: [usize; 12] = [0, 1, 3, 6, 7, 8, 9, 15, 64, 257, 258, 300];
 
 fn grid(cfg: HashGridConfig, seed: u64) -> HashGrid {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -186,11 +188,14 @@ fn grid_scatter_within_declared_tolerance_across_batch_shapes() {
 
 #[test]
 fn mlp_forward_within_declared_tolerance_across_widths_and_batches() {
+    // The forward sweep blocks inputs four wide: layer input widths
+    // cover in_dim % 4 ∈ {0, 1, 2, 3} (64/16/8, 13, 6, 11/7).
     for (hidden, out_dim) in [
         (vec![64usize], 64usize),
         (vec![16], 1),
         (vec![8, 8], 3),
         (vec![13], 5),
+        (vec![11, 7], 2),
     ] {
         let mut rng = StdRng::seed_from_u64(7 + out_dim as u64);
         let mlp = Mlp::new(
@@ -222,34 +227,38 @@ fn mlp_forward_within_declared_tolerance_across_widths_and_batches() {
 
 #[test]
 fn mlp_backward_within_declared_tolerance() {
-    let mut rng = StdRng::seed_from_u64(23);
-    let mlp = Mlp::new(
-        MlpConfig::new(10, &[64], 3, Activation::Relu, Activation::None),
-        &mut rng,
-    );
-    for &n in &BATCH_SIZES {
-        let inputs: Vec<f32> = (0..n * 10)
-            .map(|i| ((i % 13) as f32 - 6.0) * 0.21)
-            .collect();
-        let d_out: Vec<f32> = (0..n * 3).map(|i| ((i % 7) as f32 - 3.0) * 0.33).collect();
-        let run = |backend: &BackendHandle| {
-            let mut ws = mlp.batch_workspace(n);
-            mlp.forward_batch_with(backend, &inputs, &mut ws);
-            let mut grads = mlp.zero_grads();
-            let mut d_in = vec![0.0f32; n * 10];
-            mlp.backward_batch_with(backend, &d_out, &mut ws, &mut grads, &mut d_in);
-            (grads, d_in)
-        };
-        let (ga, da) = run(&kernels::scalar());
-        for backend in kernels::registered_lossy() {
-            let tol = declared(&backend);
-            let (gb, db) = run(&backend);
-            assert_eq!(ga.count, gb.count);
-            for (li, ((wa, ba), (wb, bb))) in ga.layers.iter().zip(&gb.layers).enumerate() {
-                check(&tol, &format!("{backend} layer {li} dW n={n}"), wb, wa);
-                check(&tol, &format!("{backend} layer {li} db n={n}"), bb, ba);
+    // The input-gradient sweep blocks output rows four wide: layer output
+    // widths cover out_dim % 4 ∈ {0, 1, 2, 3} (64, 13, 6, 3).
+    for hidden in [&[64usize][..], &[13, 6]] {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mlp = Mlp::new(
+            MlpConfig::new(10, hidden, 3, Activation::Relu, Activation::None),
+            &mut rng,
+        );
+        for &n in &BATCH_SIZES {
+            let inputs: Vec<f32> = (0..n * 10)
+                .map(|i| ((i % 13) as f32 - 6.0) * 0.21)
+                .collect();
+            let d_out: Vec<f32> = (0..n * 3).map(|i| ((i % 7) as f32 - 3.0) * 0.33).collect();
+            let run = |backend: &BackendHandle| {
+                let mut ws = mlp.batch_workspace(n);
+                mlp.forward_batch_with(backend, &inputs, &mut ws);
+                let mut grads = mlp.zero_grads();
+                let mut d_in = vec![0.0f32; n * 10];
+                mlp.backward_batch_with(backend, &d_out, &mut ws, &mut grads, &mut d_in);
+                (grads, d_in)
+            };
+            let (ga, da) = run(&kernels::scalar());
+            for backend in kernels::registered_lossy() {
+                let tol = declared(&backend);
+                let (gb, db) = run(&backend);
+                assert_eq!(ga.count, gb.count);
+                for (li, ((wa, ba), (wb, bb))) in ga.layers.iter().zip(&gb.layers).enumerate() {
+                    check(&tol, &format!("{backend} layer {li} dW n={n}"), wb, wa);
+                    check(&tol, &format!("{backend} layer {li} db n={n}"), bb, ba);
+                }
+                check(&tol, &format!("{backend} d_input n={n}"), &db, &da);
             }
-            check(&tol, &format!("{backend} d_input n={n}"), &db, &da);
         }
     }
 }
