@@ -108,7 +108,7 @@ fn bench_render_frame(c: &mut Criterion) {
 /// Uniform eval marching vs occupancy-guided sampling on the trained
 /// grid: the guided arm must be measurably faster — the culled points do
 /// not hit the encode/MLP pipeline at all.
-fn bench_eval_occupancy(c: &mut Criterion) {
+fn bench_occupancy_guided_eval(c: &mut Criterion) {
     for backend in kernels::registered() {
         let (ds, trainer) = fixture(&backend);
         let model = trainer.model();
@@ -125,5 +125,5 @@ fn bench_eval_occupancy(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_render_frame, bench_eval_occupancy);
+criterion_group!(benches, bench_render_frame, bench_occupancy_guided_eval);
 criterion_main!(benches);

@@ -76,6 +76,13 @@ pub fn mean_of<F: Fn(&SceneRun) -> f32>(runs: &[SceneRun], f: F) -> f32 {
 /// Trains `cfg` on `ds`, capturing grid-access traces on the listed
 /// iterations (0-based). Returns the trace and the trainer (whose model
 /// provides grid-level metadata for flat addressing).
+///
+/// Capture iterations run the scalar reference step, the others the
+/// engine; the two are bit-identical on strict backends (pinned by the
+/// golden suites), so mixing them inside one run is sound. The reference
+/// step interleaves reads and writes ray by ray, so a collector that hits
+/// `capacity` truncates by ray (whole early rays, both phases), not by
+/// phase.
 pub fn capture_trace(
     cfg: &instant3d_core::TrainConfig,
     ds: &Dataset,
@@ -90,7 +97,7 @@ pub fn capture_trace(
     for it in 0..budget {
         if capture_iters.contains(&it) {
             collector.begin_iteration(it as u32);
-            trainer.step_observed(&mut rng, &mut collector);
+            trainer.step_scalar_observed(&mut rng, &mut collector);
         } else {
             trainer.step(&mut rng);
         }
@@ -116,7 +123,7 @@ pub fn capture_traces_per_iter(
         if capture_iters.contains(&it) {
             let mut collector = instant3d_trace::TraceCollector::new(capacity_per_iter);
             collector.begin_iteration(it as u32);
-            trainer.step_observed(&mut rng, &mut collector);
+            trainer.step_scalar_observed(&mut rng, &mut collector);
             out.push((it, collector.into_trace()));
         } else {
             trainer.step(&mut rng);

@@ -31,11 +31,10 @@ pub fn run(_quick: bool) {
     native_breakdown(_quick);
 }
 
-/// Profiles the Rust trainer itself with the per-step wall-clock timer —
-/// an independent, measured confirmation that grid interpolation dominates
-/// even without any device model.
+/// Profiles the Rust trainer itself with its always-on per-step
+/// wall-clock timer — an independent, measured confirmation that grid
+/// interpolation dominates even without any device model.
 fn native_breakdown(quick: bool) {
-    use instant3d_core::timing::StepTimer;
     use instant3d_core::Trainer;
     use rand::SeedableRng;
 
@@ -44,11 +43,11 @@ fn native_breakdown(quick: bool) {
     let ds = super::common::synthetic_dataset(0, quick, 1701);
     let cfg = crate::workloads::bench_config(TrainConfig::instant_ngp(), quick);
     let mut trainer = Trainer::new(cfg, &ds, &mut rng);
-    let mut timer = StepTimer::new();
     let iters = if quick { 10 } else { 40 };
     for _ in 0..iters {
-        trainer.step_timed(&mut rng, &mut timer);
+        trainer.step(&mut rng);
     }
+    let timer = trainer.timer();
     print!("{}", timer.to_ascii(40));
     println!(
         "  grid-interpolation share (native): {:.1} %",

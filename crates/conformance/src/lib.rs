@@ -77,6 +77,7 @@ pub const PANIC_CENSUS_FILES: &[&str] = &[
     "crates/nerf/src/kernels/instrumented.rs",
     "crates/core/src/batch.rs",
     "crates/core/src/trainer.rs",
+    "crates/core/src/timing.rs",
     "crates/core/src/render.rs",
 ];
 

@@ -24,13 +24,14 @@
 //! 2. **Thread-count determinism** — results are bit-identical for any
 //!    worker count, because no reduction order depends on scheduling.
 //!
-//! When an access observer is attached (trace capture), the grid stages
-//! run sequentially point-major, which reproduces the scalar path's
-//! capture stream exactly; all other stages stay batched.
+//! The engine takes no access observer. Point-major traces (Figs. 8–10)
+//! come from the scalar reference step
+//! ([`Trainer::step_scalar_observed`](crate::Trainer::step_scalar_observed));
+//! the engine's own level-major traffic is recorded by running it on the
+//! `instrumented` kernel backend.
 
 use crate::config::GridTopology;
-use crate::model::{BranchObserver, ModelGradients, NerfModel, Tagged};
-use instant3d_nerf::grid::GridBranch;
+use crate::model::{ModelGradients, NerfModel};
 use instant3d_nerf::kernels::BackendHandle;
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::mlp::MlpBatchWorkspace;
@@ -219,11 +220,8 @@ impl BatchWorkspace {
     }
 
     /// Stage ③-① forward, batched: maps every sampled position into the
-    /// unit cube and encodes the grid embeddings. With a consuming
-    /// observer the kernels run sequentially point-major (capture order
-    /// identical to the scalar path); otherwise they run on the rayon
-    /// pool. Results are bit-identical either way.
-    pub fn encode<O: BranchObserver + ?Sized>(&mut self, model: &NerfModel, obs: &mut O) {
+    /// unit cube and encodes the grid embeddings on the rayon pool.
+    pub fn encode(&mut self, model: &NerfModel) {
         let n = self.positions.len();
         let aabb = model.aabb();
         self.unit_positions.clear();
@@ -231,52 +229,16 @@ impl BatchWorkspace {
             .extend(self.positions.iter().map(|p| aabb.to_unit(*p)));
         self.emb_d.resize(n * self.emb_d_dim, 0.0);
         self.emb_c.resize(n * self.emb_c_dim, 0.0);
-        let decoupled = model.topology() == GridTopology::Decoupled && model.color_grid().is_some();
-        if obs.wants_accesses() {
-            // Point-major, density and color interleaved per point — the
-            // exact access order of the scalar `encode_point` loop.
-            for (i, unit) in self.unit_positions.iter().enumerate() {
-                let row_d = &mut self.emb_d[i * self.emb_d_dim..(i + 1) * self.emb_d_dim];
-                model.density_grid().encode_into(
-                    *unit,
-                    row_d,
-                    &mut Tagged {
-                        branch: GridBranch::Density,
-                        inner: obs,
-                    },
-                );
-                let row_c = &mut self.emb_c[i * self.emb_c_dim..(i + 1) * self.emb_c_dim];
-                if decoupled {
-                    // PANICS: `decoupled` requires `color_grid().is_some()`.
-                    model.color_grid().unwrap().encode_into(
-                        *unit,
-                        row_c,
-                        &mut Tagged {
-                            branch: GridBranch::Color,
-                            inner: obs,
-                        },
-                    );
-                } else {
-                    row_c
-                        .copy_from_slice(&self.emb_d[i * self.emb_d_dim..(i + 1) * self.emb_d_dim]);
-                }
+        model.density_grid().par_encode_batch_with(
+            &self.backend,
+            &self.unit_positions,
+            &mut self.emb_d,
+        );
+        match model.color_grid() {
+            Some(cg) if model.topology() == GridTopology::Decoupled => {
+                cg.par_encode_batch_with(&self.backend, &self.unit_positions, &mut self.emb_c);
             }
-        } else {
-            model.density_grid().par_encode_batch_with(
-                &self.backend,
-                &self.unit_positions,
-                &mut self.emb_d,
-            );
-            if decoupled {
-                // PANICS: `decoupled` requires `color_grid().is_some()`.
-                model.color_grid().unwrap().par_encode_batch_with(
-                    &self.backend,
-                    &self.unit_positions,
-                    &mut self.emb_c,
-                );
-            } else {
-                self.emb_c.copy_from_slice(&self.emb_d);
-            }
+            _ => self.emb_c.copy_from_slice(&self.emb_d),
         }
     }
 
@@ -404,17 +366,9 @@ impl BatchWorkspace {
     }
 
     /// Stage ③-① backward, batched: scatters the embedding gradients into
-    /// the grid gradient buffers. With a consuming observer the scatter is
-    /// sequential point-major (capture order identical to the scalar
-    /// path); otherwise it runs level-parallel over disjoint gradient
-    /// slices. Per-parameter accumulation is point-ordered either way.
-    pub fn scatter<O: BranchObserver + ?Sized>(
-        &mut self,
-        model: &NerfModel,
-        grads: &mut ModelGradients,
-        obs: &mut O,
-        update_color: bool,
-    ) {
+    /// the grid gradient buffers, level-parallel over disjoint gradient
+    /// slices. Per-parameter accumulation is point-ordered.
+    pub fn scatter(&mut self, model: &NerfModel, grads: &mut ModelGradients, update_color: bool) {
         let n = self.rays.num_samples();
         let (ed, ec) = (self.emb_d_dim, self.emb_c_dim);
         let coupled = model.topology() == GridTopology::Coupled;
@@ -428,51 +382,20 @@ impl BatchWorkspace {
                 *d += *c;
             }
         }
-        let scatter_color = !coupled && update_color;
-        if obs.wants_accesses() {
-            for i in 0..n {
-                let unit = self.unit_positions[i];
-                model.density_grid().backward_into(
-                    unit,
-                    &self.d_emb_d[i * ed..(i + 1) * ed],
-                    &mut grads.density_grid,
-                    &mut Tagged {
-                        branch: GridBranch::Density,
-                        inner: obs,
-                    },
+        model.density_grid().par_backward_batch_with(
+            &self.backend,
+            &self.unit_positions,
+            &self.d_emb_d[..n * ed],
+            &mut grads.density_grid,
+        );
+        if !coupled && update_color {
+            if let (Some(cg), Some(cgrads)) = (model.color_grid(), grads.color_grid.as_mut()) {
+                cg.par_backward_batch_with(
+                    &self.backend,
+                    &self.unit_positions,
+                    &self.d_emb_c[..n * ec],
+                    cgrads,
                 );
-                if scatter_color {
-                    if let (Some(cg), Some(cgrads)) =
-                        (model.color_grid(), grads.color_grid.as_mut())
-                    {
-                        cg.backward_into(
-                            unit,
-                            &self.d_emb_c[i * ec..(i + 1) * ec],
-                            cgrads,
-                            &mut Tagged {
-                                branch: GridBranch::Color,
-                                inner: obs,
-                            },
-                        );
-                    }
-                }
-            }
-        } else {
-            model.density_grid().par_backward_batch_with(
-                &self.backend,
-                &self.unit_positions,
-                &self.d_emb_d[..n * ed],
-                &mut grads.density_grid,
-            );
-            if scatter_color {
-                if let (Some(cg), Some(cgrads)) = (model.color_grid(), grads.color_grid.as_mut()) {
-                    cg.par_backward_batch_with(
-                        &self.backend,
-                        &self.unit_positions,
-                        &self.d_emb_c[..n * ec],
-                        cgrads,
-                    );
-                }
             }
         }
     }
@@ -518,7 +441,7 @@ mod tests {
             let m = model(topo);
             let mut ws = BatchWorkspace::new(&m);
             fill_batch(&mut ws, &m);
-            ws.encode(&m, &mut NullBranchObserver);
+            ws.encode(&m);
             ws.heads_forward(&m);
 
             let mut sws = m.workspace();
@@ -533,39 +456,5 @@ mod tests {
                 assert_eq!(ws.rays.rgb[i], rgb, "{topo:?} rgb {i}");
             }
         }
-    }
-
-    #[test]
-    fn observed_and_unobserved_encode_agree_bitwise() {
-        let m = model(GridTopology::Decoupled);
-        // The observer-forced point-major path runs the strict sequential
-        // kernels, so the bit-identity claim only holds for strict-tier
-        // backends: fall back to the default when the environment selects
-        // a lossy one (lossy parity is covered by the tolerance suites).
-        let backend = crate::kernels::strict_from_env_or_default();
-        let mut a = BatchWorkspace::with_backend(&m, backend.clone());
-        let mut b = BatchWorkspace::with_backend(&m, backend);
-        fill_batch(&mut a, &m);
-        fill_batch(&mut b, &m);
-        // A counting observer forces the sequential point-major kernels.
-        struct Counting(usize);
-        impl BranchObserver for Counting {
-            fn on_branch_access(
-                &mut self,
-                _: GridBranch,
-                _: instant3d_nerf::grid::AccessPhase,
-                _: u32,
-                _: u8,
-                _: u32,
-            ) {
-                self.0 += 1;
-            }
-        }
-        let mut obs = Counting(0);
-        a.encode(&m, &mut obs);
-        b.encode(&m, &mut NullBranchObserver);
-        assert!(obs.0 > 0);
-        assert_eq!(a.emb_d, b.emb_d);
-        assert_eq!(a.emb_c, b.emb_c);
     }
 }

@@ -79,13 +79,6 @@ pub struct TrainConfig {
     pub occupancy_threshold: f32,
     /// Samples per ray when rendering evaluation images.
     pub eval_samples_per_ray: usize,
-    /// Whether [`Trainer::evaluate`](crate::Trainer::evaluate) guides its
-    /// ray sampling with the trainer's occupancy grid (empty-space
-    /// skipping in eval, much cheaper on a trained model). `false` (the
-    /// default) samples uniformly, preserving historical metrics
-    /// bit-for-bit; the pixels differ slightly when enabled because
-    /// culled samples no longer contribute their (near-zero) density.
-    pub eval_occupancy: bool,
     /// Which kernel backend the batched engine runs — a handle resolved
     /// through the open backend registry (`instant3d_nerf::kernels`):
     /// the scalar reference, the lane-batched SIMD default, the
@@ -122,7 +115,6 @@ impl Default for TrainConfig {
             occupancy_subset: 1,
             occupancy_threshold: 0.5,
             eval_samples_per_ray: 64,
-            eval_occupancy: false,
             kernel_backend: kernels::from_env_or_default(),
         }
     }

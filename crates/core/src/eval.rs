@@ -13,7 +13,7 @@
 //! specification the tile path is golden-pinned against.
 
 use crate::batch::BatchWorkspace;
-use crate::model::{NerfModel, NullBranchObserver};
+use crate::model::NerfModel;
 use crate::render;
 use instant3d_nerf::camera::Camera;
 use instant3d_nerf::image::{DepthImage, RgbImage};
@@ -96,7 +96,7 @@ pub fn render_model_view_monolithic(
                     }
                     bws.rays.end_ray();
                 }
-                bws.encode(model, &mut NullBranchObserver);
+                bws.encode(model);
                 bws.heads_forward(model);
                 bws.composite_all(background);
                 let mut colors = Vec::with_capacity(w as usize);
@@ -145,7 +145,7 @@ pub fn evaluate(model: &NerfModel, dataset: &Dataset, samples_per_ray: usize) ->
 /// uniformly across its AABB span (bit-for-bit the historical metrics);
 /// `Some(grid)` culls samples in unoccupied cells, which is much cheaper
 /// on a trained model but produces (slightly) different pixels, so it is
-/// opt-in — see `TrainConfig::eval_occupancy`.
+/// opt-in — see [`Trainer::evaluate_with_occupancy`](crate::Trainer::evaluate_with_occupancy).
 ///
 /// # Panics
 ///

@@ -41,7 +41,12 @@
 //! * [`batch`] — the batched SoA execution engine and its reusable
 //!   [`BatchWorkspace`] (zero steady-state allocation).
 //! * [`trainer`] — the six-step training pipeline (Fig. 2) with workload
-//!   accounting and optional memory-access tracing, batched by default.
+//!   accounting: [`Trainer::step`](trainer::Trainer::step) is the engine's
+//!   one entry point; memory-access traces come from the scalar reference
+//!   step ([`Trainer::step_scalar_observed`](trainer::Trainer::step_scalar_observed)).
+//! * [`timing`] — the per-step wall-clock [`timing::StepTimer`] every
+//!   trainer owns and laps on every engine step
+//!   ([`Trainer::timer`](trainer::Trainer::timer)).
 //! * [`pool`] — the shape-keyed [`WorkspacePool`] shared by fleet slices
 //!   and tile-render jobs (zero steady-state allocation).
 //! * [`render`] — the tile-streaming frame renderer: budgeted progressive

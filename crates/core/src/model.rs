@@ -30,9 +30,9 @@ use rand::Rng;
 pub use instant3d_nerf::grid::{BranchObserver, GridBranch, NullBranchObserver};
 
 /// Adapter: forwards grid accesses to a [`BranchObserver`] with a fixed tag.
-pub(crate) struct Tagged<'a, O: BranchObserver + ?Sized> {
-    pub(crate) branch: GridBranch,
-    pub(crate) inner: &'a mut O,
+struct Tagged<'a, O: BranchObserver + ?Sized> {
+    branch: GridBranch,
+    inner: &'a mut O,
 }
 
 impl<O: BranchObserver + ?Sized> GridAccessObserver for Tagged<'_, O> {

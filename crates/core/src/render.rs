@@ -47,7 +47,7 @@
 //! termination inside the backend's `composite_ray` kernel.
 
 use crate::batch::BatchWorkspace;
-use crate::model::{NerfModel, NullBranchObserver};
+use crate::model::NerfModel;
 use crate::pool::WorkspacePool;
 use crate::profile::WorkloadStats;
 use instant3d_nerf::camera::Camera;
@@ -631,7 +631,7 @@ fn render_tile(
     }
     let points = bws.positions.len() as u64;
     let sampled_grid = points > 0;
-    bws.encode(model, &mut NullBranchObserver);
+    bws.encode(model);
     bws.heads_forward(model);
     bws.composite_all(opts.background);
     for r in 0..rays {

@@ -5,12 +5,18 @@
 //! the six pipeline steps (with Step ③ split and backward separated) is
 //! timed with a monotonic clock, giving a native measured breakdown to set
 //! beside the modelled device breakdowns.
+//!
+//! Every [`Trainer`](crate::Trainer) owns one [`StepTimer`] and laps it
+//! on every engine step ([`Trainer::step`](crate::Trainer::step)); read
+//! it with [`Trainer::timer`](crate::Trainer::timer). The timer is a
+//! fixed array of durations — it allocates nothing, reads no clock itself
+//! (the trainer does) and never feeds back into numeric results.
 
 use crate::profile::PipelineStep;
 use std::time::Duration;
 
 /// Accumulated wall-clock time per pipeline step.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepTimer {
     totals: [Duration; PipelineStep::ALL.len()],
     iterations: u64,
@@ -22,24 +28,10 @@ impl StepTimer {
         StepTimer::default()
     }
 
-    fn index(step: PipelineStep) -> usize {
-        PipelineStep::ALL
-            .iter()
-            .position(|s| *s == step)
-            .expect("step is in ALL")
-    }
-
-    /// Adds `d` to `step`'s total.
+    /// Adds `d` to `step`'s total. Slots are indexed by discriminant:
+    /// [`PipelineStep::ALL`] lists the variants in declaration order.
     pub fn add(&mut self, step: PipelineStep, d: Duration) {
-        self.totals[Self::index(step)] += d;
-    }
-
-    /// Times `f` and charges it to `step`, returning `f`'s output.
-    pub fn time<T, F: FnOnce() -> T>(&mut self, step: PipelineStep, f: F) -> T {
-        let t0 = std::time::Instant::now();
-        let out = f();
-        self.add(step, t0.elapsed());
-        out
+        self.totals[step as usize] += d;
     }
 
     /// Marks the end of one training iteration.
@@ -63,7 +55,7 @@ impl StepTimer {
         PipelineStep::ALL
             .iter()
             .map(|&s| {
-                let d = self.totals[Self::index(s)];
+                let d = self.totals[s as usize];
                 (s, d, d.as_secs_f64() / total)
             })
             .collect()
@@ -122,19 +114,10 @@ mod tests {
     }
 
     #[test]
-    fn time_closure_charges_the_step() {
-        let mut t = StepTimer::new();
-        let v = t.time(PipelineStep::ComputeLoss, || {
-            std::thread::sleep(Duration::from_millis(2));
-            42
-        });
-        assert_eq!(v, 42);
-        let loss_row = t
-            .breakdown()
-            .into_iter()
-            .find(|(s, _, _)| *s == PipelineStep::ComputeLoss)
-            .unwrap();
-        assert!(loss_row.1 >= Duration::from_millis(1));
+    fn slots_are_indexed_by_discriminant() {
+        for (i, s) in PipelineStep::ALL.iter().enumerate() {
+            assert_eq!(*s as usize, i, "{s:?}");
+        }
     }
 
     #[test]

@@ -69,6 +69,11 @@ pub enum GridBranch {
 }
 
 /// An access observer that also learns which branch is being accessed.
+///
+/// Driven by the scalar reference step (`Trainer::step_scalar_observed`
+/// in `instant3d-core`), so records arrive in the paper's point-major
+/// order. The batched engine takes no observer: its real level-major
+/// traffic is what the `instrumented` kernel backend records.
 pub trait BranchObserver {
     /// Called once per table access, tagged with the branch.
     fn on_branch_access(
@@ -79,15 +84,6 @@ pub trait BranchObserver {
         corner: u8,
         addr: u32,
     );
-
-    /// Whether this observer actually consumes accesses. The batched
-    /// training engine checks this to pick between the sequential observed
-    /// grid kernels (identical capture order to the scalar path) and the
-    /// parallel unobserved ones; numeric results are identical either way.
-    #[inline]
-    fn wants_accesses(&self) -> bool {
-        true
-    }
 }
 
 /// No-op branch observer.
@@ -97,11 +93,6 @@ pub struct NullBranchObserver;
 impl BranchObserver for NullBranchObserver {
     #[inline]
     fn on_branch_access(&mut self, _: GridBranch, _: AccessPhase, _: u32, _: u8, _: u32) {}
-
-    #[inline]
-    fn wants_accesses(&self) -> bool {
-        false
-    }
 }
 
 /// Configuration of a multiresolution hash grid.

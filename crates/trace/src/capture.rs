@@ -5,7 +5,7 @@ use instant3d_nerf::grid::{AccessPhase, BranchObserver, GridBranch};
 
 /// Captures every grid access the trainer performs into a [`Trace`].
 ///
-/// Plug into `Trainer::step_observed`; call
+/// Plug into `Trainer::step_scalar_observed`; call
 /// [`TraceCollector::begin_iteration`] before each step so records carry
 /// their iteration index. A `capacity` cap bounds memory — capture stops
 /// (silently) once reached, which is fine for the paper's analyses (they

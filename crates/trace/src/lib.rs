@@ -13,7 +13,8 @@
 //!   are (nearly) all unique while back-propagation updates revisit shared
 //!   addresses (~200 unique per 1000), enabling the BUM unit's merging.
 //!
-//! [`capture::TraceCollector`] plugs into the trainer's observer hook and
+//! [`capture::TraceCollector`] plugs into the trainer's observer hook
+//! (the scalar reference step, `Trainer::step_scalar_observed`) and
 //! records the *actual* training access stream; [`cluster`] and [`window`]
 //! implement the paper's analyses; [`stats`] provides the histogram /
 //! percentile plumbing.

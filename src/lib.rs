@@ -47,8 +47,17 @@
 //! [`core::BatchWorkspace`] for callers that drive the engine stages
 //! directly (custom sampling, offline rendering); the scalar path stays
 //! available as the executable specification the batched engine is gated
-//! against (golden tests assert identical losses, parameters, workload
-//! counters and trace streams).
+//! against (golden tests assert identical losses, parameters and workload
+//! counters).
+//!
+//! Every engine step laps the trainer's own per-step wall-clock timer
+//! ([`Trainer::timer`](core::Trainer::timer), the native Fig. 4
+//! breakdown). Access streams have two observers with two jobs: the
+//! scalar reference step
+//! ([`Trainer::step_scalar_observed`](core::Trainer::step_scalar_observed))
+//! feeds a [`trace::TraceCollector`] in the paper's point-major order
+//! (Figs. 8–10), and the `instrumented` kernel backend records the
+//! engine's real level-major traffic for the FRM/BUM co-simulation.
 //!
 //! # Benchmarks
 //!

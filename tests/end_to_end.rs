@@ -71,7 +71,7 @@ fn captured_trace_drives_hardware_simulators() {
     }
     let mut tc = TraceCollector::new(500_000);
     tc.begin_iteration(5);
-    trainer.step_observed(&mut rng, &mut tc);
+    trainer.step_scalar_observed(&mut rng, &mut tc);
     let trace = tc.into_trace();
     assert!(!trace.is_empty(), "trace should capture grid accesses");
 
@@ -112,7 +112,7 @@ fn trace_read_counts_match_workload_accounting() {
     let mut trainer = Trainer::new(TrainConfig::fast_preview(), &ds, &mut rng);
     let mut tc = TraceCollector::new(2_000_000);
     tc.begin_iteration(0);
-    trainer.step_observed(&mut rng, &mut tc);
+    trainer.step_scalar_observed(&mut rng, &mut tc);
     let trace = tc.into_trace();
     let stats = trainer.stats();
     let ff_records = trace.phase(AccessPhase::FeedForward).count() as u64;
