@@ -2,7 +2,7 @@
 //! devices: Step ③-① (embedding-grid interpolation, forward + backward)
 //! dominates everywhere.
 
-use instant3d_core::TrainConfig;
+use instant3d_core::{PipelineWorkload, TrainConfig};
 use instant3d_devices::{breakdown::StepBreakdown, perf::ITERS_TO_PSNR26, DeviceModel};
 
 /// Prints the per-device step breakdown of the paper-scale Instant-NGP
@@ -12,7 +12,7 @@ pub fn run(_quick: bool) {
         "Fig. 4",
         "Instant-NGP training runtime breakdown on Jetson Nano / TX2 / Xavier NX",
     );
-    let w = crate::workloads::paper_workload(&TrainConfig::instant_ngp(), ITERS_TO_PSNR26);
+    let w = PipelineWorkload::paper_scale_instant_ngp(ITERS_TO_PSNR26);
     for device in DeviceModel::all_baselines() {
         let b = StepBreakdown::compute(&device, &w);
         println!("{}", b.to_ascii(40));

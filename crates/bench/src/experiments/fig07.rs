@@ -2,7 +2,7 @@
 //! the algorithm alone accelerates Instant-NGP by ~17 %, but Step ③-①
 //! still dominates (~80 %), motivating the dedicated accelerator.
 
-use instant3d_core::TrainConfig;
+use instant3d_core::PipelineWorkload;
 use instant3d_devices::{breakdown::StepBreakdown, perf::ITERS_TO_PSNR26, DeviceModel};
 
 /// Prints the Xavier-NX breakdown under the Instant-3D algorithm and the
@@ -13,8 +13,8 @@ pub fn run(_quick: bool) {
         "Instant-3D algorithm runtime breakdown on Xavier NX (still grid-bound)",
     );
     let xavier = DeviceModel::xavier_nx();
-    let ngp = crate::workloads::paper_workload(&TrainConfig::instant_ngp(), ITERS_TO_PSNR26);
-    let i3d = crate::workloads::paper_workload(&TrainConfig::instant3d(), ITERS_TO_PSNR26);
+    let ngp = PipelineWorkload::paper_scale_instant_ngp(ITERS_TO_PSNR26);
+    let i3d = PipelineWorkload::paper_scale_instant3d(ITERS_TO_PSNR26);
     let b = StepBreakdown::compute(&xavier, &i3d);
     println!("{}", b.to_ascii(40));
     let t_ngp = xavier.runtime(&ngp);

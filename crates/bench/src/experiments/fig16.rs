@@ -8,7 +8,6 @@
 
 use super::common::{run_on_dataset, synthetic_dataset, SceneRun};
 use crate::table::Table;
-use crate::workloads::paper_workload;
 use instant3d_accel::{Accelerator, FeatureSet};
 use instant3d_core::{PipelineWorkload, TrainConfig};
 use instant3d_devices::DeviceModel;
@@ -62,11 +61,8 @@ pub fn run(quick: bool) {
     for run in &runs {
         let scene_iters = run.iters_to_25db.unwrap_or(run.iterations) as f64;
         let load = (run.points_per_iter / mean_points.max(1.0)).clamp(0.25, 4.0);
-        let w_ngp = scale_points(
-            paper_workload(&TrainConfig::instant_ngp(), scene_iters),
-            load,
-        );
-        let w_i3d = scale_points(paper_workload(&TrainConfig::instant3d(), scene_iters), load);
+        let w_ngp = scale_points(PipelineWorkload::paper_scale_instant_ngp(scene_iters), load);
+        let w_i3d = scale_points(PipelineWorkload::paper_scale_instant3d(scene_iters), load);
         let acc = accel.simulate(&w_i3d, FeatureSet::full());
         let mut cells = vec![
             run.scene.clone(),

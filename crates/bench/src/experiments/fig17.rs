@@ -3,7 +3,7 @@
 
 use crate::table::Table;
 use instant3d_accel::Accelerator;
-use instant3d_core::TrainConfig;
+use instant3d_core::PipelineWorkload;
 use instant3d_devices::{perf::ITERS_TO_PSNR26, DeviceModel};
 
 /// Prints the staged-technique waterfall and the cumulative speedup over
@@ -15,10 +15,8 @@ pub fn run(_quick: bool) {
     );
     let accel = Accelerator::default();
     let stages = accel.speedup_waterfall(ITERS_TO_PSNR26);
-    let xavier = DeviceModel::xavier_nx().runtime(&crate::workloads::paper_workload(
-        &TrainConfig::instant_ngp(),
-        ITERS_TO_PSNR26,
-    ));
+    let xavier = DeviceModel::xavier_nx()
+        .runtime(&PipelineWorkload::paper_scale_instant_ngp(ITERS_TO_PSNR26));
 
     let mut t = Table::new(&[
         "stage",

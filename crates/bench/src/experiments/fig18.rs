@@ -7,11 +7,10 @@
 
 use super::common::{capture_trace, flat_stream, synthetic_dataset};
 use crate::table::Table;
-use crate::workloads::paper_workload;
 use instant3d_accel::{
     simulate_baseline_reads, simulate_bum, simulate_frm, Accelerator, BumConfig, FeatureSet,
 };
-use instant3d_core::TrainConfig;
+use instant3d_core::{PipelineWorkload, TrainConfig};
 use instant3d_devices::perf::ITERS_TO_PSNR25;
 use instant3d_nerf::grid::{AccessPhase, GridBranch};
 
@@ -65,7 +64,7 @@ pub fn run(quick: bool) {
             bum_write_ratio: bum.write_ratio(),
             ..Accelerator::default()
         };
-        let w = paper_workload(&cfg, ITERS_TO_PSNR25);
+        let w = PipelineWorkload::paper_scale(&cfg, ITERS_TO_PSNR25);
         let none = accel
             .simulate(
                 &w,

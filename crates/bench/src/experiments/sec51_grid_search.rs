@@ -8,8 +8,7 @@
 
 use super::common::{mean_of, run_on_dataset, synthetic_dataset};
 use crate::table::Table;
-use crate::workloads::paper_workload;
-use instant3d_core::TrainConfig;
+use instant3d_core::{PipelineWorkload, TrainConfig};
 use instant3d_devices::DeviceModel;
 
 /// Runs the size-ratio and frequency-ratio sweeps.
@@ -32,7 +31,7 @@ pub fn run(quick: bool) {
             })
             .collect();
         let psnr = mean_of(&runs, |r| r.psnr);
-        let runtime = xavier.runtime(&paper_workload(&cfg, iters as f64));
+        let runtime = xavier.runtime(&PipelineWorkload::paper_scale(&cfg, iters as f64));
         (psnr, runtime)
     };
 

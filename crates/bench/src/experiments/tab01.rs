@@ -4,8 +4,7 @@
 
 use super::common::{mean_of, run_on_dataset, synthetic_dataset};
 use crate::table::Table;
-use crate::workloads::paper_workload;
-use instant3d_core::TrainConfig;
+use instant3d_core::{PipelineWorkload, TrainConfig};
 use instant3d_devices::DeviceModel;
 
 /// Trains the three Tab. 1 configurations and prints measured PSNR plus
@@ -42,7 +41,7 @@ pub fn run(quick: bool) {
             })
             .collect();
         let psnr = mean_of(&runs, |r| r.psnr);
-        let runtime = xavier.runtime(&paper_workload(&cfg, iters as f64));
+        let runtime = xavier.runtime(&PipelineWorkload::paper_scale(&cfg, iters as f64));
         t.row_owned(vec![
             label.to_string(),
             format!("{runtime:.0}"),

@@ -9,8 +9,7 @@
 
 use super::common::{mean_of, run_on_dataset, synthetic_dataset, SceneRun};
 use crate::table::Table;
-use crate::workloads::paper_workload;
-use instant3d_core::TrainConfig;
+use instant3d_core::{PipelineWorkload, TrainConfig};
 use instant3d_devices::DeviceModel;
 
 /// Trains the three Tab. 2 configurations and prints measured PSNR plus
@@ -51,7 +50,7 @@ pub fn run(quick: bool) {
         let mid = mean_of(&runs, |r| {
             r.history.first().map(|h| h.1).unwrap_or(f32::NAN)
         });
-        let runtime = xavier.runtime(&paper_workload(&cfg, iters as f64));
+        let runtime = xavier.runtime(&PipelineWorkload::paper_scale(&cfg, iters as f64));
         t.row_owned(vec![
             label.to_string(),
             format!("{runtime:.0}"),

@@ -3,7 +3,6 @@
 
 use super::common::{mean_of, run_on_dataset, synthetic_dataset, SceneRun};
 use crate::table::Table;
-use crate::workloads::paper_workload;
 use instant3d_core::{PipelineWorkload, TrainConfig};
 use instant3d_devices::DeviceModel;
 use instant3d_scenes::{Dataset, SceneLibrary};
@@ -80,7 +79,7 @@ pub fn run(quick: bool) {
             // Larger scenes sample more points per ray; scale the paper
             // workload by the measured ratio.
             let factor = (points / synth_points).max(0.25);
-            let w = scale_points(paper_workload(&cfg, iters as f64), factor);
+            let w = scale_points(PipelineWorkload::paper_scale(&cfg, iters as f64), factor);
             let (p_rt, p_psnr) = paper[ai][di];
             t.row_owned(vec![
                 algo.to_string(),
@@ -94,7 +93,7 @@ pub fn run(quick: bool) {
     }
     t.print();
     println!(
-        "\n(*) procedural substrates — see DESIGN.md. Expected shape: Instant-3D\n\
+        "\n(*) procedural substrates — see the `instant3d-scenes` crate docs. Expected shape: Instant-3D\n\
          matches Instant-NGP's PSNR on every dataset at a lower modelled runtime."
     );
 }

@@ -2,9 +2,8 @@
 //! (algorithm × hardware) combinations on the three datasets.
 
 use crate::table::Table;
-use crate::workloads::paper_workload;
 use instant3d_accel::{Accelerator, FeatureSet};
-use instant3d_core::TrainConfig;
+use instant3d_core::{PipelineWorkload, TrainConfig};
 use instant3d_devices::{perf::ITERS_TO_PSNR26, DeviceModel};
 
 /// Prints normalized runtimes for Instant-NGP@Xavier, Instant-3D-algo@Xavier
@@ -37,7 +36,7 @@ pub fn run(_quick: bool) {
     let i3d = TrainConfig::instant3d();
 
     let scale = |cfg: &TrainConfig, f: f64| {
-        let mut w = paper_workload(cfg, ITERS_TO_PSNR26);
+        let mut w = PipelineWorkload::paper_scale(cfg, ITERS_TO_PSNR26);
         w.points_per_iter *= f;
         w.grid_reads_ff_per_iter *= f;
         w.grid_writes_bp_per_iter *= f;

@@ -1,66 +1,9 @@
-//! Workload construction: mapping training configurations (and measured
-//! training runs) onto paper-scale [`PipelineWorkload`]s for the device
-//! and accelerator models.
-//!
-//! Convention (§5.1, with the density/color entry-count typo corrected —
-//! see DESIGN.md): a branch at size factor 1.0 owns a 2¹⁸-entry table
-//! (1 MB at 2×fp16); the coupled Instant-NGP grid owns 2¹⁹ entries (2 MB).
-//! Per-iteration interpolation counts are pinned at the paper's ~200 000
-//! points × 16 levels.
+//! Budgets of the measured experiments: the laptop-scale training
+//! configuration, iteration count, scene set and dataset shape, full and
+//! `--quick`. (The paper-scale workload the device and accelerator models
+//! consume is `PipelineWorkload::paper_scale`.)
 
-use instant3d_core::{GridTopology, PipelineWorkload, TrainConfig};
-
-/// Paper-scale points per training iteration ("> 200,000 times per
-/// training iteration", §1).
-pub const PAPER_POINTS_PER_ITER: f64 = 200_000.0;
-
-/// Paper-scale hash-grid levels.
-pub const PAPER_LEVELS: u32 = 16;
-
-/// Bytes of a decomposed branch's table at size factor 1.0 (2¹⁸ entries ×
-/// 2 features × fp16 = 1 MB).
-pub const BRANCH_BYTES_AT_FACTOR_1: f64 = (1 << 20) as f64;
-
-/// Bytes of the coupled Instant-NGP table (2¹⁹ entries = 2 MB).
-pub const COUPLED_BYTES: f64 = (2 << 20) as f64;
-
-/// MLP multiply-accumulate-pairs per point per iteration (fwd ≈ 12 k
-/// FLOPs/point; backward ≈ 2×).
-pub const MLP_FLOPS_PER_POINT: f64 = 12_000.0 * 3.0;
-
-/// Builds the paper-scale workload a [`TrainConfig`] induces, for
-/// `iterations` training iterations.
-pub fn paper_workload(cfg: &TrainConfig, iterations: f64) -> PipelineWorkload {
-    let points = PAPER_POINTS_PER_ITER;
-    let reads_per_grid = points * PAPER_LEVELS as f64 * 8.0;
-    match cfg.topology {
-        GridTopology::Coupled => PipelineWorkload {
-            iterations,
-            rays_per_iter: 4096.0,
-            points_per_iter: points,
-            levels: PAPER_LEVELS,
-            grid_reads_ff_per_iter: reads_per_grid,
-            grid_writes_bp_per_iter: reads_per_grid / cfg.density_update_every as f64,
-            mlp_flops_per_iter: points * MLP_FLOPS_PER_POINT,
-            density_table_bytes: (COUPLED_BYTES * cfg.density_size_factor) as usize,
-            color_table_bytes: 0,
-            bytes_per_access: 4,
-        },
-        GridTopology::Decoupled => PipelineWorkload {
-            iterations,
-            rays_per_iter: 4096.0,
-            points_per_iter: points,
-            levels: PAPER_LEVELS,
-            grid_reads_ff_per_iter: 2.0 * reads_per_grid,
-            grid_writes_bp_per_iter: reads_per_grid / cfg.density_update_every as f64
-                + reads_per_grid / cfg.color_update_every as f64,
-            mlp_flops_per_iter: points * MLP_FLOPS_PER_POINT,
-            density_table_bytes: (BRANCH_BYTES_AT_FACTOR_1 * cfg.density_size_factor) as usize,
-            color_table_bytes: (BRANCH_BYTES_AT_FACTOR_1 * cfg.color_size_factor) as usize,
-            bytes_per_access: 4,
-        },
-    }
-}
+use instant3d_core::TrainConfig;
 
 /// The laptop-scale training configuration used by the measured
 /// experiments (Tabs. 1/2/4, Figs. 5/8/9/10/18): small enough that a
@@ -105,10 +48,14 @@ pub fn dataset_shape(quick: bool) -> (u32, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use instant3d_core::PipelineWorkload;
+
+    // The three `paper_scale` tests pin what the Tab. 1 / Tab. 2 / §5.1
+    // sweeps rely on: size factors and update periods reach the workload.
 
     #[test]
     fn coupled_workload_matches_ngp_scale() {
-        let w = paper_workload(&TrainConfig::instant_ngp(), 400.0);
+        let w = PipelineWorkload::paper_scale(&TrainConfig::instant_ngp(), 400.0);
         assert_eq!(w.color_table_bytes, 0);
         assert_eq!(w.density_table_bytes, 2 << 20);
         assert_eq!(w.grid_reads_ff_per_iter, 200_000.0 * 128.0);
@@ -116,19 +63,9 @@ mod tests {
     }
 
     #[test]
-    fn instant3d_workload_matches_preset_builder() {
-        let w = paper_workload(&TrainConfig::instant3d(), 256.0);
-        let reference = PipelineWorkload::paper_scale_instant3d(256.0);
-        assert_eq!(w.density_table_bytes, reference.density_table_bytes);
-        assert_eq!(w.color_table_bytes, reference.color_table_bytes);
-        assert_eq!(w.grid_reads_ff_per_iter, reference.grid_reads_ff_per_iter);
-        assert_eq!(w.grid_writes_bp_per_iter, reference.grid_writes_bp_per_iter);
-    }
-
-    #[test]
     fn update_periods_scale_bp_writes() {
-        let every1 = paper_workload(&TrainConfig::decoupled(1.0, 1.0, 1, 1), 1.0);
-        let every2 = paper_workload(&TrainConfig::decoupled(1.0, 1.0, 1, 2), 1.0);
+        let every1 = PipelineWorkload::paper_scale(&TrainConfig::decoupled(1.0, 1.0, 1, 1), 1.0);
+        let every2 = PipelineWorkload::paper_scale(&TrainConfig::decoupled(1.0, 1.0, 1, 2), 1.0);
         assert!(every2.grid_writes_bp_per_iter < every1.grid_writes_bp_per_iter);
         let expect = every1.grid_writes_bp_per_iter * 0.75; // color halved
         assert!((every2.grid_writes_bp_per_iter - expect).abs() < 1.0);
@@ -136,7 +73,7 @@ mod tests {
 
     #[test]
     fn size_factors_scale_tables() {
-        let w = paper_workload(&TrainConfig::decoupled(0.25, 1.0, 1, 1), 1.0);
+        let w = PipelineWorkload::paper_scale(&TrainConfig::decoupled(0.25, 1.0, 1, 1), 1.0);
         assert_eq!(w.density_table_bytes, 256 << 10);
         assert_eq!(w.color_table_bytes, 1 << 20);
     }

@@ -129,8 +129,8 @@ impl BatchWorkspace {
         Self::with_backend(model, model.kernel_backend().clone())
     }
 
-    /// Allocates a workspace with an explicit kernel backend (tests and
-    /// benches; trainers use [`BatchWorkspace::new`]).
+    /// Allocates a workspace with an explicit kernel backend (tests;
+    /// trainers use [`BatchWorkspace::new`]).
     pub fn with_backend(model: &NerfModel, backend: BackendHandle) -> Self {
         let emb_c_dim = model.color_mlp().in_dim() - model.sh_dim();
         BatchWorkspace {

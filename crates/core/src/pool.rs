@@ -80,9 +80,4 @@ impl WorkspacePool {
     pub fn parked_batch(&self) -> usize {
         self.batch.lock().unwrap().values().map(Vec::len).sum()
     }
-
-    /// Parked occupancy workspaces (diagnostics/tests).
-    pub fn parked_occ(&self) -> usize {
-        self.occ.lock().unwrap().len()
-    }
 }

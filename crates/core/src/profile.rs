@@ -7,6 +7,8 @@
 //! scale — to produce the runtime/energy numbers behind Figs. 4/7/16/17 and
 //! Tabs. 4/5.
 
+use crate::config::{GridTopology, TrainConfig};
+
 /// The six steps of the NeRF training pipeline (Fig. 2), with Step ③ split
 /// into its grid-interpolation and MLP halves and the backward pass broken
 /// out (matching the paper's Fig. 4 runtime-breakdown buckets).
@@ -192,6 +194,24 @@ pub struct PipelineWorkload {
     pub bytes_per_access: usize,
 }
 
+/// Paper-scale points per training iteration ("> 200,000 times per
+/// training iteration", §1).
+const PAPER_POINTS_PER_ITER: f64 = 200_000.0;
+
+/// Paper-scale hash-grid levels.
+const PAPER_LEVELS: u32 = 16;
+
+/// Bytes of a decomposed branch's table at size factor 1.0 (2¹⁸ entries ×
+/// 2 features × fp16 = 1 MB).
+const BRANCH_BYTES_AT_FACTOR_1: f64 = (1 << 20) as f64;
+
+/// Bytes of the coupled Instant-NGP table (2¹⁹ entries = 2 MB).
+const COUPLED_BYTES: f64 = (2 << 20) as f64;
+
+/// MLP multiply-accumulate-pairs per point per iteration (fwd ≈ 12 k
+/// FLOPs/point; backward ≈ 2×).
+const MLP_FLOPS_PER_POINT: f64 = 12_000.0 * 3.0;
+
 impl PipelineWorkload {
     /// Derives the per-iteration workload from measured statistics.
     ///
@@ -221,26 +241,51 @@ impl PipelineWorkload {
         }
     }
 
+    /// The paper-scale workload a [`TrainConfig`] induces, for `iterations`
+    /// training iterations: the paper's ~200 000 points × 16 levels × 8
+    /// corners per grid and 4096-ray batches whatever the configuration's
+    /// own batch; the topology, size factors and update periods set the
+    /// read/write counts and table bytes.
+    ///
+    /// Convention (§5.1, with the density/color entry-count typo corrected
+    /// — see [`PipelineWorkload::paper_scale_instant3d`]): a decoupled
+    /// branch at size factor 1.0 owns a 2¹⁸-entry table (1 MB at 2 × fp16),
+    /// the coupled Instant-NGP grid 2¹⁹ entries (2 MB).
+    pub fn paper_scale(cfg: &TrainConfig, iterations: f64) -> Self {
+        let points = PAPER_POINTS_PER_ITER;
+        let reads_per_grid = points * PAPER_LEVELS as f64 * 8.0;
+        // One grid read every iteration; scatter writes are averaged over
+        // the update schedule.
+        let coupled = PipelineWorkload {
+            iterations,
+            rays_per_iter: 4096.0,
+            points_per_iter: points,
+            levels: PAPER_LEVELS,
+            grid_reads_ff_per_iter: reads_per_grid,
+            grid_writes_bp_per_iter: reads_per_grid / cfg.density_update_every as f64,
+            mlp_flops_per_iter: points * MLP_FLOPS_PER_POINT,
+            density_table_bytes: (COUPLED_BYTES * cfg.density_size_factor) as usize,
+            color_table_bytes: 0,
+            bytes_per_access: 4, // 2 features × fp16
+        };
+        match cfg.topology {
+            GridTopology::Coupled => coupled,
+            GridTopology::Decoupled => PipelineWorkload {
+                grid_reads_ff_per_iter: 2.0 * reads_per_grid,
+                grid_writes_bp_per_iter: coupled.grid_writes_bp_per_iter
+                    + reads_per_grid / cfg.color_update_every as f64,
+                density_table_bytes: (BRANCH_BYTES_AT_FACTOR_1 * cfg.density_size_factor) as usize,
+                color_table_bytes: (BRANCH_BYTES_AT_FACTOR_1 * cfg.color_size_factor) as usize,
+                ..coupled
+            },
+        }
+    }
+
     /// The paper-scale Instant-NGP workload: ~200 000 embedding
     /// interpolations per iteration (§1), 16 levels, a 2 MB shared table
     /// (2¹⁹ entries × 2 features × fp16), 4096-ray batches.
     pub fn paper_scale_instant_ngp(iterations: f64) -> Self {
-        let points = 200_000.0;
-        let levels = 16u32;
-        let reads = points * levels as f64 * 8.0;
-        PipelineWorkload {
-            iterations,
-            rays_per_iter: 4096.0,
-            points_per_iter: points,
-            levels,
-            grid_reads_ff_per_iter: reads,
-            grid_writes_bp_per_iter: reads, // every FF read has a BP scatter
-            // Two 3-layer-ish 64-wide heads ≈ 12k MACs/point fwd, 2× bwd.
-            mlp_flops_per_iter: points * 12_000.0 * 3.0,
-            density_table_bytes: 2 << 20, // 2 MB
-            color_table_bytes: 0,
-            bytes_per_access: 4, // 2 features × fp16
-        }
+        Self::paper_scale(&TrainConfig::instant_ngp(), iterations)
     }
 
     /// The paper-scale Instant-3D workload: same point budget, but the grid
@@ -253,23 +298,7 @@ impl PipelineWorkload {
     /// the accelerator's 1 MB-density fusion mode; we use the consistent
     /// assignment (density 2¹⁸, color 2¹⁶).
     pub fn paper_scale_instant3d(iterations: f64) -> Self {
-        let points = 200_000.0;
-        let levels = 16u32;
-        let reads_per_grid = points * levels as f64 * 8.0;
-        PipelineWorkload {
-            iterations,
-            rays_per_iter: 4096.0,
-            points_per_iter: points,
-            levels,
-            // Both branches are read every iteration.
-            grid_reads_ff_per_iter: 2.0 * reads_per_grid,
-            // Density scattered every iteration; color every 2nd.
-            grid_writes_bp_per_iter: reads_per_grid * (1.0 + 0.5),
-            mlp_flops_per_iter: points * 12_000.0 * 3.0,
-            density_table_bytes: 1 << 20, // 1 MB
-            color_table_bytes: 256 << 10, // 256 KB
-            bytes_per_access: 4,
-        }
+        Self::paper_scale(&TrainConfig::instant3d(), iterations)
     }
 
     /// Total grid bytes moved per iteration (reads + writes).
@@ -280,12 +309,6 @@ impl PipelineWorkload {
     /// Total table bytes across branches.
     pub fn total_table_bytes(&self) -> usize {
         self.density_table_bytes + self.color_table_bytes
-    }
-
-    /// Returns a copy with a different iteration count.
-    pub fn with_iterations(mut self, iterations: f64) -> Self {
-        self.iterations = iterations;
-        self
     }
 }
 

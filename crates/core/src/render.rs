@@ -49,7 +49,6 @@
 use crate::batch::BatchWorkspace;
 use crate::model::NerfModel;
 use crate::pool::WorkspacePool;
-use crate::profile::WorkloadStats;
 use instant3d_nerf::camera::Camera;
 use instant3d_nerf::image::{DepthImage, RgbImage};
 use instant3d_nerf::math::{Aabb, Vec3};
@@ -226,24 +225,6 @@ pub struct RenderTelemetry {
     pub workspaces_minted: u64,
     /// Runner activations served by a pooled workspace (steady state).
     pub workspaces_recycled: u64,
-}
-
-impl RenderTelemetry {
-    /// The telemetry as a [`WorkloadStats`] record, stamped with the
-    /// model's backend/tier provenance — mints and recycles land in
-    /// `workspaces_allocated` / `workspaces_recycled` so render workload
-    /// aggregates alongside training stats.
-    pub fn as_workload_stats(&self, model: &NerfModel) -> WorkloadStats {
-        WorkloadStats {
-            backend: model.kernel_backend().name(),
-            tier: model.kernel_backend().tier().label(),
-            rays: self.rays,
-            points: self.points,
-            workspaces_allocated: self.workspaces_minted,
-            workspaces_recycled: self.workspaces_recycled,
-            ..WorkloadStats::default()
-        }
-    }
 }
 
 /// A cached tile: pixels plus the model/occupancy state they were

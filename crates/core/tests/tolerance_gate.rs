@@ -4,7 +4,7 @@
 //!
 //! The per-kernel bounds live in the nerf crate's
 //! `tolerance_differential.rs`; this suite closes the loop the ISSUE's
-//! acceptance criterion asks for — per-step rounding differences are
+//! acceptance bar asks for — per-step rounding differences are
 //! allowed to *accumulate* across optimizer updates, occupancy
 //! refreshes and compositing, but the reconstruction the user sees must
 //! stay within `max_psnr_drop_db` / `max_ssim_drop` of the strict

@@ -16,8 +16,7 @@
 //! * Fig. 16 — Instant-3D accelerator speedups of 224× / 132× / 45× over
 //!   Nano / TX2 / Xavier NX ⇒ Nano ≈ 0.20× and TX2 ≈ 0.34× of Xavier NX
 //!   throughput.
-//! * Reference iteration count: [`ITERS_TO_PSNR26`] = 400 (see
-//!   EXPERIMENTS.md).
+//! * Reference iteration count: [`ITERS_TO_PSNR26`] = 400.
 
 use crate::spec::{self, DeviceSpec};
 use instant3d_core::{PipelineStep, PipelineWorkload};

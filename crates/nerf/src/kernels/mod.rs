@@ -33,7 +33,7 @@
 //!
 //! New backends register at runtime through [`register`]; everything that
 //! names a backend — `TrainConfig::kernel_backend`, the
-//! `INSTANT3D_KERNEL_BACKEND` environment variable, bench IDs,
+//! `INSTANT3D_KERNEL_BACKEND` environment variable,
 //! `WorkloadStats::backend` — resolves through this one registry.
 //!
 //! # The two-tier registration contract
@@ -296,7 +296,7 @@ pub enum Tier {
 
 impl Tier {
     /// `"strict"` or `"lossy"` — the stable label stamped into
-    /// `WorkloadStats`, bench metadata and panic messages.
+    /// `WorkloadStats` and panic messages.
     pub fn label(&self) -> &'static str {
         match self {
             Tier::Strict => "strict",
@@ -342,8 +342,8 @@ impl std::fmt::Display for Tier {
 /// workers (the grid methods are called once per disjoint chunk / level);
 /// backends that need mutable state must synchronise it internally.
 pub trait Kernels: Send + Sync + std::fmt::Debug {
-    /// The registry name — stamped into bench IDs, `WorkloadStats`, and
-    /// panic messages. Lowercase, stable, unique per registered backend.
+    /// The registry name — stamped into `WorkloadStats` and panic
+    /// messages. Lowercase, stable, unique per registered backend.
     fn name(&self) -> &'static str;
 
     /// `self` as [`Any`], so callers holding a [`BackendHandle`] can
@@ -462,16 +462,6 @@ impl BackendHandle {
         BackendHandle(Arc::new(kernels))
     }
 
-    /// Wraps an existing shared backend.
-    pub fn from_arc(kernels: Arc<dyn Kernels>) -> Self {
-        BackendHandle(kernels)
-    }
-
-    /// Borrows the underlying trait object.
-    pub fn as_dyn(&self) -> &dyn Kernels {
-        &*self.0
-    }
-
     /// Downcasts to a concrete backend type (e.g.
     /// [`InstrumentedKernels`]), if this handle wraps one.
     pub fn downcast_ref<K: Kernels + 'static>(&self) -> Option<&K> {
@@ -540,7 +530,7 @@ impl BackendRegistry {
 
 /// Registers a backend, making it resolvable by [`get`]/[`resolve`] (and
 /// therefore selectable via `INSTANT3D_KERNEL_BACKEND` and picked up by
-/// the test suites and benches that iterate [`registered`]).
+/// the test suites that iterate [`registered`]).
 ///
 /// Registration is an API-level promise that the backend upholds the
 /// contract of its declared [tier](self#the-two-tier-registration-contract):

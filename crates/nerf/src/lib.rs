@@ -21,7 +21,7 @@
 //!   encode (a full encode is every level), per-level scatter, MLP
 //!   forward, MLP backward, compositing — the process-wide name registry
 //!   powering `TrainConfig`, the `INSTANT3D_KERNEL_BACKEND` env override,
-//!   bench IDs and workload stats, and five in-tree backends: the scalar
+//!   and workload stats, and five in-tree backends: the scalar
 //!   reference ([`kernels::ScalarKernels`]), the lane-batched SIMD default
 //!   ([`kernels::SimdKernels`]), an instrumented co-simulation backend
 //!   ([`kernels::InstrumentedKernels`]) that records live training

@@ -156,17 +156,6 @@ impl SceneLibrary {
         Dataset::from_scene(&scene, train, test, 96, Vec3::ONE)
     }
 
-    /// All eight synthetic scenes.
-    pub fn synthetic_all<R: Rng + ?Sized>(
-        resolution: u32,
-        train_views: usize,
-        rng: &mut R,
-    ) -> Vec<Dataset> {
-        (0..synthetic::NUM_SCENES)
-            .map(|i| Self::synthetic_scene(i, resolution, train_views, rng))
-            .collect()
-    }
-
     /// The SILVR-like large-volume hall, captured by a wide orbit inside
     /// the space.
     pub fn silvr_scene<R: Rng + ?Sized>(

@@ -97,31 +97,6 @@ impl Trace {
             .collect()
     }
 
-    /// Order-normalized view of the trace: every record as a
-    /// `(iter, phase-is-backprop, branch-is-color, level, corner, addr)`
-    /// tuple, sorted. Two captures of the same workload compare equal here
-    /// even when their phases interleave differently (e.g. the batched
-    /// engine emits all feed-forward reads before any scatter, while the
-    /// scalar path alternates per ray).
-    pub fn order_normalized(&self) -> Vec<(u32, bool, bool, u32, u8, u32)> {
-        let mut keys: Vec<(u32, bool, bool, u32, u8, u32)> = self
-            .records
-            .iter()
-            .map(|r| {
-                (
-                    r.iter,
-                    r.phase == AccessPhase::BackProp,
-                    r.branch == GridBranch::Color,
-                    r.level,
-                    r.corner,
-                    r.addr,
-                )
-            })
-            .collect();
-        keys.sort_unstable();
-        keys
-    }
-
     /// Iterations covered by the trace (inclusive range), or `None` if empty.
     pub fn iteration_range(&self) -> Option<(u32, u32)> {
         let mut it = self.records.iter().map(|r| r.iter);

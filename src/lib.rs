@@ -58,13 +58,6 @@
 //! feeds a [`trace::TraceCollector`] in the paper's point-major order
 //! (Figs. 8–10), and the `instrumented` kernel backend records the
 //! engine's real level-major traffic for the FRM/BUM co-simulation.
-//!
-//! # Benchmarks
-//!
-//! `cargo bench --bench train_iter` compares the scalar reference against
-//! the batched engine (single-threaded and on the full pool) at 256 /
-//! 1024 / 4096 rays per batch; `cargo bench --bench grid_interp` includes
-//! the batched point-major, level-major and parallel grid kernels.
 
 pub use instant3d_accel as accel;
 pub use instant3d_core as core;
