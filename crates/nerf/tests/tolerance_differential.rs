@@ -19,6 +19,7 @@
 //! a point falls in a lane.
 
 use instant3d_nerf::activation::Activation;
+use instant3d_nerf::adam::{Adam, AdamConfig};
 use instant3d_nerf::grid::{HashGrid, HashGridConfig};
 use instant3d_nerf::kernels::{self, BackendHandle, Tolerance};
 use instant3d_nerf::math::Vec3;
@@ -403,8 +404,12 @@ fn lane_kernel_bits_are_pinned_across_commits() {
     // refactor of a shared body could re-round `fast` without failing
     // anything. Each digest was computed at the commit before its body
     // was shared; `simd` rides along as the strict monomorph of the same
-    // code.
-    const PINNED: [(&str, [u64; 5]); 2] = [
+    // code. The sixth digest pins the grid optimizer tail fed by each
+    // backend's own scatter (three steps on a 3-level fp16 grid); its
+    // value was taken through `scan → HashGrid::apply_sparse_step →
+    // GridGradients::zero` at the commit before the consuming sweep
+    // existed.
+    const PINNED: [(&str, [u64; 6]); 2] = [
         (
             "fast",
             [
@@ -413,6 +418,7 @@ fn lane_kernel_bits_are_pinned_across_commits() {
                 0x02fcde448523b932,
                 0x679b54daa1fd5456,
                 0x0cf50e1fc3fb2a6f,
+                0x28c42bc4e65c66d2,
             ],
         ),
         (
@@ -423,6 +429,7 @@ fn lane_kernel_bits_are_pinned_across_commits() {
                 0x042d55ce15de4bfc,
                 0x596a0ac1a63d64a5,
                 0x1da64951f3eadc7d,
+                0x0387fe949943c83b,
             ],
         ),
     ];
@@ -436,7 +443,7 @@ fn lane_kernel_bits_are_pinned_across_commits() {
     );
     for (name, pinned) in PINNED {
         let backend = kernels::resolve(name);
-        let mut digests = [FNV_OFFSET; 5];
+        let mut digests = [FNV_OFFSET; 6];
         for n in [1usize, 7, 8, 9, 300, 1000] {
             let pts = points(n, 5000 + n as u64);
             let mut emb = vec![0.0f32; n * w];
@@ -494,9 +501,42 @@ fn lane_kernel_bits_are_pinned_across_commits() {
             }
             fnv1a(&mut digests[4], &d_in);
         }
+        let mut tail_grid = grid(
+            HashGridConfig {
+                levels: 3,
+                log2_table_size: 10,
+                base_resolution: 4,
+                max_resolution: 32,
+                store_fp16: true,
+                ..HashGridConfig::default()
+            },
+            97,
+        );
+        let mut opt = Adam::new(AdamConfig::for_grid(), tail_grid.num_params());
+        let mut grads = tail_grid.zero_grads();
+        let tw = tail_grid.output_dim();
+        for step in 0..3u64 {
+            let pts = points(300, 8000 + step);
+            let d_out: Vec<f32> = (0..300 * tw)
+                .map(|i| 0.37 * ((i % 11) as f32 - 5.0))
+                .collect();
+            tail_grid.par_backward_batch_with(&backend, &pts, &d_out, &mut grads);
+            let touched: Vec<usize> = (0..grads.values.len())
+                .filter(|&i| grads.values[i] != 0.0)
+                .collect();
+            tail_grid.apply_sparse_step(&mut opt, &grads.values, &touched);
+            grads.zero();
+        }
+        fnv1a(&mut digests[5], tail_grid.params());
+        let versions: Vec<f32> = tail_grid
+            .level_versions()
+            .iter()
+            .map(|&v| v as f32)
+            .collect();
+        fnv1a(&mut digests[5], &versions);
         assert_eq!(
             digests, pinned,
-            "{name} [encode, scatter, composite, mlp forward, mlp backward] digests: {digests:#018x?}"
+            "{name} [encode, scatter, composite, mlp forward, mlp backward, grid optimizer tail] digests: {digests:#018x?}"
         );
     }
 }
