@@ -52,8 +52,11 @@ pub mod lexer;
 use lexer::{lex, Tok, TokKind};
 
 /// Strict-tier kernel modules where FMA contraction is forbidden outside
-/// `// CONTRACT: lossy-tier` items.
+/// `// CONTRACT: lossy-tier` items. `adam.rs` and `fp16.rs` are the grid
+/// optimizer sweep every golden suite runs through.
 pub const FMA_STRICT_FILES: &[&str] = &[
+    "crates/nerf/src/adam.rs",
+    "crates/nerf/src/fp16.rs",
     "crates/nerf/src/grid.rs",
     "crates/nerf/src/mlp.rs",
     "crates/nerf/src/render.rs",
@@ -67,6 +70,7 @@ pub const FMA_STRICT_FILES: &[&str] = &[
 /// each site must argue why it cannot fire (or why dying loudly beats
 /// corrupting a checkpoint).
 pub const PANIC_CENSUS_FILES: &[&str] = &[
+    "crates/nerf/src/adam.rs",
     "crates/nerf/src/grid.rs",
     "crates/nerf/src/mlp.rs",
     "crates/nerf/src/render.rs",

@@ -57,12 +57,19 @@ fn unmarked_mul_add_in_strict_module_fails_with_file_line() {
     // Only `simd.rs` may spell a fused op: in any other strict module the
     // marked `lossy_helper` literal is a violation too, while naming
     // `Fused` under the marker (`lossy_monomorph`) stays clean.
-    let vs = lint_source("crates/nerf/src/mlp.rs", src, &Config::default());
-    let fma = lints(&vs, "fma-strict");
-    assert_eq!(fma.len(), 3, "literal under the marker: {vs:?}");
-    let helper = src.lines().position(|l| l.contains("fn lossy_helper"));
-    assert_eq!(fma[1].line, helper.unwrap() as u32 + 2, "its body line");
-    assert!(fma[1].message.contains("literal `mul_add` outside"));
+    // The optimizer sweep's modules (`adam.rs`, `fp16.rs`) are strict too.
+    for strict in ["mlp.rs", "adam.rs", "fp16.rs"] {
+        let vs = lint_source(
+            &format!("crates/nerf/src/{strict}"),
+            src,
+            &Config::default(),
+        );
+        let fma = lints(&vs, "fma-strict");
+        assert_eq!(fma.len(), 3, "literal under the marker: {vs:?}");
+        let helper = src.lines().position(|l| l.contains("fn lossy_helper"));
+        assert_eq!(fma[1].line, helper.unwrap() as u32 + 2, "its body line");
+        assert!(fma[1].message.contains("literal `mul_add` outside"));
+    }
 }
 
 #[test]
@@ -114,6 +121,13 @@ fn unjustified_relaxed_and_unlisted_seqcst_fail() {
     assert_eq!(protocol.len(), 1, "protocol cross-check: {vs:?}");
     assert!(protocol[0].message.contains("SeqCst"));
     assert!(protocol[0].message.contains("unlisted_protocol"));
+
+    // The Relaxed audit is not rayon-only: the optimizer sweep's
+    // any-touched flag in `adam.rs` answers to it too.
+    let vs = lint_source("crates/nerf/src/adam.rs", src, &Config::default());
+    let relaxed = lints(&vs, "atomics-ordering");
+    assert_eq!(relaxed.len(), 1, "relaxed audit: {vs:?}");
+    assert_eq!(relaxed[0].line, line);
 }
 
 #[test]
@@ -172,23 +186,25 @@ fn determinism_allowlist_suppresses_named_pairs_only() {
 #[test]
 fn unjustified_panics_in_hot_path_modules_fail() {
     let src = include_str!("fixtures/panic_unjustified.rs");
-    let vs = lint_source("crates/nerf/src/mlp.rs", src, &Config::default());
-    let census = lints(&vs, "panic-census");
-    // The three bare sites in `hot_path`; `justified`, `trailing_marker`
-    // and the #[cfg(test)] module are clean.
-    assert_eq!(census.len(), 3, "panic census: {vs:?}");
-    for (needle, what) in [
-        ("v.first().unwrap()", "`.unwrap()`"),
-        ("v.last().expect", "`.expect()`"),
-        ("panic!(\"batch too large\")", "`panic!`"),
-    ] {
-        let line = src.lines().position(|l| l.contains(needle)).unwrap() as u32 + 1;
-        assert!(
-            census
-                .iter()
-                .any(|v| v.line == line && v.message.contains(what)),
-            "missing {what} at line {line}: {census:?}"
-        );
+    for hot in ["crates/nerf/src/mlp.rs", "crates/nerf/src/adam.rs"] {
+        let vs = lint_source(hot, src, &Config::default());
+        let census = lints(&vs, "panic-census");
+        // The three bare sites in `hot_path`; `justified`,
+        // `trailing_marker` and the #[cfg(test)] module are clean.
+        assert_eq!(census.len(), 3, "panic census: {vs:?}");
+        for (needle, what) in [
+            ("v.first().unwrap()", "`.unwrap()`"),
+            ("v.last().expect", "`.expect()`"),
+            ("panic!(\"batch too large\")", "`panic!`"),
+        ] {
+            let line = src.lines().position(|l| l.contains(needle)).unwrap() as u32 + 1;
+            assert!(
+                census
+                    .iter()
+                    .any(|v| v.line == line && v.message.contains(what)),
+                "missing {what} at line {line}: {census:?}"
+            );
+        }
     }
     // Outside the census file list the pass does not run.
     let vs2 = lint_source("crates/nerf/src/lib.rs", src, &Config::default());

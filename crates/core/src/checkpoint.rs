@@ -300,12 +300,15 @@ pub fn load(model: &mut NerfModel, data: &[u8]) -> Result<(), CheckpointError> {
     // Phase 3 — commit. Every shape was proven above, so nothing below
     // can fail: the model transitions atomically from its old parameter
     // set to the checkpoint's.
-    model
-        .density_grid_mut()
-        .params_mut()
-        .copy_from_slice(&density);
+    // `quantize_storage` changes no bit of an fp16-coded tensor; an
+    // f32-coded one can carry values fp16 storage cannot hold, and the
+    // grid optimizer only re-quantises the elements it updates.
+    let density_grid = model.density_grid_mut();
+    density_grid.params_mut().copy_from_slice(&density);
+    density_grid.quantize_storage();
     if let Some(g) = model.color_grid_mut() {
         g.params_mut().copy_from_slice(&color);
+        g.quantize_storage();
     }
     let mut idx = 0usize;
     let mut apply = |mlp: &mut instant3d_nerf::mlp::Mlp| {
@@ -354,6 +357,30 @@ mod tests {
             assert!((s1 - s2).abs() < 1e-5, "{topo:?} sigma {s1} vs {s2}");
             assert!((c1 - c2).norm() < 1e-5, "{topo:?} rgb {c1} vs {c2}");
         }
+    }
+
+    #[test]
+    fn f32_coded_grid_tensor_is_quantised_to_fp16_storage() {
+        // Tensor 0 re-coded as f32 with a value fp16 cannot represent.
+        let original = model(8, GridTopology::Decoupled);
+        assert!(original.density_grid().config().store_fp16);
+        let blob = save(&original);
+        let mut density = original.density_grid().params().to_vec();
+        density[0] = 0.1;
+        let mut w = Writer { buf: Vec::new() };
+        w.buf.extend_from_slice(MAGIC);
+        w.u16(VERSION);
+        w.f32_slice(&density);
+        w.buf
+            .extend_from_slice(&blob[MAGIC.len() + 2 + 4 + 1 + 2 * density.len()..]);
+        let mut restored = model(9, GridTopology::Decoupled);
+        load(&mut restored, &w.buf).unwrap();
+        let q = instant3d_nerf::fp16::quantize(0.1);
+        assert_eq!(restored.density_grid().params()[0].to_bits(), q.to_bits());
+        assert_eq!(
+            restored.density_grid().params()[1..],
+            original.density_grid().params()[1..]
+        );
     }
 
     #[test]

@@ -71,16 +71,6 @@ pub struct ModelGradients {
 }
 
 impl ModelGradients {
-    /// Zeroes every buffer.
-    pub fn zero(&mut self) {
-        self.density_grid.zero();
-        if let Some(g) = &mut self.color_grid {
-            g.zero();
-        }
-        self.sigma_mlp.zero();
-        self.color_mlp.zero();
-    }
-
     /// Scales every gradient by `s` (batch-mean reduction).
     pub fn scale(&mut self, s: f32) {
         self.density_grid.scale(s);

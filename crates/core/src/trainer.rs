@@ -116,8 +116,9 @@ pub struct Trainer {
     images: Vec<RgbImage>,
     background: Vec3,
     ws: ModelWorkspace,
+    /// Gradient buffers. The two grid buffers are all `+0.0` between
+    /// steps: the optimizer tail consumes (or zeroes) what a step scatters.
     grads: ModelGradients,
-    touched_scratch: Vec<usize>,
     /// Batched-engine scratch, reused across iterations. `None` until
     /// the first batched step (or between a detach and the next attach):
     /// the serve layer parks workspaces in a shared pool between job
@@ -223,7 +224,6 @@ impl Trainer {
             background: dataset.background,
             ws,
             grads,
-            touched_scratch: Vec::new(),
             bws: None,
             bws_allocated: 0,
             ray_scratch: Vec::new(),
@@ -262,9 +262,10 @@ impl Trainer {
     /// Step mapping: batch sampling → Step ①; per-ray segment sampling and
     /// direction encoding → Step ②; grid reads → ③-① fwd; MLP heads →
     /// ③-② fwd; compositing and its backward → Step ④; loss → Step ⑤;
-    /// head backward + MLP Adam → ③-② bwd; zeroing the gradient buffers
-    /// (a full-table fill on Instant-NGP-sized grids) + grid scatter +
-    /// grid Adam + occupancy upkeep → ③-① bwd.
+    /// head backward + zeroing the MLP gradients + MLP Adam → ③-② bwd;
+    /// grid scatter + the grid optimizer sweep (sparse Adam, fp16
+    /// re-quantise and gradient zeroing in one pass) + occupancy upkeep →
+    /// ③-① bwd.
     pub fn timer(&self) -> &StepTimer {
         &self.timer
     }
@@ -399,8 +400,8 @@ impl Trainer {
             &mut self.ray_scratch,
         );
         lap(&mut self.timer, &mut last, Ps::SamplePixels);
-        self.grads.zero();
-        lap(&mut self.timer, &mut last, Ps::GridBackward);
+        self.zero_mlp_grads();
+        lap(&mut self.timer, &mut last, Ps::MlpBackward);
 
         // Step ② + ③ sampling: stratified segments and occupancy culling,
         // filling the SoA buffers ray by ray (RNG order matches scalar).
@@ -509,7 +510,7 @@ impl Trainer {
 
         // Steps ① + ②: pixel batch → rays.
         let batch = sample_pixel_batch(&self.cameras, &self.images, self.cfg.rays_per_batch, rng);
-        self.grads.zero();
+        self.zero_mlp_grads();
 
         let emb_d_dim = self.model.density_grid().output_dim();
         let emb_c_dim = self.ws.emb_c.len();
@@ -602,23 +603,43 @@ impl Trainer {
     // their side effects are identical: grid Adam, MLP Adam, occupancy
     // refresh, then `finish_step`. The engine laps its clock between them.
 
-    /// Sparse grid-Adam steps, gated by the update schedules.
+    /// Step-start gradient reset: only the MLP buffers need one, because
+    /// the previous step's [`Trainer::apply_grid_steps`] left both grid
+    /// buffers zero.
+    fn zero_mlp_grads(&mut self) {
+        debug_assert!(
+            std::iter::once(&self.grads.density_grid)
+                .chain(&self.grads.color_grid)
+                .all(|g| g.count == 0 && g.values.iter().all(|v| v.to_bits() == 0)),
+            "grid gradients must be all-zero between steps"
+        );
+        self.grads.sigma_mlp.zero();
+        self.grads.color_mlp.zero();
+    }
+
+    /// The grid optimizer tail, gated by the update schedules: one
+    /// consuming sweep per updating grid (sparse Adam + fp16 re-quantise +
+    /// precise per-level version bumps + gradient zeroing; levels no step
+    /// touched keep their cached occupancy embeddings valid).
     fn apply_grid_steps(&mut self, update_density: bool, update_color: bool) {
+        let grads = &mut self.grads.density_grid;
         if update_density {
-            Self::apply_grid_step(
-                self.model.density_grid_mut(),
-                &self.grads.density_grid,
-                &mut self.grid_d_opt,
-                &mut self.touched_scratch,
-            );
+            self.model
+                .density_grid_mut()
+                .apply_step_consuming(&mut self.grid_d_opt, grads);
+        } else {
+            // The density head back-propagates every step, so this buffer
+            // was scattered into even though its grid sits this one out.
+            grads.zero();
         }
+        // A color grid that does not update was not scattered into.
         if update_color {
             if let (Some(grid), Some(opt), Some(grads)) = (
                 self.model.color_grid_mut(),
                 self.grid_c_opt.as_mut(),
-                self.grads.color_grid.as_ref(),
+                self.grads.color_grid.as_mut(),
             ) {
-                Self::apply_grid_step(grid, grads, opt, &mut self.touched_scratch);
+                grid.apply_step_consuming(opt, grads);
             }
         }
     }
@@ -736,27 +757,6 @@ impl Trainer {
         });
 
         self.iter += 1;
-    }
-
-    fn apply_grid_step(
-        grid: &mut instant3d_nerf::grid::HashGrid,
-        grads: &instant3d_nerf::grid::GridGradients,
-        opt: &mut Adam,
-        touched: &mut Vec<usize>,
-    ) {
-        touched.clear();
-        touched.extend(
-            grads
-                .values
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| **v != 0.0)
-                .map(|(i, _)| i),
-        );
-        // Sparse Adam + fp16 re-quantisation + precise per-level version
-        // bumps: levels no step touched keep their cached occupancy
-        // embeddings valid.
-        grid.apply_sparse_step(opt, &grads.values, touched);
     }
 
     /// Trains for `iterations` steps and evaluates once at the end.

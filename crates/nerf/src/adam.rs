@@ -3,6 +3,14 @@
 //!
 //! Instant-NGP uses β₁ = 0.9, β₂ = 0.99 and a very small ε (1e-15) so tiny
 //! grid gradients still move; those are the defaults here.
+//!
+//! The update is written without fused multiply-adds and with real
+//! divisions in all three entry points: the sparse step and the consuming
+//! sweep share one expression tree, and the golden suites pin its bits.
+
+use crate::fp16;
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Adam hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -130,22 +138,147 @@ impl Adam {
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range.
+    /// Panics if `params` or `grads` don't match the state size, or if any
+    /// index is out of range.
     pub fn step_sparse(&mut self, params: &mut [f32], grads: &[f32], touched: &[usize]) {
         assert_eq!(params.len(), self.m.len(), "param count mismatch");
+        assert_eq!(grads.len(), self.m.len(), "grad count mismatch");
         self.t += 1;
-        let b1 = self.cfg.beta1;
-        let b2 = self.cfg.beta2;
-        let bias1 = 1.0 - b1.powi(self.t as i32);
-        let bias2 = 1.0 - b2.powi(self.t as i32);
+        let k = self.sparse_update(self.t, false);
         for &i in touched {
-            let g = grads[i];
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g;
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g;
-            let m_hat = self.m[i] / bias1;
-            let v_hat = self.v[i] / bias2;
-            params[i] -= self.cfg.lr * m_hat / (v_hat.sqrt() + self.cfg.eps);
+            k.apply(&mut params[i], &mut self.m[i], &mut self.v[i], grads[i]);
         }
+    }
+
+    /// The per-element update of the sparse entry points at step `t`.
+    fn sparse_update(&self, t: u64, quantize_fp16: bool) -> SparseUpdate {
+        SparseUpdate {
+            lr: self.cfg.lr,
+            b1: self.cfg.beta1,
+            b2: self.cfg.beta2,
+            eps: self.cfg.eps,
+            bias1: 1.0 - self.cfg.beta1.powi(t as i32),
+            bias2: 1.0 - self.cfg.beta2.powi(t as i32),
+            quantize_fp16,
+        }
+    }
+
+    /// Consuming variant of [`Adam::step_sparse`] for a level-major table:
+    /// one pass over `params`, the moments and `grads` that updates every
+    /// element whose gradient is `!= 0.0` (so `-0.0` is skipped and NaN is
+    /// applied) exactly as `step_sparse` would, rounds the updated
+    /// parameter through fp16 when `quantize_fp16`, and leaves every
+    /// gradient `+0.0`. Level `l` is `cuts[l]..cuts[l + 1]`;
+    /// `level_touched(l)` is called, in ascending order, for each level
+    /// that held a non-zero gradient. The step counter advances once, and
+    /// only if some level was touched; returns whether it did.
+    ///
+    /// `par_chunk = Some(len)` walks each level in `len`-element chunks on
+    /// the rayon pool (one dispatch per level); `None` stays on the calling
+    /// thread. Elements are independent, so the result does not depend on
+    /// `par_chunk` or the worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` or `grads` don't match the state size or `cuts`
+    /// is not an ascending partition of it.
+    pub(crate) fn step_consuming(
+        &mut self,
+        params: &mut [f32],
+        grads: &mut [f32],
+        cuts: &[usize],
+        quantize_fp16: bool,
+        par_chunk: Option<usize>,
+        mut level_touched: impl FnMut(usize),
+    ) -> bool {
+        assert_eq!(params.len(), self.m.len(), "param count mismatch");
+        assert_eq!(grads.len(), self.m.len(), "grad count mismatch");
+        assert!(
+            cuts.first() == Some(&0) && cuts.last() == Some(&params.len()),
+            "level cuts must span the table"
+        );
+        // The bias corrections belong to the step this call takes if it
+        // takes one; `t` itself moves only once a gradient was seen.
+        let k = self.sparse_update(self.t + 1, quantize_fp16);
+        let mut any = false;
+        for (l, w) in cuts.windows(2).enumerate() {
+            let (p, m, v, g) = (
+                &mut params[w[0]..w[1]],
+                &mut self.m[w[0]..w[1]],
+                &mut self.v[w[0]..w[1]],
+                &mut grads[w[0]..w[1]],
+            );
+            let touched = match par_chunk {
+                Some(len) => {
+                    let flag = AtomicBool::new(false);
+                    p.par_chunks_mut(len)
+                        .zip(m.par_chunks_mut(len))
+                        .zip(v.par_chunks_mut(len))
+                        .zip(g.par_chunks_mut(len))
+                        .for_each(|(((p, m), v), g)| {
+                            if k.consume(p, m, v, g) {
+                                // ORDERING: a set-only flag that publishes
+                                // no other data; the region's join orders
+                                // it before the load below.
+                                flag.store(true, Ordering::Relaxed);
+                            }
+                        });
+                    // ORDERING: read after the parallel region has joined.
+                    flag.load(Ordering::Relaxed)
+                }
+                None => k.consume(p, m, v, g),
+            };
+            if touched {
+                level_touched(l);
+                any = true;
+            }
+        }
+        if any {
+            self.t += 1;
+        }
+        any
+    }
+}
+
+/// One step's constants for the sparse entry points.
+#[derive(Clone, Copy)]
+struct SparseUpdate {
+    lr: f32,
+    b1: f32,
+    b2: f32,
+    eps: f32,
+    bias1: f32,
+    bias2: f32,
+    quantize_fp16: bool,
+}
+
+impl SparseUpdate {
+    /// Adam on one element. The expression tree is the pinned one: two
+    /// roundings per multiply-add, real divisions, no reciprocal.
+    #[inline(always)]
+    fn apply(&self, p: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
+        *m = self.b1 * *m + (1.0 - self.b1) * g;
+        *v = self.b2 * *v + (1.0 - self.b2) * g * g;
+        let m_hat = *m / self.bias1;
+        let v_hat = *v / self.bias2;
+        *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        if self.quantize_fp16 {
+            *p = fp16::quantize(*p);
+        }
+    }
+
+    /// Applies and clears one chunk of gradients; true if any was non-zero.
+    fn consume(&self, p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &mut [f32]) -> bool {
+        let mut any = false;
+        for (((p, m), v), g) in p.iter_mut().zip(m).zip(v).zip(g) {
+            if *g != 0.0 {
+                self.apply(p, m, v, *g);
+                any = true;
+            }
+            // Unconditional: a skipped `-0.0` must read `+0.0` afterwards.
+            *g = 0.0;
+        }
+        any
     }
 }
 
@@ -239,5 +372,21 @@ mod tests {
     fn size_mismatch_panics() {
         let mut opt = Adam::new(AdamConfig::default(), 2);
         opt.step(&mut [0.0], &[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "grad count mismatch")]
+    fn sparse_step_short_grads_panics() {
+        // The touched index is inside the short slice, so only the length
+        // check can object.
+        let mut opt = Adam::new(AdamConfig::default(), 4);
+        opt.step_sparse(&mut [0.0; 4], &[1.0; 2], &[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "grad count mismatch")]
+    fn consuming_step_short_grads_panics() {
+        let mut opt = Adam::new(AdamConfig::default(), 4);
+        opt.step_consuming(&mut [0.0; 4], &mut [1.0; 2], &[0, 4], false, None, |_| {});
     }
 }

@@ -333,24 +333,41 @@ impl HashGrid {
         &self.params
     }
 
-    /// Mutable view of all parameters (for the optimizer).
+    /// Mutable view of all parameters (checkpoint restore, tests).
     ///
     /// Any level may be written through this view, so it conservatively
-    /// bumps every level version; the optimizer hot path uses
-    /// [`HashGrid::apply_sparse_step`], which bumps only the levels a step
-    /// actually touched.
+    /// bumps every level version; the optimizer entry points
+    /// ([`HashGrid::apply_step_consuming`], [`HashGrid::apply_sparse_step`])
+    /// bump only the levels a step actually touched.
+    ///
+    /// With `store_fp16` set, every stored value must round-trip through
+    /// [`fp16::quantize`]: the optimizer re-quantises only the elements it
+    /// updates and relies on the rest already being representable. A
+    /// caller that writes other values owes a
+    /// [`HashGrid::quantize_storage`] before the next optimizer step
+    /// (debug builds assert it on entry to both).
     pub fn params_mut(&mut self) -> &mut [f32] {
         self.bump_all_levels();
         &mut self.params
     }
 
-    /// Quantises all parameters to fp16 storage (call after optimizer steps
-    /// when `store_fp16` is set).
+    /// Quantises all parameters to fp16 storage (call after writing
+    /// through [`HashGrid::params_mut`] when `store_fp16` is set).
     pub fn quantize_storage(&mut self) {
         if self.cfg.store_fp16 {
             fp16::quantize_slice(&mut self.params);
             self.bump_all_levels();
         }
+    }
+
+    /// The storage invariant the optimizer entry points rely on:
+    /// `store_fp16` ⇒ every parameter is bit-equal to its fp16 round trip.
+    fn storage_is_fp16_exact(&self) -> bool {
+        !self.cfg.store_fp16
+            || self
+                .params
+                .iter()
+                .all(|p| fp16::quantize(*p).to_bits() == p.to_bits())
     }
 
     /// Per-level parameter version counters. A consumer caching derived
@@ -362,14 +379,70 @@ impl HashGrid {
         &self.level_versions
     }
 
-    /// Applies one sparse Adam step to the listed parameter indices,
-    /// re-quantises fp16 storage, and bumps the version of exactly the
-    /// levels containing a touched index — the precise invalidation path
-    /// the trainer uses (in contrast to [`HashGrid::params_mut`]'s
-    /// conservative all-levels bump). A no-op when `touched` is empty.
+    /// The trainer's grid optimizer tail, as one pass: applies a sparse
+    /// Adam step to every parameter whose gradient is `!= 0.0`, rounds each
+    /// updated parameter through fp16 when `store_fp16` is set, bumps the
+    /// version of exactly the levels that held a non-zero gradient (all to
+    /// the same new value) and leaves `grads` all `+0.0` with a zero point
+    /// count. `Adam::steps` and the version clock advance only if some
+    /// gradient was non-zero.
     ///
-    /// fp16 re-quantisation is idempotent on already-quantised values, so
-    /// untouched levels' features are bit-unchanged and their cached
+    /// Bit-identical to collecting the non-zero indices, calling
+    /// [`HashGrid::apply_sparse_step`] and then [`GridGradients::zero`]
+    /// (pinned by `tests/optimizer_differential.rs`), at any worker count:
+    /// tables of at least `PAR_SWEEP_MIN_PARAMS` (2^20) scalars walk each
+    /// level in `SWEEP_CHUNK`-element chunks on the rayon pool, smaller
+    /// ones stay on the calling thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opt` or `grads` don't match the parameter count.
+    pub fn apply_step_consuming(&mut self, opt: &mut Adam, grads: &mut GridGradients) {
+        let par_chunk = (self.params.len() >= PAR_SWEEP_MIN_PARAMS).then_some(SWEEP_CHUNK);
+        self.apply_step_consuming_chunked(opt, grads, par_chunk);
+    }
+
+    /// [`HashGrid::apply_step_consuming`] with the dispatch decision as an
+    /// argument (`Some(len)`: `len`-element chunks on the pool; `None`:
+    /// calling thread), so the differential suite can drive both arms on
+    /// small grids. The result does not depend on it.
+    #[doc(hidden)]
+    pub fn apply_step_consuming_chunked(
+        &mut self,
+        opt: &mut Adam,
+        grads: &mut GridGradients,
+        par_chunk: Option<usize>,
+    ) {
+        debug_assert!(
+            self.storage_is_fp16_exact(),
+            "fp16 storage holds a non-representable value"
+        );
+        let version = self.version_clock + 1;
+        let versions = &mut self.level_versions;
+        let stepped = opt.step_consuming(
+            &mut self.params,
+            &mut grads.values,
+            &self.param_offsets,
+            self.cfg.store_fp16,
+            par_chunk,
+            |l| versions[l] = version,
+        );
+        if stepped {
+            self.version_clock = version;
+        }
+        grads.count = 0;
+    }
+
+    /// Applies one sparse Adam step to the listed parameter indices,
+    /// re-quantises them to fp16 storage, and bumps the version of exactly
+    /// the levels containing a touched index. A no-op when `touched` is
+    /// empty. Unlike [`HashGrid::apply_step_consuming`] it applies any
+    /// caller-chosen subset and leaves the gradients alone; it is the
+    /// reference the consuming sweep is pinned against.
+    ///
+    /// Only the touched parameters are re-quantised: every other stored
+    /// value is already fp16-representable (see [`HashGrid::params_mut`]),
+    /// so untouched levels' features are bit-unchanged and their cached
     /// embeddings stay valid.
     ///
     /// # Panics
@@ -385,9 +458,15 @@ impl HashGrid {
             touched.windows(2).all(|w| w[0] < w[1]),
             "touched indices must be strictly ascending"
         );
+        debug_assert!(
+            self.storage_is_fp16_exact(),
+            "fp16 storage holds a non-representable value"
+        );
         opt.step_sparse(&mut self.params, grad_values, touched);
         if self.cfg.store_fp16 {
-            fp16::quantize_slice(&mut self.params);
+            for &i in touched {
+                self.params[i] = fp16::quantize(self.params[i]);
+            }
         }
         self.bump_levels_touching(touched);
     }
@@ -1188,6 +1267,16 @@ fn for_each_level_slice<F>(
     }
 }
 
+/// Tables with at least this many scalars (4 MB per column) run
+/// [`HashGrid::apply_step_consuming`] on the rayon pool; below it a level
+/// is too short to repay a pool dispatch, so the same body runs on the
+/// calling thread.
+const PAR_SWEEP_MIN_PARAMS: usize = 1 << 20;
+
+/// Elements per parallel task of [`HashGrid::apply_step_consuming`]:
+/// 64 KB from each of the four columns it walks.
+const SWEEP_CHUNK: usize = 1 << 14;
+
 /// Accumulated gradients for a [`HashGrid`] (shape-matched flat buffer).
 #[derive(Debug, Clone)]
 pub struct GridGradients {
@@ -1458,6 +1547,24 @@ mod tests {
         let _ = g.params_mut();
         let v2 = g.level_versions().to_vec();
         assert!(v2.iter().zip(&v1).all(|(a, b)| a > b));
+        // The consuming sweep bumps exactly the levels that held a
+        // non-zero gradient, all to one new version.
+        let mut buf = g.zero_grads();
+        buf.values[g.param_offsets[0]] = 0.5;
+        buf.values[g.param_offsets[2] + 1] = -0.25;
+        buf.count = 2;
+        let steps = opt.steps();
+        g.apply_step_consuming(&mut opt, &mut buf);
+        let v3 = g.level_versions().to_vec();
+        assert!(v3[0] > v2[0]);
+        assert_eq!(v3[1], v2[1]);
+        assert_eq!(v3[2], v3[0]);
+        assert_eq!(opt.steps(), steps + 1);
+        assert!(buf.count == 0 && buf.values.iter().all(|v| v.to_bits() == 0));
+        // All-zero gradients: no step, no bump.
+        g.apply_step_consuming(&mut opt, &mut buf);
+        assert_eq!(g.level_versions(), &v3[..]);
+        assert_eq!(opt.steps(), steps + 1);
     }
 
     #[test]

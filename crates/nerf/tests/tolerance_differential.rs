@@ -521,11 +521,7 @@ fn lane_kernel_bits_are_pinned_across_commits() {
                 .map(|i| 0.37 * ((i % 11) as f32 - 5.0))
                 .collect();
             tail_grid.par_backward_batch_with(&backend, &pts, &d_out, &mut grads);
-            let touched: Vec<usize> = (0..grads.values.len())
-                .filter(|&i| grads.values[i] != 0.0)
-                .collect();
-            tail_grid.apply_sparse_step(&mut opt, &grads.values, &touched);
-            grads.zero();
+            tail_grid.apply_step_consuming(&mut opt, &mut grads);
         }
         fnv1a(&mut digests[5], tail_grid.params());
         let versions: Vec<f32> = tail_grid
