@@ -16,17 +16,15 @@
 //!   0/1/2 modes fuse 1/2/4 grid cores with 8/16/32 banks to hold
 //!   256 KB / 512 KB / 1 MB hash tables (§4.6, Figs. 11 & 14).
 //!
-//! Three simulation drivers:
+//! Two simulation drivers:
 //!
 //! * **Trace-driven** ([`frm::simulate_frm`], [`bum::simulate_bum`],
-//!   [`sram::BankedSram`]) — replay captured training address streams
-//!   cycle by cycle. Used for the Fig. 18 ablations and to measure the
-//!   utilisation/merge factors of the real access patterns.
-//! * **Live co-sim** ([`cosim`]) — ingest the address streams the
-//!   `"instrumented"` kernel backend
-//!   ([`instant3d_nerf::kernels::InstrumentedKernels`]) records during
-//!   real `Trainer::step` iterations and replay them through the FRM/BUM
-//!   online — Fig. 12/13-style utilisation with zero trace files.
+//!   [`sram::BankedSram`]) — replay training address streams cycle by
+//!   cycle. The streams come from one recorder: an `instant3d-trace`
+//!   `Trace` captured under `Trainer::step_scalar_observed`, flattened by
+//!   `Trace::reads_flat` / `Trace::updates_level_major`. Used for the
+//!   Fig. 18 ablations, `examples/accelerator_codesign.rs` and to measure
+//!   the utilisation/merge factors of the real access patterns.
 //! * **Analytic** ([`accelerator::Accelerator`]) — evaluate a paper-scale
 //!   [`instant3d_core::PipelineWorkload`] with the factors measured above.
 //!   Used for the Fig. 16/17 and Tab. 5 comparisons.
@@ -39,7 +37,6 @@
 pub mod accelerator;
 pub mod bum;
 pub mod config;
-pub mod cosim;
 pub mod dram;
 pub mod energy;
 pub mod frm;
@@ -52,6 +49,5 @@ pub mod sram;
 pub use accelerator::{Accelerator, FeatureSet, SimReport};
 pub use bum::{simulate_bum, BumConfig, BumResult};
 pub use config::AccelConfig;
-pub use cosim::{cosim_grid, CosimConfig, CosimReport};
 pub use frm::{simulate_baseline_reads, simulate_frm, FrmResult};
 pub use fusion::FusionMode;

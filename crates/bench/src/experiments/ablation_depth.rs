@@ -6,11 +6,11 @@
 //! empirical observations on real training traces: sweep the FRM window
 //! and BUM entry count and show 16 is the knee of both curves.
 
-use super::common::{capture_trace, flat_stream, synthetic_dataset};
+use super::common::{capture_trace, synthetic_dataset};
 use crate::table::Table;
 use instant3d_accel::{simulate_bum, simulate_frm, BumConfig};
 use instant3d_core::TrainConfig;
-use instant3d_nerf::grid::{AccessPhase, GridBranch};
+use instant3d_nerf::grid::GridBranch;
 
 /// Sweeps FRM depth and BUM entries on a captured trace.
 pub fn run(quick: bool) {
@@ -24,12 +24,7 @@ pub fn run(quick: bool) {
     let ds = synthetic_dataset(4, quick, 3100);
     let (trace, trainer) = capture_trace(&cfg, &ds, &capture, budget, 2_000_000, 3200);
 
-    let ff = flat_stream(
-        &trace,
-        &trainer,
-        AccessPhase::FeedForward,
-        GridBranch::Density,
-    );
+    let ff = trace.reads_flat(GridBranch::Density, trainer.model().density_grid());
     println!(
         "FRM window-depth sweep ({} captured reads, 8 banks):",
         ff.len()

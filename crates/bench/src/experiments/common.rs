@@ -131,28 +131,3 @@ pub fn capture_traces_per_iter(
     }
     (out, trainer)
 }
-
-/// Flattens trace records of one phase+branch into whole-table entry
-/// addresses (`level_offset + in-level addr`) in capture order — the
-/// address stream a grid core's SRAM banking sees.
-pub fn flat_stream(
-    trace: &instant3d_trace::Trace,
-    trainer: &Trainer,
-    phase: instant3d_nerf::grid::AccessPhase,
-    branch: instant3d_nerf::grid::GridBranch,
-) -> Vec<u32> {
-    let grid = match branch {
-        instant3d_nerf::grid::GridBranch::Density => trainer.model().density_grid(),
-        instant3d_nerf::grid::GridBranch::Color => match trainer.model().color_grid() {
-            Some(g) => g,
-            None => return Vec::new(),
-        },
-    };
-    let offsets: Vec<u32> = grid.levels().iter().map(|l| l.entry_offset).collect();
-    trace
-        .records
-        .iter()
-        .filter(|r| r.phase == phase && r.branch == branch)
-        .map(|r| offsets[r.level as usize] + r.addr)
-        .collect()
-}

@@ -5,14 +5,14 @@
 //! write-merge ratio on that trace, then evaluate the accelerator with
 //! {neither, FRM only, FRM+BUM} using the measured factors.
 
-use super::common::{capture_trace, flat_stream, synthetic_dataset};
+use super::common::{capture_trace, synthetic_dataset};
 use crate::table::Table;
 use instant3d_accel::{
     simulate_baseline_reads, simulate_bum, simulate_frm, Accelerator, BumConfig, FeatureSet,
 };
 use instant3d_core::{PipelineWorkload, TrainConfig};
 use instant3d_devices::perf::ITERS_TO_PSNR25;
-use instant3d_nerf::grid::{AccessPhase, GridBranch};
+use instant3d_nerf::grid::GridBranch;
 
 /// Runs the FRM/BUM ablation per scene.
 pub fn run(quick: bool) {
@@ -46,12 +46,7 @@ pub fn run(quick: bool) {
             capture_trace(&cfg, &ds, &capture, budget, 2_000_000, 1600 + i as u64);
 
         // Trace-driven microarchitecture measurements (one core, B8 view).
-        let ff = flat_stream(
-            &trace,
-            &trainer,
-            AccessPhase::FeedForward,
-            GridBranch::Density,
-        );
+        let ff = trace.reads_flat(GridBranch::Density, trainer.model().density_grid());
         let frm = simulate_frm(&ff, 8, 16);
         let base = simulate_baseline_reads(&ff, 8, 8);
         let bp: Vec<u64> = trace.bp_stream_level_major();

@@ -78,7 +78,6 @@ pub const PANIC_CENSUS_FILES: &[&str] = &[
     "crates/nerf/src/kernels/builtin.rs",
     "crates/nerf/src/kernels/checked.rs",
     "crates/nerf/src/kernels/fast.rs",
-    "crates/nerf/src/kernels/instrumented.rs",
     "crates/core/src/batch.rs",
     "crates/core/src/trainer.rs",
     "crates/core/src/timing.rs",

@@ -24,11 +24,11 @@
 //! 2. **Thread-count determinism** — results are bit-identical for any
 //!    worker count, because no reduction order depends on scheduling.
 //!
-//! The engine takes no access observer. Point-major traces (Figs. 8–10)
-//! come from the scalar reference step
-//! ([`Trainer::step_scalar_observed`](crate::Trainer::step_scalar_observed));
-//! the engine's own level-major traffic is recorded by running it on the
-//! `instrumented` kernel backend.
+//! The engine takes no access observer. Grid address streams have one
+//! recorder, the scalar reference step
+//! ([`Trainer::step_scalar_observed`](crate::Trainer::step_scalar_observed)):
+//! the engine has its bits, and `tests/batched_equivalence.rs` pins the
+//! engine's per-grid scatter order to that trace's level-major stream.
 
 use crate::config::GridTopology;
 use crate::model::{ModelGradients, NerfModel};
@@ -126,12 +126,6 @@ impl BatchWorkspace {
     /// Allocates a workspace shaped for `model`, running the model's
     /// kernel backend ([`NerfModel::kernel_backend`]).
     pub fn new(model: &NerfModel) -> Self {
-        Self::with_backend(model, model.kernel_backend().clone())
-    }
-
-    /// Allocates a workspace with an explicit kernel backend (tests;
-    /// trainers use [`BatchWorkspace::new`]).
-    pub fn with_backend(model: &NerfModel, backend: BackendHandle) -> Self {
         let emb_c_dim = model.color_mlp().in_dim() - model.sh_dim();
         BatchWorkspace {
             rays: RayBatch::new(),
@@ -159,7 +153,7 @@ impl BatchWorkspace {
             color_in_dim: model.color_mlp().in_dim(),
             sigma_layers: model.sigma_mlp().layers().len(),
             color_layers: model.color_mlp().layers().len(),
-            backend,
+            backend: model.kernel_backend().clone(),
         }
     }
 

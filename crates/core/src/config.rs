@@ -81,9 +81,10 @@ pub struct TrainConfig {
     pub eval_samples_per_ray: usize,
     /// Which kernel backend the batched engine runs — a handle resolved
     /// through the open backend registry (`instant3d_nerf::kernels`):
-    /// the scalar reference, the lane-batched SIMD default, the
-    /// instrumented co-sim backend, or any backend registered at runtime
-    /// (all bit-identical by contract). Every preset honours the
+    /// the scalar reference, the lane-batched SIMD default, the `checked`
+    /// shadow executor, the lossy `fast` backend, or any backend
+    /// registered at runtime (strict ones bit-identical by contract). Every
+    /// preset honours the
     /// `INSTANT3D_KERNEL_BACKEND` env var — a registry name lookup — which
     /// is how the CI matrix forces each registered backend.
     pub kernel_backend: BackendHandle,

@@ -370,9 +370,11 @@ impl Trainer {
     /// Scalar reference iteration (see [`Trainer::step_scalar`]) reporting
     /// every grid access to `obs` in the paper's point-major order, feed-
     /// forward reads and back-propagation writes interleaved ray by ray —
-    /// the capture path `instant3d-trace` uses for the Figs. 8–10 streams.
-    /// The engine's own level-major traffic is what the `instrumented`
-    /// kernel backend records under [`Trainer::step`].
+    /// the one recorder of grid address streams: `instant3d-trace` captures
+    /// the Figs. 8–10 streams through it, and the FRM/BUM replays read
+    /// them back flattened. [`Trainer::step`] has this step's bits, and
+    /// its scatter order per grid is the trace's level-major update stream
+    /// (pinned by `tests/batched_equivalence.rs`).
     pub fn step_scalar_observed<R: Rng + ?Sized, O: BranchObserver + ?Sized>(
         &mut self,
         rng: &mut R,

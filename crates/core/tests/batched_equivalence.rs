@@ -6,8 +6,8 @@
 //! tests pin that contract (and the acceptance tolerance of 1e-5 per
 //! pixel) across topologies, workload counters, rendering, and rayon
 //! worker counts — and they run the whole suite once per **registered
-//! kernel backend** (`kernels::registered_strict()` — scalar, simd, the
-//! instrumented co-sim backend, plus anything registered at runtime), so
+//! kernel backend** (`kernels::registered_strict()` — scalar, simd,
+//! checked, plus anything registered at runtime), so
 //! every backend in the registry is gated against the same scalar
 //! reference path on every run. A backend cannot register without
 //! entering this gate — that is the point of the open API.
@@ -128,9 +128,6 @@ fn runtime_registered_backend_enters_the_golden_gate_and_reports_stats() {
     impl instant3d_core::Kernels for DelegatingMock {
         fn name(&self) -> &'static str {
             "mock-golden"
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
         }
         fn grid_encode_levels_chunk(
             &self,

@@ -72,8 +72,8 @@ pub enum GridBranch {
 ///
 /// Driven by the scalar reference step (`Trainer::step_scalar_observed`
 /// in `instant3d-core`), so records arrive in the paper's point-major
-/// order. The batched engine takes no observer: its real level-major
-/// traffic is what the `instrumented` kernel backend records.
+/// order. The batched engine takes no observer; it has the reference
+/// step's bits, so the reference trace describes its traffic too.
 pub trait BranchObserver {
     /// Called once per table access, tagged with the branch.
     fn on_branch_access(
@@ -640,8 +640,8 @@ impl HashGrid {
     /// table over all points, writing that level's `F` columns of the
     /// `n × output_dim` SoA buffer (all other columns are untouched), with
     /// table reads reported to `obs` — the building block for observing
-    /// kernel backends (the instrumented co-sim backend records the
-    /// batched engine's real read stream through this). Outputs are
+    /// kernel backends (`tests/batched_equivalence.rs` records the batched
+    /// engine's real read stream through this). Outputs are
     /// bit-identical to every conforming backend; a [`NullObserver`]
     /// compiles down to the unobserved kernel.
     pub fn encode_level_observed<O: GridAccessObserver + ?Sized>(
@@ -908,10 +908,8 @@ impl HashGrid {
     /// All writes are disjoint output rows and each level's per-point
     /// arithmetic is independent of the rest of the list, so the result
     /// is bit-identical across strict backends, chunkings, worker counts
-    /// and level subsets. Backends that request
-    /// [`crate::kernels::Kernels::sequential_grid`] execution (recording
-    /// co-sim backends) get the whole batch as one chunk on the calling
-    /// thread.
+    /// and level subsets. On a one-worker pool the whole batch is one
+    /// chunk on the calling thread.
     ///
     /// # Panics
     ///
@@ -940,7 +938,7 @@ impl HashGrid {
         }
         let n = unit_positions.len();
         const CHUNK: usize = 256;
-        if n <= CHUNK || rayon::current_num_threads() <= 1 || backend.sequential_grid() {
+        if n <= CHUNK || rayon::current_num_threads() <= 1 {
             backend.grid_encode_levels_chunk(self, levels, unit_positions, out);
             return;
         }
@@ -980,8 +978,8 @@ impl HashGrid {
     /// One level's scatter, scalar reference kernel: walks all points in
     /// order, accumulating into that level's disjoint gradient slice, with
     /// every gradient write reported to `obs` — the backward counterpart
-    /// of [`HashGrid::encode_level_observed`] (the instrumented co-sim
-    /// backend records the engine's real update stream through this).
+    /// of [`HashGrid::encode_level_observed`] (`tests/batched_equivalence.rs`
+    /// records the engine's real update stream through this).
     /// `level_grads` is level `l`'s disjoint slice of the flat gradient
     /// buffer; per-parameter accumulation runs in point order, so the
     /// result is bit-identical to every conforming backend.
@@ -1131,9 +1129,7 @@ impl HashGrid {
     /// walking all points in order. Per-parameter accumulation order is
     /// point order — exactly the scalar kernel's — on every backend, so
     /// results are bit-identical to [`HashGrid::backward_batch_into`]
-    /// across strict backends and worker counts. Backends that request
-    /// [`crate::kernels::Kernels::sequential_grid`] execution get the
-    /// levels one by one, in level order, on the calling thread.
+    /// across strict backends and worker counts.
     pub fn par_backward_batch_with(
         &self,
         backend: &BackendHandle,
@@ -1156,7 +1152,6 @@ impl HashGrid {
             0,
             &mut grads.values,
             &self.param_offsets,
-            !backend.sequential_grid(),
             &|l, level_grads| {
                 backend.grid_scatter_level(self, l, level_grads, unit_positions, d_out);
             },
@@ -1184,8 +1179,8 @@ impl HashGrid {
 /// `values[cuts[i] - cuts[0]..cuts[i + 1] - cuts[0]]`. The slices are cut
 /// by `split_at_mut` down a binary tree, so each task owns exactly its
 /// level's range — disjoint and gap-free by construction, with no
-/// per-dispatch allocation. `parallel` forks the two halves with
-/// `rayon::join`; otherwise they run in ascending level order on the
+/// per-dispatch allocation. The two halves fork with `rayon::join`; on a
+/// one-worker pool that runs them in ascending level order on the
 /// calling thread.
 ///
 /// The overlap fixtures the `checked` backend once caught at run time are
@@ -1237,13 +1232,8 @@ impl HashGrid {
 /// grid.par_backward_batch_with(&kernels::simd(), &[], &[], &mut grads);
 /// kept[0] = 1.0;
 /// ```
-fn for_each_level_slice<F>(
-    first_level: usize,
-    values: &mut [f32],
-    cuts: &[usize],
-    parallel: bool,
-    task: &F,
-) where
+fn for_each_level_slice<F>(first_level: usize, values: &mut [f32], cuts: &[usize], task: &F)
+where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     let levels = cuts.len() - 1;
@@ -1256,15 +1246,10 @@ fn for_each_level_slice<F>(
     let mid = levels / 2;
     let (lo, hi) = values.split_at_mut(cuts[mid] - cuts[0]);
     let (lo_cuts, hi_cuts) = (&cuts[..=mid], &cuts[mid..]);
-    if parallel {
-        rayon::join(
-            || for_each_level_slice(first_level, lo, lo_cuts, true, task),
-            || for_each_level_slice(first_level + mid, hi, hi_cuts, true, task),
-        );
-    } else {
-        for_each_level_slice(first_level, lo, lo_cuts, false, task);
-        for_each_level_slice(first_level + mid, hi, hi_cuts, false, task);
-    }
+    rayon::join(
+        || for_each_level_slice(first_level, lo, lo_cuts, task),
+        || for_each_level_slice(first_level + mid, hi, hi_cuts, task),
+    );
 }
 
 /// Tables with at least this many scalars (4 MB per column) run

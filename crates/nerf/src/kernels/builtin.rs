@@ -7,7 +7,6 @@ use crate::math::Vec3;
 use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
 use crate::render::{composite_slices, composite_slices_lanes, RenderOutput};
 use crate::simd::Strict;
-use std::any::Any;
 
 /// The scalar reference backend (`"scalar"`): level-major scalar grid
 /// kernels, the unblocked row-major MLP rows, scalar compositing. This is the
@@ -19,10 +18,6 @@ pub struct ScalarKernels;
 impl Kernels for ScalarKernels {
     fn name(&self) -> &'static str {
         "scalar"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 
     fn grid_encode_levels_chunk(
@@ -94,10 +89,6 @@ pub struct SimdKernels;
 impl Kernels for SimdKernels {
     fn name(&self) -> &'static str {
         "simd"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 
     fn grid_encode_levels_chunk(

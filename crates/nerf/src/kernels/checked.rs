@@ -24,7 +24,6 @@ use crate::grid::HashGrid;
 use crate::math::Vec3;
 use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
 use crate::render::RenderOutput;
-use std::any::Any;
 
 /// Panics with the kernel identity and first diverging element when a
 /// checked kernel's bits differ from the scalar reference — the runtime
@@ -92,10 +91,6 @@ impl CheckedKernels {
 impl Kernels for CheckedKernels {
     fn name(&self) -> &'static str {
         "checked"
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 
     fn grid_encode_levels_chunk(

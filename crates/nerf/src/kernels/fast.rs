@@ -23,16 +23,14 @@
 //!   not nondeterministic.
 //! - **Feature detection is a speed switch, not a numerics switch.**
 //!   Where AVX2+FMA is absent the same fused bodies compile to SSE2 /
-//!   libm `fmaf` code paths with the same bits, so the backend registers
-//!   (and is [`available`](super::Kernels::available)) on every host —
-//!   it is merely slower without the wide FMA units.
+//!   libm `fmaf` code paths with the same bits, so the backend runs on
+//!   every host — it is merely slower without the wide FMA units.
 
 use super::{Kernels, Tier, Tolerance};
 use crate::grid::HashGrid;
 use crate::math::Vec3;
 use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
 use crate::render::{composite_slices_fast, RenderOutput};
-use std::any::Any;
 
 /// The fused-FMA lossy backend (`"fast"`). See the module docs for the
 /// contract; [`FastKernels::TOLERANCE`] for the declared error bounds.
@@ -64,10 +62,6 @@ impl Kernels for FastKernels {
 
     fn tier(&self) -> Tier {
         Tier::Lossy(Self::TOLERANCE)
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 
     fn grid_encode_levels_chunk(

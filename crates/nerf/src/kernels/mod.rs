@@ -7,7 +7,7 @@
 //! a full encode is the subset of every level), the per-level gradient
 //! scatter ([`Kernels::grid_scatter_level`]), the MLP batched forward and
 //! backward ([`Kernels::mlp_forward_batch`], [`Kernels::mlp_backward_batch`])
-//! and per-ray compositing ([`Kernels::composite_ray`]). Five backends
+//! and per-ray compositing ([`Kernels::composite_ray`]). Four backends
 //! ship in-tree:
 //!
 //! * [`ScalarKernels`] (`"scalar"`) — the scalar reference kernels, the
@@ -17,11 +17,6 @@
 //!   compositing and MLP seam (one blocked body per MLP sweep), generic
 //!   over the accumulate policy that [`crate::simd`] owns; `simd` runs the
 //!   `Strict` monomorphs.
-//! * [`InstrumentedKernels`] (`"instrumented"`) — a co-simulation backend
-//!   that wraps the SIMD kernels and, when recording is switched on,
-//!   captures the hash-grid read/update address streams of real training
-//!   steps for the `instant3d-accel` FRM/BUM cycle simulators — online
-//!   Fig. 12/13-style utilisation measurement with no trace files.
 //! * [`FastKernels`] (`"fast"`) — the first **lossy-tier** backend: the
 //!   `Fused` monomorphs of the same bodies, with runtime-detected AVX2/FMA
 //!   specialisations, trading bit-identity for speed under a declared
@@ -58,8 +53,10 @@
 //! * **Exact elementwise math** — no approximate reciprocals/rsqrt/vector
 //!   exp; transcendentals stay scalar per element.
 //!
-//! `scalar`, `simd` and `instrumented` are strict and stay strict — the
-//! whole trace/co-sim story depends on it.
+//! `scalar`, `simd` and `checked` are strict and stay strict — the whole
+//! trace story depends on it: the FRM/BUM replays read the scalar
+//! reference step's streams, which describe the engine only because the
+//! engine has the reference's bits.
 //!
 //! ## `Tier::Lossy(Tolerance)` — the tolerance contract
 //!
@@ -90,16 +87,9 @@
 //! and a lossy backend can never sneak into the bit-identity matrix
 //! (`tests/backend_api.rs` pins the CI axes to the registry split).
 //!
-//! # Availability
-//!
-//! A backend whose fast paths need CPU features the host lacks still
-//! *registers* (the registry is the single source of truth for names) but
-//! reports [`Kernels::available`]` == false`; [`available_names`] filters
-//! the list accordingly, and [`resolve`]'s unknown-name panic prints each
-//! backend's tier and availability so a CI log tells the whole story.
-//! [`FastKernels`] is always available — its AVX2/FMA paths are a runtime
-//! specialisation over a portable `f32::mul_add` fallback with identical
-//! results.
+//! Every backend runs on every host: [`FastKernels`]' AVX2/FMA paths are
+//! a runtime specialisation over a portable `f32::mul_add` fallback with
+//! identical results.
 //!
 //! # Selecting a backend
 //!
@@ -107,7 +97,7 @@
 //! use instant3d_nerf::kernels;
 //!
 //! // By name, through the registry (panics on unknown names, listing the
-//! // registered ones with tier and availability):
+//! // registered ones with their tiers):
 //! let simd = kernels::resolve("simd");
 //! assert_eq!(simd.name(), "simd");
 //! assert!(simd.tier().is_strict());
@@ -167,7 +157,7 @@
 //!   order and wall-clock reads must never feed kernel numerics.
 //! * `// PANICS:` — required on every `unwrap`/`expect`/`panic!` in the
 //!   kernel and trainer hot-path modules (the strict kernel files plus
-//!   `kernels/{checked,fast,instrumented}.rs` and
+//!   `kernels/{checked,fast}.rs` and
 //!   `core/{batch,trainer,render}.rs`), justifying why aborting is the
 //!   contractually correct response. A hot-path panic without a stated
 //!   contract behind it is a latent reliability bug.
@@ -175,18 +165,15 @@
 mod builtin;
 mod checked;
 mod fast;
-mod instrumented;
 
 pub use builtin::{ScalarKernels, SimdKernels};
 pub use checked::CheckedKernels;
 pub use fast::FastKernels;
-pub use instrumented::{InstrumentedKernels, RecordedStreams, StreamSegment};
 
 use crate::grid::HashGrid;
 use crate::math::Vec3;
 use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
 use crate::render::RenderOutput;
-use std::any::Any;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// The numeric error bounds a lossy backend declares and is held to.
@@ -332,8 +319,8 @@ impl std::fmt::Display for Tier {
 /// backends must be bit-identical to [`ScalarKernels`], lossy backends
 /// must stay inside their declared [`Tolerance`]. The easiest way to
 /// satisfy the strict tier from outside this crate is to delegate the
-/// numerics to a built-in backend (see [`InstrumentedKernels`], which
-/// wraps [`SimdKernels`]); backends with their own kernels should build on
+/// numerics to a built-in backend (see [`CheckedKernels`], which wraps
+/// [`SimdKernels`]); backends with their own kernels should build on
 /// the observed scalar bodies ([`HashGrid::encode_level_observed`],
 /// [`HashGrid::scatter_level_observed`]) or re-derive the scalar operation
 /// order exactly.
@@ -346,11 +333,6 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
     /// messages. Lowercase, stable, unique per registered backend.
     fn name(&self) -> &'static str;
 
-    /// `self` as [`Any`], so callers holding a [`BackendHandle`] can
-    /// downcast to a concrete backend (e.g. to flip
-    /// [`InstrumentedKernels`] recording).
-    fn as_any(&self) -> &dyn Any;
-
     /// Which contract this backend registers under. Defaults to
     /// [`Tier::Strict`] — the conservative claim; declaring
     /// [`Tier::Lossy`] is an explicit opt-out of bit-identity and an
@@ -359,24 +341,15 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
         Tier::Strict
     }
 
-    /// Whether the backend can actually run on this host. Backends whose
-    /// kernels *require* absent CPU features register anyway (names stay
-    /// host-independent) but return `false` here; [`available_names`] and
-    /// the CI matrix arms honour it. Backends with portable fallbacks
-    /// (like [`FastKernels`]) are always available.
-    fn available(&self) -> bool {
-        true
-    }
-
     /// Encodes one chunk of unit-cube points for the listed grid levels,
     /// in list order, into the `chunk × output_dim` row-major SoA slice
     /// `out`, leaving every other level's columns untouched.
     ///
     /// Called by [`HashGrid::par_encode_batch_levels_with`] once per
-    /// disjoint chunk (or once for the whole batch when the backend asks
-    /// for [`Kernels::sequential_grid`] execution) — with every level for
-    /// a full encode ([`HashGrid::par_encode_batch_with`]), with the dirty
-    /// levels for the occupancy cache's refresh.
+    /// disjoint chunk (once for the whole batch on a one-worker pool or a
+    /// batch of at most one chunk) — with every level for a full encode
+    /// ([`HashGrid::par_encode_batch_with`]), with the dirty levels for
+    /// the occupancy cache's refresh.
     fn grid_encode_levels_chunk(
         &self,
         grid: &HashGrid,
@@ -432,16 +405,6 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
         background: Vec3,
         cache: Option<(&mut [f32], &mut [f32], &mut [f32])>,
     ) -> (RenderOutput, usize);
-
-    /// When `true`, the grid drivers run this backend sequentially: encode
-    /// as one whole-batch chunk, scatter level by level in level order —
-    /// instead of fanning chunks/levels out on the rayon pool. Recording
-    /// backends return `true` while capturing so the observed address
-    /// stream has a deterministic order; numeric results are identical
-    /// either way (chunking never changes bits).
-    fn sequential_grid(&self) -> bool {
-        false
-    }
 }
 
 /// A shared, cheaply clonable handle to a registered (or ad-hoc) backend.
@@ -460,12 +423,6 @@ impl BackendHandle {
     /// [`register`] additionally makes it resolvable by name.
     pub fn new<K: Kernels + 'static>(kernels: K) -> Self {
         BackendHandle(Arc::new(kernels))
-    }
-
-    /// Downcasts to a concrete backend type (e.g.
-    /// [`InstrumentedKernels`]), if this handle wraps one.
-    pub fn downcast_ref<K: Kernels + 'static>(&self) -> Option<&K> {
-        self.0.as_any().downcast_ref::<K>()
     }
 }
 
@@ -504,7 +461,7 @@ impl std::fmt::Display for BackendHandle {
 
 /// The process-wide backend registry: an append-only, name-keyed list of
 /// [`BackendHandle`]s, pre-seeded with the built-in backends in the order
-/// `scalar`, `simd`, `instrumented`, `fast`, `checked`.
+/// `scalar`, `simd`, `fast`, `checked`.
 ///
 /// The free functions of this module ([`register`], [`get`], [`resolve`],
 /// [`registered`], [`names`], [`from_env`]) are the public face; the
@@ -520,7 +477,6 @@ impl BackendRegistry {
             backends: RwLock::new(vec![
                 BackendHandle::new(ScalarKernels),
                 BackendHandle::new(SimdKernels),
-                BackendHandle::new(InstrumentedKernels::new()),
                 BackendHandle::new(FastKernels::new()),
                 BackendHandle::new(CheckedKernels::new()),
             ]),
@@ -575,7 +531,7 @@ pub fn get(name: &str) -> Option<BackendHandle> {
 /// # Panics
 ///
 /// Panics on unknown names, listing every registered backend with its
-/// tier and availability — a typo in a config or CI matrix entry must
+/// tier — a typo in a config or CI matrix entry must
 /// fail loudly instead of silently running the default backend.
 pub fn resolve(name: &str) -> BackendHandle {
     get(name).unwrap_or_else(|| {
@@ -622,37 +578,12 @@ pub fn names() -> Vec<&'static str> {
         .collect()
 }
 
-/// The names of registered backends that are [`Kernels::available`] on
-/// this host. A backend missing from this list (but present in [`names`])
-/// registered fine — its kernels just can't run here.
-pub fn available_names() -> Vec<&'static str> {
-    BackendRegistry::global()
-        .backends
-        .read()
-        .unwrap()
-        .iter()
-        .filter(|b| b.available())
-        .map(|b| b.name())
-        .collect()
-}
-
-/// `"name" (tier, availability)` for every registered backend — the panic
-/// payload of [`resolve`] / [`from_env_value`].
+/// `"name" (tier)` for every registered backend — the panic payload of
+/// [`resolve`] / [`from_env_value`].
 fn described_names() -> String {
     registered()
         .iter()
-        .map(|b| {
-            format!(
-                "{:?} ({}, {})",
-                b.name(),
-                b.tier().label(),
-                if b.available() {
-                    "available"
-                } else {
-                    "unavailable"
-                }
-            )
-        })
+        .map(|b| format!("{:?} ({})", b.name(), b.tier().label()))
         .collect::<Vec<_>>()
         .join(", ")
 }
@@ -667,16 +598,7 @@ pub fn simd() -> BackendHandle {
     get("simd").expect("built-in simd backend")
 }
 
-/// The shared instrumented co-sim backend instance (always registered).
-///
-/// Note this is one process-wide instance: concurrent recorders would
-/// interleave streams. Co-sim sessions that need isolation should wrap a
-/// fresh [`InstrumentedKernels`] in a [`BackendHandle`] instead.
-pub fn instrumented() -> BackendHandle {
-    get("instrumented").expect("built-in instrumented backend")
-}
-
-/// The lossy-tier FMA/AVX2 backend (always registered; always available —
+/// The lossy-tier FMA/AVX2 backend (always registered; runs everywhere —
 /// it falls back to portable `f32::mul_add` where AVX2/FMA are absent).
 pub fn fast() -> BackendHandle {
     get("fast").expect("built-in fast backend")
@@ -746,11 +668,8 @@ mod tests {
     #[test]
     fn builtins_are_registered_in_order() {
         let names = names();
-        assert_eq!(
-            &names[..5],
-            &["scalar", "simd", "instrumented", "fast", "checked"]
-        );
-        assert_eq!(registered()[..5].len(), 5);
+        assert_eq!(&names[..4], &["scalar", "simd", "fast", "checked"]);
+        assert_eq!(registered()[..4].len(), 4);
         assert_eq!(default_backend().name(), "simd");
     }
 
@@ -759,7 +678,6 @@ mod tests {
         let strict: Vec<_> = registered_strict().iter().map(|b| b.name()).collect();
         assert!(strict.contains(&"scalar"));
         assert!(strict.contains(&"simd"));
-        assert!(strict.contains(&"instrumented"));
         assert!(strict.contains(&"checked"));
         assert!(!strict.contains(&"fast"));
         let lossy: Vec<_> = registered_lossy().iter().map(|b| b.name()).collect();
@@ -775,83 +693,6 @@ mod tests {
         assert!(tol.max_rel_error > 0.0 && tol.max_psnr_drop_db > 0.0);
         assert_eq!(fast().tier().label(), "lossy");
         assert_eq!(scalar().tier().label(), "strict");
-    }
-
-    #[test]
-    fn available_names_filters_unavailable_backends() {
-        // A backend requiring an absent CPU feature registers but reports
-        // unavailable; the built-ins are always available.
-        #[derive(Debug)]
-        struct Avx999(ScalarKernels);
-        impl Kernels for Avx999 {
-            fn name(&self) -> &'static str {
-                "mock-avx999"
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
-            }
-            fn available(&self) -> bool {
-                false // the hypothetical feature is absent everywhere
-            }
-            fn grid_encode_levels_chunk(
-                &self,
-                g: &HashGrid,
-                l: &[usize],
-                p: &[Vec3],
-                o: &mut [f32],
-            ) {
-                self.0.grid_encode_levels_chunk(g, l, p, o)
-            }
-            fn grid_scatter_level(
-                &self,
-                g: &HashGrid,
-                l: usize,
-                lg: &mut [f32],
-                p: &[Vec3],
-                d: &[f32],
-            ) {
-                self.0.grid_scatter_level(g, l, lg, p, d)
-            }
-            fn mlp_forward_batch<'w>(
-                &self,
-                m: &Mlp,
-                i: &[f32],
-                w: &'w mut MlpBatchWorkspace,
-            ) -> &'w [f32] {
-                self.0.mlp_forward_batch(m, i, w)
-            }
-            fn mlp_backward_batch(
-                &self,
-                m: &Mlp,
-                d: &[f32],
-                w: &mut MlpBatchWorkspace,
-                g: &mut MlpGradients,
-                di: &mut [f32],
-            ) {
-                self.0.mlp_backward_batch(m, d, w, g, di)
-            }
-            fn composite_ray(
-                &self,
-                t: &[f32],
-                dt: &[f32],
-                s: &[f32],
-                r: &[Vec3],
-                b: Vec3,
-                c: Option<(&mut [f32], &mut [f32], &mut [f32])>,
-            ) -> (RenderOutput, usize) {
-                self.0.composite_ray(t, dt, s, r, b, c)
-            }
-        }
-        let handle = register(Avx999(ScalarKernels)).expect("fresh mock name");
-        assert!(names().contains(&"mock-avx999"), "registration succeeded");
-        assert!(
-            !available_names().contains(&"mock-avx999"),
-            "but availability filtering excludes it"
-        );
-        for builtin in ["scalar", "simd", "instrumented", "fast", "checked"] {
-            assert!(available_names().contains(&builtin), "{builtin}");
-        }
-        assert!(!handle.available());
     }
 
     #[test]
@@ -874,10 +715,6 @@ mod tests {
         assert!(from_env_value(None).is_none());
         assert_eq!(from_env_value(Some("scalar")).unwrap().name(), "scalar");
         assert_eq!(from_env_value(Some(" Simd ")).unwrap().name(), "simd");
-        assert_eq!(
-            from_env_value(Some("instrumented")).unwrap().name(),
-            "instrumented"
-        );
         assert_eq!(from_env_value(Some("fast")).unwrap().name(), "fast");
         assert_eq!(from_env_value(Some("checked")).unwrap().name(), "checked");
     }
@@ -891,12 +728,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "registered backends: \"scalar\" (strict, available), \
-                    \"simd\" (strict, available), \
-                    \"instrumented\" (strict, available), \
-                    \"fast\" (lossy, available), \
-                    \"checked\" (strict, available)")]
-    fn resolve_panic_lists_names_with_tier_and_availability() {
+    #[should_panic(
+        expected = "registered backends: \"scalar\" (strict), \"simd\" (strict), \
+                    \"fast\" (lossy), \"checked\" (strict)"
+    )]
+    fn resolve_panic_lists_names_with_tiers() {
         let _ = resolve("no-such-backend");
     }
 
@@ -908,9 +744,6 @@ mod tests {
         impl Kernels for Impostor {
             fn name(&self) -> &'static str {
                 "SCALAR"
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
             }
             fn grid_encode_levels_chunk(
                 &self,
@@ -959,14 +792,6 @@ mod tests {
             }
         }
         assert!(register(Impostor).is_err());
-    }
-
-    #[test]
-    fn downcast_reaches_the_instrumented_backend() {
-        let handle = instrumented();
-        assert!(handle.downcast_ref::<InstrumentedKernels>().is_some());
-        assert!(handle.downcast_ref::<ScalarKernels>().is_none());
-        assert!(!handle.sequential_grid(), "recording starts off");
     }
 
     #[test]

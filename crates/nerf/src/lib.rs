@@ -21,13 +21,11 @@
 //!   encode (a full encode is every level), per-level scatter, MLP
 //!   forward, MLP backward, compositing — the process-wide name registry
 //!   powering `TrainConfig`, the `INSTANT3D_KERNEL_BACKEND` env override,
-//!   and workload stats, and five in-tree backends: the scalar
+//!   and workload stats, and four in-tree backends: the scalar
 //!   reference ([`kernels::ScalarKernels`]), the lane-batched SIMD default
-//!   ([`kernels::SimdKernels`]), an instrumented co-simulation backend
-//!   ([`kernels::InstrumentedKernels`]) that records live training
-//!   address streams for the `instant3d-accel` FRM/BUM simulators, the
-//!   lossy fused-multiply-add backend ([`kernels::FastKernels`]) and the
-//!   scalar shadow executor ([`kernels::CheckedKernels`]). Registering a
+//!   ([`kernels::SimdKernels`]), the lossy fused-multiply-add backend
+//!   ([`kernels::FastKernels`]) and the scalar shadow executor
+//!   ([`kernels::CheckedKernels`]). Registering a
 //!   backend claims a tier: the **bit-identity contract**
 //!   (additive-order-preserving, FMA-free) or a declared tolerance — see
 //!   the module docs; the differential suites iterate over every

@@ -447,6 +447,8 @@ pub struct OccupancyWorkspace {
     subset_cells: Vec<u32>,
     subset_pts: Vec<Vec3>,
     subset_emb: Vec<f32>,
+    /// This refresh's levels whose cached rows are stale.
+    dirty: Vec<usize>,
 }
 
 impl Default for OccupancyWorkspace {
@@ -473,6 +475,7 @@ impl OccupancyWorkspace {
             subset_cells: Vec::new(),
             subset_pts: Vec::new(),
             subset_emb: Vec::new(),
+            dirty: Vec::new(),
         }
     }
 
@@ -624,11 +627,14 @@ impl OccupancyWorkspace {
         let phase = (self.phase as usize) % k;
         self.phase = ((phase + 1) % k) as u32;
         let versions = grid.level_versions();
-        let dirty: Vec<usize> = (0..grid.levels().len())
-            .filter(|&l| self.cached_versions[l * k + phase] != versions[l])
-            .collect();
+        self.dirty.clear();
+        self.dirty.extend(
+            (0..grid.levels().len())
+                .filter(|&l| self.cached_versions[l * k + phase] != versions[l]),
+        );
 
         let this = &mut *self;
+        let dirty = &this.dirty;
         let n = occ.num_cells();
         let w = grid.output_dim();
         let decay = this.decay;
@@ -637,8 +643,8 @@ impl OccupancyWorkspace {
         if k == 1 {
             // Full refresh: encode dirty levels straight into the cache,
             // forward the whole cache, rewrite every bit.
-            grid.par_encode_batch_levels_with(&backend, &dirty, &this.unit_centers, &mut this.emb);
-            for &l in &dirty {
+            grid.par_encode_batch_levels_with(&backend, dirty, &this.unit_centers, &mut this.emb);
+            for &l in dirty {
                 this.cached_versions[l] = versions[l];
             }
             let densities = sigma_mlp.forward_batch_with(&backend, &this.emb, mlp_ws);
@@ -675,7 +681,7 @@ impl OccupancyWorkspace {
             }
             grid.par_encode_batch_levels_with(
                 &backend,
-                &dirty,
+                dirty,
                 &this.subset_pts,
                 &mut this.subset_emb,
             );
@@ -688,7 +694,7 @@ impl OccupancyWorkspace {
                     this.emb[i * w..(i + 1) * w]
                         .copy_from_slice(&this.subset_emb[j * w..(j + 1) * w]);
                 }
-                for &l in &dirty {
+                for &l in dirty {
                     this.cached_versions[l * k + phase] = versions[l];
                 }
             }

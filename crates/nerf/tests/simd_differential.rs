@@ -5,7 +5,7 @@
 //! backward, per-ray compositing) is run on **every strict backend in the
 //! registry**
 //! (`instant3d_nerf::kernels::registered_strict()` — scalar, simd,
-//! instrumented, plus anything registered at runtime; a strict backend
+//! checked, plus anything registered at runtime; a strict backend
 //! cannot register without entering this harness; lossy-tier backends
 //! are gated by `tolerance_differential.rs` instead) over batch
 //! sizes that exercise the remainder tails (`N % 8 != 0` for the lane

@@ -15,9 +15,14 @@
 //!
 //! [`capture::TraceCollector`] plugs into the trainer's observer hook
 //! (the scalar reference step, `Trainer::step_scalar_observed`) and
-//! records the *actual* training access stream; [`cluster`] and [`window`]
+//! records the *actual* training access stream — the repository's one
+//! recorder of grid address streams. [`cluster`] and [`window`]
 //! implement the paper's analyses; [`stats`] provides the histogram /
-//! percentile plumbing.
+//! percentile plumbing. [`Trace::reads_flat`] and
+//! [`Trace::updates_level_major`] flatten one grid's streams into the
+//! shapes the `instant3d-accel` FRM/BUM simulators replay; the batched
+//! engine's per-grid scatter order equals the latter
+//! (`tests/batched_equivalence.rs`).
 
 #![forbid(unsafe_code)]
 

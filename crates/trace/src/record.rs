@@ -1,6 +1,6 @@
 //! Trace records and the in-memory trace container.
 
-use instant3d_nerf::grid::{AccessPhase, GridBranch};
+use instant3d_nerf::grid::{AccessPhase, GridBranch, HashGrid};
 
 /// One hash-table access, in capture order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,9 +82,39 @@ impl Trace {
     /// per level, so the hardware-visible update stream groups all points'
     /// updates of a level together. Stable within groups.
     pub fn bp_stream_level_major(&self) -> Vec<u64> {
+        self.bp_level_major()
+            .map(AccessRecord::global_key)
+            .collect()
+    }
+
+    /// One branch's back-propagation updates as untagged
+    /// `(level << 32) | addr` keys, in [`Trace::bp_stream_level_major`]'s
+    /// order — the stream the BUM merges, and the batched engine's own
+    /// scatter order for that grid (pinned by `tests/batched_equivalence.rs`).
+    pub fn updates_level_major(&self, branch: GridBranch) -> Vec<u64> {
+        self.bp_level_major()
+            .filter(|r| r.branch == branch)
+            .map(|r| ((r.level as u64) << 32) | r.addr as u64)
+            .collect()
+    }
+
+    /// One branch's feed-forward reads as flat whole-table entry addresses
+    /// (`grid.entry_offset(level) + addr`, with `grid` that branch's
+    /// grid), in capture order — the address stream a grid core's SRAM
+    /// banking sees, and the input of `instant3d_accel::simulate_frm`.
+    pub fn reads_flat(&self, branch: GridBranch, grid: &HashGrid) -> Vec<u32> {
+        self.phase(AccessPhase::FeedForward)
+            .filter(|r| r.branch == branch)
+            .map(|r| grid.entry_offset(r.level as usize) + r.addr)
+            .collect()
+    }
+
+    /// Back-propagation records grouped per iteration, branch and level,
+    /// capture order within each group.
+    fn bp_level_major(&self) -> impl Iterator<Item = &AccessRecord> {
         let mut bp: Vec<&AccessRecord> = self.phase(AccessPhase::BackProp).collect();
         bp.sort_by_key(|r| (r.iter, r.branch == GridBranch::Color, r.level, r.seq));
-        bp.iter().map(|r| r.global_key()).collect()
+        bp.into_iter()
     }
 
     /// In-level addresses of one (phase, branch, level), capture order —
@@ -217,5 +247,80 @@ mod tests {
         assert!(t.is_empty());
         assert_eq!(t.iteration_range(), None);
         assert!(t.ff_stream().is_empty());
+        let grid = two_level_grid();
+        for branch in [GridBranch::Density, GridBranch::Color] {
+            assert!(t.reads_flat(branch, &grid).is_empty());
+            assert!(t.updates_level_major(branch).is_empty());
+        }
+    }
+
+    fn two_level_grid() -> HashGrid {
+        HashGrid::new(instant3d_nerf::grid::HashGridConfig {
+            levels: 2,
+            log2_table_size: 8,
+            base_resolution: 4,
+            max_resolution: 8,
+            ..Default::default()
+        })
+    }
+
+    /// `bp_stream_level_major` split by its color tag bit, tag removed.
+    fn split_tagged(t: &Trace, branch: GridBranch) -> Vec<u64> {
+        const COLOR_TAG: u64 = 1 << 60;
+        let want_color = branch == GridBranch::Color;
+        t.bp_stream_level_major()
+            .into_iter()
+            .filter(|k| (k & COLOR_TAG != 0) == want_color)
+            .map(|k| k & !COLOR_TAG)
+            .collect()
+    }
+
+    #[test]
+    fn flat_streams_keep_branches_apart() {
+        use AccessPhase::{BackProp as Bp, FeedForward as Ff};
+        use GridBranch::{Color as C, Density as D};
+        let grid = two_level_grid();
+        let off1 = grid.entry_offset(1);
+        assert!(off1 > 0);
+        // Point-major capture over two iterations, branches interleaved.
+        let t = Trace {
+            records: vec![
+                rec(0, 0, D, Ff, 0, 3),
+                rec(1, 0, D, Ff, 1, 4),
+                rec(2, 0, C, Ff, 0, 5),
+                rec(3, 0, D, Bp, 1, 6),
+                rec(4, 0, C, Bp, 1, 7),
+                rec(5, 0, D, Bp, 0, 8),
+                rec(6, 1, D, Bp, 0, 9),
+            ],
+        };
+        assert_eq!(t.reads_flat(D, &grid), vec![3, off1 + 4]);
+        assert_eq!(t.reads_flat(C, &grid), vec![5]);
+        assert_eq!(t.updates_level_major(D), vec![8, (1 << 32) | 6, 9]);
+        assert_eq!(t.updates_level_major(C), vec![(1 << 32) | 7]);
+        for branch in [D, C] {
+            assert_eq!(t.updates_level_major(branch), split_tagged(&t, branch));
+        }
+    }
+
+    #[test]
+    fn coupled_trace_has_an_empty_color_stream() {
+        use AccessPhase::{BackProp as Bp, FeedForward as Ff};
+        let d = GridBranch::Density;
+        let grid = two_level_grid();
+        let t = Trace {
+            records: vec![
+                rec(0, 0, d, Ff, 1, 2),
+                rec(1, 0, d, Bp, 1, 2),
+                rec(2, 0, d, Bp, 0, 1),
+            ],
+        };
+        assert!(t.reads_flat(GridBranch::Color, &grid).is_empty());
+        assert!(t.updates_level_major(GridBranch::Color).is_empty());
+        assert_eq!(t.reads_flat(d, &grid), vec![grid.entry_offset(1) + 2]);
+        // Density keys carry no tag, so the untagged stream is the whole
+        // level-major stream.
+        assert_eq!(t.updates_level_major(d), t.bp_stream_level_major());
+        assert_eq!(t.updates_level_major(d), vec![1, (1 << 32) | 2]);
     }
 }

@@ -1,82 +1,78 @@
-//! Algorithm/hardware co-design walkthrough on the **live co-sim
-//! backend**: train on the `"instrumented"` kernel backend, record the
-//! engine's real hash-grid address streams during two live training
-//! iterations (no trace files, no observer plumbing), replay them through
-//! the FRM and BUM units cycle by cycle, and see how the measured
+//! Algorithm/hardware co-design walkthrough: train, record the hash-grid
+//! address streams of two live training iterations with a
+//! `TraceCollector` (the repository's one stream recorder), replay them
+//! through the FRM and BUM units cycle by cycle — exactly as
+//! `repro fig18_frm_bum_ablation` does — and see how the measured
 //! microarchitectural factors feed the full-accelerator estimate.
 //!
 //! ```text
 //! cargo run --release --example accelerator_codesign
 //! ```
 
-use instant3d::accel::{cosim_grid, Accelerator, CosimConfig, FeatureSet};
+use instant3d::accel::{
+    simulate_baseline_reads, simulate_bum, simulate_frm, Accelerator, BumConfig, FeatureSet,
+};
 use instant3d::core::{PipelineWorkload, TrainConfig, Trainer};
-use instant3d::nerf::kernels::{BackendHandle, InstrumentedKernels};
+use instant3d::nerf::grid::GridBranch;
 use instant3d::scenes::SceneLibrary;
+use instant3d::trace::TraceCollector;
 use rand::SeedableRng;
 
 fn main() {
-    // 1. Train on the instrumented co-sim backend. With recording off it
-    //    is just the SIMD backend behind one atomic load — bit-identical
-    //    results, negligible overhead.
-    let backend = BackendHandle::new(InstrumentedKernels::new());
-    let mut cfg = TrainConfig::instant3d();
-    cfg.kernel_backend = backend.clone();
+    // 1. Train on the batched engine.
     let mut rng = rand::rngs::StdRng::seed_from_u64(3);
     let dataset = SceneLibrary::synthetic_scene(0, 32, 10, &mut rng);
-    let mut trainer = Trainer::new(cfg, &dataset, &mut rng);
+    let mut trainer = Trainer::new(TrainConfig::instant3d(), &dataset, &mut rng);
     for _ in 0..20 {
         trainer.step(&mut rng);
     }
 
-    // 2. Flip the recorder on for two live iterations: the backend
-    //    captures the batched engine's actual level-major reads and
-    //    level-ordered gradient updates, in execution order.
-    let recorder = backend
-        .downcast_ref::<InstrumentedKernels>()
-        .expect("instrumented backend");
-    recorder.start_recording();
-    for _ in 0..2 {
-        trainer.step(&mut rng);
+    // 2. Record two live iterations on the scalar reference step: the
+    //    engine's bits, with every grid access reported in the paper's
+    //    point-major order.
+    let mut collector = TraceCollector::new(4_000_000);
+    for it in 20..22 {
+        collector.begin_iteration(it);
+        trainer.step_scalar_observed(&mut rng, &mut collector);
     }
-    recorder.stop_recording();
-    let streams = recorder.take_streams();
+    assert_eq!(collector.dropped(), 0, "the capture must be complete");
+    let trace = collector.into_trace();
     println!(
-        "recorded {} grid accesses across {} stream segments over 2 live iterations",
-        streams.len(),
-        streams.segments.len()
+        "recorded {} grid accesses over 2 live iterations",
+        trace.len()
     );
 
     // 3. Replay the density grid's streams through the FRM (8 banks,
     //    16-deep window, vs the baseline burst issue) and the BUM
-    //    (16 entries) — the Fig. 12/13 measurements, online.
-    let report = cosim_grid(
-        &streams,
-        trainer.model().density_grid(),
-        &CosimConfig::default(),
-    );
+    //    (16 entries) — the Fig. 12/13 measurements.
+    let density = trainer.model().density_grid();
+    let reads = trace.reads_flat(GridBranch::Density, density);
+    let updates = trace.updates_level_major(GridBranch::Density);
+    let frm = simulate_frm(&reads, 8, 16);
+    let baseline = simulate_baseline_reads(&reads, 8, 8);
+    let bum = simulate_bum(&updates, BumConfig::default());
     println!(
         "\nFRM on {} density reads:\n  baseline: {} cycles ({:.0}% bank utilisation)\n  \
          with FRM: {} cycles ({:.0}% utilisation) -> {:.2}x fewer read cycles",
-        report.reads,
-        report.baseline.cycles,
-        report.baseline.utilization * 100.0,
-        report.frm.cycles,
-        report.frm.utilization * 100.0,
-        report.frm_read_speedup()
+        reads.len(),
+        baseline.cycles,
+        baseline.utilization * 100.0,
+        frm.cycles,
+        frm.utilization * 100.0,
+        baseline.cycles as f64 / frm.cycles.max(1) as f64
     );
     println!(
         "\nBUM on {} gradient updates:\n  merged {:.0}% of updates; SRAM writes cut to {:.0}%",
-        report.updates,
-        report.bum_merge_ratio() * 100.0,
-        report.bum.write_ratio() * 100.0
+        updates.len(),
+        bum.merge_ratio() * 100.0,
+        bum.write_ratio() * 100.0
     );
 
     // 4. Full-accelerator estimate with the measured factors.
     let accel = Accelerator {
-        frm_utilization: report.frm.utilization,
-        baseline_utilization: report.baseline.utilization,
-        bum_write_ratio: report.bum.write_ratio(),
+        frm_utilization: frm.utilization,
+        baseline_utilization: baseline.utilization,
+        bum_write_ratio: bum.write_ratio(),
         ..Accelerator::default()
     };
     let w = PipelineWorkload::paper_scale_instant3d(256.0);

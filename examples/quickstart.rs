@@ -32,13 +32,12 @@ fn main() {
     println!(
         "\ntraining Instant-3D (decoupled grids, color table {}x smaller, \
          color updated every {} iterations, '{}' kernels ({} tier); \
-         registered backends: {:?}, available here: {:?})...",
+         registered backends: {:?})...",
         (1.0 / cfg.color_size_factor) as u32,
         cfg.color_update_every,
         cfg.kernel_backend,
         cfg.kernel_backend.tier(),
-        instant3d::nerf::kernels::names(),
-        instant3d::nerf::kernels::available_names()
+        instant3d::nerf::kernels::names()
     );
     let mut trainer = Trainer::new(cfg, &dataset, &mut rng);
     for round in 1..=6 {

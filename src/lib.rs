@@ -52,12 +52,13 @@
 //!
 //! Every engine step laps the trainer's own per-step wall-clock timer
 //! ([`Trainer::timer`](core::Trainer::timer), the native Fig. 4
-//! breakdown). Access streams have two observers with two jobs: the
-//! scalar reference step
+//! breakdown). Grid address streams have one recorder: the scalar
+//! reference step
 //! ([`Trainer::step_scalar_observed`](core::Trainer::step_scalar_observed))
 //! feeds a [`trace::TraceCollector`] in the paper's point-major order
-//! (Figs. 8–10), and the `instrumented` kernel backend records the
-//! engine's real level-major traffic for the FRM/BUM co-simulation.
+//! (Figs. 8–10), and the FRM/BUM simulators replay that trace's
+//! flattened streams ([`trace::Trace::reads_flat`],
+//! [`trace::Trace::updates_level_major`]).
 
 pub use instant3d_accel as accel;
 pub use instant3d_core as core;

@@ -1,91 +1,7 @@
-//! Cross-crate tests of the open kernel-backend API's headline feature —
-//! live FRM/BUM co-simulation from real `Trainer::step` runs — plus the
-//! guard that keeps the CI test matrix in sync with the backend registry.
+//! The guard that keeps the CI test matrix in sync with the backend
+//! registry.
 
-use instant3d::accel::{cosim_grid, CosimConfig};
-use instant3d::core::{kernels, TrainConfig, Trainer};
-use instant3d::nerf::kernels::{BackendHandle, InstrumentedKernels};
-use instant3d::scenes::SceneLibrary;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-#[test]
-fn live_training_cosim_produces_frm_bum_numbers_without_trace_files() {
-    // The acceptance claim end to end: a Trainer running on the
-    // instrumented backend, two live steps recorded, FRM/BUM utilisation
-    // computed online — no TraceCollector, no files, no synthetic streams.
-    let backend = BackendHandle::new(InstrumentedKernels::new());
-    let mut cfg = TrainConfig::fast_preview();
-    cfg.kernel_backend = backend.clone();
-    let mut rng = StdRng::seed_from_u64(2);
-    let ds = SceneLibrary::synthetic_scene(0, 16, 4, &mut rng);
-    let mut seed = StdRng::seed_from_u64(3);
-    let mut trainer = Trainer::new(cfg, &ds, &mut seed);
-    let mut step_rng = StdRng::seed_from_u64(4);
-    for _ in 0..2 {
-        trainer.step(&mut step_rng); // warm-up, recording off
-    }
-
-    let rec = backend.downcast_ref::<InstrumentedKernels>().unwrap();
-    rec.start_recording();
-    let recorded_points: u64 = (0..2)
-        .map(|_| trainer.step(&mut step_rng).points as u64)
-        .sum();
-    rec.stop_recording();
-    let streams = rec.take_streams();
-
-    let density = trainer.model().density_grid();
-    let report = cosim_grid(&streams, density, &CosimConfig::default());
-
-    // The stream sizes are fully determined by the live workload: every
-    // surviving sample reads 8 corners × L levels of the density grid
-    // forward, and (density updates every iteration in fast_preview)
-    // scatters the same count backward.
-    let expected = recorded_points * 8 * density.levels().len() as u64;
-    assert_eq!(report.reads, expected, "live FF read stream size");
-    assert_eq!(report.updates, expected, "live BP update stream size");
-
-    // And the microarchitectural measurements are real: all reads
-    // serviced, utilisation in range, FRM no slower than baseline, BUM
-    // conservation (every update merges or writes exactly once).
-    assert_eq!(report.frm.reads, report.reads);
-    assert!(report.frm.utilization > 0.0 && report.frm.utilization <= 1.0);
-    assert!(report.baseline.utilization > 0.0 && report.baseline.utilization <= 1.0);
-    assert!(report.frm.cycles <= report.baseline.cycles);
-    assert_eq!(report.bum.merged + report.bum.sram_writes, report.updates);
-    assert!(
-        report.bum_merge_ratio() > 0.0,
-        "trilinear corner sharing must produce some merges on a real stream"
-    );
-
-    // The color grid's stream was recorded too (decoupled topology) and
-    // is kept separate by the shape tag.
-    let color = trainer.model().color_grid().expect("decoupled preview");
-    let color_report = cosim_grid(&streams, color, &CosimConfig::default());
-    assert_eq!(
-        color_report.reads,
-        recorded_points * 8 * color.levels().len() as u64
-    );
-}
-
-#[test]
-fn instrumented_backend_not_recording_matches_simd_bitwise() {
-    // The everyday cost of the co-sim backend: none. With recording off
-    // it must train bit-identically to the SIMD backend.
-    let run = |backend| {
-        let mut cfg = TrainConfig::fast_preview();
-        cfg.kernel_backend = backend;
-        let mut rng = StdRng::seed_from_u64(12);
-        let ds = SceneLibrary::synthetic_scene(1, 16, 4, &mut rng);
-        let mut seed = StdRng::seed_from_u64(13);
-        let mut trainer = Trainer::new(cfg, &ds, &mut seed);
-        let mut step_rng = StdRng::seed_from_u64(14);
-        (0..5)
-            .map(|_| trainer.step(&mut step_rng).loss.to_bits())
-            .collect::<Vec<u32>>()
-    };
-    assert_eq!(run(kernels::simd()), run(kernels::instrumented()));
-}
+use instant3d::core::kernels;
 
 #[test]
 fn ci_matrix_backend_axis_is_derived_from_the_registry() {

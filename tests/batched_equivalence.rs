@@ -1,30 +1,156 @@
-//! Cross-crate bridge between the two access observers: the
-//! `instrumented` kernel backend, which records the batched engine's real
-//! level-major traffic under `Trainer::step`, and a `TraceCollector` fed
-//! by the scalar reference step (`Trainer::step_scalar_observed`), which
-//! captures the paper's point-major order.
+//! Cross-crate bridge between the batched engine and the one recorder of
+//! grid address streams: a `TraceCollector` fed by the scalar reference
+//! step (`Trainer::step_scalar_observed`), which captures the paper's
+//! point-major order and feeds every FRM/BUM replay.
+//!
+//! The engine is observed through a test-local recording backend that
+//! runs the public observed scalar bodies and records what they report.
+//! Inside a one-worker pool the engine's encode is one chunk and its
+//! per-level scatter joins run in level order, so the recording is the
+//! engine's own one-worker schedule; the engine has no recording mode.
 //!
 //! On same-seeded trainers the two must describe the same workload: every
 //! grid's reads are equal as multisets, and every grid's updates are equal
-//! **in order** to the trace's `bp_stream_level_major()` — which is what
-//! makes that reordering a model of the engine rather than a convention.
-//! The one designed difference is the occupancy refresh: its level-subset
-//! encodes go through the kernel backend, so `instrumented` records them,
-//! while a trainer-level observer never sees them.
+//! **in order** to the trace's `updates_level_major` — which is what makes
+//! that reordering a model of the engine rather than a convention. The one
+//! designed difference is the occupancy refresh: its level-subset encodes
+//! go through the kernel backend, so the engine's recorder sees them,
+//! while a trainer-level observer never does.
 
 use instant3d::core::{GridTopology, TrainConfig, Trainer};
-use instant3d::nerf::grid::{AccessPhase, GridBranch, HashGrid};
-use instant3d::nerf::kernels::{BackendHandle, InstrumentedKernels, RecordedStreams};
+use instant3d::nerf::grid::{AccessPhase, GridAccessObserver, GridBranch, HashGrid};
+use instant3d::nerf::kernels::{BackendHandle, Kernels, SimdKernels};
+use instant3d::nerf::math::Vec3;
+use instant3d::nerf::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
+use instant3d::nerf::render::RenderOutput;
 use instant3d::scenes::SceneLibrary;
 use instant3d::trace::record::Trace;
 use instant3d::trace::TraceCollector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, Mutex};
+
+/// `(levels, params)`: tells the density and color grids apart (the
+/// color table is a quarter of the density table).
+type Shape = (usize, usize);
+
+fn shape(grid: &HashGrid) -> Shape {
+    (grid.levels().len(), grid.num_params())
+}
+
+/// Every grid access the engine's kernels made, tagged with the grid.
+#[derive(Debug, Default)]
+struct Streams {
+    /// Flat entry addresses, `entry_offset(level) + addr`.
+    reads: Vec<(Shape, u32)>,
+    /// `(level << 32) | addr` keys.
+    updates: Vec<(Shape, u64)>,
+}
+
+impl Streams {
+    fn of<T: Copy>(stream: &[(Shape, T)], grid: &HashGrid) -> Vec<T> {
+        let s = shape(grid);
+        stream
+            .iter()
+            .filter(|(g, _)| *g == s)
+            .map(|&(_, a)| a)
+            .collect()
+    }
+}
+
+struct Sink<'a> {
+    grid: &'a HashGrid,
+    streams: &'a mut Streams,
+}
+
+impl GridAccessObserver for Sink<'_> {
+    fn on_access(&mut self, phase: AccessPhase, level: u32, _corner: u8, addr: u32) {
+        let g = shape(self.grid);
+        match phase {
+            AccessPhase::FeedForward => {
+                let flat = self.grid.entry_offset(level as usize) + addr;
+                self.streams.reads.push((g, flat));
+            }
+            AccessPhase::BackProp => {
+                let key = ((level as u64) << 32) | addr as u64;
+                self.streams.updates.push((g, key));
+            }
+        }
+    }
+}
+
+/// The observed scalar grid bodies, recording into a shared buffer; the
+/// MLP and compositing seams are the SIMD backend's.
+#[derive(Debug)]
+struct Recorder(Arc<Mutex<Streams>>);
+
+impl Kernels for Recorder {
+    fn name(&self) -> &'static str {
+        "test-recorder"
+    }
+
+    fn grid_encode_levels_chunk(
+        &self,
+        grid: &HashGrid,
+        levels: &[usize],
+        pts: &[Vec3],
+        out: &mut [f32],
+    ) {
+        let streams = &mut *self.0.lock().unwrap();
+        for &l in levels {
+            grid.encode_level_observed(l, pts, out, &mut Sink { grid, streams });
+        }
+    }
+
+    fn grid_scatter_level(
+        &self,
+        grid: &HashGrid,
+        level: usize,
+        grads: &mut [f32],
+        pts: &[Vec3],
+        d_out: &[f32],
+    ) {
+        let streams = &mut *self.0.lock().unwrap();
+        grid.scatter_level_observed(level, grads, pts, d_out, &mut Sink { grid, streams });
+    }
+
+    fn mlp_forward_batch<'w>(
+        &self,
+        mlp: &Mlp,
+        inputs: &[f32],
+        ws: &'w mut MlpBatchWorkspace,
+    ) -> &'w [f32] {
+        SimdKernels.mlp_forward_batch(mlp, inputs, ws)
+    }
+
+    fn mlp_backward_batch(
+        &self,
+        mlp: &Mlp,
+        d_output: &[f32],
+        ws: &mut MlpBatchWorkspace,
+        grads: &mut MlpGradients,
+        d_input: &mut [f32],
+    ) {
+        SimdKernels.mlp_backward_batch(mlp, d_output, ws, grads, d_input);
+    }
+
+    fn composite_ray(
+        &self,
+        t: &[f32],
+        dt: &[f32],
+        sigma: &[f32],
+        rgb: &[Vec3],
+        background: Vec3,
+        cache: Option<(&mut [f32], &mut [f32], &mut [f32])>,
+    ) -> (RenderOutput, usize) {
+        SimdKernels.composite_ray(t, dt, sigma, rgb, background, cache)
+    }
+}
 
 /// Both views of `iters` training steps from identical seeds.
 struct Bridge {
-    /// What the `instrumented` backend recorded under `Trainer::step`.
-    engine: RecordedStreams,
+    /// What the engine's kernels touched under `Trainer::step`.
+    engine: Streams,
     /// What a `TraceCollector` captured under `step_scalar_observed`.
     reference: Trace,
     /// The reference trainer (grid metadata; its stats equal the engine's).
@@ -37,10 +163,10 @@ fn bridge(
     occupancy_update_every: u32,
     occupancy_subset: u32,
 ) -> Bridge {
-    // Each trainer gets a private instrumented backend, so the workload
-    // accounting (which names the backend) is comparable across the two.
+    // Both trainers run a private recorder, so the workload accounting
+    // (which names the backend) is comparable; only the engine's is read.
     let new_trainer = || {
-        let backend = BackendHandle::new(InstrumentedKernels::new());
+        let streams = Arc::new(Mutex::new(Streams::default()));
         let mut rng = StdRng::seed_from_u64(2);
         let ds = SceneLibrary::synthetic_scene(0, 16, 4, &mut rng);
         let mut cfg = TrainConfig::fast_preview();
@@ -48,20 +174,23 @@ fn bridge(
         cfg.color_update_every = 2; // skipped color scatters must agree too
         cfg.occupancy_update_every = occupancy_update_every;
         cfg.occupancy_subset = occupancy_subset;
-        cfg.kernel_backend = backend.clone();
+        cfg.kernel_backend = BackendHandle::new(Recorder(Arc::clone(&streams)));
         let trainer = Trainer::new(cfg, &ds, &mut StdRng::seed_from_u64(3));
-        (trainer, backend)
+        (trainer, streams)
     };
 
-    let (mut engine_trainer, backend) = new_trainer();
-    let rec = backend.downcast_ref::<InstrumentedKernels>().unwrap();
+    let (mut engine_trainer, streams) = new_trainer();
+    let one_worker = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
     let mut step_rng = StdRng::seed_from_u64(4);
-    rec.start_recording();
-    for _ in 0..iters {
-        engine_trainer.step(&mut step_rng);
-    }
-    rec.stop_recording();
-    let engine = rec.take_streams();
+    one_worker.install(|| {
+        for _ in 0..iters {
+            engine_trainer.step(&mut step_rng);
+        }
+    });
+    let engine = std::mem::take(&mut *streams.lock().unwrap());
 
     let (mut trainer, _) = new_trainer();
     let mut step_rng = StdRng::seed_from_u64(4);
@@ -92,30 +221,6 @@ fn grids(trainer: &Trainer) -> Vec<(GridBranch, &HashGrid)> {
         .collect()
 }
 
-/// The reference trace's reads of one grid as flat entry addresses
-/// (`entry_offset(level) + addr`, the form `instrumented` records), in
-/// the reference's point-major capture order.
-fn reference_reads(trace: &Trace, branch: GridBranch, grid: &HashGrid) -> Vec<u32> {
-    trace
-        .phase(AccessPhase::FeedForward)
-        .filter(|r| r.branch == branch)
-        .map(|r| grid.entry_offset(r.level as usize) + r.addr)
-        .collect()
-}
-
-/// The reference trace's level-major update stream of one grid as
-/// `(level << 32) | addr` keys (the color branch's tag bit masked off).
-fn reference_updates(trace: &Trace, branch: GridBranch) -> Vec<u64> {
-    const COLOR_TAG: u64 = 1 << 60;
-    let want_color = branch == GridBranch::Color;
-    trace
-        .bp_stream_level_major()
-        .into_iter()
-        .filter(|k| (k & COLOR_TAG != 0) == want_color)
-        .map(|k| k & !COLOR_TAG)
-        .collect()
-}
-
 #[test]
 fn engine_reads_equal_reference_trace_as_multisets() {
     // No occupancy refresh inside the window (update_every = 16 > 3).
@@ -123,8 +228,8 @@ fn engine_reads_equal_reference_trace_as_multisets() {
         let b = bridge(topology, 3, 16, 1);
         assert_eq!(b.trainer.stats().occupancy_refreshes, 0);
         for (branch, grid) in grids(&b.trainer) {
-            let mut engine = b.engine.reads_flat_for(grid);
-            let mut reference = reference_reads(&b.reference, branch, grid);
+            let mut engine = Streams::of(&b.engine.reads, grid);
+            let mut reference = b.reference.reads_flat(branch, grid);
             assert!(
                 !engine.is_empty(),
                 "{topology:?}/{branch:?}: reads recorded"
@@ -141,7 +246,7 @@ fn engine_reads_equal_reference_trace_as_multisets() {
             );
         }
         assert_eq!(
-            b.engine.len(),
+            b.engine.reads.len() + b.engine.updates.len(),
             b.reference.len(),
             "{topology:?}: nothing recorded beyond the model's grids"
         );
@@ -153,15 +258,15 @@ fn engine_updates_equal_reference_level_major_stream_in_order() {
     for topology in [GridTopology::Coupled, GridTopology::Decoupled] {
         let b = bridge(topology, 3, 16, 1);
         for (branch, grid) in grids(&b.trainer) {
-            let engine = b.engine.updates_for(grid);
+            let engine = Streams::of(&b.engine.updates, grid);
             assert!(
                 !engine.is_empty(),
                 "{topology:?}/{branch:?}: updates recorded"
             );
             assert_eq!(
                 engine,
-                reference_updates(&b.reference, branch),
-                "{topology:?}/{branch:?}: bp_stream_level_major() must be the engine's scatter order"
+                b.reference.updates_level_major(branch),
+                "{topology:?}/{branch:?}: updates_level_major() must be the engine's scatter order"
             );
         }
     }
@@ -173,18 +278,18 @@ fn occupancy_refresh_reads_are_visible_only_to_the_instrumented_backend() {
     // subsets). They flip the bits that cull later samples, so updates
     // only stay equal in order if both trainers see identical occupancy
     // after every refresh; the refresh's own density-grid encodes are the
-    // engine-only surplus.
+    // engine-only surplus that the recording backend sees.
     let b = bridge(GridTopology::Decoupled, 4, 2, 2);
     let stats = b.trainer.stats();
     assert!(stats.occupancy_refreshes >= 2, "refreshes must have fired");
     for (branch, grid) in grids(&b.trainer) {
         assert_eq!(
-            b.engine.updates_for(grid),
-            reference_updates(&b.reference, branch),
+            Streams::of(&b.engine.updates, grid),
+            b.reference.updates_level_major(branch),
             "{branch:?}: update order through refreshes"
         );
-        let engine_reads = b.engine.reads_flat_for(grid).len() as u64;
-        let reference_reads = reference_reads(&b.reference, branch, grid).len() as u64;
+        let engine_reads = Streams::of(&b.engine.reads, grid).len() as u64;
+        let reference_reads = b.reference.reads_flat(branch, grid).len() as u64;
         let refresh_reads = match branch {
             GridBranch::Density => stats.occupancy_reads_ff,
             GridBranch::Color => 0,

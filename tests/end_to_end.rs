@@ -76,19 +76,7 @@ fn captured_trace_drives_hardware_simulators() {
     assert!(!trace.is_empty(), "trace should capture grid accesses");
 
     // FF stream → FRM: must beat the baseline issue on the real pattern.
-    let offsets: Vec<u32> = trainer
-        .model()
-        .density_grid()
-        .levels()
-        .iter()
-        .map(|l| l.entry_offset)
-        .collect();
-    let ff: Vec<u32> = trace
-        .records
-        .iter()
-        .filter(|r| r.phase == AccessPhase::FeedForward && r.branch == GridBranch::Density)
-        .map(|r| offsets[r.level as usize] + r.addr)
-        .collect();
+    let ff = trace.reads_flat(GridBranch::Density, trainer.model().density_grid());
     assert!(!ff.is_empty());
     let frm = simulate_frm(&ff, 8, 16);
     let base = simulate_baseline_reads(&ff, 8, 8);
