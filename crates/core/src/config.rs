@@ -248,6 +248,19 @@ impl TrainConfig {
         if self.occupancy_subset == 0 {
             return Err("occupancy_subset must be >= 1".into());
         }
+        let g = &self.grid;
+        if g.levels == 0 {
+            return Err("grid.levels must be >= 1".into());
+        }
+        if g.features_per_entry == 0 {
+            return Err("grid.features_per_entry must be >= 1".into());
+        }
+        if !(1..=g.max_resolution).contains(&g.base_resolution) {
+            return Err(format!(
+                "grid resolutions must satisfy 1 <= base ({}) <= max ({})",
+                g.base_resolution, g.max_resolution
+            ));
+        }
         Ok(())
     }
 }
@@ -318,6 +331,19 @@ mod tests {
         let mut cfg = TrainConfig::fast_preview();
         cfg.occupancy_update_every = 0;
         assert!(cfg.validate().is_err());
+
+        // Grid shapes `HashGrid::new` would otherwise assert on.
+        let grids: [fn(&mut HashGridConfig); 4] = [
+            |g| g.levels = 0,
+            |g| g.features_per_entry = 0,
+            |g| g.base_resolution = 0,
+            |g| g.base_resolution = g.max_resolution + 1,
+        ];
+        for (i, set) in grids.iter().enumerate() {
+            let mut cfg = TrainConfig::fast_preview();
+            set(&mut cfg.grid);
+            assert!(cfg.validate().is_err(), "grid case {i}");
+        }
 
         // Non-finite floats (a NaN learning rate poisons every parameter
         // on the first Adam step) and negative learning rates.

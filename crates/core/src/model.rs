@@ -18,9 +18,7 @@
 use crate::config::{GridTopology, TrainConfig};
 use instant3d_nerf::activation::Activation;
 use instant3d_nerf::field::RadianceField;
-use instant3d_nerf::grid::{
-    AccessPhase, GridAccessObserver, GridGradients, HashGrid, NullObserver,
-};
+use instant3d_nerf::grid::{AccessPhase, GridAccessObserver, GridGradients, HashGrid};
 use instant3d_nerf::kernels::BackendHandle;
 use instant3d_nerf::math::{Aabb, Vec3};
 use instant3d_nerf::mlp::{Mlp, MlpConfig, MlpGradients, MlpWorkspace};
@@ -68,18 +66,6 @@ pub struct ModelGradients {
     pub sigma_mlp: MlpGradients,
     /// Color head gradients.
     pub color_mlp: MlpGradients,
-}
-
-impl ModelGradients {
-    /// Scales every gradient by `s` (batch-mean reduction).
-    pub fn scale(&mut self, s: f32) {
-        self.density_grid.scale(s);
-        if let Some(g) = &mut self.color_grid {
-            g.scale(s);
-        }
-        self.sigma_mlp.scale(s);
-        self.color_mlp.scale(s);
-    }
 }
 
 /// The trainable radiance-field model.
@@ -306,38 +292,11 @@ impl NerfModel {
         self.heads_forward(sh, ws)
     }
 
-    /// Backward pass for one point, starting from cached embeddings (saved
-    /// by the trainer during the forward pass — no grid re-reads, exactly
-    /// like Instant-NGP's CUDA backward).
-    ///
-    /// Re-runs the cheap MLP forwards to rebuild activations, then
-    /// backpropagates `d_sigma`/`d_rgb` into all parameter gradients. Grid
-    /// scatter writes are reported to `obs` as [`AccessPhase::BackProp`].
-    ///
-    /// When `update_color_grid` is false (a skipped color-grid iteration,
-    /// §3.3), the color-grid scatter is skipped entirely; the color MLP
-    /// still receives gradients.
-    #[allow(clippy::too_many_arguments)]
-    pub fn backward_point<O: BranchObserver + ?Sized>(
-        &self,
-        pos: Vec3,
-        emb_d: &[f32],
-        emb_c: &[f32],
-        sh: &[f32],
-        d_sigma: f32,
-        d_rgb: Vec3,
-        ws: &mut ModelWorkspace,
-        grads: &mut ModelGradients,
-        obs: &mut O,
-        update_color_grid: bool,
-    ) {
-        self.heads_backward(emb_d, emb_c, sh, d_sigma, d_rgb, ws, grads);
-        self.scatter_grids(pos, ws, grads, obs, update_color_grid);
-    }
-
-    /// Step ③-② backward: rebuilds the head activations from cached
-    /// embeddings and backpropagates `d_sigma`/`d_rgb` into the MLP
-    /// gradients, leaving the embedding gradients in the workspace for
+    /// Step ③-② backward for one point, starting from the embeddings cached
+    /// during the forward pass (no grid re-reads, exactly like
+    /// Instant-NGP's CUDA backward): re-runs the cheap MLP forwards to
+    /// rebuild activations and backpropagates `d_sigma`/`d_rgb` into the
+    /// MLP gradients, leaving the embedding gradients in the workspace for
     /// [`NerfModel::scatter_grids`].
     #[allow(clippy::too_many_arguments)]
     pub fn heads_backward(
@@ -375,7 +334,12 @@ impl NerfModel {
 
     /// Step ③-① backward: scatters the embedding gradients currently in
     /// `ws` (left by [`NerfModel::heads_backward`]) into the grid gradient
-    /// buffers. Observers see the scatter writes.
+    /// buffers. Observers see the scatter writes as
+    /// [`AccessPhase::BackProp`].
+    ///
+    /// When `update_color_grid` is false (a skipped color-grid iteration,
+    /// §3.3), the color-grid scatter is skipped entirely; the color MLP
+    /// still received its gradients in [`NerfModel::heads_backward`].
     pub fn scatter_grids<O: BranchObserver + ?Sized>(
         &self,
         pos: Vec3,
@@ -427,14 +391,6 @@ impl NerfModel {
                 }
             }
         }
-    }
-
-    /// Density-only query (occupancy-grid refresh).
-    pub fn density_at(&self, pos: Vec3, ws: &mut ModelWorkspace) -> f32 {
-        let unit = self.aabb.to_unit(pos);
-        self.density_grid
-            .encode_into(unit, &mut ws.emb_d, &mut NullObserver);
-        self.sigma_mlp.forward(&ws.emb_d, &mut ws.ws_sigma)[0]
     }
 
     /// Grid table reads per point during feed-forward (density + color).
@@ -555,13 +511,9 @@ mod tests {
         let (_, _) = m.query_train(pos, &sh, &mut ws, &mut NullBranchObserver);
         let emb_d = ws.emb_d.clone();
         let emb_c = ws.emb_c.clone();
-        m.backward_point(
+        m.heads_backward(&emb_d, &emb_c, &sh, d_sigma, d_rgb, &mut ws, &mut grads);
+        m.scatter_grids(
             pos,
-            &emb_d,
-            &emb_c,
-            &sh,
-            d_sigma,
-            d_rgb,
             &mut ws,
             &mut grads,
             &mut NullBranchObserver,
@@ -626,18 +578,9 @@ mod tests {
         m.query_train(pos, &sh, &mut ws, &mut NullBranchObserver);
         let emb_d = ws.emb_d.clone();
         let emb_c = ws.emb_c.clone();
-        m.backward_point(
-            pos,
-            &emb_d,
-            &emb_c,
-            &sh,
-            1.0,
-            Vec3::ONE,
-            &mut ws,
-            &mut grads,
-            &mut NullBranchObserver,
-            false, // skipped color iteration
-        );
+        m.heads_backward(&emb_d, &emb_c, &sh, 1.0, Vec3::ONE, &mut ws, &mut grads);
+        // A skipped color iteration.
+        m.scatter_grids(pos, &mut ws, &mut grads, &mut NullBranchObserver, false);
         let cg = grads.color_grid.as_ref().unwrap();
         assert!(
             cg.values.iter().all(|&v| v == 0.0),
@@ -692,18 +635,8 @@ mod tests {
         let emb_d = ws.emb_d.clone();
         let emb_c = ws.emb_c.clone();
         let mut grads = m.zero_grads();
-        m.backward_point(
-            pos,
-            &emb_d,
-            &emb_c,
-            &sh,
-            1.0,
-            Vec3::ONE,
-            &mut ws,
-            &mut grads,
-            &mut obs,
-            true,
-        );
+        m.heads_backward(&emb_d, &emb_c, &sh, 1.0, Vec3::ONE, &mut ws, &mut grads);
+        m.scatter_grids(pos, &mut ws, &mut grads, &mut obs, true);
         assert_eq!(obs.bp_d, rd, "BP writes mirror the corner count");
         assert_eq!(obs.bp_c, rc);
     }

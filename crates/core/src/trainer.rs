@@ -29,7 +29,9 @@ use instant3d_nerf::math::Vec3;
 use instant3d_nerf::occupancy::{
     OccupancyGrid, OccupancyRefreshStats, OccupancyWorkspace, RefreshMode,
 };
-use instant3d_nerf::render::{composite, composite_backward, pixel_loss, RaySample, RenderCache};
+use instant3d_nerf::render::{
+    composite_backward_slices, composite_slices, pixel_loss, RayBatch, RayBatchCache,
+};
 use instant3d_nerf::sampler::{
     sample_pixel_batch, sample_pixel_batch_into, sample_segments, sample_segments_into, Segment,
     TrainRay,
@@ -517,11 +519,14 @@ impl Trainer {
         let emb_d_dim = self.model.density_grid().output_dim();
         let emb_c_dim = self.ws.emb_c.len();
         let mut sh = vec![0.0; self.model.sh_dim()];
-        let mut samples: Vec<RaySample> = Vec::with_capacity(self.cfg.samples_per_ray);
         let mut positions: Vec<Vec3> = Vec::with_capacity(self.cfg.samples_per_ray);
         let mut emb_d_cache: Vec<f32> = Vec::new();
         let mut emb_c_cache: Vec<f32> = Vec::new();
-        let mut cache = RenderCache::default();
+        // One ray at a time through the batch buffers, reused across rays.
+        let mut ray = RayBatch::new();
+        let mut cache = RayBatchCache::default();
+        let mut d_sigma: Vec<f32> = Vec::new();
+        let mut d_rgb: Vec<Vec3> = Vec::new();
 
         let mut total_loss = 0.0f32;
         let mut total_points = 0usize;
@@ -535,7 +540,7 @@ impl Trainer {
                 self.cfg.samples_per_ray,
                 Some(rng),
             );
-            samples.clear();
+            ray.clear();
             positions.clear();
             emb_d_cache.clear();
             emb_c_cache.clear();
@@ -551,29 +556,53 @@ impl Trainer {
                 // Step ③-① forward: grid reads.
                 self.model.encode_point(p, &mut self.ws, obs);
                 // Step ③-② forward: MLP heads.
-                let (sigma, rgb) = self.model.heads_forward(&sh, &mut self.ws);
-                samples.push(RaySample { t, dt, sigma, rgb });
+                let k = positions.len();
+                ray.push_sample(t, dt);
+                (ray.sigma[k], ray.rgb[k]) = self.model.heads_forward(&sh, &mut self.ws);
                 positions.push(p);
                 emb_d_cache.extend_from_slice(&self.ws.emb_d);
                 emb_c_cache.extend_from_slice(&self.ws.emb_c);
             }
-            total_points += samples.len();
+            ray.end_ray();
+            let n = positions.len();
+            total_points += n;
 
             // Step ④: composite; Step ⑤: loss.
-            let out = composite(&samples, self.background, Some(&mut cache));
+            cache.reserve_for(&ray);
+            let rows = (
+                &mut cache.weights[..],
+                &mut cache.trans[..],
+                &mut cache.one_minus_alpha[..],
+            );
+            let (t, dt, sigma, rgb) = (&ray.t, &ray.dt, &ray.sigma, &ray.rgb);
+            let (out, active) = composite_slices(t, dt, sigma, rgb, self.background, Some(rows));
             let (loss, d_color_raw) = pixel_loss(out.color, tr.target);
             total_loss += loss;
             let d_color = d_color_raw * inv_batch;
 
             // Step ⑥: backward through rendering, heads and grids.
-            let sample_grads = composite_backward(&samples, self.background, &cache, &out, d_color);
+            d_sigma.resize(n, 0.0);
+            d_rgb.resize(n, Vec3::ZERO);
+            composite_backward_slices(
+                dt,
+                rgb,
+                self.background,
+                &cache.weights,
+                &cache.trans,
+                &cache.one_minus_alpha,
+                active,
+                &out,
+                d_color,
+                &mut d_sigma,
+                &mut d_rgb,
+            );
             for (k, p) in positions.iter().enumerate() {
                 self.model.heads_backward(
                     &emb_d_cache[k * emb_d_dim..(k + 1) * emb_d_dim],
                     &emb_c_cache[k * emb_c_dim..(k + 1) * emb_c_dim],
                     &sh,
-                    sample_grads.d_sigma[k],
-                    sample_grads.d_rgb[k],
+                    d_sigma[k],
+                    d_rgb[k],
                     &mut self.ws,
                     &mut self.grads,
                 );

@@ -24,8 +24,7 @@ use instant3d_nerf::kernels::{self, BackendHandle};
 use instant3d_nerf::math::{Aabb, Vec3};
 use instant3d_nerf::mlp::{Mlp, MlpBatchWorkspace, MlpConfig, MlpGradients, MlpWorkspace};
 use instant3d_nerf::render::{
-    composite, composite_backward, composite_backward_slices, pixel_loss, RayBatch, RayBatchCache,
-    RaySample, RenderCache,
+    composite_backward_slices, composite_slices, pixel_loss, RayBatch, RayBatchCache,
 };
 use instant3d_nerf::sampler::{
     sample_pixel_batch, sample_pixel_batch_into, sample_segments, sample_segments_into, Segment,
@@ -434,33 +433,59 @@ impl VanillaTrainer {
         let cfg = self.model.cfg.clone();
         let batch = sample_pixel_batch(&self.cameras, &self.images, cfg.rays_per_batch, rng);
         self.grads.zero();
-        let mut cache = RenderCache::default();
-        let mut samples: Vec<RaySample> = Vec::with_capacity(cfg.samples_per_ray);
-        let mut outs: Vec<(f32, Vec3)> = Vec::with_capacity(cfg.samples_per_ray);
+        // One ray at a time through the batch buffers, reused across rays.
+        let mut ray = RayBatch::new();
+        let mut cache = RayBatchCache::default();
+        let mut d_sigma: Vec<f32> = Vec::new();
+        let mut d_rgb: Vec<Vec3> = Vec::new();
         let mut total_loss = 0.0;
         let inv = 1.0 / batch.len().max(1) as f32;
         for tr in &batch {
             let segs = sample_segments(&tr.ray, &self.model.aabb, cfg.samples_per_ray, Some(rng));
-            samples.clear();
-            outs.clear();
-            for &(t, dt) in &segs {
-                let (sigma, rgb) = self.model.query_ws(tr.ray.at(t), tr.ray.dir, &mut self.ws);
-                samples.push(RaySample { t, dt, sigma, rgb });
-                outs.push((sigma, rgb));
+            ray.clear();
+            for (k, &(t, dt)) in segs.iter().enumerate() {
+                ray.push_sample(t, dt);
+                (ray.sigma[k], ray.rgb[k]) =
+                    self.model.query_ws(tr.ray.at(t), tr.ray.dir, &mut self.ws);
             }
-            let out = composite(&samples, self.background, Some(&mut cache));
+            ray.end_ray();
+            let n = ray.num_samples();
+            cache.reserve_for(&ray);
+            let rows = (
+                &mut cache.weights[..],
+                &mut cache.trans[..],
+                &mut cache.one_minus_alpha[..],
+            );
+            let (t, dt, sigma, rgb) = (&ray.t, &ray.dt, &ray.sigma, &ray.rgb);
+            let (out, active) = composite_slices(t, dt, sigma, rgb, self.background, Some(rows));
             let (loss, d_color) = pixel_loss(out.color, tr.target);
             total_loss += loss;
-            let sg = composite_backward(&samples, self.background, &cache, &out, d_color * inv);
-            for (k, &(t, _)) in segs.iter().enumerate().take(samples.len()) {
+            d_sigma.resize(n, 0.0);
+            d_rgb.resize(n, Vec3::ZERO);
+            composite_backward_slices(
+                dt,
+                rgb,
+                self.background,
+                &cache.weights,
+                &cache.trans,
+                &cache.one_minus_alpha,
+                active,
+                &out,
+                d_color * inv,
+                &mut d_sigma,
+                &mut d_rgb,
+            );
+            for k in 0..n {
                 // Re-forward to restore MLP state, then backward.
-                let (sigma, rgb) = self.model.query_ws(tr.ray.at(t), tr.ray.dir, &mut self.ws);
-                debug_assert_eq!(outs[k].0, sigma);
+                let (sigma_k, rgb_k) =
+                    self.model
+                        .query_ws(tr.ray.at(t[k]), tr.ray.dir, &mut self.ws);
+                debug_assert_eq!(sigma[k], sigma_k);
                 self.model.backward_ws(
-                    sigma,
-                    rgb,
-                    sg.d_sigma[k],
-                    sg.d_rgb[k],
+                    sigma_k,
+                    rgb_k,
+                    d_sigma[k],
+                    d_rgb[k],
                     &mut self.ws,
                     &mut self.grads,
                 );

@@ -118,10 +118,10 @@ fn batched_matches_scalar_coupled() {
 
 #[test]
 fn runtime_registered_backend_enters_the_golden_gate_and_reports_stats() {
-    // The openness satellite, end to end inside the engine: a backend
-    // registered at runtime (delegating its numerics to the SIMD builtin)
-    // is resolvable by name, drives a full Trainer run through
-    // TrainConfig, reports its name in WorkloadStats, and passes the same
+    // The openness of the backend API, end to end inside the engine: a
+    // backend defined outside the nerf crate (delegating its numerics to
+    // the SIMD builtin) drives a full Trainer run through TrainConfig,
+    // reports its name in WorkloadStats, and passes the same
     // batched-vs-scalar golden gate as the built-ins.
     #[derive(Debug)]
     struct DelegatingMock(kernels::SimdKernels);
@@ -180,21 +180,10 @@ fn runtime_registered_backend_enters_the_golden_gate_and_reports_stats() {
         }
     }
 
-    // Register once; other tests in this binary may loop over
-    // `kernels::registered_strict()` afterwards — the mock delegates to a
-    // conforming builtin, so it passes those gates too (the contract a
-    // registered backend signs up for). Note the registration is
-    // process-global and races test scheduling, so whether sibling tests
-    // also cover the mock varies run to run (harmless for a conforming
-    // mock, but don't add tests to THIS binary that assert exact registry
-    // contents, and never register a non-conforming backend here — the
-    // registry-exactness guard lives in its own binary,
-    // tests/backend_api.rs, for this reason).
-    let handle = match kernels::register(DelegatingMock(kernels::SimdKernels)) {
-        Ok(h) => h,
-        Err(_) => kernels::resolve("mock-golden"),
-    };
-    assert_eq!(kernels::resolve("mock-golden"), handle);
+    // Handed straight to `TrainConfig`, not registered: the process-wide
+    // registry — and so the backend set every sibling test iterates —
+    // stays exactly the built-ins whatever order the tests run in.
+    let handle = BackendHandle::new(DelegatingMock(kernels::SimdKernels));
     check_equivalence(GridTopology::Decoupled, &handle, 3);
 }
 

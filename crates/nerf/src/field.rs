@@ -1,10 +1,11 @@
 //! The radiance-field abstraction shared by analytic ground-truth scenes
-//! and learned models, plus reference renderers built on [`crate::render`].
+//! and learned models, plus reference renderers built on
+//! [`crate::render::composite_slices`].
 
 use crate::camera::Camera;
 use crate::image::{DepthImage, RgbImage};
 use crate::math::{Aabb, Ray, Vec3};
-use crate::render::{composite, RaySample, RenderOutput};
+use crate::render::{composite_slices, RayBatch, RenderOutput};
 
 /// Anything that can answer "what is the density and emitted color at this
 /// point, viewed from this direction" — Step ③ of the pipeline.
@@ -39,11 +40,16 @@ impl<F: RadianceField + ?Sized> RadianceField for &F {
 /// Renders one ray through a field with `n_samples` uniform samples across
 /// the field's AABB intersection. Returns the background when the ray
 /// misses the AABB.
+///
+/// `samples` is scratch: it is cleared and refilled with this ray's
+/// samples, so a caller rendering many rays reuses one batch and
+/// allocates nothing per ray once it has grown to `n_samples`.
 pub fn render_ray<F: RadianceField + ?Sized>(
     field: &F,
     ray: &Ray,
     n_samples: usize,
     background: Vec3,
+    samples: &mut RayBatch,
 ) -> RenderOutput {
     let aabb = field.aabb();
     let Some((t0, t1)) = aabb.intersect(ray) else {
@@ -63,20 +69,22 @@ pub fn render_ray<F: RadianceField + ?Sized>(
         };
     }
     let dt = (t1 - t0) / n_samples as f32;
-    let mut samples = Vec::with_capacity(n_samples);
+    samples.clear();
     for k in 0..n_samples {
         let t = t0 + (k as f32 + 0.5) * dt;
-        let p = ray.at(t);
-        let (sigma, rgb) = field.query(p, ray.dir);
-        samples.push(RaySample { t, dt, sigma, rgb });
+        samples.push_sample(t, dt);
+        (samples.sigma[k], samples.rgb[k]) = field.query(ray.at(t), ray.dir);
     }
-    composite(&samples, background, None)
+    samples.end_ray();
+    let (t, dt, sigma, rgb) = (&samples.t, &samples.dt, &samples.sigma, &samples.rgb);
+    composite_slices(t, dt, sigma, rgb, background, None).0
 }
 
 /// Renders a full RGB + depth image from a field (the ground-truth path for
 /// the procedural datasets, and the evaluation path for learned models).
 ///
-/// Rows are rendered in parallel with scoped threads.
+/// Rows are rendered in parallel with scoped threads, each reusing one
+/// [`RayBatch`] for all of its rays.
 pub fn render_image<F: RadianceField + Sync + ?Sized>(
     field: &F,
     camera: &Camera,
@@ -100,13 +108,14 @@ pub fn render_image<F: RadianceField + Sync + ?Sized>(
         for (tid, rows_chunk) in rows_ref.chunks_mut(chunk as usize).enumerate() {
             let y0 = tid as u32 * chunk;
             scope.spawn(move || {
+                let mut samples = RayBatch::new();
                 for (dy, row) in rows_chunk.iter_mut().enumerate() {
                     let y = y0 + dy as u32;
                     let mut colors = Vec::with_capacity(w as usize);
                     let mut depths = Vec::with_capacity(w as usize);
                     for x in 0..w {
                         let ray = camera.pixel_center_ray(x, y);
-                        let out = render_ray(field, &ray, n_samples, background);
+                        let out = render_ray(field, &ray, n_samples, background, &mut samples);
                         colors.push(out.color);
                         depths.push(out.depth);
                     }
@@ -171,7 +180,7 @@ mod tests {
     fn ray_through_ball_sees_ball_color() {
         let f = ball();
         let ray = Ray::new(Vec3::new(0.0, 0.0, 2.0), -Vec3::Z);
-        let out = render_ray(&f, &ray, 128, Vec3::ZERO);
+        let out = render_ray(&f, &ray, 128, Vec3::ZERO, &mut RayBatch::new());
         assert!(out.opacity > 0.9, "opacity {}", out.opacity);
         assert!((out.color.x - 0.9).abs() < 0.05);
         // Depth lands near the front surface (t = 1.5).
@@ -183,7 +192,7 @@ mod tests {
         let f = ball();
         let bg = Vec3::new(0.0, 0.0, 1.0);
         let ray = Ray::new(Vec3::new(5.0, 5.0, 2.0), -Vec3::Z);
-        let out = render_ray(&f, &ray, 32, bg);
+        let out = render_ray(&f, &ray, 32, bg, &mut RayBatch::new());
         assert_eq!(out.color, bg);
         assert_eq!(out.opacity, 0.0);
     }

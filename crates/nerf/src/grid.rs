@@ -541,7 +541,9 @@ impl HashGrid {
         out
     }
 
-    /// Encodes into a caller-provided buffer, reporting table reads to `obs`.
+    /// Encodes into a caller-provided buffer, reporting table reads to `obs`
+    /// level by level, corners `0..8` within each level: one
+    /// [`HashGrid::encode_level_observed`] per level on a one-point batch.
     ///
     /// # Panics
     ///
@@ -553,25 +555,15 @@ impl HashGrid {
         obs: &mut O,
     ) {
         assert_eq!(out.len(), self.output_dim(), "output buffer size mismatch");
-        let f = self.cfg.features_per_entry;
-        for (l, level) in self.levels.iter().enumerate() {
-            let (addrs, weights) = self.corners(level, unit_pos);
-            let base = self.param_offsets[l];
-            let dst = &mut out[l * f..(l + 1) * f];
-            dst.fill(0.0);
-            for c in 0..8 {
-                obs.on_access(AccessPhase::FeedForward, l as u32, c as u8, addrs[c]);
-                let w = weights[c];
-                let src = base + addrs[c] as usize * f;
-                for (d, p) in dst.iter_mut().zip(&self.params[src..src + f]) {
-                    *d += w * p;
-                }
-            }
+        for l in 0..self.levels.len() {
+            self.encode_level_observed(l, std::slice::from_ref(&unit_pos), out, obs);
         }
     }
 
     /// Backward pass: scatters `d_out` (gradient of the loss w.r.t. the
-    /// embedding of `unit_pos`) into `grads`, reporting writes to `obs`.
+    /// embedding of `unit_pos`) into `grads`, reporting writes to `obs` in
+    /// [`HashGrid::encode_into`]'s order: one
+    /// [`HashGrid::scatter_level_observed`] per level on a one-point batch.
     ///
     /// # Panics
     ///
@@ -590,19 +582,15 @@ impl HashGrid {
             self.params.len(),
             "gradient buffer mismatch"
         );
-        let f = self.cfg.features_per_entry;
-        for (l, level) in self.levels.iter().enumerate() {
-            let (addrs, weights) = self.corners(level, unit_pos);
-            let base = self.param_offsets[l];
-            let src = &d_out[l * f..(l + 1) * f];
-            for c in 0..8 {
-                obs.on_access(AccessPhase::BackProp, l as u32, c as u8, addrs[c]);
-                let w = weights[c];
-                let dst = base + addrs[c] as usize * f;
-                for (g, s) in grads.values[dst..dst + f].iter_mut().zip(src) {
-                    *g += w * s;
-                }
-            }
+        for (l, cut) in self.param_offsets.windows(2).enumerate() {
+            let level_grads = &mut grads.values[cut[0]..cut[1]];
+            self.scatter_level_observed(
+                l,
+                level_grads,
+                std::slice::from_ref(&unit_pos),
+                d_out,
+                obs,
+            );
         }
         grads.count += 1;
     }
@@ -611,39 +599,15 @@ impl HashGrid {
     // Batched (SoA) kernels
     // ------------------------------------------------------------------
 
-    /// Batched [`HashGrid::encode_into`]: encodes `unit_positions` into the
-    /// row-major SoA buffer `out` (`n × output_dim`), reporting reads to
-    /// `obs` in the same point-major order as the scalar kernel — per-point
-    /// results and observer streams are identical to `n` scalar calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != unit_positions.len() * self.output_dim()`.
-    pub fn encode_batch_into<O: GridAccessObserver + ?Sized>(
-        &self,
-        unit_positions: &[Vec3],
-        out: &mut [f32],
-        obs: &mut O,
-    ) {
-        let w = self.output_dim();
-        assert_eq!(
-            out.len(),
-            unit_positions.len() * w,
-            "SoA output buffer size mismatch"
-        );
-        for (p, row) in unit_positions.iter().zip(out.chunks_mut(w)) {
-            self.encode_into(*p, row, obs);
-        }
-    }
-
     /// One level's encode, scalar reference kernel: streams level `l`'s
     /// table over all points, writing that level's `F` columns of the
     /// `n × output_dim` SoA buffer (all other columns are untouched), with
-    /// table reads reported to `obs` — the building block for observing
-    /// kernel backends (`tests/batched_equivalence.rs` records the batched
-    /// engine's real read stream through this). Outputs are
-    /// bit-identical to every conforming backend; a [`NullObserver`]
-    /// compiles down to the unobserved kernel.
+    /// table reads reported to `obs` — the body behind
+    /// [`HashGrid::encode_into`] and the `scalar` backend, and the building
+    /// block for observing kernel backends (`tests/batched_equivalence.rs`
+    /// records the batched engine's real read stream through this).
+    /// Outputs are bit-identical to every conforming backend; a
+    /// [`NullObserver`] compiles down to the unobserved kernel.
     pub fn encode_level_observed<O: GridAccessObserver + ?Sized>(
         &self,
         l: usize,
@@ -949,37 +913,13 @@ impl HashGrid {
             });
     }
 
-    /// Batched [`HashGrid::backward_into`]: scatters the row-major gradient
-    /// buffer `d_out` (`n × output_dim`) for `unit_positions` into `grads`,
-    /// point-major — results and observer stream are identical to `n`
-    /// scalar calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer sizes mismatch the batch or the grid.
-    pub fn backward_batch_into<O: GridAccessObserver + ?Sized>(
-        &self,
-        unit_positions: &[Vec3],
-        d_out: &[f32],
-        grads: &mut GridGradients,
-        obs: &mut O,
-    ) {
-        let w = self.output_dim();
-        assert_eq!(
-            d_out.len(),
-            unit_positions.len() * w,
-            "SoA gradient buffer size mismatch"
-        );
-        for (p, row) in unit_positions.iter().zip(d_out.chunks(w)) {
-            self.backward_into(*p, row, grads, obs);
-        }
-    }
-
     /// One level's scatter, scalar reference kernel: walks all points in
     /// order, accumulating into that level's disjoint gradient slice, with
     /// every gradient write reported to `obs` — the backward counterpart
-    /// of [`HashGrid::encode_level_observed`] (`tests/batched_equivalence.rs`
-    /// records the engine's real update stream through this).
+    /// of [`HashGrid::encode_level_observed`], behind
+    /// [`HashGrid::backward_into`] and the `scalar` backend
+    /// (`tests/batched_equivalence.rs` records the engine's real update
+    /// stream through this).
     /// `level_grads` is level `l`'s disjoint slice of the flat gradient
     /// buffer; per-parameter accumulation runs in point order, so the
     /// result is bit-identical to every conforming backend.
@@ -1128,7 +1068,7 @@ impl HashGrid {
     /// owning that level's disjoint slice of the gradient buffer and
     /// walking all points in order. Per-parameter accumulation order is
     /// point order — exactly the scalar kernel's — on every backend, so
-    /// results are bit-identical to [`HashGrid::backward_batch_into`]
+    /// results are bit-identical to `n` [`HashGrid::backward_into`] calls
     /// across strict backends and worker counts.
     pub fn par_backward_batch_with(
         &self,
@@ -1276,13 +1216,6 @@ impl GridGradients {
     pub fn zero(&mut self) {
         self.values.fill(0.0);
         self.count = 0;
-    }
-
-    /// Scales all gradients by `s` (e.g. 1/batch for mean reduction).
-    pub fn scale(&mut self, s: f32) {
-        for v in &mut self.values {
-            *v *= s;
-        }
     }
 }
 
@@ -1459,6 +1392,37 @@ mod tests {
     }
 
     #[test]
+    fn observer_sees_level_major_corner_order() {
+        // The trace contract `trace::cluster` (Fig. 8) relies on: a point's
+        // reads arrive level by level, corners 0..8 contiguous within each
+        // level, and its scatter writes repeat that sequence on the same
+        // addresses.
+        struct Record(Vec<(AccessPhase, u32, u8, u32)>);
+        impl GridAccessObserver for Record {
+            fn on_access(&mut self, phase: AccessPhase, level: u32, corner: u8, addr: u32) {
+                self.0.push((phase, level, corner, addr));
+            }
+        }
+        let g = small_grid();
+        let p = Vec3::new(0.31, 0.77, 0.13);
+        let mut obs = Record(Vec::new());
+        let mut out = vec![0.0; g.output_dim()];
+        g.encode_into(p, &mut out, &mut obs);
+        let mut grads = g.zero_grads();
+        g.backward_into(p, &vec![1.0; g.output_dim()], &mut grads, &mut obs);
+
+        let levels = g.levels().len() as u32;
+        let order = |phase| (0..levels).flat_map(move |l| (0..8u8).map(move |c| (phase, l, c)));
+        let expected: Vec<_> = order(AccessPhase::FeedForward)
+            .chain(order(AccessPhase::BackProp))
+            .collect();
+        let seen: Vec<_> = obs.0.iter().map(|&(ph, l, c, _)| (ph, l, c)).collect();
+        assert_eq!(seen, expected);
+        let (reads, writes) = obs.0.split_at(obs.0.len() / 2);
+        assert!(reads.iter().zip(writes).all(|(r, w)| r.3 == w.3));
+    }
+
+    #[test]
     fn size_factor_scales_table() {
         let cfg = HashGridConfig::default();
         let quarter = cfg.clone().with_size_factor(0.25);
@@ -1486,8 +1450,6 @@ mod tests {
         let mut grads = g.zero_grads();
         grads.values[3] = 2.0;
         grads.count = 4;
-        grads.scale(0.5);
-        assert_eq!(grads.values[3], 1.0);
         grads.zero();
         assert_eq!(grads.values[3], 0.0);
         assert_eq!(grads.count, 0);
@@ -1572,8 +1534,7 @@ mod tests {
         let w = g.output_dim();
         let f = g.config().features_per_entry;
         // The point-major scalar reference every strict backend must match.
-        let mut reference = vec![0.0f32; points.len() * w];
-        g.encode_batch_into(&points, &mut reference, &mut NullObserver);
+        let reference: Vec<f32> = points.iter().flat_map(|&p| g.encode(p)).collect();
         for backend in crate::kernels::registered() {
             // A lossy backend's subset encode must match that backend's own
             // full encode (self-consistency); a strict backend's full encode

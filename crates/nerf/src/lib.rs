@@ -11,11 +11,14 @@
 //! * [`hash`] — the spatial hash of Eq. 3 (`h = (π₁x ⊕ π₂y ⊕ π₃z) mod T`).
 //! * [`grid`] — the multiresolution hash-grid encoding of Instant-NGP
 //!   (Step ③-①): trilinear interpolation forward and gradient scatter
-//!   backward, with optional access observers for trace capture. Batched
-//!   SoA kernels (`encode_batch_into`, `par_encode_batch_with`,
-//!   `backward_batch_into`, `par_backward_batch_with`) process whole point
-//!   batches — level-major for cache locality, level-parallel for the
-//!   scatter — with bit-identical results to the scalar kernels.
+//!   backward, with optional access observers for trace capture. The
+//!   per-level scalar kernels (`encode_level_observed`,
+//!   `scatter_level_observed`) are the one reference body: the per-point
+//!   `encode_into` / `backward_into` loop them over levels, and the batched
+//!   SoA dispatchers (`par_encode_batch_with`, `par_backward_batch_with`)
+//!   process whole point batches through a kernel backend — level-major
+//!   for cache locality, level-parallel for the scatter — with
+//!   bit-identical results.
 //! * [`kernels`] — the **open kernel-backend API**: the [`Kernels`] trait
 //!   the batched engine dispatches through — five seams: level-subset grid
 //!   encode (a full encode is every level), per-level scatter, MLP
@@ -40,7 +43,7 @@
 //!   backward).
 //! * [`adam`] — the Adam optimizer used for both grids and MLPs.
 //! * [`render`] — classical volume rendering (Eq. 1), forward and backward
-//!   (Steps ④–⑥).
+//!   (Steps ④–⑥), over structure-of-arrays ray batches.
 //! * [`metrics`] — PSNR/MSE image metrics used throughout the evaluation.
 //! * [`field`] — the `RadianceField` abstraction shared by analytic
 //!   ground-truth scenes and learned models.

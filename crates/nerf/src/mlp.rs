@@ -594,15 +594,6 @@ impl MlpGradients {
         }
         self.count = 0;
     }
-
-    /// Scales every gradient by `s`.
-    pub fn scale(&mut self, s: f32) {
-        for (w, b) in &mut self.layers {
-            for v in w.iter_mut().chain(b.iter_mut()) {
-                *v *= s;
-            }
-        }
-    }
 }
 
 impl Mlp {
@@ -700,6 +691,8 @@ impl Mlp {
     ///
     /// Accumulates parameter gradients into `grads` and writes the gradient
     /// w.r.t. the network input into `d_input` (pass an empty slice to skip).
+    /// Each layer runs the reference parameter-gradient and input-gradient
+    /// sweeps of the batched scalar backend on a one-item batch.
     ///
     /// # Panics
     ///
@@ -727,26 +720,20 @@ impl Mlp {
         ws.d_cur[..d_output.len()].copy_from_slice(d_output);
         for (i, layer) in self.layers.iter().enumerate().rev() {
             let spec = layer.spec;
-            let x = &ws.acts[i]; // layer input
-            let y = &ws.acts[i + 1]; // activated output
-            let pre = &ws.pre[i];
-            let (gw, gb) = &mut grads.layers[i];
+            let (iw, ow) = (spec.in_dim, spec.out_dim);
+            let (y, pre) = (&ws.acts[i + 1], &ws.pre[i]);
             // Backprop through activation: dz = dy * act'(pre)
-            for o in 0..spec.out_dim {
+            for o in 0..ow {
                 ws.d_cur[o] *= spec.activation.derivative(pre[o], y[o]);
             }
-            // Parameter gradients and input gradient.
-            ws.d_next[..spec.in_dim].fill(0.0);
-            for o in 0..spec.out_dim {
-                let dz = ws.d_cur[o];
-                gb[o] += dz;
-                let row = &layer.w[o * spec.in_dim..(o + 1) * spec.in_dim];
-                let grow = &mut gw[o * spec.in_dim..(o + 1) * spec.in_dim];
-                for i_in in 0..spec.in_dim {
-                    grow[i_in] += dz * x[i_in];
-                    ws.d_next[i_in] += dz * row[i_in];
-                }
+            // The batched reference sweeps on a one-item batch.
+            let dz = &ws.d_cur[..ow];
+            let (gw, gb) = &mut grads.layers[i];
+            grad_rows_scalar(&ws.acts[i], dz, iw, ow, 0, gw, gb);
+            if i == 0 && d_input.is_empty() {
+                break;
             }
+            input_grad_scalar(&mut ws.d_next[..iw], dz, &layer.w, iw, ow);
             std::mem::swap(&mut ws.d_cur, &mut ws.d_next);
         }
         if !d_input.is_empty() {
@@ -1193,8 +1180,6 @@ mod tests {
         m.backward(&d, &mut ws, &mut g1, &mut []);
         assert!((g1.layers[0].0[0] - 2.0 * single).abs() < 1e-6);
         assert_eq!(g1.count, 2);
-        g1.scale(0.5);
-        assert!((g1.layers[0].0[0] - single).abs() < 1e-6);
         g1.zero();
         assert_eq!(g1.layers[0].0[0], 0.0);
     }

@@ -587,7 +587,7 @@ impl OccupancyWorkspace {
     ///
     /// * `model_aabb` — the volume the hash grid covers (world probe
     ///   positions are mapped through it, exactly like the trainer's
-    ///   per-point `density_at`).
+    ///   per-point grid encode).
     /// * `subset` — stride `k ≥ 1`: each refresh probes the cells whose
     ///   linear index ≡ phase (mod `k`), and the phase rotates so `k`
     ///   consecutive refreshes cover every cell once. `1` = full refresh.

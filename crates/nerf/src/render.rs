@@ -17,23 +17,15 @@
 //! ∂Ĉ/∂σ_k = δ_k · ( T_k (1−α_k) c_k − S_k )
 //! S_k     = Σ_{j>k} w_j c_j + T_end · bg    (suffix color)
 //! ```
+//!
+//! Samples live in structure-of-arrays form ([`RayBatch`]). The scalar
+//! pair [`composite_slices`] / [`composite_backward_slices`] is the one
+//! reference body: the `scalar` kernel backend, the point-at-a-time
+//! reference training steps and the field renderer
+//! ([`crate::field::render_ray`]) all call it.
 
 use crate::math::Vec3;
 use crate::simd::{Accumulate, F32x8, Strict};
-
-/// One integration sample along a ray: position parameters and the queried
-/// features (density σ and color c) from Step ③.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RaySample {
-    /// Distance from the ray origin.
-    pub t: f32,
-    /// Segment length δ to the next sample.
-    pub dt: f32,
-    /// Volume density σ ≥ 0.
-    pub sigma: f32,
-    /// Emitted RGB color.
-    pub rgb: Vec3,
-}
 
 /// Output of compositing one ray.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -48,124 +40,15 @@ pub struct RenderOutput {
     pub transmittance: f32,
 }
 
-/// Per-sample state retained for the backward pass.
-#[derive(Debug, Clone, Default)]
-pub struct RenderCache {
-    /// Compositing weight w_k per sample.
-    pub weights: Vec<f32>,
-    /// Transmittance T_k entering each sample.
-    pub trans: Vec<f32>,
-    /// 1 − α_k per sample.
-    pub one_minus_alpha: Vec<f32>,
-}
-
 /// Transmittance below which integration stops early (matches Instant-NGP's
 /// 1e-4 early-ray-termination threshold).
 pub const EARLY_STOP_TRANSMITTANCE: f32 = 1e-4;
 
-/// Composites samples front-to-back (Eq. 1). The cache enables
-/// [`composite_backward`]; pass `None` when only rendering.
-pub fn composite(
-    samples: &[RaySample],
-    background: Vec3,
-    mut cache: Option<&mut RenderCache>,
-) -> RenderOutput {
-    if let Some(c) = cache.as_deref_mut() {
-        c.weights.clear();
-        c.trans.clear();
-        c.one_minus_alpha.clear();
-    }
-    let mut color = Vec3::ZERO;
-    let mut depth = 0.0f32;
-    let mut opacity = 0.0f32;
-    let mut trans = 1.0f32;
-    for s in samples {
-        debug_assert!(s.sigma >= 0.0, "density must be non-negative");
-        let one_minus_alpha = (-s.sigma * s.dt).exp();
-        let alpha = 1.0 - one_minus_alpha;
-        let w = trans * alpha;
-        if let Some(c) = cache.as_deref_mut() {
-            c.weights.push(w);
-            c.trans.push(trans);
-            c.one_minus_alpha.push(one_minus_alpha);
-        }
-        color += s.rgb * w;
-        depth += s.t * w;
-        opacity += w;
-        trans *= one_minus_alpha;
-        if trans < EARLY_STOP_TRANSMITTANCE {
-            // Early termination: remaining samples contribute ~nothing.
-            // The cache stays truncated; backward treats them as zero-weight.
-            break;
-        }
-    }
-    color += background * trans;
-    RenderOutput {
-        color,
-        depth,
-        opacity,
-        transmittance: trans,
-    }
-}
-
-/// Gradients of a scalar loss w.r.t. each sample's density and color.
-#[derive(Debug, Clone, Default)]
-pub struct SampleGradients {
-    /// dL/dσ_k per sample (zero for early-terminated samples).
-    pub d_sigma: Vec<f32>,
-    /// dL/dc_k per sample.
-    pub d_rgb: Vec<Vec3>,
-}
-
-/// Backward pass of [`composite`] for the color output.
-///
-/// `d_color` is dL/dĈ; returns dL/dσ_k and dL/dc_k for every sample
-/// (samples past the early-termination point receive zero gradient, exactly
-/// as in Instant-NGP's CUDA kernels).
-///
-/// # Panics
-///
-/// Panics if the cache does not correspond to `samples` (it must come from
-/// a [`composite`] call on the same sample list).
-pub fn composite_backward(
-    samples: &[RaySample],
-    background: Vec3,
-    cache: &RenderCache,
-    out: &RenderOutput,
-    d_color: Vec3,
-) -> SampleGradients {
-    let n_active = cache.weights.len();
-    assert!(
-        n_active <= samples.len(),
-        "cache has more samples than the ray"
-    );
-    let mut grads = SampleGradients {
-        d_sigma: vec![0.0; samples.len()],
-        d_rgb: vec![Vec3::ZERO; samples.len()],
-    };
-    // Suffix color S_k = Σ_{j>k} w_j c_j + T_end·bg, built in reverse.
-    let mut suffix = background * out.transmittance;
-    for k in (0..n_active).rev() {
-        let s = &samples[k];
-        let w = cache.weights[k];
-        grads.d_rgb[k] = d_color * w;
-        // ∂Ĉ/∂σ_k = δ_k (T_k (1−α_k) c_k − S_k); chain with dL/dĈ.
-        let dc_dsigma = (s.rgb * (cache.trans[k] * cache.one_minus_alpha[k]) - suffix) * s.dt;
-        grads.d_sigma[k] = d_color.dot(dc_dsigma);
-        suffix += s.rgb * w;
-    }
-    grads
-}
-
-// ---------------------------------------------------------------------------
-// Batched (SoA) compositing
-// ---------------------------------------------------------------------------
-
 /// A batch of rays in structure-of-arrays form: per-sample attributes live
-/// in flat arrays, with `offsets` marking each ray's sample range. This is
-/// the zero-allocation replacement for per-ray `Vec<RaySample>` lists in
-/// the batched training engine — buffers are cleared and refilled each
-/// iteration, growing once to the high-water mark.
+/// in flat arrays, with `offsets` marking each ray's sample range. Buffers
+/// are cleared and refilled each iteration (or each ray, for the
+/// point-at-a-time callers), growing once to the high-water mark — zero
+/// steady-state allocation.
 #[derive(Debug, Clone, Default)]
 pub struct RayBatch {
     /// Ray `r` owns samples `offsets[r]..offsets[r+1]`. Always non-empty;
@@ -233,7 +116,7 @@ impl RayBatch {
 }
 
 /// Flat per-sample compositing state for a whole [`RayBatch`], retained for
-/// the backward pass (the SoA counterpart of [`RenderCache`]).
+/// the backward pass.
 ///
 /// Ray `r` owns rows `batch.ray_range(r)` of the three per-sample buffers
 /// and its compositing task receives them as `&mut` sub-slices, so rays
@@ -275,20 +158,6 @@ impl RayBatch {
 ///     || ray((&mut c.weights[0..2], &mut c.trans[0..2], &mut c.one_minus_alpha[0..2])),
 ///     || ray((&mut c.weights[1..3], &mut c.trans[1..3], &mut c.one_minus_alpha[1..3])),
 /// );
-/// ```
-///
-/// and so is keeping a ray's rows across a batch dispatch, which borrows
-/// the whole cache exclusively:
-///
-/// ```compile_fail,E0499
-/// # use instant3d_nerf::math::Vec3;
-/// # use instant3d_nerf::render::{composite_batch, RayBatch, RayBatchCache};
-/// # let batch = RayBatch::new();
-/// # let mut cache = RayBatchCache::default();
-/// # cache.weights.resize(2, 0.0);
-/// let kept = &mut cache.weights[0..2];
-/// composite_batch(&batch, Vec3::ZERO, &mut cache);
-/// kept[0] = 1.0;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RayBatchCache {
@@ -385,9 +254,12 @@ impl CompositeAccum {
     }
 }
 
-/// Composites one ray given as SoA slices; cache slices (same length as the
-/// sample slices) receive per-sample state and the integrated sample count.
-/// Arithmetic is identical to [`composite`] — outputs agree bit-for-bit.
+/// Composites one ray front-to-back (Eq. 1), given as SoA slices — the
+/// scalar reference kernel. Returns the ray's output and the number of
+/// samples integrated before early termination; the optional cache slices
+/// `(weights, trans, one_minus_alpha)` (same length as the sample slices)
+/// receive that many rows of per-sample state for
+/// [`composite_backward_slices`]. Pass `None` when only rendering.
 pub fn composite_slices(
     t: &[f32],
     dt: &[f32],
@@ -499,9 +371,10 @@ pub fn composite_slices_fast(
     composite_slices_lanes::<crate::simd::Fused>(t, dt, sigma, rgb, background, cache)
 }
 
-/// Backward pass of [`composite_slices`]: writes dL/dσ and dL/dc for every
-/// sample into the SoA gradient slices (zeros past `active`, exactly like
-/// [`composite_backward`]).
+/// Backward pass of [`composite_slices`] for the color output: given
+/// `d_color` = dL/dĈ, writes dL/dσ and dL/dc for every sample into the SoA
+/// gradient slices. Samples past `active` (the early-termination point)
+/// receive zero gradient, exactly as in Instant-NGP's CUDA kernels.
 #[allow(clippy::too_many_arguments)]
 pub fn composite_backward_slices(
     dt: &[f32],
@@ -519,35 +392,15 @@ pub fn composite_backward_slices(
     debug_assert!(active <= dt.len());
     d_sigma.fill(0.0);
     d_rgb.fill(Vec3::ZERO);
+    // Suffix color S_k = Σ_{j>k} w_j c_j + T_end·bg, built in reverse.
     let mut suffix = background * out.transmittance;
     for k in (0..active).rev() {
         let w = weights[k];
         d_rgb[k] = d_color * w;
+        // ∂Ĉ/∂σ_k = δ_k (T_k (1−α_k) c_k − S_k); chain with dL/dĈ.
         let dc_dsigma = (rgb[k] * (trans[k] * one_minus_alpha[k]) - suffix) * dt[k];
         d_sigma[k] = d_color.dot(dc_dsigma);
         suffix += rgb[k] * w;
-    }
-}
-
-/// Composites every ray of `batch` front-to-back, filling `cache`.
-pub fn composite_batch(batch: &RayBatch, background: Vec3, cache: &mut RayBatchCache) {
-    cache.reserve_for(batch);
-    for r in 0..batch.num_rays() {
-        let range = batch.ray_range(r);
-        let (out, active) = composite_slices(
-            &batch.t[range.clone()],
-            &batch.dt[range.clone()],
-            &batch.sigma[range.clone()],
-            &batch.rgb[range.clone()],
-            background,
-            Some((
-                &mut cache.weights[range.clone()],
-                &mut cache.trans[range.clone()],
-                &mut cache.one_minus_alpha[range],
-            )),
-        );
-        cache.outputs[r] = out;
-        cache.active[r] = active;
     }
 }
 
@@ -563,22 +416,74 @@ pub fn pixel_loss(pred: Vec3, truth: Vec3) -> (f32, Vec3) {
 mod tests {
     use super::*;
 
-    fn uniform_samples(n: usize, sigma: f32, rgb: Vec3) -> Vec<RaySample> {
+    /// One ray of `n` uniform samples over `[0, 1]`.
+    fn uniform_ray(n: usize, sigma: f32, rgb: Vec3) -> RayBatch {
         let dt = 1.0 / n as f32;
-        (0..n)
-            .map(|i| RaySample {
-                t: (i as f32 + 0.5) * dt,
-                dt,
-                sigma,
-                rgb,
-            })
-            .collect()
+        let mut ray = RayBatch::new();
+        for i in 0..n {
+            ray.push_sample((i as f32 + 0.5) * dt, dt);
+        }
+        ray.sigma.fill(sigma);
+        ray.rgb.fill(rgb);
+        ray.end_ray();
+        ray
+    }
+
+    fn integrate(ray: &RayBatch, background: Vec3) -> RenderOutput {
+        composite_slices(&ray.t, &ray.dt, &ray.sigma, &ray.rgb, background, None).0
+    }
+
+    /// Forward pass with the cache filled (`outputs[0]`, `active[0]`).
+    fn composite_cached(ray: &RayBatch, background: Vec3) -> RayBatchCache {
+        let mut cache = RayBatchCache::default();
+        cache.reserve_for(ray);
+        let rows = (
+            &mut cache.weights[..],
+            &mut cache.trans[..],
+            &mut cache.one_minus_alpha[..],
+        );
+        let (out, active) = composite_slices(
+            &ray.t,
+            &ray.dt,
+            &ray.sigma,
+            &ray.rgb,
+            background,
+            Some(rows),
+        );
+        cache.outputs[0] = out;
+        cache.active[0] = active;
+        cache
+    }
+
+    /// Backward pass of [`composite_cached`]: `(dL/dσ, dL/dc)` per sample.
+    fn backward(
+        ray: &RayBatch,
+        background: Vec3,
+        cache: &RayBatchCache,
+        d_color: Vec3,
+    ) -> (Vec<f32>, Vec<Vec3>) {
+        let n = ray.num_samples();
+        let (mut d_sigma, mut d_rgb) = (vec![0.0; n], vec![Vec3::ZERO; n]);
+        composite_backward_slices(
+            &ray.dt,
+            &ray.rgb,
+            background,
+            &cache.weights,
+            &cache.trans,
+            &cache.one_minus_alpha,
+            cache.active[0],
+            &cache.outputs[0],
+            d_color,
+            &mut d_sigma,
+            &mut d_rgb,
+        );
+        (d_sigma, d_rgb)
     }
 
     #[test]
     fn empty_ray_returns_background() {
         let bg = Vec3::new(0.2, 0.4, 0.6);
-        let out = composite(&[], bg, None);
+        let out = integrate(&uniform_ray(0, 1.0, Vec3::ONE), bg);
         assert_eq!(out.color, bg);
         assert_eq!(out.opacity, 0.0);
         assert_eq!(out.transmittance, 1.0);
@@ -587,8 +492,7 @@ mod tests {
     #[test]
     fn zero_density_is_transparent() {
         let bg = Vec3::new(1.0, 0.0, 0.0);
-        let samples = uniform_samples(16, 0.0, Vec3::ONE);
-        let out = composite(&samples, bg, None);
+        let out = integrate(&uniform_ray(16, 0.0, Vec3::ONE), bg);
         assert_eq!(out.color, bg);
         assert_eq!(out.opacity, 0.0);
     }
@@ -597,20 +501,19 @@ mod tests {
     fn opaque_wall_returns_surface_color() {
         let bg = Vec3::ZERO;
         let c = Vec3::new(0.3, 0.6, 0.9);
-        let samples = uniform_samples(64, 1e4, c);
-        let out = composite(&samples, bg, None);
+        let ray = uniform_ray(64, 1e4, c);
+        let out = integrate(&ray, bg);
         assert!((out.color - c).norm() < 1e-3);
         assert!(out.opacity > 0.999);
         // Depth concentrates at the first sample for an opaque medium.
-        assert!(out.depth < samples[1].t);
+        assert!(out.depth < ray.t[1]);
     }
 
     #[test]
     fn analytic_homogeneous_medium() {
         // For constant σ over [0,1]: opacity = 1 − e^{−σ}.
         let sigma = 2.0f32;
-        let samples = uniform_samples(1000, sigma, Vec3::ONE);
-        let out = composite(&samples, Vec3::ZERO, None);
+        let out = integrate(&uniform_ray(1000, sigma, Vec3::ONE), Vec3::ZERO);
         let expect = 1.0 - (-sigma).exp();
         assert!(
             (out.opacity - expect).abs() < 1e-3,
@@ -621,70 +524,60 @@ mod tests {
 
     #[test]
     fn weights_sum_to_opacity_and_match_transmittance() {
-        let samples = uniform_samples(32, 3.0, Vec3::ONE);
-        let mut cache = RenderCache::default();
-        let out = composite(&samples, Vec3::ZERO, Some(&mut cache));
-        let wsum: f32 = cache.weights.iter().sum();
+        let cache = composite_cached(&uniform_ray(32, 3.0, Vec3::ONE), Vec3::ZERO);
+        let out = cache.outputs[0];
+        let wsum: f32 = cache.weights[..cache.active[0]].iter().sum();
         assert!((wsum - out.opacity).abs() < 1e-5);
         assert!((out.opacity + out.transmittance - 1.0).abs() < 1e-5);
     }
 
     #[test]
     fn early_termination_truncates_cache() {
-        let samples = uniform_samples(1000, 1e4, Vec3::ONE);
-        let mut cache = RenderCache::default();
-        let _ = composite(&samples, Vec3::ZERO, Some(&mut cache));
+        let cache = composite_cached(&uniform_ray(1000, 1e4, Vec3::ONE), Vec3::ZERO);
         assert!(
-            cache.weights.len() < 20,
+            cache.active[0] < 20,
             "opaque ray should terminate quickly, used {} samples",
-            cache.weights.len()
+            cache.active[0]
         );
     }
 
     #[test]
     fn backward_color_gradient_is_weight() {
-        let samples = uniform_samples(8, 1.5, Vec3::splat(0.5));
-        let mut cache = RenderCache::default();
-        let out = composite(&samples, Vec3::ZERO, Some(&mut cache));
+        let ray = uniform_ray(8, 1.5, Vec3::splat(0.5));
+        let cache = composite_cached(&ray, Vec3::ZERO);
         let d_color = Vec3::new(1.0, 0.0, 0.0);
-        let grads = composite_backward(&samples, Vec3::ZERO, &cache, &out, d_color);
-        for k in 0..cache.weights.len() {
-            assert!((grads.d_rgb[k].x - cache.weights[k]).abs() < 1e-6);
-            assert_eq!(grads.d_rgb[k].y, 0.0);
+        let (_, d_rgb) = backward(&ray, Vec3::ZERO, &cache, d_color);
+        let active = cache.active[0];
+        for (d, w) in d_rgb.iter().zip(&cache.weights[..active]) {
+            assert!((d.x - w).abs() < 1e-6);
+            assert_eq!(d.y, 0.0);
         }
     }
 
     #[test]
     fn backward_sigma_matches_finite_difference() {
-        let mut samples = uniform_samples(12, 2.0, Vec3::ZERO);
+        let mut ray = uniform_ray(12, 2.0, Vec3::ZERO);
         // Give each sample a distinct color so the gradient is nontrivial.
-        for (i, s) in samples.iter_mut().enumerate() {
-            s.rgb = Vec3::new(i as f32 / 12.0, 0.5, 1.0 - i as f32 / 12.0);
-            s.sigma = 0.5 + 0.2 * i as f32;
+        for i in 0..ray.num_samples() {
+            ray.rgb[i] = Vec3::new(i as f32 / 12.0, 0.5, 1.0 - i as f32 / 12.0);
+            ray.sigma[i] = 0.5 + 0.2 * i as f32;
         }
         let bg = Vec3::new(0.1, 0.2, 0.3);
         let d_color = Vec3::new(0.7, -0.4, 0.2);
-        let mut cache = RenderCache::default();
-        let out = composite(&samples, bg, Some(&mut cache));
-        let grads = composite_backward(&samples, bg, &cache, &out, d_color);
+        let cache = composite_cached(&ray, bg);
+        let (d_sigma, _) = backward(&ray, bg, &cache, d_color);
 
-        let loss = |ss: &[RaySample]| -> f32 {
-            let o = composite(ss, bg, None);
-            d_color.dot(o.color)
-        };
+        let loss = |r: &RayBatch| d_color.dot(integrate(r, bg).color);
         let eps = 1e-3;
-        for k in 0..samples.len() {
-            let mut sp = samples.clone();
-            sp[k].sigma += eps;
-            let lp = loss(&sp);
-            let mut sm = samples.clone();
-            sm[k].sigma -= eps;
-            let lm = loss(&sm);
-            let fd = (lp - lm) / (2.0 * eps);
+        for (k, analytic) in d_sigma.iter().enumerate() {
+            let mut rp = ray.clone();
+            rp.sigma[k] += eps;
+            let mut rm = ray.clone();
+            rm.sigma[k] -= eps;
+            let fd = (loss(&rp) - loss(&rm)) / (2.0 * eps);
             assert!(
-                (fd - grads.d_sigma[k]).abs() < 1e-3,
-                "sample {k}: fd {fd} vs analytic {}",
-                grads.d_sigma[k]
+                (fd - analytic).abs() < 1e-3,
+                "sample {k}: fd {fd} vs analytic {analytic}"
             );
         }
     }
@@ -694,17 +587,14 @@ mod tests {
         // A single translucent sample in front of a bright background: more
         // density blocks background light, so dĈ/dσ must be negative when
         // the sample is darker than the background.
-        let samples = vec![RaySample {
-            t: 0.5,
-            dt: 0.5,
-            sigma: 1.0,
-            rgb: Vec3::ZERO,
-        }];
+        let mut ray = RayBatch::new();
+        ray.push_sample(0.5, 0.5);
+        ray.sigma[0] = 1.0;
+        ray.end_ray();
         let bg = Vec3::ONE;
-        let mut cache = RenderCache::default();
-        let out = composite(&samples, bg, Some(&mut cache));
-        let grads = composite_backward(&samples, bg, &cache, &out, Vec3::ONE);
-        assert!(grads.d_sigma[0] < 0.0);
+        let cache = composite_cached(&ray, bg);
+        let (d_sigma, _) = backward(&ray, bg, &cache, Vec3::ONE);
+        assert!(d_sigma[0] < 0.0);
     }
 
     #[test]

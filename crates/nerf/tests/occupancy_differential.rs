@@ -49,8 +49,8 @@ fn sigma_mlp(grid: &HashGrid, seed: u64) -> Mlp {
     )
 }
 
-/// The closure reference path: per-cell `encode_into` + per-point MLP
-/// forward — exactly the trainer's scalar `density_at`.
+/// The closure reference path: per-cell `encode_into` + per-point density
+/// MLP forward.
 fn closure_refresh(
     occ: &mut OccupancyGrid,
     grid: &HashGrid,

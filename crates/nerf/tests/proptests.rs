@@ -7,7 +7,9 @@ use instant3d_nerf::hash::{corner_group, dense_index, spatial_hash};
 use instant3d_nerf::kernels;
 use instant3d_nerf::math::{Aabb, Ray, Vec3};
 use instant3d_nerf::metrics::psnr;
-use instant3d_nerf::render::{composite, composite_backward, RaySample, RenderCache};
+use instant3d_nerf::render::{
+    composite_backward_slices, composite_slices, RayBatch, RayBatchCache, RenderOutput,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,6 +25,37 @@ fn vec3() -> impl Strategy<Value = Vec3> {
         finite_f32(-10.0..=10.0),
     )
         .prop_map(|(x, y, z)| Vec3::new(x, y, z))
+}
+
+/// One ray with the given densities, uniformly spaced over `[0, 1]`, all
+/// emitting `rgb`.
+fn uniform_ray(sigmas: &[f32], rgb: Vec3) -> RayBatch {
+    let dt = 1.0 / sigmas.len() as f32;
+    let mut ray = RayBatch::new();
+    for i in 0..sigmas.len() {
+        ray.push_sample((i as f32 + 0.5) * dt, dt);
+    }
+    ray.sigma.copy_from_slice(sigmas);
+    ray.rgb.fill(rgb);
+    ray.end_ray();
+    ray
+}
+
+/// Composites `ray`, filling `cache` when given.
+fn integrate(
+    ray: &RayBatch,
+    background: Vec3,
+    cache: Option<&mut RayBatchCache>,
+) -> (RenderOutput, usize) {
+    let rows = cache.map(|c| {
+        c.reserve_for(ray);
+        (
+            &mut c.weights[..],
+            &mut c.trans[..],
+            &mut c.one_minus_alpha[..],
+        )
+    });
+    composite_slices(&ray.t, &ray.dt, &ray.sigma, &ray.rgb, background, rows)
 }
 
 proptest! {
@@ -123,14 +156,7 @@ proptest! {
 
     #[test]
     fn compositing_conserves_probability(sigmas in prop::collection::vec(0.0f32..50.0, 1..64)) {
-        let n = sigmas.len();
-        let dt = 1.0 / n as f32;
-        let samples: Vec<RaySample> = sigmas
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| RaySample { t: (i as f32 + 0.5) * dt, dt, sigma: s, rgb: Vec3::ONE })
-            .collect();
-        let out = composite(&samples, Vec3::ZERO, None);
+        let (out, _) = integrate(&uniform_ray(&sigmas, Vec3::ONE), Vec3::ZERO, None);
         prop_assert!(out.opacity >= -1e-5 && out.opacity <= 1.0 + 1e-5);
         prop_assert!(out.transmittance >= 0.0 && out.transmittance <= 1.0);
         prop_assert!((out.opacity + out.transmittance - 1.0).abs() < 1e-4);
@@ -145,16 +171,9 @@ proptest! {
     {
         // All samples share one color; the background is another color:
         // the output must lie between them channel-wise.
-        let n = sigmas.len();
-        let dt = 1.0 / n as f32;
         let emit = Vec3::new(r, g, 0.25);
         let bg = Vec3::new(1.0 - r, 1.0 - g, 0.75);
-        let samples: Vec<RaySample> = sigmas
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| RaySample { t: (i as f32 + 0.5) * dt, dt, sigma: s, rgb: emit })
-            .collect();
-        let out = composite(&samples, bg, None);
+        let (out, _) = integrate(&uniform_ray(&sigmas, emit), bg, None);
         for k in 0..3 {
             let lo = emit[k].min(bg[k]) - 1e-4;
             let hi = emit[k].max(bg[k]) + 1e-4;
@@ -167,18 +186,17 @@ proptest! {
         sigmas in prop::collection::vec(0.1f32..10.0, 1..16))
     {
         let n = sigmas.len();
-        let dt = 1.0 / n as f32;
-        let samples: Vec<RaySample> = sigmas
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| RaySample { t: (i as f32 + 0.5) * dt, dt, sigma: s, rgb: Vec3::splat(0.5) })
-            .collect();
-        let mut cache = RenderCache::default();
-        let out = composite(&samples, Vec3::ZERO, Some(&mut cache));
-        let grads = composite_backward(&samples, Vec3::ZERO, &cache, &out, Vec3::new(1.0, 0.0, 0.0));
-        for (k, w) in cache.weights.iter().enumerate() {
-            prop_assert!((grads.d_rgb[k].x - w).abs() < 1e-5);
-            prop_assert_eq!(grads.d_rgb[k].y, 0.0);
+        let ray = uniform_ray(&sigmas, Vec3::splat(0.5));
+        let mut cache = RayBatchCache::default();
+        let (out, active) = integrate(&ray, Vec3::ZERO, Some(&mut cache));
+        let (mut d_sigma, mut d_rgb) = (vec![0.0f32; n], vec![Vec3::ZERO; n]);
+        composite_backward_slices(
+            &ray.dt, &ray.rgb, Vec3::ZERO, &cache.weights, &cache.trans, &cache.one_minus_alpha,
+            active, &out, Vec3::new(1.0, 0.0, 0.0), &mut d_sigma, &mut d_rgb,
+        );
+        for (k, w) in cache.weights[..active].iter().enumerate() {
+            prop_assert!((d_rgb[k].x - w).abs() < 1e-5);
+            prop_assert_eq!(d_rgb[k].y, 0.0);
         }
     }
 
@@ -273,8 +291,6 @@ proptest! {
         let positions: Vec<Vec3> = pts.iter().map(|&(x, y, z)| Vec3::new(x, y, z)).collect();
         let w = grid.output_dim();
 
-        let mut batched = vec![0.0f32; positions.len() * w];
-        grid.encode_batch_into(&positions, &mut batched, &mut NullObserver);
         let mut parallel = vec![0.0f32; positions.len() * w];
         grid.par_encode_batch_with(&kernels::scalar(), &positions, &mut parallel);
         let mut par_lanes = vec![0.0f32; positions.len() * w];
@@ -282,7 +298,6 @@ proptest! {
 
         for (i, p) in positions.iter().enumerate() {
             let scalar = grid.encode(*p);
-            prop_assert_eq!(&batched[i * w..(i + 1) * w], &scalar[..], "point-major row {}", i);
             prop_assert_eq!(&parallel[i * w..(i + 1) * w], &scalar[..], "parallel row {}", i);
             prop_assert_eq!(&par_lanes[i * w..(i + 1) * w], &scalar[..], "par simd row {}", i);
         }
@@ -313,16 +328,12 @@ proptest! {
         for (i, p) in positions.iter().enumerate() {
             grid.backward_into(*p, &d_out[i * w..(i + 1) * w], &mut scalar, &mut NullObserver);
         }
-        // Batched point-major, parallel level-major and SIMD scatters.
-        let mut batched = grid.zero_grads();
-        grid.backward_batch_into(&positions, &d_out, &mut batched, &mut NullObserver);
+        // Parallel level-major scalar and SIMD scatters.
         let mut parallel = grid.zero_grads();
         grid.par_backward_batch_with(&kernels::scalar(), &positions, &d_out, &mut parallel);
         let mut lanes = grid.zero_grads();
         grid.par_backward_batch_with(&kernels::simd(), &positions, &d_out, &mut lanes);
 
-        prop_assert_eq!(&batched.values, &scalar.values);
-        prop_assert_eq!(batched.count, scalar.count);
         prop_assert_eq!(&parallel.values, &scalar.values);
         prop_assert_eq!(parallel.count, scalar.count);
         prop_assert_eq!(&lanes.values, &scalar.values);
@@ -403,71 +414,6 @@ proptest! {
             }
             prop_assert_eq!(d_in, scalar_d_in.clone(), "{} input grads", backend);
         }
-    }
-
-    #[test]
-    fn composite_slices_matches_aos_composite(
-        sigmas in prop::collection::vec(0.0f32..40.0, 1..48),
-        bg in (0.0f32..1.0, 0.0f32..1.0, 0.0f32..1.0))
-    {
-        use instant3d_nerf::render::{composite_backward_slices, composite_slices};
-        let n = sigmas.len();
-        let dt = 1.0 / n as f32;
-        let samples: Vec<RaySample> = sigmas
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| RaySample {
-                t: (i as f32 + 0.5) * dt,
-                dt,
-                sigma: s,
-                rgb: Vec3::new(i as f32 / n as f32, 0.5, 1.0 - i as f32 / n as f32),
-            })
-            .collect();
-        let background = Vec3::new(bg.0, bg.1, bg.2);
-
-        let mut aos_cache = RenderCache::default();
-        let aos = composite(&samples, background, Some(&mut aos_cache));
-
-        let t: Vec<f32> = samples.iter().map(|s| s.t).collect();
-        let dts: Vec<f32> = samples.iter().map(|s| s.dt).collect();
-        let sg: Vec<f32> = samples.iter().map(|s| s.sigma).collect();
-        let rgb: Vec<Vec3> = samples.iter().map(|s| s.rgb).collect();
-        let mut weights = vec![0.0f32; n];
-        let mut trans = vec![0.0f32; n];
-        let mut oma = vec![0.0f32; n];
-        let (soa, active) = composite_slices(
-            &t, &dts, &sg, &rgb, background,
-            Some((&mut weights, &mut trans, &mut oma)),
-        );
-        prop_assert_eq!(soa, aos);
-        prop_assert_eq!(active, aos_cache.weights.len());
-        prop_assert_eq!(&weights[..active], &aos_cache.weights[..]);
-
-        // The SIMD compositing backend agrees with the AoS reference too.
-        let mut w2 = vec![0.0f32; n];
-        let mut t2 = vec![0.0f32; n];
-        let mut o2 = vec![0.0f32; n];
-        let (soa_simd, active_simd) = kernels::simd().composite_ray(
-            &t, &dts, &sg, &rgb, background,
-            Some((&mut w2, &mut t2, &mut o2)),
-        );
-        prop_assert_eq!(soa_simd, aos);
-        prop_assert_eq!(active_simd, active);
-        prop_assert_eq!(&w2[..active], &aos_cache.weights[..]);
-
-        // Backward agreement on the same ray.
-        let d_color = Vec3::new(0.7, -0.4, 0.2);
-        let aos_grads = instant3d_nerf::render::composite_backward(
-            &samples, background, &aos_cache, &aos, d_color,
-        );
-        let mut d_sigma = vec![0.0f32; n];
-        let mut d_rgb = vec![Vec3::ZERO; n];
-        composite_backward_slices(
-            &dts, &rgb, background, &weights, &trans, &oma, active, &soa, d_color,
-            &mut d_sigma, &mut d_rgb,
-        );
-        prop_assert_eq!(d_sigma, aos_grads.d_sigma);
-        prop_assert_eq!(d_rgb, aos_grads.d_rgb);
     }
 
     // ---------- Morton-packed occupancy bitfield ----------

@@ -12,9 +12,9 @@
 //! same workers.
 
 use crate::job::{JobSpec, SceneJob};
-use crate::pool::WorkspacePool;
 use crate::store::CheckpointStore;
 use instant3d_core::WorkloadStats;
+use instant3d_core::WorkspacePool;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;

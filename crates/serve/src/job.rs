@@ -1,7 +1,7 @@
 //! Job specs and the per-job training state machine.
 
-use crate::pool::WorkspacePool;
 use instant3d_core::render::{FrameBudget, FrameScheduler, RenderOptions};
+use instant3d_core::WorkspacePool;
 use instant3d_core::{checkpoint, TrainConfig, Trainer};
 use instant3d_scenes::{Dataset, SceneLibrary};
 use rand::rngs::StdRng;

@@ -64,10 +64,9 @@
 
 pub mod fleet;
 pub mod job;
-pub mod pool;
 pub mod store;
 
 pub use fleet::{Fleet, FleetConfig, FleetReport, FleetStats, JobReport};
+pub use instant3d_core::WorkspacePool;
 pub use job::{train_solo, JobSpec, SceneSpec};
-pub use pool::WorkspacePool;
 pub use store::CheckpointStore;
