@@ -1,6 +1,6 @@
 //! Conformance-suite integration tests: the live tree must lint clean,
-//! and seeded-violation fixtures must each fail with a `file:line`
-//! diagnostic from the right pass.
+//! and the seeded-violation fixture must fail with a `file:line`
+//! diagnostic from each atomics pass.
 
 use std::path::Path;
 
@@ -32,73 +32,6 @@ fn tree_is_clean() {
             .map(|v| format!("  {v}\n"))
             .collect::<String>()
     );
-}
-
-#[test]
-fn unmarked_mul_add_in_strict_module_fails_with_file_line() {
-    let src = include_str!("fixtures/fma_unmarked.rs");
-    let vs = lint_source("crates/nerf/src/simd.rs", src, &Config::default());
-    let fma = lints(&vs, "fma-strict");
-    assert_eq!(fma.len(), 2, "expected exactly two fma violations: {vs:?}");
-    assert_eq!(fma[0].file, "crates/nerf/src/simd.rs");
-    // The unmarked call site; the marked `lossy_helper` below it is clean.
-    let line = src
-        .lines()
-        .position(|l| l.contains("a.mul_add(b, c)"))
-        .unwrap() as u32
-        + 1;
-    assert_eq!(fma[0].line, line);
-    assert!(fma[0].message.contains("strict_kernel"));
-    // Naming the fused accumulate policy is the same violation as writing
-    // `mul_add`; the marked `lossy_monomorph` below it is clean.
-    let line = src.lines().position(|l| l.contains("::Fused>")).unwrap() as u32 + 1;
-    assert_eq!(fma[1].line, line);
-    assert!(fma[1].message.contains("`Fused`") && fma[1].message.contains("strict_monomorph"));
-    // Only `simd.rs` may spell a fused op: in any other strict module the
-    // marked `lossy_helper` literal is a violation too, while naming
-    // `Fused` under the marker (`lossy_monomorph`) stays clean.
-    // The optimizer sweep's modules (`adam.rs`, `fp16.rs`) are strict too.
-    for strict in ["mlp.rs", "adam.rs", "fp16.rs"] {
-        let vs = lint_source(
-            &format!("crates/nerf/src/{strict}"),
-            src,
-            &Config::default(),
-        );
-        let fma = lints(&vs, "fma-strict");
-        assert_eq!(fma.len(), 3, "literal under the marker: {vs:?}");
-        let helper = src.lines().position(|l| l.contains("fn lossy_helper"));
-        assert_eq!(fma[1].line, helper.unwrap() as u32 + 2, "its body line");
-        assert!(fma[1].message.contains("literal `mul_add` outside"));
-    }
-}
-
-#[test]
-fn marked_fixture_is_clean_outside_strict_modules() {
-    // The same source linted under a non-strict path: no FMA pass at all.
-    let src = include_str!("fixtures/fma_unmarked.rs");
-    let vs = lint_source("crates/scenes/src/lib.rs", src, &Config::default());
-    assert!(lints(&vs, "fma-strict").is_empty());
-}
-
-#[test]
-fn undocumented_unsafe_and_missing_caller_fail() {
-    let src = include_str!("fixtures/unsafe_undocumented.rs");
-    let vs = lint_source("crates/nerf/src/grid.rs", src, &Config::default());
-
-    let safety = lints(&vs, "unsafe-safety");
-    // The bare block and the `missing_caller` unsafe fn; `documented`
-    // and `guarded` are covered.
-    assert_eq!(safety.len(), 2, "unsafe census: {vs:?}");
-    let block_line = src
-        .lines()
-        .position(|l| l.contains("core::ptr::null"))
-        .unwrap() as u32
-        + 1;
-    assert!(safety.iter().any(|v| v.line == block_line));
-
-    let caller = lints(&vs, "target-feature-caller");
-    assert_eq!(caller.len(), 1, "caller notes: {vs:?}");
-    assert!(caller[0].message.contains("missing_caller"));
 }
 
 #[test]
@@ -144,71 +77,6 @@ fn protocol_manifest_count_drift_is_flagged() {
     let protocol = lints(&vs, "atomics-protocol");
     assert_eq!(protocol.len(), 1);
     assert!(protocol[0].message.contains("count drift"));
-}
-
-#[test]
-fn hashmap_in_kernel_path_fails_but_cfg_test_is_exempt() {
-    let src = include_str!("fixtures/determinism_hashmap.rs");
-    let vs = lint_source("crates/nerf/src/foo.rs", src, &Config::default());
-    let det = lints(&vs, "determinism");
-    assert!(!det.is_empty(), "determinism: {vs:?}");
-    assert!(det.iter().all(|v| v.message.contains("HashMap")));
-    // Nothing flagged inside the #[cfg(test)] module (HashSet there).
-    let test_mod_start = src
-        .lines()
-        .position(|l| l.contains("#[cfg(test)]"))
-        .unwrap() as u32
-        + 1;
-    assert!(det.iter().all(|v| v.line < test_mod_start));
-    // The serve crate is a determinism root too (fleet scheduling must
-    // not perturb results), so the same source flags there…
-    let vs2 = lint_source("crates/serve/src/foo.rs", src, &Config::default());
-    assert!(!lints(&vs2, "determinism").is_empty(), "{vs2:?}");
-    // …while outside the kernel/trainer/serve roots the pass does not
-    // run at all.
-    let vs3 = lint_source("crates/trace/src/foo.rs", src, &Config::default());
-    assert!(lints(&vs3, "determinism").is_empty(), "{vs3:?}");
-}
-
-#[test]
-fn determinism_allowlist_suppresses_named_pairs_only() {
-    let src = include_str!("fixtures/determinism_hashmap.rs");
-    let mut cfg = Config::default();
-    cfg.determinism
-        .push(instant3d_conformance::DeterminismEntry {
-            path: "crates/nerf/src/foo.rs".into(),
-            name: "HashMap".into(),
-        });
-    let vs = lint_source("crates/nerf/src/foo.rs", src, &cfg);
-    assert!(lints(&vs, "determinism").is_empty(), "{vs:?}");
-}
-
-#[test]
-fn unjustified_panics_in_hot_path_modules_fail() {
-    let src = include_str!("fixtures/panic_unjustified.rs");
-    for hot in ["crates/nerf/src/mlp.rs", "crates/nerf/src/adam.rs"] {
-        let vs = lint_source(hot, src, &Config::default());
-        let census = lints(&vs, "panic-census");
-        // The three bare sites in `hot_path`; `justified`,
-        // `trailing_marker` and the #[cfg(test)] module are clean.
-        assert_eq!(census.len(), 3, "panic census: {vs:?}");
-        for (needle, what) in [
-            ("v.first().unwrap()", "`.unwrap()`"),
-            ("v.last().expect", "`.expect()`"),
-            ("panic!(\"batch too large\")", "`panic!`"),
-        ] {
-            let line = src.lines().position(|l| l.contains(needle)).unwrap() as u32 + 1;
-            assert!(
-                census
-                    .iter()
-                    .any(|v| v.line == line && v.message.contains(what)),
-                "missing {what} at line {line}: {census:?}"
-            );
-        }
-    }
-    // Outside the census file list the pass does not run.
-    let vs2 = lint_source("crates/nerf/src/lib.rs", src, &Config::default());
-    assert!(lints(&vs2, "panic-census").is_empty(), "{vs2:?}");
 }
 
 /// The checked-in manifest matches the real vendor/rayon tree exactly —

@@ -30,6 +30,8 @@
 //! the engine has its bits, and `tests/batched_equivalence.rs` pins the
 //! engine's per-grid scatter order to that trace's level-major stream.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::config::GridTopology;
 use crate::model::{ModelGradients, NerfModel};
 use instant3d_nerf::kernels::BackendHandle;

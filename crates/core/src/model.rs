@@ -298,7 +298,10 @@ impl NerfModel {
     /// rebuild activations and backpropagates `d_sigma`/`d_rgb` into the
     /// MLP gradients, leaving the embedding gradients in the workspace for
     /// [`NerfModel::scatter_grids`].
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per cached per-point input, gradient and buffer"
+    )]
     pub fn heads_backward(
         &self,
         emb_d: &[f32],

@@ -23,15 +23,18 @@
 use crate::batch::{BatchWorkspace, WorkspaceShape};
 use crate::model::NerfModel;
 use instant3d_nerf::occupancy::OccupancyWorkspace;
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// Shared, shape-keyed reuse pool. All methods take `&self`; the pool is
 /// what fleet runners and tile jobs contend on (briefly — checkout/park
 /// are O(1) map and vec operations).
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed by shape; pools are drained per shape and never iterated, so the order is never observed"
+)]
 pub struct WorkspacePool {
-    batch: Mutex<HashMap<WorkspaceShape, Vec<BatchWorkspace>>>,
+    batch: Mutex<std::collections::HashMap<WorkspaceShape, Vec<BatchWorkspace>>>,
     occ: Mutex<Vec<OccupancyWorkspace>>,
 }
 

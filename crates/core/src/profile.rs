@@ -112,17 +112,6 @@ pub struct WorkloadStats {
     /// re-encoded — it is *not* included in [`WorkloadStats::density_reads_ff`],
     /// which tracks the training pipeline's Step ③-① reads.
     pub occupancy_reads_ff: u64,
-    /// Fresh `BatchWorkspace`/`OccupancyWorkspace` allocations. Populated
-    /// by the serve layer's fleet telemetry (one per workspace the reuse
-    /// pool had to mint); the single-scene trainer leaves it 0 so golden
-    /// comparisons between execution engines stay exact — its own lazy
-    /// allocation is reported via `Trainer::batch_workspace_allocations`.
-    pub workspaces_allocated: u64,
-    /// Workspaces handed to a job from the reuse pool instead of being
-    /// allocated. After warmup a healthy fleet grows this counter while
-    /// [`WorkloadStats::workspaces_allocated`] stays flat — the
-    /// zero-steady-state-allocation check.
-    pub workspaces_recycled: u64,
 }
 
 impl WorkloadStats {
@@ -141,8 +130,6 @@ impl WorkloadStats {
         self.occupancy_refreshes += other.occupancy_refreshes;
         self.occupancy_probes += other.occupancy_probes;
         self.occupancy_reads_ff += other.occupancy_reads_ff;
-        self.workspaces_allocated += other.workspaces_allocated;
-        self.workspaces_recycled += other.workspaces_recycled;
     }
 
     /// All grid feed-forward reads.
@@ -319,7 +306,7 @@ mod tests {
     #[test]
     fn steps_enumeration_is_complete_and_labelled() {
         assert_eq!(PipelineStep::ALL.len(), 8);
-        let mut labels = std::collections::HashSet::new();
+        let mut labels = std::collections::BTreeSet::new();
         for s in PipelineStep::ALL {
             assert!(labels.insert(s.label()), "duplicate label {}", s.label());
         }

@@ -46,6 +46,8 @@
 //! (`sample_segments_occupancy_into`), and transmittance early
 //! termination inside the backend's `composite_ray` kernel.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::batch::BatchWorkspace;
 use crate::model::NerfModel;
 use crate::pool::WorkspacePool;
@@ -357,6 +359,10 @@ impl FrameScheduler {
     /// a workspace checked out of `pool`. Passing `occ` turns on
     /// occupancy-guided sampling (changes pixel values — empty space is
     /// skipped); `None` reproduces the monolithic renderer bit-for-bit.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the frame deadline bounds render time; wall-clock values never enter pixels"
+    )]
     pub fn render_frame(
         &mut self,
         model: &NerfModel,
@@ -458,8 +464,10 @@ impl FrameScheduler {
                                     BatchWorkspace::new(model)
                                 }
                             });
-                            // PANICS: lock poisoning means a sibling tile
-                            // worker already panicked — propagate it.
+                            #[expect(
+                                clippy::unwrap_used,
+                                reason = "lock poisoning means a sibling tile worker already panicked; propagate it"
+                            )]
                             let t: &mut TileState = &mut work[i].lock().unwrap();
                             let (sampled_grid, tile_points) = render_tile(
                                 model,
@@ -552,7 +560,10 @@ fn grid_versions(model: &NerfModel) -> Vec<u64> {
 /// [`OccupancyGrid::ray_segment_occupied`] and surviving rays sample
 /// through `sample_segments_occupancy_into`, so known-empty space costs
 /// one bitfield probe per stratum instead of a full grid+MLP evaluation.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "tile geometry, options, occupancy, scratch and output slices are independent inputs"
+)]
 fn render_tile(
     model: &NerfModel,
     camera: &Camera,

@@ -12,6 +12,8 @@
 //! fixed array of durations — it allocates nothing, reads no clock itself
 //! (the trainer does) and never feeds back into numeric results.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::profile::PipelineStep;
 use std::time::Duration;
 

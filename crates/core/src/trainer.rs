@@ -15,6 +15,8 @@
 //! 6. **Back-propagate** — analytic gradients through ④→③, with the grid
 //!    scatter gated by each branch's update schedule (§3.3), then Adam.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::batch::BatchWorkspace;
 use crate::config::{GridTopology, TrainConfig};
 use crate::eval::EvalResult;
@@ -137,6 +139,10 @@ pub struct Trainer {
 }
 
 /// Charges the time since `*last` to `step` and restarts the lap clock.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "wall-clock telemetry: step timings are logged, never enter gradients or outputs"
+)]
 fn lap(timer: &mut StepTimer, last: &mut Instant, step: PipelineStep) {
     let now = Instant::now();
     timer.add(step, now - *last);
@@ -296,9 +302,10 @@ impl Trainer {
     /// [`shape`](BatchWorkspace::shape) does not fit this trainer's model
     /// (wrong dimensions or kernel backend); any workspace already
     /// attached is dropped in favor of the new one only on success.
-    // The large `Err` is the point: the caller gets the rejected
-    // workspace back to re-pool instead of losing it.
-    #[allow(clippy::result_large_err)]
+    #[allow(
+        clippy::result_large_err,
+        reason = "the caller gets the rejected workspace back to re-pool instead of losing it"
+    )]
     pub fn attach_batch_workspace(&mut self, ws: BatchWorkspace) -> Result<(), BatchWorkspace> {
         if ws.fits(&self.model) {
             self.bws = Some(ws);
@@ -388,6 +395,10 @@ impl Trainer {
     /// The batched SoA training iteration (see [`crate::batch`]).
     fn step_batched_impl<R: Rng + ?Sized>(&mut self, rng: &mut R) -> StepStats {
         use PipelineStep as Ps;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock telemetry: step timings are logged, never enter gradients or outputs"
+        )]
         let mut last = Instant::now();
         let update_density = self.density_schedule.should_update(self.iter);
         let update_color = match self.model.topology() {
@@ -781,10 +792,6 @@ impl Trainer {
             occupancy_refreshes: occ_refresh.is_some() as u64,
             occupancy_probes: occ_refresh.map_or(0, |r| r.cells_probed as u64),
             occupancy_reads_ff: occ_refresh.map_or(0, |r| r.grid_reads),
-            // Workspace-pool counters belong to the serve layer; the
-            // trainer keeps them 0 so engine-vs-engine golden stats match.
-            workspaces_allocated: 0,
-            workspaces_recycled: 0,
         });
 
         self.iter += 1;

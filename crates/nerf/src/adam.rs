@@ -8,6 +8,8 @@
 //! divisions in all three entry points: the sparse step and the consuming
 //! sweep share one expression tree, and the golden suites pin its bits.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::fp16;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -18,6 +18,8 @@
 //! write, which is how the `instant3d-trace` crate captures the address
 //! streams behind Figs. 8, 9 and 10.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::adam::Adam;
 use crate::fp16;
 use crate::hash::{vertex_address, AddressMode, CORNER_OFFSETS};
@@ -755,8 +757,8 @@ impl HashGrid {
     /// per-point sequence on scalars, so results do not depend on where a
     /// point falls in the batch. The one body behind both lane backends
     /// (see [`crate::simd`]): with `Strict` accumulation every output bit
-    /// matches [`HashGrid::encode_level_observed`]; with `Fused` each
-    /// corner folds into one rounding instead of two. Grids with
+    /// matches [`HashGrid::encode_level_observed`]; the lossy policy folds
+    /// each corner into one rounding instead of two. Grids with
     /// `features_per_entry != 2` fall back to the scalar kernel.
     #[inline(always)]
     pub(crate) fn encode_level_lanes<A: Accumulate>(
@@ -816,35 +818,6 @@ impl HashGrid {
             out[dst] = acc0;
             out[dst + 1] = acc1;
         }
-    }
-
-    /// One level's encode for the lossy `fast` backend: the `Fused`
-    /// monomorph of [`HashGrid::encode_level_lanes`]. The fused accumulate
-    /// is correctly rounded on every path, so the AVX2/FMA specialization and
-    /// the portable fallback produce the same bits — deterministic across
-    /// hosts, batch sizes, chunkings and worker counts, and different from
-    /// the strict kernels only by bounded rounding.
-    // CONTRACT: lossy-tier — fused interpolation backing `FastKernels`.
-    #[allow(unsafe_code)]
-    pub(crate) fn encode_level_fast(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2_fma_available() {
-            // SAFETY: AVX2+FMA presence was just verified at runtime.
-            return unsafe { self.encode_level_fast_avx2(l, unit_positions, out) };
-        }
-        self.encode_level_lanes::<crate::simd::Fused>(l, unit_positions, out);
-    }
-
-    // CONTRACT: lossy-tier — fused interpolation backing `FastKernels`.
-    // CALLER: `encode_level_fast` gates this behind
-    // `simd::avx2_fma_available()` runtime detection.
-    // SAFETY: only safe slice code inside; the sole obligation is the
-    // AVX2+FMA target features, established by the caller's guard.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(unsafe_code)]
-    unsafe fn encode_level_fast_avx2(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
-        self.encode_level_lanes::<crate::simd::Fused>(l, unit_positions, out);
     }
 
     /// Parallel unobserved batched encode of every level through an
@@ -972,8 +945,8 @@ impl HashGrid {
     /// result is deterministic for any worker count. The one body behind
     /// both lane backends (see [`crate::simd`]): with `Strict`
     /// accumulation it is bit-identical to
-    /// [`HashGrid::scatter_level_observed`]; with `Fused` each
-    /// `grad += w·g` folds into one rounding. `features_per_entry != 2`
+    /// [`HashGrid::scatter_level_observed`]; the lossy policy folds each
+    /// `grad += w·g` into one rounding. `features_per_entry != 2`
     /// falls back to the scalar kernel.
     #[inline(always)]
     pub(crate) fn scatter_level_lanes<A: Accumulate>(
@@ -1023,44 +996,6 @@ impl HashGrid {
                 level_grads[dst + 1] = A::scalar(level_grads[dst + 1], pw[c], g1);
             }
         }
-    }
-
-    /// One level's scatter for the lossy `fast` backend: the `Fused`
-    /// monomorph of [`HashGrid::scatter_level_lanes`], with the same
-    /// AVX2/FMA-or-portable dispatch as [`HashGrid::encode_level_fast`].
-    // CONTRACT: lossy-tier — fused scatter backing `FastKernels`.
-    #[allow(unsafe_code)]
-    pub(crate) fn scatter_level_fast(
-        &self,
-        l: usize,
-        level_grads: &mut [f32],
-        unit_positions: &[Vec3],
-        d_out: &[f32],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::avx2_fma_available() {
-            // SAFETY: AVX2+FMA presence was just verified at runtime.
-            return unsafe { self.scatter_level_fast_avx2(l, level_grads, unit_positions, d_out) };
-        }
-        self.scatter_level_lanes::<crate::simd::Fused>(l, level_grads, unit_positions, d_out);
-    }
-
-    // CONTRACT: lossy-tier — fused scatter backing `FastKernels`.
-    // CALLER: `scatter_level_fast` gates this behind
-    // `simd::avx2_fma_available()` runtime detection.
-    // SAFETY: only safe slice code inside; the sole obligation is the
-    // AVX2+FMA target features, established by the caller's guard.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(unsafe_code)]
-    unsafe fn scatter_level_fast_avx2(
-        &self,
-        l: usize,
-        level_grads: &mut [f32],
-        unit_positions: &[Vec3],
-        d_out: &[f32],
-    ) {
-        self.scatter_level_lanes::<crate::simd::Fused>(l, level_grads, unit_positions, d_out);
     }
 
     /// Parallel unobserved batched scatter through an explicit kernel

@@ -1,6 +1,8 @@
 //! The two built-in numeric backends: the scalar reference kernels and
 //! the lane-batched SIMD kernels.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use super::Kernels;
 use crate::grid::{HashGrid, NullObserver};
 use crate::math::Vec3;

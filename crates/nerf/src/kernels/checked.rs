@@ -19,6 +19,8 @@
 //! accumulation-order contract is re-executed on every push instead of
 //! trusted.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use super::{Kernels, ScalarKernels, SimdKernels};
 use crate::grid::HashGrid;
 use crate::math::Vec3;
@@ -28,6 +30,10 @@ use crate::render::RenderOutput;
 /// Panics with the kernel identity and first diverging element when a
 /// checked kernel's bits differ from the scalar reference — the runtime
 /// teeth of the fixed-accumulation-order half of the strict contract.
+#[expect(
+    clippy::panic,
+    reason = "a bit divergence from the scalar reference means the backend broke the fixed accumulation order; the checker exists to abort on exactly this"
+)]
 fn compare_bits(kernel: &str, checked: &[f32], reference: &[f32]) {
     assert_eq!(
         checked.len(),
@@ -36,9 +42,6 @@ fn compare_bits(kernel: &str, checked: &[f32], reference: &[f32]) {
     );
     for (i, (c, r)) in checked.iter().zip(reference).enumerate() {
         if c.to_bits() != r.to_bits() {
-            // PANICS: a bit divergence from the scalar reference means
-            // the backend broke the fixed accumulation order — the
-            // checker exists to abort on exactly this.
             panic!(
                 "checked backend: accumulation-order violation in {kernel}: \
                  element {i} is {c:e} (0x{:08x}) but the scalar reference \

@@ -18,9 +18,9 @@
 //!   over the accumulate policy that [`crate::simd`] owns; `simd` runs the
 //!   `Strict` monomorphs.
 //! * [`FastKernels`] (`"fast"`) — the first **lossy-tier** backend: the
-//!   `Fused` monomorphs of the same bodies, with runtime-detected AVX2/FMA
-//!   specialisations, trading bit-identity for speed under a declared
-//!   [`Tolerance`].
+//!   same bodies instantiated with a fused accumulate policy private to
+//!   `kernels/fast.rs`, with runtime-detected AVX2/FMA specialisations,
+//!   trading bit-identity for speed under a declared [`Tolerance`].
 //! * [`CheckedKernels`] (`"checked"`) — the strict-tier shadow executor:
 //!   wraps the SIMD kernels and re-derives every output through the scalar
 //!   reference, panicking on the first diverging bit, to pin the fixed
@@ -88,8 +88,8 @@
 //! (`tests/backend_api.rs` pins the CI axes to the registry split).
 //!
 //! Every backend runs on every host: [`FastKernels`]' AVX2/FMA paths are
-//! a runtime specialisation over a portable `f32::mul_add` fallback with
-//! identical results.
+//! a runtime specialisation over a portable fused fallback with identical
+//! results.
 //!
 //! # Selecting a backend
 //!
@@ -112,55 +112,52 @@
 //!
 //! # Contract enforcement
 //!
-//! The strict contract has two halves, each carried by the one mechanism
-//! that can actually see it; a new backend opts in simply by registering.
+//! Each part of the strict contract is carried by the one mechanism that
+//! can actually see it; a new backend opts in simply by registering.
 //!
 //! | | proves | how |
 //! |---|---|---|
 //! | **The compiler** | parallel tasks write **disjoint, in-bounds, gap-free** ranges | every dispatch seam hands its tasks `&mut` slices cut by `par_chunks_mut().zip(..)` or a `split_at_mut` partition (the per-level scatter's lives in one private helper in `grid.rs`), and `#![deny(unsafe_code)]` keeps a raw-pointer dispatcher from appearing unannounced — an overlapping, aliased or outliving write is a compile error (`compile_fail` doctests on that helper and on [`RayBatchCache`](crate::render::RayBatchCache)) |
-//! | **`checked` + the lints** | what types do not see: **accumulation order**, FMA placement, the `unsafe`/`target_feature` census, atomics orderings, determinism | [`CheckedKernels`] re-runs every seam through [`ScalarKernels`] on a shadow copy and panics on the first diverging bit; the conformance linter enforces the marker grammar below |
+//! | **Privacy + clippy** | **FMA placement**, the `unsafe` / `#[target_feature]` census, **determinism**, the **panic census** | the fused accumulate policy is private to `kernels/fast.rs`, so a strict module that names it does not compile; `cargo clippy` runs the lints below over every crate |
+//! | **`checked` + the atomics linter** | what neither sees: **accumulation order**, atomics orderings | [`CheckedKernels`] re-runs every seam through [`ScalarKernels`] on a shadow copy and panics on the first diverging bit; the conformance linter checks `// ORDERING:` markers |
 //!
 //! `checked` rides the CI strict backend × worker matrix
 //! (`.github/workflows/ci.yml`), whose axis is derived from the registry
 //! by `tests/backend_api.rs`, so neither a new strict backend nor the
 //! checker itself can silently drop out.
 //!
-//! **The conformance linter** (`cargo run -p instant3d-conformance`, also
-//! a `#[test]` in that crate) lexes the workspace sources (comment/string
-//! aware) and enforces a small marker grammar; all markers are line
-//! comments immediately above the item they cover (attributes and further
-//! comment lines may sit between), except where noted:
+//! **The clippy lints** (`cargo clippy --workspace --all-targets -- -D
+//! warnings`; `[workspace.lints.clippy]` plus per-crate `clippy.toml`):
 //!
-//! * `// CONTRACT: lossy-tier` — required on any function in a strict
-//!   kernel module (`grid.rs`, `mlp.rs`, `render.rs`, `simd.rs`,
-//!   `kernels/builtin.rs`) that names `Fused`, the single-rounding
-//!   accumulate policy of [`crate::simd`] — instantiating a shared body
-//!   with it is writing `mul_add` by another name. A literal
-//!   `mul_add`/`fadd_fast`/`fmul_fast` is legal only in `simd.rs`, where
-//!   the policy lives, under the same marker; anywhere else in those
-//!   modules it fails the lint even when marked. Only the fused wrappers
-//!   backing a `Tier::Lossy` backend may carry the marker; an unmarked
-//!   `Fused` in a strict module fails the lint, so FMA cannot silently
-//!   leak into the bit-identity tier.
-//! * `// SAFETY:` — required immediately before every `unsafe` block,
-//!   `unsafe fn` and `unsafe impl` in `crates/` and `vendor/rayon/src/`
-//!   (a `# Safety` doc section on the item also satisfies it).
-//! * `// CALLER:` — required on every `#[target_feature]` function,
-//!   naming the runtime-detection guard its callers must check.
-//! * `// ORDERING:` — required on (or trailing) every line using
-//!   `Ordering::Relaxed`; stronger orderings in `vendor/rayon/src/` are
-//!   cross-checked against the sleep/latch protocol manifest in
-//!   `crates/conformance/allowlists/atomics_protocol.txt`.
-//! * Determinism: `HashMap`/`HashSet`/`thread_rng`/`Instant::now` are
-//!   forbidden in the kernel/trainer/serving crates outside the telemetry
-//!   allowlist (`crates/conformance/allowlists/determinism.txt`) — iteration
-//!   order and wall-clock reads must never feed kernel numerics.
-//! * `// PANICS:` — required on every `unwrap`/`expect`/`panic!` in the
-//!   kernel and trainer hot-path modules (the strict kernel files plus
-//!   `kernels/{checked,fast}.rs` and
-//!   `core/{batch,trainer,render}.rs`), justifying why aborting is the
-//!   contractually correct response. A hot-path panic without a stated
-//!   contract behind it is a latent reliability bug.
+//! * FMA — `clippy::disallowed_methods` forbids `f32`'s fused
+//!   multiply-add anywhere in this crate (`crates/nerf/clippy.toml`); the
+//!   one `#[expect]` sits on the fused policy's impl.
+//! * `unsafe` — `clippy::undocumented_unsafe_blocks` requires a
+//!   `// SAFETY:` comment on every `unsafe` block and
+//!   `clippy::missing_safety_doc` a `# Safety` section on every `unsafe`
+//!   or `#[target_feature]` fn, private ones included. The
+//!   `#[target_feature]` fns are safe fns (target-feature 1.1), so calling
+//!   one outside a feature-enabled context is a compile error without an
+//!   `unsafe` block, whose `// SAFETY:` names the `avx2_fma_available()`
+//!   guard.
+//! * Determinism — `clippy::disallowed_types` (`HashMap`, `HashSet`) and
+//!   `clippy::disallowed_methods` (`Instant::now`) in the kernel, trainer
+//!   and serving crates: iteration order and wall-clock reads must never
+//!   feed kernel numerics. Each telemetry site carries an `#[expect]`
+//!   whose reason says why it cannot.
+//! * Panics — the kernel and trainer hot-path modules open with
+//!   `#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]`;
+//!   each remaining site carries an `#[expect]` whose reason argues why
+//!   aborting is the contractually correct response.
+//!   `clippy::allow_attributes_without_reason` keeps that reason
+//!   mandatory.
+//!
+//! **The conformance linter** (`cargo run -p instant3d-conformance`, also
+//! a `#[test]` in that crate) lexes the workspace sources and enforces one
+//! marker: `// ORDERING:` on (or trailing, or in the comment block above)
+//! every line using `Ordering::Relaxed`. Stronger orderings in
+//! `vendor/rayon/src/` are cross-checked against the sleep/latch protocol
+//! manifest in `crates/conformance/allowlists/atomics_protocol.txt`.
 
 mod builtin;
 mod checked;
@@ -599,7 +596,7 @@ pub fn simd() -> BackendHandle {
 }
 
 /// The lossy-tier FMA/AVX2 backend (always registered; runs everywhere —
-/// it falls back to portable `f32::mul_add` where AVX2/FMA are absent).
+/// it falls back to portable fused code where AVX2/FMA are absent).
 pub fn fast() -> BackendHandle {
     get("fast").expect("built-in fast backend")
 }

@@ -62,10 +62,11 @@
 //! assert_eq!(emb.len(), grid.output_dim());
 //! ```
 
-// The only `unsafe` in this crate is `#[target_feature]` fns, their
-// runtime-guarded call sites and the SSE2 lane intrinsics in `simd.rs`,
-// each opted in with an item-level `#[allow(unsafe_code)]`; anything
-// else — a raw-pointer dispatcher, say — has to justify itself.
+// The only `unsafe` in this crate is the runtime-guarded calls of the
+// fused kernels' `#[target_feature]` arms in `kernels/fast.rs` and the
+// SSE2 lane intrinsics in `simd.rs`, each opted in with an item-level
+// `#[allow(unsafe_code, reason = ..)]`; anything else — a raw-pointer
+// dispatcher, say — has to justify itself.
 #![deny(unsafe_code)]
 
 pub mod activation;

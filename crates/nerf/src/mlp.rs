@@ -13,13 +13,15 @@
 //! here: the hand-written unblocked scalar reference, and one four-wide
 //! blocked body generic over the accumulate policy of [`crate::simd`],
 //! which both lane backends instantiate (`simd` with `Strict`, `fast`
-//! with `Fused`). Blocking over inputs, items or output rows never
-//! reorders the sum that forms any one output, so the `Strict` monomorph
-//! has the reference's bits.
+//! with its private fused policy). Blocking over inputs, items or output
+//! rows never reorders the sum that forms any one output, so the `Strict`
+//! monomorph has the reference's bits.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::activation::Activation;
 use crate::kernels::BackendHandle;
-use crate::simd::{self, Accumulate, Strict};
+use crate::simd::{Accumulate, Strict};
 use rand::Rng;
 use rayon::prelude::*;
 
@@ -121,10 +123,10 @@ impl Linear {
     /// still accumulates `b[o] + Σ_i w[o,i]·x[i]` in `i`-ascending order
     /// (the block boundary depends only on the layer shape), so the
     /// `Strict` monomorph has [`Linear::forward_into`]'s bits and the
-    /// `Fused` one differs from it by per-term rounding only. The one body
+    /// fused one differs from it by per-term rounding only. The one body
     /// behind both lane backends (see [`crate::simd`]).
     #[inline(always)]
-    fn forward_rows<A: Accumulate>(
+    pub(crate) fn forward_rows<A: Accumulate>(
         &self,
         wt: &[f32],
         xc: &[f32],
@@ -169,39 +171,6 @@ impl Linear {
             }
         }
     }
-
-    /// [`Linear::forward_rows`] for the lossy `fast` backend: the `Fused`
-    /// monomorph, with one AVX2/FMA dispatch per chunk. The fused
-    /// accumulate is correctly rounded on every path, so both arms produce
-    /// the same bits and the specialization is purely speed.
-    // CONTRACT: lossy-tier — fused forward sweep backing `FastKernels`.
-    #[allow(unsafe_code)]
-    fn forward_rows_fused(&self, wt: &[f32], xc: &[f32], prec: &mut [f32], yc: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if simd::avx2_fma_available() {
-            // SAFETY: AVX2+FMA presence was just verified at runtime.
-            return unsafe { self.forward_rows_fused_avx2(wt, xc, prec, yc) };
-        }
-        self.forward_rows::<simd::Fused>(wt, xc, prec, yc);
-    }
-
-    // CONTRACT: lossy-tier — fused forward sweep backing `FastKernels`.
-    // CALLER: `forward_rows_fused` gates this behind
-    // `simd::avx2_fma_available()` runtime detection.
-    // SAFETY: only safe slice code inside; the sole obligation is the
-    // AVX2+FMA target features, established by the caller's guard.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(unsafe_code)]
-    unsafe fn forward_rows_fused_avx2(
-        &self,
-        wt: &[f32],
-        xc: &[f32],
-        prec: &mut [f32],
-        yc: &mut [f32],
-    ) {
-        self.forward_rows::<simd::Fused>(wt, xc, prec, yc);
-    }
 }
 
 /// Reference parameter-gradient rows `o0..o0 + gb_rows.len()` of one layer
@@ -234,10 +203,10 @@ fn grad_rows_scalar(
 /// accumulate keeps the item-ascending order per parameter, the bias adds
 /// are plain left-associated sums, and the block boundary depends only on
 /// `n`, never on the row chunking — so the `Strict` monomorph has the
-/// reference's bits at any worker count and the `Fused` one differs by
+/// reference's bits at any worker count and the fused one differs by
 /// per-term rounding only.
 #[inline(always)]
-fn grad_rows<A: Accumulate>(
+pub(crate) fn grad_rows<A: Accumulate>(
     x: &[f32],
     dz: &[f32],
     iw: usize,
@@ -289,47 +258,6 @@ fn grad_rows<A: Accumulate>(
     }
 }
 
-/// [`grad_rows`] for the lossy `fast` backend: the `Fused` monomorph, with
-/// one AVX2/FMA dispatch per row chunk (same bits on both arms).
-// CONTRACT: lossy-tier — fused gradient sweep backing `FastKernels`.
-#[allow(unsafe_code)]
-fn grad_rows_fused(
-    x: &[f32],
-    dz: &[f32],
-    iw: usize,
-    ow: usize,
-    o0: usize,
-    gw_rows: &mut [f32],
-    gb_rows: &mut [f32],
-) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_fma_available() {
-        // SAFETY: AVX2+FMA presence was just verified at runtime.
-        return unsafe { grad_rows_fused_avx2(x, dz, iw, ow, o0, gw_rows, gb_rows) };
-    }
-    grad_rows::<simd::Fused>(x, dz, iw, ow, o0, gw_rows, gb_rows);
-}
-
-// CONTRACT: lossy-tier — fused gradient sweep backing `FastKernels`.
-// CALLER: `grad_rows_fused` gates this behind
-// `simd::avx2_fma_available()` runtime detection.
-// SAFETY: only safe slice code inside; the sole obligation is the
-// AVX2+FMA target features, established by the caller's guard.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(unsafe_code)]
-unsafe fn grad_rows_fused_avx2(
-    x: &[f32],
-    dz: &[f32],
-    iw: usize,
-    ow: usize,
-    o0: usize,
-    gw_rows: &mut [f32],
-    gb_rows: &mut [f32],
-) {
-    grad_rows::<simd::Fused>(x, dz, iw, ow, o0, gw_rows, gb_rows);
-}
-
 /// Reference input gradient `dn = Wᵀ dz` for a chunk of items (`dnc` is
 /// `rows × iw`, `dzc` is `rows × ow`, `w` the row-major weights): each
 /// element accumulates in `o`-ascending order.
@@ -349,10 +277,16 @@ fn input_grad_scalar(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usi
 /// loaded/stored once per four terms. The chained accumulate keeps the
 /// `o`-ascending term order and the block boundary depends only on `ow`,
 /// so results are chunking- and worker-count invariant: the `Strict`
-/// monomorph has the reference's bits, the `Fused` one differs by
+/// monomorph has the reference's bits, the fused one differs by
 /// per-term rounding only.
 #[inline(always)]
-fn input_grad<A: Accumulate>(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
+pub(crate) fn input_grad<A: Accumulate>(
+    dnc: &mut [f32],
+    dzc: &[f32],
+    w: &[f32],
+    iw: usize,
+    ow: usize,
+) {
     let full = ow - ow % 4;
     for (dn, dzr) in dnc.chunks_exact_mut(iw).zip(dzc.chunks_exact(ow)) {
         dn.fill(0.0);
@@ -382,39 +316,14 @@ fn input_grad<A: Accumulate>(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize,
     }
 }
 
-/// [`input_grad`] for the lossy `fast` backend: the `Fused` monomorph, with
-/// one AVX2/FMA dispatch per item chunk (same bits on both arms).
-// CONTRACT: lossy-tier — fused input-gradient sweep backing `FastKernels`.
-#[allow(unsafe_code)]
-fn input_grad_fused(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if simd::avx2_fma_available() {
-        // SAFETY: AVX2+FMA presence was just verified at runtime.
-        return unsafe { input_grad_fused_avx2(dnc, dzc, w, iw, ow) };
-    }
-    input_grad::<simd::Fused>(dnc, dzc, w, iw, ow);
-}
-
-// CONTRACT: lossy-tier — fused input-gradient sweep backing `FastKernels`.
-// CALLER: `input_grad_fused` gates this behind
-// `simd::avx2_fma_available()` runtime detection.
-// SAFETY: only safe slice code inside; the sole obligation is the
-// AVX2+FMA target features, established by the caller's guard.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(unsafe_code)]
-unsafe fn input_grad_fused_avx2(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
-    input_grad::<simd::Fused>(dnc, dzc, w, iw, ow);
-}
-
 /// The three sweeps a built-in backend runs inside the shared batch
 /// drivers ([`Mlp::forward_batch_impl`], [`Mlp::backward_batch_impl`]),
 /// fixed where the backend calls the driver: the drivers only chunk,
 /// they never ask which backend they serve.
 pub(crate) struct Sweeps {
-    forward_rows: ForwardRows,
-    grad_rows: GradRows,
-    input_grad: InputGrad,
+    pub(crate) forward_rows: ForwardRows,
+    pub(crate) grad_rows: GradRows,
+    pub(crate) input_grad: InputGrad,
 }
 
 /// Forward rows of one layer for a chunk of items:
@@ -440,13 +349,6 @@ impl Sweeps {
         forward_rows: Linear::forward_rows::<Strict>,
         grad_rows: grad_rows::<Strict>,
         input_grad: input_grad::<Strict>,
-    };
-    /// The same blocked sweeps rounding once per accumulate — lossy tier
-    /// ([`crate::kernels::FastKernels`]), AVX2/FMA-dispatched per chunk.
-    pub(crate) const FUSED: Sweeps = Sweeps {
-        forward_rows: Linear::forward_rows_fused,
-        grad_rows: grad_rows_fused,
-        input_grad: input_grad_fused,
     };
 }
 
@@ -619,8 +521,11 @@ impl Mlp {
     }
 
     /// Output width.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`Mlp::new` asserts the spec list is non-empty"
+    )]
     pub fn out_dim(&self) -> usize {
-        // PANICS: `Mlp::new` asserts the spec list is non-empty.
         self.layers.last().unwrap().spec.out_dim
     }
 
@@ -675,6 +580,10 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `input.len() != self.in_dim()`.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`acts` holds `layers + 1` buffers and `Mlp::new` asserts at least one layer"
+    )]
     pub fn forward<'w>(&self, input: &[f32], ws: &'w mut MlpWorkspace) -> &'w [f32] {
         assert_eq!(input.len(), self.in_dim(), "input width mismatch");
         ws.acts[0].copy_from_slice(input);
@@ -682,8 +591,6 @@ impl Mlp {
             let (head, tail) = ws.acts.split_at_mut(i + 1);
             layer.forward_into(&head[i], &mut ws.pre[i], &mut tail[0]);
         }
-        // PANICS: `acts` holds `layers + 1` buffers and `Mlp::new`
-        // asserts at least one layer.
         ws.acts.last().unwrap()
     }
 
@@ -761,12 +668,15 @@ impl Mlp {
         ws
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`Mlp::new` asserts the spec list is non-empty"
+    )]
     fn widest(&self) -> usize {
         self.layers
             .iter()
             .map(|l| l.spec.in_dim.max(l.spec.out_dim))
             .max()
-            // PANICS: `Mlp::new` asserts the spec list is non-empty.
             .unwrap()
     }
 
@@ -817,6 +727,10 @@ impl Mlp {
     /// chunks items over the pool and hands each chunk to
     /// `sweeps.forward_rows`, with per-layer transposed weights rebuilt
     /// each call (weights change between optimizer steps).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`acts` holds `layers + 1` buffers and `Mlp::new` asserts at least one layer"
+    )]
     pub(crate) fn forward_batch_impl<'w>(
         &self,
         sweeps: &Sweeps,
@@ -849,8 +763,6 @@ impl Mlp {
                 None => (sweeps.forward_rows)(layer, wt, x, pre, y),
             }
         }
-        // PANICS: `acts` holds `layers + 1` buffers and `Mlp::new`
-        // asserts at least one layer.
         &ws.acts.last().unwrap()[..n * self.out_dim()]
     }
 
@@ -1012,48 +924,6 @@ mod tests {
             MlpConfig::new(4, &[8, 8], 3, Activation::Relu, out_act),
             &mut rng,
         )
-    }
-
-    #[test]
-    fn fused_sweeps_have_the_same_bits_on_both_dispatch_arms() {
-        // On an AVX2 host the dispatching wrappers take the
-        // `#[target_feature]` arm and nothing else runs the portable
-        // `Fused` monomorph; the lossy tier's cross-host determinism rests
-        // on the two agreeing. Tails in all three blocked dimensions:
-        // in_dim % 4 = 3, out_dim % 4 = 1, n % 4 = 2.
-        let (iw, ow, n) = (7, 5, 6);
-        let mut rng = StdRng::seed_from_u64(3);
-        let spec = LayerSpec {
-            in_dim: iw,
-            out_dim: ow,
-            activation: Activation::Relu,
-        };
-        let mut layer = Linear::new(spec, &mut rng);
-        layer.b.fill(0.3);
-        let mut wt = Vec::new();
-        layer.fill_transposed(&mut wt);
-        let x: Vec<f32> = (0..n * iw).map(|_| rng.gen_range(-1.0..=1.0)).collect();
-        let dz: Vec<f32> = (0..n * ow).map(|_| rng.gen_range(-1.0..=1.0)).collect();
-        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let portable = Sweeps {
-            forward_rows: Linear::forward_rows::<simd::Fused>,
-            grad_rows: grad_rows::<simd::Fused>,
-            input_grad: input_grad::<simd::Fused>,
-        };
-        let run = |sweeps: &Sweeps| {
-            let (mut pre, mut y) = (vec![0.0; n * ow], vec![0.0; n * ow]);
-            (sweeps.forward_rows)(&layer, &wt, &x, &mut pre, &mut y);
-            // Rows 1.. of the layer, accumulated onto non-zero gradients.
-            let (mut gw, mut gb) = (vec![0.25; (ow - 1) * iw], vec![-0.5; ow - 1]);
-            (sweeps.grad_rows)(&x, &dz, iw, ow, 1, &mut gw, &mut gb);
-            let mut dn = vec![0.0; n * iw];
-            (sweeps.input_grad)(&mut dn, &dz, &layer.w, iw, ow);
-            [bits(&pre), bits(&y), bits(&gw), bits(&gb), bits(&dn)]
-        };
-        assert_eq!(run(&Sweeps::FUSED), run(&portable));
-        // And the fused sweeps really round differently from the strict
-        // ones here, so equal bits above are not vacuous.
-        assert_ne!(run(&Sweeps::FUSED), run(&Sweeps::STRICT));
     }
 
     #[test]

@@ -24,6 +24,8 @@
 //! reference training steps and the field renderer
 //! ([`crate::field::render_ray`]) all call it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::math::Vec3;
 use crate::simd::{Accumulate, F32x8, Strict};
 
@@ -286,8 +288,8 @@ pub fn composite_slices(
 /// sequential. The one body behind both lane backends: with `Strict`
 /// accumulation (the `simd` backend) outputs, cache contents and the
 /// integrated sample count are bit-identical to [`composite_slices`];
-/// with `Fused` ([`composite_slices_fast`]) the color/depth accumulates
-/// round once instead of twice.
+/// the lossy `fast` backend's policy rounds the color/depth accumulates
+/// once instead of twice.
 #[inline(always)]
 pub(crate) fn composite_slices_lanes<A: Accumulate>(
     t: &[f32],
@@ -328,54 +330,14 @@ pub(crate) fn composite_slices_lanes<A: Accumulate>(
     acc.finish(background)
 }
 
-// CONTRACT: lossy-tier — fused compositing backing `FastKernels`.
-// CALLER: `composite_slices_fast` gates this behind
-// `simd::avx2_fma_available()` runtime detection.
-// SAFETY: only safe slice code inside; the sole obligation is the
-// AVX2+FMA target features, established by the caller's guard.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(unsafe_code)]
-unsafe fn composite_slices_fast_avx2(
-    t: &[f32],
-    dt: &[f32],
-    sigma: &[f32],
-    rgb: &[Vec3],
-    background: Vec3,
-    cache: Option<(&mut [f32], &mut [f32], &mut [f32])>,
-) -> (RenderOutput, usize) {
-    composite_slices_lanes::<crate::simd::Fused>(t, dt, sigma, rgb, background, cache)
-}
-
-/// The fused (lossy-tier) compositing kernel: outputs differ from the
-/// strict kernels by bounded rounding (one rounding per color/depth
-/// accumulate instead of two). The fused accumulate is correctly rounded
-/// on every path, so results are identical whether the AVX2/FMA
-/// specialization or the portable fallback runs — feature detection only
-/// picks the faster encoding.
-// CONTRACT: lossy-tier — fused compositing backing `FastKernels`.
-#[allow(unsafe_code)]
-pub fn composite_slices_fast(
-    t: &[f32],
-    dt: &[f32],
-    sigma: &[f32],
-    rgb: &[Vec3],
-    background: Vec3,
-    cache: Option<(&mut [f32], &mut [f32], &mut [f32])>,
-) -> (RenderOutput, usize) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::avx2_fma_available() {
-        // SAFETY: AVX2+FMA presence was just verified at runtime.
-        return unsafe { composite_slices_fast_avx2(t, dt, sigma, rgb, background, cache) };
-    }
-    composite_slices_lanes::<crate::simd::Fused>(t, dt, sigma, rgb, background, cache)
-}
-
 /// Backward pass of [`composite_slices`] for the color output: given
 /// `d_color` = dL/dĈ, writes dL/dσ and dL/dc for every sample into the SoA
 /// gradient slices. Samples past `active` (the early-termination point)
 /// receive zero gradient, exactly as in Instant-NGP's CUDA kernels.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one SoA slice per per-sample quantity"
+)]
 pub fn composite_backward_slices(
     dt: &[f32],
     rgb: &[Vec3],

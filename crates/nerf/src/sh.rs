@@ -109,7 +109,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)] // symmetric Gram-matrix indexing
+    #[allow(clippy::needless_range_loop, reason = "symmetric Gram-matrix indexing")]
     fn basis_is_orthonormal_under_sphere_integration() {
         // Monte-Carlo check: ∫ Y_i Y_j dΩ ≈ δ_ij. With a Fibonacci sphere
         // the quadrature weight is 4π/n per sample.

@@ -20,12 +20,10 @@
 //! * Every multiply-add is performed as a distinct IEEE multiply followed
 //!   by a distinct IEEE add — **never** a fused multiply-add. An FMA keeps
 //!   the infinitely-precise product and rounds once, so `fma(a, b, c) !=
-//!   a*b + c` in general; using it would silently break the contract. The
-//!   strict kernels therefore never call [`F32x4::mul_add`] /
-//!   [`F32x8::mul_add`], and never name the `Fused` accumulate policy
-//!   (below) — those exist for the **lossy tier**
-//!   ([`crate::kernels::Tier::Lossy`]), whose backends trade bit-identity
-//!   for FMA throughput under a declared tolerance.
+//!   a*b + c` in general; using it would silently break the contract.
+//!   Fusing is the **lossy tier**'s trade
+//!   ([`crate::kernels::Tier::Lossy`]): bit-identity for FMA throughput
+//!   under a declared tolerance.
 //! * Lane arithmetic (`+`, `-`, `*`, `min`, `max`, `floor`) is exact
 //!   per-lane IEEE 754 — identical to the corresponding `f32` operator on
 //!   that lane's value. Approximate vector math (rsqrt, rcp, vector exp)
@@ -41,30 +39,16 @@
 //!
 //! # The accumulate policy: one lane body per seam
 //!
-//! How an accumulate `acc + w·x` is rounded is decided in this module and
-//! nowhere else. The lane-batched grid encode, grid scatter and
-//! compositing bodies and the three blocked MLP sweeps (forward rows,
-//! parameter-gradient rows, input gradient) are each written **once**,
-//! `#[inline(always)]` and generic over the crate-private `Accumulate`
-//! policy: `Strict` rounds twice (`acc + w * x`, the scalar reference's
-//! arithmetic — the `simd` backend is this monomorph) and `Fused` rounds
-//! once (`w.mul_add(x, acc)` — the `fast` backend is this monomorph,
-//! instantiated inside its `#[target_feature(enable = "avx2,fma")]`
-//! wrappers and their portable fallback). The conformance linter lets
-//! only this module spell a fused operation, and treats the identifier
-//! `Fused` in a strict kernel module like one: the naming function must
-//! carry `// CONTRACT: lossy-tier`.
-//!
-//! # The fused (lossy-tier) policy
-//!
-//! `Fused` is built on `f32::mul_add`, which is **correctly rounded**
-//! (IEEE 754 fusedMultiplyAdd): a hardware `vfmadd` and the portable libm
-//! fallback produce the same bits, so lossy kernels built on it are still
-//! deterministic across hosts — AVX2/FMA, detected once at runtime via
-//! [`avx2_fma_available`], is purely a speed specialization. The `Fused`
-//! monomorphs are compiled twice: once under
-//! `#[target_feature(enable = "avx2,fma")]` (LLVM emits 256-bit `vfmadd`)
-//! and once portably (scalar `fma`), dispatched per call.
+//! The lane-batched grid encode, grid scatter and compositing bodies and
+//! the three blocked MLP sweeps (forward rows, parameter-gradient rows,
+//! input gradient) are each written **once**, `#[inline(always)]` and
+//! generic over the crate-private `Accumulate` policy, which decides how
+//! an accumulate `acc + w·x` is rounded. `Strict` rounds twice (the
+//! scalar reference's arithmetic — the `simd` backend is this monomorph).
+//! The one other policy rounds once; it is private to `kernels/fast.rs`,
+//! the lossy `fast` backend, so a strict module that names it does not
+//! compile. The crate's `clippy.toml` disallows a literal fused
+//! multiply-add everywhere else.
 //!
 //! # Implementation notes
 //!
@@ -76,6 +60,8 @@
 //! per-lane IEEE operations, so the contract above is preserved);
 //! [`F32x8`] is two `F32x4` halves. Every other architecture uses the
 //! autovectorized array fallback, which is always compiled and tested.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 /// Four `f32` lanes, 16-byte aligned.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -143,22 +129,6 @@ macro_rules! lane_common {
                 }
                 $ty(v)
             }
-
-            /// Per-lane fused multiply-add `self * b + c`, rounded **once**
-            /// (`f32::mul_add`). Lossy-tier only: a strict kernel calling
-            /// this breaks the bit-identity contract (see the module
-            /// docs). Correctly rounded on every path, so hardware FMA
-            /// and the portable fallback agree bitwise.
-            // CONTRACT: lossy-tier — single-rounding FMA primitive; only
-            // fused (lossy) kernels may call this.
-            #[inline(always)]
-            pub fn mul_add(self, b: $ty, c: $ty) -> $ty {
-                let mut v = self.0;
-                for ((x, y), z) in v.iter_mut().zip(&b.0).zip(&c.0) {
-                    *x = x.mul_add(*y, *z);
-                }
-                $ty(v)
-            }
         }
 
         impl std::ops::Index<usize> for $ty {
@@ -197,7 +167,7 @@ macro_rules! f32x4_binop {
         impl std::ops::$trait for F32x4 {
             type Output = F32x4;
             #[inline(always)]
-            #[allow(unsafe_code)]
+            #[allow(unsafe_code, reason = "SSE2 lane intrinsics")]
             fn $method(self, rhs: F32x4) -> F32x4 {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: SSE2 is part of the x86_64 baseline ISA, and
@@ -287,46 +257,6 @@ impl Accumulate for Strict {
     }
 }
 
-/// One correctly-rounded fused multiply-add per accumulate.
-// CONTRACT: lossy-tier — the accumulate policy of `FastKernels` only.
-pub(crate) struct Fused;
-
-// CONTRACT: lossy-tier — the accumulate policy of `FastKernels` only.
-impl Accumulate for Fused {
-    // CONTRACT: lossy-tier — single-rounding accumulate.
-    #[inline(always)]
-    fn scalar(acc: f32, w: f32, x: f32) -> f32 {
-        w.mul_add(x, acc)
-    }
-
-    // CONTRACT: lossy-tier — single-rounding accumulate.
-    #[inline(always)]
-    fn lanes(acc: F32x8, w: F32x8, x: F32x8) -> F32x8 {
-        w.mul_add(x, acc)
-    }
-}
-
-/// Whether this host can run the AVX2+FMA specializations of the fused
-/// (lossy-tier) kernels. Detected once per process and cached; always
-/// `false` off x86_64. Purely a speed question — the portable `mul_add`
-/// fallback produces the same bits.
-#[inline]
-pub fn avx2_fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,55 +304,16 @@ mod tests {
     }
 
     #[test]
-    fn lane_mul_add_is_correctly_rounded_fma() {
-        // Inputs where fused and unfused rounding differ: the lane op must
-        // match `f32::mul_add` (single rounding), not mul-then-add.
-        let a = [
-            1.0 + f32::EPSILON,
-            0.3,
-            -2.5,
-            65504.0,
-            1e-20,
-            7.0,
-            -0.1,
-            0.5,
-        ];
-        let b = [
-            1.0 - f32::EPSILON,
-            123.456,
-            0.5,
-            2.0e-4,
-            1e-20,
-            3.0,
-            -0.1,
-            4.0,
-        ];
-        let c = [-1.0f32, -9.87, 0.3, 0.1, 1e-30, -21.0, 0.01, -2.0];
-        let v = F32x8::from_slice(&a).mul_add(F32x8::from_slice(&b), F32x8::from_slice(&c));
-        for k in 0..8 {
-            assert_eq!(v[k].to_bits(), a[k].mul_add(b[k], c[k]).to_bits());
-        }
-        let q = F32x4::from_slice(&a).mul_add(F32x4::from_slice(&b), F32x4::from_slice(&c));
-        for k in 0..4 {
-            assert_eq!(q[k].to_bits(), a[k].mul_add(b[k], c[k]).to_bits());
-        }
-    }
-
-    #[test]
-    fn feature_detection_is_stable_across_calls() {
-        assert_eq!(avx2_fma_available(), avx2_fma_available());
-    }
-
-    #[test]
     fn no_fma_in_mul_then_add() {
         // If a fused multiply-add ever sneaks in, this catches it:
-        // pick a, b, c where fma(a, b, c) != a*b + c under f32 rounding.
+        // (1+ε)(1−ε) − 1 is exactly −ε² rounded once, but 0 when the
+        // product is rounded before the add.
         let a = 1.0 + f32::EPSILON;
         let b = 1.0 - f32::EPSILON;
         let c = -1.0f32;
         let scalar = a * b + c;
         let lanes = F32x8::splat(a) * F32x8::splat(b) + F32x8::splat(c);
-        let fused = f32::mul_add(a, b, c);
+        let fused = -(f32::EPSILON * f32::EPSILON);
         assert_ne!(scalar.to_bits(), fused.to_bits(), "test inputs degenerate");
         for k in 0..8 {
             assert_eq!(lanes[k].to_bits(), scalar.to_bits());

@@ -62,9 +62,7 @@ pub struct JobReport {
     pub iterations: u64,
     /// Loss of the final training step.
     pub final_loss: f32,
-    /// The job's workload counters, with the workspace-pool counters
-    /// populated by the serve layer (allocated = pool misses charged to
-    /// this job, recycled = pool hits).
+    /// The job's workload counters.
     pub stats: WorkloadStats,
     /// Checkpoints written (cadence + final).
     pub checkpoints_written: u64,
@@ -96,9 +94,7 @@ pub struct FleetStats {
     /// Jobs retired.
     pub jobs: usize,
     /// All jobs' counters merged (backend/tier labelled `"fleet"` /
-    /// `"mixed"` — a fleet may mix backends). Includes the workspace
-    /// pool counters: after warmup, `workspaces_allocated` stays flat
-    /// while `workspaces_recycled` grows with every slice.
+    /// `"mixed"` — a fleet may mix backends).
     pub total: WorkloadStats,
     /// Counters merged per (backend, tier) group, labelled with that
     /// group's provenance — lossy-tier work stays separable from strict.
@@ -139,7 +135,8 @@ pub struct FleetReport {
 }
 
 /// A queue slot: jobs boot lazily so dataset/model construction also
-/// overlaps across runners.
+/// overlaps across runners. The queue pairs each slot with its job's
+/// submission index, the order reports come back in.
 enum Slot {
     Fresh(Box<JobSpec>),
     Running(Box<SceneJob>),
@@ -174,24 +171,26 @@ impl Fleet {
     fn run_inner(&self, specs: &[JobSpec]) -> FleetReport {
         let store = CheckpointStore::new(self.cfg.max_resident_checkpoints);
         let pool = WorkspacePool::new();
-        let queue: Mutex<VecDeque<Slot>> = Mutex::new(
+        let queue: Mutex<VecDeque<(usize, Slot)>> = Mutex::new(
             specs
                 .iter()
                 .map(|s| Slot::Fresh(Box::new(s.clone())))
+                .enumerate()
                 .collect(),
         );
-        let reports: Mutex<Vec<JobReport>> = Mutex::new(Vec::with_capacity(specs.len()));
+        let reports: Mutex<Vec<(usize, JobReport)>> = Mutex::new(Vec::with_capacity(specs.len()));
         let runners = self.cfg.concurrency.clamp(1, specs.len().max(1));
         let slice_iters = self.cfg.slice_iters.max(1);
 
         rayon::scope(|s| {
             for _ in 0..runners {
                 s.spawn(|| loop {
-                    let slot = queue.lock().unwrap().pop_front();
+                    let Some((index, slot)) = queue.lock().unwrap().pop_front() else {
+                        break;
+                    };
                     let mut job = match slot {
-                        None => break,
-                        Some(Slot::Running(job)) => job,
-                        Some(Slot::Fresh(spec)) => {
+                        Slot::Running(job) => job,
+                        Slot::Fresh(spec) => {
                             let mut job = Box::new(
                                 spec.boot_with_preview(self.cfg.preview_tiles_per_slice > 0),
                             );
@@ -207,8 +206,11 @@ impl Fleet {
                     };
 
                     // Slice telemetry: wall time from here until the job
-                    // is parked or retired (training + previews). Logged
-                    // only — never consulted by the scheduler.
+                    // is parked or retired (training + previews).
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "per-job busy time surfaced in JobReport/FleetStats; logged only, never consulted by the scheduler"
+                    )]
                     let slice_start = Instant::now();
 
                     // One slice on a pooled workspace (pool miss ⇒ the
@@ -243,7 +245,7 @@ impl Fleet {
                         .saturating_add(slice_start.elapsed().as_nanos() as u64);
 
                     if job.remaining() > 0 {
-                        queue.lock().unwrap().push_back(Slot::Running(job));
+                        queue.lock().unwrap().push_back((index, Slot::Running(job)));
                         continue;
                     }
 
@@ -252,37 +254,30 @@ impl Fleet {
                     let blob = job.checkpoint();
                     store.put(&job.spec.name, blob.clone());
                     pool.park_occ(job.trainer.detach_occupancy_workspace());
-                    let batch_allocated = job.trainer.batch_workspace_allocations();
-                    let mut stats = *job.trainer.stats();
-                    stats.workspaces_allocated = batch_allocated + u64::from(!job.occ_recycled);
-                    stats.workspaces_recycled = job.batch_recycled + u64::from(job.occ_recycled);
-                    reports.lock().unwrap().push(JobReport {
+                    let report = JobReport {
                         name: job.spec.name.clone(),
                         iterations: job.done,
                         final_loss: job.last_loss,
-                        stats,
+                        stats: *job.trainer.stats(),
                         checkpoints_written: job.checkpoints_written,
-                        batch_allocated,
+                        batch_allocated: job.trainer.batch_workspace_allocations(),
                         batch_recycled: job.batch_recycled,
                         occ_recycled: job.occ_recycled,
                         preview_frames: job.preview_frames,
                         preview_tiles: job.preview_tiles,
                         busy_nanos: job.busy_nanos,
                         final_checkpoint: blob,
-                    });
+                    };
+                    reports.lock().unwrap().push((index, report));
                 });
             }
         });
 
-        let mut jobs = reports.into_inner().unwrap();
+        let mut retired = reports.into_inner().unwrap();
         // Retirement order depends on scheduling; report in submission
         // order so the output is stable.
-        jobs.sort_by_key(|r| {
-            specs
-                .iter()
-                .position(|s| s.name == r.name)
-                .unwrap_or(usize::MAX)
-        });
+        retired.sort_by_key(|&(index, _)| index);
+        let jobs: Vec<JobReport> = retired.into_iter().map(|(_, r)| r).collect();
         let stats = Self::aggregate(&jobs, &store);
         FleetReport {
             resident_checkpoints: store.resident(),

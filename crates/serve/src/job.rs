@@ -64,7 +64,9 @@ impl SceneSpec {
 /// any fleet — produce bit-identical checkpoints (see the crate docs).
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    /// Checkpoint-store key and report label; unique within a fleet.
+    /// Checkpoint-store key and report label. Reports keep submission
+    /// order even when names repeat; the cache then holds the latest
+    /// checkpoint written under the name.
     pub name: String,
     /// The scene to reconstruct.
     pub scene: SceneSpec,

@@ -9,13 +9,16 @@
 //! [`JobReport`](crate::fleet::JobReport) regardless, so eviction only
 //! affects the cache, never the training result.)
 
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
 #[derive(Debug, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed blob store: reads are by key and eviction order comes from `recency`, so the map's order is never observed"
+)]
 struct StoreInner {
-    blobs: HashMap<String, Vec<u8>>,
+    blobs: std::collections::HashMap<String, Vec<u8>>,
     /// Names from least- to most-recently written.
     recency: VecDeque<String>,
     evicted: u64,

@@ -7,7 +7,7 @@
 //! 2. **Zero steady-state workspace allocation** — after warmup, every
 //!    slice runs on a pooled `BatchWorkspace`: mints are bounded by the
 //!    runner count while recycles grow with the slice count, verified
-//!    through the `WorkloadStats` counters the fleet aggregates.
+//!    through the pool counters of `FleetStats`.
 
 use instant3d_core::TrainConfig;
 use instant3d_serve::{train_solo, Fleet, FleetConfig, JobSpec, SceneSpec};
@@ -115,6 +115,30 @@ fn a_different_schedule_trains_the_same_bits() {
 }
 
 #[test]
+fn reports_keep_submission_order_when_names_repeat() {
+    // Two jobs under one name on one runner: the 16-iteration job retires
+    // first, so only the submission index can report the 64-iteration
+    // job first.
+    let spec = |iterations| JobSpec {
+        name: "x".into(),
+        iterations,
+        ..mixed_specs().swap_remove(0)
+    };
+    let specs = [spec(64), spec(16)];
+    let report = Fleet::new(FleetConfig {
+        concurrency: 1,
+        slice_iters: 16,
+        ..FleetConfig::default()
+    })
+    .run(&specs);
+    assert_eq!(report.jobs.len(), specs.len());
+    for (i, spec) in specs.iter().enumerate() {
+        assert_eq!(report.jobs[i].iterations, spec.iterations, "job {i}");
+        assert_eq!(report.jobs[i].final_checkpoint, train_solo(spec), "job {i}");
+    }
+}
+
+#[test]
 fn workspaces_are_pooled_with_zero_steady_state_allocation() {
     let specs = mixed_specs();
     let runners = 3;
@@ -151,16 +175,7 @@ fn workspaces_are_pooled_with_zero_steady_state_allocation() {
     assert_eq!(stats.occ_allocated + stats.occ_recycled, specs.len() as u64);
     assert!(stats.occ_allocated <= specs.len() as u64);
 
-    // The same facts surface through the aggregated WorkloadStats.
-    assert_eq!(
-        stats.total.workspaces_allocated,
-        stats.batch_allocated + stats.occ_allocated
-    );
-    assert_eq!(
-        stats.total.workspaces_recycled,
-        stats.batch_recycled + stats.occ_recycled
-    );
-    // And the fleet totals aggregate every job's training counters.
+    // The fleet totals aggregate every job's training counters.
     let iters: u64 = specs.iter().map(|s| s.iterations).sum();
     assert_eq!(stats.total.iterations, iters);
     assert_eq!(stats.jobs, specs.len());
