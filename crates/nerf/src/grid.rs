@@ -664,9 +664,10 @@ impl HashGrid {
     /// [`HashGrid::corners`], so every weight bit-matches the scalar
     /// kernel's; hashed levels replace the `% table_size` with an equal
     /// power-of-two mask (the table size is always `1 << log2_table_size`).
-    /// Always inlined so `#[target_feature]` callers (the fast kernels)
-    /// compile the lane arithmetic with their wider instruction set
-    /// instead of calling a separately-compiled baseline copy.
+    /// Always inlined so `#[target_feature]` callers (the AVX2 arms of
+    /// both tiers' grid kernels) compile the lane arithmetic with their
+    /// wider instruction set instead of calling a separately-compiled
+    /// baseline copy.
     #[inline(always)]
     fn corners_lanes(
         level: &GridLevel,

@@ -27,12 +27,13 @@
 //!   worker counts — they are *lossy relative to the scalar reference*,
 //!   not nondeterministic.
 //! - **Feature detection is a speed switch, not a numerics switch.**
-//!   Every fused kernel is compiled twice — under
-//!   `#[target_feature(enable = "avx2,fma")]` (256-bit `vfmadd`) and
-//!   portably (SSE2 / libm `fmaf`) — and dispatched per call on a
-//!   once-per-process AVX2/FMA check. Both arms produce the same bits,
-//!   so the backend runs on every host; it is merely slower without the
-//!   wide FMA units.
+//!   The six fused wrappers are stamped by the same dispatch macro as
+//!   `simd`'s six strict ones (`kernels/mod.rs`), with this tier's feature
+//!   list, AVX2 plus FMA: each body is compiled twice — with those
+//!   features (256-bit `vfmadd`) and portably (SSE2 / libm `fmaf`) — and
+//!   dispatched per call on a once-per-process CPUID check. Both arms
+//!   produce the same bits, so the backend runs on every host; it is
+//!   merely slower without the wide FMA units.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -155,61 +156,14 @@ impl Accumulate for Fused {
     }
 }
 
-/// Whether this host can run the AVX2+FMA arms of the fused kernels.
-/// Detected once per process and cached; always `false` off x86_64.
-#[inline]
-fn avx2_fma_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::sync::OnceLock;
-        static AVAILABLE: OnceLock<bool> = OnceLock::new();
-        *AVAILABLE.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
+dispatched_kernels! {
+    ["avx2", "fma"]
 
-/// Defines a fused kernel `fn $name` whose `$body` is compiled twice: as
-/// a safe `#[target_feature(enable = "avx2,fma")]` fn, called when
-/// [`avx2_fma_available`] holds, and portably otherwise.
-macro_rules! fused_kernel {
-    ($(#[$doc:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block) => {
-        $(#[$doc])*
-        #[allow(unsafe_code, reason = "calls the AVX2 arm behind its runtime guard")]
-        fn $name($($arg: $ty),*) $(-> $ret)? {
-            /// The body, compiled with AVX2 and FMA enabled.
-            ///
-            /// # Safety
-            ///
-            /// Callable only on a host with AVX2 and FMA.
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2,fma")]
-            fn avx2($($arg: $ty),*) $(-> $ret)? $body
-
-            #[cfg(target_arch = "x86_64")]
-            if avx2_fma_available() {
-                // SAFETY: `avx2_fma_available()` just confirmed that this
-                // host has AVX2 and FMA, the only obligation of `avx2`.
-                return unsafe { avx2($($arg),*) };
-            }
-            $body
-        }
-    };
-}
-
-fused_kernel! {
     /// One level's grid encode: [`HashGrid::encode_level_lanes`], fused.
     fn encode_level(grid: &HashGrid, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
         grid.encode_level_lanes::<Fused>(l, unit_positions, out)
     }
-}
 
-fused_kernel! {
     /// One level's grid scatter: [`HashGrid::scatter_level_lanes`], fused.
     fn scatter_level(
         grid: &HashGrid,
@@ -220,16 +174,12 @@ fused_kernel! {
     ) {
         grid.scatter_level_lanes::<Fused>(l, level_grads, unit_positions, d_out)
     }
-}
 
-fused_kernel! {
     /// Forward rows of one layer: [`Linear::forward_rows`], fused.
     fn forward_rows(layer: &Linear, wt: &[f32], xc: &[f32], prec: &mut [f32], yc: &mut [f32]) {
         layer.forward_rows::<Fused>(wt, xc, prec, yc)
     }
-}
 
-fused_kernel! {
     /// Parameter-gradient rows: [`mlp::grad_rows`], fused.
     fn grad_rows(
         x: &[f32],
@@ -242,16 +192,12 @@ fused_kernel! {
     ) {
         mlp::grad_rows::<Fused>(x, dz, iw, ow, o0, gw_rows, gb_rows)
     }
-}
 
-fused_kernel! {
     /// Input gradient: [`mlp::input_grad`], fused.
     fn input_grad(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
         mlp::input_grad::<Fused>(dnc, dzc, w, iw, ow)
     }
-}
 
-fused_kernel! {
     /// One ray's compositing: [`composite_slices_lanes`], fused.
     fn composite(
         t: &[f32],
@@ -278,21 +224,8 @@ impl Sweeps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Activation;
-    use crate::grid::HashGridConfig;
-    use crate::mlp::MlpConfig;
+    use crate::kernels::tests::LaneBodies;
     use crate::simd::Strict;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    fn bits(xs: &[f32]) -> Vec<u32> {
-        xs.iter().map(|v| v.to_bits()).collect()
-    }
-
-    #[test]
-    fn feature_detection_is_stable_across_calls() {
-        assert_eq!(avx2_fma_available(), avx2_fma_available());
-    }
 
     #[test]
     fn fused_lanes_are_correctly_rounded_per_lane() {
@@ -331,131 +264,20 @@ mod tests {
     /// On an AVX2 host the fused kernels take their `#[target_feature]`
     /// arm and nothing else runs the portable `Fused` monomorphs; the
     /// lossy tier's cross-host determinism rests on the two agreeing.
-    /// Each kernel family is also run `Strict`, so equal bits are not
-    /// vacuous.
+    /// Each kernel family also differs from the scalar reference, so equal
+    /// bits are not vacuous.
     #[test]
     fn fused_kernels_have_the_same_bits_on_both_dispatch_arms() {
-        let mut rng = StdRng::seed_from_u64(3);
-
-        // MLP sweeps through the batch drivers. Tails in all three
-        // blocked dimensions: in_dim % 4 = 3, out_dim % 4 = 1, n % 4 = 2.
-        let (iw, ow, n) = (7, 5, 6);
-        let mut net = Mlp::new(
-            MlpConfig::new(iw, &[ow], ow, Activation::Relu, Activation::None),
-            &mut rng,
-        );
-        // Non-zero biases, so every output's first accumulate rounds too.
-        net.for_each_param_mut(&net.zero_grads(), |p, _| {
-            p.iter_mut().for_each(|v| *v += 0.3)
-        });
-        let x: Vec<f32> = (0..n * iw).map(|_| rng.gen_range(-1.0..=1.0)).collect();
-        let dy: Vec<f32> = (0..n * ow).map(|_| rng.gen_range(-1.0..=1.0)).collect();
-        let mlp_bits = |sweeps: &Sweeps| {
-            let mut ws = net.batch_workspace(n);
-            let mut out = vec![bits(net.forward_batch_impl(sweeps, &x, &mut ws))];
-            let mut grads = net.zero_grads();
-            let mut dx = vec![0.0; n * iw];
-            // Twice, so the second pass accumulates onto non-zero gradients.
-            for _ in 0..2 {
-                net.backward_batch_impl(sweeps, &dy, &mut ws, &mut grads, &mut dx);
-            }
-            for (gw, gb) in &grads.layers {
-                out.extend([bits(gw), bits(gb)]);
-            }
-            out.push(bits(&dx));
-            out
-        };
-        let portable = Sweeps {
-            forward_rows: Linear::forward_rows::<Fused>,
-            grad_rows: mlp::grad_rows::<Fused>,
-            input_grad: mlp::input_grad::<Fused>,
-        };
-        assert_eq!(mlp_bits(&Sweeps::FUSED), mlp_bits(&portable));
-        assert_ne!(mlp_bits(&Sweeps::FUSED), mlp_bits(&Sweeps::STRICT));
-
-        // Grid encode + scatter over dense and hashed levels: two full
-        // lanes plus a five-point tail, scattered onto non-zero gradients.
-        let grid = HashGrid::new_random(
-            HashGridConfig {
-                levels: 3,
-                log2_table_size: 10,
-                base_resolution: 4,
-                max_resolution: 32,
-                store_fp16: false,
-                init_scale: 0.3,
-                ..HashGridConfig::default()
-            },
-            &mut rng,
-        );
-        let pts: Vec<Vec3> = (0..21)
-            .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
-            .collect();
-        let d_out: Vec<f32> = (0..pts.len() * grid.output_dim())
-            .map(|_| rng.gen_range(-1.0..=1.0))
-            .collect();
-        type Encode = fn(&HashGrid, usize, &[Vec3], &mut [f32]);
-        type Scatter = fn(&HashGrid, usize, &mut [f32], &[Vec3], &[f32]);
-        let grid_bits = |encode: Encode, scatter: Scatter| {
-            let mut emb = vec![0.0; d_out.len()];
-            let mut grads = vec![0.5; grid.num_params()];
-            for (l, level) in grid.levels().iter().enumerate() {
-                encode(&grid, l, &pts, &mut emb);
-                let start = level.entry_offset as usize * 2;
-                let level_grads = &mut grads[start..start + level.table_size as usize * 2];
-                scatter(&grid, l, level_grads, &pts, &d_out);
-            }
-            (bits(&emb), bits(&grads))
-        };
-        let dispatched = grid_bits(encode_level, scatter_level);
-        assert_eq!(
-            dispatched,
-            grid_bits(
-                |g, l, p, o| g.encode_level_lanes::<Fused>(l, p, o),
-                |g, l, lg, p, d| g.scatter_level_lanes::<Fused>(l, lg, p, d),
-            )
-        );
-        assert_ne!(
-            dispatched,
-            grid_bits(
-                |g, l, p, o| g.encode_level_lanes::<Strict>(l, p, o),
-                |g, l, lg, p, d| g.scatter_level_lanes::<Strict>(l, lg, p, d),
-            )
-        );
-
-        // Compositing: a translucent ray through two lanes and a tail,
-        // and one that terminates early inside its second lane.
-        let k = 21;
-        let t: Vec<f32> = (0..k).map(|i| (i as f32 + 0.5) / k as f32).collect();
-        let dt = vec![1.0 / k as f32; k];
-        let rgb: Vec<Vec3> = (0..k)
-            .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
-            .collect();
-        let translucent: Vec<f32> = (0..k).map(|_| rng.gen::<f32>() * 2.0).collect();
-        let terminating: Vec<f32> = (0..k).map(|i| if i < 10 { 0.5 } else { 500.0 }).collect();
-        type Composite = fn(
-            &[f32],
-            &[f32],
-            &[f32],
-            &[Vec3],
-            Vec3,
-            Option<(&mut [f32], &mut [f32], &mut [f32])>,
-        ) -> (RenderOutput, usize);
-        let composite_bits = |f: Composite| {
-            let mut out = Vec::new();
-            for (sigma, integrated) in [(&translucent, k..k + 1), (&terminating, 8..16)] {
-                let (mut cw, mut ct, mut co) = (vec![0.0; k], vec![0.0; k], vec![0.0; k]);
-                let cache = Some((&mut cw[..], &mut ct[..], &mut co[..]));
-                let (o, active) = f(&t, &dt, sigma, &rgb, Vec3::new(0.2, 0.4, 0.8), cache);
-                assert!(integrated.contains(&active), "{active} samples integrated");
-                let c = o.color;
-                let scalars = [c.x, c.y, c.z, o.depth, o.opacity, o.transmittance];
-                out.extend([bits(&scalars), vec![active as u32], bits(&cw), bits(&ct)]);
-                out.push(bits(&co));
-            }
-            out
-        };
-        let dispatched = composite_bits(composite);
-        assert_eq!(dispatched, composite_bits(composite_slices_lanes::<Fused>));
-        assert_ne!(dispatched, composite_bits(composite_slices_lanes::<Strict>));
+        let dispatched = LaneBodies {
+            encode: encode_level,
+            scatter: scatter_level,
+            sweeps: Sweeps::FUSED,
+            composite,
+        }
+        .bits();
+        assert_eq!(dispatched, LaneBodies::portable::<Fused>().bits());
+        for (fused, reference) in dispatched.iter().zip(LaneBodies::scalar().bits()) {
+            assert_ne!(*fused, reference);
+        }
     }
 }

@@ -16,7 +16,8 @@
 //!   built on the [`crate::simd`] lane types: one body per grid,
 //!   compositing and MLP seam (one blocked body per MLP sweep), generic
 //!   over the accumulate policy that [`crate::simd`] owns; `simd` runs the
-//!   `Strict` monomorphs.
+//!   `Strict` monomorphs, in runtime-detected AVX2 arms where the host
+//!   has AVX2 and portably otherwise, with the same bits.
 //! * [`FastKernels`] (`"fast"`) — the first **lossy-tier** backend: the
 //!   same bodies instantiated with a fused accumulate policy private to
 //!   `kernels/fast.rs`, with runtime-detected AVX2/FMA specialisations,
@@ -87,9 +88,9 @@
 //! and a lossy backend can never sneak into the bit-identity matrix
 //! (`tests/backend_api.rs` pins the CI axes to the registry split).
 //!
-//! Every backend runs on every host: [`FastKernels`]' AVX2/FMA paths are
-//! a runtime specialisation over a portable fused fallback with identical
-//! results.
+//! Every backend runs on every host: [`SimdKernels`]' AVX2 paths and
+//! [`FastKernels`]' AVX2/FMA paths are runtime specialisations over a
+//! portable fallback with identical results.
 //!
 //! # Selecting a backend
 //!
@@ -138,8 +139,9 @@
 //!   or `#[target_feature]` fn, private ones included. The
 //!   `#[target_feature]` fns are safe fns (target-feature 1.1), so calling
 //!   one outside a feature-enabled context is a compile error without an
-//!   `unsafe` block, whose `// SAFETY:` names the `avx2_fma_available()`
-//!   guard.
+//!   `unsafe` block. All twelve — six strict, six fused — are expansions
+//!   of one dispatch macro in this module, whose one `unsafe` block's
+//!   `// SAFETY:` names its runtime CPUID guard.
 //! * Determinism — `clippy::disallowed_types` (`HashMap`, `HashSet`) and
 //!   `clippy::disallowed_methods` (`Instant::now`) in the kernel, trainer
 //!   and serving crates: iteration order and wall-clock reads must never
@@ -158,6 +160,56 @@
 //! every line using `Ordering::Relaxed`. Stronger orderings in
 //! `vendor/rayon/src/` are cross-checked against the sleep/latch protocol
 //! manifest in `crates/conformance/allowlists/atomics_protocol.txt`.
+
+/// Stamps kernel wrappers whose bodies are compiled twice: as a safe
+/// `#[target_feature]` fn enabling the listed x86-64 features, called when
+/// the host has them all, and portably otherwise. `builtin.rs` lists
+/// `["avx2"]` for the strict tier, `fast.rs` its lossy tier's features.
+///
+/// `@detect [..]` is the guard: each expansion runs the CPUID check once
+/// per process and caches the answer; it is always `false` off x86_64.
+macro_rules! dispatched_kernels {
+    (@detect [$($feature:tt),+]) => {{
+        #[cfg(target_arch = "x86_64")]
+        {
+            static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+            *AVAILABLE.get_or_init(|| $(std::arch::is_x86_feature_detected!($feature))&&+)
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }};
+    (@kernel [$($feature:tt),+]
+        $(#[$doc:meta])*
+        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block
+    ) => {
+        $(#[$doc])*
+        #[allow(unsafe_code, reason = "calls the target-feature arm behind its runtime guard")]
+        fn $name($($arg: $ty),*) $(-> $ret)? {
+            /// The body, compiled with the listed target features enabled.
+            ///
+            /// # Safety
+            ///
+            /// Callable only on a host with every one of those features.
+            #[cfg(target_arch = "x86_64")]
+            $(#[target_feature(enable = $feature)])+
+            fn arm($($arg: $ty),*) $(-> $ret)? $body
+
+            #[cfg(target_arch = "x86_64")]
+            if dispatched_kernels!(@detect [$($feature),+]) {
+                // SAFETY: the `@detect` guard just confirmed that this host
+                // has every feature `arm` is compiled with, its only
+                // obligation.
+                return unsafe { arm($($arg),*) };
+            }
+            $body
+        }
+    };
+    ($features:tt $($(#[$doc:meta])* fn $name:ident $args:tt $(-> $ret:ty)? $body:block)+) => {
+        $(dispatched_kernels!(@kernel $features $(#[$doc])* fn $name $args $(-> $ret)? $body);)+
+    };
+}
 
 mod builtin;
 mod checked;
@@ -661,6 +713,159 @@ pub fn strict_from_env_or_default() -> BackendHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Activation;
+    use crate::grid::{HashGridConfig, NullObserver};
+    use crate::mlp::{self, Linear, MlpConfig, Sweeps};
+    use crate::render::{composite_slices, composite_slices_lanes};
+    use crate::simd::Accumulate;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    type Composite = fn(
+        &[f32],
+        &[f32],
+        &[f32],
+        &[Vec3],
+        Vec3,
+        Option<(&mut [f32], &mut [f32], &mut [f32])>,
+    ) -> (RenderOutput, usize);
+
+    /// One arm of the six shared lane bodies — grid encode, grid scatter,
+    /// the three MLP sweeps, compositing — or the scalar reference's
+    /// stand-in for each, so the dispatch tests of both tiers run one
+    /// harness.
+    pub(super) struct LaneBodies {
+        pub(super) encode: fn(&HashGrid, usize, &[Vec3], &mut [f32]),
+        pub(super) scatter: fn(&HashGrid, usize, &mut [f32], &[Vec3], &[f32]),
+        pub(super) sweeps: Sweeps,
+        pub(super) composite: Composite,
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    impl LaneBodies {
+        /// The portable `A` monomorphs of the shared bodies.
+        pub(super) fn portable<A: Accumulate>() -> LaneBodies {
+            LaneBodies {
+                encode: HashGrid::encode_level_lanes::<A>,
+                scatter: HashGrid::scatter_level_lanes::<A>,
+                sweeps: Sweeps {
+                    forward_rows: Linear::forward_rows::<A>,
+                    grad_rows: mlp::grad_rows::<A>,
+                    input_grad: mlp::input_grad::<A>,
+                },
+                composite: composite_slices_lanes::<A>,
+            }
+        }
+
+        /// [`ScalarKernels`]' bodies.
+        pub(super) fn scalar() -> LaneBodies {
+            LaneBodies {
+                encode: |g, l, p, o| g.encode_level_observed(l, p, o, &mut NullObserver),
+                scatter: |g, l, lg, p, d| g.scatter_level_observed(l, lg, p, d, &mut NullObserver),
+                sweeps: Sweeps::SCALAR,
+                composite: composite_slices,
+            }
+        }
+
+        /// The output bits of the MLP, grid and compositing families on
+        /// fixed inputs: lane tails in every blocked dimension, dense and
+        /// hashed levels, a scatter onto non-zero gradients, and a ray
+        /// that terminates early.
+        pub(super) fn bits(&self) -> [Vec<Vec<u32>>; 3] {
+            let mut rng = StdRng::seed_from_u64(3);
+
+            // MLP sweeps through the batch drivers. Tails in all three
+            // blocked dimensions: in_dim % 4 = 3, out_dim % 4 = 1, n % 4 = 2.
+            let (iw, ow, n) = (7, 5, 6);
+            let mut net = Mlp::new(
+                MlpConfig::new(iw, &[ow], ow, Activation::Relu, Activation::None),
+                &mut rng,
+            );
+            // Non-zero biases, so every output's first accumulate rounds too.
+            net.for_each_param_mut(&net.zero_grads(), |p, _| {
+                p.iter_mut().for_each(|v| *v += 0.3)
+            });
+            let x: Vec<f32> = (0..n * iw).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+            let dy: Vec<f32> = (0..n * ow).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+            let mut ws = net.batch_workspace(n);
+            let mut mlp_bits = vec![bits(net.forward_batch_impl(&self.sweeps, &x, &mut ws))];
+            let mut grads = net.zero_grads();
+            let mut dx = vec![0.0; n * iw];
+            // Twice, so the second pass accumulates onto non-zero gradients.
+            for _ in 0..2 {
+                net.backward_batch_impl(&self.sweeps, &dy, &mut ws, &mut grads, &mut dx);
+            }
+            for (gw, gb) in &grads.layers {
+                mlp_bits.extend([bits(gw), bits(gb)]);
+            }
+            mlp_bits.push(bits(&dx));
+
+            // Grid encode + scatter over dense and hashed levels: two full
+            // lanes plus a five-point tail, scattered onto non-zero gradients.
+            let grid = HashGrid::new_random(
+                HashGridConfig {
+                    levels: 3,
+                    log2_table_size: 10,
+                    base_resolution: 4,
+                    max_resolution: 32,
+                    store_fp16: false,
+                    init_scale: 0.3,
+                    ..HashGridConfig::default()
+                },
+                &mut rng,
+            );
+            let pts: Vec<Vec3> = (0..21)
+                .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
+                .collect();
+            let d_out: Vec<f32> = (0..pts.len() * grid.output_dim())
+                .map(|_| rng.gen_range(-1.0..=1.0))
+                .collect();
+            let mut emb = vec![0.0; d_out.len()];
+            let mut grid_grads = vec![0.5; grid.num_params()];
+            for (l, level) in grid.levels().iter().enumerate() {
+                (self.encode)(&grid, l, &pts, &mut emb);
+                let start = level.entry_offset as usize * 2;
+                let level_grads = &mut grid_grads[start..start + level.table_size as usize * 2];
+                (self.scatter)(&grid, l, level_grads, &pts, &d_out);
+            }
+            let grid_bits = vec![bits(&emb), bits(&grid_grads)];
+
+            // Compositing: a translucent ray through two lanes and a tail,
+            // and one that terminates early inside its second lane.
+            let k = 21;
+            let t: Vec<f32> = (0..k).map(|i| (i as f32 + 0.5) / k as f32).collect();
+            let dt = vec![1.0 / k as f32; k];
+            let rgb: Vec<Vec3> = (0..k)
+                .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
+                .collect();
+            let translucent: Vec<f32> = (0..k).map(|_| rng.gen::<f32>() * 2.0).collect();
+            let terminating: Vec<f32> = (0..k).map(|i| if i < 10 { 0.5 } else { 500.0 }).collect();
+            let mut composite_bits = Vec::new();
+            for (sigma, integrated) in [(&translucent, k..k + 1), (&terminating, 8..16)] {
+                let (mut cw, mut ct, mut co) = (vec![0.0; k], vec![0.0; k], vec![0.0; k]);
+                let cache = Some((&mut cw[..], &mut ct[..], &mut co[..]));
+                let bg = Vec3::new(0.2, 0.4, 0.8);
+                let (o, active) = (self.composite)(&t, &dt, sigma, &rgb, bg, cache);
+                assert!(integrated.contains(&active), "{active} samples integrated");
+                let c = o.color;
+                let scalars = [c.x, c.y, c.z, o.depth, o.opacity, o.transmittance];
+                composite_bits.extend([bits(&scalars), vec![active as u32], bits(&cw)]);
+                composite_bits.extend([bits(&ct), bits(&co)]);
+            }
+            [mlp_bits, grid_bits, composite_bits]
+        }
+    }
+
+    #[test]
+    fn feature_detection_is_stable_across_calls() {
+        let detect = || dispatched_kernels!(@detect ["avx2"]);
+        assert_eq!(detect(), detect());
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(detect(), std::arch::is_x86_feature_detected!("avx2"));
+    }
 
     #[test]
     fn builtins_are_registered_in_order() {

@@ -62,9 +62,11 @@
 //! assert_eq!(emb.len(), grid.output_dim());
 //! ```
 
-// The only `unsafe` in this crate is the runtime-guarded calls of the
-// fused kernels' `#[target_feature]` arms in `kernels/fast.rs` and the
-// SSE2 lane intrinsics in `simd.rs`, each opted in with an item-level
+// The only `unsafe` in this crate is the runtime-guarded call of a
+// kernel's `#[target_feature]` arm inside the one dispatch macro in
+// `kernels/mod.rs` (stamped for the six strict kernels in
+// `kernels/builtin.rs` and the six fused ones in `kernels/fast.rs`) and
+// the SSE2 lane intrinsics in `simd.rs`, each opted in with an item-level
 // `#[allow(unsafe_code, reason = ..)]`; anything else — a raw-pointer
 // dispatcher, say — has to justify itself.
 #![deny(unsafe_code)]

@@ -21,7 +21,7 @@
 
 use crate::activation::Activation;
 use crate::kernels::BackendHandle;
-use crate::simd::{Accumulate, Strict};
+use crate::simd::Accumulate;
 use rand::Rng;
 use rayon::prelude::*;
 
@@ -342,13 +342,6 @@ impl Sweeps {
         forward_rows: Linear::forward_rows_scalar,
         grad_rows: grad_rows_scalar,
         input_grad: input_grad_scalar,
-    };
-    /// The blocked sweeps rounding twice per accumulate — bit-identical
-    /// to [`Sweeps::SCALAR`].
-    pub(crate) const STRICT: Sweeps = Sweeps {
-        forward_rows: Linear::forward_rows::<Strict>,
-        grad_rows: grad_rows::<Strict>,
-        input_grad: input_grad::<Strict>,
     };
 }
 

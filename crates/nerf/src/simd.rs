@@ -5,7 +5,7 @@
 //! compositing ([`crate::render`]) — exist in interchangeable
 //! implementations dispatched through the open backend API
 //! ([`crate::kernels`]): the scalar reference kernels, and lane-batched
-//! SIMD kernels built on the [`F32x4`]/[`F32x8`] types below.
+//! SIMD kernels built on the [`F32x8`] type below.
 //!
 //! # The additive-order / no-FMA contract (strict tier)
 //!
@@ -52,124 +52,140 @@
 //!
 //! # Implementation notes
 //!
-//! The lane types are plain aligned arrays with `#[inline(always)]`
+//! [`F32x8`] is a plain aligned array with `#[inline(always)]`
 //! elementwise operators — a form stable rustc reliably autovectorizes to
 //! SSE/NEON without any nightly features. On `x86_64`, where SSE2 is part
-//! of the baseline ISA, the [`F32x4`] arithmetic ops are additionally
-//! specialized to `core::arch` intrinsics (`_mm_add_ps` etc. — exact
-//! per-lane IEEE operations, so the contract above is preserved);
-//! [`F32x8`] is two `F32x4` halves. Every other architecture uses the
-//! autovectorized array fallback, which is always compiled and tested.
+//! of the baseline ISA, each arithmetic op runs as two halves of a private
+//! four-lane type specialized to `core::arch` intrinsics (`_mm_add_ps`
+//! etc. — exact per-lane IEEE operations, so the contract above is
+//! preserved). Every other architecture uses the autovectorized array
+//! loops.
+//!
+//! The kernel bodies are always inlined into their callers, and both
+//! tiers call them from `#[target_feature]` wrappers stamped by one
+//! dispatch macro in [`crate::kernels`]: the strict wrappers enable AVX2
+//! and nothing else, the lossy ones AVX2 and FMA. Inside an AVX2 arm the
+//! same intrinsics compile to VEX-encoded instructions and the compiler
+//! may pair two halves into one 256-bit operation — still one exact IEEE
+//! operation per lane. Rust never contracts `a * b + c` into a fused
+//! multiply-add on its own, and a strict arm has no FMA to contract into,
+//! so the strict arm has the portable arm's bits.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
-
-/// Four `f32` lanes, 16-byte aligned.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(C, align(16))]
-pub struct F32x4(pub [f32; 4]);
 
 /// Eight `f32` lanes, 32-byte aligned.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C, align(32))]
 pub struct F32x8(pub [f32; 8]);
 
-macro_rules! lane_common {
-    ($ty:ident, $n:expr) => {
-        impl $ty {
-            /// Lane count.
-            pub const LANES: usize = $n;
-            /// All lanes zero.
-            pub const ZERO: $ty = $ty([0.0; $n]);
+impl F32x8 {
+    /// Lane count.
+    pub const LANES: usize = 8;
+    /// All lanes zero.
+    pub const ZERO: F32x8 = F32x8([0.0; 8]);
 
-            /// Broadcasts one value to every lane.
-            #[inline(always)]
-            pub fn splat(v: f32) -> $ty {
-                $ty([v; $n])
-            }
+    /// Broadcasts one value to every lane.
+    #[inline(always)]
+    pub fn splat(v: f32) -> F32x8 {
+        F32x8([v; 8])
+    }
 
-            /// Loads lanes from the first `$n` elements of `s`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `s` is shorter than the lane count.
-            #[inline(always)]
-            pub fn from_slice(s: &[f32]) -> $ty {
-                let mut v = [0.0f32; $n];
-                v.copy_from_slice(&s[..$n]);
-                $ty(v)
-            }
+    /// Loads lanes from the first 8 elements of `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is shorter than the lane count.
+    #[inline(always)]
+    pub fn from_slice(s: &[f32]) -> F32x8 {
+        let mut v = [0.0f32; 8];
+        v.copy_from_slice(&s[..8]);
+        F32x8(v)
+    }
 
-            /// Stores lanes into the first `$n` elements of `out`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `out` is shorter than the lane count.
-            #[inline(always)]
-            pub fn write_to(self, out: &mut [f32]) {
-                out[..$n].copy_from_slice(&self.0);
-            }
+    /// Stores lanes into the first 8 elements of `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than the lane count.
+    #[inline(always)]
+    pub fn write_to(self, out: &mut [f32]) {
+        out[..8].copy_from_slice(&self.0);
+    }
 
-            /// Per-lane `f32::floor` (exact, same as the scalar kernel).
-            #[inline(always)]
-            pub fn floor(self) -> $ty {
-                let mut v = self.0;
-                for x in &mut v {
-                    *x = x.floor();
-                }
-                $ty(v)
-            }
-
-            /// Per-lane `f32::clamp(lo, hi)` — bitwise identical to the
-            /// scalar kernels' clamp for the finite inputs they handle.
-            #[inline(always)]
-            pub fn clamp(self, lo: f32, hi: f32) -> $ty {
-                let mut v = self.0;
-                for x in &mut v {
-                    *x = x.clamp(lo, hi);
-                }
-                $ty(v)
-            }
+    /// Per-lane `f32::floor` (exact, same as the scalar kernel).
+    #[inline(always)]
+    pub fn floor(self) -> F32x8 {
+        let mut v = self.0;
+        for x in &mut v {
+            *x = x.floor();
         }
+        F32x8(v)
+    }
 
-        impl std::ops::Index<usize> for $ty {
-            type Output = f32;
-            #[inline(always)]
-            fn index(&self, i: usize) -> &f32 {
-                &self.0[i]
-            }
+    /// Per-lane `f32::clamp(lo, hi)` — bitwise identical to the
+    /// scalar kernels' clamp for the finite inputs they handle.
+    #[inline(always)]
+    pub fn clamp(self, lo: f32, hi: f32) -> F32x8 {
+        let mut v = self.0;
+        for x in &mut v {
+            *x = x.clamp(lo, hi);
         }
-
-        impl std::ops::AddAssign for $ty {
-            #[inline(always)]
-            fn add_assign(&mut self, rhs: $ty) {
-                *self = *self + rhs;
-            }
-        }
-
-        impl std::ops::MulAssign for $ty {
-            #[inline(always)]
-            fn mul_assign(&mut self, rhs: $ty) {
-                *self = *self * rhs;
-            }
-        }
-    };
+        F32x8(v)
+    }
 }
 
-lane_common!(F32x4, 4);
-lane_common!(F32x8, 8);
+impl std::ops::Index<usize> for F32x8 {
+    type Output = f32;
+    #[inline(always)]
+    fn index(&self, i: usize) -> &f32 {
+        &self.0[i]
+    }
+}
 
-// --- F32x4 arithmetic: SSE2 intrinsics on x86_64 (baseline ISA there),
-// --- autovectorized array loops everywhere else. Both are exact per-lane
-// --- IEEE add/sub/mul — no FMA, no approximation.
+impl std::ops::AddAssign for F32x8 {
+    #[inline(always)]
+    fn add_assign(&mut self, rhs: F32x8) {
+        *self = *self + rhs;
+    }
+}
+
+impl std::ops::MulAssign for F32x8 {
+    #[inline(always)]
+    fn mul_assign(&mut self, rhs: F32x8) {
+        *self = *self * rhs;
+    }
+}
+
+/// Four `f32` lanes, 16-byte aligned: one SSE2 register, and one half of
+/// an [`F32x8`] operator on x86_64.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+#[repr(C, align(16))]
+struct F32x4([f32; 4]);
+
+#[cfg(target_arch = "x86_64")]
+impl F32x4 {
+    const ZERO: F32x4 = F32x4([0.0; 4]);
+
+    #[inline(always)]
+    fn from_slice(s: &[f32]) -> F32x4 {
+        let mut v = [0.0f32; 4];
+        v.copy_from_slice(&s[..4]);
+        F32x4(v)
+    }
+}
+
+// --- F32x4 arithmetic: SSE2 intrinsics (baseline ISA on x86_64) — exact
+// --- per-lane IEEE add/sub/mul, no FMA, no approximation.
 
 macro_rules! f32x4_binop {
-    ($trait:ident, $method:ident, $intrin:ident, $op:tt) => {
+    ($trait:ident, $method:ident, $intrin:ident) => {
+        #[cfg(target_arch = "x86_64")]
         impl std::ops::$trait for F32x4 {
             type Output = F32x4;
             #[inline(always)]
             #[allow(unsafe_code, reason = "SSE2 lane intrinsics")]
             fn $method(self, rhs: F32x4) -> F32x4 {
-                #[cfg(target_arch = "x86_64")]
                 // SAFETY: SSE2 is part of the x86_64 baseline ISA, and
                 // F32x4 is 16-byte aligned, so aligned loads are valid.
                 unsafe {
@@ -180,22 +196,14 @@ macro_rules! f32x4_binop {
                     _mm_store_ps(out.0.as_mut_ptr(), $intrin(a, b));
                     out
                 }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    let mut v = self.0;
-                    for (x, y) in v.iter_mut().zip(&rhs.0) {
-                        *x = *x $op *y;
-                    }
-                    F32x4(v)
-                }
             }
         }
     };
 }
 
-f32x4_binop!(Add, add, _mm_add_ps, +);
-f32x4_binop!(Sub, sub, _mm_sub_ps, -);
-f32x4_binop!(Mul, mul, _mm_mul_ps, *);
+f32x4_binop!(Add, add, _mm_add_ps);
+f32x4_binop!(Sub, sub, _mm_sub_ps);
+f32x4_binop!(Mul, mul, _mm_mul_ps);
 
 macro_rules! f32x8_binop {
     ($trait:ident, $method:ident, $op:tt) => {
@@ -263,6 +271,7 @@ mod tests {
 
     #[test]
     fn lane_ops_match_scalar_ops_bitwise() {
+        // On x86_64 lanes 0..4 and 4..8 are the two `F32x4` halves.
         let a = [1.5f32, -0.25, 3.207_18e-3, 65504.0, -2.5, 0.1, 7.0, -0.0];
         let b = [0.3f32, 123.456, -9.87, 2.0e-4, 0.5, -0.1, 3.0, 4.0];
         let va = F32x8::from_slice(&a);
@@ -271,13 +280,6 @@ mod tests {
             assert_eq!((va + vb)[k].to_bits(), (a[k] + b[k]).to_bits());
             assert_eq!((va - vb)[k].to_bits(), (a[k] - b[k]).to_bits());
             assert_eq!((va * vb)[k].to_bits(), (a[k] * b[k]).to_bits());
-        }
-        let qa = F32x4::from_slice(&a);
-        let qb = F32x4::from_slice(&b);
-        for k in 0..4 {
-            assert_eq!((qa + qb)[k].to_bits(), (a[k] + b[k]).to_bits());
-            assert_eq!((qa - qb)[k].to_bits(), (a[k] - b[k]).to_bits());
-            assert_eq!((qa * qb)[k].to_bits(), (a[k] * b[k]).to_bits());
         }
     }
 
