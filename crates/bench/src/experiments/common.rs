@@ -78,7 +78,7 @@ pub fn mean_of<F: Fn(&SceneRun) -> f32>(runs: &[SceneRun], f: F) -> f32 {
 /// provides grid-level metadata for flat addressing).
 ///
 /// Capture iterations run the scalar reference step, the others the
-/// engine; the two are bit-identical on strict backends (pinned by the
+/// engine; the two are bit-identical on every backend (pinned by the
 /// golden suites), so mixing them inside one run is sound. The reference
 /// step interleaves reads and writes ray by ray, so a collector that hits
 /// `capacity` truncates by ray (whole early rays, both phases), not by

@@ -82,9 +82,8 @@ pub struct TrainConfig {
     /// Which kernel backend the batched engine runs — a handle resolved
     /// through the open backend registry (`instant3d_nerf::kernels`):
     /// the scalar reference, the lane-batched SIMD default, the `checked`
-    /// shadow executor, the lossy `fast` backend, or any backend
-    /// registered at runtime (strict ones bit-identical by contract). Every
-    /// preset honours the
+    /// shadow executor, or any backend registered at runtime (all
+    /// bit-identical by contract). Every preset honours the
     /// `INSTANT3D_KERNEL_BACKEND` env var — a registry name lookup — which
     /// is how the CI matrix forces each registered backend.
     pub kernel_backend: BackendHandle,
@@ -261,6 +260,31 @@ impl TrainConfig {
                 g.base_resolution, g.max_resolution
             ));
         }
+        // `HashGridConfig::table_size` is `1u32 << log2_table_size`.
+        if g.log2_table_size >= 32 {
+            return Err(format!(
+                "grid.log2_table_size {} must be below 32",
+                g.log2_table_size
+            ));
+        }
+        // `HashGrid` addresses the tables of all its levels through one
+        // `u32` entry offset, so each grid built must hold at most
+        // `u32::MAX` entries.
+        let color = (self.topology == GridTopology::Decoupled).then(|| self.color_grid_config());
+        for grid in [Some(self.density_grid_config()), color].iter().flatten() {
+            let t = u64::from(grid.table_size());
+            let entries = grid
+                .level_resolutions()
+                .map(|r| (u64::from(r) + 1).saturating_pow(3).min(t))
+                .fold(0u64, u64::saturating_add);
+            if entries > u64::from(u32::MAX) {
+                return Err(format!(
+                    "a grid of {} levels with 2^{}-entry tables holds {entries} entries, \
+                     more than u32::MAX",
+                    grid.levels, grid.log2_table_size
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -333,11 +357,21 @@ mod tests {
         assert!(cfg.validate().is_err());
 
         // Grid shapes `HashGrid::new` would otherwise assert on.
-        let grids: [fn(&mut HashGridConfig); 4] = [
+        let grids: [fn(&mut HashGridConfig); 6] = [
             |g| g.levels = 0,
             |g| g.features_per_entry = 0,
             |g| g.base_resolution = 0,
             |g| g.base_resolution = g.max_resolution + 1,
+            // `table_size()` would shift a `u32` by 32.
+            |g| g.log2_table_size = 32,
+            // 8 hashed levels of 2^30 entries: 2^33 entries overflow the
+            // `u32` entry offsets.
+            |g| {
+                g.levels = 8;
+                g.log2_table_size = 30;
+                g.base_resolution = 2048;
+                g.max_resolution = 4096;
+            },
         ];
         for (i, set) in grids.iter().enumerate() {
             let mut cfg = TrainConfig::fast_preview();

@@ -52,7 +52,7 @@ pub fn render_model_view(
 ///
 /// Kept as the executable specification for the tile renderer's golden
 /// suite (`crates/core/tests/tile_render.rs`): a full-budget tiled frame
-/// must match this bit-for-bit on every strict backend × worker count.
+/// must match this bit-for-bit on every backend × worker count.
 /// Unlike the tile path it mints a fresh [`BatchWorkspace`] per row
 /// chunk, so it is reference material, not a hot path.
 pub fn render_model_view_monolithic(

@@ -24,8 +24,8 @@
 //! golden equivalence tests. Within the batched engine the hot kernels
 //! dispatch through the open kernel-backend API ([`kernels`]): a
 //! [`BackendHandle`] resolved by name from the process-wide registry
-//! (scalar reference, lane-batched SIMD, the `checked` shadow executor,
-//! the lossy `fast` backend, or anything registered at runtime), selected by
+//! (scalar reference, lane-batched SIMD, the `checked` shadow executor, or
+//! anything registered at runtime), selected by
 //! [`TrainConfig::kernel_backend`] / the `INSTANT3D_KERNEL_BACKEND` env
 //! var — backends are bit-identical by
 //! the additive-order/no-FMA contract of `instant3d_nerf::simd`, and the

@@ -76,12 +76,6 @@ pub struct WorkloadStats {
     /// handle; empty for hand-built stats.
     /// [`WorkloadStats::merge`] keeps the receiver's backend.
     pub backend: &'static str,
-    /// The backend's registration tier label (`"strict"` or `"lossy"`,
-    /// see `instant3d_nerf::kernels::Tier`) — provenance for perf
-    /// records: a lossy-tier number is not bit-comparable to a strict
-    /// golden run. Empty for hand-built stats; merge keeps the
-    /// receiver's tier like it keeps the backend.
-    pub tier: &'static str,
     /// Training iterations executed.
     pub iterations: u64,
     /// Rays (pixels) processed.

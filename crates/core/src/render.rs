@@ -38,7 +38,7 @@
 //! change a single bit. A full-budget tiled frame is **bit-identical**
 //! to the monolithic row-chunk renderer
 //! ([`render_model_view_monolithic`](crate::eval::render_model_view_monolithic),
-//! kept as the executable specification) on every strict backend × worker
+//! kept as the executable specification) on every backend × worker
 //! count — pinned by the golden suite in `crates/core/tests/tile_render.rs`.
 //!
 //! Ray marching uses the same per-ray pipeline as training: stratified

@@ -208,7 +208,6 @@ impl Trainer {
         let ws = model.workspace();
         let grads = model.zero_grads();
         let backend = cfg.kernel_backend.name();
-        let tier = cfg.kernel_backend.tier().label();
         let occ_ws = OccupancyWorkspace::new(cfg.kernel_backend.clone());
         Trainer {
             cfg,
@@ -224,7 +223,6 @@ impl Trainer {
             iter: 0,
             stats: WorkloadStats {
                 backend,
-                tier,
                 ..WorkloadStats::default()
             },
             cameras: dataset.train_cameras(),
@@ -774,7 +772,6 @@ impl Trainer {
         let mlp_ff = self.model.mlp_flops_per_point() as u64 * pts;
         self.stats.merge(&WorkloadStats {
             backend: self.stats.backend,
-            tier: self.stats.tier,
             iterations: 1,
             rays: rays as u64,
             points: pts,

@@ -6,7 +6,7 @@
 //! tests pin that contract (and the acceptance tolerance of 1e-5 per
 //! pixel) across topologies, workload counters, rendering, and rayon
 //! worker counts — and they run the whole suite once per **registered
-//! kernel backend** (`kernels::registered_strict()` — scalar, simd,
+//! kernel backend** (`kernels::registered()` — scalar, simd,
 //! checked, plus anything registered at runtime), so
 //! every backend in the registry is gated against the same scalar
 //! reference path on every run. A backend cannot register without
@@ -104,14 +104,14 @@ fn check_equivalence(topology: GridTopology, backend: &BackendHandle, steps: usi
 
 #[test]
 fn batched_matches_scalar_decoupled() {
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         check_equivalence(GridTopology::Decoupled, &backend, 4);
     }
 }
 
 #[test]
 fn batched_matches_scalar_coupled() {
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         check_equivalence(GridTopology::Coupled, &backend, 4);
     }
 }
@@ -192,7 +192,7 @@ fn batched_matches_scalar_through_occupancy_refresh() {
     // Long enough to cross an occupancy-grid refresh (every 16 iters in
     // fast_preview) and a skipped color iteration — per kernel backend.
     let ds = dataset(11);
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         let cfg = config(GridTopology::Decoupled, &backend);
         let mut rng_a = StdRng::seed_from_u64(5);
         let mut rng_b = StdRng::seed_from_u64(5);
@@ -238,7 +238,7 @@ fn train_report_is_thread_count_invariant() {
             trainer.train_with_eval(8, 4, Some(&ds), &mut rng)
         })
     };
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         let single = run(1, &backend);
         let multi = run(8, &backend);
         assert_eq!(
@@ -269,7 +269,7 @@ fn every_registered_backend_training_is_bit_identical_to_scalar_backend() {
     };
     let (la, ia, da, sa) = run(&kernels::scalar());
     let la_bits: Vec<u32> = la.iter().map(|v| v.to_bits()).collect();
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         let (lb, ib, db, sb) = run(&backend);
         let lb_bits: Vec<u32> = lb.iter().map(|v| v.to_bits()).collect();
         assert_eq!(la_bits, lb_bits, "{backend}: losses must match bitwise");
@@ -324,7 +324,7 @@ fn subset_occupancy_refresh_training_is_backend_and_worker_invariant() {
         "refreshes must actually have fired: {:?}",
         reference.2
     );
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         for threads in [1usize, 4] {
             assert_eq!(run(&backend, threads), reference, "{backend} / t{threads}");
         }
@@ -337,7 +337,7 @@ fn subset_refresh_batched_matches_scalar_reference_path() {
     // occupancy subsystem; with amortized refreshes enabled mid-run they
     // must still agree on losses, culled point counts and stats.
     let ds = dataset(53);
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         let mut cfg = config(GridTopology::Decoupled, &backend);
         cfg.occupancy_update_every = 2;
         cfg.occupancy_subset = 3;

@@ -3,7 +3,7 @@
 //! The contract under test: a full-budget tiled frame is **bit-identical**
 //! to the monolithic row-chunk renderer
 //! (`eval::render_model_view_monolithic`, the executable specification)
-//! on every registered strict backend × worker count × tile shape, a
+//! on every registered backend × worker count × tile shape, a
 //! budgeted progressive render converges to the same bits within
 //! `tile_count` frames, converged tiles are cached across frames and
 //! invalidated precisely by hash-grid `level_versions` drift, and
@@ -61,11 +61,11 @@ fn assert_frames_eq(
 }
 
 /// Full-budget tiled rendering reproduces the monolithic reference
-/// bit-for-bit on every registered strict backend × worker count.
+/// bit-for-bit on every registered backend × worker count.
 #[test]
 fn full_budget_tiled_matches_monolithic_across_backends_and_workers() {
     let ds = dataset(42);
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         let trainer = trained(&backend, &ds, 8);
         let cam = &ds.test_views[0].camera;
         for workers in [1usize, 4, 8] {
@@ -89,7 +89,7 @@ fn full_budget_tiled_matches_monolithic_across_backends_and_workers() {
 #[test]
 fn tile_seams_and_odd_frame_sizes_are_exact() {
     let ds = dataset(7);
-    let backend = kernels::strict_from_env_or_default();
+    let backend = kernels::from_env_or_default();
     let trainer = trained(&backend, &ds, 4);
     let model = trainer.model();
     let center = model.aabb().center();
@@ -120,7 +120,7 @@ fn tile_seams_and_odd_frame_sizes_are_exact() {
 #[test]
 fn budgeted_progressive_render_converges_to_full_budget_bits() {
     let ds = dataset(13);
-    let backend = kernels::strict_from_env_or_default();
+    let backend = kernels::from_env_or_default();
     let trainer = trained(&backend, &ds, 6);
     let cam = &ds.test_views[0].camera;
     let mono = render_model_view_monolithic(trainer.model(), cam, 20, ds.background);
@@ -163,7 +163,7 @@ fn budgeted_progressive_render_converges_to_full_budget_bits() {
 #[test]
 fn cache_invalidates_on_level_version_bumps() {
     let ds = dataset(21);
-    let backend = kernels::strict_from_env_or_default();
+    let backend = kernels::from_env_or_default();
     let mut trainer = trained(&backend, &ds, 4);
     let cam = ds.test_views[0].camera;
     let pool = WorkspacePool::new();
@@ -193,7 +193,7 @@ fn cache_invalidates_on_level_version_bumps() {
 #[test]
 fn background_tiles_survive_training_steps() {
     let ds = dataset(29);
-    let backend = kernels::strict_from_env_or_default();
+    let backend = kernels::from_env_or_default();
     let mut trainer = trained(&backend, &ds, 2);
     let center = trainer.model().aabb().center();
     // Looking directly away from the volume: every ray misses.
@@ -227,7 +227,7 @@ fn background_tiles_survive_training_steps() {
 #[test]
 fn steady_state_rendering_mints_no_workspaces() {
     let ds = dataset(3);
-    let backend = kernels::strict_from_env_or_default();
+    let backend = kernels::from_env_or_default();
     let trainer = trained(&backend, &ds, 2);
     let workers = 4usize;
     let pool = rayon::ThreadPoolBuilder::new()
@@ -274,7 +274,7 @@ fn steady_state_rendering_mints_no_workspaces() {
 #[test]
 fn occupancy_guided_eval_flag_and_culling() {
     let ds = dataset(17);
-    let backend = kernels::strict_from_env_or_default();
+    let backend = kernels::from_env_or_default();
     let trainer = trained(&backend, &ds, 24);
     let model = trainer.model();
 
@@ -333,7 +333,7 @@ fn occupancy_guided_eval_flag_and_culling() {
 fn eval_render_routes_through_the_shared_pool() {
     use instant3d_core::render::shared_pool;
     let ds = dataset(31);
-    let backend = kernels::strict_from_env_or_default();
+    let backend = kernels::from_env_or_default();
     let trainer = trained(&backend, &ds, 2);
     let cam = &ds.test_views[0].camera;
     let _ = render_model_view(trainer.model(), cam, 8, ds.background);

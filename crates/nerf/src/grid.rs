@@ -25,7 +25,7 @@ use crate::fp16;
 use crate::hash::{vertex_address, AddressMode, CORNER_OFFSETS};
 use crate::kernels::BackendHandle;
 use crate::math::Vec3;
-use crate::simd::{Accumulate, F32x8};
+use crate::simd::F32x8;
 use rand::Rng;
 
 /// Memory-access phase, used by observers and the accelerator simulator.
@@ -162,16 +162,17 @@ impl HashGridConfig {
 
     /// Per-level virtual grid resolutions `N_l = ⌊N_min · b^l⌋` with
     /// `b = exp((ln N_max − ln N_min)/(L−1))` (Instant-NGP Eq. 2-3).
-    pub fn level_resolutions(&self) -> Vec<u32> {
+    pub fn level_resolutions(&self) -> impl Iterator<Item = u32> + '_ {
         assert!(self.levels >= 1);
-        if self.levels == 1 {
-            return vec![self.base_resolution];
-        }
-        let b = ((self.max_resolution as f64).ln() - (self.base_resolution as f64).ln())
-            / (self.levels as f64 - 1.0);
-        (0..self.levels)
-            .map(|l| ((self.base_resolution as f64) * (b * l as f64).exp() + 1e-6).floor() as u32)
-            .collect()
+        let b = if self.levels == 1 {
+            0.0
+        } else {
+            ((self.max_resolution as f64).ln() - (self.base_resolution as f64).ln())
+                / (self.levels as f64 - 1.0)
+        };
+        (0..self.levels).map(move |l| {
+            ((self.base_resolution as f64) * (b * l as f64).exp() + 1e-6).floor() as u32
+        })
     }
 
     /// Hash-table entries per level (`T`).
@@ -181,9 +182,8 @@ impl HashGridConfig {
 
     /// Total number of stored feature scalars across all levels.
     pub fn num_params(&self) -> usize {
-        let res = self.level_resolutions();
-        res.iter()
-            .map(|&r| {
+        self.level_resolutions()
+            .map(|r| {
                 let dense = ((r + 1) as u64).pow(3);
                 let t = dense.min(self.table_size() as u64) as usize;
                 t * self.features_per_entry
@@ -255,12 +255,11 @@ impl HashGrid {
             cfg.base_resolution >= 1 && cfg.max_resolution >= cfg.base_resolution,
             "resolutions must satisfy 1 <= base <= max"
         );
-        let resolutions = cfg.level_resolutions();
         let mut levels = Vec::with_capacity(cfg.levels);
         let mut param_offsets = Vec::with_capacity(cfg.levels + 1);
         let mut entry_cursor = 0u32;
         let mut param_cursor = 0usize;
-        for &r in &resolutions {
+        for r in cfg.level_resolutions() {
             let dense = ((r + 1) as u64).pow(3);
             let (mode, table_size) = if dense <= cfg.table_size() as u64 {
                 (AddressMode::Dense, dense as u32)
@@ -665,7 +664,7 @@ impl HashGrid {
     /// kernel's; hashed levels replace the `% table_size` with an equal
     /// power-of-two mask (the table size is always `1 << log2_table_size`).
     /// Always inlined so `#[target_feature]` callers (the AVX2 arms of
-    /// both tiers' grid kernels) compile the lane arithmetic with their
+    /// the `simd` grid kernels) compile the lane arithmetic with their
     /// wider instruction set instead of calling a separately-compiled
     /// baseline copy.
     #[inline(always)]
@@ -756,18 +755,12 @@ impl HashGrid {
     /// 8-corner × F=2 accumulation run lane-parallel, table gathers stay
     /// per-lane, and the remainder tail (< LANES points) runs the same
     /// per-point sequence on scalars, so results do not depend on where a
-    /// point falls in the batch. The one body behind both lane backends
-    /// (see [`crate::simd`]): with `Strict` accumulation every output bit
-    /// matches [`HashGrid::encode_level_observed`]; the lossy policy folds
-    /// each corner into one rounding instead of two. Grids with
+    /// point falls in the batch. Every accumulate is a distinct multiply
+    /// then a distinct add (see [`crate::simd`]), so every output bit
+    /// matches [`HashGrid::encode_level_observed`]. Grids with
     /// `features_per_entry != 2` fall back to the scalar kernel.
     #[inline(always)]
-    pub(crate) fn encode_level_lanes<A: Accumulate>(
-        &self,
-        l: usize,
-        unit_positions: &[Vec3],
-        out: &mut [f32],
-    ) {
+    pub(crate) fn encode_level_lanes(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
         const LANES: usize = F32x8::LANES;
         if self.cfg.features_per_entry != 2 {
             return self.encode_level_observed(l, unit_positions, out, &mut NullObserver);
@@ -797,8 +790,8 @@ impl HashGrid {
                     f0[k] = self.params[src];
                     f1[k] = self.params[src + 1];
                 }
-                acc0 = A::lanes(acc0, weights[c], F32x8(f0));
-                acc1 = A::lanes(acc1, weights[c], F32x8(f1));
+                acc0 += weights[c] * F32x8(f0);
+                acc1 += weights[c] * F32x8(f1);
             }
             for k in 0..LANES {
                 let dst = (i + k) * w + col;
@@ -812,8 +805,8 @@ impl HashGrid {
             let mut acc1 = 0.0f32;
             for c in 0..8 {
                 let src = base + pa[c] as usize * 2;
-                acc0 = A::scalar(acc0, pw[c], self.params[src]);
-                acc1 = A::scalar(acc1, pw[c], self.params[src + 1]);
+                acc0 += pw[c] * self.params[src];
+                acc1 += pw[c] * self.params[src + 1];
             }
             let dst = i * w + col;
             out[dst] = acc0;
@@ -845,7 +838,7 @@ impl HashGrid {
     ///
     /// All writes are disjoint output rows and each level's per-point
     /// arithmetic is independent of the rest of the list, so the result
-    /// is bit-identical across strict backends, chunkings, worker counts
+    /// is bit-identical across backends, chunkings, worker counts
     /// and level subsets. On a one-worker pool the whole batch is one
     /// chunk on the calling thread.
     ///
@@ -943,14 +936,11 @@ impl HashGrid {
     /// the 8-corner × F=2 accumulation walks the lane's points *in point
     /// order* — scatters can collide on a table entry, so the accumulation
     /// itself stays sequential per parameter on every backend, and the
-    /// result is deterministic for any worker count. The one body behind
-    /// both lane backends (see [`crate::simd`]): with `Strict`
-    /// accumulation it is bit-identical to
-    /// [`HashGrid::scatter_level_observed`]; the lossy policy folds each
-    /// `grad += w·g` into one rounding. `features_per_entry != 2`
+    /// result is deterministic for any worker count and bit-identical to
+    /// [`HashGrid::scatter_level_observed`]. `features_per_entry != 2`
     /// falls back to the scalar kernel.
     #[inline(always)]
-    pub(crate) fn scatter_level_lanes<A: Accumulate>(
+    pub(crate) fn scatter_level_lanes(
         &self,
         l: usize,
         level_grads: &mut [f32],
@@ -982,8 +972,8 @@ impl HashGrid {
                 for c in 0..8 {
                     let wgt = weights[c][k];
                     let dst = addrs[c][k] as usize * 2;
-                    level_grads[dst] = A::scalar(level_grads[dst], wgt, g0);
-                    level_grads[dst + 1] = A::scalar(level_grads[dst + 1], wgt, g1);
+                    level_grads[dst] += wgt * g0;
+                    level_grads[dst + 1] += wgt * g1;
                 }
             }
         }
@@ -993,8 +983,8 @@ impl HashGrid {
             let g1 = d_out[i * w + col + 1];
             for c in 0..8 {
                 let dst = pa[c] as usize * 2;
-                level_grads[dst] = A::scalar(level_grads[dst], pw[c], g0);
-                level_grads[dst + 1] = A::scalar(level_grads[dst + 1], pw[c], g1);
+                level_grads[dst] += pw[c] * g0;
+                level_grads[dst + 1] += pw[c] * g1;
             }
         }
     }
@@ -1005,7 +995,7 @@ impl HashGrid {
     /// walking all points in order. Per-parameter accumulation order is
     /// point order — exactly the scalar kernel's — on every backend, so
     /// results are bit-identical to `n` [`HashGrid::backward_into`] calls
-    /// across strict backends and worker counts.
+    /// across backends and worker counts.
     pub fn par_backward_batch_with(
         &self,
         backend: &BackendHandle,
@@ -1183,7 +1173,7 @@ mod tests {
             max_resolution: 128,
             ..HashGridConfig::default()
         };
-        let res = cfg.level_resolutions();
+        let res: Vec<u32> = cfg.level_resolutions().collect();
         assert_eq!(res.first(), Some(&16));
         assert_eq!(res.last(), Some(&128));
         for w in res.windows(2) {
@@ -1469,17 +1459,12 @@ mod tests {
             .collect();
         let w = g.output_dim();
         let f = g.config().features_per_entry;
-        // The point-major scalar reference every strict backend must match.
+        // The point-major scalar reference every backend must match.
         let reference: Vec<f32> = points.iter().flat_map(|&p| g.encode(p)).collect();
         for backend in crate::kernels::registered() {
-            // A lossy backend's subset encode must match that backend's own
-            // full encode (self-consistency); a strict backend's full encode
-            // is the scalar reference.
             let mut full = vec![0.0f32; points.len() * w];
             g.par_encode_batch_with(&backend, &points, &mut full);
-            if backend.tier().is_strict() {
-                assert_eq!(full, reference, "{backend}");
-            }
+            assert_eq!(full, reference, "{backend}");
             // Unsorted and repeated lists recompute the same columns.
             for levels in [&[1usize][..], &[3, 1, 1][..]] {
                 // Sentinel-filled buffer: untouched columns must keep it.

@@ -8,7 +8,6 @@ use crate::grid::{HashGrid, NullObserver};
 use crate::math::Vec3;
 use crate::mlp::{self, Linear, Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
 use crate::render::{composite_slices, composite_slices_lanes, RenderOutput};
-use crate::simd::Strict;
 
 /// The scalar reference backend (`"scalar"`): level-major scalar grid
 /// kernels, the unblocked row-major MLP rows, scalar compositing. This is the
@@ -79,11 +78,11 @@ impl Kernels for ScalarKernels {
     }
 }
 
-/// The lane-batched SIMD backend (`"simd"`, the default): the `Strict`
-/// monomorphs of the shared kernel bodies (grid encode/scatter with
-/// lane-batched corner weights and addresses, lane-batched `−σδ`
-/// compositing products, the four-wide blocked MLP sweeps), each
-/// dispatched per call to an AVX2 arm where the host has AVX2.
+/// The lane-batched SIMD backend (`"simd"`, the default): the shared
+/// kernel bodies (grid encode/scatter with lane-batched corner weights and
+/// addresses, lane-batched `−σδ` compositing products, the four-wide
+/// blocked MLP sweeps), each dispatched per call to an AVX2 arm where the
+/// host has AVX2.
 /// Bit-identical to [`ScalarKernels`] on either arm by the additive-order
 /// / no-FMA contract (see [`crate::simd`] and the [`super`] module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -123,7 +122,7 @@ impl Kernels for SimdKernels {
         inputs: &[f32],
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        mlp.forward_batch_impl(&Sweeps::STRICT, inputs, ws)
+        mlp.forward_batch_impl(&Sweeps::SIMD, inputs, ws)
     }
 
     fn mlp_backward_batch(
@@ -134,7 +133,7 @@ impl Kernels for SimdKernels {
         grads: &mut MlpGradients,
         d_input: &mut [f32],
     ) {
-        mlp.backward_batch_impl(&Sweeps::STRICT, d_output, ws, grads, d_input);
+        mlp.backward_batch_impl(&Sweeps::SIMD, d_output, ws, grads, d_input);
     }
 
     fn composite_ray(
@@ -150,18 +149,13 @@ impl Kernels for SimdKernels {
     }
 }
 
-// AVX2 alone: without FMA enabled the strict arm cannot contain a fused
-// multiply-add whatever the compiler does, so `acc + w * x` stays two
-// roundings on eight lanes.
 dispatched_kernels! {
-    ["avx2"]
-
-    /// One level's grid encode: [`HashGrid::encode_level_lanes`], strict.
+    /// One level's grid encode: [`HashGrid::encode_level_lanes`].
     fn encode_level(grid: &HashGrid, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
-        grid.encode_level_lanes::<Strict>(l, unit_positions, out)
+        grid.encode_level_lanes(l, unit_positions, out)
     }
 
-    /// One level's grid scatter: [`HashGrid::scatter_level_lanes`], strict.
+    /// One level's grid scatter: [`HashGrid::scatter_level_lanes`].
     fn scatter_level(
         grid: &HashGrid,
         l: usize,
@@ -169,15 +163,15 @@ dispatched_kernels! {
         unit_positions: &[Vec3],
         d_out: &[f32],
     ) {
-        grid.scatter_level_lanes::<Strict>(l, level_grads, unit_positions, d_out)
+        grid.scatter_level_lanes(l, level_grads, unit_positions, d_out)
     }
 
-    /// Forward rows of one layer: [`Linear::forward_rows`], strict.
+    /// Forward rows of one layer: [`Linear::forward_rows`].
     fn forward_rows(layer: &Linear, wt: &[f32], xc: &[f32], prec: &mut [f32], yc: &mut [f32]) {
-        layer.forward_rows::<Strict>(wt, xc, prec, yc)
+        layer.forward_rows(wt, xc, prec, yc)
     }
 
-    /// Parameter-gradient rows: [`mlp::grad_rows`], strict.
+    /// Parameter-gradient rows: [`mlp::grad_rows`].
     fn grad_rows(
         x: &[f32],
         dz: &[f32],
@@ -187,15 +181,15 @@ dispatched_kernels! {
         gw_rows: &mut [f32],
         gb_rows: &mut [f32],
     ) {
-        mlp::grad_rows::<Strict>(x, dz, iw, ow, o0, gw_rows, gb_rows)
+        mlp::grad_rows(x, dz, iw, ow, o0, gw_rows, gb_rows)
     }
 
-    /// Input gradient: [`mlp::input_grad`], strict.
+    /// Input gradient: [`mlp::input_grad`].
     fn input_grad(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
-        mlp::input_grad::<Strict>(dnc, dzc, w, iw, ow)
+        mlp::input_grad(dnc, dzc, w, iw, ow)
     }
 
-    /// One ray's compositing: [`composite_slices_lanes`], strict.
+    /// One ray's compositing: [`composite_slices_lanes`].
     fn composite(
         t: &[f32],
         dt: &[f32],
@@ -204,14 +198,14 @@ dispatched_kernels! {
         background: Vec3,
         cache: Option<(&mut [f32], &mut [f32], &mut [f32])>,
     ) -> (RenderOutput, usize) {
-        composite_slices_lanes::<Strict>(t, dt, sigma, rgb, background, cache)
+        composite_slices_lanes(t, dt, sigma, rgb, background, cache)
     }
 }
 
 impl Sweeps {
-    /// The blocked MLP sweeps rounding twice per accumulate, each
-    /// AVX2-dispatched per chunk — bit-identical to [`Sweeps::SCALAR`].
-    const STRICT: Sweeps = Sweeps {
+    /// The blocked MLP sweeps, each AVX2-dispatched per chunk —
+    /// bit-identical to [`Sweeps::SCALAR`].
+    const SIMD: Sweeps = Sweeps {
         forward_rows,
         grad_rows,
         input_grad,
@@ -221,22 +215,163 @@ impl Sweeps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::tests::LaneBodies;
+    use crate::activation::Activation;
+    use crate::grid::HashGridConfig;
+    use crate::mlp::MlpConfig;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    type Composite = fn(
+        &[f32],
+        &[f32],
+        &[f32],
+        &[Vec3],
+        Vec3,
+        Option<(&mut [f32], &mut [f32], &mut [f32])>,
+    ) -> (RenderOutput, usize);
+
+    /// One arm of the six shared lane bodies — grid encode, grid scatter,
+    /// the three MLP sweeps, compositing — or the scalar reference's
+    /// stand-in for each.
+    struct LaneBodies {
+        encode: fn(&HashGrid, usize, &[Vec3], &mut [f32]),
+        scatter: fn(&HashGrid, usize, &mut [f32], &[Vec3], &[f32]),
+        sweeps: Sweeps,
+        composite: Composite,
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    impl LaneBodies {
+        /// The shared bodies compiled for the baseline ISA.
+        fn portable() -> LaneBodies {
+            LaneBodies {
+                encode: HashGrid::encode_level_lanes,
+                scatter: HashGrid::scatter_level_lanes,
+                sweeps: Sweeps {
+                    forward_rows: Linear::forward_rows,
+                    grad_rows: mlp::grad_rows,
+                    input_grad: mlp::input_grad,
+                },
+                composite: composite_slices_lanes,
+            }
+        }
+
+        /// [`ScalarKernels`]' bodies.
+        fn scalar() -> LaneBodies {
+            LaneBodies {
+                encode: |g, l, p, o| g.encode_level_observed(l, p, o, &mut NullObserver),
+                scatter: |g, l, lg, p, d| g.scatter_level_observed(l, lg, p, d, &mut NullObserver),
+                sweeps: Sweeps::SCALAR,
+                composite: composite_slices,
+            }
+        }
+
+        /// The output bits of the MLP, grid and compositing families on
+        /// fixed inputs: lane tails in every blocked dimension, dense and
+        /// hashed levels, a scatter onto non-zero gradients, and a ray
+        /// that terminates early.
+        fn bits(&self) -> [Vec<Vec<u32>>; 3] {
+            let mut rng = StdRng::seed_from_u64(3);
+
+            // MLP sweeps through the batch drivers. Tails in all three
+            // blocked dimensions: in_dim % 4 = 3, out_dim % 4 = 1, n % 4 = 2.
+            let (iw, ow, n) = (7, 5, 6);
+            let mut net = Mlp::new(
+                MlpConfig::new(iw, &[ow], ow, Activation::Relu, Activation::None),
+                &mut rng,
+            );
+            // Non-zero biases, so every output's first accumulate rounds too.
+            net.for_each_param_mut(&net.zero_grads(), |p, _| {
+                p.iter_mut().for_each(|v| *v += 0.3)
+            });
+            let x: Vec<f32> = (0..n * iw).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+            let dy: Vec<f32> = (0..n * ow).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+            let mut ws = net.batch_workspace(n);
+            let mut mlp_bits = vec![bits(net.forward_batch_impl(&self.sweeps, &x, &mut ws))];
+            let mut grads = net.zero_grads();
+            let mut dx = vec![0.0; n * iw];
+            // Twice, so the second pass accumulates onto non-zero gradients.
+            for _ in 0..2 {
+                net.backward_batch_impl(&self.sweeps, &dy, &mut ws, &mut grads, &mut dx);
+            }
+            for (gw, gb) in &grads.layers {
+                mlp_bits.extend([bits(gw), bits(gb)]);
+            }
+            mlp_bits.push(bits(&dx));
+
+            // Grid encode + scatter over dense and hashed levels: two full
+            // lanes plus a five-point tail, scattered onto non-zero gradients.
+            let grid = HashGrid::new_random(
+                HashGridConfig {
+                    levels: 3,
+                    log2_table_size: 10,
+                    base_resolution: 4,
+                    max_resolution: 32,
+                    store_fp16: false,
+                    init_scale: 0.3,
+                    ..HashGridConfig::default()
+                },
+                &mut rng,
+            );
+            let pts: Vec<Vec3> = (0..21)
+                .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
+                .collect();
+            let d_out: Vec<f32> = (0..pts.len() * grid.output_dim())
+                .map(|_| rng.gen_range(-1.0..=1.0))
+                .collect();
+            let mut emb = vec![0.0; d_out.len()];
+            let mut grid_grads = vec![0.5; grid.num_params()];
+            for (l, level) in grid.levels().iter().enumerate() {
+                (self.encode)(&grid, l, &pts, &mut emb);
+                let start = level.entry_offset as usize * 2;
+                let level_grads = &mut grid_grads[start..start + level.table_size as usize * 2];
+                (self.scatter)(&grid, l, level_grads, &pts, &d_out);
+            }
+            let grid_bits = vec![bits(&emb), bits(&grid_grads)];
+
+            // Compositing: a translucent ray through two lanes and a tail,
+            // and one that terminates early inside its second lane.
+            let k = 21;
+            let t: Vec<f32> = (0..k).map(|i| (i as f32 + 0.5) / k as f32).collect();
+            let dt = vec![1.0 / k as f32; k];
+            let rgb: Vec<Vec3> = (0..k)
+                .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
+                .collect();
+            let translucent: Vec<f32> = (0..k).map(|_| rng.gen::<f32>() * 2.0).collect();
+            let terminating: Vec<f32> = (0..k).map(|i| if i < 10 { 0.5 } else { 500.0 }).collect();
+            let mut composite_bits = Vec::new();
+            for (sigma, integrated) in [(&translucent, k..k + 1), (&terminating, 8..16)] {
+                let (mut cw, mut ct, mut co) = (vec![0.0; k], vec![0.0; k], vec![0.0; k]);
+                let cache = Some((&mut cw[..], &mut ct[..], &mut co[..]));
+                let bg = Vec3::new(0.2, 0.4, 0.8);
+                let (o, active) = (self.composite)(&t, &dt, sigma, &rgb, bg, cache);
+                assert!(integrated.contains(&active), "{active} samples integrated");
+                let c = o.color;
+                let scalars = [c.x, c.y, c.z, o.depth, o.opacity, o.transmittance];
+                composite_bits.extend([bits(&scalars), vec![active as u32], bits(&cw)]);
+                composite_bits.extend([bits(&ct), bits(&co)]);
+            }
+            [mlp_bits, grid_bits, composite_bits]
+        }
+    }
 
     /// On an AVX2 host `simd` runs only the `#[target_feature]` arms of
     /// its six wrappers, `checked` shadows those same arms, and `scalar`
-    /// has bodies of its own, so nothing else runs the portable `Strict`
-    /// monomorphs. All three must have the reference's bits.
+    /// has bodies of its own, so nothing else runs the portable bodies.
+    /// All three must have the reference's bits.
     #[test]
     fn strict_kernels_have_the_same_bits_on_both_dispatch_arms() {
         let dispatched = LaneBodies {
             encode: encode_level,
             scatter: scatter_level,
-            sweeps: Sweeps::STRICT,
+            sweeps: Sweeps::SIMD,
             composite,
         }
         .bits();
-        assert_eq!(dispatched, LaneBodies::portable::<Strict>().bits());
+        assert_eq!(dispatched, LaneBodies::portable().bits());
         assert_eq!(dispatched, LaneBodies::scalar().bits());
     }
 }

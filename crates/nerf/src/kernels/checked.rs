@@ -1,9 +1,8 @@
 //! The scalar shadow-execution backend.
 //!
-//! [`CheckedKernels`] (`"checked"`) is a strict-tier backend that wraps
-//! [`SimdKernels`] and *executes* the half of the strict contract the type
-//! system cannot see (see the
-//! [contract-enforcement docs](super#contract-enforcement)): **fixed
+//! [`CheckedKernels`] (`"checked"`) wraps [`SimdKernels`] and *executes*
+//! the half of the registration contract the type system cannot see (see
+//! the [contract-enforcement docs](super#contract-enforcement)): **fixed
 //! accumulation order**. Every kernel seam is re-run through the scalar
 //! reference kernels ([`ScalarKernels`]) on a shadow copy of its output
 //! and compared bit-for-bit, so a task that writes only its own range but
@@ -15,7 +14,7 @@
 //! overlapping or aliased writes are compile errors.
 //!
 //! The backend is registered in the [`BackendRegistry`](super) as
-//! `"checked"` and rides the CI strict backend × worker matrix, so the
+//! `"checked"` and rides the CI backend × worker matrix, so the
 //! accumulation-order contract is re-executed on every push instead of
 //! trusted.
 
@@ -29,7 +28,7 @@ use crate::render::RenderOutput;
 
 /// Panics with the kernel identity and first diverging element when a
 /// checked kernel's bits differ from the scalar reference — the runtime
-/// teeth of the fixed-accumulation-order half of the strict contract.
+/// teeth of the fixed-accumulation-order half of the contract.
 #[expect(
     clippy::panic,
     reason = "a bit divergence from the scalar reference means the backend broke the fixed accumulation order; the checker exists to abort on exactly this"
@@ -75,7 +74,7 @@ fn compare_render(
     );
 }
 
-/// The `"checked"` strict-tier shadow-execution backend: wraps
+/// The `"checked"` shadow-execution backend: wraps
 /// [`SimdKernels`], re-runs every seam through [`ScalarKernels`] on a
 /// shadow copy and panics on the first diverging bit.
 #[derive(Debug, Clone, Copy, Default)]

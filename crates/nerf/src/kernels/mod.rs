@@ -7,23 +7,18 @@
 //! a full encode is the subset of every level), the per-level gradient
 //! scatter ([`Kernels::grid_scatter_level`]), the MLP batched forward and
 //! backward ([`Kernels::mlp_forward_batch`], [`Kernels::mlp_backward_batch`])
-//! and per-ray compositing ([`Kernels::composite_ray`]). Four backends
+//! and per-ray compositing ([`Kernels::composite_ray`]). Three backends
 //! ship in-tree:
 //!
 //! * [`ScalarKernels`] (`"scalar"`) — the scalar reference kernels, the
 //!   executable specification every other backend is tested against.
 //! * [`SimdKernels`] (`"simd"`, the default) — lane-batched SIMD kernels
 //!   built on the [`crate::simd`] lane types: one body per grid,
-//!   compositing and MLP seam (one blocked body per MLP sweep), generic
-//!   over the accumulate policy that [`crate::simd`] owns; `simd` runs the
-//!   `Strict` monomorphs, in runtime-detected AVX2 arms where the host
-//!   has AVX2 and portably otherwise, with the same bits.
-//! * [`FastKernels`] (`"fast"`) — the first **lossy-tier** backend: the
-//!   same bodies instantiated with a fused accumulate policy private to
-//!   `kernels/fast.rs`, with runtime-detected AVX2/FMA specialisations,
-//!   trading bit-identity for speed under a declared [`Tolerance`].
-//! * [`CheckedKernels`] (`"checked"`) — the strict-tier shadow executor:
-//!   wraps the SIMD kernels and re-derives every output through the scalar
+//!   compositing and MLP seam (one blocked body per MLP sweep), run in
+//!   runtime-detected AVX2 arms where the host has AVX2 and portably
+//!   otherwise, with the same bits.
+//! * [`CheckedKernels`] (`"checked"`) — the shadow executor: wraps the
+//!   SIMD kernels and re-derives every output through the scalar
 //!   reference, panicking on the first diverging bit, to pin the fixed
 //!   accumulation order.
 //!
@@ -32,16 +27,12 @@
 //! `INSTANT3D_KERNEL_BACKEND` environment variable,
 //! `WorkloadStats::backend` — resolves through this one registry.
 //!
-//! # The two-tier registration contract
+//! # The registration contract
 //!
-//! Registering a backend is a claim about its numerics, and the claim now
-//! comes in two tiers, declared via [`Kernels::tier`]:
-//!
-//! ## `Tier::Strict` — the bit-identity contract
-//!
-//! **A strict backend claims it is bit-identical to [`ScalarKernels`]** on
-//! every kernel, for every batch size and worker count. Concretely a
-//! conforming strict backend must preserve:
+//! Registering a backend is a claim about its numerics, and there is one
+//! claim: **a backend is bit-identical to [`ScalarKernels`]** on every
+//! kernel, for every batch size and worker count. Concretely a conforming
+//! backend must preserve:
 //!
 //! * **Additive order** — for each output scalar, the sequence of IEEE 754
 //!   additions (per-corner embedding accumulation, per-parameter gradient
@@ -54,43 +45,19 @@
 //! * **Exact elementwise math** — no approximate reciprocals/rsqrt/vector
 //!   exp; transcendentals stay scalar per element.
 //!
-//! `scalar`, `simd` and `checked` are strict and stay strict — the whole
-//! trace story depends on it: the FRM/BUM replays read the scalar
-//! reference step's streams, which describe the engine only because the
-//! engine has the reference's bits.
-//!
-//! ## `Tier::Lossy(Tolerance)` — the tolerance contract
-//!
-//! A lossy backend is released from bit-identity (it may fuse
-//! multiply-adds, re-round, use wider intermediates) but must **prove** it
-//! stays inside the [`Tolerance`] it declares:
-//!
-//! * **Per-kernel bounds** — every kernel output, compared element-wise
-//!   against the scalar reference, stays within the declared
-//!   relative-error / normwise-error / ULP bounds
-//!   ([`Tolerance::check_slices`]).
-//! * **End-to-end quality floors** — a training run on the lossy backend
-//!   must land within `max_psnr_drop_db` PSNR and `max_ssim_drop` SSIM of
-//!   the scalar golden run, scored by `nerf::metrics` / `nerf::ssim`.
-//!
-//! What a lossy backend may **not** relax: determinism (same inputs →
-//! same bits, run to run and across worker counts) and workload
-//! accounting (`WorkloadStats` must agree with the strict path).
-//!
-//! Neither tier is on the honor system. The differential and golden
-//! bit-identity suites (`crates/nerf/tests/simd_differential.rs`,
+//! The whole trace story depends on it: the FRM/BUM replays read the
+//! scalar reference step's streams, which describe the engine only because
+//! the engine has the reference's bits. The differential and golden suites
+//! (`crates/nerf/tests/simd_differential.rs`,
 //! `crates/nerf/tests/occupancy_differential.rs`,
 //! `crates/core/tests/batched_equivalence.rs`, `tests/batched_equivalence.rs`)
-//! iterate [`registered_strict`] backends; the tolerance suites
-//! (`crates/nerf/tests/tolerance_differential.rs`,
-//! `crates/core/tests/tolerance_gate.rs`) iterate [`registered_lossy`]
-//! backends — so a registered lossy backend cannot skip its quality gate,
-//! and a lossy backend can never sneak into the bit-identity matrix
-//! (`tests/backend_api.rs` pins the CI axes to the registry split).
+//! iterate every [`registered`] backend, so no registered backend can skip
+//! them. A backend that trades bits for speed would need a contract, and
+//! a gate, of its own.
 //!
-//! Every backend runs on every host: [`SimdKernels`]' AVX2 paths and
-//! [`FastKernels`]' AVX2/FMA paths are runtime specialisations over a
-//! portable fallback with identical results.
+//! Every backend runs on every host: [`SimdKernels`]' AVX2 paths are
+//! runtime specialisations over a portable fallback with identical
+//! results.
 //!
 //! # Selecting a backend
 //!
@@ -98,12 +65,9 @@
 //! use instant3d_nerf::kernels;
 //!
 //! // By name, through the registry (panics on unknown names, listing the
-//! // registered ones with their tiers):
+//! // registered ones):
 //! let simd = kernels::resolve("simd");
 //! assert_eq!(simd.name(), "simd");
-//! assert!(simd.tier().is_strict());
-//! // The lossy tier declares its tolerance:
-//! assert!(kernels::fast().tier().tolerance().is_some());
 //! // The built-ins have direct accessors:
 //! assert_eq!(kernels::scalar().name(), "scalar");
 //! // And the environment override used by the CI matrix:
@@ -113,35 +77,35 @@
 //!
 //! # Contract enforcement
 //!
-//! Each part of the strict contract is carried by the one mechanism that
-//! can actually see it; a new backend opts in simply by registering.
+//! Each part of the contract is carried by the one mechanism that can
+//! actually see it; a new backend opts in simply by registering.
 //!
 //! | | proves | how |
 //! |---|---|---|
 //! | **The compiler** | parallel tasks write **disjoint, in-bounds, gap-free** ranges | every dispatch seam hands its tasks `&mut` slices cut by `par_chunks_mut().zip(..)` or a `split_at_mut` partition (the per-level scatter's lives in one private helper in `grid.rs`), and `#![deny(unsafe_code)]` keeps a raw-pointer dispatcher from appearing unannounced — an overlapping, aliased or outliving write is a compile error (`compile_fail` doctests on that helper and on [`RayBatchCache`](crate::render::RayBatchCache)) |
-//! | **Privacy + clippy** | **FMA placement**, the `unsafe` / `#[target_feature]` census, **determinism**, the **panic census** | the fused accumulate policy is private to `kernels/fast.rs`, so a strict module that names it does not compile; `cargo clippy` runs the lints below over every crate |
+//! | **clippy** | **no FMA**, the `unsafe` / `#[target_feature]` census, **determinism**, the **panic census** | `cargo clippy` runs the lints below over every crate |
 //! | **`checked` + the atomics linter** | what neither sees: **accumulation order**, atomics orderings | [`CheckedKernels`] re-runs every seam through [`ScalarKernels`] on a shadow copy and panics on the first diverging bit; the conformance linter checks `// ORDERING:` markers |
 //!
-//! `checked` rides the CI strict backend × worker matrix
+//! `checked` rides the CI backend × worker matrix
 //! (`.github/workflows/ci.yml`), whose axis is derived from the registry
-//! by `tests/backend_api.rs`, so neither a new strict backend nor the
-//! checker itself can silently drop out.
+//! by `tests/backend_api.rs`, so neither a new backend nor the checker
+//! itself can silently drop out.
 //!
 //! **The clippy lints** (`cargo clippy --workspace --all-targets -- -D
 //! warnings`; `[workspace.lints.clippy]` plus per-crate `clippy.toml`):
 //!
 //! * FMA — `clippy::disallowed_methods` forbids `f32`'s fused
-//!   multiply-add anywhere in this crate (`crates/nerf/clippy.toml`); the
-//!   one `#[expect]` sits on the fused policy's impl.
+//!   multiply-add anywhere in this crate (`crates/nerf/clippy.toml`), with
+//!   no exception.
 //! * `unsafe` — `clippy::undocumented_unsafe_blocks` requires a
 //!   `// SAFETY:` comment on every `unsafe` block and
 //!   `clippy::missing_safety_doc` a `# Safety` section on every `unsafe`
 //!   or `#[target_feature]` fn, private ones included. The
 //!   `#[target_feature]` fns are safe fns (target-feature 1.1), so calling
 //!   one outside a feature-enabled context is a compile error without an
-//!   `unsafe` block. All twelve — six strict, six fused — are expansions
-//!   of one dispatch macro in this module, whose one `unsafe` block's
-//!   `// SAFETY:` names its runtime CPUID guard.
+//!   `unsafe` block. All six are expansions of one dispatch macro in this
+//!   module, whose one `unsafe` block's `// SAFETY:` names its runtime
+//!   CPUID guard, and none enables FMA.
 //! * Determinism — `clippy::disallowed_types` (`HashMap`, `HashSet`) and
 //!   `clippy::disallowed_methods` (`Instant::now`) in the kernel, trainer
 //!   and serving crates: iteration order and wall-clock reads must never
@@ -162,62 +126,61 @@
 //! manifest in `crates/conformance/allowlists/atomics_protocol.txt`.
 
 /// Stamps kernel wrappers whose bodies are compiled twice: as a safe
-/// `#[target_feature]` fn enabling the listed x86-64 features, called when
-/// the host has them all, and portably otherwise. `builtin.rs` lists
-/// `["avx2"]` for the strict tier, `fast.rs` its lossy tier's features.
+/// `#[target_feature(enable = "avx2")]` fn, called when the host has AVX2,
+/// and portably otherwise. AVX2 alone: with no FMA enabled an arm cannot
+/// contain a fused multiply-add whatever the compiler does, so
+/// `acc + w * x` stays two roundings on eight lanes.
 ///
-/// `@detect [..]` is the guard: each expansion runs the CPUID check once
-/// per process and caches the answer; it is always `false` off x86_64.
+/// `@detect` is the guard: each expansion runs the CPUID check once per
+/// process and caches the answer; it is always `false` off x86_64.
 macro_rules! dispatched_kernels {
-    (@detect [$($feature:tt),+]) => {{
+    (@detect) => {{
         #[cfg(target_arch = "x86_64")]
         {
             static AVAILABLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-            *AVAILABLE.get_or_init(|| $(std::arch::is_x86_feature_detected!($feature))&&+)
+            *AVAILABLE.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
             false
         }
     }};
-    (@kernel [$($feature:tt),+]
+    (@kernel
         $(#[$doc:meta])*
         fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block
     ) => {
         $(#[$doc])*
         #[allow(unsafe_code, reason = "calls the target-feature arm behind its runtime guard")]
         fn $name($($arg: $ty),*) $(-> $ret)? {
-            /// The body, compiled with the listed target features enabled.
+            /// The body, compiled with AVX2 enabled.
             ///
             /// # Safety
             ///
-            /// Callable only on a host with every one of those features.
+            /// Callable only on a host with AVX2.
             #[cfg(target_arch = "x86_64")]
-            $(#[target_feature(enable = $feature)])+
+            #[target_feature(enable = "avx2")]
             fn arm($($arg: $ty),*) $(-> $ret)? $body
 
             #[cfg(target_arch = "x86_64")]
-            if dispatched_kernels!(@detect [$($feature),+]) {
+            if dispatched_kernels!(@detect) {
                 // SAFETY: the `@detect` guard just confirmed that this host
-                // has every feature `arm` is compiled with, its only
-                // obligation.
+                // has AVX2, the one feature `arm` is compiled with and its
+                // only obligation.
                 return unsafe { arm($($arg),*) };
             }
             $body
         }
     };
-    ($features:tt $($(#[$doc:meta])* fn $name:ident $args:tt $(-> $ret:ty)? $body:block)+) => {
-        $(dispatched_kernels!(@kernel $features $(#[$doc])* fn $name $args $(-> $ret)? $body);)+
+    ($($(#[$doc:meta])* fn $name:ident $args:tt $(-> $ret:ty)? $body:block)+) => {
+        $(dispatched_kernels!(@kernel $(#[$doc])* fn $name $args $(-> $ret)? $body);)+
     };
 }
 
 mod builtin;
 mod checked;
-mod fast;
 
 pub use builtin::{ScalarKernels, SimdKernels};
 pub use checked::CheckedKernels;
-pub use fast::FastKernels;
 
 use crate::grid::HashGrid;
 use crate::math::Vec3;
@@ -225,149 +188,33 @@ use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
 use crate::render::RenderOutput;
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// The numeric error bounds a lossy backend declares and is held to.
+/// The numeric contract a backend registers under. There is one: every
+/// backend is bit-identical to [`ScalarKernels`] (see the
+/// [module docs](self#the-registration-contract)).
 ///
-/// The per-kernel element check ([`Tolerance::check_slices`]) accepts an
-/// element when any of these holds against the scalar reference value `s`:
-///
-/// * the bits are equal,
-/// * `|l − s| ≤ max_rel_error·|s| + max_norm_error·‖s‖∞` (a mixed
-///   componentwise/normwise bound — the normwise term keeps catastrophic
-///   cancellation near zero from demanding componentwise accuracy the
-///   inputs never carried),
-/// * `l` and `s` are within `max_ulps` representable values of each other.
-///
-/// The end-to-end floors (`max_psnr_drop_db`, `max_ssim_drop`) bound how
-/// far a training run on the lossy backend may land below the scalar
-/// golden run's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Componentwise relative error bound (vs the reference element).
-    pub max_rel_error: f32,
-    /// Normwise error bound, scaled by the reference slice's ∞-norm.
-    pub max_norm_error: f32,
-    /// Units-in-the-last-place escape hatch for well-scaled elements.
-    pub max_ulps: u32,
-    /// Max PSNR regression (dB) of a lossy training run vs the scalar
-    /// golden run.
-    pub max_psnr_drop_db: f32,
-    /// Max SSIM regression of a lossy training run vs the scalar golden
-    /// run.
-    pub max_ssim_drop: f32,
-}
-
-/// Distance in representable `f32` steps between two finite floats of the
-/// same sign class (the usual monotonic total-order bit trick).
-fn ulp_distance(a: f32, b: f32) -> u64 {
-    fn key(x: f32) -> i64 {
-        let bits = x.to_bits() as i32;
-        (if bits < 0 {
-            i32::MIN.wrapping_sub(bits)
-        } else {
-            bits
-        }) as i64
-    }
-    (key(a) - key(b)).unsigned_abs()
-}
-
-impl Tolerance {
-    /// Checks a lossy kernel output slice element-wise against the scalar
-    /// reference slice, returning a worst-offender diagnostic on failure.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the slices have different lengths — that is a shape
-    /// bug, not a numeric violation.
-    pub fn check_slices(
-        &self,
-        label: &str,
-        lossy: &[f32],
-        reference: &[f32],
-    ) -> Result<(), String> {
-        assert_eq!(
-            lossy.len(),
-            reference.len(),
-            "{label}: lossy and reference outputs must have the same shape"
-        );
-        let norm = reference.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-        for (i, (&l, &s)) in lossy.iter().zip(reference).enumerate() {
-            if l.to_bits() == s.to_bits() {
-                continue;
-            }
-            if !l.is_finite() || !s.is_finite() {
-                return Err(format!(
-                    "{label}[{i}]: non-finite mismatch (lossy {l}, reference {s})"
-                ));
-            }
-            let err = (l - s).abs();
-            if err <= self.max_rel_error * s.abs() + self.max_norm_error * norm {
-                continue;
-            }
-            if ulp_distance(l, s) <= self.max_ulps as u64 {
-                continue;
-            }
-            return Err(format!(
-                "{label}[{i}]: lossy {l:e} vs reference {s:e} (abs err {err:e}, \
-                 rel bound {:e}·|s| + {:e}·{norm:e}, ulp distance {})",
-                self.max_rel_error,
-                self.max_norm_error,
-                ulp_distance(l, s)
-            ));
-        }
-        Ok(())
-    }
-}
-
-/// Which registration contract a backend signs up to: bit-identity
-/// ([`Tier::Strict`]) or declared error bounds ([`Tier::Lossy`]). See the
-/// [module docs](self#the-two-tier-registration-contract).
+/// The type survives for one reason only: the perf ledger (`ledger/`, a
+/// package of its own) stamps `default_backend().tier().label()` into
+/// every result set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Tier {
     /// Bit-identical to [`ScalarKernels`] on every kernel.
     Strict,
-    /// Free to re-round (FMA, wider intermediates) within the declared
-    /// [`Tolerance`]; still deterministic.
-    Lossy(Tolerance),
 }
 
 impl Tier {
-    /// `"strict"` or `"lossy"` — the stable label stamped into
-    /// `WorkloadStats` and panic messages.
+    /// `"strict"` — the stable label the perf ledger records.
     pub fn label(&self) -> &'static str {
         match self {
             Tier::Strict => "strict",
-            Tier::Lossy(_) => "lossy",
         }
-    }
-
-    /// Whether this is the bit-identity tier.
-    pub fn is_strict(&self) -> bool {
-        matches!(self, Tier::Strict)
-    }
-
-    /// The declared tolerance, for lossy backends.
-    pub fn tolerance(&self) -> Option<Tolerance> {
-        match self {
-            Tier::Strict => None,
-            Tier::Lossy(t) => Some(*t),
-        }
-    }
-}
-
-impl std::fmt::Display for Tier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
     }
 }
 
 /// One interchangeable implementation of the batched engine's hot kernels.
 ///
-/// Implementations must uphold the contract of the tier they declare via
-/// [`Kernels::tier`] (see the
-/// [module docs](self#the-two-tier-registration-contract)): strict
-/// backends must be bit-identical to [`ScalarKernels`], lossy backends
-/// must stay inside their declared [`Tolerance`]. The easiest way to
-/// satisfy the strict tier from outside this crate is to delegate the
+/// Implementations must be bit-identical to [`ScalarKernels`] (see the
+/// [module docs](self#the-registration-contract)). The easiest way to
+/// satisfy that from outside this crate is to delegate the
 /// numerics to a built-in backend (see [`CheckedKernels`], which wraps
 /// [`SimdKernels`]); backends with their own kernels should build on
 /// the observed scalar bodies ([`HashGrid::encode_level_observed`],
@@ -382,10 +229,8 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
     /// messages. Lowercase, stable, unique per registered backend.
     fn name(&self) -> &'static str;
 
-    /// Which contract this backend registers under. Defaults to
-    /// [`Tier::Strict`] — the conservative claim; declaring
-    /// [`Tier::Lossy`] is an explicit opt-out of bit-identity and an
-    /// opt-in to the tolerance suites.
+    /// Which contract this backend registers under: [`Tier::Strict`], the
+    /// only one (see [`Tier`] for why the method exists).
     fn tier(&self) -> Tier {
         Tier::Strict
     }
@@ -510,7 +355,7 @@ impl std::fmt::Display for BackendHandle {
 
 /// The process-wide backend registry: an append-only, name-keyed list of
 /// [`BackendHandle`]s, pre-seeded with the built-in backends in the order
-/// `scalar`, `simd`, `fast`, `checked`.
+/// `scalar`, `simd`, `checked`.
 ///
 /// The free functions of this module ([`register`], [`get`], [`resolve`],
 /// [`registered`], [`names`], [`from_env`]) are the public face; the
@@ -526,7 +371,6 @@ impl BackendRegistry {
             backends: RwLock::new(vec![
                 BackendHandle::new(ScalarKernels),
                 BackendHandle::new(SimdKernels),
-                BackendHandle::new(FastKernels::new()),
                 BackendHandle::new(CheckedKernels::new()),
             ]),
         })
@@ -538,9 +382,8 @@ impl BackendRegistry {
 /// the test suites that iterate [`registered`]).
 ///
 /// Registration is an API-level promise that the backend upholds the
-/// contract of its declared [tier](self#the-two-tier-registration-contract):
-/// strict backends land in the bit-identity suites, lossy backends in the
-/// tolerance suites.
+/// [registration contract](self#the-registration-contract): it lands in
+/// the bit-identity suites.
 ///
 /// # Errors
 ///
@@ -579,9 +422,9 @@ pub fn get(name: &str) -> Option<BackendHandle> {
 ///
 /// # Panics
 ///
-/// Panics on unknown names, listing every registered backend with its
-/// tier — a typo in a config or CI matrix entry must
-/// fail loudly instead of silently running the default backend.
+/// Panics on unknown names, listing every registered backend — a typo in
+/// a config or CI matrix entry must fail loudly instead of silently
+/// running the default backend.
 pub fn resolve(name: &str) -> BackendHandle {
     get(name).unwrap_or_else(|| {
         panic!(
@@ -597,25 +440,6 @@ pub fn registered() -> Vec<BackendHandle> {
     BackendRegistry::global().backends.read().unwrap().clone()
 }
 
-/// The registered **strict-tier** backends, in registration order — the
-/// iteration set of every bit-identity differential/golden suite.
-pub fn registered_strict() -> Vec<BackendHandle> {
-    registered()
-        .into_iter()
-        .filter(|b| b.tier().is_strict())
-        .collect()
-}
-
-/// The registered **lossy-tier** backends, in registration order — the
-/// iteration set of the tolerance suites, so no lossy backend can dodge
-/// its declared quality gate.
-pub fn registered_lossy() -> Vec<BackendHandle> {
-    registered()
-        .into_iter()
-        .filter(|b| !b.tier().is_strict())
-        .collect()
-}
-
 /// The registered backend names, in registration order.
 pub fn names() -> Vec<&'static str> {
     BackendRegistry::global()
@@ -627,12 +451,12 @@ pub fn names() -> Vec<&'static str> {
         .collect()
 }
 
-/// `"name" (tier)` for every registered backend — the panic payload of
+/// `"name"` for every registered backend — the panic payload of
 /// [`resolve`] / [`from_env_value`].
 fn described_names() -> String {
-    registered()
+    names()
         .iter()
-        .map(|b| format!("{:?} ({})", b.name(), b.tier().label()))
+        .map(|name| format!("{name:?}"))
         .collect::<Vec<_>>()
         .join(", ")
 }
@@ -647,13 +471,7 @@ pub fn simd() -> BackendHandle {
     get("simd").expect("built-in simd backend")
 }
 
-/// The lossy-tier FMA/AVX2 backend (always registered; runs everywhere —
-/// it falls back to portable fused code where AVX2/FMA are absent).
-pub fn fast() -> BackendHandle {
-    get("fast").expect("built-in fast backend")
-}
-
-/// The strict-tier shadow-execution backend (always registered): SIMD
+/// The shadow-execution backend (always registered): SIMD
 /// numerics plus a bitwise scalar shadow comparison of every seam — see
 /// [`CheckedKernels`].
 pub fn checked() -> BackendHandle {
@@ -698,170 +516,13 @@ pub fn from_env_or_default() -> BackendHandle {
     from_env().unwrap_or_else(default_backend)
 }
 
-/// The env-var backend **if it is strict-tier**, otherwise
-/// [`default_backend`]. Reference paths and bit-identity fixtures use
-/// this so that running the suite under a lossy env override (the CI
-/// `fast` arm) keeps strict-contract comparisons meaningful instead of
-/// asserting bit-equality against FMA numerics.
-pub fn strict_from_env_or_default() -> BackendHandle {
-    match from_env() {
-        Some(backend) if backend.tier().is_strict() => backend,
-        _ => default_backend(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Activation;
-    use crate::grid::{HashGridConfig, NullObserver};
-    use crate::mlp::{self, Linear, MlpConfig, Sweeps};
-    use crate::render::{composite_slices, composite_slices_lanes};
-    use crate::simd::Accumulate;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    type Composite = fn(
-        &[f32],
-        &[f32],
-        &[f32],
-        &[Vec3],
-        Vec3,
-        Option<(&mut [f32], &mut [f32], &mut [f32])>,
-    ) -> (RenderOutput, usize);
-
-    /// One arm of the six shared lane bodies — grid encode, grid scatter,
-    /// the three MLP sweeps, compositing — or the scalar reference's
-    /// stand-in for each, so the dispatch tests of both tiers run one
-    /// harness.
-    pub(super) struct LaneBodies {
-        pub(super) encode: fn(&HashGrid, usize, &[Vec3], &mut [f32]),
-        pub(super) scatter: fn(&HashGrid, usize, &mut [f32], &[Vec3], &[f32]),
-        pub(super) sweeps: Sweeps,
-        pub(super) composite: Composite,
-    }
-
-    fn bits(xs: &[f32]) -> Vec<u32> {
-        xs.iter().map(|v| v.to_bits()).collect()
-    }
-
-    impl LaneBodies {
-        /// The portable `A` monomorphs of the shared bodies.
-        pub(super) fn portable<A: Accumulate>() -> LaneBodies {
-            LaneBodies {
-                encode: HashGrid::encode_level_lanes::<A>,
-                scatter: HashGrid::scatter_level_lanes::<A>,
-                sweeps: Sweeps {
-                    forward_rows: Linear::forward_rows::<A>,
-                    grad_rows: mlp::grad_rows::<A>,
-                    input_grad: mlp::input_grad::<A>,
-                },
-                composite: composite_slices_lanes::<A>,
-            }
-        }
-
-        /// [`ScalarKernels`]' bodies.
-        pub(super) fn scalar() -> LaneBodies {
-            LaneBodies {
-                encode: |g, l, p, o| g.encode_level_observed(l, p, o, &mut NullObserver),
-                scatter: |g, l, lg, p, d| g.scatter_level_observed(l, lg, p, d, &mut NullObserver),
-                sweeps: Sweeps::SCALAR,
-                composite: composite_slices,
-            }
-        }
-
-        /// The output bits of the MLP, grid and compositing families on
-        /// fixed inputs: lane tails in every blocked dimension, dense and
-        /// hashed levels, a scatter onto non-zero gradients, and a ray
-        /// that terminates early.
-        pub(super) fn bits(&self) -> [Vec<Vec<u32>>; 3] {
-            let mut rng = StdRng::seed_from_u64(3);
-
-            // MLP sweeps through the batch drivers. Tails in all three
-            // blocked dimensions: in_dim % 4 = 3, out_dim % 4 = 1, n % 4 = 2.
-            let (iw, ow, n) = (7, 5, 6);
-            let mut net = Mlp::new(
-                MlpConfig::new(iw, &[ow], ow, Activation::Relu, Activation::None),
-                &mut rng,
-            );
-            // Non-zero biases, so every output's first accumulate rounds too.
-            net.for_each_param_mut(&net.zero_grads(), |p, _| {
-                p.iter_mut().for_each(|v| *v += 0.3)
-            });
-            let x: Vec<f32> = (0..n * iw).map(|_| rng.gen_range(-1.0..=1.0)).collect();
-            let dy: Vec<f32> = (0..n * ow).map(|_| rng.gen_range(-1.0..=1.0)).collect();
-            let mut ws = net.batch_workspace(n);
-            let mut mlp_bits = vec![bits(net.forward_batch_impl(&self.sweeps, &x, &mut ws))];
-            let mut grads = net.zero_grads();
-            let mut dx = vec![0.0; n * iw];
-            // Twice, so the second pass accumulates onto non-zero gradients.
-            for _ in 0..2 {
-                net.backward_batch_impl(&self.sweeps, &dy, &mut ws, &mut grads, &mut dx);
-            }
-            for (gw, gb) in &grads.layers {
-                mlp_bits.extend([bits(gw), bits(gb)]);
-            }
-            mlp_bits.push(bits(&dx));
-
-            // Grid encode + scatter over dense and hashed levels: two full
-            // lanes plus a five-point tail, scattered onto non-zero gradients.
-            let grid = HashGrid::new_random(
-                HashGridConfig {
-                    levels: 3,
-                    log2_table_size: 10,
-                    base_resolution: 4,
-                    max_resolution: 32,
-                    store_fp16: false,
-                    init_scale: 0.3,
-                    ..HashGridConfig::default()
-                },
-                &mut rng,
-            );
-            let pts: Vec<Vec3> = (0..21)
-                .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
-                .collect();
-            let d_out: Vec<f32> = (0..pts.len() * grid.output_dim())
-                .map(|_| rng.gen_range(-1.0..=1.0))
-                .collect();
-            let mut emb = vec![0.0; d_out.len()];
-            let mut grid_grads = vec![0.5; grid.num_params()];
-            for (l, level) in grid.levels().iter().enumerate() {
-                (self.encode)(&grid, l, &pts, &mut emb);
-                let start = level.entry_offset as usize * 2;
-                let level_grads = &mut grid_grads[start..start + level.table_size as usize * 2];
-                (self.scatter)(&grid, l, level_grads, &pts, &d_out);
-            }
-            let grid_bits = vec![bits(&emb), bits(&grid_grads)];
-
-            // Compositing: a translucent ray through two lanes and a tail,
-            // and one that terminates early inside its second lane.
-            let k = 21;
-            let t: Vec<f32> = (0..k).map(|i| (i as f32 + 0.5) / k as f32).collect();
-            let dt = vec![1.0 / k as f32; k];
-            let rgb: Vec<Vec3> = (0..k)
-                .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
-                .collect();
-            let translucent: Vec<f32> = (0..k).map(|_| rng.gen::<f32>() * 2.0).collect();
-            let terminating: Vec<f32> = (0..k).map(|i| if i < 10 { 0.5 } else { 500.0 }).collect();
-            let mut composite_bits = Vec::new();
-            for (sigma, integrated) in [(&translucent, k..k + 1), (&terminating, 8..16)] {
-                let (mut cw, mut ct, mut co) = (vec![0.0; k], vec![0.0; k], vec![0.0; k]);
-                let cache = Some((&mut cw[..], &mut ct[..], &mut co[..]));
-                let bg = Vec3::new(0.2, 0.4, 0.8);
-                let (o, active) = (self.composite)(&t, &dt, sigma, &rgb, bg, cache);
-                assert!(integrated.contains(&active), "{active} samples integrated");
-                let c = o.color;
-                let scalars = [c.x, c.y, c.z, o.depth, o.opacity, o.transmittance];
-                composite_bits.extend([bits(&scalars), vec![active as u32], bits(&cw)]);
-                composite_bits.extend([bits(&ct), bits(&co)]);
-            }
-            [mlp_bits, grid_bits, composite_bits]
-        }
-    }
 
     #[test]
     fn feature_detection_is_stable_across_calls() {
-        let detect = || dispatched_kernels!(@detect ["avx2"]);
+        let detect = || dispatched_kernels!(@detect);
         assert_eq!(detect(), detect());
         #[cfg(target_arch = "x86_64")]
         assert_eq!(detect(), std::arch::is_x86_feature_detected!("avx2"));
@@ -870,31 +531,9 @@ mod tests {
     #[test]
     fn builtins_are_registered_in_order() {
         let names = names();
-        assert_eq!(&names[..4], &["scalar", "simd", "fast", "checked"]);
-        assert_eq!(registered()[..4].len(), 4);
+        assert_eq!(&names[..3], &["scalar", "simd", "checked"]);
+        assert_eq!(registered()[..3].len(), 3);
         assert_eq!(default_backend().name(), "simd");
-    }
-
-    #[test]
-    fn builtin_tiers_split_strict_from_lossy() {
-        let strict: Vec<_> = registered_strict().iter().map(|b| b.name()).collect();
-        assert!(strict.contains(&"scalar"));
-        assert!(strict.contains(&"simd"));
-        assert!(strict.contains(&"checked"));
-        assert!(!strict.contains(&"fast"));
-        let lossy: Vec<_> = registered_lossy().iter().map(|b| b.name()).collect();
-        assert!(lossy.contains(&"fast"));
-        assert!(!lossy.contains(&"scalar"));
-        // The split is a partition of the registry.
-        assert_eq!(
-            registered_strict().len() + registered_lossy().len(),
-            registered().len()
-        );
-        // And the lossy tier carries its declared tolerance.
-        let tol = fast().tier().tolerance().expect("fast declares bounds");
-        assert!(tol.max_rel_error > 0.0 && tol.max_psnr_drop_db > 0.0);
-        assert_eq!(fast().tier().label(), "lossy");
-        assert_eq!(scalar().tier().label(), "strict");
     }
 
     #[test]
@@ -917,7 +556,6 @@ mod tests {
         assert!(from_env_value(None).is_none());
         assert_eq!(from_env_value(Some("scalar")).unwrap().name(), "scalar");
         assert_eq!(from_env_value(Some(" Simd ")).unwrap().name(), "simd");
-        assert_eq!(from_env_value(Some("fast")).unwrap().name(), "fast");
         assert_eq!(from_env_value(Some("checked")).unwrap().name(), "checked");
     }
 
@@ -930,11 +568,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(
-        expected = "registered backends: \"scalar\" (strict), \"simd\" (strict), \
-                    \"fast\" (lossy), \"checked\" (strict)"
-    )]
-    fn resolve_panic_lists_names_with_tiers() {
+    #[should_panic(expected = "registered backends: \"scalar\", \"simd\", \"checked\"")]
+    fn resolve_panic_lists_every_registered_name() {
         let _ = resolve("no-such-backend");
     }
 
@@ -994,58 +629,5 @@ mod tests {
             }
         }
         assert!(register(Impostor).is_err());
-    }
-
-    #[test]
-    fn strict_from_env_falls_back_on_lossy_overrides() {
-        // The helper keeps bit-identity fixtures on a strict backend even
-        // when the process-wide override names a lossy one. (Exercised
-        // through the value-level seam; the env-var plumbing is shared
-        // with `from_env`.)
-        let strict = |v: Option<&str>| match from_env_value(v) {
-            Some(b) if b.tier().is_strict() => b,
-            _ => default_backend(),
-        };
-        assert_eq!(strict(Some("scalar")).name(), "scalar");
-        assert_eq!(strict(Some("fast")).name(), "simd");
-        assert_eq!(strict(None).name(), "simd");
-        assert!(strict_from_env_or_default().tier().is_strict());
-    }
-
-    #[test]
-    fn tolerance_check_accepts_bounded_and_rejects_gross_errors() {
-        let tol = Tolerance {
-            max_rel_error: 1e-4,
-            max_norm_error: 1e-5,
-            max_ulps: 8,
-            max_psnr_drop_db: 0.05,
-            max_ssim_drop: 1e-3,
-        };
-        // Bit-equal (including NaN-to-NaN with equal payloads) passes.
-        assert!(tol
-            .check_slices("eq", &[1.0, f32::NAN], &[1.0, f32::NAN])
-            .is_ok());
-        // Small relative error passes; ±0 is bit-different but 0 ulps apart.
-        assert!(tol
-            .check_slices("rel", &[1.0 + 5e-5, -0.0], &[1.0, 0.0])
-            .is_ok());
-        // The normwise term absorbs cancellation noise near zero…
-        assert!(tol
-            .check_slices("norm", &[1e-6, 100.0], &[0.0, 100.0])
-            .is_ok());
-        // …but a gross error on a well-scaled element fails with context.
-        let err = tol
-            .check_slices("gross", &[1.01], &[1.0])
-            .expect_err("1% off must fail a 1e-4 bound");
-        assert!(err.contains("gross[0]"), "offender is named: {err}");
-        // A non-finite divergence always fails.
-        assert!(tol.check_slices("nan", &[f32::NAN], &[1.0]).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "same shape")]
-    fn tolerance_check_panics_on_shape_mismatch() {
-        let tol = fast().tier().tolerance().unwrap();
-        let _ = tol.check_slices("shape", &[1.0, 2.0], &[1.0]);
     }
 }

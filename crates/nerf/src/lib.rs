@@ -24,18 +24,15 @@
 //!   encode (a full encode is every level), per-level scatter, MLP
 //!   forward, MLP backward, compositing — the process-wide name registry
 //!   powering `TrainConfig`, the `INSTANT3D_KERNEL_BACKEND` env override,
-//!   and workload stats, and four in-tree backends: the scalar
+//!   and workload stats, and three in-tree backends: the scalar
 //!   reference ([`kernels::ScalarKernels`]), the lane-batched SIMD default
-//!   ([`kernels::SimdKernels`]), the lossy fused-multiply-add backend
-//!   ([`kernels::FastKernels`]) and the scalar shadow executor
-//!   ([`kernels::CheckedKernels`]). Registering a
-//!   backend claims a tier: the **bit-identity contract**
-//!   (additive-order-preserving, FMA-free) or a declared tolerance — see
+//!   ([`kernels::SimdKernels`]) and the scalar shadow executor
+//!   ([`kernels::CheckedKernels`]). Registering a backend claims the
+//!   **bit-identity contract** (additive-order-preserving, FMA-free) — see
 //!   the module docs; the differential suites iterate over every
 //!   registered backend to pin it.
 //! * [`simd`] — portable fixed-width SIMD lane types the lane kernels are
-//!   built on, and the accumulate policy that makes one lane body serve
-//!   both `simd` (two roundings per accumulate) and `fast` (one).
+//!   built on.
 //! * [`sh`] — spherical-harmonics direction encoding for the color head.
 //! * [`mlp`] — small fully-connected networks with hand-derived backprop
 //!   (Step ③-②); `forward_batch_with` / `backward_batch_with` run whole
@@ -64,11 +61,10 @@
 
 // The only `unsafe` in this crate is the runtime-guarded call of a
 // kernel's `#[target_feature]` arm inside the one dispatch macro in
-// `kernels/mod.rs` (stamped for the six strict kernels in
-// `kernels/builtin.rs` and the six fused ones in `kernels/fast.rs`) and
-// the SSE2 lane intrinsics in `simd.rs`, each opted in with an item-level
-// `#[allow(unsafe_code, reason = ..)]`; anything else — a raw-pointer
-// dispatcher, say — has to justify itself.
+// `kernels/mod.rs` (stamped for the six `simd` kernels in
+// `kernels/builtin.rs`) and the SSE2 lane intrinsics in `simd.rs`, each
+// opted in with an item-level `#[allow(unsafe_code, reason = ..)]`;
+// anything else — a raw-pointer dispatcher, say — has to justify itself.
 #![deny(unsafe_code)]
 
 pub mod activation;

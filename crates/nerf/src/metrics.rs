@@ -142,9 +142,8 @@ mod tests {
         let _ = psnr(-1.0, 1.0);
     }
 
-    // Knife-edge pins for the lossy-tier tolerance gate: PSNR drops are
-    // compared to 0.05 dB, so the metric must behave exactly on the
-    // degenerate images the gate can produce.
+    // Knife-edge pins: the metric must behave exactly on degenerate
+    // images.
 
     #[test]
     fn signed_zero_pixels_are_identical_for_psnr() {

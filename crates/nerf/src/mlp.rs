@@ -11,17 +11,15 @@
 //! The batched passes run three sweeps per layer — forward rows,
 //! parameter-gradient rows, input gradient — and each is written twice
 //! here: the hand-written unblocked scalar reference, and one four-wide
-//! blocked body generic over the accumulate policy of [`crate::simd`],
-//! which both lane backends instantiate (`simd` with `Strict`, `fast`
-//! with its private fused policy). Blocking over inputs, items or output
-//! rows never reorders the sum that forms any one output, so the `Strict`
-//! monomorph has the reference's bits.
+//! blocked body that the `simd` backend runs. Blocking over inputs, items
+//! or output rows never reorders the sum that forms any one output, and
+//! every accumulate is a distinct multiply then a distinct add (see
+//! [`crate::simd`]), so the blocked body has the reference's bits.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::activation::Activation;
 use crate::kernels::BackendHandle;
-use crate::simd::Accumulate;
 use rand::Rng;
 use rayon::prelude::*;
 
@@ -121,18 +119,10 @@ impl Linear {
     /// element is loaded/stored once per four terms, and every sweep is a
     /// plain output-contiguous loop the compiler vectorizes. Each output
     /// still accumulates `b[o] + Σ_i w[o,i]·x[i]` in `i`-ascending order
-    /// (the block boundary depends only on the layer shape), so the
-    /// `Strict` monomorph has [`Linear::forward_into`]'s bits and the
-    /// fused one differs from it by per-term rounding only. The one body
-    /// behind both lane backends (see [`crate::simd`]).
+    /// (the block boundary depends only on the layer shape), so it has
+    /// [`Linear::forward_into`]'s bits.
     #[inline(always)]
-    pub(crate) fn forward_rows<A: Accumulate>(
-        &self,
-        wt: &[f32],
-        xc: &[f32],
-        prec: &mut [f32],
-        yc: &mut [f32],
-    ) {
+    pub(crate) fn forward_rows(&self, wt: &[f32], xc: &[f32], prec: &mut [f32], yc: &mut [f32]) {
         let (iw, ow) = (self.spec.in_dim, self.spec.out_dim);
         debug_assert_eq!(wt.len(), iw * ow);
         let full = iw - iw % 4;
@@ -151,10 +141,10 @@ impl Linear {
                 let r3 = &wt[(i + 3) * ow..(i + 4) * ow];
                 for ((((p, &w0), &w1), &w2), &w3) in pre.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3)
                 {
-                    let mut acc = A::scalar(*p, w0, x0);
-                    acc = A::scalar(acc, w1, x1);
-                    acc = A::scalar(acc, w2, x2);
-                    acc = A::scalar(acc, w3, x3);
+                    let mut acc = *p + w0 * x0;
+                    acc += w1 * x1;
+                    acc += w2 * x2;
+                    acc += w3 * x3;
                     *p = acc;
                 }
                 i += 4;
@@ -162,7 +152,7 @@ impl Linear {
             while i < iw {
                 let xi = x[i];
                 for (p, &w) in pre.iter_mut().zip(&wt[i * ow..(i + 1) * ow]) {
-                    *p = A::scalar(*p, w, xi);
+                    *p += w * xi;
                 }
                 i += 1;
             }
@@ -202,11 +192,10 @@ fn grad_rows_scalar(
 /// gradient element is loaded/stored once per four terms. The chained
 /// accumulate keeps the item-ascending order per parameter, the bias adds
 /// are plain left-associated sums, and the block boundary depends only on
-/// `n`, never on the row chunking — so the `Strict` monomorph has the
-/// reference's bits at any worker count and the fused one differs by
-/// per-term rounding only.
+/// `n`, never on the row chunking — so it has the reference's bits at
+/// any worker count.
 #[inline(always)]
-pub(crate) fn grad_rows<A: Accumulate>(
+pub(crate) fn grad_rows(
     x: &[f32],
     dz: &[f32],
     iw: usize,
@@ -234,10 +223,10 @@ pub(crate) fn grad_rows<A: Accumulate>(
             gb_rows[j] = gb_rows[j] + d0 + d1 + d2 + d3;
             let grow = &mut gw_rows[j * iw..(j + 1) * iw];
             for ((((g, &a0), &a1), &a2), &a3) in grow.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
-                let mut acc = A::scalar(*g, a0, d0);
-                acc = A::scalar(acc, a1, d1);
-                acc = A::scalar(acc, a2, d2);
-                acc = A::scalar(acc, a3, d3);
+                let mut acc = *g + a0 * d0;
+                acc += a1 * d1;
+                acc += a2 * d2;
+                acc += a3 * d3;
                 *g = acc;
             }
         }
@@ -251,7 +240,7 @@ pub(crate) fn grad_rows<A: Accumulate>(
             gb_rows[j] += d;
             let grow = &mut gw_rows[j * iw..(j + 1) * iw];
             for (g, &xk) in grow.iter_mut().zip(xr) {
-                *g = A::scalar(*g, xk, d);
+                *g += xk * d;
             }
         }
         item += 1;
@@ -276,17 +265,10 @@ fn input_grad_scalar(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usi
 /// output rows are blocked four at a time so each `dn` element is
 /// loaded/stored once per four terms. The chained accumulate keeps the
 /// `o`-ascending term order and the block boundary depends only on `ow`,
-/// so results are chunking- and worker-count invariant: the `Strict`
-/// monomorph has the reference's bits, the fused one differs by
-/// per-term rounding only.
+/// so results are chunking- and worker-count invariant and have the
+/// reference's bits.
 #[inline(always)]
-pub(crate) fn input_grad<A: Accumulate>(
-    dnc: &mut [f32],
-    dzc: &[f32],
-    w: &[f32],
-    iw: usize,
-    ow: usize,
-) {
+pub(crate) fn input_grad(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
     let full = ow - ow % 4;
     for (dn, dzr) in dnc.chunks_exact_mut(iw).zip(dzc.chunks_exact(ow)) {
         dn.fill(0.0);
@@ -298,10 +280,10 @@ pub(crate) fn input_grad<A: Accumulate>(
             let w2 = &w[(o + 2) * iw..(o + 3) * iw];
             let w3 = &w[(o + 3) * iw..(o + 4) * iw];
             for ((((y, &a0), &a1), &a2), &a3) in dn.iter_mut().zip(w0).zip(w1).zip(w2).zip(w3) {
-                let mut acc = A::scalar(*y, a0, d0);
-                acc = A::scalar(acc, a1, d1);
-                acc = A::scalar(acc, a2, d2);
-                acc = A::scalar(acc, a3, d3);
+                let mut acc = *y + a0 * d0;
+                acc += a1 * d1;
+                acc += a2 * d2;
+                acc += a3 * d3;
                 *y = acc;
             }
             o += 4;
@@ -309,7 +291,7 @@ pub(crate) fn input_grad<A: Accumulate>(
         while o < ow {
             let d = dzr[o];
             for (y, &wk) in dn.iter_mut().zip(&w[o * iw..(o + 1) * iw]) {
-                *y = A::scalar(*y, wk, d);
+                *y += wk * d;
             }
             o += 1;
         }
@@ -699,10 +681,10 @@ impl Mlp {
     /// returns the `n × out_dim` output slice living inside `ws`.
     ///
     /// Per-item arithmetic is identical to [`Mlp::forward`], and all
-    /// parallel writes are disjoint rows, so strict-tier results are
-    /// bit-identical to the scalar path for any batch size and worker
-    /// count. Activations stay in `ws` for [`Mlp::backward_batch_with`] —
-    /// no re-forward needed.
+    /// parallel writes are disjoint rows, so results are bit-identical to
+    /// the scalar path for any batch size and worker count. Activations
+    /// stay in `ws` for [`Mlp::backward_batch_with`] — no re-forward
+    /// needed.
     ///
     /// # Panics
     ///
@@ -768,10 +750,9 @@ impl Mlp {
     /// into `d_input` (`n × in_dim`; pass an empty slice to skip).
     /// Parallelism: items for the activation/input-gradient sweeps, output
     /// *rows* for the parameter-gradient sweep — every write is disjoint,
-    /// so results do not depend on the worker count. Strict-tier backends
-    /// produce gradients bit-identical to the scalar backend (and to `n`
-    /// scalar [`Mlp::backward`] calls); lossy-tier backends stay within
-    /// their declared tolerance.
+    /// so results do not depend on the worker count. Every backend
+    /// produces gradients bit-identical to the scalar backend (and to `n`
+    /// scalar [`Mlp::backward`] calls).
     ///
     /// # Panics
     ///

@@ -515,8 +515,7 @@ impl OccupancyWorkspace {
     /// Re-points refresh dispatch at `backend` (pooled workspaces may be
     /// recycled between jobs configured with different kernel backends).
     /// Pair with [`reset`](OccupancyWorkspace::reset) when the workspace
-    /// changes hands: embeddings cached by a lossy-tier backend are not
-    /// bit-compatible with a strict-tier job's.
+    /// changes hands: the refresh history belongs to the donor job.
     pub fn set_backend(&mut self, backend: BackendHandle) {
         self.backend = backend;
     }

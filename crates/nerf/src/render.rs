@@ -27,7 +27,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::math::Vec3;
-use crate::simd::{Accumulate, F32x8, Strict};
+use crate::simd::F32x8;
 
 /// Output of compositing one ray.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -190,10 +190,9 @@ impl RayBatchCache {
 
 /// The sequential per-ray compositing recurrence, shared verbatim by every
 /// compositing kernel — they only differ in how `one_minus_alpha` values
-/// are *produced* (per sample vs a lane-batched `−σδ` precompute) and in
-/// how the color/depth accumulates are rounded (see [`crate::simd`]);
-/// every consuming operation lives here, so the loop body cannot drift
-/// between backends.
+/// are *produced* (per sample vs a lane-batched `−σδ` precompute); every
+/// consuming operation lives here, so the loop body cannot drift between
+/// backends.
 struct CompositeAccum {
     color: Vec3,
     depth: f32,
@@ -214,10 +213,8 @@ impl CompositeAccum {
     }
 
     /// Integrates sample `k`; returns `true` when the ray early-terminates.
-    /// Weight, cache and early-termination logic are the same for every
-    /// policy; `A` only rounds the color/depth accumulates.
     #[inline(always)]
-    fn step<A: Accumulate>(
+    fn step(
         &mut self,
         k: usize,
         one_minus_alpha: f32,
@@ -232,10 +229,10 @@ impl CompositeAccum {
             ct[k] = self.trans;
             co[k] = one_minus_alpha;
         }
-        self.color.x = A::scalar(self.color.x, w, rgb[k].x);
-        self.color.y = A::scalar(self.color.y, w, rgb[k].y);
-        self.color.z = A::scalar(self.color.z, w, rgb[k].z);
-        self.depth = A::scalar(self.depth, w, t[k]);
+        self.color.x += w * rgb[k].x;
+        self.color.y += w * rgb[k].y;
+        self.color.z += w * rgb[k].z;
+        self.depth += w * t[k];
         self.opacity += w;
         self.trans *= one_minus_alpha;
         self.active = k + 1;
@@ -274,7 +271,7 @@ pub fn composite_slices(
     for k in 0..t.len() {
         debug_assert!(sigma[k] >= 0.0, "density must be non-negative");
         let one_minus_alpha = (-sigma[k] * dt[k]).exp();
-        if acc.step::<Strict>(k, one_minus_alpha, t, rgb, &mut cache) {
+        if acc.step(k, one_minus_alpha, t, rgb, &mut cache) {
             break;
         }
     }
@@ -285,13 +282,10 @@ pub fn composite_slices(
 /// `(−σ·δ)` products in lanes of 8 (the `exp` stays scalar per lane —
 /// vector exp approximations would break bit-equality) and keeps the
 /// transmittance recurrence, cache writes and early termination
-/// sequential. The one body behind both lane backends: with `Strict`
-/// accumulation (the `simd` backend) outputs, cache contents and the
-/// integrated sample count are bit-identical to [`composite_slices`];
-/// the lossy `fast` backend's policy rounds the color/depth accumulates
-/// once instead of twice.
+/// sequential, so outputs, cache contents and the integrated sample count
+/// are bit-identical to [`composite_slices`].
 #[inline(always)]
-pub(crate) fn composite_slices_lanes<A: Accumulate>(
+pub(crate) fn composite_slices_lanes(
     t: &[f32],
     dt: &[f32],
     sigma: &[f32],
@@ -322,7 +316,7 @@ pub(crate) fn composite_slices_lanes<A: Accumulate>(
         for (k, &one_minus_alpha) in oma.iter().enumerate().take(m) {
             let kk = c0 + k;
             debug_assert!(sigma[kk] >= 0.0, "density must be non-negative");
-            if acc.step::<A>(kk, one_minus_alpha, t, rgb, &mut cache) {
+            if acc.step(kk, one_minus_alpha, t, rgb, &mut cache) {
                 break 'rays;
             }
         }

@@ -7,9 +7,9 @@
 //! ([`crate::kernels`]): the scalar reference kernels, and lane-batched
 //! SIMD kernels built on the [`F32x8`] type below.
 //!
-//! # The additive-order / no-FMA contract (strict tier)
+//! # The additive-order / no-FMA contract
 //!
-//! **Every strict-tier backend produces bit-identical results.** The SIMD
+//! **Every backend produces bit-identical results.** The SIMD
 //! kernels are written so that, for each output scalar, the exact sequence
 //! of IEEE 754 operations — including the order of every addition — is the
 //! same as in the scalar reference kernel. Concretely:
@@ -21,9 +21,8 @@
 //!   by a distinct IEEE add — **never** a fused multiply-add. An FMA keeps
 //!   the infinitely-precise product and rounds once, so `fma(a, b, c) !=
 //!   a*b + c` in general; using it would silently break the contract.
-//!   Fusing is the **lossy tier**'s trade
-//!   ([`crate::kernels::Tier::Lossy`]): bit-identity for FMA throughput
-//!   under a declared tolerance.
+//!   The crate's `clippy.toml` disallows `f32::mul_add` outright, and the
+//!   lane type offers no fused operation.
 //! * Lane arithmetic (`+`, `-`, `*`, `min`, `max`, `floor`) is exact
 //!   per-lane IEEE 754 — identical to the corresponding `f32` operator on
 //!   that lane's value. Approximate vector math (rsqrt, rcp, vector exp)
@@ -33,22 +32,16 @@
 //! (`crates/nerf/tests/simd_differential.rs`) which asserts bit-equality
 //! of every kernel against its scalar reference over remainder tails,
 //! empty batches and adversarial fp16 table contents — and which runs
-//! generically over every strict backend registered in [`crate::kernels`],
-//! so a registered third-party strict backend is held to the same
-//! contract.
+//! generically over every backend registered in [`crate::kernels`], so a
+//! registered third-party backend is held to the same contract.
 //!
-//! # The accumulate policy: one lane body per seam
+//! # One lane body per seam
 //!
 //! The lane-batched grid encode, grid scatter and compositing bodies and
 //! the three blocked MLP sweeps (forward rows, parameter-gradient rows,
-//! input gradient) are each written **once**, `#[inline(always)]` and
-//! generic over the crate-private `Accumulate` policy, which decides how
-//! an accumulate `acc + w·x` is rounded. `Strict` rounds twice (the
-//! scalar reference's arithmetic — the `simd` backend is this monomorph).
-//! The one other policy rounds once; it is private to `kernels/fast.rs`,
-//! the lossy `fast` backend, so a strict module that names it does not
-//! compile. The crate's `clippy.toml` disallows a literal fused
-//! multiply-add everywhere else.
+//! input gradient) are each written **once**, `#[inline(always)]`, and
+//! every accumulate in them is the scalar reference's `acc + w * x`: two
+//! roundings.
 //!
 //! # Implementation notes
 //!
@@ -61,15 +54,14 @@
 //! preserved). Every other architecture uses the autovectorized array
 //! loops.
 //!
-//! The kernel bodies are always inlined into their callers, and both
-//! tiers call them from `#[target_feature]` wrappers stamped by one
-//! dispatch macro in [`crate::kernels`]: the strict wrappers enable AVX2
-//! and nothing else, the lossy ones AVX2 and FMA. Inside an AVX2 arm the
-//! same intrinsics compile to VEX-encoded instructions and the compiler
-//! may pair two halves into one 256-bit operation — still one exact IEEE
-//! operation per lane. Rust never contracts `a * b + c` into a fused
-//! multiply-add on its own, and a strict arm has no FMA to contract into,
-//! so the strict arm has the portable arm's bits.
+//! The kernel bodies are always inlined into their callers, the `simd`
+//! backend's `#[target_feature]` wrappers, stamped by one dispatch macro
+//! in [`crate::kernels`] that enables AVX2 and nothing else. Inside an
+//! AVX2 arm the same intrinsics compile to VEX-encoded instructions and
+//! the compiler may pair two halves into one 256-bit operation — still one
+//! exact IEEE operation per lane. Rust never contracts `a * b + c` into a
+//! fused multiply-add on its own, and an arm without FMA has nothing to
+//! contract into, so the AVX2 arm has the portable arm's bits.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -238,32 +230,6 @@ macro_rules! f32x8_binop {
 f32x8_binop!(Add, add, +);
 f32x8_binop!(Sub, sub, -);
 f32x8_binop!(Mul, mul, *);
-
-/// How the shared kernel bodies round one accumulate `acc + w·x` — the
-/// only difference between the `simd` and `fast` grid encode, grid
-/// scatter, compositing and MLP kernels (see the module docs).
-pub(crate) trait Accumulate {
-    /// `acc + w·x` on one scalar.
-    fn scalar(acc: f32, w: f32, x: f32) -> f32;
-    /// `acc + w·x` per lane.
-    fn lanes(acc: F32x8, w: F32x8, x: F32x8) -> F32x8;
-}
-
-/// A distinct IEEE multiply then a distinct IEEE add: two roundings, the
-/// scalar reference's arithmetic.
-pub(crate) struct Strict;
-
-impl Accumulate for Strict {
-    #[inline(always)]
-    fn scalar(acc: f32, w: f32, x: f32) -> f32 {
-        acc + w * x
-    }
-
-    #[inline(always)]
-    fn lanes(acc: F32x8, w: F32x8, x: F32x8) -> F32x8 {
-        acc + w * x
-    }
-}
 
 #[cfg(test)]
 mod tests {

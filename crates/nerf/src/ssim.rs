@@ -154,9 +154,8 @@ mod tests {
         let _ = ssim(&a, &b);
     }
 
-    // Knife-edge pins for the lossy-tier tolerance gate: the gate
-    // compares SSIM values to 1e-3, so the metric itself must be exact
-    // and finite on the degenerate inputs small eval renders can hit.
+    // Knife-edge pins: the metric must be exact and finite on the
+    // degenerate inputs small eval renders can hit.
 
     #[test]
     fn one_by_one_image_is_a_single_partial_window() {

@@ -80,7 +80,7 @@ fn batched_threshold_refresh_bit_matches_closure_across_backends_and_workers() {
     for resolution in [1u32, 2, 17] {
         let mut reference = OccupancyGrid::new(aabb, resolution);
         closure_refresh(&mut reference, &g, &mlp, aabb, THRESHOLD, false);
-        for backend in kernels::registered_strict() {
+        for backend in kernels::registered() {
             for workers in WORKERS {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(workers)
@@ -122,7 +122,7 @@ fn sticky_refresh_bit_matches_update_ema() {
     reference.update_from_fn(|p| if p.x > 0.5 { 1.0 } else { 0.0 }, 0.5);
     let batched = reference.clone();
     closure_refresh(&mut reference, &g, &mlp, aabb, THRESHOLD, true);
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         let mut occ = batched.clone();
         let mut ws = OccupancyWorkspace::new(backend.clone());
         ws.refresh(&mut occ, &g, &mlp, aabb, THRESHOLD, RefreshMode::Sticky, 1);
@@ -247,7 +247,7 @@ fn subset_rotation_covers_all_cells_and_matches_full_refresh() {
         RefreshMode::Threshold,
         1,
     );
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         let k = 4u32;
         let mut occ = OccupancyGrid::new(aabb, 7);
         let mut ws = OccupancyWorkspace::new(backend.clone());
@@ -339,7 +339,7 @@ fn exact_threshold_and_signed_zero_densities_match_closure() {
             expect_occupied,
             "case {case}: closure path"
         );
-        for backend in kernels::registered_strict() {
+        for backend in kernels::registered() {
             let mut occ = OccupancyGrid::new(Aabb::UNIT, 6);
             let mut ws = OccupancyWorkspace::new(backend.clone());
             ws.refresh(
@@ -391,7 +391,7 @@ fn decayed_ema_refresh_is_backend_and_worker_invariant() {
         })
     };
     let reference = run(&kernels::scalar(), 1);
-    for backend in kernels::registered_strict() {
+    for backend in kernels::registered() {
         for workers in WORKERS {
             assert_eq!(run(&backend, workers), reference, "{backend} / t{workers}");
         }

@@ -398,7 +398,7 @@ proptest! {
         }
         // Batched: one forward, one backward, retained activations — on
         // every registered kernel backend.
-        for backend in kernels::registered_strict() {
+        for backend in kernels::registered() {
             let mut bws = mlp.batch_workspace(n);
             mlp.forward_batch_with(&backend, &inputs, &mut bws);
             let mut grads = mlp.zero_grads();

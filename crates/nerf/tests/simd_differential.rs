@@ -1,13 +1,11 @@
-//! The differential harness pinning every registered strict-tier kernel
-//! backend to the scalar reference kernels, bit for bit.
+//! The differential harness pinning every registered kernel backend to
+//! the scalar reference kernels, bit for bit.
 //!
 //! Every hot kernel (grid encode, grid backward-scatter, MLP forward /
-//! backward, per-ray compositing) is run on **every strict backend in the
-//! registry**
-//! (`instant3d_nerf::kernels::registered_strict()` — scalar, simd,
-//! checked, plus anything registered at runtime; a strict backend
-//! cannot register without entering this harness; lossy-tier backends
-//! are gated by `tolerance_differential.rs` instead) over batch
+//! backward, per-ray compositing) is run on **every backend in the
+//! registry** (`instant3d_nerf::kernels::registered()` — scalar, simd,
+//! checked, plus anything registered at runtime; a backend cannot
+//! register without entering this harness) over batch
 //! sizes that exercise the remainder tails (`N % 8 != 0` for the lane
 //! kernels, `N % 4 != 0` for the blocked MLP sweeps), the empty batch,
 //! single points, lane-exact batches and multi-chunk batches — plus
@@ -18,12 +16,13 @@
 //! checks cover the zero cases explicitly where they matter).
 
 use instant3d_nerf::activation::Activation;
+use instant3d_nerf::adam::{Adam, AdamConfig};
 use instant3d_nerf::fp16;
 use instant3d_nerf::grid::{HashGrid, HashGridConfig};
 use instant3d_nerf::kernels::{self, BackendHandle};
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::mlp::{Mlp, MlpConfig};
-use instant3d_nerf::render::composite_slices;
+use instant3d_nerf::render::{composite_slices, RenderOutput};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -124,7 +123,7 @@ fn grid_encode_backends_bit_equal_scalar_across_batch_shapes() {
         assert_eq!(bits(&scalar), bits(&lanes), "encode n={n}");
         // And through the backend dispatcher (chunked parallel path), for
         // every registered backend.
-        for backend in kernels::registered_strict() {
+        for backend in kernels::registered() {
             let mut dispatched = vec![0.0f32; n * w];
             g.par_encode_batch_with(&backend, &pts, &mut dispatched);
             assert_eq!(
@@ -145,7 +144,7 @@ fn grid_backward_backends_bit_equal_scalar_across_batch_shapes() {
         let d_out: Vec<f32> = (0..n * w).map(|i| 0.37 * ((i % 11) as f32 - 5.0)).collect();
         let mut scalar = g.zero_grads();
         g.par_backward_batch_with(&kernels::scalar(), &pts, &d_out, &mut scalar);
-        for backend in kernels::registered_strict() {
+        for backend in kernels::registered() {
             let mut lanes = g.zero_grads();
             g.par_backward_batch_with(&backend, &pts, &d_out, &mut lanes);
             assert_eq!(
@@ -266,7 +265,7 @@ fn mlp_forward_backends_bit_equal_scalar_across_widths_and_batches() {
             let a = mlp
                 .forward_batch_with(&kernels::scalar(), &inputs, &mut ws_a)
                 .to_vec();
-            for backend in kernels::registered_strict() {
+            for backend in kernels::registered() {
                 let mut ws_b = mlp.batch_workspace(n);
                 let b = mlp
                     .forward_batch_with(&backend, &inputs, &mut ws_b)
@@ -301,7 +300,7 @@ fn mlp_backward_backends_bit_equal_scalar() {
                 (grads, d_in)
             };
             let (ga, da) = run(&kernels::scalar());
-            for backend in kernels::registered_strict() {
+            for backend in kernels::registered() {
                 let (gb, db) = run(&backend);
                 assert_eq!(ga.count, gb.count);
                 for (li, ((wa, ba), (wb, bb))) in ga.layers.iter().zip(&gb.layers).enumerate() {
@@ -342,7 +341,7 @@ fn composite_backends_bit_equal_scalar_including_early_termination() {
                 bg,
                 Some((&mut cw_a, &mut ct_a, &mut co_a)),
             );
-            for backend in kernels::registered_strict() {
+            for backend in kernels::registered() {
                 let mut cw_b = vec![0.0f32; n];
                 let mut ct_b = vec![0.0f32; n];
                 let mut co_b = vec![0.0f32; n];
@@ -362,6 +361,147 @@ fn composite_backends_bit_equal_scalar_including_early_termination() {
             }
         }
     }
+}
+
+fn flat(o: &RenderOutput) -> [f32; 6] {
+    [
+        o.color.x,
+        o.color.y,
+        o.color.z,
+        o.depth,
+        o.opacity,
+        o.transmittance,
+    ]
+}
+
+/// FNV-1a (64-bit) over the little-endian bit patterns of `xs`.
+fn fnv1a(hash: &mut u64, xs: &[f32]) {
+    for b in xs.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        *hash = (*hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[test]
+fn lane_kernel_bits_are_pinned_across_commits() {
+    // The tests above compare backends with each other within one
+    // commit; these digests hold the `simd` backend's bits equal across
+    // commits, so a refactor that re-rounds every backend at once still
+    // fails. Each digest was computed at the commit before its body was
+    // shared between backends. The sixth digest pins the grid optimizer
+    // tail fed by the backend's own scatter (three steps on a 3-level fp16
+    // grid); its value was taken through `scan →
+    // HashGrid::apply_sparse_step → GridGradients::zero` at the commit
+    // before the consuming sweep existed.
+    const PINNED: [u64; 6] = [
+        0x12d5c9645dc31198,
+        0x90a103f752fc0459,
+        0x042d55ce15de4bfc,
+        0x596a0ac1a63d64a5,
+        0x1da64951f3eadc7d,
+        0x0387fe949943c83b,
+    ];
+    let g = training_grid(97);
+    let w = g.output_dim();
+    // Layers 7→13→6→3: `in_dim % 4` ∈ {3, 1, 2} (forward tails) and
+    // `out_dim % 4` ∈ {1, 2, 3} (input-gradient tails).
+    let mlp = Mlp::new(
+        MlpConfig::new(7, &[13, 6], 3, Activation::Relu, Activation::Sigmoid),
+        &mut StdRng::seed_from_u64(97),
+    );
+    let backend = kernels::simd();
+    let mut digests = [FNV_OFFSET; 6];
+    for n in [1usize, 7, 8, 9, 300, 1000] {
+        let pts = points(n, 5000 + n as u64);
+        let mut emb = vec![0.0f32; n * w];
+        encode_chunk(&backend, &g, &pts, &mut emb);
+        fnv1a(&mut digests[0], &emb);
+
+        let d_out: Vec<f32> = (0..n * w).map(|i| 0.37 * ((i % 11) as f32 - 5.0)).collect();
+        let mut grads = g.zero_grads();
+        g.par_backward_batch_with(&backend, &pts, &d_out, &mut grads);
+        fnv1a(&mut digests[1], &grads.values);
+
+        // dense = 0.5 integrates the full ray; 5000 early-terminates.
+        let mut rng = StdRng::seed_from_u64(6000 + n as u64);
+        for dense in [0.5f32, 5000.0] {
+            let t: Vec<f32> = (0..n).map(|k| (k as f32 + 0.5) / n as f32).collect();
+            let dt = vec![1.0 / n as f32; n];
+            let sigma: Vec<f32> = (0..n).map(|_| rng.gen::<f32>() * dense).collect();
+            let rgb: Vec<Vec3> = (0..n)
+                .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
+                .collect();
+            let mut cache = [vec![0.0f32; n], vec![0.0f32; n], vec![0.0f32; n]];
+            let [cw, ct, co] = &mut cache;
+            let (out, active) = backend.composite_ray(
+                &t,
+                &dt,
+                &sigma,
+                &rgb,
+                Vec3::new(0.2, 0.4, 0.8),
+                Some((cw, ct, co)),
+            );
+            fnv1a(&mut digests[2], &flat(&out));
+            fnv1a(&mut digests[2], &[active as f32]);
+            for buf in &cache {
+                fnv1a(&mut digests[2], buf);
+            }
+        }
+    }
+    // Item tails `n % 4` ∈ {1, 2, 3} (parameter-gradient sweep), on
+    // both sides of the parallel cutoff.
+    for n in [1usize, 6, 7, 258, 1001] {
+        let mut rng = StdRng::seed_from_u64(7000 + n as u64);
+        let inputs: Vec<f32> = (0..n * 7).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect();
+        let d_out: Vec<f32> = (0..n * 3).map(|_| rng.gen::<f32>() - 0.5).collect();
+        let mut ws = mlp.batch_workspace(n);
+        fnv1a(
+            &mut digests[3],
+            mlp.forward_batch_with(&backend, &inputs, &mut ws),
+        );
+        let mut grads = mlp.zero_grads();
+        let mut d_in = vec![0.0f32; n * 7];
+        mlp.backward_batch_with(&backend, &d_out, &mut ws, &mut grads, &mut d_in);
+        for (gw, gb) in &grads.layers {
+            fnv1a(&mut digests[4], gw);
+            fnv1a(&mut digests[4], gb);
+        }
+        fnv1a(&mut digests[4], &d_in);
+    }
+    let mut tail_grid = grid(
+        HashGridConfig {
+            levels: 3,
+            log2_table_size: 10,
+            base_resolution: 4,
+            max_resolution: 32,
+            store_fp16: true,
+            ..HashGridConfig::default()
+        },
+        97,
+    );
+    let mut opt = Adam::new(AdamConfig::for_grid(), tail_grid.num_params());
+    let mut grads = tail_grid.zero_grads();
+    let tw = tail_grid.output_dim();
+    for step in 0..3u64 {
+        let pts = points(300, 8000 + step);
+        let d_out: Vec<f32> = (0..300 * tw)
+            .map(|i| 0.37 * ((i % 11) as f32 - 5.0))
+            .collect();
+        tail_grid.par_backward_batch_with(&backend, &pts, &d_out, &mut grads);
+        tail_grid.apply_step_consuming(&mut opt, &mut grads);
+    }
+    fnv1a(&mut digests[5], tail_grid.params());
+    let versions: Vec<f32> = tail_grid
+        .level_versions()
+        .iter()
+        .map(|&v| v as f32)
+        .collect();
+    fnv1a(&mut digests[5], &versions);
+    assert_eq!(
+        digests, PINNED,
+        "simd [encode, scatter, composite, mlp forward, mlp backward, grid optimizer tail] digests: {digests:#018x?}"
+    );
 }
 
 proptest! {

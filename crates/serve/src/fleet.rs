@@ -88,16 +88,15 @@ pub struct JobReport {
 }
 
 /// Fleet-level telemetry: per-job [`WorkloadStats`] aggregated in total
-/// and grouped by kernel backend/tier provenance.
+/// and grouped by kernel backend.
 #[derive(Debug, Clone)]
 pub struct FleetStats {
     /// Jobs retired.
     pub jobs: usize,
-    /// All jobs' counters merged (backend/tier labelled `"fleet"` /
-    /// `"mixed"` — a fleet may mix backends).
+    /// All jobs' counters merged (backend labelled `"fleet"` — a fleet may
+    /// mix backends).
     pub total: WorkloadStats,
-    /// Counters merged per (backend, tier) group, labelled with that
-    /// group's provenance — lossy-tier work stays separable from strict.
+    /// Counters merged per backend, labelled with that backend's name.
     pub per_backend: Vec<WorkloadStats>,
     /// Checkpoints written across all jobs.
     pub checkpoints_written: u64,
@@ -286,12 +285,10 @@ impl Fleet {
         }
     }
 
-    /// Folds per-job stats into fleet totals and per-(backend, tier)
-    /// provenance groups.
+    /// Folds per-job stats into fleet totals and per-backend groups.
     fn aggregate(jobs: &[JobReport], store: &CheckpointStore) -> FleetStats {
         let mut total = WorkloadStats {
             backend: "fleet",
-            tier: "mixed",
             ..WorkloadStats::default()
         };
         let mut per_backend: Vec<WorkloadStats> = Vec::new();
@@ -307,7 +304,7 @@ impl Fleet {
             total.merge(&job.stats);
             match per_backend
                 .iter_mut()
-                .find(|g| g.backend == job.stats.backend && g.tier == job.stats.tier)
+                .find(|g| g.backend == job.stats.backend)
             {
                 Some(group) => group.merge(&job.stats),
                 None => per_backend.push(job.stats),

@@ -33,7 +33,7 @@
 //!    written, both workspaces return to the pool (the occupancy one is
 //!    [`reset`](instant3d_nerf::occupancy::OccupancyWorkspace::reset)
 //!    because it carries training state), and the job's [`WorkloadStats`]
-//!    fold into the fleet telemetry, grouped by kernel backend/tier.
+//!    fold into the fleet telemetry, grouped by kernel backend.
 //!
 //! # Determinism contract
 //!

@@ -31,12 +31,11 @@ fn main() {
     let cfg = TrainConfig::instant3d();
     println!(
         "\ntraining Instant-3D (decoupled grids, color table {}x smaller, \
-         color updated every {} iterations, '{}' kernels ({} tier); \
+         color updated every {} iterations, '{}' kernels; \
          registered backends: {:?})...",
         (1.0 / cfg.color_size_factor) as u32,
         cfg.color_update_every,
         cfg.kernel_backend,
-        cfg.kernel_backend.tier(),
         instant3d::nerf::kernels::names()
     );
     let mut trainer = Trainer::new(cfg, &dataset, &mut rng);

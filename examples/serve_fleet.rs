@@ -120,8 +120,8 @@ fn main() {
     );
     for g in &s.per_backend {
         println!(
-            "backend {:>12} [{}]: {} iters, {} points",
-            g.backend, g.tier, g.iterations, g.points
+            "backend {:>12}: {} iters, {} points",
+            g.backend, g.iterations, g.points
         );
     }
     println!(
