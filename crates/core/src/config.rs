@@ -80,12 +80,12 @@ pub struct TrainConfig {
     /// Samples per ray when rendering evaluation images.
     pub eval_samples_per_ray: usize,
     /// Which kernel backend the batched engine runs — a handle resolved
-    /// through the open backend registry (`instant3d_nerf::kernels`):
-    /// the scalar reference, the lane-batched SIMD default, the `checked`
-    /// shadow executor, or any backend registered at runtime (all
-    /// bit-identical by contract). Every preset honours the
-    /// `INSTANT3D_KERNEL_BACKEND` env var — a registry name lookup — which
-    /// is how the CI matrix forces each registered backend.
+    /// by name from `instant3d_nerf::kernels`: the scalar reference, the
+    /// lane-batched SIMD default or the `checked` shadow executor (all
+    /// bit-identical by contract), or any handle built with
+    /// `BackendHandle::new`. Every preset honours the
+    /// `INSTANT3D_KERNEL_BACKEND` env var — a name lookup — which is how
+    /// the CI matrix forces each built-in backend.
     pub kernel_backend: BackendHandle,
 }
 

@@ -22,10 +22,10 @@
 //! point-at-a-time path survives as the executable specification
 //! ([`Trainer::step_scalar`](trainer::Trainer::step_scalar)), gated by
 //! golden equivalence tests. Within the batched engine the hot kernels
-//! dispatch through the open kernel-backend API ([`kernels`]): a
-//! [`BackendHandle`] resolved by name from the process-wide registry
-//! (scalar reference, lane-batched SIMD, the `checked` shadow executor, or
-//! anything registered at runtime), selected by
+//! dispatch through the kernel-backend API ([`kernels`]): a
+//! [`BackendHandle`] resolved by name from the built-in set (scalar
+//! reference, lane-batched SIMD, the `checked` shadow executor) or wrapped
+//! around any other implementation, selected by
 //! [`TrainConfig::kernel_backend`] / the `INSTANT3D_KERNEL_BACKEND` env
 //! var — backends are bit-identical by
 //! the additive-order/no-FMA contract of `instant3d_nerf::simd`, and the

@@ -57,7 +57,7 @@ use instant3d_nerf::math::{Aabb, Vec3};
 use instant3d_nerf::occupancy::OccupancyGrid;
 use instant3d_nerf::sampler::sample_segments_occupancy_into;
 use rand::rngs::StdRng;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -227,6 +227,21 @@ pub struct RenderTelemetry {
     pub workspaces_minted: u64,
     /// Runner activations served by a pooled workspace (steady state).
     pub workspaces_recycled: u64,
+}
+
+impl RenderTelemetry {
+    /// Adds every counter of `other` into `self`.
+    fn add(&mut self, other: &RenderTelemetry) {
+        self.frames += other.frames;
+        self.tiles_rendered += other.tiles_rendered;
+        self.tiles_cached += other.tiles_cached;
+        self.tiles_invalidated += other.tiles_invalidated;
+        self.tiles_deadline_skipped += other.tiles_deadline_skipped;
+        self.rays += other.rays;
+        self.points += other.points;
+        self.workspaces_minted += other.workspaces_minted;
+        self.workspaces_recycled += other.workspaces_recycled;
+    }
 }
 
 /// A cached tile: pixels plus the model/occupancy state they were
@@ -400,13 +415,6 @@ impl FrameScheduler {
         }
 
         let deadline = budget.max_time.map(|d| Instant::now() + d);
-        let rendered = AtomicU64::new(0);
-        let skipped = AtomicU64::new(0);
-        let rays = AtomicU64::new(0);
-        let points = AtomicU64::new(0);
-        let minted = AtomicU64::new(0);
-        let recycled = AtomicU64::new(0);
-
         let camera = self.camera;
         let opts = self.opts;
         let aabb = model.aabb();
@@ -432,35 +440,37 @@ impl FrameScheduler {
         // the whole frame: this is what hard-bounds workspace mints by
         // the worker count. (Per-tile checkout would over-mint — a worker
         // blocked in a tile's nested parallel region can steal another
-        // tile job and would need a second workspace.)
+        // tile job and would need a second workspace.) Each runner counts
+        // into its own telemetry tally, summed after the scope.
         let runners = rayon::current_num_threads().min(work.len()).max(1);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "Relaxed is enough for a work-stealing ticket: tile contents are synchronized by each tile's mutex"
+        )]
         let next = std::sync::atomic::AtomicUsize::new(0);
+        let mut tallies = Vec::new();
         if !work.is_empty() {
+            tallies.resize(runners, RenderTelemetry::default());
             rayon::scope(|s| {
-                for _ in 0..runners {
+                for tally in &mut tallies {
                     s.spawn(|| {
                         let mut ws: Option<BatchWorkspace> = None;
                         loop {
-                            // ORDERING: Relaxed — work-stealing ticket; tile
-                            // contents are synchronized by each tile's mutex.
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             if i >= work.len() {
                                 break;
                             }
                             if deadline.is_some_and(|d| Instant::now() > d) {
-                                // ORDERING: Relaxed — telemetry counter.
-                                skipped.fetch_add(1, Ordering::Relaxed);
+                                tally.tiles_deadline_skipped += 1;
                                 continue;
                             }
                             let bws = ws.get_or_insert_with(|| match pool.checkout_batch(model) {
                                 Some(ws) => {
-                                    // ORDERING: Relaxed — telemetry counter.
-                                    recycled.fetch_add(1, Ordering::Relaxed);
+                                    tally.workspaces_recycled += 1;
                                     ws
                                 }
                                 None => {
-                                    // ORDERING: Relaxed — telemetry counter.
-                                    minted.fetch_add(1, Ordering::Relaxed);
+                                    tally.workspaces_minted += 1;
                                     BatchWorkspace::new(model)
                                 }
                             });
@@ -484,14 +494,9 @@ impl FrameScheduler {
                             t.sampled_grid = sampled_grid;
                             t.versions.clone_from(versions_ref);
                             t.occ_sig = occ_sig;
-                            // ORDERING: Relaxed — telemetry counters; read
-                            // after the scope joins all runners.
-                            rendered.fetch_add(1, Ordering::Relaxed);
-                            rays.fetch_add(
-                                u64::from(t.rect.w) * u64::from(t.rect.h),
-                                Ordering::Relaxed, // ORDERING: telemetry counter.
-                            );
-                            points.fetch_add(tile_points, Ordering::Relaxed); // ORDERING: telemetry.
+                            tally.tiles_rendered += 1;
+                            tally.rays += u64::from(t.rect.w) * u64::from(t.rect.h);
+                            tally.points += tile_points;
                         }
                         if let Some(ws) = ws {
                             pool.park_batch(ws);
@@ -501,20 +506,20 @@ impl FrameScheduler {
             });
         }
 
-        let tiles_rendered = rendered.into_inner() as usize;
-        self.telemetry.frames += 1;
-        self.telemetry.tiles_rendered += tiles_rendered as u64;
-        self.telemetry.tiles_cached += fresh_at_start as u64;
-        self.telemetry.tiles_invalidated += invalidated;
-        self.telemetry.tiles_deadline_skipped += skipped.into_inner();
-        self.telemetry.rays += rays.into_inner();
-        self.telemetry.points += points.into_inner();
-        self.telemetry.workspaces_minted += minted.into_inner();
-        self.telemetry.workspaces_recycled += recycled.into_inner();
+        let mut frame = RenderTelemetry {
+            frames: 1,
+            tiles_cached: fresh_at_start as u64,
+            tiles_invalidated: invalidated,
+            ..RenderTelemetry::default()
+        };
+        for tally in &tallies {
+            frame.add(tally);
+        }
+        self.telemetry.add(&frame);
 
         let tiles_stale = self.tiles.iter().filter(|t| !t.valid).count();
         FrameProgress {
-            tiles_rendered,
+            tiles_rendered: frame.tiles_rendered as usize,
             tiles_cached: fresh_at_start,
             tiles_stale,
             complete: tiles_stale == 0,

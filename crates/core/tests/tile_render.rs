@@ -23,6 +23,7 @@ use instant3d_nerf::occupancy::OccupancyGrid;
 use instant3d_scenes::{Dataset, SceneLibrary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
 
 fn dataset(seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -61,13 +62,16 @@ fn assert_frames_eq(
 }
 
 /// Full-budget tiled rendering reproduces the monolithic reference
-/// bit-for-bit on every registered backend × worker count.
+/// bit-for-bit on every registered backend × worker count, and the
+/// per-runner telemetry tallies sum to the same rays / points / tiles
+/// whatever the worker count.
 #[test]
 fn full_budget_tiled_matches_monolithic_across_backends_and_workers() {
     let ds = dataset(42);
     for backend in kernels::registered() {
         let trainer = trained(&backend, &ds, 8);
         let cam = &ds.test_views[0].camera;
+        let mut counts = Vec::new();
         for workers in [1usize, 4, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(workers)
@@ -77,8 +81,23 @@ fn full_budget_tiled_matches_monolithic_across_backends_and_workers() {
                 let tiled = render_model_view(trainer.model(), cam, 24, ds.background);
                 let mono = render_model_view_monolithic(trainer.model(), cam, 24, ds.background);
                 assert_frames_eq(&tiled, &mono, &format!("{}/t{}", backend.name(), workers));
+
+                let mut sched = FrameScheduler::new(*cam, RenderOptions::new(24, ds.background));
+                sched.render_frame(
+                    trainer.model(),
+                    None,
+                    FrameBudget::full(),
+                    &WorkspacePool::new(),
+                );
+                let t = sched.telemetry();
+                counts.push((t.rays, t.points, t.tiles_rendered));
             });
         }
+        assert!(
+            counts.iter().all(|c| *c == counts[0]),
+            "{}: telemetry differs across worker counts: {counts:?}",
+            backend.name()
+        );
     }
 }
 
@@ -110,6 +129,9 @@ fn tile_seams_and_odd_frame_sizes_are_exact() {
             let progress = sched.render_frame(model, None, FrameBudget::full(), &pool);
             assert!(progress.complete, "{w}x{h}/tile{tile}: incomplete");
             assert_eq!(progress.tiles_rendered, sched.layout().tile_count());
+            let t = sched.telemetry();
+            assert_eq!(t.rays, u64::from(w * h), "{w}x{h}/tile{tile}: rays");
+            assert_eq!(t.tiles_rendered, sched.layout().tile_count() as u64);
             assert_frames_eq(&sched.frame(), &mono, &format!("{w}x{h}/tile{tile}"));
         }
     }
@@ -154,6 +176,40 @@ fn budgeted_progressive_render_converges_to_full_budget_bits() {
     assert_eq!(progress.tiles_rendered, 0);
     assert_eq!(progress.tiles_cached, tiles);
     assert!(progress.complete);
+}
+
+/// A zero deadline skips tiles instead of rendering them: every tile is
+/// either rendered or counted as skipped, the frame is complete exactly
+/// when none was skipped, and a following full-budget frame still has the
+/// monolithic bits.
+#[test]
+fn deadline_skipped_tiles_are_counted_and_re_rendered() {
+    let ds = dataset(37);
+    let backend = kernels::from_env_or_default();
+    let trainer = trained(&backend, &ds, 2);
+    let cam = ds.test_views[0].camera;
+    let pool = WorkspacePool::new();
+    let mut sched = FrameScheduler::new(
+        cam,
+        RenderOptions {
+            samples_per_ray: 12,
+            background: ds.background,
+            tile_size: 4,
+        },
+    );
+    let tiles = sched.layout().tile_count() as u64;
+    let budget = FrameBudget::time(Duration::ZERO);
+    let progress = sched.render_frame(trainer.model(), None, budget, &pool);
+    let t = *sched.telemetry();
+    assert_eq!(t.tiles_rendered + t.tiles_deadline_skipped, tiles, "{t:?}");
+    assert_eq!(progress.tiles_rendered as u64, t.tiles_rendered);
+    assert_eq!(progress.tiles_stale as u64, t.tiles_deadline_skipped);
+    assert_eq!(progress.complete, t.tiles_deadline_skipped == 0);
+
+    let progress = sched.render_frame(trainer.model(), None, FrameBudget::full(), &pool);
+    assert!(progress.complete);
+    let mono = render_model_view_monolithic(trainer.model(), &cam, 12, ds.background);
+    assert_frames_eq(&sched.frame(), &mono, "full frame after a deadline frame");
 }
 
 /// Converged tiles stay cached while the grids are untouched, and a

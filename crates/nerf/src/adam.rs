@@ -12,7 +12,7 @@
 
 use crate::fp16;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Adam hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,20 +212,20 @@ impl Adam {
             );
             let touched = match par_chunk {
                 Some(len) => {
-                    let flag = AtomicBool::new(false);
+                    #[expect(
+                        clippy::disallowed_types,
+                        reason = "Relaxed is enough for a set-only flag that publishes no other data: the region's join orders every store before the load"
+                    )]
+                    let flag = std::sync::atomic::AtomicBool::new(false);
                     p.par_chunks_mut(len)
                         .zip(m.par_chunks_mut(len))
                         .zip(v.par_chunks_mut(len))
                         .zip(g.par_chunks_mut(len))
                         .for_each(|(((p, m), v), g)| {
                             if k.consume(p, m, v, g) {
-                                // ORDERING: a set-only flag that publishes
-                                // no other data; the region's join orders
-                                // it before the load below.
                                 flag.store(true, Ordering::Relaxed);
                             }
                         });
-                    // ORDERING: read after the parallel region has joined.
                     flag.load(Ordering::Relaxed)
                 }
                 None => k.consume(p, m, v, g),

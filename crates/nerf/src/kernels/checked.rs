@@ -13,7 +13,7 @@
 //! its tasks `&mut` slices cut by `par_chunks_mut` / `split_at_mut`, so
 //! overlapping or aliased writes are compile errors.
 //!
-//! The backend is registered in the [`BackendRegistry`](super) as
+//! The backend is built in (see [`registered`](super::registered)) as
 //! `"checked"` and rides the CI backend × worker matrix, so the
 //! accumulation-order contract is re-executed on every push instead of
 //! trusted.

@@ -1,5 +1,5 @@
-//! The open kernel-backend API: the [`Kernels`] trait, the process-wide
-//! backend registry, and the built-in backends.
+//! The kernel-backend API: the [`Kernels`] trait, the built-in backends,
+//! and their by-name lookup.
 //!
 //! The batched SoA engine dispatches every hot kernel through a
 //! [`Kernels`] trait object instead of a closed enum. The trait has five
@@ -22,14 +22,15 @@
 //!   reference, panicking on the first diverging bit, to pin the fixed
 //!   accumulation order.
 //!
-//! New backends register at runtime through [`register`]; everything that
-//! names a backend — `TrainConfig::kernel_backend`, the
-//! `INSTANT3D_KERNEL_BACKEND` environment variable,
-//! `WorkloadStats::backend` — resolves through this one registry.
+//! The set is closed: everything that names a backend —
+//! `TrainConfig::kernel_backend`, the `INSTANT3D_KERNEL_BACKEND`
+//! environment variable, `WorkloadStats::backend` — resolves against these
+//! three. Any other [`Kernels`] implementation (a test's mock, say) is
+//! wrapped with [`BackendHandle::new`] and handed to the engine directly.
 //!
 //! # The registration contract
 //!
-//! Registering a backend is a claim about its numerics, and there is one
+//! Being a built-in backend is a claim about its numerics, and there is one
 //! claim: **a backend is bit-identical to [`ScalarKernels`]** on every
 //! kernel, for every batch size and worker count. Concretely a conforming
 //! backend must preserve:
@@ -51,7 +52,7 @@
 //! (`crates/nerf/tests/simd_differential.rs`,
 //! `crates/nerf/tests/occupancy_differential.rs`,
 //! `crates/core/tests/batched_equivalence.rs`, `tests/batched_equivalence.rs`)
-//! iterate every [`registered`] backend, so no registered backend can skip
+//! iterate every [`registered`] backend, so no built-in backend can skip
 //! them. A backend that trades bits for speed would need a contract, and
 //! a gate, of its own.
 //!
@@ -64,8 +65,7 @@
 //! ```
 //! use instant3d_nerf::kernels;
 //!
-//! // By name, through the registry (panics on unknown names, listing the
-//! // registered ones):
+//! // By name (panics on unknown names, listing the built-in ones):
 //! let simd = kernels::resolve("simd");
 //! assert_eq!(simd.name(), "simd");
 //! // The built-ins have direct accessors:
@@ -78,16 +78,17 @@
 //! # Contract enforcement
 //!
 //! Each part of the contract is carried by the one mechanism that can
-//! actually see it; a new backend opts in simply by registering.
+//! actually see it; a new built-in backend opts in by joining the list
+//! behind [`registered`].
 //!
 //! | | proves | how |
 //! |---|---|---|
 //! | **The compiler** | parallel tasks write **disjoint, in-bounds, gap-free** ranges | every dispatch seam hands its tasks `&mut` slices cut by `par_chunks_mut().zip(..)` or a `split_at_mut` partition (the per-level scatter's lives in one private helper in `grid.rs`), and `#![deny(unsafe_code)]` keeps a raw-pointer dispatcher from appearing unannounced — an overlapping, aliased or outliving write is a compile error (`compile_fail` doctests on that helper and on [`RayBatchCache`](crate::render::RayBatchCache)) |
-//! | **clippy** | **no FMA**, the `unsafe` / `#[target_feature]` census, **determinism**, the **panic census** | `cargo clippy` runs the lints below over every crate |
-//! | **`checked` + the atomics linter** | what neither sees: **accumulation order**, atomics orderings | [`CheckedKernels`] re-runs every seam through [`ScalarKernels`] on a shadow copy and panics on the first diverging bit; the conformance linter checks `// ORDERING:` markers |
+//! | **clippy** | **no FMA**, the `unsafe` / `#[target_feature]` census, **determinism**, the **panic census**, a stated reason for every **atomic** | `cargo clippy` runs the lints below over every crate |
+//! | **`checked` + the pool's protocol test** | what neither sees: **accumulation order**, the work-stealing pool's **sleep/latch orderings** | [`CheckedKernels`] re-runs every seam through [`ScalarKernels`] on a shadow copy and panics on the first diverging bit; a test in `vendor/rayon` pins every atomic ordering in the pool per function |
 //!
 //! `checked` rides the CI backend × worker matrix
-//! (`.github/workflows/ci.yml`), whose axis is derived from the registry
+//! (`.github/workflows/ci.yml`), whose axis is derived from [`names`]
 //! by `tests/backend_api.rs`, so neither a new backend nor the checker
 //! itself can silently drop out.
 //!
@@ -111,6 +112,11 @@
 //!   and serving crates: iteration order and wall-clock reads must never
 //!   feed kernel numerics. Each telemetry site carries an `#[expect]`
 //!   whose reason says why it cannot.
+//! * Atomics — `clippy::disallowed_types` lists every
+//!   `std::sync::atomic` type in the workspace's `clippy.toml` files
+//!   (`vendor/rayon` excepted, see below). Each remaining site — the tile
+//!   renderer's work ticket and the optimizer's any-touched flag — carries
+//!   an `#[expect]` whose reason says why `Relaxed` is enough.
 //! * Panics — the kernel and trainer hot-path modules open with
 //!   `#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]`;
 //!   each remaining site carries an `#[expect]` whose reason argues why
@@ -118,12 +124,12 @@
 //!   `clippy::allow_attributes_without_reason` keeps that reason
 //!   mandatory.
 //!
-//! **The conformance linter** (`cargo run -p instant3d-conformance`, also
-//! a `#[test]` in that crate) lexes the workspace sources and enforces one
-//! marker: `// ORDERING:` on (or trailing, or in the comment block above)
-//! every line using `Ordering::Relaxed`. Stronger orderings in
-//! `vendor/rayon/src/` are cross-checked against the sleep/latch protocol
-//! manifest in `crates/conformance/allowlists/atomics_protocol.txt`.
+//! **The pool's protocol test** (`vendor/rayon/tests/atomics_protocol.rs`)
+//! counts every `Ordering::*` outside tests in `vendor/rayon/src`, per file
+//! and enclosing function, and asserts the counts equal a literal table of
+//! the sleep/latch protocol's sites. A weakened, added or deleted ordering
+//! — including any `Relaxed` — fails it;
+//! `sleep_wake_cycles_never_lose_a_wakeup` is the protocol's dynamic check.
 
 /// Stamps kernel wrappers whose bodies are compiled twice: as a safe
 /// `#[target_feature(enable = "avx2")]` fn, called when the host has AVX2,
@@ -186,9 +192,9 @@ use crate::grid::HashGrid;
 use crate::math::Vec3;
 use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
 use crate::render::RenderOutput;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
-/// The numeric contract a backend registers under. There is one: every
+/// The numeric contract a backend is built in under. There is one: every
 /// backend is bit-identical to [`ScalarKernels`] (see the
 /// [module docs](self#the-registration-contract)).
 ///
@@ -225,11 +231,11 @@ impl Tier {
 /// workers (the grid methods are called once per disjoint chunk / level);
 /// backends that need mutable state must synchronise it internally.
 pub trait Kernels: Send + Sync + std::fmt::Debug {
-    /// The registry name — stamped into `WorkloadStats` and panic
-    /// messages. Lowercase, stable, unique per registered backend.
+    /// The backend's name — stamped into `WorkloadStats` and panic
+    /// messages. Lowercase, stable, unique among the built-in backends.
     fn name(&self) -> &'static str;
 
-    /// Which contract this backend registers under: [`Tier::Strict`], the
+    /// Which contract this backend is built in under: [`Tier::Strict`], the
     /// only one (see [`Tier`] for why the method exists).
     fn tier(&self) -> Tier {
         Tier::Strict
@@ -301,7 +307,7 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
     ) -> (RenderOutput, usize);
 }
 
-/// A shared, cheaply clonable handle to a registered (or ad-hoc) backend.
+/// A shared, cheaply clonable handle to a built-in (or ad-hoc) backend.
 ///
 /// This is what flows through the engine: `TrainConfig::kernel_backend` →
 /// `NerfModel` → `BatchWorkspace` / `OccupancyWorkspace` all hold a
@@ -311,10 +317,9 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
 pub struct BackendHandle(Arc<dyn Kernels>);
 
 impl BackendHandle {
-    /// Wraps a backend implementation in a handle. The handle does **not**
-    /// register the backend — it is directly usable by the engine (a test
-    /// can hand a private mock straight to `TrainConfig`), while
-    /// [`register`] additionally makes it resolvable by name.
+    /// Wraps a backend implementation in a handle, directly usable by the
+    /// engine (a test can hand a private mock straight to `TrainConfig`).
+    /// Only the built-in backends are resolvable by name.
     pub fn new<K: Kernels + 'static>(kernels: K) -> Self {
         BackendHandle(Arc::new(kernels))
     }
@@ -353,66 +358,25 @@ impl std::fmt::Display for BackendHandle {
     }
 }
 
-/// The process-wide backend registry: an append-only, name-keyed list of
-/// [`BackendHandle`]s, pre-seeded with the built-in backends in the order
-/// `scalar`, `simd`, `checked`.
-///
-/// The free functions of this module ([`register`], [`get`], [`resolve`],
-/// [`registered`], [`names`], [`from_env`]) are the public face; the
-/// struct exists so the seeding happens exactly once.
-struct BackendRegistry {
-    backends: RwLock<Vec<BackendHandle>>,
+/// The built-in backends, in the order `scalar`, `simd`, `checked`: the
+/// closed set that [`get`], [`resolve`], [`registered`], [`names`] and
+/// [`from_env`] read, built once per process.
+fn builtins() -> &'static [BackendHandle; 3] {
+    static BUILTINS: OnceLock<[BackendHandle; 3]> = OnceLock::new();
+    BUILTINS.get_or_init(|| {
+        [
+            BackendHandle::new(ScalarKernels),
+            BackendHandle::new(SimdKernels),
+            BackendHandle::new(CheckedKernels::new()),
+        ]
+    })
 }
 
-impl BackendRegistry {
-    fn global() -> &'static BackendRegistry {
-        static REGISTRY: OnceLock<BackendRegistry> = OnceLock::new();
-        REGISTRY.get_or_init(|| BackendRegistry {
-            backends: RwLock::new(vec![
-                BackendHandle::new(ScalarKernels),
-                BackendHandle::new(SimdKernels),
-                BackendHandle::new(CheckedKernels::new()),
-            ]),
-        })
-    }
-}
-
-/// Registers a backend, making it resolvable by [`get`]/[`resolve`] (and
-/// therefore selectable via `INSTANT3D_KERNEL_BACKEND` and picked up by
-/// the test suites that iterate [`registered`]).
-///
-/// Registration is an API-level promise that the backend upholds the
-/// [registration contract](self#the-registration-contract): it lands in
-/// the bit-identity suites.
-///
-/// # Errors
-///
-/// Returns `Err` when a backend with the same name is already registered
-/// (names are matched case-insensitively).
-pub fn register<K: Kernels + 'static>(kernels: K) -> Result<BackendHandle, String> {
-    let handle = BackendHandle::new(kernels);
-    let mut backends = BackendRegistry::global().backends.write().unwrap();
-    if let Some(existing) = backends
-        .iter()
-        .find(|b| b.name().eq_ignore_ascii_case(handle.name()))
-    {
-        return Err(format!(
-            "kernel backend {:?} is already registered",
-            existing.name()
-        ));
-    }
-    backends.push(handle.clone());
-    Ok(handle)
-}
-
-/// Looks a backend up by name (case-insensitive, surrounding whitespace
-/// ignored).
+/// Looks a built-in backend up by name (case-insensitive, surrounding
+/// whitespace ignored).
 pub fn get(name: &str) -> Option<BackendHandle> {
     let wanted = name.trim();
-    BackendRegistry::global()
-        .backends
-        .read()
-        .unwrap()
+    builtins()
         .iter()
         .find(|b| b.name().eq_ignore_ascii_case(wanted))
         .cloned()
@@ -422,7 +386,7 @@ pub fn get(name: &str) -> Option<BackendHandle> {
 ///
 /// # Panics
 ///
-/// Panics on unknown names, listing every registered backend — a typo in
+/// Panics on unknown names, listing every built-in backend — a typo in
 /// a config or CI matrix entry must fail loudly instead of silently
 /// running the default backend.
 pub fn resolve(name: &str) -> BackendHandle {
@@ -435,23 +399,17 @@ pub fn resolve(name: &str) -> BackendHandle {
     })
 }
 
-/// All registered backends, in registration order (built-ins first).
+/// All built-in backends, in the order `scalar`, `simd`, `checked`.
 pub fn registered() -> Vec<BackendHandle> {
-    BackendRegistry::global().backends.read().unwrap().clone()
+    builtins().to_vec()
 }
 
-/// The registered backend names, in registration order.
+/// The built-in backend names, in [`registered`] order.
 pub fn names() -> Vec<&'static str> {
-    BackendRegistry::global()
-        .backends
-        .read()
-        .unwrap()
-        .iter()
-        .map(|b| b.name())
-        .collect()
+    builtins().iter().map(|b| b.name()).collect()
 }
 
-/// `"name"` for every registered backend — the panic payload of
+/// `"name"` for every built-in backend — the panic payload of
 /// [`resolve`] / [`from_env_value`].
 fn described_names() -> String {
     names()
@@ -461,17 +419,17 @@ fn described_names() -> String {
         .join(", ")
 }
 
-/// The scalar reference backend (always registered).
+/// The scalar reference backend.
 pub fn scalar() -> BackendHandle {
     get("scalar").expect("built-in scalar backend")
 }
 
-/// The lane-batched SIMD backend (always registered).
+/// The lane-batched SIMD backend.
 pub fn simd() -> BackendHandle {
     get("simd").expect("built-in simd backend")
 }
 
-/// The shadow-execution backend (always registered): SIMD
+/// The shadow-execution backend: SIMD
 /// numerics plus a bitwise scalar shadow comparison of every seam — see
 /// [`CheckedKernels`].
 pub fn checked() -> BackendHandle {
@@ -484,12 +442,12 @@ pub fn default_backend() -> BackendHandle {
 }
 
 /// The backend requested by `INSTANT3D_KERNEL_BACKEND`, if the variable is
-/// set — the hook the CI matrix uses to force every registered backend
+/// set — the hook the CI matrix uses to force every built-in backend
 /// through the full suite.
 ///
 /// # Panics
 ///
-/// Panics when the variable names an unregistered backend (see
+/// Panics when the variable names no built-in backend (see
 /// [`resolve`]).
 pub fn from_env() -> Option<BackendHandle> {
     from_env_value(std::env::var("INSTANT3D_KERNEL_BACKEND").ok().as_deref())
@@ -497,8 +455,7 @@ pub fn from_env() -> Option<BackendHandle> {
 
 /// [`from_env`]'s env-independent core, split out so the unknown-name
 /// panic is testable without mutating process-global environment state.
-/// The lookup is a plain registry resolution — no hand-rolled name
-/// matching.
+/// The lookup is a plain [`get`] — no hand-rolled name matching.
 pub fn from_env_value(value: Option<&str>) -> Option<BackendHandle> {
     let v = value?;
     match get(v) {
@@ -530,9 +487,8 @@ mod tests {
 
     #[test]
     fn builtins_are_registered_in_order() {
-        let names = names();
-        assert_eq!(&names[..3], &["scalar", "simd", "checked"]);
-        assert_eq!(registered()[..3].len(), 3);
+        assert_eq!(names(), ["scalar", "simd", "checked"]);
+        assert_eq!(registered().len(), 3);
         assert_eq!(default_backend().name(), "simd");
     }
 
@@ -571,63 +527,5 @@ mod tests {
     #[should_panic(expected = "registered backends: \"scalar\", \"simd\", \"checked\"")]
     fn resolve_panic_lists_every_registered_name() {
         let _ = resolve("no-such-backend");
-    }
-
-    #[test]
-    fn duplicate_registration_is_rejected() {
-        // The built-in name is taken, whatever the casing.
-        #[derive(Debug)]
-        struct Impostor;
-        impl Kernels for Impostor {
-            fn name(&self) -> &'static str {
-                "SCALAR"
-            }
-            fn grid_encode_levels_chunk(
-                &self,
-                _: &HashGrid,
-                _: &[usize],
-                _: &[Vec3],
-                _: &mut [f32],
-            ) {
-            }
-            fn grid_scatter_level(
-                &self,
-                _: &HashGrid,
-                _: usize,
-                _: &mut [f32],
-                _: &[Vec3],
-                _: &[f32],
-            ) {
-            }
-            fn mlp_forward_batch<'w>(
-                &self,
-                _: &Mlp,
-                _: &[f32],
-                _: &'w mut MlpBatchWorkspace,
-            ) -> &'w [f32] {
-                &[]
-            }
-            fn mlp_backward_batch(
-                &self,
-                _: &Mlp,
-                _: &[f32],
-                _: &mut MlpBatchWorkspace,
-                _: &mut MlpGradients,
-                _: &mut [f32],
-            ) {
-            }
-            fn composite_ray(
-                &self,
-                _: &[f32],
-                _: &[f32],
-                _: &[f32],
-                _: &[Vec3],
-                _: Vec3,
-                _: Option<(&mut [f32], &mut [f32], &mut [f32])>,
-            ) -> (RenderOutput, usize) {
-                (RenderOutput::default(), 0)
-            }
-        }
-        assert!(register(Impostor).is_err());
     }
 }

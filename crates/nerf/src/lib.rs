@@ -19,18 +19,18 @@
 //!   process whole point batches through a kernel backend — level-major
 //!   for cache locality, level-parallel for the scatter — with
 //!   bit-identical results.
-//! * [`kernels`] — the **open kernel-backend API**: the [`Kernels`] trait
+//! * [`kernels`] — the **kernel-backend API**: the [`Kernels`] trait
 //!   the batched engine dispatches through — five seams: level-subset grid
 //!   encode (a full encode is every level), per-level scatter, MLP
-//!   forward, MLP backward, compositing — the process-wide name registry
-//!   powering `TrainConfig`, the `INSTANT3D_KERNEL_BACKEND` env override,
-//!   and workload stats, and three in-tree backends: the scalar
-//!   reference ([`kernels::ScalarKernels`]), the lane-batched SIMD default
-//!   ([`kernels::SimdKernels`]) and the scalar shadow executor
-//!   ([`kernels::CheckedKernels`]). Registering a backend claims the
+//!   forward, MLP backward, compositing — and a closed set of three
+//!   built-in backends, looked up by name for `TrainConfig`, the
+//!   `INSTANT3D_KERNEL_BACKEND` env override and workload stats: the
+//!   scalar reference ([`kernels::ScalarKernels`]), the lane-batched SIMD
+//!   default ([`kernels::SimdKernels`]) and the scalar shadow executor
+//!   ([`kernels::CheckedKernels`]). Every backend claims the
 //!   **bit-identity contract** (additive-order-preserving, FMA-free) — see
 //!   the module docs; the differential suites iterate over every
-//!   registered backend to pin it.
+//!   built-in backend to pin it.
 //! * [`simd`] — portable fixed-width SIMD lane types the lane kernels are
 //!   built on.
 //! * [`sh`] — spherical-harmonics direction encoding for the color head.

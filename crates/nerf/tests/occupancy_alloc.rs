@@ -4,6 +4,11 @@
 //! does. The counting allocator is process-wide, so this binary holds
 //! exactly one test.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "Relaxed is enough for a counter that publishes no other data: fetch_add is atomic at any ordering, and the loads bracket the measured refresh on one thread"
+)]
+
 use instant3d_nerf::activation::Activation;
 use instant3d_nerf::grid::{HashGrid, HashGridConfig};
 use instant3d_nerf::kernels;

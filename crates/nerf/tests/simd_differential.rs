@@ -1,11 +1,10 @@
-//! The differential harness pinning every registered kernel backend to
+//! The differential harness pinning every built-in kernel backend to
 //! the scalar reference kernels, bit for bit.
 //!
 //! Every hot kernel (grid encode, grid backward-scatter, MLP forward /
-//! backward, per-ray compositing) is run on **every backend in the
-//! registry** (`instant3d_nerf::kernels::registered()` — scalar, simd,
-//! checked, plus anything registered at runtime; a backend cannot
-//! register without entering this harness) over batch
+//! backward, per-ray compositing) is run on **every built-in backend**
+//! (`instant3d_nerf::kernels::registered()` — scalar, simd, checked; a
+//! backend cannot join that list without entering this harness) over batch
 //! sizes that exercise the remainder tails (`N % 8 != 0` for the lane
 //! kernels, `N % 4 != 0` for the blocked MLP sweeps), the empty batch,
 //! single points, lane-exact batches and multi-chunk batches — plus

@@ -25,7 +25,7 @@ fn main() {
 
     // 2. Train with the paper's operating point: decoupled grids with
     //    S_D : S_C = 1 : 0.25 and F_D : F_C = 1 : 0.5. Kernel backends
-    //    resolve by name through the open registry — the default is the
+    //    resolve by name (`kernels::names()`) — the default is the
     //    SIMD backend; set `cfg.kernel_backend = kernels::resolve("scalar")`
     //    (or export INSTANT3D_KERNEL_BACKEND) to pick another.
     let cfg = TrainConfig::instant3d();

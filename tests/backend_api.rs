@@ -1,16 +1,14 @@
-//! The guard that keeps the CI test matrix in sync with the backend
-//! registry.
+//! The guard that keeps the CI test matrix in sync with the built-in
+//! kernel backends.
 
 use instant3d::core::kernels;
 
 #[test]
 fn ci_matrix_backend_axis_is_derived_from_the_registry() {
     // ci.yml carries exactly one `backend: [...]` matrix axis, the
-    // bit-identity matrix, and it must list the registered backends
-    // exactly, so registering a backend without a matrix arm fails here
-    // instead of silently skipping the golden suites. (This binary
-    // registers no runtime mocks, so the registry holds exactly the
-    // in-tree backends CI must cover.)
+    // bit-identity matrix, and it must list `kernels::names()` exactly, so
+    // adding a built-in backend without a matrix arm fails here instead of
+    // silently skipping the golden suites.
     let ci = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/.github/workflows/ci.yml"
@@ -39,7 +37,7 @@ fn ci_matrix_backend_axis_is_derived_from_the_registry() {
     );
 
     // The scalar shadow-execution backend is pinned by name on top of the
-    // registry-derived set equality: dropping `checked` from the registry
+    // derived set equality: dropping `checked` from the built-ins
     // (which would silently remove its CI arm *and* its golden-suite
     // coverage) must fail here, not just reshape the matrix.
     assert!(
