@@ -5,23 +5,16 @@
 //! test the learned density quality" (§3.1) — they quantify how fast the
 //! density branch is learning relative to color (Fig. 5).
 //!
-//! Rendering goes through the tile renderer ([`crate::render`]) at full
-//! budget: tiles are scheduled on the work-stealing pool and workspaces
-//! come from the process-wide reuse pool, so repeated evaluation performs
-//! zero steady-state allocations. The original monolithic row-chunk
-//! renderer survives as [`render_model_view_monolithic`], the executable
-//! specification the tile path is golden-pinned against.
+//! Views are rendered by [`render::render_view`], the tile renderer at
+//! full budget: tiles are scheduled on the work-stealing pool and
+//! workspaces come from the process-wide reuse pool, so repeated
+//! evaluation performs zero steady-state allocations.
 
-use crate::batch::BatchWorkspace;
 use crate::model::NerfModel;
 use crate::render;
-use instant3d_nerf::camera::Camera;
-use instant3d_nerf::image::{DepthImage, RgbImage};
-use instant3d_nerf::math::Vec3;
 use instant3d_nerf::metrics::{psnr_depth, psnr_rgb};
 use instant3d_nerf::occupancy::OccupancyGrid;
 use instant3d_scenes::Dataset;
-use rayon::prelude::*;
 
 /// RGB and depth reconstruction quality of a model on a test set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,98 +25,6 @@ pub struct EvalResult {
     pub depth_psnr: f32,
     /// Mean luminance SSIM over the test views (in [-1, 1]).
     pub rgb_ssim: f32,
-}
-
-/// Renders one view of the model (RGB + expected-depth) through the tile
-/// renderer at full budget — pixel values are identical to per-point
-/// scalar queries and to [`render_model_view_monolithic`].
-pub fn render_model_view(
-    model: &NerfModel,
-    camera: &Camera,
-    samples_per_ray: usize,
-    background: Vec3,
-) -> (RgbImage, DepthImage) {
-    render::render_view(model, camera, samples_per_ray, background, None)
-}
-
-/// The original monolithic renderer: rows are processed as ray batches —
-/// one grid encode, one MLP sweep and one composite per row — with row
-/// chunks running in parallel on per-chunk workspaces.
-///
-/// Kept as the executable specification for the tile renderer's golden
-/// suite (`crates/core/tests/tile_render.rs`): a full-budget tiled frame
-/// must match this bit-for-bit on every backend × worker count.
-/// Unlike the tile path it mints a fresh [`BatchWorkspace`] per row
-/// chunk, so it is reference material, not a hot path.
-pub fn render_model_view_monolithic(
-    model: &NerfModel,
-    camera: &Camera,
-    samples_per_ray: usize,
-    background: Vec3,
-) -> (RgbImage, DepthImage) {
-    let w = camera.width;
-    let h = camera.height;
-    let aabb = model.aabb();
-    let threads = rayon::current_num_threads().min(h as usize).max(1);
-    let chunk = (h as usize).div_ceil(threads);
-
-    let mut rows: Vec<(Vec<Vec3>, Vec<f32>)> = Vec::with_capacity(h as usize);
-    rows.resize_with(h as usize, || (Vec::new(), Vec::new()));
-
-    rows.par_chunks_mut(chunk)
-        .enumerate()
-        .for_each(|(tid, rows_chunk)| {
-            let y0 = (tid * chunk) as u32;
-            let mut bws = BatchWorkspace::new(model);
-            let n = samples_per_ray.max(1);
-            for (dy, row) in rows_chunk.iter_mut().enumerate() {
-                let y = y0 + dy as u32;
-                // Build the row's ray batch: one ray per pixel (missing
-                // rays get zero samples and composite to the background).
-                bws.clear();
-                bws.reserve_rays(w as usize);
-                for x in 0..w {
-                    let ray = camera.pixel_center_ray(x, y);
-                    if let Some((t0, t1)) = aabb.intersect(&ray) {
-                        model.encode_dir(ray.dir, bws.sh_row_mut(x as usize));
-                        let dt = (t1 - t0) / n as f32;
-                        for k in 0..n {
-                            let t = t0 + (k as f32 + 0.5) * dt;
-                            bws.rays.push_sample(t, dt);
-                            bws.positions.push(ray.at(t));
-                            bws.point_ray.push(x);
-                        }
-                    }
-                    bws.rays.end_ray();
-                }
-                bws.encode(model);
-                bws.heads_forward(model);
-                bws.composite_all(background);
-                let mut colors = Vec::with_capacity(w as usize);
-                let mut depths = Vec::with_capacity(w as usize);
-                for x in 0..w as usize {
-                    let out = bws.output(x);
-                    if bws.rays.ray_range(x).is_empty() {
-                        colors.push(background);
-                        depths.push(0.0);
-                    } else {
-                        colors.push(out.color);
-                        depths.push(out.depth);
-                    }
-                }
-                *row = (colors, depths);
-            }
-        });
-
-    let mut rgb = RgbImage::new(w, h);
-    let mut depth = DepthImage::new(w, h);
-    for (y, (colors, depths)) in rows.into_iter().enumerate() {
-        for x in 0..w as usize {
-            rgb.set(x as u32, y as u32, colors[x]);
-            depth.set(x as u32, y as u32, depths[x]);
-        }
-    }
-    (rgb, depth)
 }
 
 /// Scores a model against a dataset's test views with uniform ray
@@ -200,11 +101,12 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn render_model_view_shapes_and_finiteness() {
+    fn render_view_shapes_and_finiteness() {
         let mut rng = StdRng::seed_from_u64(1);
         let ds = SceneLibrary::synthetic_scene(0, 12, 3, &mut rng);
         let model = NerfModel::new(&TrainConfig::fast_preview(), ds.aabb, &mut rng);
-        let (rgb, depth) = render_model_view(&model, &ds.test_views[0].camera, 16, ds.background);
+        let cam = &ds.test_views[0].camera;
+        let (rgb, depth) = render::render_view(&model, cam, 16, ds.background, None);
         assert_eq!(rgb.width(), 12);
         assert_eq!(depth.height(), 12);
         for p in rgb.pixels() {

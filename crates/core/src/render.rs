@@ -36,10 +36,9 @@
 //! count, background, occupancy): rays never share accumulation state,
 //! so tile shape, tile order, budget splits and worker count cannot
 //! change a single bit. A full-budget tiled frame is **bit-identical**
-//! to the monolithic row-chunk renderer
-//! ([`render_model_view_monolithic`](crate::eval::render_model_view_monolithic),
-//! kept as the executable specification) on every backend × worker
-//! count — pinned by the golden suite in `crates/core/tests/tile_render.rs`.
+//! to the monolithic row-chunk renderer (the executable specification,
+//! kept in `crates/core/tests/tile_render.rs`) on every backend × worker
+//! count — pinned by that golden suite.
 //!
 //! Ray marching uses the same per-ray pipeline as training: stratified
 //! stratum-center samples, optional occupancy culling
@@ -290,9 +289,8 @@ impl TileState {
 }
 
 /// The resumable tile renderer for one camera view. See the
-/// [module docs](self) for the frame lifecycle; eval's
-/// [`render_model_view`](crate::eval::render_model_view) is a thin
-/// full-budget client of this type.
+/// [module docs](self) for the frame lifecycle; [`render_view`] is its
+/// full-budget one-shot client.
 #[derive(Debug)]
 pub struct FrameScheduler {
     camera: Camera,
@@ -645,7 +643,7 @@ fn render_tile(
 }
 
 /// Renders one full view through the tile path at full budget — the
-/// one-shot client the eval layer wraps. Workspaces come from the
+/// one-shot client eval scores through. Workspaces come from the
 /// process-wide [`shared_pool`], so repeated calls allocate nothing after
 /// warmup.
 pub fn render_view(

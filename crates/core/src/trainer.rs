@@ -34,10 +34,7 @@ use instant3d_nerf::occupancy::{
 use instant3d_nerf::render::{
     composite_backward_slices, composite_slices, pixel_loss, RayBatch, RayBatchCache,
 };
-use instant3d_nerf::sampler::{
-    sample_pixel_batch, sample_pixel_batch_into, sample_segments, sample_segments_into, Segment,
-    TrainRay,
-};
+use instant3d_nerf::sampler::{sample_pixel_batch_into, sample_segments_into, Segment, TrainRay};
 use instant3d_scenes::Dataset;
 use rand::Rng;
 use std::time::Instant;
@@ -73,9 +70,9 @@ pub struct PsnrPoint {
 pub struct TrainReport {
     /// Iterations executed.
     pub iterations: u64,
-    /// Final test RGB PSNR (dB).
+    /// Final test RGB PSNR (dB); NaN when the run evaluated nothing.
     pub final_psnr: f32,
-    /// Final test depth PSNR (dB).
+    /// Final test depth PSNR (dB); NaN when the run evaluated nothing.
     pub final_depth_psnr: f32,
     /// Final batch loss.
     pub final_loss: f32,
@@ -99,6 +96,7 @@ pub struct TrainReport {
 /// let mut trainer = Trainer::new(TrainConfig::fast_preview(), &ds, &mut rng);
 /// let report = trainer.train(5, &mut rng);
 /// assert_eq!(report.iterations, 5);
+/// assert!(report.final_psnr.is_nan(), "`train` does not evaluate");
 /// ```
 #[derive(Debug)]
 pub struct Trainer {
@@ -522,12 +520,20 @@ impl Trainer {
         };
 
         // Steps ① + ②: pixel batch → rays.
-        let batch = sample_pixel_batch(&self.cameras, &self.images, self.cfg.rays_per_batch, rng);
+        let mut batch = Vec::new();
+        sample_pixel_batch_into(
+            &self.cameras,
+            &self.images,
+            self.cfg.rays_per_batch,
+            rng,
+            &mut batch,
+        );
         self.zero_mlp_grads();
 
         let emb_d_dim = self.model.density_grid().output_dim();
         let emb_c_dim = self.ws.emb_c.len();
         let mut sh = vec![0.0; self.model.sh_dim()];
+        let mut segs = Vec::new();
         let mut positions: Vec<Vec3> = Vec::with_capacity(self.cfg.samples_per_ray);
         let mut emb_d_cache: Vec<f32> = Vec::new();
         let mut emb_c_cache: Vec<f32> = Vec::new();
@@ -543,11 +549,12 @@ impl Trainer {
 
         for tr in &batch {
             // Step ③ sampling: stratified + occupancy culling.
-            let segs = sample_segments(
+            sample_segments_into(
                 &tr.ray,
                 &self.model.aabb(),
                 self.cfg.samples_per_ray,
                 Some(rng),
+                &mut segs,
             );
             ray.clear();
             positions.clear();
@@ -794,14 +801,17 @@ impl Trainer {
         self.iter += 1;
     }
 
-    /// Trains for `iterations` steps and evaluates once at the end.
+    /// Trains for `iterations` steps without evaluating: the report's
+    /// `final_psnr` and `final_depth_psnr` are NaN and its history is
+    /// empty. Use [`Trainer::train_with_eval`] to score the model.
     pub fn train<R: Rng + ?Sized>(&mut self, iterations: u64, rng: &mut R) -> TrainReport {
         self.train_with_eval(iterations, 0, None, rng)
     }
 
-    /// Trains for `iterations` steps, evaluating every `eval_every`
-    /// iterations (0 = only at the end) against `dataset` (defaults to the
-    /// training dataset's test views if provided).
+    /// Trains for `iterations` steps. With a `dataset`, evaluates on its
+    /// test views every `eval_every` iterations (0 = never mid-run) and
+    /// once at the end; without one, evaluates nothing, and the final
+    /// PSNRs are NaN.
     pub fn train_with_eval<R: Rng + ?Sized>(
         &mut self,
         iterations: u64,
@@ -830,13 +840,7 @@ impl Trainer {
                 let e = self.evaluate(ds);
                 (e.rgb_psnr, e.depth_psnr)
             }
-            None => {
-                let last = history.last();
-                (
-                    last.map_or(f32::NAN, |p| p.rgb_psnr),
-                    last.map_or(f32::NAN, |p| p.depth_psnr),
-                )
-            }
+            None => (f32::NAN, f32::NAN),
         };
         TrainReport {
             iterations: self.iter,

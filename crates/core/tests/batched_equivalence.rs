@@ -12,7 +12,7 @@
 //! reference path on every run. A backend cannot register without
 //! entering this gate — that is the point of the open API.
 
-use instant3d_core::eval::render_model_view;
+use instant3d_core::render::render_view;
 use instant3d_core::{kernels, BackendHandle, GridTopology, TrainConfig, Trainer};
 use instant3d_scenes::{Dataset, SceneLibrary};
 use rand::rngs::StdRng;
@@ -84,8 +84,8 @@ fn check_equivalence(topology: GridTopology, backend: &BackendHandle, steps: usi
 
     // Per-pixel agreement of the trained models within 1e-5.
     let view = &ds.test_views[0].camera;
-    let (rgb_b, depth_b) = render_model_view(batched.model(), view, 24, ds.background);
-    let (rgb_s, depth_s) = render_model_view(scalar.model(), view, 24, ds.background);
+    let (rgb_b, depth_b) = render_view(batched.model(), view, 24, ds.background, None);
+    let (rgb_s, depth_s) = render_view(scalar.model(), view, 24, ds.background, None);
     for (pb, ps) in rgb_b.pixels().iter().zip(rgb_s.pixels()) {
         for k in 0..3 {
             assert!(
@@ -262,7 +262,7 @@ fn every_registered_backend_training_is_bit_identical_to_scalar_backend() {
         let mut rng = StdRng::seed_from_u64(2);
         let losses: Vec<f32> = (0..10).map(|_| trainer.step(&mut rng).loss).collect();
         let view = &ds.test_views[0].camera;
-        let (rgb, depth) = render_model_view(trainer.model(), view, 24, ds.background);
+        let (rgb, depth) = render_view(trainer.model(), view, 24, ds.background, None);
         let mut stats = *trainer.stats();
         stats.backend = ""; // normalise the provenance tag
         (losses, rgb, depth, stats)
@@ -311,7 +311,7 @@ fn subset_occupancy_refresh_training_is_backend_and_worker_invariant() {
                 .map(|_| trainer.step(&mut rng).loss.to_bits())
                 .collect();
             let view = &ds.test_views[0].camera;
-            let (rgb, _) = render_model_view(trainer.model(), view, 16, ds.background);
+            let (rgb, _) = render_view(trainer.model(), view, 16, ds.background, None);
             let mut stats = *trainer.stats();
             stats.backend = ""; // normalise provenance
             let occ_bits = trainer.occupancy_fraction().to_bits();

@@ -2,7 +2,7 @@
 //!
 //! The contract under test: a full-budget tiled frame is **bit-identical**
 //! to the monolithic row-chunk renderer
-//! (`eval::render_model_view_monolithic`, the executable specification)
+//! ([`render_model_view_monolithic`] below, the executable specification)
 //! on every registered backend × worker count × tile shape, a
 //! budgeted progressive render converges to the same bits within
 //! `tile_count` frames, converged tiles are cached across frames and
@@ -10,12 +10,12 @@
 //! steady-state tile rendering mints no workspaces beyond the warmup
 //! bound.
 
-use instant3d_core::eval::{
-    evaluate, evaluate_with, render_model_view, render_model_view_monolithic,
-};
+use instant3d_core::eval::{evaluate, evaluate_with};
 use instant3d_core::pool::WorkspacePool;
-use instant3d_core::render::{FrameBudget, FrameScheduler, RenderOptions, DEFAULT_TILE_SIZE};
-use instant3d_core::{kernels, BackendHandle, TrainConfig, Trainer};
+use instant3d_core::render::{
+    render_view, FrameBudget, FrameScheduler, RenderOptions, DEFAULT_TILE_SIZE,
+};
+use instant3d_core::{kernels, BackendHandle, BatchWorkspace, NerfModel, TrainConfig, Trainer};
 use instant3d_nerf::camera::Camera;
 use instant3d_nerf::image::{DepthImage, RgbImage};
 use instant3d_nerf::math::Vec3;
@@ -23,7 +23,88 @@ use instant3d_nerf::occupancy::OccupancyGrid;
 use instant3d_scenes::{Dataset, SceneLibrary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rayon::prelude::*;
 use std::time::Duration;
+
+/// The original monolithic renderer: rows are processed as ray batches —
+/// one grid encode, one MLP sweep and one composite per row — with row
+/// chunks running in parallel on per-chunk workspaces.
+///
+/// Kept as the executable specification for this golden suite: a
+/// full-budget tiled frame must match this bit-for-bit on every backend
+/// × worker count. Unlike the tile path it mints a fresh
+/// [`BatchWorkspace`] per row chunk, so it is reference material, not a
+/// hot path.
+fn render_model_view_monolithic(
+    model: &NerfModel,
+    camera: &Camera,
+    samples_per_ray: usize,
+    background: Vec3,
+) -> (RgbImage, DepthImage) {
+    let w = camera.width;
+    let h = camera.height;
+    let aabb = model.aabb();
+    let threads = rayon::current_num_threads().min(h as usize).max(1);
+    let chunk = (h as usize).div_ceil(threads);
+
+    let mut rows: Vec<(Vec<Vec3>, Vec<f32>)> = Vec::with_capacity(h as usize);
+    rows.resize_with(h as usize, || (Vec::new(), Vec::new()));
+
+    rows.par_chunks_mut(chunk)
+        .enumerate()
+        .for_each(|(tid, rows_chunk)| {
+            let y0 = (tid * chunk) as u32;
+            let mut bws = BatchWorkspace::new(model);
+            let n = samples_per_ray.max(1);
+            for (dy, row) in rows_chunk.iter_mut().enumerate() {
+                let y = y0 + dy as u32;
+                // Build the row's ray batch: one ray per pixel (missing
+                // rays get zero samples and composite to the background).
+                bws.clear();
+                bws.reserve_rays(w as usize);
+                for x in 0..w {
+                    let ray = camera.pixel_center_ray(x, y);
+                    if let Some((t0, t1)) = aabb.intersect(&ray) {
+                        model.encode_dir(ray.dir, bws.sh_row_mut(x as usize));
+                        let dt = (t1 - t0) / n as f32;
+                        for k in 0..n {
+                            let t = t0 + (k as f32 + 0.5) * dt;
+                            bws.rays.push_sample(t, dt);
+                            bws.positions.push(ray.at(t));
+                            bws.point_ray.push(x);
+                        }
+                    }
+                    bws.rays.end_ray();
+                }
+                bws.encode(model);
+                bws.heads_forward(model);
+                bws.composite_all(background);
+                let mut colors = Vec::with_capacity(w as usize);
+                let mut depths = Vec::with_capacity(w as usize);
+                for x in 0..w as usize {
+                    let out = bws.output(x);
+                    if bws.rays.ray_range(x).is_empty() {
+                        colors.push(background);
+                        depths.push(0.0);
+                    } else {
+                        colors.push(out.color);
+                        depths.push(out.depth);
+                    }
+                }
+                *row = (colors, depths);
+            }
+        });
+
+    let mut rgb = RgbImage::new(w, h);
+    let mut depth = DepthImage::new(w, h);
+    for (y, (colors, depths)) in rows.into_iter().enumerate() {
+        for x in 0..w as usize {
+            rgb.set(x as u32, y as u32, colors[x]);
+            depth.set(x as u32, y as u32, depths[x]);
+        }
+    }
+    (rgb, depth)
+}
 
 fn dataset(seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -78,7 +159,7 @@ fn full_budget_tiled_matches_monolithic_across_backends_and_workers() {
                 .build()
                 .unwrap();
             pool.install(|| {
-                let tiled = render_model_view(trainer.model(), cam, 24, ds.background);
+                let tiled = render_view(trainer.model(), cam, 24, ds.background, None);
                 let mono = render_model_view_monolithic(trainer.model(), cam, 24, ds.background);
                 assert_frames_eq(&tiled, &mono, &format!("{}/t{}", backend.name(), workers));
 
@@ -379,7 +460,7 @@ fn occupancy_guided_eval_flag_and_culling() {
     assert!(!occ_sched.is_converged(model, Some(&drifted)));
 }
 
-/// `render_model_view` (the thin full-budget client) routes through the
+/// `render_view` (the full-budget client of `FrameScheduler`) routes through the
 /// process-wide shared workspace pool instead of minting per call.
 /// (The strict zero-steady-state bound is pinned with a private pool in
 /// `steady_state_rendering_mints_no_workspaces`; the shared pool is
@@ -392,7 +473,7 @@ fn eval_render_routes_through_the_shared_pool() {
     let backend = kernels::from_env_or_default();
     let trainer = trained(&backend, &ds, 2);
     let cam = &ds.test_views[0].camera;
-    let _ = render_model_view(trainer.model(), cam, 8, ds.background);
+    let _ = render_view(trainer.model(), cam, 8, ds.background, None);
     assert!(
         shared_pool().parked_batch() >= 1,
         "eval rendering must park its workspaces in the shared pool"

@@ -11,23 +11,11 @@ use rand::Rng;
 pub type Segment = (f32, f32);
 
 /// Stratified sampling of `n` segments across the ray's intersection with
-/// `aabb`. With `jitter`, each sample is placed uniformly within its
-/// stratum; without, at the stratum center (deterministic).
+/// `aabb`: clears `out` and refills it. With `jitter`, each sample is
+/// placed uniformly within its stratum (one draw per stratum); without, at
+/// the stratum center (deterministic).
 ///
-/// Returns an empty vector when the ray misses the box.
-pub fn sample_segments<R: Rng + ?Sized>(
-    ray: &Ray,
-    aabb: &Aabb,
-    n: usize,
-    jitter: Option<&mut R>,
-) -> Vec<Segment> {
-    let mut out = Vec::new();
-    sample_segments_into(ray, aabb, n, jitter, &mut out);
-    out
-}
-
-/// Allocation-free [`sample_segments`]: clears `out` and refills it. The
-/// RNG consumption is identical, so both variants produce the same stream.
+/// Leaves `out` empty when the ray misses the box.
 pub fn sample_segments_into<R: Rng + ?Sized>(
     ray: &Ray,
     aabb: &Aabb,
@@ -53,24 +41,10 @@ pub fn sample_segments_into<R: Rng + ?Sized>(
     }
 }
 
-/// Like [`sample_segments`], but drops segments whose sample point falls in
-/// unoccupied space according to `occ` — Instant-NGP's empty-space skipping.
-/// Each surviving sample costs one packed-bitfield probe
+/// Like [`sample_segments_into`], but keeps only the segments whose sample
+/// points land in occupied cells of `occ` — Instant-NGP's empty-space
+/// skipping. Each sample costs one packed-bitfield probe
 /// ([`OccupancyGrid::occupied_at`]: a Morton interleave + one word load).
-pub fn sample_segments_occupancy<R: Rng + ?Sized>(
-    ray: &Ray,
-    aabb: &Aabb,
-    n: usize,
-    occ: &OccupancyGrid,
-    jitter: Option<&mut R>,
-) -> Vec<Segment> {
-    let mut out = Vec::new();
-    sample_segments_occupancy_into(ray, aabb, n, occ, jitter, &mut out);
-    out
-}
-
-/// Allocation-free [`sample_segments_occupancy`]: clears `out` and refills
-/// it with only the segments whose sample points land in occupied cells.
 /// RNG consumption matches [`sample_segments_into`] (jitter is drawn for
 /// every stratum, culled or not), so culling never perturbs the stream —
 /// the property the trainer's batched sampling loop relies on.
@@ -97,31 +71,14 @@ pub struct TrainRay {
     pub view: usize,
 }
 
-/// Step ① — samples a batch of random pixels (with their rays and ground
-/// truth colors) from a set of posed training images.
+/// Step ① — samples a batch of `batch` random pixels (with their rays and
+/// ground truth colors) from a set of posed training images: clears `out`
+/// and refills it.
 ///
 /// # Panics
 ///
-/// Panics if `views` is empty, images don't match their cameras, or the
+/// Panics if `cameras` is empty, images don't match their cameras, or the
 /// camera/image counts differ.
-pub fn sample_pixel_batch<R: Rng + ?Sized>(
-    cameras: &[Camera],
-    images: &[RgbImage],
-    batch: usize,
-    rng: &mut R,
-) -> Vec<TrainRay> {
-    let mut out = Vec::new();
-    sample_pixel_batch_into(cameras, images, batch, rng, &mut out);
-    out
-}
-
-/// Allocation-free [`sample_pixel_batch`]: clears `out` and refills it.
-/// The RNG consumption is identical, so both variants produce the same
-/// batch for the same generator state.
-///
-/// # Panics
-///
-/// Same contract as [`sample_pixel_batch`].
 pub fn sample_pixel_batch_into<R: Rng + ?Sized>(
     cameras: &[Camera],
     images: &[RgbImage],
@@ -159,10 +116,28 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    fn segments(ray: &Ray, n: usize, jitter: Option<&mut StdRng>) -> Vec<Segment> {
+        let mut out = Vec::new();
+        sample_segments_into(ray, &Aabb::UNIT, n, jitter, &mut out);
+        out
+    }
+
+    fn pixel_batch(
+        cameras: &[Camera],
+        images: &[RgbImage],
+        batch: usize,
+        seed: u64,
+    ) -> Vec<TrainRay> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = Vec::new();
+        sample_pixel_batch_into(cameras, images, batch, &mut rng, &mut out);
+        out
+    }
+
     #[test]
     fn deterministic_segments_are_stratum_centers() {
         let ray = Ray::new(Vec3::new(-1.0, 0.5, 0.5), Vec3::X);
-        let segs = sample_segments::<StdRng>(&ray, &Aabb::UNIT, 4, None);
+        let segs = segments(&ray, 4, None);
         assert_eq!(segs.len(), 4);
         // Box spans t ∈ [1, 2]; strata centers at 1.125, 1.375, ...
         assert!((segs[0].0 - 1.125).abs() < 1e-5);
@@ -176,7 +151,7 @@ mod tests {
     fn jittered_segments_stay_in_strata() {
         let ray = Ray::new(Vec3::new(-1.0, 0.5, 0.5), Vec3::X);
         let mut rng = StdRng::seed_from_u64(11);
-        let segs = sample_segments(&ray, &Aabb::UNIT, 8, Some(&mut rng));
+        let segs = segments(&ray, 8, Some(&mut rng));
         for (k, &(t, dt)) in segs.iter().enumerate() {
             let lo = 1.0 + k as f32 * dt;
             assert!(
@@ -190,7 +165,7 @@ mod tests {
     #[test]
     fn miss_returns_empty() {
         let ray = Ray::new(Vec3::new(-1.0, 5.0, 0.5), Vec3::X);
-        assert!(sample_segments::<StdRng>(&ray, &Aabb::UNIT, 8, None).is_empty());
+        assert!(segments(&ray, 8, None).is_empty());
     }
 
     #[test]
@@ -199,7 +174,8 @@ mod tests {
         let mut occ = OccupancyGrid::new(Aabb::UNIT, 8);
         occ.update_from_fn(|p| if p.x < 0.5 { 1.0 } else { 0.0 }, 0.5);
         let ray = Ray::new(Vec3::new(-1.0, 0.5, 0.5), Vec3::X);
-        let segs = sample_segments_occupancy::<StdRng>(&ray, &Aabb::UNIT, 64, &occ, None);
+        let mut segs = Vec::new();
+        sample_segments_occupancy_into::<StdRng>(&ray, &Aabb::UNIT, 64, &occ, None, &mut segs);
         assert!(!segs.is_empty());
         // All surviving samples lie in the occupied half: t in [1.0, 1.5).
         for &(t, _) in &segs {
@@ -214,16 +190,17 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_into_matches_allocating_variant_and_rng_stream() {
+    fn occupancy_culling_keeps_the_rng_stream() {
         let mut occ = OccupancyGrid::new(Aabb::UNIT, 8);
         occ.update_from_fn(|p| if p.x < 0.5 { 1.0 } else { 0.0 }, 0.5);
         let ray = Ray::new(Vec3::new(-1.0, 0.45, 0.55), Vec3::X);
         let mut rng_a = StdRng::seed_from_u64(17);
         let mut rng_b = StdRng::seed_from_u64(17);
-        let alloc = sample_segments_occupancy(&ray, &Aabb::UNIT, 32, &occ, Some(&mut rng_a));
-        let mut into = Vec::new();
-        sample_segments_occupancy_into(&ray, &Aabb::UNIT, 32, &occ, Some(&mut rng_b), &mut into);
-        assert_eq!(alloc, into);
+        let mut culled = Vec::new();
+        sample_segments_occupancy_into(&ray, &Aabb::UNIT, 32, &occ, Some(&mut rng_a), &mut culled);
+        let mut all = segments(&ray, 32, Some(&mut rng_b));
+        all.retain(|&(t, _)| occ.occupied_at(ray.at(t)));
+        assert_eq!(culled, all);
         // Culling consumed the same RNG stream as unculled sampling: the
         // next draws agree.
         assert_eq!(rng_a.gen_range(0.0f32..1.0), rng_b.gen_range(0.0f32..1.0));
@@ -233,8 +210,7 @@ mod tests {
     fn pixel_batch_returns_requested_size_and_valid_targets() {
         let cam = Camera::look_at(Vec3::new(0.0, 0.0, 2.0), Vec3::ZERO, Vec3::Y, 1.0, 8, 8);
         let img = RgbImage::from_fn(8, 8, |x, y| Vec3::new(x as f32 / 8.0, y as f32 / 8.0, 0.0));
-        let mut rng = StdRng::seed_from_u64(5);
-        let batch = sample_pixel_batch(&[cam], std::slice::from_ref(&img), 32, &mut rng);
+        let batch = pixel_batch(&[cam], std::slice::from_ref(&img), 32, 5);
         assert_eq!(batch.len(), 32);
         for tr in &batch {
             assert_eq!(tr.view, 0);
@@ -258,8 +234,7 @@ mod tests {
             })
             .collect();
         let imgs: Vec<RgbImage> = (0..4).map(|_| RgbImage::new(4, 4)).collect();
-        let mut rng = StdRng::seed_from_u64(1);
-        let batch = sample_pixel_batch(&cams, &imgs, 256, &mut rng);
+        let batch = pixel_batch(&cams, &imgs, 256, 1);
         let mut seen = [false; 4];
         for tr in &batch {
             seen[tr.view] = true;
@@ -272,7 +247,6 @@ mod tests {
     fn mismatched_camera_image_sizes_panic() {
         let cam = Camera::look_at(Vec3::new(0.0, 0.0, 2.0), Vec3::ZERO, Vec3::Y, 1.0, 8, 8);
         let img = RgbImage::new(4, 4);
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = sample_pixel_batch(&[cam], &[img], 1, &mut rng);
+        let _ = pixel_batch(&[cam], &[img], 1, 0);
     }
 }

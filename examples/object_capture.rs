@@ -9,7 +9,7 @@
 //! cargo run --release --example object_capture
 //! ```
 
-use instant3d::core::eval::render_model_view;
+use instant3d::core::render::render_view;
 use instant3d::core::{TrainConfig, Trainer};
 use instant3d::scenes::SceneLibrary;
 use rand::SeedableRng;
@@ -44,7 +44,7 @@ fn main() {
 
         // Render a novel view (not in the training set) and save it.
         let cam = dataset.test_views[0].camera;
-        let (rgb, depth) = render_model_view(trainer.model(), &cam, 64, dataset.background);
+        let (rgb, depth) = render_view(trainer.model(), &cam, 64, dataset.background, None);
         let rgb_path = format!("/tmp/instant3d_{name}_novel_view.ppm");
         let depth_path = format!("/tmp/instant3d_{name}_novel_depth.pgm");
         std::fs::write(&rgb_path, rgb.to_ppm()).expect("write ppm");
