@@ -4,7 +4,11 @@
 //! encode → heads → composite → backward, this module runs each pipeline
 //! stage once over the *whole ray batch*, on structure-of-arrays buffers
 //! owned by a [`BatchWorkspace`] that is allocated once and reused every
-//! iteration — zero steady-state allocation.
+//! iteration. A warm step allocates nothing on one worker; on more, its
+//! one pool entry ([`Trainer::step`](crate::Trainer::step) runs every
+//! stage from encode through the occupancy refresh inside one
+//! `rayon::scope`) costs two allocations, the bridge job's box and its
+//! latch's `Arc`. `tests/step_alloc.rs` pins both counts.
 //!
 //! Stage parallelism (via `rayon`) is organised so every concurrent write
 //! targets a disjoint region and every per-parameter accumulation runs in

@@ -356,7 +356,8 @@ impl Trainer {
     /// Runs one training iteration on the batched SoA engine — the hot
     /// path and the engine's only entry point. Rays are sampled into
     /// structure-of-arrays buffers, every pipeline stage runs once over
-    /// the whole batch, and the grid/MLP stages execute on the rayon pool.
+    /// the whole batch, and the grid/MLP stages execute on the rayon pool,
+    /// which a caller outside it enters once per step.
     /// Results are bit-identical to [`Trainer::step_scalar`] and
     /// independent of the worker count. Every stage's wall-clock time is
     /// charged to [`Trainer::timer`].
@@ -455,40 +456,48 @@ impl Trainer {
         let total_points = bws.num_points();
         lap(&mut self.timer, &mut last, Ps::MapRays);
 
-        // Step ③ forward, batched.
-        bws.encode(&self.model);
-        lap(&mut self.timer, &mut last, Ps::GridForward);
-        bws.heads_forward(&self.model);
-        lap(&mut self.timer, &mut last, Ps::MlpForward);
-
-        // Step ④: composite; Step ⑤: loss.
-        bws.composite_all(self.background);
-        lap(&mut self.timer, &mut last, Ps::VolumeRender);
+        // Stages ③ through the occupancy refresh are one pool entry: a
+        // caller outside the pool bridges into it once per step, and every
+        // parallel region below runs as nested joins on the worker that
+        // executes this closure. Sampling stays on the caller (its RNG
+        // need not be `Send`).
         let inv_batch = 1.0 / self.ray_scratch.len().max(1) as f32;
-        let mut total_loss = 0.0f32;
-        for (r, tr) in self.ray_scratch.iter().enumerate() {
-            let (loss, d_raw) = pixel_loss(bws.output(r).color, tr.target);
-            total_loss += loss;
-            bws.d_color[r] = d_raw * inv_batch;
-        }
-        lap(&mut self.timer, &mut last, Ps::ComputeLoss);
+        let (total_loss, occ_refresh) = rayon::scope(|_| {
+            // Step ③ forward, batched.
+            bws.encode(&self.model);
+            lap(&mut self.timer, &mut last, Ps::GridForward);
+            bws.heads_forward(&self.model);
+            lap(&mut self.timer, &mut last, Ps::MlpForward);
 
-        // Step ⑥: backward through rendering, heads and grids.
-        bws.render_backward(self.background);
-        lap(&mut self.timer, &mut last, Ps::VolumeRender);
-        bws.heads_backward(&self.model, &mut self.grads);
-        lap(&mut self.timer, &mut last, Ps::MlpBackward);
-        bws.scatter(&self.model, &mut self.grads, update_color);
+            // Step ④: composite; Step ⑤: loss.
+            bws.composite_all(self.background);
+            lap(&mut self.timer, &mut last, Ps::VolumeRender);
+            let mut total_loss = 0.0f32;
+            for (r, tr) in self.ray_scratch.iter().enumerate() {
+                let (loss, d_raw) = pixel_loss(bws.output(r).color, tr.target);
+                total_loss += loss;
+                bws.d_color[r] = d_raw * inv_batch;
+            }
+            lap(&mut self.timer, &mut last, Ps::ComputeLoss);
+
+            // Step ⑥: backward through rendering, heads and grids.
+            bws.render_backward(self.background);
+            lap(&mut self.timer, &mut last, Ps::VolumeRender);
+            bws.heads_backward(&self.model, &mut self.grads);
+            lap(&mut self.timer, &mut last, Ps::MlpBackward);
+            bws.scatter(&self.model, &mut self.grads, update_color);
+
+            // The iteration tail shared with the scalar reference step
+            // (grid scatter and grid Adam share one ③-① backward lap).
+            self.apply_grid_steps(update_density, update_color);
+            lap(&mut self.timer, &mut last, Ps::GridBackward);
+            self.apply_mlp_steps();
+            lap(&mut self.timer, &mut last, Ps::MlpBackward);
+            let occ_refresh = self.refresh_occupancy();
+            lap(&mut self.timer, &mut last, Ps::GridBackward);
+            (total_loss, occ_refresh)
+        });
         self.bws = Some(bws);
-
-        // The iteration tail shared with the scalar reference step (grid
-        // scatter and grid Adam share one ③-① backward lap).
-        self.apply_grid_steps(update_density, update_color);
-        lap(&mut self.timer, &mut last, Ps::GridBackward);
-        self.apply_mlp_steps();
-        lap(&mut self.timer, &mut last, Ps::MlpBackward);
-        let occ_refresh = self.refresh_occupancy();
-        lap(&mut self.timer, &mut last, Ps::GridBackward);
         self.timer.end_iteration();
 
         let rays = self.ray_scratch.len();
