@@ -5,12 +5,14 @@
 //! grid gradients still move; those are the defaults here.
 //!
 //! The update is written without fused multiply-adds and with real
-//! divisions in all three entry points: the sparse step and the consuming
-//! sweep share one expression tree, and the golden suites pin its bits.
+//! divisions in all three entry points. The sparse step's per-element
+//! update and the consuming sweep's branch-free lane write the same
+//! expression tree, and the golden suites pin their bits equal.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::fp16;
+use crate::kernels::consume_sweep;
 use rayon::prelude::*;
 use std::sync::atomic::Ordering;
 
@@ -153,7 +155,7 @@ impl Adam {
     }
 
     /// The per-element update of the sparse entry points at step `t`.
-    fn sparse_update(&self, t: u64, quantize_fp16: bool) -> SparseUpdate {
+    pub(crate) fn sparse_update(&self, t: u64, quantize_fp16: bool) -> SparseUpdate {
         SparseUpdate {
             lr: self.cfg.lr,
             b1: self.cfg.beta1,
@@ -175,10 +177,10 @@ impl Adam {
     /// that held a non-zero gradient. The step counter advances once, and
     /// only if some level was touched; returns whether it did.
     ///
-    /// `par_chunk = Some(len)` walks each level in `len`-element chunks on
-    /// the rayon pool (one dispatch per level); `None` stays on the calling
-    /// thread. Elements are independent, so the result does not depend on
-    /// `par_chunk` or the worker count.
+    /// Each level is walked in `chunk`-element pieces on the rayon pool
+    /// (one dispatch per level; a level of at most one piece runs on the
+    /// calling thread). Elements are independent, so the result does not
+    /// depend on `chunk` or the worker count.
     ///
     /// # Panics
     ///
@@ -190,7 +192,7 @@ impl Adam {
         grads: &mut [f32],
         cuts: &[usize],
         quantize_fp16: bool,
-        par_chunk: Option<usize>,
+        chunk: usize,
         mut level_touched: impl FnMut(usize),
     ) -> bool {
         assert_eq!(params.len(), self.m.len(), "param count mismatch");
@@ -210,27 +212,21 @@ impl Adam {
                 &mut self.v[w[0]..w[1]],
                 &mut grads[w[0]..w[1]],
             );
-            let touched = match par_chunk {
-                Some(len) => {
-                    #[expect(
-                        clippy::disallowed_types,
-                        reason = "Relaxed is enough for a set-only flag that publishes no other data: the region's join orders every store before the load"
-                    )]
-                    let flag = std::sync::atomic::AtomicBool::new(false);
-                    p.par_chunks_mut(len)
-                        .zip(m.par_chunks_mut(len))
-                        .zip(v.par_chunks_mut(len))
-                        .zip(g.par_chunks_mut(len))
-                        .for_each(|(((p, m), v), g)| {
-                            if k.consume(p, m, v, g) {
-                                flag.store(true, Ordering::Relaxed);
-                            }
-                        });
-                    flag.load(Ordering::Relaxed)
-                }
-                None => k.consume(p, m, v, g),
-            };
-            if touched {
+            #[expect(
+                clippy::disallowed_types,
+                reason = "Relaxed is enough for a set-only flag that publishes no other data: the region's join orders every store before the load"
+            )]
+            let touched = std::sync::atomic::AtomicBool::new(false);
+            p.par_chunks_mut(chunk)
+                .zip(m.par_chunks_mut(chunk))
+                .zip(v.par_chunks_mut(chunk))
+                .zip(g.par_chunks_mut(chunk))
+                .for_each(|(((p, m), v), g)| {
+                    if consume_sweep(&k, p, m, v, g) {
+                        touched.store(true, Ordering::Relaxed);
+                    }
+                });
+            if touched.load(Ordering::Relaxed) {
                 level_touched(l);
                 any = true;
             }
@@ -244,7 +240,7 @@ impl Adam {
 
 /// One step's constants for the sparse entry points.
 #[derive(Clone, Copy)]
-struct SparseUpdate {
+pub(crate) struct SparseUpdate {
     lr: f32,
     b1: f32,
     b2: f32,
@@ -258,7 +254,7 @@ impl SparseUpdate {
     /// Adam on one element. The expression tree is the pinned one: two
     /// roundings per multiply-add, real divisions, no reciprocal.
     #[inline(always)]
-    fn apply(&self, p: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
+    pub(crate) fn apply(&self, p: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
         *m = self.b1 * *m + (1.0 - self.b1) * g;
         *v = self.b2 * *v + (1.0 - self.b2) * g * g;
         let m_hat = *m / self.bias1;
@@ -269,15 +265,67 @@ impl SparseUpdate {
         }
     }
 
+    /// [`SparseUpdate::apply`] without a branch: the same expression tree
+    /// computed whatever `g` is, the parameter rounded through
+    /// [`fp16::quantize_branch_free`], and the old `p`, `m`, `v` selected
+    /// back by bit mask where `g == 0.0` (so `-0.0` is skipped and NaN is
+    /// applied). Returns the new `[p, m, v]`.
+    #[inline(always)]
+    fn lane(&self, p: f32, m: f32, v: f32, g: f32) -> [f32; 3] {
+        let m_new = self.b1 * m + (1.0 - self.b1) * g;
+        let v_new = self.b2 * v + (1.0 - self.b2) * g * g;
+        let m_hat = m_new / self.bias1;
+        let v_hat = v_new / self.bias2;
+        let stepped = p - self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let p_new = if self.quantize_fp16 {
+            fp16::quantize_branch_free(stepped)
+        } else {
+            stepped
+        };
+        // All ones where the element keeps its old value.
+        let keep = u32::from(g != 0.0).wrapping_sub(1);
+        let pick =
+            |new: f32, old: f32| f32::from_bits(new.to_bits() & !keep | old.to_bits() & keep);
+        [pick(p_new, p), pick(m_new, m), pick(v_new, v)]
+    }
+
     /// Applies and clears one chunk of gradients; true if any was non-zero.
-    fn consume(&self, p: &mut [f32], m: &mut [f32], v: &mut [f32], g: &mut [f32]) -> bool {
-        let mut any = false;
-        for (((p, m), v), g) in p.iter_mut().zip(m).zip(v).zip(g) {
-            if *g != 0.0 {
-                self.apply(p, m, v, *g);
-                any = true;
+    ///
+    /// Bit-identical to calling [`SparseUpdate::apply`] on every element
+    /// whose gradient is `!= 0.0` and then zeroing the chunk, but with no
+    /// branch on the data: eight lanes at a time through
+    /// [`SparseUpdate::lane`], whose select, exact division and exact
+    /// square root vectorise, then the `len % 8` tail through the same
+    /// expression. Every gradient is written `+0.0`, so a skipped `-0.0`
+    /// reads `+0.0` afterwards. The `simd` dispatch macro compiles this
+    /// body in an AVX2 arm too (`kernels::consume_sweep`).
+    #[inline(always)]
+    pub(crate) fn consume(
+        &self,
+        p: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &mut [f32],
+    ) -> bool {
+        const LANES: usize = 8;
+        let n = p.len();
+        let (m, v, g) = (&mut m[..n], &mut v[..n], &mut g[..n]);
+        let (p8, p_tail) = p.as_chunks_mut::<LANES>();
+        let (m8, m_tail) = m.as_chunks_mut::<LANES>();
+        let (v8, v_tail) = v.as_chunks_mut::<LANES>();
+        let (g8, g_tail) = g.as_chunks_mut::<LANES>();
+        let mut touched = [false; LANES];
+        for (((p, m), v), g) in p8.iter_mut().zip(m8).zip(v8).zip(g8) {
+            for k in 0..LANES {
+                [p[k], m[k], v[k]] = self.lane(p[k], m[k], v[k], g[k]);
+                touched[k] |= g[k] != 0.0;
             }
-            // Unconditional: a skipped `-0.0` must read `+0.0` afterwards.
+            *g = [0.0; LANES];
+        }
+        let mut any = touched.contains(&true);
+        for (((p, m), v), g) in p_tail.iter_mut().zip(m_tail).zip(v_tail).zip(g_tail) {
+            [*p, *m, *v] = self.lane(*p, *m, *v, *g);
+            any |= *g != 0.0;
             *g = 0.0;
         }
         any
@@ -389,6 +437,6 @@ mod tests {
     #[should_panic(expected = "grad count mismatch")]
     fn consuming_step_short_grads_panics() {
         let mut opt = Adam::new(AdamConfig::default(), 4);
-        opt.step_consuming(&mut [0.0; 4], &mut [1.0; 2], &[0, 4], false, None, |_| {});
+        opt.step_consuming(&mut [0.0; 4], &mut [1.0; 2], &[0, 4], false, 4, |_| {});
     }
 }

@@ -4,7 +4,8 @@
 //! arithmetic for all algorithm-related computations" (§5.1). The hash-grid
 //! feature tables in this reproduction are therefore *stored* as fp16 and
 //! widened to `f32` for arithmetic, mirroring fp16 multiply / f32 accumulate
-//! hardware. Conversion uses round-to-nearest-even, the IEEE default.
+//! hardware. Conversion uses round-to-nearest-even, the IEEE default, with
+//! one pinned exception below the subnormal range (see [`F16::from_f32`]).
 
 /// A 16-bit IEEE 754 binary16 value stored as its raw bit pattern.
 ///
@@ -35,8 +36,14 @@ impl F16 {
 
     /// Converts from `f32` with round-to-nearest-even.
     ///
-    /// Values above the fp16 range become ±infinity; subnormals are
-    /// produced for tiny magnitudes, matching IEEE semantics.
+    /// Values above the fp16 range become ±infinity, and magnitudes in
+    /// `[2^-24, 2^-14)` round to fp16 subnormals. Below that this is
+    /// **not** IEEE: every magnitude under 2^-24 becomes a signed zero,
+    /// where round-to-nearest-even takes the open interval
+    /// `(2^-25, 2^-24)` up to 2^-24. That flush is the pinned behaviour:
+    /// every stored grid table and checkpoint digest was produced through
+    /// it, so it stays, and a hardware narrowing (F16C's `vcvtps2ph`,
+    /// which rounds that interval up) cannot stand in for it.
     pub fn from_f32(value: f32) -> F16 {
         let bits = value.to_bits();
         let sign = ((bits >> 16) & 0x8000) as u16;
@@ -143,6 +150,39 @@ pub fn quantize(v: f32) -> f32 {
     F16::from_f32(v).to_f32()
 }
 
+/// [`quantize`] without a branch: the same bits for every `f32` input,
+/// written as integer and `f32` operations plus selects so that eight of
+/// them vectorise side by side in the grid optimizer's lane body.
+///
+/// On the magnitude bits `abs`: the fp16-normal range rounds the f32
+/// mantissa to ten bits, ties to even (a carry into the exponent is still
+/// the right answer); the fp16-subnormal range is `(|x| + 0.5) - 0.5` in
+/// f32, since 0.5's ulp is 2^-24, fp16's subnormal spacing; magnitudes
+/// under 2^-24 flush to zero as [`F16::from_f32`] does; a rounded
+/// magnitude of at least 2^16 (or an infinite input) is infinity; NaN
+/// becomes the quiet NaN that [`F16::to_f32`] widens to. The sign is put
+/// back last.
+#[inline(always)]
+pub(crate) fn quantize_branch_free(v: f32) -> f32 {
+    let bits = v.to_bits();
+    let sign = bits & 0x8000_0000;
+    let abs = bits & 0x7FFF_FFFF;
+    // At most 0x8000_0FFF: no overflow.
+    let normal = (abs + 0x0FFF + ((abs >> 13) & 1)) & !0x1FFF;
+    let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
+    let rounded = if abs < 0x3880_0000 { subnormal } else { normal };
+    let magnitude = if abs > 0x7F80_0000 {
+        0x7FC0_0000
+    } else if rounded >= 0x4780_0000 {
+        0x7F80_0000
+    } else if abs < 0x3380_0000 {
+        0
+    } else {
+        rounded
+    };
+    f32::from_bits(sign | magnitude)
+}
+
 /// Quantises a whole slice in place (used when flushing grid updates).
 pub fn quantize_slice(values: &mut [f32]) {
     for v in values {
@@ -240,6 +280,76 @@ mod tests {
         let expect: Vec<f32> = xs.iter().map(|&x| quantize(x)).collect();
         quantize_slice(&mut xs);
         assert_eq!(xs, expect);
+    }
+
+    #[test]
+    fn below_the_smallest_subnormal_flushes_to_zero() {
+        // IEEE round-to-nearest-even would take 1.5·2^-25 up to 2^-24
+        // (and tie 2^-25 to zero); the pinned conversion flushes the whole
+        // open interval (2^-25, 2^-24) to signed zero.
+        let min_subnormal = (2.0f32).powi(-24);
+        for (x, want) in [
+            ((2.0f32).powi(-25), 0.0),
+            (1.5 * (2.0f32).powi(-25), 0.0),
+            (f32::from_bits(min_subnormal.to_bits() - 1), 0.0),
+            (min_subnormal, min_subnormal),
+        ] {
+            for s in [1.0f32, -1.0] {
+                let q = quantize(s * x);
+                assert_eq!(q.to_bits(), (s * want).to_bits(), "{:e}", s * x);
+            }
+        }
+    }
+
+    fn assert_branch_free_matches(bits: u32) {
+        let x = f32::from_bits(bits);
+        assert_eq!(
+            quantize_branch_free(x).to_bits(),
+            quantize(x).to_bits(),
+            "input {bits:#010x}"
+        );
+    }
+
+    #[test]
+    fn branch_free_round_matches_on_every_rounding_pattern() {
+        // Every sign × f32 exponent × top ten mantissa bits (the fp16
+        // mantissa in the normal range), crossed with patterns of the
+        // thirteen bits below them: exact, sticky only, just under and at
+        // the tie, just over it, all ones. In the fp16-subnormal range the
+        // round bit sits inside the top ten, so the full sweep of those
+        // with a zero or non-zero low part covers its ties and stickies.
+        const LOW: [u32; 8] = [0, 1, 0x0800, 0x0FFF, 0x1000, 0x1001, 0x17FF, 0x1FFF];
+        for sign in [0u32, 0x8000_0000] {
+            for exp in 0..=0xFFu32 {
+                for top in 0..1u32 << 10 {
+                    for low in LOW {
+                        assert_branch_free_matches(sign | exp << 23 | top << 13 | low);
+                    }
+                }
+            }
+        }
+        for x in [0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_branch_free_matches(x.to_bits());
+        }
+        for payload in [1u32, 0x1FFF, 0x2000, 0x0040_0000, 0x007F_FFFF] {
+            assert_branch_free_matches(0x7F80_0000 | payload);
+            assert_branch_free_matches(0xFF80_0000 | payload);
+        }
+    }
+
+    /// All 2^32 inputs: tens of seconds in release, so debug builds skip
+    /// it (CI runs it with `cargo test --release -p instant3d-nerf --lib
+    /// fp16`).
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn branch_free_round_matches_on_every_f32() {
+        let mismatches = (0..=u32::MAX)
+            .filter(|&b| {
+                let x = f32::from_bits(b);
+                quantize_branch_free(x).to_bits() != quantize(x).to_bits()
+            })
+            .count();
+        assert_eq!(mismatches, 0);
     }
 
     #[test]

@@ -391,28 +391,25 @@ impl HashGrid {
     /// Bit-identical to collecting the non-zero indices, calling
     /// [`HashGrid::apply_sparse_step`] and then [`GridGradients::zero`]
     /// (pinned by `tests/optimizer_differential.rs`), at any worker count:
-    /// tables of at least `PAR_SWEEP_MIN_PARAMS` (2^20) scalars walk each
-    /// level in `SWEEP_CHUNK`-element chunks on the rayon pool, smaller
-    /// ones stay on the calling thread.
+    /// each level is walked in `SWEEP_CHUNK`-element chunks on the rayon
+    /// pool.
     ///
     /// # Panics
     ///
     /// Panics if `opt` or `grads` don't match the parameter count.
     pub fn apply_step_consuming(&mut self, opt: &mut Adam, grads: &mut GridGradients) {
-        let par_chunk = (self.params.len() >= PAR_SWEEP_MIN_PARAMS).then_some(SWEEP_CHUNK);
-        self.apply_step_consuming_chunked(opt, grads, par_chunk);
+        self.apply_step_consuming_chunked(opt, grads, SWEEP_CHUNK);
     }
 
-    /// [`HashGrid::apply_step_consuming`] with the dispatch decision as an
-    /// argument (`Some(len)`: `len`-element chunks on the pool; `None`:
-    /// calling thread), so the differential suite can drive both arms on
-    /// small grids. The result does not depend on it.
+    /// [`HashGrid::apply_step_consuming`] with the chunk length as an
+    /// argument, so the differential suite can split small grids' levels
+    /// across workers. The result does not depend on it.
     #[doc(hidden)]
     pub fn apply_step_consuming_chunked(
         &mut self,
         opt: &mut Adam,
         grads: &mut GridGradients,
-        par_chunk: Option<usize>,
+        chunk: usize,
     ) {
         debug_assert!(
             self.storage_is_fp16_exact(),
@@ -425,7 +422,7 @@ impl HashGrid {
             &mut grads.values,
             &self.param_offsets,
             self.cfg.store_fp16,
-            par_chunk,
+            chunk,
             |l| versions[l] = version,
         );
         if stepped {
@@ -1117,12 +1114,6 @@ where
         || for_each_level_slice(first_level + mid, hi, hi_cuts, task),
     );
 }
-
-/// Tables with at least this many scalars (4 MB per column) run
-/// [`HashGrid::apply_step_consuming`] on the rayon pool; below it a level
-/// is too short to repay a pool dispatch, so the same body runs on the
-/// calling thread.
-const PAR_SWEEP_MIN_PARAMS: usize = 1 << 20;
 
 /// Elements per parallel task of [`HashGrid::apply_step_consuming`]:
 /// 64 KB from each of the four columns it walks.

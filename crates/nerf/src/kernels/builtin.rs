@@ -4,6 +4,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use super::Kernels;
+use crate::adam::SparseUpdate;
 use crate::grid::{HashGrid, NullObserver};
 use crate::math::Vec3;
 use crate::mlp::{self, Linear, Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
@@ -200,6 +201,18 @@ dispatched_kernels! {
     ) -> (RenderOutput, usize) {
         composite_slices_lanes(t, dt, sigma, rgb, background, cache)
     }
+
+    /// One chunk of the hash-grid optimizer tail: [`SparseUpdate::consume`].
+    /// Not a [`Kernels`] seam — every backend's trainer runs it.
+    pub(crate) fn consume_sweep(
+        k: &SparseUpdate,
+        p: &mut [f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        g: &mut [f32],
+    ) -> bool {
+        k.consume(p, m, v, g)
+    }
 }
 
 impl Sweeps {
@@ -216,6 +229,8 @@ impl Sweeps {
 mod tests {
     use super::*;
     use crate::activation::Activation;
+    use crate::adam::{Adam, AdamConfig};
+    use crate::fp16;
     use crate::grid::HashGridConfig;
     use crate::mlp::MlpConfig;
     use rand::rngs::StdRng;
@@ -230,14 +245,17 @@ mod tests {
         Option<(&mut [f32], &mut [f32], &mut [f32])>,
     ) -> (RenderOutput, usize);
 
-    /// One arm of the six shared lane bodies — grid encode, grid scatter,
-    /// the three MLP sweeps, compositing — or the scalar reference's
-    /// stand-in for each.
+    type Consume = fn(&SparseUpdate, &mut [f32], &mut [f32], &mut [f32], &mut [f32]) -> bool;
+
+    /// One arm of the seven shared lane bodies — grid encode, grid
+    /// scatter, the three MLP sweeps, compositing, the grid optimizer
+    /// tail — or the scalar reference's stand-in for each.
     struct LaneBodies {
         encode: fn(&HashGrid, usize, &[Vec3], &mut [f32]),
         scatter: fn(&HashGrid, usize, &mut [f32], &[Vec3], &[f32]),
         sweeps: Sweeps,
         composite: Composite,
+        consume: Consume,
     }
 
     fn bits(xs: &[f32]) -> Vec<u32> {
@@ -256,6 +274,7 @@ mod tests {
                     input_grad: mlp::input_grad,
                 },
                 composite: composite_slices_lanes,
+                consume: SparseUpdate::consume,
             }
         }
 
@@ -266,14 +285,29 @@ mod tests {
                 scatter: |g, l, lg, p, d| g.scatter_level_observed(l, lg, p, d, &mut NullObserver),
                 sweeps: Sweeps::SCALAR,
                 composite: composite_slices,
+                // `Adam::step_sparse`'s per-element update on the `!= 0.0`
+                // elements, then a zeroed gradient chunk.
+                consume: |k, p, m, v, g| {
+                    let mut any = false;
+                    for i in 0..p.len() {
+                        if g[i] != 0.0 {
+                            k.apply(&mut p[i], &mut m[i], &mut v[i], g[i]);
+                            any = true;
+                        }
+                    }
+                    g.fill(0.0);
+                    any
+                },
             }
         }
 
-        /// The output bits of the MLP, grid and compositing families on
-        /// fixed inputs: lane tails in every blocked dimension, dense and
-        /// hashed levels, a scatter onto non-zero gradients, and a ray
-        /// that terminates early.
-        fn bits(&self) -> [Vec<Vec<u32>>; 3] {
+        /// The output bits of the MLP, grid, compositing and optimizer
+        /// families on fixed inputs: lane tails in every blocked
+        /// dimension, dense and hashed levels, a scatter onto non-zero
+        /// gradients, a ray that terminates early, and optimizer chunks of
+        /// every tail length holding fp16 boundary values and every kind
+        /// of zero and non-finite gradient.
+        fn bits(&self) -> [Vec<Vec<u32>>; 4] {
             let mut rng = StdRng::seed_from_u64(3);
 
             // MLP sweeps through the batch drivers. Tails in all three
@@ -354,14 +388,61 @@ mod tests {
                 composite_bits.extend([bits(&scalars), vec![active as u32], bits(&cw)]);
                 composite_bits.extend([bits(&ct), bits(&co)]);
             }
-            [mlp_bits, grid_bits, composite_bits]
+
+            // The optimizer tail: 45 elements are five lane groups and a
+            // five-element tail; the prefixes cover every tail length.
+            let specials = [
+                0.0f32,
+                -0.0,
+                f32::NAN,
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                1e-30,
+            ];
+            // The largest fp16 subnormal, the smallest normal, ±65504.
+            let min_normal = (2.0f32).powi(-14);
+            let boundaries = [
+                min_normal - (2.0f32).powi(-24),
+                min_normal,
+                65504.0,
+                -65504.0,
+            ];
+            let g0: Vec<f32> = (0..45)
+                .map(|i| match i % 9 {
+                    0..=5 => specials[i % 6],
+                    _ => rng.gen_range(-1.0..=1.0),
+                })
+                .collect();
+            let p0: Vec<f32> = (0..45)
+                .map(|i| match i % 7 {
+                    0..=3 => boundaries[i % 4],
+                    _ => fp16::quantize(rng.gen_range(-1.0..=1.0)),
+                })
+                .collect();
+            let m0: Vec<f32> = (0..45).map(|_| rng.gen_range(-0.1..=0.1)).collect();
+            let v0: Vec<f32> = (0..45).map(|_| rng.gen_range(0.0..=0.01)).collect();
+            let mut consume_bits = Vec::new();
+            for (lr, quantize) in [(0.1, true), (0.1, false), (32.0, true)] {
+                let mut opt = Adam::new(AdamConfig::for_grid(), 0);
+                opt.set_lr(lr);
+                let k = opt.sparse_update(3, quantize);
+                for n in (0..=17).chain([45]) {
+                    let (mut p, mut m) = (p0[..n].to_vec(), m0[..n].to_vec());
+                    let (mut v, mut g) = (v0[..n].to_vec(), g0[..n].to_vec());
+                    let any = (self.consume)(&k, &mut p, &mut m, &mut v, &mut g);
+                    consume_bits.extend([bits(&p), bits(&m), bits(&v), bits(&g)]);
+                    consume_bits.push(vec![u32::from(any)]);
+                }
+            }
+            [mlp_bits, grid_bits, composite_bits, consume_bits]
         }
     }
 
     /// On an AVX2 host `simd` runs only the `#[target_feature]` arms of
-    /// its six wrappers, `checked` shadows those same arms, and `scalar`
-    /// has bodies of its own, so nothing else runs the portable bodies.
-    /// All three must have the reference's bits.
+    /// its seven wrappers (every backend's trainer runs the optimizer
+    /// tail's), `checked` shadows those same arms, and `scalar` has bodies
+    /// of its own, so nothing else runs the portable bodies. All three
+    /// must have the reference's bits.
     #[test]
     fn strict_kernels_have_the_same_bits_on_both_dispatch_arms() {
         let dispatched = LaneBodies {
@@ -369,6 +450,7 @@ mod tests {
             scatter: scatter_level,
             sweeps: Sweeps::SIMD,
             composite,
+            consume: consume_sweep,
         }
         .bits();
         assert_eq!(dispatched, LaneBodies::portable().bits());

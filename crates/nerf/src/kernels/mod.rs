@@ -104,7 +104,7 @@
 //!   or `#[target_feature]` fn, private ones included. The
 //!   `#[target_feature]` fns are safe fns (target-feature 1.1), so calling
 //!   one outside a feature-enabled context is a compile error without an
-//!   `unsafe` block. All six are expansions of one dispatch macro in this
+//!   `unsafe` block. All seven are expansions of one dispatch macro in this
 //!   module, whose one `unsafe` block's `// SAFETY:` names its runtime
 //!   CPUID guard, and none enables FMA.
 //! * Determinism — `clippy::disallowed_types` (`HashMap`, `HashSet`) and
@@ -133,9 +133,11 @@
 
 /// Stamps kernel wrappers whose bodies are compiled twice: as a safe
 /// `#[target_feature(enable = "avx2")]` fn, called when the host has AVX2,
-/// and portably otherwise. AVX2 alone: with no FMA enabled an arm cannot
-/// contain a fused multiply-add whatever the compiler does, so
-/// `acc + w * x` stays two roundings on eight lanes.
+/// and portably otherwise (the six `simd` seam bodies and the grid
+/// optimizer tail, all in `builtin.rs`). AVX2 alone: with no FMA enabled
+/// an arm cannot contain a fused multiply-add whatever the compiler does,
+/// so `acc + w * x` stays two roundings on eight lanes, and without F16C
+/// it cannot narrow to fp16 in hardware either.
 ///
 /// `@detect` is the guard: each expansion runs the CPUID check once per
 /// process and caches the answer; it is always `false` off x86_64.
@@ -153,11 +155,11 @@ macro_rules! dispatched_kernels {
     }};
     (@kernel
         $(#[$doc:meta])*
-        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block
+        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block
     ) => {
         $(#[$doc])*
         #[allow(unsafe_code, reason = "calls the target-feature arm behind its runtime guard")]
-        fn $name($($arg: $ty),*) $(-> $ret)? {
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
             /// The body, compiled with AVX2 enabled.
             ///
             /// # Safety
@@ -177,14 +179,15 @@ macro_rules! dispatched_kernels {
             $body
         }
     };
-    ($($(#[$doc:meta])* fn $name:ident $args:tt $(-> $ret:ty)? $body:block)+) => {
-        $(dispatched_kernels!(@kernel $(#[$doc])* fn $name $args $(-> $ret)? $body);)+
+    ($($(#[$doc:meta])* $vis:vis fn $name:ident $args:tt $(-> $ret:ty)? $body:block)+) => {
+        $(dispatched_kernels!(@kernel $(#[$doc])* $vis fn $name $args $(-> $ret)? $body);)+
     };
 }
 
 mod builtin;
 mod checked;
 
+pub(crate) use builtin::consume_sweep;
 pub use builtin::{ScalarKernels, SimdKernels};
 pub use checked::CheckedKernels;
 

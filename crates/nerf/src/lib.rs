@@ -61,9 +61,10 @@
 
 // The only `unsafe` in this crate is the runtime-guarded call of a
 // kernel's `#[target_feature]` arm inside the one dispatch macro in
-// `kernels/mod.rs` (stamped for the six `simd` kernels in
-// `kernels/builtin.rs`) and the SSE2 lane intrinsics in `simd.rs`, each
-// opted in with an item-level `#[allow(unsafe_code, reason = ..)]`;
+// `kernels/mod.rs` (stamped for the six `simd` kernels and the grid
+// optimizer tail in `kernels/builtin.rs`) and the SSE2 lane intrinsics in
+// `simd.rs`, each opted in with an item-level
+// `#[allow(unsafe_code, reason = ..)]`;
 // anything else — a raw-pointer dispatcher, say — has to justify itself.
 #![deny(unsafe_code)]
 

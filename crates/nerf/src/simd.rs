@@ -25,8 +25,11 @@
 //!   lane type offers no fused operation.
 //! * Lane arithmetic (`+`, `-`, `*`, `min`, `max`, `floor`) is exact
 //!   per-lane IEEE 754 — identical to the corresponding `f32` operator on
-//!   that lane's value. Approximate vector math (rsqrt, rcp, vector exp)
-//!   is never used; transcendentals stay scalar per lane.
+//!   that lane's value. Division and square root may run on lanes too,
+//!   because `divps` / `sqrtps` are correctly rounded like `f32`'s `/` and
+//!   `sqrt`; their approximate forms (`rcpps`, `rsqrtps`, a
+//!   Newton-refined reciprocal) and vector exp are never used, and
+//!   transcendentals stay scalar per lane.
 //!
 //! These properties are pinned by the differential suite
 //! (`crates/nerf/tests/simd_differential.rs`) which asserts bit-equality
@@ -41,7 +44,10 @@
 //! the three blocked MLP sweeps (forward rows, parameter-gradient rows,
 //! input gradient) are each written **once**, `#[inline(always)]`, and
 //! every accumulate in them is the scalar reference's `acc + w * x`: two
-//! roundings.
+//! roundings. The hash-grid optimizer tail (`adam::SparseUpdate::consume`)
+//! is a lane body of the same kind on plain eight-element arrays: the
+//! Adam expression tree with real divisions and an exact square root on
+//! every lane, a branch-free fp16 round, and a select on `g != 0.0`.
 //!
 //! # Implementation notes
 //!

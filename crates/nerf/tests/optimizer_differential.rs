@@ -4,13 +4,15 @@
 //! `HashGrid::apply_sparse_step`, then `GridGradients::zero`.
 //!
 //! The sweep is not a `Kernels` seam (there is one body for every
-//! backend), so the axes here are its own: dispatch (the calling-thread
-//! arm, and the pool arm at chunk lengths that divide a level, do not
-//! divide it, and exceed it), worker count, fp16 storage on and off, and
-//! gradient patterns the `!= 0.0` filter and the per-level version bumps
-//! must treat exactly as the reference does. Adam's moments are private,
-//! so every case runs a **second** identical step: a moment that differed
-//! after the first would show in the second's parameters.
+//! backend), so the axes here are its own: dispatch (chunk lengths that
+//! divide a level, do not divide it, and exceed it), worker count, fp16
+//! storage on and off, gradient patterns the `!= 0.0` filter and the
+//! per-level version bumps must treat exactly as the reference does, and
+//! the edges of the eight-lane body: every tail length, fp16 boundary
+//! parameters, infinite gradients and overflowing steps, one touched lane
+//! in a group. Adam's moments are private, so every case runs a
+//! **second** identical step: a moment that differed after the first
+//! would show in the second's parameters.
 
 use instant3d_nerf::adam::{Adam, AdamConfig};
 use instant3d_nerf::fp16;
@@ -21,10 +23,11 @@ use rand::{Rng, SeedableRng};
 
 const WORKERS: [usize; 3] = [1, 4, 8];
 
-/// `None` is the calling-thread arm. The level lengths of [`grid`] are 250
-/// (dense) and 2048 (hashed) scalars: 1 and 64 divide 2048, 7 divides
-/// neither, 1 << 14 is the production chunk and longer than any level.
-const PAR_CHUNKS: [Option<usize>; 5] = [None, Some(1), Some(7), Some(64), Some(1 << 14)];
+/// The level lengths of [`grid`] are 250 (dense) and 2048 (hashed)
+/// scalars: 1 and 64 divide 2048, 7 and 9 divide neither (a chunk of 7 is
+/// all lane tail, one of 9 a lane group and a one-element tail), 1 << 14
+/// is the production chunk and longer than any level.
+const CHUNKS: [usize; 5] = [1, 7, 9, 64, 1 << 14];
 
 fn grid(levels: usize, store_fp16: bool, seed: u64) -> HashGrid {
     let cfg = HashGridConfig {
@@ -86,11 +89,12 @@ fn state(g: &HashGrid, opt: &Adam, grads: &GridGradients) -> State {
 /// gradient buffer through `fill` before each; the state after each step.
 fn two_steps(
     g0: &HashGrid,
+    cfg: AdamConfig,
     fill: &dyn Fn(&mut [f32]),
     step: &dyn Fn(&mut HashGrid, &mut Adam, &mut GridGradients),
 ) -> [State; 2] {
     let mut g = g0.clone();
-    let mut opt = Adam::new(AdamConfig::for_grid(), g.num_params());
+    let mut opt = Adam::new(cfg, g.num_params());
     let mut grads = g.zero_grads();
     [(); 2].map(|()| {
         fill(&mut grads.values);
@@ -101,18 +105,28 @@ fn two_steps(
 }
 
 /// Asserts the sweep equals the reference on `g0` under `fill`, through
-/// the public entry point and through every dispatch arm × worker count.
+/// the public entry point and through every chunk length × worker count.
 /// Returns the reference states for case-specific assertions.
 fn assert_sweep_matches_reference(
     label: &str,
     g0: &HashGrid,
     fill: &dyn Fn(&mut [f32]),
 ) -> [State; 2] {
-    let reference = two_steps(g0, fill, &reference_step);
+    assert_sweep_matches_reference_at(label, g0, AdamConfig::for_grid(), fill)
+}
+
+/// [`assert_sweep_matches_reference`] under an optimizer config of its own.
+fn assert_sweep_matches_reference_at(
+    label: &str,
+    g0: &HashGrid,
+    cfg: AdamConfig,
+    fill: &dyn Fn(&mut [f32]),
+) -> [State; 2] {
+    let reference = two_steps(g0, cfg, fill, &reference_step);
     for s in &reference {
         assert!(s.grads.iter().all(|&b| b == 0) && s.grad_count == 0);
     }
-    let public = two_steps(g0, fill, &|g, opt, grads| {
+    let public = two_steps(g0, cfg, fill, &|g, opt, grads| {
         g.apply_step_consuming(opt, grads)
     });
     assert_eq!(public, reference, "{label}: apply_step_consuming");
@@ -121,16 +135,13 @@ fn assert_sweep_matches_reference(
             .num_threads(workers)
             .build()
             .unwrap();
-        for par_chunk in PAR_CHUNKS {
+        for chunk in CHUNKS {
             let swept = pool.install(|| {
-                two_steps(g0, fill, &|g, opt, grads| {
-                    g.apply_step_consuming_chunked(opt, grads, par_chunk)
+                two_steps(g0, cfg, fill, &|g, opt, grads| {
+                    g.apply_step_consuming_chunked(opt, grads, chunk)
                 })
             });
-            assert_eq!(
-                swept, reference,
-                "{label}: t{workers} / chunk {par_chunk:?}"
-            );
+            assert_eq!(swept, reference, "{label}: t{workers} / chunk {chunk}");
         }
     }
     reference
@@ -218,6 +229,143 @@ fn untouched_level_between_two_touched_ones_keeps_its_version() {
     assert_eq!(first.level_versions[2], first.level_versions[0]);
     assert!(second.level_versions[0] > first.level_versions[0]);
     assert_eq!(second.level_versions[1], v0[1]);
+}
+
+/// A grid of `levels` levels of `len` scalars each: one-entry hashed
+/// tables of `len` features.
+fn grid_of_level_length(len: usize, levels: usize, store_fp16: bool) -> HashGrid {
+    let cfg = HashGridConfig {
+        levels,
+        features_per_entry: len,
+        log2_table_size: 0,
+        base_resolution: 4,
+        max_resolution: 32,
+        store_fp16,
+        init_scale: 0.3,
+    };
+    HashGrid::new_random(cfg, &mut StdRng::seed_from_u64(60 + len as u64))
+}
+
+#[test]
+fn every_lane_tail_length_matches_the_reference() {
+    // Levels of 1–9 scalars, then 10–23: every `len % 8` with zero, one
+    // and two full lane groups in front of it.
+    for store_fp16 in [true, false] {
+        for len in 1..=23 {
+            let g = grid_of_level_length(len, 3, store_fp16);
+            assert_eq!(level_ranges(&g).last(), Some(&(2 * len, 3 * len)));
+            let [first, _] = assert_sweep_matches_reference(
+                &format!("fp16={store_fp16} level length {len}"),
+                &g,
+                &|values| {
+                    for (i, v) in values.iter_mut().enumerate() {
+                        // Every element of the last lane tail touched,
+                        // every third elsewhere.
+                        if i % len >= len / 8 * 8 || i % 3 == 0 {
+                            *v = 0.25 - (i % 5) as f32 * 0.125;
+                        }
+                    }
+                },
+            );
+            assert_eq!(first.adam_steps, 1, "len {len}");
+        }
+    }
+}
+
+/// The largest fp16 subnormal, the smallest normal and the largest finite.
+fn fp16_edges() -> [f32; 3] {
+    let min_normal = (2.0f32).powi(-14);
+    [min_normal - (2.0f32).powi(-24), min_normal, 65504.0]
+}
+
+#[test]
+fn fp16_boundary_parameters_match_the_reference() {
+    let edges = fp16_edges();
+    for x in edges {
+        assert_eq!(fp16::quantize(x), x);
+    }
+    // Learning rates that nudge an edge to the fp16 grid points next to it
+    // (ties included), cross the subnormal/normal edge, and carry 65504 to
+    // infinity.
+    let lrs = [
+        (2.0f32).powi(-26),
+        (2.0f32).powi(-25),
+        (2.0f32).powi(-24),
+        (2.0f32).powi(-20),
+        16.0,
+        32.0,
+    ];
+    for store_fp16 in [true, false] {
+        let mut g = grid(3, store_fp16, 54);
+        for (i, p) in g.params_mut().iter_mut().enumerate() {
+            let edge = edges[i % 3];
+            *p = if i % 6 < 3 { edge } else { -edge };
+        }
+        for lr in lrs {
+            let cfg = AdamConfig {
+                lr,
+                ..AdamConfig::for_grid()
+            };
+            let [first, _] = assert_sweep_matches_reference_at(
+                &format!("fp16={store_fp16} lr={lr:e}"),
+                &g,
+                cfg,
+                &|values| {
+                    for (i, v) in values.iter_mut().enumerate() {
+                        // Both directions, and some edges left alone.
+                        *v = [1.0, -1.0, 0.0, 1e-3, -1e-3][i % 5];
+                    }
+                },
+            );
+            if store_fp16 && lr >= 32.0 {
+                // 65504 + 32 rounds to 2^16: the step overflows to ±inf.
+                let params = first.params.iter().map(|&b| f32::from_bits(b));
+                assert!(params.clone().any(|p| p == f32::INFINITY));
+                assert!(params.clone().any(|p| p == f32::NEG_INFINITY));
+            }
+        }
+    }
+}
+
+#[test]
+fn infinite_gradients_match_the_reference() {
+    for store_fp16 in [true, false] {
+        let g = grid(3, store_fp16, 55);
+        let ranges = level_ranges(&g);
+        let (pos_at, neg_at) = (ranges[1].0 + 9, ranges[2].1 - 1);
+        let [first, _] = assert_sweep_matches_reference("±inf", &g, &|values| {
+            values[pos_at] = f32::INFINITY;
+            values[neg_at] = f32::NEG_INFINITY;
+            values[pos_at + 1] = 0.5;
+        });
+        // m̂ / √v̂ is ∞ / ∞: the parameter becomes NaN, as in the reference.
+        assert!(f32::from_bits(first.params[pos_at]).is_nan());
+        assert!(f32::from_bits(first.params[neg_at]).is_nan());
+        assert_ne!(first.params[pos_at + 1], g.params()[pos_at + 1].to_bits());
+    }
+}
+
+#[test]
+fn one_touched_lane_in_a_group_matches_the_reference() {
+    for store_fp16 in [true, false] {
+        let g = grid(3, store_fp16, 56);
+        let ranges = level_ranges(&g);
+        for lane in 0..8 {
+            // One non-zero gradient in level 1's fourth lane group (lane
+            // groups count from the chunk start; under the production
+            // chunk that is the level start).
+            let at = ranges[1].0 + 3 * 8 + lane;
+            let [first, _] =
+                assert_sweep_matches_reference(&format!("lane {lane}"), &g, &|values| {
+                    values[at] = -0.75;
+                });
+            let before: Vec<u32> = g.params().iter().map(|v| v.to_bits()).collect();
+            let changed: Vec<usize> = (0..before.len())
+                .filter(|&i| first.params[i] != before[i])
+                .collect();
+            assert_eq!(changed, [at], "lane {lane}");
+        }
+    }
 }
 
 proptest! {
