@@ -15,8 +15,11 @@
 //! point order:
 //!
 //! * grid encode — point chunks, each writing its own embedding rows;
-//! * MLP forward/backward — item chunks (activations) and output-row
-//!   chunks (parameter gradients) inside `instant3d-nerf`;
+//! * MLP forward/backward — inside `instant3d-nerf`, one region per head
+//!   forward over item blocks and two per head backward: item blocks
+//!   (activation derivatives, input gradients), then parameter-gradient
+//!   tiles. The colour head's input gradient covers its `emb_c` columns
+//!   only;
 //! * grid scatter — one task per grid level, each owning that level's
 //!   slice of the gradient buffer.
 //!
@@ -73,7 +76,6 @@ pub struct BatchWorkspace {
     pub(crate) d_rgb_flat: Vec<f32>,
     pub(crate) d_emb_d: Vec<f32>,
     pub(crate) d_emb_c: Vec<f32>,
-    pub(crate) d_color_in: Vec<f32>,
     /// Per-ray `(t, δt)` segment scratch for occupancy-guided sampling
     /// (the tile renderer's `sample_segments_occupancy_into` buffer).
     /// Rides with the workspace so pooled reuse keeps its capacity.
@@ -151,7 +153,6 @@ impl BatchWorkspace {
             d_rgb_flat: Vec::new(),
             d_emb_d: Vec::new(),
             d_emb_c: Vec::new(),
-            d_color_in: Vec::new(),
             seg_scratch: Vec::new(),
             sh_dim: model.sh_dim(),
             emb_d_dim: model.density_grid().output_dim(),
@@ -329,23 +330,26 @@ impl BatchWorkspace {
     /// Stage ③-② backward, batched: backpropagates the per-sample
     /// gradients through both heads (reusing the retained forward
     /// activations — no re-forward), leaving the embedding gradients in
-    /// the workspace for [`BatchWorkspace::scatter`].
+    /// the workspace for [`BatchWorkspace::scatter`]. The colour head's
+    /// input gradient is asked for its first `emb_c` columns only, written
+    /// straight into `d_emb_c`: the SH columns have no parameters behind
+    /// them.
     pub fn heads_backward(&mut self, model: &NerfModel, grads: &mut ModelGradients) {
         let n = self.rays.num_samples();
-        // Color head backward → gradient w.r.t. [emb_c ‖ sh].
+        // Color head backward → gradient w.r.t. emb_c.
         self.d_rgb_flat.resize(n * 3, 0.0);
         for (i, g) in self.d_rgb[..n].iter().enumerate() {
             self.d_rgb_flat[i * 3] = g.x;
             self.d_rgb_flat[i * 3 + 1] = g.y;
             self.d_rgb_flat[i * 3 + 2] = g.z;
         }
-        self.d_color_in.resize(n * self.color_in_dim, 0.0);
+        self.d_emb_c.resize(n * self.emb_c_dim, 0.0);
         model.color_mlp().backward_batch_with(
             &self.backend,
             &self.d_rgb_flat,
             &mut self.ws_color,
             &mut grads.color_mlp,
-            &mut self.d_color_in,
+            &mut self.d_emb_c,
         );
         // Density head backward → gradient w.r.t. emb_d.
         self.d_emb_d.resize(n * self.emb_d_dim, 0.0);
@@ -356,13 +360,6 @@ impl BatchWorkspace {
             &mut grads.sigma_mlp,
             &mut self.d_emb_d,
         );
-        // Pack the emb_c part of the color-input gradient rows.
-        let (ec, cw) = (self.emb_c_dim, self.color_in_dim);
-        self.d_emb_c.resize(n * ec, 0.0);
-        for i in 0..n {
-            self.d_emb_c[i * ec..(i + 1) * ec]
-                .copy_from_slice(&self.d_color_in[i * cw..i * cw + ec]);
-        }
     }
 
     /// Stage ③-① backward, batched: scatters the embedding gradients into

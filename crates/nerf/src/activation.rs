@@ -70,6 +70,53 @@ impl Activation {
             *x = self.apply(*x);
         }
     }
+
+    /// Multiplies each `d[j]` by `derivative(pre[j], y[j])` — bit for bit
+    /// the reference `d *= self.derivative(x, y)`, with the match hoisted
+    /// out of the element loop and the piecewise derivatives (ReLU,
+    /// TruncExp) written as bit-mask selects of the factor, so no element
+    /// takes a data-dependent branch. The factor is still multiplied in,
+    /// `0.0` included, so an infinite or NaN `d` still yields NaN where the
+    /// derivative is zero.
+    #[inline(always)]
+    pub(crate) fn scale_by_derivative(self, d: &mut [f32], pre: &[f32], y: &[f32]) {
+        debug_assert!(d.len() == pre.len() && d.len() == y.len());
+        let rows = d.iter_mut().zip(pre).zip(y);
+        match self {
+            Activation::None => {
+                for ((d, _), _) in rows {
+                    *d *= 1.0;
+                }
+            }
+            Activation::Relu => {
+                for ((d, &x), _) in rows {
+                    *d *= select(x > 0.0, 1.0, 0.0);
+                }
+            }
+            Activation::Sigmoid => {
+                for ((d, _), &a) in rows {
+                    *d *= a * (1.0 - a);
+                }
+            }
+            Activation::TruncExp => {
+                for ((d, &x), &a) in rows {
+                    *d *= select(x.abs() >= TRUNC_EXP_BOUND, 0.0, a);
+                }
+            }
+            Activation::Softplus => {
+                for ((d, &x), _) in rows {
+                    *d *= 1.0 / (1.0 + (-x).exp());
+                }
+            }
+        }
+    }
+}
+
+/// `if c { a } else { b }` as a bit mask — a lane select, never a branch.
+#[inline(always)]
+fn select(c: bool, a: f32, b: f32) -> f32 {
+    let mask = u32::from(c).wrapping_neg();
+    f32::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
 }
 
 #[cfg(test)]

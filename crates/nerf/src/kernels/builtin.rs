@@ -7,7 +7,7 @@ use super::Kernels;
 use crate::adam::SparseUpdate;
 use crate::grid::{HashGrid, NullObserver};
 use crate::math::Vec3;
-use crate::mlp::{self, Linear, Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
+use crate::mlp::{self, Blocked, GradTile, Linear, Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
 use crate::render::{composite_slices, composite_slices_lanes, RenderOutput};
 
 /// The scalar reference backend (`"scalar"`): level-major scalar grid
@@ -81,9 +81,9 @@ impl Kernels for ScalarKernels {
 
 /// The lane-batched SIMD backend (`"simd"`, the default): the shared
 /// kernel bodies (grid encode/scatter with lane-batched corner weights and
-/// addresses, lane-batched `−σδ` compositing products, the four-wide
-/// blocked MLP sweeps), each dispatched per call to an AVX2 arm where the
-/// host has AVX2.
+/// addresses, lane-batched `−σδ` compositing products, the register-tiled
+/// MLP sweeps), each dispatched per call to an AVX2 arm where the host has
+/// AVX2.
 /// Bit-identical to [`ScalarKernels`] on either arm by the additive-order
 /// / no-FMA contract (see [`crate::simd`] and the [`super`] module docs).
 #[derive(Debug, Clone, Copy, Default)]
@@ -172,22 +172,28 @@ dispatched_kernels! {
         layer.forward_rows(wt, xc, prec, yc)
     }
 
-    /// Parameter-gradient rows: [`mlp::grad_rows`].
+    /// One parameter-gradient tile: [`mlp::grad_rows`].
     fn grad_rows(
-        x: &[f32],
-        dz: &[f32],
-        iw: usize,
-        ow: usize,
-        o0: usize,
-        gw_rows: &mut [f32],
-        gb_rows: &mut [f32],
+        layer: &Linear,
+        x: Blocked<'_>,
+        dz: Blocked<'_>,
+        tile: GradTile,
+        gw: &mut [f32],
+        gb: &mut [f32],
     ) {
-        mlp::grad_rows(x, dz, iw, ow, o0, gw_rows, gb_rows)
+        mlp::grad_rows(layer, x, dz, tile, gw, gb)
     }
 
-    /// Input gradient: [`mlp::input_grad`].
-    fn input_grad(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
-        mlp::input_grad(dnc, dzc, w, iw, ow)
+    /// Backward step through one layer: [`mlp::input_grad`].
+    fn input_grad(
+        layer: &Linear,
+        dz: &mut [f32],
+        pre: &[f32],
+        y: &[f32],
+        dn: &mut [f32],
+        k: usize,
+    ) {
+        mlp::input_grad(layer, dz, pre, y, dn, k)
     }
 
     /// One ray's compositing: [`composite_slices_lanes`].
@@ -216,7 +222,7 @@ dispatched_kernels! {
 }
 
 impl Sweeps {
-    /// The blocked MLP sweeps, each AVX2-dispatched per chunk —
+    /// The register-tiled MLP sweeps, each AVX2-dispatched per block —
     /// bit-identical to [`Sweeps::SCALAR`].
     const SIMD: Sweeps = Sweeps {
         forward_rows,
@@ -302,17 +308,18 @@ mod tests {
         }
 
         /// The output bits of the MLP, grid, compositing and optimizer
-        /// families on fixed inputs: lane tails in every blocked
-        /// dimension, dense and hashed levels, a scatter onto non-zero
+        /// families on fixed inputs: tails in every tiled dimension, dense and hashed levels, a scatter onto non-zero
         /// gradients, a ray that terminates early, and optimizer chunks of
         /// every tail length holding fp16 boundary values and every kind
         /// of zero and non-finite gradient.
         fn bits(&self) -> [Vec<Vec<u32>>; 4] {
             let mut rng = StdRng::seed_from_u64(3);
 
-            // MLP sweeps through the batch drivers. Tails in all three
-            // blocked dimensions: in_dim % 4 = 3, out_dim % 4 = 1, n % 4 = 2.
-            let (iw, ow, n) = (7, 5, 6);
+            // MLP sweeps through the batch drivers: a 13-wide layer runs an
+            // eight-wide tile and a five-wide narrow one, 7 input columns
+            // run untiled, and 37 items are a full 32-item block and a
+            // five-item tail.
+            let (iw, ow, n) = (7, 13, 37);
             let mut net = Mlp::new(
                 MlpConfig::new(iw, &[ow], ow, Activation::Relu, Activation::None),
                 &mut rng,

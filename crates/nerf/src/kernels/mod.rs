@@ -14,9 +14,9 @@
 //!   executable specification every other backend is tested against.
 //! * [`SimdKernels`] (`"simd"`, the default) — lane-batched SIMD kernels
 //!   built on the [`crate::simd`] lane types: one body per grid,
-//!   compositing and MLP seam (one blocked body per MLP sweep), run in
-//!   runtime-detected AVX2 arms where the host has AVX2 and portably
-//!   otherwise, with the same bits.
+//!   compositing and MLP seam (one register-tiled body per MLP sweep),
+//!   run in runtime-detected AVX2 arms where the host has AVX2 and
+//!   portably otherwise, with the same bits.
 //! * [`CheckedKernels`] (`"checked"`) — the shadow executor: wraps the
 //!   SIMD kernels and re-derives every output through the scalar
 //!   reference, panicking on the first diverging bit, to pin the fixed
@@ -284,7 +284,10 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
     ) -> &'w [f32];
 
     /// Batched MLP backward for the most recent forward on `ws` (the seam
-    /// behind [`Mlp::backward_batch_with`]).
+    /// behind [`Mlp::backward_batch_with`]). `d_input` is `n × k` for any
+    /// `k ≤ in_dim`, or empty: it receives the first `k` columns of each
+    /// item's input gradient, bit-identical to those columns of the
+    /// full-width result.
     fn mlp_backward_batch(
         &self,
         mlp: &Mlp,

@@ -1,20 +1,32 @@
 //! Small fully-connected networks with hand-derived backpropagation
 //! (Step ③-② of the pipeline).
 //!
-//! Instant-NGP replaces the vanilla-NeRF 10×256 MLP with tiny heads: a
-//! density MLP (embedding → 64 → 16, first output = raw density) and a color
-//! MLP (geometry features + SH(dir) → 64 → 64 → 3). These networks are small
+//! Instant-NGP replaces the vanilla-NeRF 10×256 MLP with tiny heads, and
+//! so does `instant3d_core`'s `NerfModel::new` at its default
+//! `mlp_hidden_layers = 1`: a density MLP
+//! (`emb_d → 64 → 1`, truncated-exp output = raw density) and a colour MLP
+//! (`(emb_c ‖ SH(dir)) → 64 → 3`, sigmoid RGB). These networks are small
 //! enough that a straightforward cache-friendly implementation is fast; the
 //! accelerator models them on a systolic array / multiplier-adder tree
 //! (`instant3d-accel::mlp_unit`).
 //!
 //! The batched passes run three sweeps per layer — forward rows,
-//! parameter-gradient rows, input gradient — and each is written twice
-//! here: the hand-written unblocked scalar reference, and one four-wide
-//! blocked body that the `simd` backend runs. Blocking over inputs, items
-//! or output rows never reorders the sum that forms any one output, and
-//! every accumulate is a distinct multiply then a distinct add (see
-//! [`crate::simd`]), so the blocked body has the reference's bits.
+//! parameter-gradient rows, input gradient (with the activation
+//! derivative of the gradient it consumes) — and each is written twice
+//! here: the hand-written untiled scalar reference, and one
+//! register-tiled body that the `simd` backend runs. A tile keeps up to
+//! eight eight-lane accumulators in registers across a whole input, output
+//! or item loop: lanes hold outputs, gradient columns or — on layers
+//! narrower than eight — items. Tiling never reorders the sum that forms
+//! any one output, and every accumulate is a distinct multiply then a
+//! distinct add (see [`crate::simd`]), so the tiled body has the
+//! reference's bits.
+//!
+//! The batch drivers enter the worker pool once per forward pass — each
+//! 32-item block runs through every layer while it sits in L1 — and twice
+//! per backward pass: item blocks carry the gradient down through every
+//! layer, then tiles of every layer's parameter gradient sweep the items
+//! in order.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -67,7 +79,8 @@ impl Linear {
         self.w.len() + self.b.len()
     }
 
-    /// Multiply-accumulate count of one forward evaluation.
+    /// FLOPs of one forward evaluation: `2 · in_dim · out_dim`, a multiply
+    /// and an add per weight.
     pub fn flops(&self) -> usize {
         2 * self.spec.in_dim * self.spec.out_dim
     }
@@ -88,7 +101,7 @@ impl Linear {
     }
 
     /// Writes the column-major transpose of `w` into `wt`
-    /// (`wt[i * out_dim + o] = w[o * in_dim + i]`) — the layout the blocked
+    /// (`wt[i * out_dim + o] = w[o * in_dim + i]`) — the layout the tiled
     /// forward sweep reads as contiguous output-neuron rows.
     fn fill_transposed(&self, wt: &mut Vec<f32>) {
         let (iw, ow) = (self.spec.in_dim, self.spec.out_dim);
@@ -100,7 +113,7 @@ impl Linear {
         }
     }
 
-    /// Reference forward rows for a chunk of items: one
+    /// Reference forward rows for a block of items: one
     /// [`Linear::forward_into`] per item over the row-major weights (the
     /// transposed copy is unused).
     fn forward_rows_scalar(&self, _wt: &[f32], xc: &[f32], prec: &mut [f32], yc: &mut [f32]) {
@@ -114,212 +127,504 @@ impl Linear {
         }
     }
 
-    /// Blocked forward rows for a chunk of items, over the transposed
-    /// weights `wt`: inputs are blocked four at a time so each `pre`
-    /// element is loaded/stored once per four terms, and every sweep is a
-    /// plain output-contiguous loop the compiler vectorizes. Each output
-    /// still accumulates `b[o] + Σ_i w[o,i]·x[i]` in `i`-ascending order
-    /// (the block boundary depends only on the layer shape), so it has
-    /// [`Linear::forward_into`]'s bits.
+    /// Tiled forward rows for a block of items, over the transposed
+    /// weights `wt`. Full groups of eight outputs run as register tiles of
+    /// `T` items × `G` groups (`T · G = 8` accumulators) held across the
+    /// whole input loop; the last `out_dim % 8` outputs run with one item
+    /// per lane. Each tile applies the activation as it stores. Each
+    /// output still accumulates `b[o] + Σ_i w[o,i]·x[i]` in `i`-ascending
+    /// order, so it has [`Linear::forward_into`]'s bits whatever the
+    /// tiling.
     #[inline(always)]
     pub(crate) fn forward_rows(&self, wt: &[f32], xc: &[f32], prec: &mut [f32], yc: &mut [f32]) {
         let (iw, ow) = (self.spec.in_dim, self.spec.out_dim);
         debug_assert_eq!(wt.len(), iw * ow);
-        let full = iw - iw % 4;
-        for ((x, pre), y) in xc
-            .chunks_exact(iw)
-            .zip(prec.chunks_exact_mut(ow))
-            .zip(yc.chunks_exact_mut(ow))
-        {
-            pre.copy_from_slice(&self.b);
-            let mut i = 0;
-            while i < full {
-                let (x0, x1, x2, x3) = (x[i], x[i + 1], x[i + 2], x[i + 3]);
-                let r0 = &wt[i * ow..(i + 1) * ow];
-                let r1 = &wt[(i + 1) * ow..(i + 2) * ow];
-                let r2 = &wt[(i + 2) * ow..(i + 3) * ow];
-                let r3 = &wt[(i + 3) * ow..(i + 4) * ow];
-                for ((((p, &w0), &w1), &w2), &w3) in pre.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3)
-                {
-                    let mut acc = *p + w0 * x0;
-                    acc += w1 * x1;
-                    acc += w2 * x2;
-                    acc += w3 * x3;
-                    *p = acc;
-                }
-                i += 4;
+        let m = xc.len() / iw;
+        let wide = ow - ow % 8;
+        let mut o0 = 0;
+        while o0 < wide {
+            let g = group_block((wide - o0) / 8);
+            let mut j = 0;
+            while j < m {
+                let out = (&mut *prec, &mut *yc);
+                j += match g {
+                    8 => self.forward_tile::<1, 8>(wt, xc, out, j, o0, m),
+                    4 => self.forward_tile::<2, 4>(wt, xc, out, j, o0, m),
+                    2 => self.forward_tile::<4, 2>(wt, xc, out, j, o0, m),
+                    _ => self.forward_tile::<8, 1>(wt, xc, out, j, o0, m),
+                };
             }
-            while i < iw {
+            o0 += 8 * g;
+        }
+        if wide == ow {
+            return;
+        }
+        for j in (0..m).step_by(NARROW) {
+            let items = (m - j).min(NARROW);
+            let xn = &xc[j * iw..(j + items) * iw];
+            let out = (&mut prec[j * ow..], &mut yc[j * ow..]);
+            match ow - wide {
+                1 => self.forward_narrow::<1>(wt, xn, out, wide),
+                2 => self.forward_narrow::<2>(wt, xn, out, wide),
+                3 => self.forward_narrow::<3>(wt, xn, out, wide),
+                4 => self.forward_narrow::<4>(wt, xn, out, wide),
+                5 => self.forward_narrow::<5>(wt, xn, out, wide),
+                6 => self.forward_narrow::<6>(wt, xn, out, wide),
+                _ => self.forward_narrow::<7>(wt, xn, out, wide),
+            }
+        }
+    }
+
+    /// One forward tile: outputs `o0..o0 + 8G` of items `j..j + T` (of
+    /// item `j` alone when fewer than `T` remain). Returns the items done.
+    #[inline(always)]
+    fn forward_tile<const T: usize, const G: usize>(
+        &self,
+        wt: &[f32],
+        xc: &[f32],
+        (prec, yc): (&mut [f32], &mut [f32]),
+        j: usize,
+        o0: usize,
+        m: usize,
+    ) -> usize {
+        if T > 1 && j + T > m {
+            return self.forward_tile::<1, G>(wt, xc, (prec, yc), j, o0, m);
+        }
+        let (iw, ow) = (self.spec.in_dim, self.spec.out_dim);
+        let xr: [&[f32]; T] = std::array::from_fn(|t| &xc[(j + t) * iw..(j + t + 1) * iw]);
+        let mut acc = [[[0.0f32; 8]; G]; T];
+        for tile in &mut acc {
+            for (g, a) in tile.iter_mut().enumerate() {
+                *a = lanes(&self.b[o0 + 8 * g..]);
+            }
+        }
+        for (i, wr) in (0..iw).zip(wt.chunks_exact(ow)) {
+            let wv: [[f32; 8]; G] = std::array::from_fn(|g| lanes(&wr[o0 + 8 * g..]));
+            for (tile, x) in acc.iter_mut().zip(&xr) {
                 let xi = x[i];
-                for (p, &w) in pre.iter_mut().zip(&wt[i * ow..(i + 1) * ow]) {
-                    *p += w * xi;
+                for (a, w) in tile.iter_mut().zip(&wv) {
+                    for (a, &w) in a.iter_mut().zip(w) {
+                        *a += w * xi;
+                    }
                 }
-                i += 1;
             }
-            for (y, p) in y.iter_mut().zip(pre.iter()) {
-                *y = self.spec.activation.apply(*p);
+        }
+        let act = self.spec.activation;
+        for (t, tile) in acc.iter().enumerate() {
+            let at = (j + t) * ow + o0;
+            let (pre, y) = (&mut prec[at..at + 8 * G], &mut yc[at..at + 8 * G]);
+            for ((a, p), y) in tile
+                .iter()
+                .zip(pre.chunks_exact_mut(8))
+                .zip(y.chunks_exact_mut(8))
+            {
+                p.copy_from_slice(a);
+                y.copy_from_slice(a);
+                act.apply_slice(y);
             }
+        }
+        T
+    }
+
+    /// The narrow forward tile: the `R < 8` outputs from `o0` of up to
+    /// `NARROW` items `xn`, one item per lane. The items' inputs are
+    /// transposed into lane order on the stack, `NARROW_INPUTS` inputs at
+    /// a time, so each output keeps four independent lane groups in flight
+    /// across the whole input loop. Lanes past the last item compute on
+    /// stale inputs and are never stored.
+    #[inline(always)]
+    fn forward_narrow<const R: usize>(
+        &self,
+        wt: &[f32],
+        xn: &[f32],
+        (pn, yn): (&mut [f32], &mut [f32]),
+        o0: usize,
+    ) {
+        let (iw, ow) = (self.spec.in_dim, self.spec.out_dim);
+        let mut acc: [[f32; NARROW]; R] = std::array::from_fn(|r| [self.b[o0 + r]; NARROW]);
+        let mut xt = [[0.0f32; NARROW]; NARROW_INPUTS];
+        for (i0, wts) in (0..iw)
+            .step_by(NARROW_INPUTS)
+            .zip(wt.chunks(NARROW_INPUTS * ow))
+        {
+            let span = (iw - i0).min(NARROW_INPUTS);
+            for (l, x) in xn.chunks_exact(iw).enumerate() {
+                for (t, &v) in xt.iter_mut().zip(&x[i0..i0 + span]) {
+                    t[l] = v;
+                }
+            }
+            for (x, wr) in xt.iter().zip(wts.chunks_exact(ow)) {
+                for (a, &w) in acc.iter_mut().zip(&wr[o0..o0 + R]) {
+                    for (a, &x) in a.iter_mut().zip(x) {
+                        *a += w * x;
+                    }
+                }
+            }
+        }
+        let rows = pn.chunks_exact_mut(ow).zip(yn.chunks_exact_mut(ow));
+        for (l, (pre, y)) in rows.take(xn.len() / iw).enumerate() {
+            for (p, a) in pre[o0..o0 + R].iter_mut().zip(&acc) {
+                *p = a[l];
+            }
+            let y = &mut y[o0..o0 + R];
+            y.copy_from_slice(&pre[o0..o0 + R]);
+            self.spec.activation.apply_slice(y);
         }
     }
 }
 
-/// Reference parameter-gradient rows `o0..o0 + gb_rows.len()` of one layer
-/// over every item (`x` is `n × iw`, `dz` is `n × ow`): item-outer, so each
-/// parameter accumulates in item order.
-fn grad_rows_scalar(
-    x: &[f32],
-    dz: &[f32],
-    iw: usize,
-    ow: usize,
+/// Items per lane-transposed run of the narrow forward tile: four lane
+/// groups of eight.
+const NARROW: usize = 32;
+/// Inputs transposed per step of the narrow forward tile (a 4 KB stack
+/// tile).
+const NARROW_INPUTS: usize = 32;
+
+/// Eight lanes from the front of `s`.
+#[inline(always)]
+fn lanes(s: &[f32]) -> [f32; 8] {
+    let mut a = [0.0; 8];
+    a.copy_from_slice(&s[..8]);
+    a
+}
+
+/// How many eight-lane groups the next register tile covers when
+/// `remaining` groups are left: 8, else the largest power of two that
+/// fits. A tile holds `8 / groups` items (or gradient rows), so it always
+/// keeps eight accumulators in flight.
+#[inline(always)]
+fn group_block(remaining: usize) -> usize {
+    match remaining {
+        8.. => 8,
+        4..=7 => 4,
+        2 | 3 => 2,
+        _ => 1,
+    }
+}
+
+/// The part of one layer's parameter gradient a [`GradRows`] call owns:
+/// rows `o0..o0 + rows` of the row-major weight gradient (every column,
+/// so its elements are contiguous) and the same rows of the bias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct GradTile {
     o0: usize,
-    gw_rows: &mut [f32],
-    gb_rows: &mut [f32],
+    rows: usize,
+}
+
+/// One layer's rows inside the blocked batch layout of
+/// [`MlpBatchWorkspace`]: block `b` holds `width`-float rows for items
+/// `b * BLOCK..` starting at `b * stride + offset` of `data`, and the `n`
+/// items fill every block but the last.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Blocked<'a> {
+    data: &'a [f32],
+    stride: usize,
+    offset: usize,
+    width: usize,
+    n: usize,
+}
+
+impl<'a> Blocked<'a> {
+    /// `data` as the rows of one block (at most `BLOCK` items).
+    fn one_block(data: &'a [f32], width: usize) -> Self {
+        let n = data.len() / width;
+        debug_assert!(n <= BLOCK);
+        Blocked {
+            data,
+            stride: 0,
+            offset: 0,
+            width,
+            n,
+        }
+    }
+
+    /// Blocks holding the `n` items.
+    #[inline(always)]
+    fn blocks(&self) -> usize {
+        self.n.div_ceil(BLOCK)
+    }
+
+    /// Items in block `b`.
+    #[inline(always)]
+    fn items(&self, b: usize) -> usize {
+        (self.n - b * BLOCK).min(BLOCK)
+    }
+
+    /// Block `b`'s rows.
+    #[inline(always)]
+    fn rows(&self, b: usize) -> &'a [f32] {
+        &self.data[b * self.stride + self.offset..][..self.items(b) * self.width]
+    }
+}
+
+/// Reference parameter gradients of one tile over every item (`x` holds
+/// `iw`-wide rows, `dz` `ow`-wide rows; `gw` is `rows × iw`, `gb` is
+/// `rows` long): item-outer, so each parameter accumulates in item order.
+fn grad_rows_scalar(
+    layer: &Linear,
+    x: Blocked<'_>,
+    dz: Blocked<'_>,
+    tile: GradTile,
+    gw: &mut [f32],
+    gb: &mut [f32],
 ) {
-    for (xr, dzr) in x.chunks_exact(iw).zip(dz.chunks_exact(ow)) {
-        let rows = gb_rows.iter_mut().zip(gw_rows.chunks_exact_mut(iw));
-        for (j, (gb, grow)) in rows.enumerate() {
-            let d = dzr[o0 + j];
-            *gb += d;
-            for (g, &xk) in grow.iter_mut().zip(xr) {
-                *g += d * xk;
+    let (iw, ow) = (layer.spec.in_dim, layer.spec.out_dim);
+    for b in 0..x.blocks() {
+        for (xr, dzr) in x.rows(b).chunks_exact(iw).zip(dz.rows(b).chunks_exact(ow)) {
+            let rows = gw.chunks_exact_mut(iw).zip(gb.iter_mut());
+            for ((grow, gb), &d) in rows.zip(&dzr[tile.o0..tile.o0 + tile.rows]) {
+                *gb += d;
+                for (g, &xk) in grow.iter_mut().zip(xr) {
+                    *g += d * xk;
+                }
             }
         }
     }
 }
 
-/// Blocked parameter-gradient rows (same arguments as
-/// [`grad_rows_scalar`]): items are blocked four at a time so each
-/// gradient element is loaded/stored once per four terms. The chained
-/// accumulate keeps the item-ascending order per parameter, the bias adds
-/// are plain left-associated sums, and the block boundary depends only on
-/// `n`, never on the row chunking — so it has the reference's bits at
-/// any worker count.
+/// Tiled parameter gradients (same arguments as [`grad_rows_scalar`]):
+/// full groups of eight columns run as register tiles of `R` rows × `G`
+/// groups (`R · G = 8` accumulators) held across every item of every
+/// block, the last `iw % 8` columns one element at a time. Every parameter
+/// — and every bias, summed in its own pass — still accumulates in item
+/// order, so the tile bounds never change a bit.
 #[inline(always)]
 pub(crate) fn grad_rows(
-    x: &[f32],
-    dz: &[f32],
-    iw: usize,
-    ow: usize,
-    o0: usize,
-    gw_rows: &mut [f32],
-    gb_rows: &mut [f32],
+    layer: &Linear,
+    x: Blocked<'_>,
+    dz: Blocked<'_>,
+    tile: GradTile,
+    gw: &mut [f32],
+    gb: &mut [f32],
 ) {
-    let n = x.len() / iw;
-    let rows = gb_rows.len();
-    let full = n - n % 4;
-    let mut item = 0;
-    while item < full {
-        let x0 = &x[item * iw..(item + 1) * iw];
-        let x1 = &x[(item + 1) * iw..(item + 2) * iw];
-        let x2 = &x[(item + 2) * iw..(item + 3) * iw];
-        let x3 = &x[(item + 3) * iw..(item + 4) * iw];
-        let dz0 = &dz[item * ow..(item + 1) * ow];
-        let dz1 = &dz[(item + 1) * ow..(item + 2) * ow];
-        let dz2 = &dz[(item + 2) * ow..(item + 3) * ow];
-        let dz3 = &dz[(item + 3) * ow..(item + 4) * ow];
-        for j in 0..rows {
-            let o = o0 + j;
-            let (d0, d1, d2, d3) = (dz0[o], dz1[o], dz2[o], dz3[o]);
-            gb_rows[j] = gb_rows[j] + d0 + d1 + d2 + d3;
-            let grow = &mut gw_rows[j * iw..(j + 1) * iw];
-            for ((((g, &a0), &a1), &a2), &a3) in grow.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
-                let mut acc = *g + a0 * d0;
-                acc += a1 * d1;
-                acc += a2 * d2;
-                acc += a3 * d3;
-                *g = acc;
+    let (iw, ow) = (layer.spec.in_dim, layer.spec.out_dim);
+    let (o0, rows) = (tile.o0, tile.rows);
+    for b in 0..dz.blocks() {
+        for dzr in dz.rows(b).chunks_exact(ow) {
+            for (g, &d) in gb.iter_mut().zip(&dzr[o0..o0 + rows]) {
+                *g += d;
             }
         }
-        item += 4;
     }
-    while item < n {
-        let xr = &x[item * iw..(item + 1) * iw];
-        let dzr = &dz[item * ow..(item + 1) * ow];
-        for j in 0..rows {
-            let d = dzr[o0 + j];
-            gb_rows[j] += d;
-            let grow = &mut gw_rows[j * iw..(j + 1) * iw];
-            for (g, &xk) in grow.iter_mut().zip(xr) {
-                *g += xk * d;
+    let wide = iw - iw % 8;
+    let mut c0 = 0;
+    while c0 < wide {
+        let g = group_block((wide - c0) / 8);
+        let mut r = 0;
+        while r < rows {
+            let at = (r, c0);
+            r += match g {
+                8 => grad_tile::<1, 8>(layer, x, dz, tile, at, gw),
+                4 => grad_tile::<2, 4>(layer, x, dz, tile, at, gw),
+                2 => grad_tile::<4, 2>(layer, x, dz, tile, at, gw),
+                _ => grad_tile::<8, 1>(layer, x, dz, tile, at, gw),
+            };
+        }
+        c0 += 8 * g;
+    }
+    if wide < iw {
+        for b in 0..x.blocks() {
+            for (xr, dzr) in x.rows(b).chunks_exact(iw).zip(dz.rows(b).chunks_exact(ow)) {
+                for (j, grow) in gw.chunks_exact_mut(iw).enumerate() {
+                    let d = dzr[o0 + j];
+                    for (g, &xk) in grow[wide..].iter_mut().zip(&xr[wide..]) {
+                        *g += d * xk;
+                    }
+                }
             }
         }
-        item += 1;
     }
 }
 
-/// Reference input gradient `dn = Wᵀ dz` for a chunk of items (`dnc` is
-/// `rows × iw`, `dzc` is `rows × ow`, `w` the row-major weights): each
-/// element accumulates in `o`-ascending order.
-fn input_grad_scalar(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
-    for (dn, dzr) in dnc.chunks_exact_mut(iw).zip(dzc.chunks_exact(ow)) {
-        dn.fill(0.0);
-        for (&d, wr) in dzr.iter().zip(w.chunks_exact(iw)) {
-            for (y, &wk) in dn.iter_mut().zip(wr) {
+/// One parameter-gradient tile: rows `r..r + R` (of row `r` alone when
+/// fewer than `R` remain) × columns `c0..c0 + 8G` of `gw`, over every
+/// item. Returns the rows done.
+#[inline(always)]
+fn grad_tile<const R: usize, const G: usize>(
+    layer: &Linear,
+    x: Blocked<'_>,
+    dz: Blocked<'_>,
+    tile: GradTile,
+    (r, c0): (usize, usize),
+    gw: &mut [f32],
+) -> usize {
+    if R > 1 && r + R > tile.rows {
+        return grad_tile::<1, G>(layer, x, dz, tile, (r, c0), gw);
+    }
+    let (iw, ow) = (layer.spec.in_dim, layer.spec.out_dim);
+    let mut acc = [[[0.0f32; 8]; G]; R];
+    for (rr, row) in acc.iter_mut().enumerate() {
+        for (g, a) in row.iter_mut().enumerate() {
+            *a = lanes(&gw[(r + rr) * iw + c0 + 8 * g..]);
+        }
+    }
+    let o = tile.o0 + r;
+    for b in 0..x.blocks() {
+        let (xb, db) = (x.rows(b), dz.rows(b));
+        for j in 0..x.items(b) {
+            let xr = &xb[j * iw + c0..][..8 * G];
+            let xv: [[f32; 8]; G] = std::array::from_fn(|g| lanes(&xr[8 * g..]));
+            for (row, &d) in acc.iter_mut().zip(&db[j * ow + o..][..R]) {
+                for (a, xs) in row.iter_mut().zip(&xv) {
+                    for (a, &xs) in a.iter_mut().zip(xs) {
+                        *a += d * xs;
+                    }
+                }
+            }
+        }
+    }
+    for (rr, row) in acc.iter().enumerate() {
+        for (g, a) in row.iter().enumerate() {
+            let at = (r + rr) * iw + c0 + 8 * g;
+            gw[at..at + 8].copy_from_slice(a);
+        }
+    }
+    R
+}
+
+/// Reference backward step through one layer for a block of items: scales
+/// the upstream gradient `dz` (`m × ow`, in place) by the activation
+/// derivative at (`pre`, `y`), then writes the first `k` columns of the
+/// input gradient `dn = Wᵀ dz` into `dn` (`m × k`; nothing when `k == 0`):
+/// each element accumulates in `o`-ascending order from `0.0`.
+fn input_grad_scalar(
+    layer: &Linear,
+    dz: &mut [f32],
+    pre: &[f32],
+    y: &[f32],
+    dn: &mut [f32],
+    k: usize,
+) {
+    let act = layer.spec.activation;
+    for ((d, &p), &a) in dz.iter_mut().zip(pre).zip(y) {
+        *d *= act.derivative(p, a);
+    }
+    if k == 0 {
+        return;
+    }
+    let (iw, ow) = (layer.spec.in_dim, layer.spec.out_dim);
+    for (dnr, dzr) in dn.chunks_exact_mut(k).zip(dz.chunks_exact(ow)) {
+        dnr.fill(0.0);
+        for (&d, wr) in dzr.iter().zip(layer.w.chunks_exact(iw)) {
+            for (y, &wk) in dnr.iter_mut().zip(&wr[..k]) {
                 *y += d * wk;
             }
         }
     }
 }
 
-/// Blocked input gradient (same arguments as [`input_grad_scalar`]):
-/// output rows are blocked four at a time so each `dn` element is
-/// loaded/stored once per four terms. The chained accumulate keeps the
-/// `o`-ascending term order and the block boundary depends only on `ow`,
-/// so results are chunking- and worker-count invariant and have the
-/// reference's bits.
+/// Tiled backward step through one layer (same arguments as
+/// [`input_grad_scalar`]): the derivative is the branch-free
+/// [`Activation::scale_by_derivative`], and full groups of eight input
+/// columns run as register tiles of `T` items × `G` groups held across the
+/// whole `o` loop, the last `k % 8` columns one element at a time. The
+/// `o`-ascending term order from `0.0` is kept, so it has the reference's
+/// bits whatever the tiling.
 #[inline(always)]
-pub(crate) fn input_grad(dnc: &mut [f32], dzc: &[f32], w: &[f32], iw: usize, ow: usize) {
-    let full = ow - ow % 4;
-    for (dn, dzr) in dnc.chunks_exact_mut(iw).zip(dzc.chunks_exact(ow)) {
-        dn.fill(0.0);
-        let mut o = 0;
-        while o < full {
-            let (d0, d1, d2, d3) = (dzr[o], dzr[o + 1], dzr[o + 2], dzr[o + 3]);
-            let w0 = &w[o * iw..(o + 1) * iw];
-            let w1 = &w[(o + 1) * iw..(o + 2) * iw];
-            let w2 = &w[(o + 2) * iw..(o + 3) * iw];
-            let w3 = &w[(o + 3) * iw..(o + 4) * iw];
-            for ((((y, &a0), &a1), &a2), &a3) in dn.iter_mut().zip(w0).zip(w1).zip(w2).zip(w3) {
-                let mut acc = *y + a0 * d0;
-                acc += a1 * d1;
-                acc += a2 * d2;
-                acc += a3 * d3;
-                *y = acc;
-            }
-            o += 4;
+pub(crate) fn input_grad(
+    layer: &Linear,
+    dz: &mut [f32],
+    pre: &[f32],
+    y: &[f32],
+    dn: &mut [f32],
+    k: usize,
+) {
+    layer.spec.activation.scale_by_derivative(dz, pre, y);
+    if k == 0 {
+        return;
+    }
+    let ow = layer.spec.out_dim;
+    let m = dz.len() / ow;
+    let dz: &[f32] = dz;
+    let wide = k - k % 8;
+    let mut c0 = 0;
+    while c0 < wide {
+        let g = group_block((wide - c0) / 8);
+        let mut j = 0;
+        while j < m {
+            j += match g {
+                8 => input_grad_tile::<1, 8>(layer, dz, dn, k, j, c0),
+                4 => input_grad_tile::<2, 4>(layer, dz, dn, k, j, c0),
+                2 => input_grad_tile::<4, 2>(layer, dz, dn, k, j, c0),
+                _ => input_grad_tile::<8, 1>(layer, dz, dn, k, j, c0),
+            };
         }
-        while o < ow {
-            let d = dzr[o];
-            for (y, &wk) in dn.iter_mut().zip(&w[o * iw..(o + 1) * iw]) {
-                *y += wk * d;
+        c0 += 8 * g;
+    }
+    if wide < k {
+        let iw = layer.spec.in_dim;
+        for (dnr, dzr) in dn.chunks_exact_mut(k).zip(dz.chunks_exact(ow)) {
+            dnr[wide..].fill(0.0);
+            for (&d, wr) in dzr.iter().zip(layer.w.chunks_exact(iw)) {
+                for (y, &wk) in dnr[wide..].iter_mut().zip(&wr[wide..k]) {
+                    *y += d * wk;
+                }
             }
-            o += 1;
         }
     }
 }
 
+/// One input-gradient tile: columns `c0..c0 + 8G` of items `j..j + T` (of
+/// item `j` alone when fewer than `T` remain). Returns the items done.
+#[inline(always)]
+fn input_grad_tile<const T: usize, const G: usize>(
+    layer: &Linear,
+    dz: &[f32],
+    dn: &mut [f32],
+    k: usize,
+    j: usize,
+    c0: usize,
+) -> usize {
+    let (iw, ow) = (layer.spec.in_dim, layer.spec.out_dim);
+    if T > 1 && (j + T) * ow > dz.len() {
+        return input_grad_tile::<1, G>(layer, dz, dn, k, j, c0);
+    }
+    let dzr: [&[f32]; T] = std::array::from_fn(|t| &dz[(j + t) * ow..(j + t + 1) * ow]);
+    let mut acc = [[[0.0f32; 8]; G]; T];
+    for (o, wr) in (0..ow).zip(layer.w.chunks_exact(iw)) {
+        let wv: [[f32; 8]; G] = std::array::from_fn(|g| lanes(&wr[c0 + 8 * g..]));
+        for (tile, d) in acc.iter_mut().zip(&dzr) {
+            let d = d[o];
+            for (a, w) in tile.iter_mut().zip(&wv) {
+                for (a, &w) in a.iter_mut().zip(w) {
+                    *a += d * w;
+                }
+            }
+        }
+    }
+    for (t, tile) in acc.iter().enumerate() {
+        let row = &mut dn[(j + t) * k + c0..];
+        for (g, a) in tile.iter().enumerate() {
+            row[8 * g..8 * g + 8].copy_from_slice(a);
+        }
+    }
+    T
+}
+
 /// The three sweeps a built-in backend runs inside the shared batch
 /// drivers ([`Mlp::forward_batch_impl`], [`Mlp::backward_batch_impl`]),
-/// fixed where the backend calls the driver: the drivers only chunk,
-/// they never ask which backend they serve.
+/// fixed where the backend calls the driver: the drivers only block and
+/// tile, they never ask which backend they serve.
 pub(crate) struct Sweeps {
     pub(crate) forward_rows: ForwardRows,
     pub(crate) grad_rows: GradRows,
     pub(crate) input_grad: InputGrad,
 }
 
-/// Forward rows of one layer for a chunk of items:
+/// Forward rows of one layer for a block of items:
 /// `(layer, transposed weights, x, pre, y)`.
 type ForwardRows = fn(&Linear, &[f32], &[f32], &mut [f32], &mut [f32]);
-/// Parameter gradients of a block of output rows over every item:
-/// `(x, dz, iw, ow, first row, weight-gradient rows, bias-gradient rows)`.
-type GradRows = fn(&[f32], &[f32], usize, usize, usize, &mut [f32], &mut [f32]);
-/// Input gradient `dn = Wᵀ dz` for a chunk of items:
-/// `(dn, dz, row-major weights, iw, ow)`.
-type InputGrad = fn(&mut [f32], &[f32], &[f32], usize, usize);
+/// Parameter gradients of one tile over every item of the batch:
+/// `(layer, x rows, dz rows, tile, weight-gradient tile, bias-gradient
+/// tile)`.
+type GradRows = fn(&Linear, Blocked<'_>, Blocked<'_>, GradTile, &mut [f32], &mut [f32]);
+/// Backward step through one layer for a block of items — the activation
+/// derivative in place on the upstream gradient, then the first `k`
+/// columns of `dn = Wᵀ dz`: `(layer, dz, pre, y, dn, k)`.
+type InputGrad = fn(&Linear, &mut [f32], &[f32], &[f32], &mut [f32], usize);
 
 impl Sweeps {
-    /// The hand-written unblocked rows — the executable specification.
+    /// The hand-written untiled rows — the executable specification.
     pub(crate) const SCALAR: Sweeps = Sweeps {
         forward_rows: Linear::forward_rows_scalar,
         grad_rows: grad_rows_scalar,
@@ -416,10 +721,23 @@ pub struct MlpWorkspace {
     d_next: Vec<f32>,
 }
 
-/// Reusable SoA scratch for batched forward/backward passes: row-major
-/// activations for every item of a batch, retained between the forward and
+/// Items per block of [`MlpBatchWorkspace`]'s blocked layout. A block of
+/// the default heads' activations and gradients is ~20 KB, so it stays in
+/// L1 while every layer runs over it.
+const BLOCK: usize = 32;
+
+/// Reusable SoA scratch for batched forward/backward passes: the
+/// activations of every item of a batch, retained between the forward and
 /// backward pass so the backward never re-runs the forward (the scalar
 /// training path re-forwards per point to rebuild activations).
+///
+/// The batch is stored in blocks of `BLOCK` (32) items, so one parallel
+/// task owns every layer's rows of its items. Block `b` holds, each
+/// row-major over the block's items: the input copy, then per layer its
+/// pre-activation and — for every layer but the last, whose activation is
+/// the network output `out` (`n × out_dim`) — its activation. The
+/// backward keeps every layer's `dz` in the same blocked layout,
+/// `Σ out_dim` floats per item.
 ///
 /// All buffers grow once to the high-water batch size and are reused —
 /// zero steady-state allocation.
@@ -427,17 +745,15 @@ pub struct MlpWorkspace {
 pub struct MlpBatchWorkspace {
     /// Items currently stored (set by the last `forward_batch_with`).
     n: usize,
-    /// acts[0] is the input copy (`n × in_dim`); acts[i+1] is layer i's
-    /// activated output (`n × out_dim_i`), row-major.
-    acts: Vec<Vec<f32>>,
-    /// pre[i] is layer i's pre-activation (`n × out_dim_i`), row-major.
-    pre: Vec<Vec<f32>>,
-    /// Backward scratch (`n × width` of the layer being processed).
-    d_cur: Vec<f32>,
-    d_next: Vec<f32>,
+    /// The forward blocks: input, pre-activations, hidden activations.
+    blocks: Vec<f32>,
+    /// The network output (`n × out_dim`, row-major).
+    out: Vec<f32>,
+    /// The backward's `dz` blocks, one sub-block per layer.
+    dz: Vec<f32>,
     /// Column-major (transposed) weight scratch per layer, rebuilt by each
     /// forward pass (weights change between optimizer steps). Lets the
-    /// blocked forward sweep read contiguous output-neuron rows.
+    /// tiled forward sweep read contiguous output-neuron rows.
     wt: Vec<Vec<f32>>,
 }
 
@@ -514,7 +830,8 @@ impl Mlp {
         self.layers.iter().map(Linear::num_params).sum()
     }
 
-    /// Multiply-accumulate count of one forward pass (one input point).
+    /// FLOPs of one forward pass (one input point): twice its
+    /// multiply-accumulate count.
     pub fn flops(&self) -> usize {
         self.layers.iter().map(Linear::flops).sum()
     }
@@ -573,7 +890,9 @@ impl Mlp {
     ///
     /// Accumulates parameter gradients into `grads` and writes the gradient
     /// w.r.t. the network input into `d_input` (pass an empty slice to skip).
-    /// Each layer runs the reference parameter-gradient and input-gradient
+    /// Unlike [`Mlp::backward_batch_with`], this takes only the full
+    /// `in_dim` width, never a narrower leading-column `d_input`. Each
+    /// layer runs the reference input-gradient and parameter-gradient
     /// sweeps of the batched scalar backend on a one-item batch.
     ///
     /// # Panics
@@ -601,21 +920,21 @@ impl Mlp {
         }
         ws.d_cur[..d_output.len()].copy_from_slice(d_output);
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let spec = layer.spec;
-            let (iw, ow) = (spec.in_dim, spec.out_dim);
-            let (y, pre) = (&ws.acts[i + 1], &ws.pre[i]);
-            // Backprop through activation: dz = dy * act'(pre)
-            for o in 0..ow {
-                ws.d_cur[o] *= spec.activation.derivative(pre[o], y[o]);
-            }
-            // The batched reference sweeps on a one-item batch.
-            let dz = &ws.d_cur[..ow];
+            let (iw, ow) = (layer.spec.in_dim, layer.spec.out_dim);
+            // dz = dy ⊙ act'(pre), then the previous layer's dy = Wᵀ dz
+            // (dead for the first layer when the caller passes no
+            // `d_input`).
+            let k = if i == 0 { d_input.len() } else { iw };
+            let dz = &mut ws.d_cur[..ow];
+            let (pre, y) = (&ws.pre[i], &ws.acts[i + 1]);
+            input_grad_scalar(layer, dz, pre, y, &mut ws.d_next[..k], k);
             let (gw, gb) = &mut grads.layers[i];
-            grad_rows_scalar(&ws.acts[i], dz, iw, ow, 0, gw, gb);
-            if i == 0 && d_input.is_empty() {
-                break;
-            }
-            input_grad_scalar(&mut ws.d_next[..iw], dz, &layer.w, iw, ow);
+            let tile = GradTile { o0: 0, rows: ow };
+            let (x, dz) = (
+                Blocked::one_block(&ws.acts[i], iw),
+                Blocked::one_block(dz, ow),
+            );
+            grad_rows_scalar(layer, x, dz, tile, gw, gb);
             std::mem::swap(&mut ws.d_cur, &mut ws.d_next);
         }
         if !d_input.is_empty() {
@@ -633,47 +952,64 @@ impl Mlp {
     pub fn batch_workspace(&self, capacity: usize) -> MlpBatchWorkspace {
         let mut ws = MlpBatchWorkspace {
             n: 0,
-            acts: vec![Vec::new(); self.layers.len() + 1],
-            pre: vec![Vec::new(); self.layers.len()],
-            d_cur: Vec::new(),
-            d_next: Vec::new(),
+            blocks: Vec::new(),
+            out: Vec::new(),
+            dz: Vec::new(),
             wt: vec![Vec::new(); self.layers.len()],
         };
         self.reserve_batch(&mut ws, capacity);
         ws
     }
 
-    #[expect(
-        clippy::unwrap_used,
-        reason = "`Mlp::new` asserts the spec list is non-empty"
-    )]
-    fn widest(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.spec.in_dim.max(l.spec.out_dim))
-            .max()
-            .unwrap()
-    }
-
+    /// Sizes the forward buffers for `n` items (the `dz` blocks grow in
+    /// the backward, so forward-only callers never hold them).
     fn reserve_batch(&self, ws: &mut MlpBatchWorkspace, n: usize) {
-        ws.acts[0].resize(n * self.in_dim(), 0.0);
-        for (i, l) in self.layers.iter().enumerate() {
-            ws.acts[i + 1].resize(n * l.spec.out_dim, 0.0);
-            ws.pre[i].resize(n * l.spec.out_dim, 0.0);
-        }
-        let widest = self.widest();
-        ws.d_cur.resize(n * widest, 0.0);
-        ws.d_next.resize(n * widest, 0.0);
+        ws.blocks
+            .resize(n.div_ceil(BLOCK) * BLOCK * self.block_width(), 0.0);
+        ws.out.resize(n * self.out_dim(), 0.0);
     }
 
-    /// Items per parallel chunk, or `None` when the batch is too small for
-    /// parallelism to pay off.
-    fn par_item_chunk(n: usize, work_per_item: usize) -> Option<usize> {
-        let threads = rayon::current_num_threads();
-        if threads <= 1 || n.saturating_mul(work_per_item) < (1 << 15) || n < 64 {
-            return None;
+    /// Floats per item of a forward block: the input, every
+    /// pre-activation, every hidden activation.
+    fn block_width(&self) -> usize {
+        let outs: usize = self.layers.iter().map(|l| 2 * l.spec.out_dim).sum();
+        self.in_dim() + outs - self.out_dim()
+    }
+
+    /// Floats per item of a `dz` block: every layer's output width.
+    fn dz_width(&self) -> usize {
+        self.layers.iter().map(|l| l.spec.out_dim).sum()
+    }
+
+    /// Where layer `l`'s pre-activation sub-block starts in a forward
+    /// block; its activation (hidden layers) follows it.
+    fn pre_offset(&self, l: usize) -> usize {
+        let before: usize = self.layers[..l].iter().map(|l| 2 * l.spec.out_dim).sum();
+        BLOCK * (self.in_dim() + before)
+    }
+
+    /// Where layer `l`'s input sub-block starts in a forward block: the
+    /// input copy, or the previous layer's activation.
+    fn input_offset(&self, l: usize) -> usize {
+        match l.checked_sub(1) {
+            None => 0,
+            Some(p) => self.pre_offset(p) + BLOCK * self.layers[p].spec.out_dim,
         }
-        Some(n.div_ceil(threads * 4).max(16))
+    }
+
+    /// Where layer `l`'s sub-block starts in a `dz` block.
+    fn dz_offset(&self, l: usize) -> usize {
+        BLOCK
+            * self.layers[..l]
+                .iter()
+                .map(|l| l.spec.out_dim)
+                .sum::<usize>()
+    }
+
+    /// Whether a batch of `n` items takes the pool: more than one worker,
+    /// more than one block, and at least 2^15 forward FLOPs.
+    fn parallel(&self, n: usize) -> bool {
+        rayon::current_num_threads() > 1 && n > BLOCK && n * self.flops() >= 1 << 15
     }
 
     /// Batched forward pass over `n = inputs.len() / in_dim` row-major
@@ -698,47 +1034,77 @@ impl Mlp {
         backend.mlp_forward_batch(self, inputs, ws)
     }
 
-    /// The one batched forward driver of the built-in backends: it
-    /// chunks items over the pool and hands each chunk to
-    /// `sweeps.forward_rows`, with per-layer transposed weights rebuilt
-    /// each call (weights change between optimizer steps).
-    #[expect(
-        clippy::unwrap_used,
-        reason = "`acts` holds `layers + 1` buffers and `Mlp::new` asserts at least one layer"
-    )]
+    /// The one batched forward driver of the built-in backends: one
+    /// parallel region over item blocks, each block running every layer's
+    /// `sweeps.forward_rows` back to back while its rows sit in L1. The
+    /// per-layer transposed weights are rebuilt each call (weights change
+    /// between optimizer steps).
     pub(crate) fn forward_batch_impl<'w>(
         &self,
         sweeps: &Sweeps,
         inputs: &[f32],
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        let iw = self.in_dim();
+        let (iw, ow) = (self.in_dim(), self.out_dim());
         assert_eq!(inputs.len() % iw, 0, "input batch width mismatch");
         let n = inputs.len() / iw;
         ws.n = n;
         self.reserve_batch(ws, n);
-        ws.acts[0][..n * iw].copy_from_slice(inputs);
-        for (i, layer) in self.layers.iter().enumerate() {
-            let spec = layer.spec;
-            layer.fill_transposed(&mut ws.wt[i]);
-            let wt: &[f32] = &ws.wt[i];
-            let (head, tail) = ws.acts.split_at_mut(i + 1);
-            let x = &head[i][..n * spec.in_dim];
-            let y = &mut tail[0][..n * spec.out_dim];
-            let pre = &mut ws.pre[i][..n * spec.out_dim];
-            match Self::par_item_chunk(n, layer.flops()) {
-                Some(chunk) => {
-                    y.par_chunks_mut(chunk * spec.out_dim)
-                        .zip(pre.par_chunks_mut(chunk * spec.out_dim))
-                        .zip(x.par_chunks(chunk * spec.in_dim))
-                        .for_each(|((yc, prec), xc)| {
-                            (sweeps.forward_rows)(layer, wt, xc, prec, yc)
-                        });
+        for (layer, wt) in self.layers.iter().zip(&mut ws.wt) {
+            layer.fill_transposed(wt);
+        }
+        let MlpBatchWorkspace {
+            blocks, out, wt, ..
+        } = ws;
+        let out = &mut out[..n * ow];
+        if self.parallel(n) {
+            blocks
+                .par_chunks_mut(BLOCK * self.block_width())
+                .zip(out.par_chunks_mut(BLOCK * ow))
+                .zip(inputs.par_chunks(BLOCK * iw))
+                .for_each(|((blk, yc), xc)| self.forward_blocks(sweeps, wt, blk, yc, xc));
+        } else {
+            self.forward_blocks(sweeps, wt, blocks, out, inputs);
+        }
+        out
+    }
+
+    /// Runs every layer over each block of a run of forward blocks
+    /// (`blocks`, with its items' `inputs` and output rows `out`).
+    fn forward_blocks(
+        &self,
+        sweeps: &Sweeps,
+        wt: &[Vec<f32>],
+        blocks: &mut [f32],
+        out: &mut [f32],
+        inputs: &[f32],
+    ) {
+        let (iw, ow) = (self.in_dim(), self.out_dim());
+        let last = self.layers.len() - 1;
+        for ((blk, yc), xc) in blocks
+            .chunks_mut(BLOCK * self.block_width())
+            .zip(out.chunks_mut(BLOCK * ow))
+            .zip(inputs.chunks(BLOCK * iw))
+        {
+            let m = xc.len() / iw;
+            let (x0, mut rest) = blk.split_at_mut(BLOCK * iw);
+            x0[..m * iw].copy_from_slice(xc);
+            let mut x: &[f32] = &x0[..m * iw];
+            for (l, (layer, wt)) in self.layers.iter().zip(wt).enumerate() {
+                let lw = layer.spec.out_dim;
+                let (pre, tail) = std::mem::take(&mut rest).split_at_mut(BLOCK * lw);
+                let pre = &mut pre[..m * lw];
+                if l == last {
+                    (sweeps.forward_rows)(layer, wt, x, pre, yc);
+                } else {
+                    let (y, tail) = tail.split_at_mut(BLOCK * lw);
+                    let y = &mut y[..m * lw];
+                    (sweeps.forward_rows)(layer, wt, x, pre, y);
+                    x = y;
+                    rest = tail;
                 }
-                None => (sweeps.forward_rows)(layer, wt, x, pre, y),
             }
         }
-        &ws.acts.last().unwrap()[..n * self.out_dim()]
     }
 
     /// Batched backward pass for the most recent
@@ -746,13 +1112,16 @@ impl Mlp {
     /// row-major), through an explicit kernel backend ([`crate::kernels`]).
     ///
     /// Accumulates parameter gradients into `grads` (per-parameter
-    /// accumulation runs in item order) and writes the input gradients
-    /// into `d_input` (`n × in_dim`; pass an empty slice to skip).
-    /// Parallelism: items for the activation/input-gradient sweeps, output
-    /// *rows* for the parameter-gradient sweep — every write is disjoint,
-    /// so results do not depend on the worker count. Every backend
-    /// produces gradients bit-identical to the scalar backend (and to `n`
-    /// scalar [`Mlp::backward`] calls).
+    /// accumulation runs in item order) and writes the first `k` columns
+    /// of each item's input gradient into `d_input` (`n × k` for any
+    /// `k ≤ in_dim`; pass an empty slice to skip). Each column's sum is
+    /// independent of the others, so a narrow `d_input` holds exactly the
+    /// first `k` columns of the full-width result. Parallelism: item
+    /// blocks for the activation-derivative / input-gradient sweeps,
+    /// disjoint parameter tiles for the parameter-gradient sweep — every
+    /// write is disjoint, so results do not depend on the worker count.
+    /// Every backend produces gradients bit-identical to the scalar
+    /// backend (and to `n` scalar [`Mlp::backward`] calls).
     ///
     /// # Panics
     ///
@@ -768,11 +1137,14 @@ impl Mlp {
         backend.mlp_backward_batch(self, d_output, ws, grads, d_input);
     }
 
-    /// The one batched backward driver of the built-in backends: the
-    /// activation derivative runs here, the parameter gradients go to
-    /// `sweeps.grad_rows` (parallel over disjoint output rows) and the
-    /// input gradients to `sweeps.input_grad` (parallel over items).
-    /// Accumulation per parameter stays in item order on every sweep set.
+    /// The one batched backward driver of the built-in backends, in two
+    /// parallel regions. The first runs over item blocks: each block
+    /// carries the gradient from `d_output` down through every layer's
+    /// `sweeps.input_grad` (activation derivative, then `Wᵀ dz`), keeping
+    /// each layer's `dz`. The second runs over tiles of every layer's
+    /// parameter gradient, each tile sweeping `sweeps.grad_rows` over the
+    /// blocks in item order, so per-parameter accumulation stays in item
+    /// order on every sweep set and tiling.
     pub(crate) fn backward_batch_impl(
         &self,
         sweeps: &Sweeps,
@@ -782,94 +1154,104 @@ impl Mlp {
         d_input: &mut [f32],
     ) {
         let n = ws.n;
-        let ow_last = self.out_dim();
-        assert_eq!(
-            d_output.len(),
-            n * ow_last,
-            "output gradient batch mismatch"
+        let ow = self.out_dim();
+        assert_eq!(d_output.len(), n * ow, "output gradient batch mismatch");
+        let k = d_input.len().checked_div(n).unwrap_or(0);
+        assert!(
+            d_input.len() == n * k && k <= self.in_dim(),
+            "input gradient batch mismatch"
         );
-        if !d_input.is_empty() {
-            assert_eq!(
-                d_input.len(),
-                n * self.in_dim(),
-                "input gradient batch mismatch"
-            );
-        }
         let MlpBatchWorkspace {
-            acts,
-            pre,
-            d_cur,
-            d_next,
-            ..
+            blocks, out, dz, ..
         } = ws;
-        d_cur[..n * ow_last].copy_from_slice(d_output);
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let spec = layer.spec;
-            let (ow, iw) = (spec.out_dim, spec.in_dim);
-            let x = &acts[i][..n * iw];
-            let y = &acts[i + 1][..n * ow];
-            let pre_l = &pre[i][..n * ow];
-            // dz = dy ⊙ act'(pre), in place over the n×ow prefix.
-            match Self::par_item_chunk(n, ow) {
-                Some(chunk) => {
-                    d_cur[..n * ow]
-                        .par_chunks_mut(chunk * ow)
-                        .zip(pre_l.par_chunks(chunk * ow))
-                        .zip(y.par_chunks(chunk * ow))
-                        .for_each(|((dc, prec), yc)| {
-                            for ((d, p), a) in dc.iter_mut().zip(prec).zip(yc) {
-                                *d *= spec.activation.derivative(*p, *a);
-                            }
-                        });
-                }
-                None => {
-                    for ((d, p), a) in d_cur[..n * ow].iter_mut().zip(pre_l).zip(y) {
-                        *d *= spec.activation.derivative(*p, *a);
-                    }
-                }
-            }
-            let dz = &d_cur[..n * ow];
-            // Parameter gradients, parallel over disjoint output rows;
-            // each row block sweeps every item, so per-parameter
-            // accumulation stays in item order whatever the row chunking.
-            let (gw, gb) = &mut grads.layers[i];
-            let row_chunk = if Self::par_item_chunk(n, iw * ow).is_some() {
-                ow.div_ceil(rayon::current_num_threads().max(1) * 2).max(1)
+        let dw = BLOCK * self.dz_width();
+        dz.resize(n.div_ceil(BLOCK) * dw, 0.0);
+        let (blocks, out) = (&blocks[..], &out[..n * ow]);
+        let parallel = self.parallel(n);
+        if parallel {
+            let runs = dz
+                .par_chunks_mut(dw)
+                .zip(blocks.par_chunks(BLOCK * self.block_width()))
+                .zip(out.par_chunks(BLOCK * ow))
+                .zip(d_output.par_chunks(BLOCK * ow));
+            if k == 0 {
+                runs.for_each(|(((dzb, blk), yc), dyc)| {
+                    self.backward_blocks(sweeps, dzb, blk, yc, dyc, &mut [])
+                });
             } else {
-                ow
-            };
-            if row_chunk >= ow {
-                (sweeps.grad_rows)(x, dz, iw, ow, 0, gw, gb);
-            } else {
-                gw.par_chunks_mut(row_chunk * iw)
-                    .zip(gb.par_chunks_mut(row_chunk))
-                    .enumerate()
-                    .for_each(|(t, (gwc, gbc))| {
-                        (sweeps.grad_rows)(x, dz, iw, ow, t * row_chunk, gwc, gbc)
-                    });
+                runs.zip(d_input.par_chunks_mut(BLOCK * k)).for_each(
+                    |((((dzb, blk), yc), dyc), dic)| {
+                        self.backward_blocks(sweeps, dzb, blk, yc, dyc, dic)
+                    },
+                );
             }
-            // Input gradient d_next = Wᵀ dz, parallel over items. The
-            // first layer's input gradient is dead when the caller passes
-            // an empty `d_input` — skip it entirely.
-            if i == 0 && d_input.is_empty() {
-                break;
-            }
-            let w_flat = &layer.w;
-            match Self::par_item_chunk(n, iw * ow) {
-                Some(chunk) => {
-                    d_next[..n * iw]
-                        .par_chunks_mut(chunk * iw)
-                        .zip(dz.par_chunks(chunk * ow))
-                        .for_each(|(dnc, dzc)| (sweeps.input_grad)(dnc, dzc, w_flat, iw, ow));
-                }
-                None => (sweeps.input_grad)(&mut d_next[..n * iw], dz, w_flat, iw, ow),
-            }
-            std::mem::swap(d_cur, d_next);
+        } else {
+            self.backward_blocks(sweeps, dz, blocks, out, d_output, d_input);
         }
-        if !d_input.is_empty() {
-            d_input.copy_from_slice(&d_cur[..n * self.in_dim()]);
+        let pass = GradPass {
+            mlp: self,
+            sweeps,
+            blocks,
+            dz,
+            n,
+        };
+        if parallel {
+            pass.layers(0, &mut grads.layers);
+        } else {
+            for (l, (gw, gb)) in grads.layers.iter_mut().enumerate() {
+                let rows = self.layers[l].spec.out_dim;
+                pass.tile(l, GradTile { o0: 0, rows }, gw, gb);
+            }
         }
         grads.count += n;
+    }
+
+    /// Carries the output gradient of each block of a run (`dz` blocks,
+    /// forward `blocks`, output rows `out`, `d_output` rows, `d_input`
+    /// rows of `k` columns) down through every layer.
+    fn backward_blocks(
+        &self,
+        sweeps: &Sweeps,
+        dz: &mut [f32],
+        blocks: &[f32],
+        out: &[f32],
+        d_output: &[f32],
+        d_input: &mut [f32],
+    ) {
+        let ow = self.out_dim();
+        let items = d_output.len() / ow;
+        let k = d_input.len().checked_div(items).unwrap_or(0);
+        let mut d_input = d_input.chunks_mut(BLOCK * k.max(1));
+        let last = self.layers.len() - 1;
+        for (((dzb, blk), yc), dyc) in dz
+            .chunks_mut(BLOCK * self.dz_width())
+            .zip(blocks.chunks(BLOCK * self.block_width()))
+            .zip(out.chunks(BLOCK * ow))
+            .zip(d_output.chunks(BLOCK * ow))
+        {
+            let m = dyc.len() / ow;
+            let dic = d_input.next().unwrap_or_default();
+            for (l, layer) in self.layers.iter().enumerate().rev() {
+                let lw = layer.spec.out_dim;
+                let (below, cur) = dzb.split_at_mut(self.dz_offset(l));
+                let cur = &mut cur[..m * lw];
+                let pre = &blk[self.pre_offset(l)..][..m * lw];
+                let y = if l == last {
+                    cur.copy_from_slice(dyc);
+                    yc
+                } else {
+                    &blk[self.pre_offset(l) + BLOCK * lw..][..m * lw]
+                };
+                match l.checked_sub(1) {
+                    Some(p) => {
+                        let pw = self.layers[p].spec.out_dim;
+                        let dn = &mut below[self.dz_offset(p)..][..m * pw];
+                        (sweeps.input_grad)(layer, cur, pre, y, dn, pw);
+                    }
+                    None => (sweeps.input_grad)(layer, cur, pre, y, dic, k),
+                }
+            }
+        }
     }
 
     /// Visits all parameters as `(params, grads)` slice pairs, in a fixed
@@ -883,6 +1265,114 @@ impl Mlp {
             f(&mut layer.w, gw);
             f(&mut layer.b, gb);
         }
+    }
+}
+
+/// The read-only state of the parameter-gradient region: the forward and
+/// `dz` blocks of an `n`-item batch, and the sweep to tile them with.
+struct GradPass<'a> {
+    mlp: &'a Mlp,
+    sweeps: &'a Sweeps,
+    blocks: &'a [f32],
+    dz: &'a [f32],
+    n: usize,
+}
+
+/// How one layer's parameter gradient splits into tiles: `count` row
+/// blocks of `rows` rows (the last may be shorter).
+#[derive(Debug, Clone, Copy)]
+struct Tiling {
+    rows: usize,
+    count: usize,
+}
+
+impl Tiling {
+    /// Tile `t`, and where its weight- and bias-gradient elements start.
+    fn tile(&self, t: usize, spec: LayerSpec) -> (GradTile, usize, usize) {
+        let o0 = t * self.rows;
+        let tile = GradTile {
+            o0,
+            rows: self.rows.min(spec.out_dim - o0),
+        };
+        (tile, o0 * spec.in_dim, o0)
+    }
+}
+
+impl GradPass<'_> {
+    /// Splits a layer's parameter gradient into row blocks, about four per
+    /// worker across the whole network in proportion to the layer's share
+    /// of the work, and at least one.
+    fn tiling(&self, spec: LayerSpec) -> Tiling {
+        let (iw, ow) = (spec.in_dim, spec.out_dim);
+        let total: usize = self.mlp.flops() / 2;
+        let target = (rayon::current_num_threads() * 4 * iw * ow)
+            .div_ceil(total)
+            .clamp(1, ow);
+        let rows = ow.div_ceil(target);
+        Tiling {
+            rows,
+            count: ow.div_ceil(rows),
+        }
+    }
+
+    /// Every tile of the layers `first..` whose gradients are `grads`, as
+    /// one fork-join tree.
+    fn layers(&self, first: usize, grads: &mut [(Vec<f32>, Vec<f32>)]) {
+        if let [(gw, gb)] = grads {
+            let spec = self.mlp.layers[first].spec;
+            let tiling = self.tiling(spec);
+            self.tiles(first, tiling, 0..tiling.count, gw, gb);
+            return;
+        }
+        let mid = grads.len() / 2;
+        let (a, b) = grads.split_at_mut(mid);
+        rayon::join(|| self.layers(first, a), || self.layers(first + mid, b));
+    }
+
+    /// Tiles `ts` of layer `l`, which own `gw` and `gb`.
+    fn tiles(
+        &self,
+        l: usize,
+        tiling: Tiling,
+        ts: std::ops::Range<usize>,
+        gw: &mut [f32],
+        gb: &mut [f32],
+    ) {
+        let spec = self.mlp.layers[l].spec;
+        if ts.len() == 1 {
+            let (tile, _, _) = tiling.tile(ts.start, spec);
+            return self.tile(l, tile, gw, gb);
+        }
+        let mid = ts.start + ts.len() / 2;
+        let (_, w0, b0) = tiling.tile(ts.start, spec);
+        let (_, w1, b1) = tiling.tile(mid, spec);
+        let (gwa, gwb) = gw.split_at_mut(w1 - w0);
+        let (gba, gbb) = gb.split_at_mut(b1 - b0);
+        rayon::join(
+            || self.tiles(l, tiling, ts.start..mid, gwa, gba),
+            || self.tiles(l, tiling, mid..ts.end, gwb, gbb),
+        );
+    }
+
+    /// One tile of layer `l`: `sweeps.grad_rows` over every block.
+    fn tile(&self, l: usize, tile: GradTile, gw: &mut [f32], gb: &mut [f32]) {
+        let mlp = self.mlp;
+        let spec = mlp.layers[l].spec;
+        let x = Blocked {
+            data: self.blocks,
+            stride: BLOCK * mlp.block_width(),
+            offset: mlp.input_offset(l),
+            width: spec.in_dim,
+            n: self.n,
+        };
+        let dz = Blocked {
+            data: self.dz,
+            stride: BLOCK * mlp.dz_width(),
+            offset: mlp.dz_offset(l),
+            width: spec.out_dim,
+            n: self.n,
+        };
+        (self.sweeps.grad_rows)(&mlp.layers[l], x, dz, tile, gw, gb);
     }
 }
 

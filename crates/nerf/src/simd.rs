@@ -41,10 +41,10 @@
 //! # One lane body per seam
 //!
 //! The lane-batched grid encode, grid scatter and compositing bodies and
-//! the three blocked MLP sweeps (forward rows, parameter-gradient rows,
-//! input gradient) are each written **once**, `#[inline(always)]`, and
-//! every accumulate in them is the scalar reference's `acc + w * x`: two
-//! roundings. The hash-grid optimizer tail (`adam::SparseUpdate::consume`)
+//! the three register-tiled MLP sweeps (forward rows, parameter-gradient
+//! rows, input gradient) are each written **once**, `#[inline(always)]`,
+//! and every accumulate in them is the scalar reference's `acc + w * x`:
+//! two roundings. The hash-grid optimizer tail (`adam::SparseUpdate::consume`)
 //! is a lane body of the same kind on plain eight-element arrays: the
 //! Adam expression tree with real divisions and an exact square root on
 //! every lane, a branch-free fp16 round, and a select on `g != 0.0`.

@@ -6,15 +6,17 @@
 //! (`instant3d_nerf::kernels::registered()` — scalar, simd, checked; a
 //! backend cannot join that list without entering this harness) over batch
 //! sizes that exercise the remainder tails (`N % 8 != 0` for the lane
-//! kernels, `N % 4 != 0` for the blocked MLP sweeps), the empty batch,
-//! single points, lane-exact batches and multi-chunk batches — plus
-//! adversarial table contents: fp16-quantized features including
-//! subnormals and signed zeros, and tiny hash tables that force
-//! lane-internal address collisions. Equality is asserted on
-//! raw bits (`assert_eq!` on `f32` is bitwise up to `0.0 == -0.0`; sign
-//! checks cover the zero cases explicitly where they matter).
+//! kernels; item tails of the MLP's register tiles and 32-item blocks),
+//! the empty batch, single points, lane-exact batches and multi-chunk
+//! batches — plus adversarial table contents: fp16-quantized features
+//! including subnormals and signed zeros, and tiny hash tables that force
+//! lane-internal address collisions — and MLP shapes across the narrow
+//! and eight-wide tiles, every activation's derivative on edge values and
+//! the column-cut input gradient. Equality is asserted on raw bits
+//! (`assert_eq!` on `f32` is bitwise up to `0.0 == -0.0`; sign checks
+//! cover the zero cases explicitly where they matter).
 
-use instant3d_nerf::activation::Activation;
+use instant3d_nerf::activation::{Activation, TRUNC_EXP_BOUND};
 use instant3d_nerf::adam::{Adam, AdamConfig};
 use instant3d_nerf::fp16;
 use instant3d_nerf::grid::{HashGrid, HashGridConfig};
@@ -28,8 +30,8 @@ use rand::{Rng, SeedableRng};
 
 /// Batch sizes that cover N=0, N=1, sub-lane, lane-exact, lane+tail and
 /// multi-chunk (the parallel dispatch chunks at 256) shapes, with every
-/// `N % 4` (the MLP sweeps' item block) on both sides of the MLP's
-/// parallel cutoff.
+/// `N % 4` (the MLP tiles' item counts divide 8) on both sides of the
+/// MLP's parallel cutoff.
 const BATCH_SIZES: [usize; 12] = [0, 1, 3, 6, 7, 8, 9, 15, 64, 257, 258, 300];
 
 fn grid(cfg: HashGridConfig, seed: u64) -> HashGrid {
@@ -244,8 +246,9 @@ fn grid_quantize_storage_with_subnormal_features_is_stable() {
 
 #[test]
 fn mlp_forward_backends_bit_equal_scalar_across_widths_and_batches() {
-    // The forward sweep blocks inputs four wide: layer input widths
-    // cover in_dim % 4 ∈ {0, 1, 2, 3} (64/16/8, 13, 6, 11/7).
+    // Layer input widths cover in_dim % 4 ∈ {0, 1, 2, 3} (64/16/8, 13, 6,
+    // 11/7); output widths the eight-wide tile alone (64), the narrow one
+    // alone (1, 3, 5, 2) and both (13).
     for (hidden, out_dim) in [
         (vec![64usize], 64usize),
         (vec![16], 1),
@@ -277,8 +280,8 @@ fn mlp_forward_backends_bit_equal_scalar_across_widths_and_batches() {
 
 #[test]
 fn mlp_backward_backends_bit_equal_scalar() {
-    // The input-gradient sweep blocks output rows four wide: layer output
-    // widths cover out_dim % 4 ∈ {0, 1, 2, 3} (64, 13, 6, 3).
+    // Layer output widths cover out_dim % 4 ∈ {0, 1, 2, 3} (64, 13, 6, 3);
+    // input-gradient widths 10, 64, 13 and 6 cover every column tile.
     for hidden in [&[64usize][..], &[13, 6]] {
         let mut rng = StdRng::seed_from_u64(23);
         let mlp = Mlp::new(
@@ -311,6 +314,289 @@ fn mlp_backward_backends_bit_equal_scalar() {
                     assert_eq!(bits(ba), bits(bb), "{backend} layer {li} bias grads n={n}");
                 }
                 assert_eq!(bits(&da), bits(&db), "{backend} input grads n={n}");
+            }
+        }
+    }
+}
+
+/// Every activation, in the order the edge-case tests walk them.
+const ACTIVATIONS: [Activation; 5] = [
+    Activation::None,
+    Activation::Relu,
+    Activation::Sigmoid,
+    Activation::TruncExp,
+    Activation::Softplus,
+];
+
+/// One forward + backward of `mlp` through `backend` on a pool of
+/// `workers` workers, asking for `k` input-gradient columns: the output,
+/// every parameter gradient, the input gradient and the sample count, as
+/// bits.
+fn mlp_pass(
+    mlp: &Mlp,
+    backend: &BackendHandle,
+    workers: usize,
+    inputs: &[f32],
+    d_out: &[f32],
+    k: usize,
+) -> Vec<Vec<u32>> {
+    let n = inputs.len() / mlp.in_dim();
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(workers)
+        .build()
+        .unwrap();
+    pool.install(|| {
+        let mut ws = mlp.batch_workspace(n);
+        let mut out = vec![bits(mlp.forward_batch_with(backend, inputs, &mut ws))];
+        let mut grads = mlp.zero_grads();
+        let mut d_in = vec![0.0f32; n * k];
+        mlp.backward_batch_with(backend, d_out, &mut ws, &mut grads, &mut d_in);
+        for (gw, gb) in &grads.layers {
+            out.extend([bits(gw), bits(gb)]);
+        }
+        out.extend([bits(&d_in), vec![grads.count as u32]]);
+        out
+    })
+}
+
+/// Asserts every registered backend matches the scalar reference on `mlp`
+/// at each worker count, bit for bit — except that with `one_nan` every
+/// NaN counts as one value. Sign and payload of a NaN are not part of the
+/// contract: when two NaNs meet in one add or multiply, which operand's
+/// survives is the compiler's choice (it may commute either operation),
+/// in the reference bodies as in the tiled ones, and a negation (as in
+/// `Sigmoid`'s `exp(-x)`) flips a NaN's sign.
+fn assert_mlp_backends_match(
+    mlp: &Mlp,
+    (inputs, d_out, k): (&[f32], &[f32], usize),
+    workers: &[usize],
+    one_nan: bool,
+    what: &str,
+) {
+    let canon = |pass: Vec<Vec<u32>>| -> Vec<Vec<u32>> {
+        let nan = |b: u32| one_nan && f32::from_bits(b).is_nan();
+        pass.into_iter()
+            .map(|v| {
+                v.into_iter()
+                    .map(|b| if nan(b) { f32::NAN.to_bits() } else { b })
+                    .collect()
+            })
+            .collect()
+    };
+    let reference = canon(mlp_pass(mlp, &kernels::scalar(), 1, inputs, d_out, k));
+    // `checked` shadows `simd` and panics on any bit difference, NaN
+    // payloads included, so NaN-carrying passes compare `simd` alone.
+    let backends = kernels::registered()
+        .into_iter()
+        .filter(|b| !one_nan || b.name() != "checked");
+    for &w in workers {
+        for backend in backends.clone() {
+            let got = canon(mlp_pass(mlp, &backend, w, inputs, d_out, k));
+            for (b, (g, r)) in got.iter().zip(&reference).enumerate() {
+                if let Some(i) = (0..g.len()).find(|&i| g[i] != r[i]) {
+                    panic!(
+                        "{what}: {backend} at {w} workers: buffer {b}[{i}] = {:#010x}, reference {:#010x}",
+                        g[i], r[i]
+                    );
+                }
+            }
+            assert_eq!(got, reference, "{what}: {backend} at {w} workers");
+        }
+    }
+}
+
+#[test]
+fn mlp_activation_derivatives_bit_equal_scalar_on_edge_values() {
+    // Input column 0 carries the edge value; every other input is a
+    // negative finite, so a unit reading column 0 with weight 1 (bias
+    // -0.0, zero elsewhere) has exactly that pre-activation, -0.0 included.
+    let tiny = f32::from_bits(1);
+    let edges = [
+        0.0f32,
+        -0.0,
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        tiny,
+        -tiny,
+        f32::MIN_POSITIVE / 3.0,
+        -f32::MIN_POSITIVE / 3.0,
+        TRUNC_EXP_BOUND,
+        -TRUNC_EXP_BOUND,
+        0.5,
+        -2.0,
+    ];
+    // Finite upstream gradients show every derivative factor; infinite and
+    // NaN ones make a derivative select that skips the `d * 0.0` multiply
+    // turn NaN into zero.
+    let finite = [1.0f32, -0.75, 3.0, 0.5, -2.0, 0.25, -1.5, 2.0];
+    let special = [
+        1.0f32,
+        -0.75,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        0.0,
+        -0.0,
+        3.0,
+    ];
+    let (iw, width) = (5, 9);
+    for hidden_act in ACTIVATIONS {
+        for out_act in ACTIVATIONS {
+            // One layer puts the edge values on the output activation; two
+            // put them on the hidden one, under each output activation.
+            for hidden in [&[][..], &[12]] {
+                let mut rng = StdRng::seed_from_u64(41);
+                let mut mlp = Mlp::new(
+                    MlpConfig::new(iw, hidden, width, hidden_act, out_act),
+                    &mut rng,
+                );
+                let mut slot = 0;
+                mlp.for_each_param_mut(&mlp.zero_grads(), |p, _| {
+                    match slot {
+                        // The first layer's weights: even units read column
+                        // 0 alone, odd units every other column.
+                        0 => {
+                            for (o, row) in p.chunks_exact_mut(iw).enumerate() {
+                                for (i, w) in row.iter_mut().enumerate() {
+                                    *w = match (o % 2, i) {
+                                        (0, 0) => 1.0,
+                                        (0, _) | (_, 0) => 0.0,
+                                        _ => *w,
+                                    };
+                                }
+                            }
+                        }
+                        1 => p.fill(-0.0),
+                        _ => {}
+                    }
+                    slot += 1;
+                });
+                let what = format!("{hidden_act:?} hidden {hidden:?}, {out_act:?} out");
+                let (mut xs, mut ds) = (Vec::new(), Vec::new());
+                for (e, &edge) in edges.iter().enumerate() {
+                    for upstream in [finite, special] {
+                        let x: Vec<f32> = (0..iw)
+                            .map(|c| {
+                                if c == 0 {
+                                    edge
+                                } else {
+                                    -0.25 - c as f32 / 16.0
+                                }
+                            })
+                            .collect();
+                        let d: Vec<f32> = (0..width).map(|o| upstream[(o + e) % 8]).collect();
+                        // Alone, an item's bias gradients are its `dz`, bit
+                        // for bit: no other item's infinity reaches them.
+                        let what = format!("{what}, edge {edge:e}, upstream {d:?}");
+                        assert_mlp_backends_match(&mlp, (&x, &d, iw), &[1], true, &what);
+                        xs.extend(x);
+                        ds.extend(d);
+                    }
+                }
+                // Every item four times in one batch: the block tiles and
+                // the pool.
+                let (xs, ds) = (xs.repeat(4), ds.repeat(4));
+                assert_mlp_backends_match(&mlp, (&xs, &ds, iw), &[1, 4], true, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn mlp_tile_and_block_edges_bit_equal_scalar_at_every_worker_count() {
+    // Input widths with `in_dim % 16` ∈ {0, 1, 15}; output widths across
+    // the narrow (< 8) and wide (groups of 8) tiles and their mixes; batch
+    // sizes either side of the 32-item block and two-block boundaries.
+    const IN_DIMS: [usize; 3] = [16, 17, 31];
+    const OUT_DIMS: [usize; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33, 64, 65];
+    const SIZES: [usize; 8] = [0, 1, 31, 32, 33, 63, 64, 65];
+    for in_dim in IN_DIMS {
+        for out_dim in OUT_DIMS {
+            let mut rng = StdRng::seed_from_u64((in_dim * 100 + out_dim) as u64);
+            let mlp = Mlp::new(
+                MlpConfig::new(
+                    in_dim,
+                    &[out_dim],
+                    out_dim,
+                    Activation::Relu,
+                    Activation::Sigmoid,
+                ),
+                &mut rng,
+            );
+            for n in SIZES {
+                let inputs: Vec<f32> = (0..n * in_dim).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+                let d_out: Vec<f32> = (0..n * out_dim)
+                    .map(|_| rng.gen_range(-1.0..=1.0))
+                    .collect();
+                let what = format!("{in_dim}->{out_dim}->{out_dim} n={n}");
+                let batch = (&inputs[..], &d_out[..], in_dim);
+                // One block never takes the pool, whatever the worker count.
+                let workers: &[usize] = if n <= 32 { &[1] } else { &[1, 2, 4, 8] };
+                assert_mlp_backends_match(&mlp, batch, workers, false, &what);
+            }
+        }
+    }
+    // The capture heads at the capture batch scale (~3,300 samples a step),
+    // with the colour head's narrow input gradient.
+    for (in_dim, out_dim, k) in [(16usize, 1usize, 16usize), (32, 3, 16)] {
+        let mut rng = StdRng::seed_from_u64(3300 + in_dim as u64);
+        let mlp = Mlp::new(
+            MlpConfig::new(
+                in_dim,
+                &[64],
+                out_dim,
+                Activation::Relu,
+                Activation::TruncExp,
+            ),
+            &mut rng,
+        );
+        let n = 3301;
+        let inputs: Vec<f32> = (0..n * in_dim).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+        let d_out: Vec<f32> = (0..n * out_dim)
+            .map(|_| rng.gen_range(-1.0..=1.0))
+            .collect();
+        let what = format!("{in_dim}->64->{out_dim} n={n}");
+        let batch = (&inputs[..], &d_out[..], k);
+        // Every worker count in release (its own CI step); two in debug.
+        let workers: &[usize] = if cfg!(debug_assertions) {
+            &[1, 4]
+        } else {
+            &[1, 2, 4, 8]
+        };
+        assert_mlp_backends_match(&mlp, batch, workers, false, &what);
+    }
+}
+
+#[test]
+fn mlp_narrow_input_gradient_is_the_leading_columns_of_the_full_one() {
+    let in_dim = 19;
+    let mut rng = StdRng::seed_from_u64(19);
+    let mlp = Mlp::new(
+        MlpConfig::new(in_dim, &[64], 3, Activation::Relu, Activation::Sigmoid),
+        &mut rng,
+    );
+    for n in [7usize, 100, 300] {
+        let inputs: Vec<f32> = (0..n * in_dim).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+        let d_out: Vec<f32> = (0..n * 3).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+        // `mlp_pass` ends with the input gradient and the sample count.
+        let full = mlp_pass(&mlp, &kernels::scalar(), 1, &inputs, &d_out, in_dim);
+        let at = full.len() - 2;
+        for k in [0, 1, in_dim - 1, in_dim] {
+            let expect: Vec<u32> = full[at]
+                .chunks_exact(in_dim)
+                .flat_map(|row| row[..k].to_vec())
+                .collect();
+            for backend in kernels::registered() {
+                for workers in [1, 4] {
+                    let got = mlp_pass(&mlp, &backend, workers, &inputs, &d_out, k);
+                    assert_eq!(
+                        got[at], expect,
+                        "{backend} k={k} n={n} at {workers} workers"
+                    );
+                    assert_eq!(got[..at], full[..at], "{backend} k={k} n={n} gradients");
+                    assert_eq!(got[at + 1], full[at + 1], "{backend} k={k} n={n} count");
+                }
             }
         }
     }
