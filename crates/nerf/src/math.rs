@@ -128,12 +128,6 @@ impl Vec3 {
         Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
     }
 
-    /// The smallest component.
-    #[inline]
-    pub fn min_component(self) -> f32 {
-        self.x.min(self.y).min(self.z)
-    }
-
     /// The largest component.
     #[inline]
     pub fn max_component(self) -> f32 {
@@ -417,13 +411,6 @@ impl Aabb {
         Some((t0, t1))
     }
 
-    /// Grows the box to include point `p`.
-    #[inline]
-    pub fn expand_to(&mut self, p: Vec3) {
-        self.min = self.min.min_elem(p);
-        self.max = self.max.max_elem(p);
-    }
-
     /// The union of two boxes.
     #[inline]
     pub fn union(&self, other: &Aabb) -> Aabb {
@@ -502,7 +489,6 @@ mod tests {
         let b = Vec3::new(2.0, 4.0, 3.0);
         assert_eq!(a.min_elem(b), Vec3::new(1.0, 4.0, 3.0));
         assert_eq!(a.max_elem(b), Vec3::new(2.0, 5.0, 3.0));
-        assert_eq!(a.min_component(), 1.0);
         assert_eq!(a.max_component(), 5.0);
     }
 
@@ -559,12 +545,9 @@ mod tests {
     }
 
     #[test]
-    fn aabb_union_and_expand() {
-        let mut a = Aabb::UNIT;
-        a.expand_to(Vec3::new(2.0, -1.0, 0.5));
-        assert!(a.contains(Vec3::new(2.0, -1.0, 0.5)));
+    fn aabb_union_contains_both() {
         let b = Aabb::cube(Vec3::splat(5.0), 1.0);
-        let u = a.union(&b);
+        let u = Aabb::UNIT.union(&b);
         assert!(u.contains(Vec3::splat(5.5)));
         assert!(u.contains(Vec3::ZERO));
     }

@@ -57,16 +57,6 @@ pub fn mean(values: &[f32]) -> Option<f32> {
     Some(values.iter().sum::<f32>() / values.len() as f32)
 }
 
-/// Sample standard deviation; `None` for fewer than two values.
-pub fn std_dev(values: &[f32]) -> Option<f32> {
-    if values.len() < 2 {
-        return None;
-    }
-    let m = mean(values)?;
-    let var = values.iter().map(|v| (v - m) * (v - m)).sum::<f32>() / (values.len() - 1) as f32;
-    Some(var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,12 +118,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_values() {
         assert_eq!(mean(&[]), None);
         assert_eq!(mean(&[2.0, 4.0]), Some(3.0));
-        assert_eq!(std_dev(&[1.0]), None);
-        let s = std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]).unwrap();
-        assert!((s - 2.138).abs() < 1e-2);
     }
 
     #[test]

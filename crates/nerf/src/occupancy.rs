@@ -26,9 +26,12 @@
 //!   (instant-ngp-style), so steady-state refreshes touch only dirty
 //!   levels and `1/k` of the cells.
 //!
-//! The closure paths remain the executable specification; the batched
-//! refresh is differential-tested against them bit-for-bit across
-//! backends and worker counts (`crates/nerf/tests/occupancy_differential.rs`).
+//! The closure paths remain the executable specification of
+//! [`RefreshMode::Threshold`] and [`RefreshMode::Sticky`]. The trainer's
+//! [`RefreshMode::DecayedEma`] is specified by a test-local closure oracle
+//! (`DecayedEmaOracle` in `crates/nerf/tests/occupancy_differential.rs`).
+//! That suite differential-tests the batched refresh against all three,
+//! bit for bit, across backends and worker counts.
 
 use crate::grid::HashGrid;
 use crate::kernels::BackendHandle;
@@ -276,9 +279,8 @@ impl OccupancyGrid {
     }
 
     /// Like [`OccupancyGrid::update_from_fn`] but keeps a cell occupied if
-    /// *either* the old or new state says so, decayed every `decay` calls —
-    /// the exponential-moving-max style update Instant-NGP uses to avoid
-    /// prematurely culling space early in training. The executable
+    /// *either* the old or new state says so: a sticky OR that never culls
+    /// a cell once marked, and applies no decay. The executable
     /// specification of [`RefreshMode::Sticky`].
     pub fn update_ema<F: FnMut(Vec3) -> f32>(&mut self, mut density: F, threshold: f32) {
         let r = self.resolution;
@@ -376,7 +378,7 @@ pub enum RefreshMode {
     /// [`OccupancyGrid::update_ema`].
     Sticky,
     /// Decayed density EMA per cell:
-    /// `ema = max(seeded ? ema × decay : 0, density)`,
+    /// `ema = max(seeded ? ema × 0.95 : 0, density)`,
     /// `bit = ema > threshold` — the trainer's refresh rule. The EMA store
     /// persists in the workspace; unseeded cells start from 0 rather than
     /// decaying the `∞` sentinel (pinned by a regression test).
@@ -425,8 +427,6 @@ struct ShapeKey {
 /// count.
 #[derive(Debug)]
 pub struct OccupancyWorkspace {
-    /// EMA decay per probed refresh of a cell ([`RefreshMode::DecayedEma`]).
-    pub decay: f32,
     /// The kernel backend every refresh dispatches to.
     backend: BackendHandle,
     shape: Option<ShapeKey>,
@@ -463,7 +463,6 @@ impl OccupancyWorkspace {
     /// the first refresh.
     pub fn new(backend: BackendHandle) -> Self {
         OccupancyWorkspace {
-            decay: 0.95,
             backend,
             shape: None,
             unit_centers: Vec::new(),
@@ -639,7 +638,6 @@ impl OccupancyWorkspace {
         let dirty = &this.dirty;
         let n = occ.num_cells();
         let w = grid.output_dim();
-        let decay = this.decay;
         let mlp_ws = this.mlp_ws.as_mut().expect("workspace shaped");
         let cells_probed;
         if k == 1 {
@@ -656,7 +654,7 @@ impl OccupancyWorkspace {
                 for cy in 0..r {
                     for cx in 0..r {
                         if let Some(bit) =
-                            apply_mode(mode, &mut this.ema[i], decay, densities[i], threshold)
+                            apply_mode(mode, &mut this.ema[i], densities[i], threshold)
                         {
                             occ.set_cell(cx, cy, cz, bit);
                         }
@@ -703,9 +701,7 @@ impl OccupancyWorkspace {
             let densities = sigma_mlp.forward_batch_with(&backend, &this.subset_emb, mlp_ws);
             for (j, &i) in this.subset_cells.iter().enumerate() {
                 let i = i as usize;
-                if let Some(bit) =
-                    apply_mode(mode, &mut this.ema[i], decay, densities[j], threshold)
-                {
+                if let Some(bit) = apply_mode(mode, &mut this.ema[i], densities[j], threshold) {
                     occ.set_linear(i, bit);
                 }
             }
@@ -719,21 +715,22 @@ impl OccupancyWorkspace {
     }
 }
 
+/// EMA decay per probed refresh of a cell ([`RefreshMode::DecayedEma`]).
+const EMA_DECAY: f32 = 0.95;
+
 /// One cell's bit decision. `None` means "leave the bit as it is"
 /// ([`RefreshMode::Sticky`] below threshold).
 #[inline]
-fn apply_mode(
-    mode: RefreshMode,
-    ema: &mut f32,
-    decay: f32,
-    density: f32,
-    threshold: f32,
-) -> Option<bool> {
+fn apply_mode(mode: RefreshMode, ema: &mut f32, density: f32, threshold: f32) -> Option<bool> {
     match mode {
         RefreshMode::Threshold => Some(density > threshold),
         RefreshMode::Sticky => (density > threshold).then_some(true),
         RefreshMode::DecayedEma => {
-            let prev = if ema.is_finite() { *ema * decay } else { 0.0 };
+            let prev = if ema.is_finite() {
+                *ema * EMA_DECAY
+            } else {
+                0.0
+            };
             *ema = prev.max(density);
             Some(*ema > threshold)
         }
@@ -849,7 +846,7 @@ mod tests {
     fn decayed_ema_refresh_seeds_then_decays() {
         // Regression pin for the EMA rule: the first probe of a cell seeds
         // from 0 (not from a decayed ∞ sentinel); later probes take
-        // max(prev × decay, density).
+        // max(prev × 0.95, density).
         use crate::activation::Activation;
         use crate::grid::{HashGrid, HashGridConfig};
         use crate::mlp::{Mlp, MlpConfig};

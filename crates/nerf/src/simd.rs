@@ -100,16 +100,6 @@ impl F32x8 {
         F32x8(v)
     }
 
-    /// Stores lanes into the first 8 elements of `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than the lane count.
-    #[inline(always)]
-    pub fn write_to(self, out: &mut [f32]) {
-        out[..8].copy_from_slice(&self.0);
-    }
-
     /// Per-lane `f32::floor` (exact, same as the scalar kernel).
     #[inline(always)]
     pub fn floor(self) -> F32x8 {
@@ -268,9 +258,7 @@ mod tests {
 
     #[test]
     fn splat_store_roundtrip() {
-        let mut out = [0.0f32; 8];
-        F32x8::splat(2.5).write_to(&mut out);
-        assert_eq!(out, [2.5; 8]);
+        assert_eq!(F32x8::splat(2.5).0, [2.5; 8]);
         let mut acc = F32x8::ZERO;
         acc += F32x8::splat(1.0);
         acc *= F32x8::splat(3.0);

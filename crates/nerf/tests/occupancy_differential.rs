@@ -397,3 +397,184 @@ fn decayed_ema_refresh_is_backend_and_worker_invariant() {
         }
     }
 }
+
+/// Test-local specification of [`RefreshMode::DecayedEma`], written from
+/// the rule rather than from the workspace. Each refresh walks the cells
+/// `i ≡ phase (mod k)` in linear order and folds the closure density into
+/// a per-cell EMA (`∞` = never probed):
+/// `ema = max(seeded ? ema × 0.95 : 0, density)`, `bit = ema > threshold`.
+/// The phase then advances by one.
+struct DecayedEmaOracle {
+    occ: OccupancyGrid,
+    ema: Vec<f32>,
+    phase: usize,
+}
+
+impl DecayedEmaOracle {
+    fn new(aabb: Aabb, resolution: u32) -> Self {
+        let occ = OccupancyGrid::new(aabb, resolution);
+        let ema = vec![f32::INFINITY; occ.num_cells()];
+        DecayedEmaOracle { occ, ema, phase: 0 }
+    }
+
+    fn refresh(&mut self, grid: &HashGrid, mlp: &Mlp, threshold: f32, k: usize) {
+        let mut emb = vec![0.0; grid.output_dim()];
+        let mut ws = mlp.workspace();
+        let centers = self.occ.cell_centers();
+        for i in (self.phase..centers.len()).step_by(k) {
+            let unit = self.occ.aabb().to_unit(centers[i]);
+            grid.encode_into(unit, &mut emb, &mut NullObserver);
+            let density = mlp.forward(&emb, &mut ws)[0];
+            let seeded = if self.ema[i].is_finite() {
+                self.ema[i] * 0.95
+            } else {
+                0.0
+            };
+            self.ema[i] = seeded.max(density);
+            self.occ.set_linear(i, self.ema[i] > threshold);
+        }
+        self.phase = (self.phase + 1) % k;
+    }
+}
+
+/// The parameter update applied after each refresh: (round, grid, density
+/// head).
+type ParamUpdate = Box<dyn Fn(usize, &mut HashGrid, &mut Mlp)>;
+
+/// A DecayedEma run: a model, a threshold and its parameter update.
+struct EmaScenario {
+    name: &'static str,
+    grid: HashGrid,
+    mlp: Mlp,
+    threshold: f32,
+    update: ParamUpdate,
+}
+
+/// Packed occupancy words and EMA bits after one refresh.
+type Snapshot = (Vec<u64>, Vec<u32>);
+
+fn snapshot(occ: &OccupancyGrid, ema: &[f32]) -> Snapshot {
+    (
+        occ.words().to_vec(),
+        ema.iter().map(|v| v.to_bits()).collect(),
+    )
+}
+
+/// `2k + 1` refreshes at stride `k` (at least 3, and every cell of phase 0
+/// is probed three times), applying the scenario's update after each;
+/// `refresh` runs one refresh and returns its snapshot.
+fn ema_trace(
+    s: &EmaScenario,
+    k: usize,
+    mut refresh: impl FnMut(&HashGrid, &Mlp) -> Snapshot,
+) -> Vec<Snapshot> {
+    let (mut grid, mut mlp) = (s.grid.clone(), s.mlp.clone());
+    (0..2 * k + 1)
+        .map(|round| {
+            let snap = refresh(&grid, &mlp);
+            (s.update)(round, &mut grid, &mut mlp);
+            snap
+        })
+        .collect()
+}
+
+/// Zero weights and a single `bias` in a head without hidden layers: the
+/// density is that bias at every cell, except that a zero bias comes out
+/// as `+0` or `-0` depending on the cell's zero products — so both signs
+/// of zero reach the EMA.
+fn set_bias_only(mlp: &mut Mlp, bias: f32) {
+    let zero = mlp.zero_grads();
+    mlp.for_each_param_mut(&zero, |params, _| {
+        params.fill(if params.len() == 1 { bias } else { 0.0 });
+    });
+}
+
+/// The smallest positive `f32`: above `-0`, and `× 0.95` rounds it back
+/// to itself.
+const MIN_SUBNORMAL: f32 = f32::from_bits(1);
+
+fn ema_scenarios() -> Vec<EmaScenario> {
+    let g = grid(17);
+    let mut scenarios = vec![EmaScenario {
+        // About a third of the cells start occupied; each negation turns
+        // some on and lets others decay off.
+        name: "random field, grid negated after even rounds",
+        mlp: sigma_mlp(&g, 18),
+        grid: g.clone(),
+        threshold: 1.0,
+        update: Box::new(|round, grid, _| {
+            if round % 2 == 0 {
+                grid.params_mut().iter_mut().for_each(|p| *p = -*p);
+            }
+        }),
+    }];
+    // Knife edges: one ulp above the threshold then exactly on it, and
+    // signed zeros against ±0 thresholds. The bias changes every round.
+    let knife_edges: [(&str, f32, &'static [f32]); 3] = [
+        ("exact threshold", 0.5, &[0.500_000_06, 0.5, -0.0, 0.0]),
+        ("signed zeros vs +0", 0.0, &[-0.0, 0.0, -0.0]),
+        ("signed zeros vs -0", -0.0, &[0.0, -0.0, MIN_SUBNORMAL]),
+    ];
+    for (name, threshold, biases) in knife_edges {
+        let mut mlp = Mlp::new(
+            MlpConfig::new(g.output_dim(), &[], 1, Activation::Relu, Activation::None),
+            &mut StdRng::seed_from_u64(19),
+        );
+        set_bias_only(&mut mlp, biases[0]);
+        scenarios.push(EmaScenario {
+            name,
+            grid: g.clone(),
+            mlp,
+            threshold,
+            update: Box::new(move |round, _, mlp| {
+                set_bias_only(mlp, biases[(round + 1) % biases.len()]);
+            }),
+        });
+    }
+    scenarios
+}
+
+#[test]
+fn decayed_ema_refresh_bit_matches_closure_oracle() {
+    let aabb = Aabb::UNIT;
+    for s in ema_scenarios() {
+        for resolution in [1u32, 10] {
+            for k in [1usize, 2, 3] {
+                let mut oracle = DecayedEmaOracle::new(aabb, resolution);
+                let expect = ema_trace(&s, k, |g, mlp| {
+                    oracle.refresh(g, mlp, s.threshold, k);
+                    snapshot(&oracle.occ, &oracle.ema)
+                });
+                for backend in kernels::registered() {
+                    for workers in WORKERS {
+                        let pool = rayon::ThreadPoolBuilder::new()
+                            .num_threads(workers)
+                            .build()
+                            .unwrap();
+                        let got = pool.install(|| {
+                            let mut occ = OccupancyGrid::new(aabb, resolution);
+                            let mut ws = OccupancyWorkspace::new(backend.clone());
+                            ema_trace(&s, k, |g, mlp| {
+                                ws.refresh(
+                                    &mut occ,
+                                    g,
+                                    mlp,
+                                    aabb,
+                                    s.threshold,
+                                    RefreshMode::DecayedEma,
+                                    k as u32,
+                                );
+                                snapshot(&occ, ws.ema())
+                            })
+                        });
+                        assert_eq!(
+                            got, expect,
+                            "{} / res {resolution} / k {k} / {backend} / t{workers}",
+                            s.name
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
