@@ -5,9 +5,10 @@
 //! small models instead of image sets ("a 20 MB reconstructed model may be
 //! used instead of 120 MB jpeg images", §1) — so a real deployment needs
 //! (de)serialization. The format is a minimal versioned container: magic,
-//! version, per-tensor lengths, then raw little-endian `f32`s. Grid
-//! features are stored as fp16 when the grid's config requests it, which
-//! roughly halves checkpoint size.
+//! version, per-tensor lengths and coding flags, then raw little-endian
+//! values. Grid features are written as fp16 — the grids' own storage
+//! format, so nothing is lost — which roughly halves checkpoint size; MLP
+//! weights are written as `f32`.
 
 use crate::model::NerfModel;
 use instant3d_nerf::fp16::F16;
@@ -363,7 +364,6 @@ mod tests {
     fn f32_coded_grid_tensor_is_quantised_to_fp16_storage() {
         // Tensor 0 re-coded as f32 with a value fp16 cannot represent.
         let original = model(8, GridTopology::Decoupled);
-        assert!(original.density_grid().config().store_fp16);
         let blob = save(&original);
         let mut density = original.density_grid().params().to_vec();
         density[0] = 0.1;

@@ -260,6 +260,13 @@ impl TrainConfig {
                 g.base_resolution, g.max_resolution
             ));
         }
+        // `HashGrid::init_random` samples `-init_scale..=init_scale`.
+        if !(g.init_scale.is_finite() && g.init_scale >= 0.0) {
+            return Err(format!(
+                "grid.init_scale {} must be finite and non-negative",
+                g.init_scale
+            ));
+        }
         // `HashGridConfig::table_size` is `1u32 << log2_table_size`.
         if g.log2_table_size >= 32 {
             return Err(format!(
@@ -403,6 +410,17 @@ mod tests {
             set(&mut cfg, 0.0);
             assert_eq!(cfg.validate(), Ok(()));
         }
+
+        // An init scale the grid's uniform draw cannot use: an inverted
+        // range panics, an infinite one fills the tables with NaN.
+        for bad in [-1e-3, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut cfg = TrainConfig::fast_preview();
+            cfg.grid.init_scale = bad;
+            assert!(cfg.validate().is_err(), "grid.init_scale = {bad}");
+        }
+        let mut cfg = TrainConfig::fast_preview();
+        cfg.grid.init_scale = 0.0;
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

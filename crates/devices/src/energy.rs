@@ -34,11 +34,6 @@ pub fn speedup(slow: &RunCost, fast: &RunCost) -> f64 {
     slow.seconds / fast.seconds
 }
 
-/// Energy-efficiency gain of `frugal` over `hungry` (× factor).
-pub fn energy_efficiency(hungry: &RunCost, frugal: &RunCost) -> f64 {
-    hungry.joules / frugal.joules
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -65,7 +60,7 @@ mod tests {
         assert!((speedup(&fast, &slow) - 1.0 / s).abs() < 1e-12);
         // Nano at 10 W vs Xavier at 20 W: efficiency gain is less than the
         // runtime gap because Xavier burns double the power.
-        let e = energy_efficiency(&slow, &fast);
+        let e = slow.joules / fast.joules;
         assert!((e - s * 10.0 / 20.0).abs() < 1e-9);
     }
 }

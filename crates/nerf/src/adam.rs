@@ -5,9 +5,10 @@
 //! grid gradients still move; those are the defaults here.
 //!
 //! The update is written without fused multiply-adds and with real
-//! divisions in all three entry points. The sparse step's per-element
-//! update and the consuming sweep's branch-free lane write the same
-//! expression tree, and the golden suites pin their bits equal.
+//! divisions in all three entry points. The two sparse ones serve the
+//! fp16-stored hash grids: the sparse step's per-element update and the
+//! consuming sweep's branch-free lane write the same expression tree, both
+//! round the parameter to fp16, and the golden suites pin their bits equal.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -137,25 +138,26 @@ impl Adam {
         }
     }
 
-    /// Sparse variant: only updates the listed indices. Used for hash-grid
-    /// steps where most table entries received no gradient this iteration.
+    /// Sparse variant for an fp16-stored hash grid: updates only the listed
+    /// indices, each rounded through fp16 (most table entries receive no
+    /// gradient in an iteration).
     ///
     /// # Panics
     ///
     /// Panics if `params` or `grads` don't match the state size, or if any
     /// index is out of range.
-    pub fn step_sparse(&mut self, params: &mut [f32], grads: &[f32], touched: &[usize]) {
+    pub(crate) fn step_sparse(&mut self, params: &mut [f32], grads: &[f32], touched: &[usize]) {
         assert_eq!(params.len(), self.m.len(), "param count mismatch");
         assert_eq!(grads.len(), self.m.len(), "grad count mismatch");
         self.t += 1;
-        let k = self.sparse_update(self.t, false);
+        let k = self.sparse_update(self.t);
         for &i in touched {
             k.apply(&mut params[i], &mut self.m[i], &mut self.v[i], grads[i]);
         }
     }
 
     /// The per-element update of the sparse entry points at step `t`.
-    pub(crate) fn sparse_update(&self, t: u64, quantize_fp16: bool) -> SparseUpdate {
+    pub(crate) fn sparse_update(&self, t: u64) -> SparseUpdate {
         SparseUpdate {
             lr: self.cfg.lr,
             b1: self.cfg.beta1,
@@ -163,16 +165,14 @@ impl Adam {
             eps: self.cfg.eps,
             bias1: 1.0 - self.cfg.beta1.powi(t as i32),
             bias2: 1.0 - self.cfg.beta2.powi(t as i32),
-            quantize_fp16,
         }
     }
 
     /// Consuming variant of [`Adam::step_sparse`] for a level-major table:
     /// one pass over `params`, the moments and `grads` that updates every
     /// element whose gradient is `!= 0.0` (so `-0.0` is skipped and NaN is
-    /// applied) exactly as `step_sparse` would, rounds the updated
-    /// parameter through fp16 when `quantize_fp16`, and leaves every
-    /// gradient `+0.0`. Level `l` is `cuts[l]..cuts[l + 1]`;
+    /// applied) exactly as `step_sparse` would, fp16 rounding included, and
+    /// leaves every gradient `+0.0`. Level `l` is `cuts[l]..cuts[l + 1]`;
     /// `level_touched(l)` is called, in ascending order, for each level
     /// that held a non-zero gradient. The step counter advances once, and
     /// only if some level was touched; returns whether it did.
@@ -191,7 +191,6 @@ impl Adam {
         params: &mut [f32],
         grads: &mut [f32],
         cuts: &[usize],
-        quantize_fp16: bool,
         chunk: usize,
         mut level_touched: impl FnMut(usize),
     ) -> bool {
@@ -203,7 +202,7 @@ impl Adam {
         );
         // The bias corrections belong to the step this call takes if it
         // takes one; `t` itself moves only once a gradient was seen.
-        let k = self.sparse_update(self.t + 1, quantize_fp16);
+        let k = self.sparse_update(self.t + 1);
         let mut any = false;
         for (l, w) in cuts.windows(2).enumerate() {
             let (p, m, v, g) = (
@@ -247,11 +246,11 @@ pub(crate) struct SparseUpdate {
     eps: f32,
     bias1: f32,
     bias2: f32,
-    quantize_fp16: bool,
 }
 
 impl SparseUpdate {
-    /// Adam on one element. The expression tree is the pinned one: two
+    /// Adam on one element, the parameter rounded through
+    /// [`fp16::quantize`]. The expression tree is the pinned one: two
     /// roundings per multiply-add, real divisions, no reciprocal.
     #[inline(always)]
     pub(crate) fn apply(&self, p: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
@@ -259,10 +258,7 @@ impl SparseUpdate {
         *v = self.b2 * *v + (1.0 - self.b2) * g * g;
         let m_hat = *m / self.bias1;
         let v_hat = *v / self.bias2;
-        *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        if self.quantize_fp16 {
-            *p = fp16::quantize(*p);
-        }
+        *p = fp16::quantize(*p - self.lr * m_hat / (v_hat.sqrt() + self.eps));
     }
 
     /// [`SparseUpdate::apply`] without a branch: the same expression tree
@@ -276,12 +272,7 @@ impl SparseUpdate {
         let v_new = self.b2 * v + (1.0 - self.b2) * g * g;
         let m_hat = m_new / self.bias1;
         let v_hat = v_new / self.bias2;
-        let stepped = p - self.lr * m_hat / (v_hat.sqrt() + self.eps);
-        let p_new = if self.quantize_fp16 {
-            fp16::quantize_branch_free(stepped)
-        } else {
-            stepped
-        };
+        let p_new = fp16::quantize_branch_free(p - self.lr * m_hat / (v_hat.sqrt() + self.eps));
         // All ones where the element keeps its old value.
         let keep = u32::from(g != 0.0).wrapping_sub(1);
         let pick =
@@ -437,6 +428,6 @@ mod tests {
     #[should_panic(expected = "grad count mismatch")]
     fn consuming_step_short_grads_panics() {
         let mut opt = Adam::new(AdamConfig::default(), 4);
-        opt.step_consuming(&mut [0.0; 4], &mut [1.0; 2], &[0, 4], false, 4, |_| {});
+        opt.step_consuming(&mut [0.0; 4], &mut [1.0; 2], &[0, 4], 4, |_| {});
     }
 }

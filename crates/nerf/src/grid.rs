@@ -98,6 +98,10 @@ impl BranchObserver for NullBranchObserver {
 }
 
 /// Configuration of a multiresolution hash grid.
+///
+/// Features are always stored quantised to fp16, the accelerator's storage
+/// format (the paper's §5.1 runs every algorithm-side computation in
+/// half precision); the tables hold `f32`s that are fp16-exact.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HashGridConfig {
     /// Number of resolution levels `L`.
@@ -110,8 +114,6 @@ pub struct HashGridConfig {
     pub base_resolution: u32,
     /// Finest virtual grid resolution `N_max`.
     pub max_resolution: u32,
-    /// Store features quantised to fp16 (the accelerator's storage format).
-    pub store_fp16: bool,
     /// Uniform init scale: features start in `[-init_scale, init_scale]`.
     pub init_scale: f32,
 }
@@ -127,7 +129,6 @@ impl Default for HashGridConfig {
             log2_table_size: 14,
             base_resolution: 16,
             max_resolution: 256,
-            store_fp16: true,
             init_scale: 1e-4,
         }
     }
@@ -142,7 +143,6 @@ impl HashGridConfig {
             log2_table_size: 19,
             base_resolution: 16,
             max_resolution: 512,
-            store_fp16: true,
             init_scale: 1e-4,
         }
     }
@@ -296,16 +296,14 @@ impl HashGrid {
         g
     }
 
-    /// Re-initialises all features uniformly in `±init_scale`, quantising to
-    /// fp16 when the config requests fp16 storage.
+    /// Re-initialises all features uniformly in `±init_scale`, quantised to
+    /// fp16 storage.
     pub fn init_random<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let s = self.cfg.init_scale;
         for p in &mut self.params {
             *p = rng.gen_range(-s..=s);
         }
-        if self.cfg.store_fp16 {
-            fp16::quantize_slice(&mut self.params);
-        }
+        fp16::quantize_slice(&mut self.params);
         self.bump_all_levels();
     }
 
@@ -341,7 +339,7 @@ impl HashGrid {
     /// ([`HashGrid::apply_step_consuming`], [`HashGrid::apply_sparse_step`])
     /// bump only the levels a step actually touched.
     ///
-    /// With `store_fp16` set, every stored value must round-trip through
+    /// Storage is fp16, so every stored value must round-trip through
     /// [`fp16::quantize`]: the optimizer re-quantises only the elements it
     /// updates and relies on the rest already being representable. A
     /// caller that writes other values owes a
@@ -353,22 +351,18 @@ impl HashGrid {
     }
 
     /// Quantises all parameters to fp16 storage (call after writing
-    /// through [`HashGrid::params_mut`] when `store_fp16` is set).
+    /// values that may not be fp16-exact through [`HashGrid::params_mut`]).
     pub fn quantize_storage(&mut self) {
-        if self.cfg.store_fp16 {
-            fp16::quantize_slice(&mut self.params);
-            self.bump_all_levels();
-        }
+        fp16::quantize_slice(&mut self.params);
+        self.bump_all_levels();
     }
 
-    /// The storage invariant the optimizer entry points rely on:
-    /// `store_fp16` ⇒ every parameter is bit-equal to its fp16 round trip.
+    /// The storage invariant the optimizer entry points rely on: every
+    /// parameter is bit-equal to its fp16 round trip.
     fn storage_is_fp16_exact(&self) -> bool {
-        !self.cfg.store_fp16
-            || self
-                .params
-                .iter()
-                .all(|p| fp16::quantize(*p).to_bits() == p.to_bits())
+        self.params
+            .iter()
+            .all(|p| fp16::quantize(*p).to_bits() == p.to_bits())
     }
 
     /// Per-level parameter version counters. A consumer caching derived
@@ -382,11 +376,10 @@ impl HashGrid {
 
     /// The trainer's grid optimizer tail, as one pass: applies a sparse
     /// Adam step to every parameter whose gradient is `!= 0.0`, rounds each
-    /// updated parameter through fp16 when `store_fp16` is set, bumps the
-    /// version of exactly the levels that held a non-zero gradient (all to
-    /// the same new value) and leaves `grads` all `+0.0` with a zero point
-    /// count. `Adam::steps` and the version clock advance only if some
-    /// gradient was non-zero.
+    /// updated parameter through fp16, bumps the version of exactly the
+    /// levels that held a non-zero gradient (all to the same new value) and
+    /// leaves `grads` all `+0.0` with a zero point count. `Adam::steps` and
+    /// the version clock advance only if some gradient was non-zero.
     ///
     /// Bit-identical to collecting the non-zero indices, calling
     /// [`HashGrid::apply_sparse_step`] and then [`GridGradients::zero`]
@@ -421,7 +414,6 @@ impl HashGrid {
             &mut self.params,
             &mut grads.values,
             &self.param_offsets,
-            self.cfg.store_fp16,
             chunk,
             |l| versions[l] = version,
         );
@@ -461,11 +453,6 @@ impl HashGrid {
             "fp16 storage holds a non-representable value"
         );
         opt.step_sparse(&mut self.params, grad_values, touched);
-        if self.cfg.store_fp16 {
-            for &i in touched {
-                self.params[i] = fp16::quantize(self.params[i]);
-            }
-        }
         self.bump_levels_touching(touched);
     }
 
@@ -1149,7 +1136,6 @@ mod tests {
             log2_table_size: 10,
             base_resolution: 4,
             max_resolution: 32,
-            store_fp16: false,
             init_scale: 0.1,
         };
         let mut rng = StdRng::seed_from_u64(7);
@@ -1350,12 +1336,8 @@ mod tests {
 
     #[test]
     fn fp16_storage_quantises() {
-        let cfg = HashGridConfig {
-            store_fp16: true,
-            ..HashGridConfig::default()
-        };
         let mut rng = StdRng::seed_from_u64(3);
-        let mut g = HashGrid::new_random(cfg, &mut rng);
+        let mut g = HashGrid::new_random(HashGridConfig::default(), &mut rng);
         g.params_mut()[0] = 0.1; // not fp16-representable
         g.quantize_storage();
         assert_eq!(g.params()[0], fp16::quantize(0.1));

@@ -351,7 +351,6 @@ mod tests {
                     log2_table_size: 10,
                     base_resolution: 4,
                     max_resolution: 32,
-                    store_fp16: false,
                     init_scale: 0.3,
                     ..HashGridConfig::default()
                 },
@@ -429,10 +428,10 @@ mod tests {
             let m0: Vec<f32> = (0..45).map(|_| rng.gen_range(-0.1..=0.1)).collect();
             let v0: Vec<f32> = (0..45).map(|_| rng.gen_range(0.0..=0.01)).collect();
             let mut consume_bits = Vec::new();
-            for (lr, quantize) in [(0.1, true), (0.1, false), (32.0, true)] {
+            for lr in [0.1, 32.0] {
                 let mut opt = Adam::new(AdamConfig::for_grid(), 0);
                 opt.set_lr(lr);
-                let k = opt.sparse_update(3, quantize);
+                let k = opt.sparse_update(3);
                 for n in (0..=17).chain([45]) {
                     let (mut p, mut m) = (p0[..n].to_vec(), m0[..n].to_vec());
                     let (mut v, mut g) = (v0[..n].to_vec(), g0[..n].to_vec());

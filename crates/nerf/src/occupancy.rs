@@ -16,9 +16,7 @@
 //!   densities through the same SoA kernel seams the trainer uses
 //!   (`HashGrid::par_encode_batch_levels_with` + `Mlp::forward_batch_with`),
 //!   dispatched on the workspace's kernel backend ([`crate::kernels`])
-//!   and bit-identical to evaluating the
-//!   closure paths ([`OccupancyGrid::update_from_fn`] /
-//!   [`OccupancyGrid::update_ema`]) cell by cell.
+//!   and bit-identical to probing cell by cell.
 //! * **Amortisation** — the workspace keeps a persistent cell→embedding
 //!   cache invalidated per grid level via [`HashGrid::level_versions`]
 //!   (levels whose parameters didn't change are never re-encoded) and can
@@ -26,12 +24,12 @@
 //!   (instant-ngp-style), so steady-state refreshes touch only dirty
 //!   levels and `1/k` of the cells.
 //!
-//! The closure paths remain the executable specification of
-//! [`RefreshMode::Threshold`] and [`RefreshMode::Sticky`]. The trainer's
-//! [`RefreshMode::DecayedEma`] is specified by a test-local closure oracle
-//! (`DecayedEmaOracle` in `crates/nerf/tests/occupancy_differential.rs`).
-//! That suite differential-tests the batched refresh against all three,
-//! bit for bit, across backends and worker counts.
+//! A refresh applies one rule, Instant-NGP's decayed density EMA
+//! ([`RefreshMode::DecayedEma`]). Its executable specification is a
+//! test-local per-cell oracle (`DecayedEmaOracle` in
+//! `crates/nerf/tests/occupancy_differential.rs`), against which that suite
+//! differential-tests the batched refresh, bit for bit, across backends
+//! and worker counts.
 
 use crate::grid::HashGrid;
 use crate::kernels::BackendHandle;
@@ -249,7 +247,7 @@ impl OccupancyGrid {
     }
 
     /// The world-space center of the cell at integer coordinates — the
-    /// probe point every refresh path (closure or batched) evaluates.
+    /// point a refresh probes.
     #[inline]
     pub fn cell_center(&self, cx: u32, cy: u32, cz: u32) -> Vec3 {
         let r = self.resolution;
@@ -260,12 +258,9 @@ impl OccupancyGrid {
         ))
     }
 
-    /// Refreshes occupancy by evaluating `density` at every cell center and
-    /// marking cells whose density exceeds `threshold`.
-    ///
-    /// This closure path is the executable specification of
-    /// [`RefreshMode::Threshold`]; the batched refresh is pinned
-    /// bit-for-bit against it.
+    /// Sets occupancy by evaluating `density` at every cell center and
+    /// marking cells whose density exceeds `threshold` (a direct way to
+    /// shape a grid from an analytic field).
     pub fn update_from_fn<F: FnMut(Vec3) -> f32>(&mut self, mut density: F, threshold: f32) {
         let r = self.resolution;
         for cz in 0..r {
@@ -273,23 +268,6 @@ impl OccupancyGrid {
                 for cx in 0..r {
                     let occupied = density(self.cell_center(cx, cy, cz)) > threshold;
                     self.set_cell(cx, cy, cz, occupied);
-                }
-            }
-        }
-    }
-
-    /// Like [`OccupancyGrid::update_from_fn`] but keeps a cell occupied if
-    /// *either* the old or new state says so: a sticky OR that never culls
-    /// a cell once marked, and applies no decay. The executable
-    /// specification of [`RefreshMode::Sticky`].
-    pub fn update_ema<F: FnMut(Vec3) -> f32>(&mut self, mut density: F, threshold: f32) {
-        let r = self.resolution;
-        for cz in 0..r {
-            for cy in 0..r {
-                for cx in 0..r {
-                    if density(self.cell_center(cx, cy, cz)) > threshold {
-                        self.set_cell(cx, cy, cz, true);
-                    }
                 }
             }
         }
@@ -369,14 +347,13 @@ impl OccupancyGrid {
 }
 
 /// How [`OccupancyWorkspace::refresh`] turns probed densities into bits.
+/// There is one rule.
+///
+/// The type, and `refresh`'s `mode` argument, survive for one reason
+/// only: the perf ledger's step replica (`ledger/`, a package of its own)
+/// names `RefreshMode::DecayedEma` in its refresh call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RefreshMode {
-    /// `bit = density > threshold` — matches
-    /// [`OccupancyGrid::update_from_fn`].
-    Threshold,
-    /// `bit = bit || density > threshold` — matches
-    /// [`OccupancyGrid::update_ema`].
-    Sticky,
     /// Decayed density EMA per cell:
     /// `ema = max(seeded ? ema × 0.95 : 0, density)`,
     /// `bit = ema > threshold` — the trainer's refresh rule. The EMA store
@@ -422,8 +399,8 @@ struct ShapeKey {
 /// All refresh work runs through the batched kernel seams
 /// ([`HashGrid::par_encode_batch_levels_with`],
 /// [`Mlp::forward_batch_with`]), dispatched on the [`BackendHandle`] the
-/// workspace was created with, so results are bit-identical to the
-/// closure reference paths for every registered backend and rayon worker
+/// workspace was created with, so results are bit-identical to probing
+/// each cell on its own, for every registered backend and rayon worker
 /// count.
 #[derive(Debug)]
 pub struct OccupancyWorkspace {
@@ -479,7 +456,7 @@ impl OccupancyWorkspace {
     }
 
     /// The per-cell density EMA store (linear cell order; `∞` marks cells
-    /// never probed under [`RefreshMode::DecayedEma`]).
+    /// never probed).
     pub fn ema(&self) -> &[f32] {
         &self.ema
     }
@@ -489,22 +466,14 @@ impl OccupancyWorkspace {
         &self.backend
     }
 
-    /// Drops every cached embedding (all levels of all subsets re-encode
-    /// on the next refresh). The EMA store and subset phase are kept —
-    /// this invalidates derived data, not refresh history.
-    pub fn invalidate(&mut self) {
-        self.cached_versions.fill(u64::MAX);
-    }
-
     /// Returns the workspace to its just-constructed state while keeping
     /// buffer capacity: the next refresh rebuilds probe centers, the
     /// embedding cache, the density-EMA store (back to "never probed")
     /// and the subset rotation phase from scratch.
     ///
-    /// Unlike [`invalidate`](OccupancyWorkspace::invalidate) this also
-    /// forgets refresh *history* — required when a pooled workspace moves
-    /// to a different training job, whose results must not depend on the
-    /// donor job's EMA or phase (the serve layer's per-job determinism
+    /// Forgetting refresh *history* is required when a pooled workspace
+    /// moves to a different training job, whose results must not depend on
+    /// the donor job's EMA or phase (the serve layer's per-job determinism
     /// contract).
     pub fn reset(&mut self) {
         self.shape = None;
@@ -550,9 +519,9 @@ impl OccupancyWorkspace {
         };
         let n = occ.num_cells();
         if cells_changed {
-            // Probe positions: the same `from_unit(center)` → `to_unit`
-            // composition the closure paths evaluate per call, computed
-            // once and reused every refresh.
+            // Probe positions: the `from_unit(center)` → `to_unit`
+            // composition a per-cell probe evaluates, computed once and
+            // reused every refresh.
             self.unit_centers.clear();
             self.unit_centers.reserve(n);
             let r = occ.resolution();
@@ -580,8 +549,9 @@ impl OccupancyWorkspace {
 
     /// One batched occupancy refresh: probes the density of this round's
     /// cell subset through the SoA kernel seams (on the workspace's
-    /// backend — bits are identical for every backend and worker count)
-    /// and rewrites those cells' bits according to `mode`.
+    /// backend — bits are identical for every backend and worker count),
+    /// folds each density into the cell's EMA and rewrites those cells'
+    /// bits (see [`RefreshMode::DecayedEma`]).
     ///
     /// * `model_aabb` — the volume the hash grid covers (world probe
     ///   positions are mapped through it, exactly like the trainer's
@@ -653,11 +623,8 @@ impl OccupancyWorkspace {
             for cz in 0..r {
                 for cy in 0..r {
                     for cx in 0..r {
-                        if let Some(bit) =
-                            apply_mode(mode, &mut this.ema[i], densities[i], threshold)
-                        {
-                            occ.set_cell(cx, cy, cz, bit);
-                        }
+                        let bit = apply_mode(mode, &mut this.ema[i], densities[i], threshold);
+                        occ.set_cell(cx, cy, cz, bit);
                         i += 1;
                     }
                 }
@@ -701,9 +668,8 @@ impl OccupancyWorkspace {
             let densities = sigma_mlp.forward_batch_with(&backend, &this.subset_emb, mlp_ws);
             for (j, &i) in this.subset_cells.iter().enumerate() {
                 let i = i as usize;
-                if let Some(bit) = apply_mode(mode, &mut this.ema[i], densities[j], threshold) {
-                    occ.set_linear(i, bit);
-                }
+                let bit = apply_mode(mode, &mut this.ema[i], densities[j], threshold);
+                occ.set_linear(i, bit);
             }
             cells_probed = m;
         }
@@ -718,13 +684,10 @@ impl OccupancyWorkspace {
 /// EMA decay per probed refresh of a cell ([`RefreshMode::DecayedEma`]).
 const EMA_DECAY: f32 = 0.95;
 
-/// One cell's bit decision. `None` means "leave the bit as it is"
-/// ([`RefreshMode::Sticky`] below threshold).
+/// One cell's EMA update and bit decision.
 #[inline]
-fn apply_mode(mode: RefreshMode, ema: &mut f32, density: f32, threshold: f32) -> Option<bool> {
+fn apply_mode(mode: RefreshMode, ema: &mut f32, density: f32, threshold: f32) -> bool {
     match mode {
-        RefreshMode::Threshold => Some(density > threshold),
-        RefreshMode::Sticky => (density > threshold).then_some(true),
         RefreshMode::DecayedEma => {
             let prev = if ema.is_finite() {
                 *ema * EMA_DECAY
@@ -732,7 +695,7 @@ fn apply_mode(mode: RefreshMode, ema: &mut f32, density: f32, threshold: f32) ->
                 0.0
             };
             *ema = prev.max(density);
-            Some(*ema > threshold)
+            *ema > threshold
         }
     }
 }
@@ -763,19 +726,6 @@ mod tests {
         assert!(occ.occupied_at(Vec3::new(0.5, 0.9, 0.5)));
         assert!(!occ.occupied_at(Vec3::new(0.5, 0.1, 0.5)));
         assert!((occ.occupancy_fraction() - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ema_update_never_culls_previously_occupied() {
-        let mut occ = OccupancyGrid::new(Aabb::UNIT, 4);
-        occ.update_from_fn(|p| if p.x > 0.5 { 5.0 } else { 0.0 }, 1.0);
-        let before = occ.occupancy_fraction();
-        // A new field that's empty everywhere must not shrink occupancy.
-        occ.update_ema(|_| 0.0, 1.0);
-        assert_eq!(occ.occupancy_fraction(), before);
-        // But it can grow.
-        occ.update_ema(|_| 5.0, 1.0);
-        assert_eq!(occ.occupancy_fraction(), 1.0);
     }
 
     #[test]

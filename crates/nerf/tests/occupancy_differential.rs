@@ -1,14 +1,15 @@
-//! Differential suite pinning the batched occupancy refresh against the
-//! closure reference paths, bit for bit.
+//! Differential suite pinning the batched occupancy refresh against a
+//! per-cell oracle of its rule, bit for bit.
 //!
 //! `OccupancyWorkspace::refresh` routes cell-density probes through the
 //! batched kernel seams (`HashGrid::par_encode_batch_levels_with`,
 //! `Mlp::forward_batch_with`) with a persistent per-level-versioned
-//! embedding cache. These tests prove the packed occupancy words it
-//! produces are identical to evaluating `update_from_fn` / `update_ema`
-//! cell by cell — across kernel backends and rayon worker counts, over
-//! degenerate resolutions, empty subsets, exact-threshold densities and
-//! cache invalidation after parameter updates.
+//! embedding cache. These tests prove the packed occupancy words and the
+//! density-EMA store it produces are identical to `DecayedEmaOracle`,
+//! which probes cell by cell through `HashGrid::encode_into` and
+//! `Mlp::forward` — across kernel backends and rayon worker counts, over
+//! degenerate resolutions, empty subsets, knife-edge densities and cache
+//! invalidation after parameter updates.
 
 use instant3d_nerf::activation::Activation;
 use instant3d_nerf::adam::{Adam, AdamConfig};
@@ -30,7 +31,6 @@ fn grid(seed: u64) -> HashGrid {
         log2_table_size: 10,
         base_resolution: 4,
         max_resolution: 32,
-        store_fp16: true,
         init_scale: 0.3,
     };
     HashGrid::new_random(cfg, &mut StdRng::seed_from_u64(seed))
@@ -49,27 +49,58 @@ fn sigma_mlp(grid: &HashGrid, seed: u64) -> Mlp {
     )
 }
 
-/// The closure reference path: per-cell `encode_into` + per-point density
-/// MLP forward.
-fn closure_refresh(
-    occ: &mut OccupancyGrid,
-    grid: &HashGrid,
-    mlp: &Mlp,
-    model_aabb: Aabb,
-    threshold: f32,
-    sticky: bool,
-) {
-    let mut emb = vec![0.0; grid.output_dim()];
-    let mut ws = mlp.workspace();
-    let mut density = |p: Vec3| {
-        grid.encode_into(model_aabb.to_unit(p), &mut emb, &mut NullObserver);
-        mlp.forward(&emb, &mut ws)[0]
-    };
-    if sticky {
-        occ.update_ema(&mut density, threshold);
-    } else {
-        occ.update_from_fn(&mut density, threshold);
+/// Test-local specification of [`RefreshMode::DecayedEma`], written from
+/// the rule rather than from the workspace. Each refresh walks the cells
+/// `i ≡ phase (mod k)` in linear order, probes each center on its own
+/// (`encode_into` + `forward`, the model sharing the occupancy AABB) and
+/// folds the density into a per-cell EMA (`∞` = never probed):
+/// `ema = max(seeded ? ema × 0.95 : 0, density)`, `bit = ema > threshold`.
+/// The phase then advances by one.
+struct DecayedEmaOracle {
+    occ: OccupancyGrid,
+    ema: Vec<f32>,
+    phase: usize,
+}
+
+impl DecayedEmaOracle {
+    fn new(aabb: Aabb, resolution: u32) -> Self {
+        let occ = OccupancyGrid::new(aabb, resolution);
+        let ema = vec![f32::INFINITY; occ.num_cells()];
+        DecayedEmaOracle { occ, ema, phase: 0 }
     }
+
+    fn refresh(&mut self, grid: &HashGrid, mlp: &Mlp, threshold: f32, k: usize) {
+        let mut emb = vec![0.0; grid.output_dim()];
+        let mut ws = mlp.workspace();
+        let centers = self.occ.cell_centers();
+        for i in (self.phase..centers.len()).step_by(k) {
+            let unit = self.occ.aabb().to_unit(centers[i]);
+            grid.encode_into(unit, &mut emb, &mut NullObserver);
+            let density = mlp.forward(&emb, &mut ws)[0];
+            let seeded = if self.ema[i].is_finite() {
+                self.ema[i] * 0.95
+            } else {
+                0.0
+            };
+            self.ema[i] = seeded.max(density);
+            self.occ.set_linear(i, self.ema[i] > threshold);
+        }
+        self.phase = (self.phase + 1) % k;
+    }
+
+    fn snapshot(&self) -> Snapshot {
+        snapshot(&self.occ, &self.ema)
+    }
+}
+
+/// Packed occupancy words and EMA bits after one refresh.
+type Snapshot = (Vec<u64>, Vec<u32>);
+
+fn snapshot(occ: &OccupancyGrid, ema: &[f32]) -> Snapshot {
+    (
+        occ.words().to_vec(),
+        ema.iter().map(|v| v.to_bits()).collect(),
+    )
 }
 
 #[test]
@@ -78,15 +109,15 @@ fn batched_threshold_refresh_bit_matches_closure_across_backends_and_workers() {
     let mlp = sigma_mlp(&g, 2);
     let aabb = Aabb::new(Vec3::new(-1.0, -0.5, 0.0), Vec3::new(1.0, 1.5, 2.0));
     for resolution in [1u32, 2, 17] {
-        let mut reference = OccupancyGrid::new(aabb, resolution);
-        closure_refresh(&mut reference, &g, &mlp, aabb, THRESHOLD, false);
+        let mut oracle = DecayedEmaOracle::new(aabb, resolution);
+        oracle.refresh(&g, &mlp, THRESHOLD, 1);
         for backend in kernels::registered() {
             for workers in WORKERS {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(workers)
                     .build()
                     .unwrap();
-                let words = pool.install(|| {
+                let got = pool.install(|| {
                     let mut occ = OccupancyGrid::new(aabb, resolution);
                     let mut ws = OccupancyWorkspace::new(backend.clone());
                     let stats = ws.refresh(
@@ -95,38 +126,20 @@ fn batched_threshold_refresh_bit_matches_closure_across_backends_and_workers() {
                         &mlp,
                         aabb,
                         THRESHOLD,
-                        RefreshMode::Threshold,
+                        RefreshMode::DecayedEma,
                         1,
                     );
                     assert_eq!(stats.cells_probed, occ.num_cells());
                     assert_eq!(stats.levels_encoded, g.levels().len());
-                    occ.words().to_vec()
+                    snapshot(&occ, ws.ema())
                 });
                 assert_eq!(
-                    words,
-                    reference.words(),
+                    got,
+                    oracle.snapshot(),
                     "res {resolution} / {backend} / t{workers}"
                 );
             }
         }
-    }
-}
-
-#[test]
-fn sticky_refresh_bit_matches_update_ema() {
-    let g = grid(3);
-    let mlp = sigma_mlp(&g, 4);
-    let aabb = Aabb::UNIT;
-    // Start from a partially-culled grid so "keep occupied" matters.
-    let mut reference = OccupancyGrid::new(aabb, 9);
-    reference.update_from_fn(|p| if p.x > 0.5 { 1.0 } else { 0.0 }, 0.5);
-    let batched = reference.clone();
-    closure_refresh(&mut reference, &g, &mlp, aabb, THRESHOLD, true);
-    for backend in kernels::registered() {
-        let mut occ = batched.clone();
-        let mut ws = OccupancyWorkspace::new(backend.clone());
-        ws.refresh(&mut occ, &g, &mlp, aabb, THRESHOLD, RefreshMode::Sticky, 1);
-        assert_eq!(occ.words(), reference.words(), "{backend}");
     }
 }
 
@@ -136,36 +149,30 @@ fn clean_cache_refresh_encodes_nothing_and_matches_closure() {
     let mlp = sigma_mlp(&g, 6);
     let aabb = Aabb::UNIT;
     let mut occ = OccupancyGrid::new(aabb, 8);
+    let mut oracle = DecayedEmaOracle::new(aabb, 8);
     let mut ws = OccupancyWorkspace::new(kernels::simd());
-    let first = ws.refresh(
-        &mut occ,
-        &g,
-        &mlp,
-        aabb,
-        THRESHOLD,
-        RefreshMode::Threshold,
-        1,
-    );
+    let mut refresh = || {
+        let stats = ws.refresh(
+            &mut occ,
+            &g,
+            &mlp,
+            aabb,
+            THRESHOLD,
+            RefreshMode::DecayedEma,
+            1,
+        );
+        oracle.refresh(&g, &mlp, THRESHOLD, 1);
+        assert_eq!(snapshot(&occ, ws.ema()), oracle.snapshot());
+        stats
+    };
+    let first = refresh();
     assert_eq!(first.levels_encoded, g.levels().len());
     assert!(first.grid_reads > 0);
-    let words_a = occ.words().to_vec();
     // No parameter change between refreshes → the embedding cache serves
-    // every level; zero table reads, identical bits.
-    let second = ws.refresh(
-        &mut occ,
-        &g,
-        &mlp,
-        aabb,
-        THRESHOLD,
-        RefreshMode::Threshold,
-        1,
-    );
+    // every level: zero table reads, and still the oracle's bits.
+    let second = refresh();
     assert_eq!(second.levels_encoded, 0, "clean cache must skip the encode");
     assert_eq!(second.grid_reads, 0);
-    assert_eq!(occ.words(), &words_a[..]);
-    let mut reference = OccupancyGrid::new(aabb, 8);
-    closure_refresh(&mut reference, &g, &mlp, aabb, THRESHOLD, false);
-    assert_eq!(occ.words(), reference.words());
 }
 
 #[test]
@@ -174,16 +181,23 @@ fn cache_invalidates_per_level_after_sparse_step() {
     let mlp = sigma_mlp(g, 8);
     let aabb = Aabb::UNIT;
     let mut occ = OccupancyGrid::new(aabb, 8);
+    let mut oracle = DecayedEmaOracle::new(aabb, 8);
     let mut ws = OccupancyWorkspace::new(kernels::simd());
-    ws.refresh(
-        &mut occ,
-        g,
-        &mlp,
-        aabb,
-        THRESHOLD,
-        RefreshMode::Threshold,
-        1,
-    );
+    let mut refresh = |g: &HashGrid| {
+        let stats = ws.refresh(
+            &mut occ,
+            g,
+            &mlp,
+            aabb,
+            THRESHOLD,
+            RefreshMode::DecayedEma,
+            1,
+        );
+        oracle.refresh(g, &mlp, THRESHOLD, 1);
+        assert_eq!(snapshot(&occ, ws.ema()), oracle.snapshot());
+        stats
+    };
+    refresh(g);
     // A sparse Adam step touching only level 2's parameters…
     let mut grads = vec![0.0f32; g.num_params()];
     let lo = g.levels()[..2]
@@ -197,38 +211,16 @@ fn cache_invalidates_per_level_after_sparse_step() {
     let mut opt = Adam::new(AdamConfig::for_grid(), g.num_params());
     g.apply_sparse_step(&mut opt, &grads, &touched);
     // …must re-encode exactly one level, and the refreshed bits must
-    // match a from-scratch closure refresh of the updated field.
-    let stats = ws.refresh(
-        &mut occ,
-        g,
-        &mlp,
-        aabb,
-        THRESHOLD,
-        RefreshMode::Threshold,
-        1,
-    );
+    // match the oracle's probe of the updated field.
+    let stats = refresh(g);
     assert_eq!(stats.levels_encoded, 1, "only the stepped level is dirty");
-    let mut reference = OccupancyGrid::new(aabb, 8);
-    closure_refresh(&mut reference, g, &mlp, aabb, THRESHOLD, false);
-    assert_eq!(occ.words(), reference.words());
 
     // A conservative params_mut write dirties everything: the *same*
     // (warm-cached) workspace must re-encode every level on its next
     // refresh.
     g.params_mut()[0] += 0.5;
-    let stats = ws.refresh(
-        &mut occ,
-        g,
-        &mlp,
-        aabb,
-        THRESHOLD,
-        RefreshMode::Threshold,
-        1,
-    );
+    let stats = refresh(g);
     assert_eq!(stats.levels_encoded, g.levels().len());
-    let mut reference = OccupancyGrid::new(aabb, 8);
-    closure_refresh(&mut reference, g, &mlp, aabb, THRESHOLD, false);
-    assert_eq!(occ.words(), reference.words());
 }
 
 #[test]
@@ -244,9 +236,12 @@ fn subset_rotation_covers_all_cells_and_matches_full_refresh() {
         &mlp,
         aabb,
         THRESHOLD,
-        RefreshMode::Threshold,
+        RefreshMode::DecayedEma,
         1,
     );
+    let mut oracle = DecayedEmaOracle::new(aabb, 7);
+    oracle.refresh(&g, &mlp, THRESHOLD, 1);
+    assert_eq!(snapshot(&full, full_ws.ema()), oracle.snapshot());
     for backend in kernels::registered() {
         let k = 4u32;
         let mut occ = OccupancyGrid::new(aabb, 7);
@@ -259,7 +254,7 @@ fn subset_rotation_covers_all_cells_and_matches_full_refresh() {
                 &mlp,
                 aabb,
                 THRESHOLD,
-                RefreshMode::Threshold,
+                RefreshMode::DecayedEma,
                 k,
             );
             probed += stats.cells_probed;
@@ -270,9 +265,13 @@ fn subset_rotation_covers_all_cells_and_matches_full_refresh() {
             );
         }
         // k rotating refreshes visit every cell exactly once and land on
-        // the same packed words as one full refresh.
+        // the same packed words and EMA store as one full refresh.
         assert_eq!(probed, occ.num_cells(), "{backend}");
-        assert_eq!(occ.words(), full.words(), "{backend}");
+        assert_eq!(
+            snapshot(&occ, ws.ema()),
+            snapshot(&full, full_ws.ema()),
+            "{backend}"
+        );
     }
 }
 
@@ -284,6 +283,7 @@ fn empty_subset_phase_probes_zero_cells() {
     let mlp = sigma_mlp(&g, 12);
     let aabb = Aabb::UNIT;
     let mut occ = OccupancyGrid::new(aabb, 1);
+    let mut oracle = DecayedEmaOracle::new(aabb, 1);
     let mut ws = OccupancyWorkspace::new(kernels::simd());
     let mut probes = Vec::new();
     for _ in 0..4 {
@@ -293,30 +293,28 @@ fn empty_subset_phase_probes_zero_cells() {
             &mlp,
             aabb,
             THRESHOLD,
-            RefreshMode::Threshold,
+            RefreshMode::DecayedEma,
             4,
         );
+        oracle.refresh(&g, &mlp, THRESHOLD, 4);
+        assert_eq!(snapshot(&occ, ws.ema()), oracle.snapshot());
         probes.push(stats.cells_probed);
     }
     assert_eq!(probes.iter().sum::<usize>(), 1);
     assert_eq!(probes.iter().filter(|&&p| p == 0).count(), 3);
-    let mut reference = OccupancyGrid::new(aabb, 1);
-    closure_refresh(&mut reference, &g, &mlp, aabb, THRESHOLD, false);
-    assert_eq!(occ.words(), reference.words());
 }
 
 #[test]
 fn exact_threshold_and_signed_zero_densities_match_closure() {
     // A bias-only density head (zero weights, no hidden layer, linear
-    // output) produces the bias *exactly* at every cell, so `d > t` sits
-    // on the knife edge both paths must cut identically.
+    // output) produces the bias *exactly* at every cell, so `ema > t`
+    // sits on the knife edge both paths must cut identically.
     let g = grid(13);
     let mut mlp = Mlp::new(
         MlpConfig::new(g.output_dim(), &[], 1, Activation::Relu, Activation::None),
         &mut StdRng::seed_from_u64(14),
     );
-    let zero = mlp.zero_grads();
-    for (case, (set_bias, threshold, expect_occupied)) in [
+    for (case, (bias, threshold, expect_occupied)) in [
         (0.5f32, 0.5f32, false), // d == t → strictly-greater culls
         (0.0, 0.0, false),       // +0 > +0 is false
         (0.0, -0.0, false),      // +0 > −0 is false (they compare equal)
@@ -326,18 +324,13 @@ fn exact_threshold_and_signed_zero_densities_match_closure() {
     .into_iter()
     .enumerate()
     {
-        mlp.for_each_param_mut(&zero, |params, _| {
-            let v = if params.len() == 1 { set_bias } else { 0.0 };
-            for p in params.iter_mut() {
-                *p = v;
-            }
-        });
-        let mut reference = OccupancyGrid::new(Aabb::UNIT, 6);
-        closure_refresh(&mut reference, &g, &mlp, Aabb::UNIT, threshold, false);
+        set_bias_only(&mut mlp, bias);
+        let mut oracle = DecayedEmaOracle::new(Aabb::UNIT, 6);
+        oracle.refresh(&g, &mlp, threshold, 1);
         assert_eq!(
-            reference.occupancy_fraction() > 0.0,
+            oracle.occ.occupancy_fraction() > 0.0,
             expect_occupied,
-            "case {case}: closure path"
+            "case {case}: oracle"
         );
         for backend in kernels::registered() {
             let mut occ = OccupancyGrid::new(Aabb::UNIT, 6);
@@ -348,10 +341,14 @@ fn exact_threshold_and_signed_zero_densities_match_closure() {
                 &mlp,
                 Aabb::UNIT,
                 threshold,
-                RefreshMode::Threshold,
+                RefreshMode::DecayedEma,
                 1,
             );
-            assert_eq!(occ.words(), reference.words(), "case {case} / {backend}");
+            assert_eq!(
+                snapshot(&occ, ws.ema()),
+                oracle.snapshot(),
+                "case {case} / {backend}"
+            );
         }
     }
 }
@@ -398,45 +395,6 @@ fn decayed_ema_refresh_is_backend_and_worker_invariant() {
     }
 }
 
-/// Test-local specification of [`RefreshMode::DecayedEma`], written from
-/// the rule rather than from the workspace. Each refresh walks the cells
-/// `i ≡ phase (mod k)` in linear order and folds the closure density into
-/// a per-cell EMA (`∞` = never probed):
-/// `ema = max(seeded ? ema × 0.95 : 0, density)`, `bit = ema > threshold`.
-/// The phase then advances by one.
-struct DecayedEmaOracle {
-    occ: OccupancyGrid,
-    ema: Vec<f32>,
-    phase: usize,
-}
-
-impl DecayedEmaOracle {
-    fn new(aabb: Aabb, resolution: u32) -> Self {
-        let occ = OccupancyGrid::new(aabb, resolution);
-        let ema = vec![f32::INFINITY; occ.num_cells()];
-        DecayedEmaOracle { occ, ema, phase: 0 }
-    }
-
-    fn refresh(&mut self, grid: &HashGrid, mlp: &Mlp, threshold: f32, k: usize) {
-        let mut emb = vec![0.0; grid.output_dim()];
-        let mut ws = mlp.workspace();
-        let centers = self.occ.cell_centers();
-        for i in (self.phase..centers.len()).step_by(k) {
-            let unit = self.occ.aabb().to_unit(centers[i]);
-            grid.encode_into(unit, &mut emb, &mut NullObserver);
-            let density = mlp.forward(&emb, &mut ws)[0];
-            let seeded = if self.ema[i].is_finite() {
-                self.ema[i] * 0.95
-            } else {
-                0.0
-            };
-            self.ema[i] = seeded.max(density);
-            self.occ.set_linear(i, self.ema[i] > threshold);
-        }
-        self.phase = (self.phase + 1) % k;
-    }
-}
-
 /// The parameter update applied after each refresh: (round, grid, density
 /// head).
 type ParamUpdate = Box<dyn Fn(usize, &mut HashGrid, &mut Mlp)>;
@@ -448,16 +406,6 @@ struct EmaScenario {
     mlp: Mlp,
     threshold: f32,
     update: ParamUpdate,
-}
-
-/// Packed occupancy words and EMA bits after one refresh.
-type Snapshot = (Vec<u64>, Vec<u32>);
-
-fn snapshot(occ: &OccupancyGrid, ema: &[f32]) -> Snapshot {
-    (
-        occ.words().to_vec(),
-        ema.iter().map(|v| v.to_bits()).collect(),
-    )
 }
 
 /// `2k + 1` refreshes at stride `k` (at least 3, and every cell of phase 0
@@ -543,7 +491,7 @@ fn decayed_ema_refresh_bit_matches_closure_oracle() {
                 let mut oracle = DecayedEmaOracle::new(aabb, resolution);
                 let expect = ema_trace(&s, k, |g, mlp| {
                     oracle.refresh(g, mlp, s.threshold, k);
-                    snapshot(&oracle.occ, &oracle.ema)
+                    oracle.snapshot()
                 });
                 for backend in kernels::registered() {
                     for workers in WORKERS {

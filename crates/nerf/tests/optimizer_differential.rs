@@ -5,8 +5,8 @@
 //!
 //! The sweep is not a `Kernels` seam (there is one body for every
 //! backend), so the axes here are its own: dispatch (chunk lengths that
-//! divide a level, do not divide it, and exceed it), worker count, fp16
-//! storage on and off, gradient patterns the `!= 0.0` filter and the
+//! divide a level, do not divide it, and exceed it), worker count,
+//! gradient patterns the `!= 0.0` filter and the
 //! per-level version bumps must treat exactly as the reference does, and
 //! the edges of the eight-lane body: every tail length, fp16 boundary
 //! parameters, infinite gradients and overflowing steps, one touched lane
@@ -29,13 +29,12 @@ const WORKERS: [usize; 3] = [1, 4, 8];
 /// is the production chunk and longer than any level.
 const CHUNKS: [usize; 5] = [1, 7, 9, 64, 1 << 14];
 
-fn grid(levels: usize, store_fp16: bool, seed: u64) -> HashGrid {
+fn grid(levels: usize, seed: u64) -> HashGrid {
     let cfg = HashGridConfig {
         levels,
         log2_table_size: 10,
         base_resolution: 4,
         max_resolution: 32,
-        store_fp16,
         init_scale: 0.3,
         ..HashGridConfig::default()
     };
@@ -161,61 +160,50 @@ fn sparse_random(seed: u64) -> impl Fn(&mut [f32]) {
 
 #[test]
 fn sweep_bit_equals_reference_on_training_like_gradients() {
-    for store_fp16 in [true, false] {
-        for levels in [1usize, 3, 4] {
-            let g = grid(levels, store_fp16, 40 + levels as u64);
-            let [first, second] = assert_sweep_matches_reference(
-                &format!("fp16={store_fp16} levels={levels}"),
-                &g,
-                &sparse_random(7),
-            );
-            assert_eq!((first.adam_steps, second.adam_steps), (1, 2));
-            assert_ne!(first.params, second.params, "the second step moved nothing");
-            if store_fp16 {
-                let exact = |b: &u32| fp16::quantize(f32::from_bits(*b)).to_bits() == *b;
-                assert!(second.params.iter().all(exact));
-            }
-        }
+    for levels in [1usize, 3, 4] {
+        let g = grid(levels, 40 + levels as u64);
+        let [first, second] =
+            assert_sweep_matches_reference(&format!("levels={levels}"), &g, &sparse_random(7));
+        assert_eq!((first.adam_steps, second.adam_steps), (1, 2));
+        assert_ne!(first.params, second.params, "the second step moved nothing");
+        let exact = |b: &u32| fp16::quantize(f32::from_bits(*b)).to_bits() == *b;
+        assert!(second.params.iter().all(exact));
     }
 }
 
 #[test]
 fn all_zero_gradients_take_no_step_and_bump_nothing() {
-    for store_fp16 in [true, false] {
-        let g = grid(3, store_fp16, 51);
-        let [first, second] = assert_sweep_matches_reference("all-zero", &g, &|_| {});
-        assert_eq!(first, second);
-        assert_eq!(first.adam_steps, 0);
-        assert_eq!(first.level_versions, g.level_versions());
-        let before: Vec<u32> = g.params().iter().map(|v| v.to_bits()).collect();
-        assert_eq!(first.params, before);
-    }
+    let g = grid(3, 51);
+    let [first, second] = assert_sweep_matches_reference("all-zero", &g, &|_| {});
+    assert_eq!(first, second);
+    assert_eq!(first.adam_steps, 0);
+    assert_eq!(first.level_versions, g.level_versions());
+    let before: Vec<u32> = g.params().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(first.params, before);
 }
 
 #[test]
 fn negative_zero_is_skipped_and_nan_is_applied() {
-    for store_fp16 in [true, false] {
-        let g = grid(3, store_fp16, 52);
-        let ranges = level_ranges(&g);
-        // Level 0 holds only a `-0.0` (skipped: no bump, yet it must read
-        // `+0.0` afterwards); level 2 holds a NaN (`NaN != 0.0`: applied).
-        let (neg_zero_at, nan_at) = (ranges[0].0 + 3, ranges[2].0 + 5);
-        let [first, _] = assert_sweep_matches_reference("-0.0 / NaN", &g, &|values| {
-            values[neg_zero_at] = -0.0;
-            values[nan_at] = f32::NAN;
-        });
-        assert_eq!(first.params[neg_zero_at], g.params()[neg_zero_at].to_bits());
-        assert!(f32::from_bits(first.params[nan_at]).is_nan());
-        assert_eq!(first.level_versions[0], g.level_versions()[0]);
-        assert_eq!(first.level_versions[1], g.level_versions()[1]);
-        assert!(first.level_versions[2] > g.level_versions()[2]);
-        assert_eq!(first.adam_steps, 1);
-    }
+    let g = grid(3, 52);
+    let ranges = level_ranges(&g);
+    // Level 0 holds only a `-0.0` (skipped: no bump, yet it must read
+    // `+0.0` afterwards); level 2 holds a NaN (`NaN != 0.0`: applied).
+    let (neg_zero_at, nan_at) = (ranges[0].0 + 3, ranges[2].0 + 5);
+    let [first, _] = assert_sweep_matches_reference("-0.0 / NaN", &g, &|values| {
+        values[neg_zero_at] = -0.0;
+        values[nan_at] = f32::NAN;
+    });
+    assert_eq!(first.params[neg_zero_at], g.params()[neg_zero_at].to_bits());
+    assert!(f32::from_bits(first.params[nan_at]).is_nan());
+    assert_eq!(first.level_versions[0], g.level_versions()[0]);
+    assert_eq!(first.level_versions[1], g.level_versions()[1]);
+    assert!(first.level_versions[2] > g.level_versions()[2]);
+    assert_eq!(first.adam_steps, 1);
 }
 
 #[test]
 fn untouched_level_between_two_touched_ones_keeps_its_version() {
-    let g = grid(3, true, 53);
+    let g = grid(3, 53);
     let ranges = level_ranges(&g);
     let [first, second] = assert_sweep_matches_reference("gap level", &g, &|values| {
         // The last element of level 0 and the first of level 2: both sit
@@ -233,14 +221,13 @@ fn untouched_level_between_two_touched_ones_keeps_its_version() {
 
 /// A grid of `levels` levels of `len` scalars each: one-entry hashed
 /// tables of `len` features.
-fn grid_of_level_length(len: usize, levels: usize, store_fp16: bool) -> HashGrid {
+fn grid_of_level_length(len: usize, levels: usize) -> HashGrid {
     let cfg = HashGridConfig {
         levels,
         features_per_entry: len,
         log2_table_size: 0,
         base_resolution: 4,
         max_resolution: 32,
-        store_fp16,
         init_scale: 0.3,
     };
     HashGrid::new_random(cfg, &mut StdRng::seed_from_u64(60 + len as u64))
@@ -250,25 +237,20 @@ fn grid_of_level_length(len: usize, levels: usize, store_fp16: bool) -> HashGrid
 fn every_lane_tail_length_matches_the_reference() {
     // Levels of 1–9 scalars, then 10–23: every `len % 8` with zero, one
     // and two full lane groups in front of it.
-    for store_fp16 in [true, false] {
-        for len in 1..=23 {
-            let g = grid_of_level_length(len, 3, store_fp16);
-            assert_eq!(level_ranges(&g).last(), Some(&(2 * len, 3 * len)));
-            let [first, _] = assert_sweep_matches_reference(
-                &format!("fp16={store_fp16} level length {len}"),
-                &g,
-                &|values| {
-                    for (i, v) in values.iter_mut().enumerate() {
-                        // Every element of the last lane tail touched,
-                        // every third elsewhere.
-                        if i % len >= len / 8 * 8 || i % 3 == 0 {
-                            *v = 0.25 - (i % 5) as f32 * 0.125;
-                        }
+    for len in 1..=23 {
+        let g = grid_of_level_length(len, 3);
+        assert_eq!(level_ranges(&g).last(), Some(&(2 * len, 3 * len)));
+        let [first, _] =
+            assert_sweep_matches_reference(&format!("level length {len}"), &g, &|values| {
+                for (i, v) in values.iter_mut().enumerate() {
+                    // Every element of the last lane tail touched, every
+                    // third elsewhere.
+                    if i % len >= len / 8 * 8 || i % 3 == 0 {
+                        *v = 0.25 - (i % 5) as f32 * 0.125;
                     }
-                },
-            );
-            assert_eq!(first.adam_steps, 1, "len {len}");
-        }
+                }
+            });
+        assert_eq!(first.adam_steps, 1, "len {len}");
     }
 }
 
@@ -295,76 +277,65 @@ fn fp16_boundary_parameters_match_the_reference() {
         16.0,
         32.0,
     ];
-    for store_fp16 in [true, false] {
-        let mut g = grid(3, store_fp16, 54);
-        for (i, p) in g.params_mut().iter_mut().enumerate() {
-            let edge = edges[i % 3];
-            *p = if i % 6 < 3 { edge } else { -edge };
-        }
-        for lr in lrs {
-            let cfg = AdamConfig {
-                lr,
-                ..AdamConfig::for_grid()
-            };
-            let [first, _] = assert_sweep_matches_reference_at(
-                &format!("fp16={store_fp16} lr={lr:e}"),
-                &g,
-                cfg,
-                &|values| {
-                    for (i, v) in values.iter_mut().enumerate() {
-                        // Both directions, and some edges left alone.
-                        *v = [1.0, -1.0, 0.0, 1e-3, -1e-3][i % 5];
-                    }
-                },
-            );
-            if store_fp16 && lr >= 32.0 {
-                // 65504 + 32 rounds to 2^16: the step overflows to ±inf.
-                let params = first.params.iter().map(|&b| f32::from_bits(b));
-                assert!(params.clone().any(|p| p == f32::INFINITY));
-                assert!(params.clone().any(|p| p == f32::NEG_INFINITY));
-            }
+    let mut g = grid(3, 54);
+    for (i, p) in g.params_mut().iter_mut().enumerate() {
+        let edge = edges[i % 3];
+        *p = if i % 6 < 3 { edge } else { -edge };
+    }
+    for lr in lrs {
+        let cfg = AdamConfig {
+            lr,
+            ..AdamConfig::for_grid()
+        };
+        let [first, _] =
+            assert_sweep_matches_reference_at(&format!("lr={lr:e}"), &g, cfg, &|values| {
+                for (i, v) in values.iter_mut().enumerate() {
+                    // Both directions, and some edges left alone.
+                    *v = [1.0, -1.0, 0.0, 1e-3, -1e-3][i % 5];
+                }
+            });
+        if lr >= 32.0 {
+            // 65504 + 32 rounds to 2^16: the step overflows to ±inf.
+            let params = first.params.iter().map(|&b| f32::from_bits(b));
+            assert!(params.clone().any(|p| p == f32::INFINITY));
+            assert!(params.clone().any(|p| p == f32::NEG_INFINITY));
         }
     }
 }
 
 #[test]
 fn infinite_gradients_match_the_reference() {
-    for store_fp16 in [true, false] {
-        let g = grid(3, store_fp16, 55);
-        let ranges = level_ranges(&g);
-        let (pos_at, neg_at) = (ranges[1].0 + 9, ranges[2].1 - 1);
-        let [first, _] = assert_sweep_matches_reference("±inf", &g, &|values| {
-            values[pos_at] = f32::INFINITY;
-            values[neg_at] = f32::NEG_INFINITY;
-            values[pos_at + 1] = 0.5;
-        });
-        // m̂ / √v̂ is ∞ / ∞: the parameter becomes NaN, as in the reference.
-        assert!(f32::from_bits(first.params[pos_at]).is_nan());
-        assert!(f32::from_bits(first.params[neg_at]).is_nan());
-        assert_ne!(first.params[pos_at + 1], g.params()[pos_at + 1].to_bits());
-    }
+    let g = grid(3, 55);
+    let ranges = level_ranges(&g);
+    let (pos_at, neg_at) = (ranges[1].0 + 9, ranges[2].1 - 1);
+    let [first, _] = assert_sweep_matches_reference("±inf", &g, &|values| {
+        values[pos_at] = f32::INFINITY;
+        values[neg_at] = f32::NEG_INFINITY;
+        values[pos_at + 1] = 0.5;
+    });
+    // m̂ / √v̂ is ∞ / ∞: the parameter becomes NaN, as in the reference.
+    assert!(f32::from_bits(first.params[pos_at]).is_nan());
+    assert!(f32::from_bits(first.params[neg_at]).is_nan());
+    assert_ne!(first.params[pos_at + 1], g.params()[pos_at + 1].to_bits());
 }
 
 #[test]
 fn one_touched_lane_in_a_group_matches_the_reference() {
-    for store_fp16 in [true, false] {
-        let g = grid(3, store_fp16, 56);
-        let ranges = level_ranges(&g);
-        for lane in 0..8 {
-            // One non-zero gradient in level 1's fourth lane group (lane
-            // groups count from the chunk start; under the production
-            // chunk that is the level start).
-            let at = ranges[1].0 + 3 * 8 + lane;
-            let [first, _] =
-                assert_sweep_matches_reference(&format!("lane {lane}"), &g, &|values| {
-                    values[at] = -0.75;
-                });
-            let before: Vec<u32> = g.params().iter().map(|v| v.to_bits()).collect();
-            let changed: Vec<usize> = (0..before.len())
-                .filter(|&i| first.params[i] != before[i])
-                .collect();
-            assert_eq!(changed, [at], "lane {lane}");
-        }
+    let g = grid(3, 56);
+    let ranges = level_ranges(&g);
+    for lane in 0..8 {
+        // One non-zero gradient in level 1's fourth lane group (lane groups
+        // count from the chunk start; under the production chunk that is
+        // the level start).
+        let at = ranges[1].0 + 3 * 8 + lane;
+        let [first, _] = assert_sweep_matches_reference(&format!("lane {lane}"), &g, &|values| {
+            values[at] = -0.75;
+        });
+        let before: Vec<u32> = g.params().iter().map(|v| v.to_bits()).collect();
+        let changed: Vec<usize> = (0..before.len())
+            .filter(|&i| first.params[i] != before[i])
+            .collect();
+        assert_eq!(changed, [at], "lane {lane}");
     }
 }
 
@@ -379,7 +350,7 @@ proptest! {
         density in 0.0f32..1.0,
         log_scale in -12i32..12)
     {
-        let mut g = grid(3, true, seed);
+        let mut g = grid(3, seed);
         let mut opt = Adam::new(AdamConfig::for_grid(), g.num_params());
         let mut grads = g.zero_grads();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37);

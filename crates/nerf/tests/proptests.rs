@@ -226,7 +226,6 @@ proptest! {
             base_resolution: 4,
             max_resolution: 16,
             init_scale: 0.5,
-            store_fp16: false,
             ..HashGridConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(99);
@@ -250,7 +249,6 @@ proptest! {
             log2_table_size: 12,
             base_resolution: 4,
             max_resolution: 8,
-            store_fp16: false,
             ..HashGridConfig::default()
         };
         let grid = HashGrid::new(cfg.clone());
@@ -283,7 +281,6 @@ proptest! {
             log2_table_size: 10,
             base_resolution: 4,
             max_resolution: 32,
-            store_fp16: false,
             ..HashGridConfig::default()
         };
         let mut rng = StdRng::seed_from_u64(seed);
@@ -313,7 +310,6 @@ proptest! {
             log2_table_size: 8,
             base_resolution: 4,
             max_resolution: 16,
-            store_fp16: false,
             ..HashGridConfig::default()
         };
         let grid = HashGrid::new(cfg);

@@ -57,7 +57,7 @@ fn encode_chunk(backend: &BackendHandle, g: &HashGrid, pts: &[Vec3], out: &mut [
     backend.grid_encode_levels_chunk(g, &all, pts, out);
 }
 
-/// Default-shaped grid (dense + hashed levels, fp16 storage like training).
+/// Default-shaped grid (dense + hashed levels).
 fn training_grid(seed: u64) -> HashGrid {
     grid(
         HashGridConfig {
@@ -65,7 +65,6 @@ fn training_grid(seed: u64) -> HashGrid {
             log2_table_size: 10,
             base_resolution: 4,
             max_resolution: 64,
-            store_fp16: true,
             ..HashGridConfig::default()
         },
         seed,
@@ -81,7 +80,6 @@ fn colliding_grid(seed: u64) -> HashGrid {
             log2_table_size: 4, // 16 entries vs 35937 fine-level vertices
             base_resolution: 4,
             max_resolution: 32,
-            store_fp16: false,
             init_scale: 0.3,
             ..HashGridConfig::default()
         },
@@ -760,7 +758,6 @@ fn lane_kernel_bits_are_pinned_across_commits() {
             log2_table_size: 10,
             base_resolution: 4,
             max_resolution: 32,
-            store_fp16: true,
             ..HashGridConfig::default()
         },
         97,

@@ -99,11 +99,6 @@ impl Dataset {
     pub fn train_images(&self) -> Vec<RgbImage> {
         self.train_views.iter().map(|v| v.image.clone()).collect()
     }
-
-    /// Total training pixels across all views.
-    pub fn num_train_pixels(&self) -> usize {
-        self.train_views.iter().map(|v| v.image.num_pixels()).sum()
-    }
 }
 
 /// Box-Muller standard normal sample.
@@ -218,7 +213,6 @@ mod tests {
         assert_eq!(ds.train_views.len(), 6);
         assert_eq!(ds.test_views.len(), 2);
         assert_eq!(ds.test_depths.len(), 2);
-        assert_eq!(ds.num_train_pixels(), 6 * 16 * 16);
         assert_eq!(ds.train_cameras().len(), 6);
         assert_eq!(ds.train_images().len(), 6);
     }

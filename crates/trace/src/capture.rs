@@ -76,13 +76,6 @@ impl TraceCollector {
             records: self.records,
         }
     }
-
-    /// Borrowed view of the trace so far.
-    pub fn as_trace(&self) -> Trace {
-        Trace {
-            records: self.records.clone(),
-        }
-    }
 }
 
 impl BranchObserver for TraceCollector {
@@ -145,16 +138,6 @@ mod tests {
             t.records.iter().map(|r| r.addr).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-    }
-
-    #[test]
-    fn as_trace_is_nondestructive() {
-        let mut tc = TraceCollector::new(10);
-        tc.on_branch_access(GridBranch::Density, AccessPhase::FeedForward, 0, 0, 7);
-        let snapshot = tc.as_trace();
-        assert_eq!(snapshot.len(), 1);
-        tc.on_branch_access(GridBranch::Density, AccessPhase::FeedForward, 0, 1, 8);
-        assert_eq!(tc.len(), 2);
     }
 
     #[test]

@@ -117,16 +117,6 @@ impl Trace {
         bp.into_iter()
     }
 
-    /// In-level addresses of one (phase, branch, level), capture order —
-    /// what a single grid core's SRAM sees.
-    pub fn level_addrs(&self, phase: AccessPhase, branch: GridBranch, level: u32) -> Vec<u32> {
-        self.records
-            .iter()
-            .filter(|r| r.phase == phase && r.branch == branch && r.level == level)
-            .map(|r| r.addr)
-            .collect()
-    }
-
     /// Iterations covered by the trace (inclusive range), or `None` if empty.
     pub fn iteration_range(&self) -> Option<(u32, u32)> {
         let mut it = self.records.iter().map(|r| r.iter);
@@ -224,21 +214,6 @@ mod tests {
         // Iteration 0 comes first despite its later capture order.
         assert_eq!(addrs, vec![1, 99]);
         assert_eq!(t.iteration_range(), Some((0, 1)));
-    }
-
-    #[test]
-    fn level_addrs_filters_exactly() {
-        let t = Trace {
-            records: vec![
-                rec(0, 0, GridBranch::Density, AccessPhase::FeedForward, 2, 7),
-                rec(1, 0, GridBranch::Density, AccessPhase::FeedForward, 3, 8),
-                rec(2, 0, GridBranch::Density, AccessPhase::BackProp, 2, 9),
-            ],
-        };
-        assert_eq!(
-            t.level_addrs(AccessPhase::FeedForward, GridBranch::Density, 2),
-            vec![7]
-        );
     }
 
     #[test]
