@@ -212,6 +212,11 @@ impl TrainConfig {
         if self.samples_per_ray == 0 {
             return Err("samples_per_ray must be positive".into());
         }
+        // Zero eval samples would render background-only frames and score
+        // them with a PSNR that says nothing about the model.
+        if self.eval_samples_per_ray == 0 {
+            return Err("eval_samples_per_ray must be positive".into());
+        }
         if !(1..=4).contains(&self.sh_degree) {
             return Err(format!("sh_degree {} outside 1..=4", self.sh_degree));
         }
@@ -345,6 +350,10 @@ mod tests {
     fn validation_catches_bad_configs() {
         let mut cfg = TrainConfig::fast_preview();
         cfg.rays_per_batch = 0;
+        assert!(cfg.validate().is_err());
+
+        let mut cfg = TrainConfig::fast_preview();
+        cfg.eval_samples_per_ray = 0;
         assert!(cfg.validate().is_err());
 
         let mut cfg = TrainConfig::fast_preview();

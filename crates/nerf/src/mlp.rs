@@ -26,7 +26,7 @@
 //! 32-item block runs through every layer while it sits in L1 — and twice
 //! per backward pass: item blocks carry the gradient down through every
 //! layer, then tiles of every layer's parameter gradient sweep the items
-//! in order.
+//! in order, one L2-sized run of blocks at a time.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -350,6 +350,17 @@ impl<'a> Blocked<'a> {
         (self.n - b * BLOCK).min(BLOCK)
     }
 
+    /// Blocks `b0..b0 + nb` (those of them that hold items) as a batch of
+    /// their own.
+    #[inline(always)]
+    fn sub(&self, b0: usize, nb: usize) -> Self {
+        Blocked {
+            data: &self.data[b0 * self.stride..],
+            n: (self.n - b0 * BLOCK).min(nb * BLOCK),
+            ..*self
+        }
+    }
+
     /// Block `b`'s rows.
     #[inline(always)]
     fn rows(&self, b: usize) -> &'a [f32] {
@@ -383,11 +394,17 @@ fn grad_rows_scalar(
 }
 
 /// Tiled parameter gradients (same arguments as [`grad_rows_scalar`]):
-/// full groups of eight columns run as register tiles of `R` rows × `G`
-/// groups (`R · G = 8` accumulators) held across every item of every
-/// block, the last `iw % 8` columns one element at a time. Every parameter
-/// — and every bias, summed in its own pass — still accumulates in item
-/// order, so the tile bounds never change a bit.
+/// the items run in runs of `RUN` blocks, and every pass of the tile runs
+/// over one run before the next run starts. Within a run, full groups of
+/// eight columns run as register tiles of `R` rows × `G` groups (`R · G =
+/// 8` accumulators) held across the run's items, the last `iw % 8`
+/// columns one element at a time, and the bias in a pass of its own. A
+/// register tile loads its accumulators from `gw` and stores them back
+/// once per run, so every parameter and every bias still accumulates in
+/// item order from the same value: neither the runs nor the tile bounds
+/// change a bit. What the runs change is where the rows come from: every
+/// register tile after a run's first rereads the run from L2, where
+/// sweeping the whole batch streamed it from past L2 once per tile.
 #[inline(always)]
 pub(crate) fn grad_rows(
     layer: &Linear,
@@ -399,36 +416,39 @@ pub(crate) fn grad_rows(
 ) {
     let (iw, ow) = (layer.spec.in_dim, layer.spec.out_dim);
     let (o0, rows) = (tile.o0, tile.rows);
-    for b in 0..dz.blocks() {
-        for dzr in dz.rows(b).chunks_exact(ow) {
-            for (g, &d) in gb.iter_mut().zip(&dzr[o0..o0 + rows]) {
-                *g += d;
+    let wide = iw - iw % 8;
+    for b0 in (0..dz.blocks()).step_by(RUN) {
+        let (x, dz) = (x.sub(b0, RUN), dz.sub(b0, RUN));
+        for b in 0..dz.blocks() {
+            for dzr in dz.rows(b).chunks_exact(ow) {
+                for (g, &d) in gb.iter_mut().zip(&dzr[o0..o0 + rows]) {
+                    *g += d;
+                }
             }
         }
-    }
-    let wide = iw - iw % 8;
-    let mut c0 = 0;
-    while c0 < wide {
-        let g = group_block((wide - c0) / 8);
-        let mut r = 0;
-        while r < rows {
-            let at = (r, c0);
-            r += match g {
-                8 => grad_tile::<1, 8>(layer, x, dz, tile, at, gw),
-                4 => grad_tile::<2, 4>(layer, x, dz, tile, at, gw),
-                2 => grad_tile::<4, 2>(layer, x, dz, tile, at, gw),
-                _ => grad_tile::<8, 1>(layer, x, dz, tile, at, gw),
-            };
+        let mut c0 = 0;
+        while c0 < wide {
+            let g = group_block((wide - c0) / 8);
+            let mut r = 0;
+            while r < rows {
+                let at = (r, c0);
+                r += match g {
+                    8 => grad_tile::<1, 8>(layer, x, dz, tile, at, gw),
+                    4 => grad_tile::<2, 4>(layer, x, dz, tile, at, gw),
+                    2 => grad_tile::<4, 2>(layer, x, dz, tile, at, gw),
+                    _ => grad_tile::<8, 1>(layer, x, dz, tile, at, gw),
+                };
+            }
+            c0 += 8 * g;
         }
-        c0 += 8 * g;
-    }
-    if wide < iw {
-        for b in 0..x.blocks() {
-            for (xr, dzr) in x.rows(b).chunks_exact(iw).zip(dz.rows(b).chunks_exact(ow)) {
-                for (j, grow) in gw.chunks_exact_mut(iw).enumerate() {
-                    let d = dzr[o0 + j];
-                    for (g, &xk) in grow[wide..].iter_mut().zip(&xr[wide..]) {
-                        *g += d * xk;
+        if wide < iw {
+            for b in 0..x.blocks() {
+                for (xr, dzr) in x.rows(b).chunks_exact(iw).zip(dz.rows(b).chunks_exact(ow)) {
+                    for (j, grow) in gw.chunks_exact_mut(iw).enumerate() {
+                        let d = dzr[o0 + j];
+                        for (g, &xk) in grow[wide..].iter_mut().zip(&xr[wide..]) {
+                            *g += d * xk;
+                        }
                     }
                 }
             }
@@ -437,8 +457,9 @@ pub(crate) fn grad_rows(
 }
 
 /// One parameter-gradient tile: rows `r..r + R` (of row `r` alone when
-/// fewer than `R` remain) × columns `c0..c0 + 8G` of `gw`, over every
-/// item. Returns the rows done.
+/// fewer than `R` remain) × columns `c0..c0 + 8G` of `gw`, over the items
+/// of `x` and `dz` — one run of [`grad_rows`]. The accumulators start from
+/// `gw` and end in it. Returns the rows done.
 #[inline(always)]
 fn grad_tile<const R: usize, const G: usize>(
     layer: &Linear,
@@ -725,6 +746,17 @@ pub struct MlpWorkspace {
 /// the default heads' activations and gradients is ~20 KB, so it stays in
 /// L1 while every layer runs over it.
 const BLOCK: usize = 32;
+
+/// Blocks per run of [`grad_rows`], which runs every register tile of a
+/// parameter-gradient tile over one run's items before the next run
+/// starts: a run's `x` and `dz` rows come from memory once and from L2 for
+/// every further tile. The widest layer the presets build, the first of
+/// the Instant-NGP preset's colour head (48 inputs, 64 outputs), holds
+/// 448 B of `x` and `dz` per item, so a run is 16 × 32 × 448 B = 224 KB:
+/// about a tenth of a 2 MB L2, which leaves room for a hyper-thread
+/// sibling's run and the gradient tile. A register tile loads and stores
+/// its accumulators once per run, once per 512 items.
+const RUN: usize = 16;
 
 /// Reusable SoA scratch for batched forward/backward passes: the
 /// activations of every item of a batch, retained between the forward and
@@ -1299,13 +1331,15 @@ impl Tiling {
 }
 
 impl GradPass<'_> {
-    /// Splits a layer's parameter gradient into row blocks, about four per
+    /// Splits a layer's parameter gradient into row blocks, about one per
     /// worker across the whole network in proportion to the layer's share
-    /// of the work, and at least one.
+    /// of the work, and at least one. Every tile reads all of its layer's
+    /// `x` and `dz` rows from past L2, so the fewest tiles that keep every
+    /// worker busy read the least.
     fn tiling(&self, spec: LayerSpec) -> Tiling {
         let (iw, ow) = (spec.in_dim, spec.out_dim);
         let total: usize = self.mlp.flops() / 2;
-        let target = (rayon::current_num_threads() * 4 * iw * ow)
+        let target = (rayon::current_num_threads() * iw * ow)
             .div_ceil(total)
             .clamp(1, ow);
         let rows = ow.div_ceil(target);

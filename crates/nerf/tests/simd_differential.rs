@@ -567,6 +567,40 @@ fn mlp_tile_and_block_edges_bit_equal_scalar_at_every_worker_count() {
 }
 
 #[test]
+fn mlp_parameter_gradient_runs_bit_equal_scalar_across_run_boundaries() {
+    // The parameter-gradient sweep runs its tiles over runs of 16 blocks
+    // of 32 items (`mlp::RUN` × `mlp::BLOCK`). These batches span two full
+    // runs and a ragged third: three blocks, the last of 1 item, or one
+    // block of 31 items.
+    const RUN_ITEMS: usize = 16 * 32;
+    const SIZES: [usize; 2] = [2 * RUN_ITEMS + 2 * 32 + 1, 2 * RUN_ITEMS + 31];
+    // The capture heads, then a first layer of 27 inputs, whose 3-column
+    // tail runs once per run too.
+    for (in_dim, out_dim, k) in [(16usize, 1usize, 16usize), (32, 3, 16), (27, 3, 27)] {
+        let mut rng = StdRng::seed_from_u64(512 + in_dim as u64);
+        let mlp = Mlp::new(
+            MlpConfig::new(
+                in_dim,
+                &[64],
+                out_dim,
+                Activation::Relu,
+                Activation::Sigmoid,
+            ),
+            &mut rng,
+        );
+        for n in SIZES {
+            let inputs: Vec<f32> = (0..n * in_dim).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+            let d_out: Vec<f32> = (0..n * out_dim)
+                .map(|_| rng.gen_range(-1.0..=1.0))
+                .collect();
+            let what = format!("{in_dim}->64->{out_dim} n={n}");
+            let batch = (&inputs[..], &d_out[..], k);
+            assert_mlp_backends_match(&mlp, batch, &[1, 2, 4], false, &what);
+        }
+    }
+}
+
+#[test]
 fn mlp_narrow_input_gradient_is_the_leading_columns_of_the_full_one() {
     let in_dim = 19;
     let mut rng = StdRng::seed_from_u64(19);
