@@ -20,8 +20,10 @@
 //!   (activation derivatives, input gradients), then parameter-gradient
 //!   tiles. The colour head's input gradient covers its `emb_c` columns
 //!   only;
-//! * grid scatter — one task per grid level, each owning that level's
-//!   slice of the gradient buffer.
+//! * grid scatter and the grid optimizer tail — one lane per worker, each
+//!   claiming whole levels in turn, scattering a level into a level-sized
+//!   buffer of its own and sweeping sparse Adam over that level's table
+//!   with it.
 //!
 //! Consequences, both load-bearing for the test suite:
 //!
@@ -41,6 +43,8 @@
 
 use crate::config::GridTopology;
 use crate::model::{ModelGradients, NerfModel};
+use instant3d_nerf::adam::Adam;
+use instant3d_nerf::grid::LevelBuffers;
 use instant3d_nerf::kernels::BackendHandle;
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::mlp::MlpBatchWorkspace;
@@ -80,6 +84,9 @@ pub struct BatchWorkspace {
     /// (the tile renderer's `sample_segments_occupancy_into` buffer).
     /// Rides with the workspace so pooled reuse keeps its capacity.
     pub(crate) seg_scratch: Vec<(f32, f32)>,
+    /// Zeroed level-sized gradient buffers for [`BatchWorkspace::grid_step`],
+    /// at most one per worker.
+    grid_buffers: LevelBuffers,
 
     sh_dim: usize,
     emb_d_dim: usize,
@@ -154,6 +161,7 @@ impl BatchWorkspace {
             d_emb_d: Vec::new(),
             d_emb_c: Vec::new(),
             seg_scratch: Vec::new(),
+            grid_buffers: LevelBuffers::new(),
             sh_dim: model.sh_dim(),
             emb_d_dim: model.density_grid().output_dim(),
             emb_c_dim,
@@ -330,7 +338,7 @@ impl BatchWorkspace {
     /// Stage ③-② backward, batched: backpropagates the per-sample
     /// gradients through both heads (reusing the retained forward
     /// activations — no re-forward), leaving the embedding gradients in
-    /// the workspace for [`BatchWorkspace::scatter`]. The colour head's
+    /// the workspace for [`BatchWorkspace::grid_step`]. The colour head's
     /// input gradient is asked for its first `emb_c` columns only, written
     /// straight into `d_emb_c`: the SH columns have no parameters behind
     /// them.
@@ -362,36 +370,65 @@ impl BatchWorkspace {
         );
     }
 
-    /// Stage ③-① backward, batched: scatters the embedding gradients into
-    /// the grid gradient buffers, level-parallel over disjoint gradient
-    /// slices. Per-parameter accumulation is point-ordered.
-    pub fn scatter(&mut self, model: &NerfModel, grads: &mut ModelGradients, update_color: bool) {
+    /// Makes the level buffers [`BatchWorkspace::grid_step`] runs on for
+    /// `model`'s grids, on the calling thread. The trainer calls this
+    /// before entering the pool, so the buffers come from its thread's
+    /// allocator arena, not from whichever worker runs the step.
+    pub(crate) fn reserve_grid_buffers(&mut self, model: &NerfModel) {
+        self.grid_buffers.reserve(model.density_grid());
+        if let Some(cg) = model.color_grid() {
+            self.grid_buffers.reserve(cg);
+        }
+    }
+
+    /// Stage ③-① backward and the grid optimizer tail, batched and merged
+    /// where the gradients are produced: for each grid its schedule
+    /// updates this step, each level's embedding gradients are scattered
+    /// into a level-sized buffer of this workspace and swept by sparse
+    /// Adam while still in cache ([`HashGrid::par_backward_step_with`]),
+    /// so no grid-sized gradient buffer exists. A grid that sits the step
+    /// out is not scattered into: its gradients would be discarded.
+    /// Per-parameter accumulation is point-ordered.
+    ///
+    /// [`HashGrid::par_backward_step_with`]: instant3d_nerf::grid::HashGrid::par_backward_step_with
+    pub fn grid_step(
+        &mut self,
+        model: &mut NerfModel,
+        density_opt: &mut Adam,
+        color_opt: Option<&mut Adam>,
+        update_density: bool,
+        update_color: bool,
+    ) {
         let n = self.rays.num_samples();
         let (ed, ec) = (self.emb_d_dim, self.emb_c_dim);
         let coupled = model.topology() == GridTopology::Coupled;
-        if coupled {
-            // Shared grid: both heads' embedding gradients sum.
-            debug_assert_eq!(ed, ec);
-            for (d, c) in self.d_emb_d[..n * ed]
-                .iter_mut()
-                .zip(&self.d_emb_c[..n * ec])
-            {
-                *d += *c;
+        if update_density {
+            if coupled {
+                // Shared grid: both heads' embedding gradients sum.
+                debug_assert_eq!(ed, ec);
+                for (d, c) in self.d_emb_d[..n * ed]
+                    .iter_mut()
+                    .zip(&self.d_emb_c[..n * ec])
+                {
+                    *d += *c;
+                }
             }
+            model.density_grid_mut().par_backward_step_with(
+                &self.backend,
+                &self.unit_positions,
+                &self.d_emb_d[..n * ed],
+                density_opt,
+                &mut self.grid_buffers,
+            );
         }
-        model.density_grid().par_backward_batch_with(
-            &self.backend,
-            &self.unit_positions,
-            &self.d_emb_d[..n * ed],
-            &mut grads.density_grid,
-        );
         if !coupled && update_color {
-            if let (Some(cg), Some(cgrads)) = (model.color_grid(), grads.color_grid.as_mut()) {
-                cg.par_backward_batch_with(
+            if let (Some(cg), Some(opt)) = (model.color_grid_mut(), color_opt) {
+                cg.par_backward_step_with(
                     &self.backend,
                     &self.unit_positions,
                     &self.d_emb_c[..n * ec],
-                    cgrads,
+                    opt,
+                    &mut self.grid_buffers,
                 );
             }
         }

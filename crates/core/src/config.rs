@@ -1,7 +1,7 @@
 //! Training configuration: the paper's algorithmic knobs, plus the
 //! execution-engine knobs (kernel backend).
 
-use instant3d_nerf::grid::HashGridConfig;
+use instant3d_nerf::grid::{dense_vertex_count, HashGridConfig};
 use instant3d_nerf::kernels::{self, BackendHandle};
 
 /// Whether the model uses Instant-NGP's single shared grid or Instant-3D's
@@ -287,7 +287,7 @@ impl TrainConfig {
             let t = u64::from(grid.table_size());
             let entries = grid
                 .level_resolutions()
-                .map(|r| (u64::from(r) + 1).saturating_pow(3).min(t))
+                .map(|r| dense_vertex_count(r).min(t))
                 .fold(0u64, u64::saturating_add);
             if entries > u64::from(u32::MAX) {
                 return Err(format!(

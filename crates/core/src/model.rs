@@ -413,7 +413,7 @@ impl NerfModel {
     /// Total trainable parameters.
     pub fn num_params(&self) -> usize {
         self.density_grid.num_params()
-            + self.color_grid.as_ref().map_or(0, HashGrid::num_params)
+            + self.color_grid.as_ref().map_or(0, |g| g.num_params())
             + self.sigma_mlp.num_params()
             + self.color_mlp.num_params()
     }

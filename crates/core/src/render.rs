@@ -559,10 +559,11 @@ fn grid_versions(model: &NerfModel) -> Vec<u64> {
 ///
 /// Without `occ` the sampling lattice is exactly the monolithic
 /// renderer's (`t = t0 + (k + 0.5)·δt` across the AABB span) — the
-/// bit-identity contract. With `occ`, rays are pre-filtered with
-/// [`OccupancyGrid::ray_segment_occupied`] and surviving rays sample
-/// through `sample_segments_occupancy_into`, so known-empty space costs
-/// one bitfield probe per stratum instead of a full grid+MLP evaluation.
+/// bit-identity contract. With `occ`, rays sample through
+/// `sample_segments_occupancy_into`, so known-empty space costs one
+/// bitfield probe per stratum instead of a full grid+MLP evaluation, and
+/// a ray through empty space gets no samples (and no direction encoding):
+/// it composites to pure background.
 #[allow(
     clippy::too_many_arguments,
     reason = "tile geometry, options, occupancy, scratch and output slices are independent inputs"
@@ -598,7 +599,7 @@ fn render_tile(
                             bws.point_ray.push(r as u32);
                         }
                     }
-                    Some(g) if g.ray_segment_occupied(&ray, t0, t1, n) => {
+                    Some(g) => {
                         sample_segments_occupancy_into::<StdRng>(
                             &ray,
                             aabb,
@@ -617,8 +618,6 @@ fn render_tile(
                             }
                         }
                     }
-                    // Ray through fully-empty space: pure background.
-                    Some(_) => {}
                 }
             }
             bws.rays.end_ray();

@@ -26,6 +26,7 @@ use crate::schedule::UpdateSchedule;
 use crate::timing::StepTimer;
 use instant3d_nerf::adam::{Adam, AdamConfig};
 use instant3d_nerf::camera::Camera;
+use instant3d_nerf::grid::{GridGradients, HashGrid};
 use instant3d_nerf::image::RgbImage;
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::occupancy::{
@@ -118,8 +119,9 @@ pub struct Trainer {
     images: Vec<RgbImage>,
     background: Vec3,
     ws: ModelWorkspace,
-    /// Gradient buffers. The two grid buffers are all `+0.0` between
-    /// steps: the optimizer tail consumes (or zeroes) what a step scatters.
+    /// Gradient buffers. The grid buffers serve the scalar reference step
+    /// only: empty until its first step, all `+0.0` between steps (its
+    /// optimizer tail consumes, or zeroes, what it scatters).
     grads: ModelGradients,
     /// Batched-engine scratch, reused across iterations. `None` until
     /// the first batched step (or between a detach and the next attach):
@@ -204,7 +206,18 @@ impl Trainer {
         let occupancy = (cfg.occupancy_resolution > 0)
             .then(|| OccupancyGrid::new(dataset.aabb, cfg.occupancy_resolution));
         let ws = model.workspace();
-        let grads = model.zero_grads();
+        // The engine merges grid gradients into the grids level by level
+        // and keeps no grid-sized columns; the scalar reference step sizes
+        // its own on first use.
+        let grads = ModelGradients {
+            density_grid: GridGradients {
+                values: Vec::new(),
+                count: 0,
+            },
+            color_grid: None,
+            sigma_mlp: model.sigma_mlp().zero_grads(),
+            color_mlp: model.color_mlp().zero_grads(),
+        };
         let backend = cfg.kernel_backend.name();
         let occ_ws = OccupancyWorkspace::new(cfg.kernel_backend.clone());
         Trainer {
@@ -267,9 +280,9 @@ impl Trainer {
     /// direction encoding → Step ②; grid reads → ③-① fwd; MLP heads →
     /// ③-② fwd; compositing and its backward → Step ④; loss → Step ⑤;
     /// head backward + zeroing the MLP gradients + MLP Adam → ③-② bwd;
-    /// grid scatter + the grid optimizer sweep (sparse Adam, fp16
-    /// re-quantise and gradient zeroing in one pass) + occupancy upkeep →
-    /// ③-① bwd.
+    /// grid scatter merged per level with the grid optimizer sweep (sparse
+    /// Adam, fp16 re-quantise and gradient zeroing in one pass) + occupancy
+    /// upkeep → ③-① bwd.
     pub fn timer(&self) -> &StepTimer {
         &self.timer
     }
@@ -454,6 +467,7 @@ impl Trainer {
             bws.rays.end_ray();
         }
         let total_points = bws.num_points();
+        bws.reserve_grid_buffers(&self.model);
         lap(&mut self.timer, &mut last, Ps::MapRays);
 
         // Stages ③ through the occupancy refresh are one pool entry: a
@@ -485,12 +499,18 @@ impl Trainer {
             lap(&mut self.timer, &mut last, Ps::VolumeRender);
             bws.heads_backward(&self.model, &mut self.grads);
             lap(&mut self.timer, &mut last, Ps::MlpBackward);
-            bws.scatter(&self.model, &mut self.grads, update_color);
-
-            // The iteration tail shared with the scalar reference step
-            // (grid scatter and grid Adam share one ③-① backward lap).
-            self.apply_grid_steps(update_density, update_color);
+            // Grid scatter and grid Adam, merged per level: one ③-①
+            // backward lap.
+            bws.grid_step(
+                &mut self.model,
+                &mut self.grid_d_opt,
+                self.grid_c_opt.as_mut(),
+                update_density,
+                update_color,
+            );
             lap(&mut self.timer, &mut last, Ps::GridBackward);
+
+            // The iteration tail shared with the scalar reference step.
             self.apply_mlp_steps();
             lap(&mut self.timer, &mut last, Ps::MlpBackward);
             let occ_refresh = self.refresh_occupancy();
@@ -527,6 +547,11 @@ impl Trainer {
             GridTopology::Coupled => update_density,
             GridTopology::Decoupled => self.color_schedule.should_update(self.iter),
         };
+
+        if self.grads.density_grid.values.is_empty() {
+            self.grads.density_grid = self.model.density_grid().zero_grads();
+            self.grads.color_grid = self.model.color_grid().map(HashGrid::zero_grads);
+        }
 
         // Steps ① + ②: pixel batch → rays.
         let mut batch = Vec::new();
@@ -656,12 +681,12 @@ impl Trainer {
     }
 
     // The iteration tail, shared by the batched and the scalar path so
-    // their side effects are identical: grid Adam, MLP Adam, occupancy
-    // refresh, then `finish_step`. The engine laps its clock between them.
+    // their side effects are identical: MLP Adam, occupancy refresh, then
+    // `finish_step`. The engine laps its clock between them.
 
     /// Step-start gradient reset: only the MLP buffers need one, because
-    /// the previous step's [`Trainer::apply_grid_steps`] left both grid
-    /// buffers zero.
+    /// the previous reference step's [`Trainer::apply_grid_steps`] left both
+    /// grid buffers zero (and the engine never touches them).
     fn zero_mlp_grads(&mut self) {
         debug_assert!(
             std::iter::once(&self.grads.density_grid)
@@ -673,10 +698,12 @@ impl Trainer {
         self.grads.color_mlp.zero();
     }
 
-    /// The grid optimizer tail, gated by the update schedules: one
-    /// consuming sweep per updating grid (sparse Adam + fp16 re-quantise +
-    /// precise per-level version bumps + gradient zeroing; levels no step
-    /// touched keep their cached occupancy embeddings valid).
+    /// The scalar reference step's grid optimizer tail, gated by the update
+    /// schedules: one consuming sweep per updating grid (sparse Adam + fp16
+    /// re-quantise + precise per-level version bumps + gradient zeroing;
+    /// levels no step touched keep their cached occupancy embeddings
+    /// valid). The engine runs the same sweep per level inside
+    /// `BatchWorkspace::grid_step`.
     fn apply_grid_steps(&mut self, update_density: bool, update_color: bool) {
         let grads = &mut self.grads.density_grid;
         if update_density {
@@ -883,6 +910,7 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use instant3d_nerf::hash::AddressMode;
     use instant3d_scenes::SceneLibrary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -904,6 +932,22 @@ mod tests {
         assert_eq!(t.iteration(), 1);
         assert_eq!(t.stats().iterations, 1);
         assert!(t.stats().density_reads_ff > 0);
+    }
+
+    #[test]
+    fn a_level_resolution_past_the_cube_root_of_u64_trains() {
+        // `(r + 1)³` overflows u64 from r = 2 642 245 on; such a level
+        // hashes, as in `TrainConfig::validate`, and both step paths run.
+        let mut cfg = TrainConfig::fast_preview();
+        cfg.grid.max_resolution = u32::MAX;
+        assert_eq!(cfg.validate(), Ok(()));
+        let ds = quick_dataset(5);
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut t = Trainer::new(cfg, &ds, &mut rng);
+        let finest = t.model().density_grid().levels().last().cloned();
+        assert_eq!(finest.map(|l| l.mode), Some(AddressMode::Hashed));
+        assert!(t.step(&mut rng).loss.is_finite());
+        assert!(t.step_scalar(&mut rng).loss.is_finite());
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn runtime_registered_backend_enters_the_golden_gate_and_reports_stats() {
         }
         fn grid_scatter_level(
             &self,
-            grid: &instant3d_nerf::HashGrid,
+            grid: &instant3d_nerf::GridLayout,
             level: usize,
             level_grads: &mut [f32],
             pts: &[instant3d_nerf::Vec3],

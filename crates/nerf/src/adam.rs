@@ -14,8 +14,6 @@
 
 use crate::fp16;
 use crate::kernels::consume_sweep;
-use rayon::prelude::*;
-use std::sync::atomic::Ordering;
 
 /// Adam hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,6 +105,11 @@ impl Adam {
         self.t
     }
 
+    /// The first and second moment estimates, one per parameter.
+    pub fn moments(&self) -> (&[f32], &[f32]) {
+        (&self.m, &self.v)
+    }
+
     /// Updates the learning rate (for schedules).
     pub fn set_lr(&mut self, lr: f32) {
         self.cfg.lr = lr;
@@ -173,14 +176,10 @@ impl Adam {
     /// element whose gradient is `!= 0.0` (so `-0.0` is skipped and NaN is
     /// applied) exactly as `step_sparse` would, fp16 rounding included, and
     /// leaves every gradient `+0.0`. Level `l` is `cuts[l]..cuts[l + 1]`;
-    /// `level_touched(l)` is called, in ascending order, for each level
-    /// that held a non-zero gradient. The step counter advances once, and
-    /// only if some level was touched; returns whether it did.
-    ///
-    /// Each level is walked in `chunk`-element pieces on the rayon pool
-    /// (one dispatch per level; a level of at most one piece runs on the
-    /// calling thread). Elements are independent, so the result does not
-    /// depend on `chunk` or the worker count.
+    /// the levels are swept in order on the calling thread, and
+    /// `level_touched(l)` is called for each level that held a non-zero
+    /// gradient. The step counter advances once, and only if some level
+    /// was touched; returns whether it did.
     ///
     /// # Panics
     ///
@@ -191,7 +190,6 @@ impl Adam {
         params: &mut [f32],
         grads: &mut [f32],
         cuts: &[usize],
-        chunk: usize,
         mut level_touched: impl FnMut(usize),
     ) -> bool {
         assert_eq!(params.len(), self.m.len(), "param count mismatch");
@@ -200,40 +198,36 @@ impl Adam {
             cuts.first() == Some(&0) && cuts.last() == Some(&params.len()),
             "level cuts must span the table"
         );
+        self.step_with(|k, m, v| {
+            let mut any = false;
+            for (l, w) in cuts.windows(2).enumerate() {
+                let r = w[0]..w[1];
+                let (p, g) = (&mut params[r.clone()], &mut grads[r.clone()]);
+                if consume_sweep(k, p, &mut m[r.clone()], &mut v[r], g) {
+                    level_touched(l);
+                    any = true;
+                }
+            }
+            any
+        })
+    }
+
+    /// One consuming step whose sweep the caller runs: `sweep` gets the
+    /// per-element update of the step this call may take (`t + 1`) and both
+    /// moments, and returns whether it saw a non-zero gradient. The step
+    /// counter advances only then; returns whether it did.
+    pub(crate) fn step_with(
+        &mut self,
+        sweep: impl FnOnce(&SparseUpdate, &mut [f32], &mut [f32]) -> bool,
+    ) -> bool {
         // The bias corrections belong to the step this call takes if it
         // takes one; `t` itself moves only once a gradient was seen.
         let k = self.sparse_update(self.t + 1);
-        let mut any = false;
-        for (l, w) in cuts.windows(2).enumerate() {
-            let (p, m, v, g) = (
-                &mut params[w[0]..w[1]],
-                &mut self.m[w[0]..w[1]],
-                &mut self.v[w[0]..w[1]],
-                &mut grads[w[0]..w[1]],
-            );
-            #[expect(
-                clippy::disallowed_types,
-                reason = "Relaxed is enough for a set-only flag that publishes no other data: the region's join orders every store before the load"
-            )]
-            let touched = std::sync::atomic::AtomicBool::new(false);
-            p.par_chunks_mut(chunk)
-                .zip(m.par_chunks_mut(chunk))
-                .zip(v.par_chunks_mut(chunk))
-                .zip(g.par_chunks_mut(chunk))
-                .for_each(|(((p, m), v), g)| {
-                    if consume_sweep(&k, p, m, v, g) {
-                        touched.store(true, Ordering::Relaxed);
-                    }
-                });
-            if touched.load(Ordering::Relaxed) {
-                level_touched(l);
-                any = true;
-            }
-        }
-        if any {
+        let stepped = sweep(&k, &mut self.m, &mut self.v);
+        if stepped {
             self.t += 1;
         }
-        any
+        stepped
     }
 }
 
@@ -280,10 +274,10 @@ impl SparseUpdate {
         [pick(p_new, p), pick(m_new, m), pick(v_new, v)]
     }
 
-    /// Applies and clears one chunk of gradients; true if any was non-zero.
+    /// Applies and clears one level's gradients; true if any was non-zero.
     ///
     /// Bit-identical to calling [`SparseUpdate::apply`] on every element
-    /// whose gradient is `!= 0.0` and then zeroing the chunk, but with no
+    /// whose gradient is `!= 0.0` and then zeroing the run, but with no
     /// branch on the data: eight lanes at a time through
     /// [`SparseUpdate::lane`], whose select, exact division and exact
     /// square root vectorise, then the `len % 8` tail through the same
@@ -428,6 +422,6 @@ mod tests {
     #[should_panic(expected = "grad count mismatch")]
     fn consuming_step_short_grads_panics() {
         let mut opt = Adam::new(AdamConfig::default(), 4);
-        opt.step_consuming(&mut [0.0; 4], &mut [1.0; 2], &[0, 4], 4, |_| {});
+        opt.step_consuming(&mut [0.0; 4], &mut [1.0; 2], &[0, 4], |_| {});
     }
 }

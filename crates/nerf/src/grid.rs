@@ -20,13 +20,14 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::adam::Adam;
+use crate::adam::{Adam, SparseUpdate};
 use crate::fp16;
 use crate::hash::{vertex_address, AddressMode, CORNER_OFFSETS};
-use crate::kernels::BackendHandle;
+use crate::kernels::{consume_sweep, BackendHandle};
 use crate::math::Vec3;
 use crate::simd::F32x8;
 use rand::Rng;
+use std::sync::{Mutex, PoisonError};
 
 /// Memory-access phase, used by observers and the accelerator simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,8 +185,7 @@ impl HashGridConfig {
     pub fn num_params(&self) -> usize {
         self.level_resolutions()
             .map(|r| {
-                let dense = ((r + 1) as u64).pow(3);
-                let t = dense.min(self.table_size() as u64) as usize;
+                let t = dense_vertex_count(r).min(u64::from(self.table_size())) as usize;
                 t * self.features_per_entry
             })
             .sum()
@@ -195,6 +195,15 @@ impl HashGridConfig {
     pub fn table_bytes_fp16(&self) -> usize {
         self.num_params() * 2
     }
+}
+
+/// Vertices of a level of virtual resolution `resolution`, `(r + 1)³`,
+/// saturating at `u64::MAX`: a level stores them densely when they fit its
+/// table and hashes them otherwise. The one count behind
+/// [`HashGrid::new`], [`HashGridConfig::num_params`] and the trainer's
+/// config validation, so no resolution can overflow one and not the other.
+pub fn dense_vertex_count(resolution: u32) -> u64 {
+    (u64::from(resolution) + 1).saturating_pow(3)
 }
 
 /// One resolution level of the grid.
@@ -208,6 +217,25 @@ pub struct GridLevel {
     pub mode: AddressMode,
     /// Offset (in entries) of this level within the concatenated table.
     pub entry_offset: u32,
+}
+
+/// Where a [`HashGrid`]'s features live, without the features: the
+/// configuration, the per-level metadata and the level cuts of the flat
+/// table. It is all a gradient scatter reads, so the
+/// [`Kernels::grid_scatter_level`](crate::kernels::Kernels::grid_scatter_level)
+/// seam borrows the layout instead of the grid, and one level's optimizer
+/// sweep can write the grid's table while other levels scatter
+/// ([`HashGrid::par_backward_step_with`]). A `HashGrid` derefs to its
+/// layout.
+#[derive(Debug, Clone)]
+pub struct GridLayout {
+    cfg: HashGridConfig,
+    levels: Vec<GridLevel>,
+    /// Level `l`'s scalars are `param_offsets[l]..param_offsets[l + 1]`
+    /// of the flat, level-major table.
+    param_offsets: Vec<usize>,
+    /// `0..levels`, the level list of a full encode.
+    level_ids: Vec<usize>,
 }
 
 /// The multiresolution hash grid: feature storage plus interpolation.
@@ -226,14 +254,10 @@ pub struct GridLevel {
 /// ```
 #[derive(Debug, Clone)]
 pub struct HashGrid {
-    cfg: HashGridConfig,
-    levels: Vec<GridLevel>,
+    layout: GridLayout,
     /// All feature scalars, level-major: level l occupies
     /// `params[offset_l .. offset_l + table_size_l * F]`.
     params: Vec<f32>,
-    param_offsets: Vec<usize>,
-    /// `0..levels`, the level list of a full encode.
-    level_ids: Vec<usize>,
     /// Per-level parameter versions: `level_versions[l]` changes whenever
     /// level `l`'s features may have changed. Consumers (the occupancy
     /// subsystem's embedding cache) compare versions to skip re-encoding
@@ -241,6 +265,14 @@ pub struct HashGrid {
     level_versions: Vec<u64>,
     /// Monotone clock backing [`HashGrid::level_versions`].
     version_clock: u64,
+}
+
+impl std::ops::Deref for HashGrid {
+    type Target = GridLayout;
+
+    fn deref(&self) -> &GridLayout {
+        &self.layout
+    }
 }
 
 impl HashGrid {
@@ -260,8 +292,8 @@ impl HashGrid {
         let mut entry_cursor = 0u32;
         let mut param_cursor = 0usize;
         for r in cfg.level_resolutions() {
-            let dense = ((r + 1) as u64).pow(3);
-            let (mode, table_size) = if dense <= cfg.table_size() as u64 {
+            let dense = dense_vertex_count(r);
+            let (mode, table_size) = if dense <= u64::from(cfg.table_size()) {
                 (AddressMode::Dense, dense as u32)
             } else {
                 (AddressMode::Hashed, cfg.table_size())
@@ -279,11 +311,13 @@ impl HashGrid {
         param_offsets.push(param_cursor);
         let num_levels = levels.len();
         HashGrid {
-            cfg,
-            levels,
+            layout: GridLayout {
+                cfg,
+                levels,
+                param_offsets,
+                level_ids: (0..num_levels).collect(),
+            },
             params: vec![0.0; param_cursor],
-            param_offsets,
-            level_ids: (0..num_levels).collect(),
             level_versions: vec![0; num_levels],
             version_clock: 0,
         }
@@ -307,26 +341,6 @@ impl HashGrid {
         self.bump_all_levels();
     }
 
-    /// The grid configuration.
-    pub fn config(&self) -> &HashGridConfig {
-        &self.cfg
-    }
-
-    /// Per-level metadata.
-    pub fn levels(&self) -> &[GridLevel] {
-        &self.levels
-    }
-
-    /// Embedding width produced by [`HashGrid::encode`]: `L × F`.
-    pub fn output_dim(&self) -> usize {
-        self.cfg.levels * self.cfg.features_per_entry
-    }
-
-    /// Total trainable scalars.
-    pub fn num_params(&self) -> usize {
-        self.params.len()
-    }
-
     /// Read-only view of all parameters (level-major).
     pub fn params(&self) -> &[f32] {
         &self.params
@@ -336,7 +350,8 @@ impl HashGrid {
     ///
     /// Any level may be written through this view, so it conservatively
     /// bumps every level version; the optimizer entry points
-    /// ([`HashGrid::apply_step_consuming`], [`HashGrid::apply_sparse_step`])
+    /// ([`HashGrid::par_backward_step_with`],
+    /// [`HashGrid::apply_step_consuming`], [`HashGrid::apply_sparse_step`])
     /// bump only the levels a step actually touched.
     ///
     /// Storage is fp16, so every stored value must round-trip through
@@ -374,36 +389,24 @@ impl HashGrid {
         &self.level_versions
     }
 
-    /// The trainer's grid optimizer tail, as one pass: applies a sparse
-    /// Adam step to every parameter whose gradient is `!= 0.0`, rounds each
-    /// updated parameter through fp16, bumps the version of exactly the
-    /// levels that held a non-zero gradient (all to the same new value) and
-    /// leaves `grads` all `+0.0` with a zero point count. `Adam::steps` and
-    /// the version clock advance only if some gradient was non-zero.
+    /// The grid optimizer tail of the scalar reference step, as one pass:
+    /// applies a sparse Adam step to every parameter whose gradient is
+    /// `!= 0.0`, rounds each updated parameter through fp16, bumps the
+    /// version of exactly the levels that held a non-zero gradient (all to
+    /// the same new value) and leaves `grads` all `+0.0` with a zero point
+    /// count. `Adam::steps` and the version clock advance only if some
+    /// gradient was non-zero. The levels are swept in order on the calling
+    /// thread; the engine runs the same sweep inside its level tasks
+    /// ([`HashGrid::par_backward_step_with`]).
     ///
     /// Bit-identical to collecting the non-zero indices, calling
     /// [`HashGrid::apply_sparse_step`] and then [`GridGradients::zero`]
-    /// (pinned by `tests/optimizer_differential.rs`), at any worker count:
-    /// each level is walked in `SWEEP_CHUNK`-element chunks on the rayon
-    /// pool.
+    /// (pinned by `tests/optimizer_differential.rs`).
     ///
     /// # Panics
     ///
     /// Panics if `opt` or `grads` don't match the parameter count.
     pub fn apply_step_consuming(&mut self, opt: &mut Adam, grads: &mut GridGradients) {
-        self.apply_step_consuming_chunked(opt, grads, SWEEP_CHUNK);
-    }
-
-    /// [`HashGrid::apply_step_consuming`] with the chunk length as an
-    /// argument, so the differential suite can split small grids' levels
-    /// across workers. The result does not depend on it.
-    #[doc(hidden)]
-    pub fn apply_step_consuming_chunked(
-        &mut self,
-        opt: &mut Adam,
-        grads: &mut GridGradients,
-        chunk: usize,
-    ) {
         debug_assert!(
             self.storage_is_fp16_exact(),
             "fp16 storage holds a non-representable value"
@@ -413,8 +416,7 @@ impl HashGrid {
         let stepped = opt.step_consuming(
             &mut self.params,
             &mut grads.values,
-            &self.param_offsets,
-            chunk,
+            &self.layout.param_offsets,
             |l| versions[l] = version,
         );
         if stepped {
@@ -478,44 +480,6 @@ impl HashGrid {
         }
     }
 
-    /// Offset (in entries, across the concatenated table) of `level`.
-    pub fn entry_offset(&self, level: usize) -> u32 {
-        self.levels[level].entry_offset
-    }
-
-    /// Interpolation data for one point at one level: the 8 corner
-    /// addresses and trilinear weights.
-    #[inline]
-    fn corners(&self, level: &GridLevel, unit_pos: Vec3) -> ([u32; 8], [f32; 8]) {
-        let n = level.resolution as f32;
-        // Clamp strictly inside so `floor` stays below `resolution`.
-        let eps = 1e-6;
-        let sx = (unit_pos.x.clamp(0.0, 1.0 - eps)) * n;
-        let sy = (unit_pos.y.clamp(0.0, 1.0 - eps)) * n;
-        let sz = (unit_pos.z.clamp(0.0, 1.0 - eps)) * n;
-        let (cx, cy, cz) = (sx.floor(), sy.floor(), sz.floor());
-        let (fx, fy, fz) = (sx - cx, sy - cy, sz - cz);
-        let (ix, iy, iz) = (cx as u32, cy as u32, cz as u32);
-
-        let mut addrs = [0u32; 8];
-        let mut weights = [0f32; 8];
-        for (c, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
-            let wx = if dx == 1 { fx } else { 1.0 - fx };
-            let wy = if dy == 1 { fy } else { 1.0 - fy };
-            let wz = if dz == 1 { fz } else { 1.0 - fz };
-            weights[c] = wx * wy * wz;
-            addrs[c] = vertex_address(
-                level.mode,
-                ix + dx,
-                iy + dy,
-                iz + dz,
-                level.resolution,
-                level.table_size,
-            );
-        }
-        (addrs, weights)
-    }
-
     /// Encodes a point in the unit cube into its `L × F` embedding.
     ///
     /// Positions outside `[0,1]^3` are clamped (the trainer maps world
@@ -548,7 +512,7 @@ impl HashGrid {
     /// Backward pass: scatters `d_out` (gradient of the loss w.r.t. the
     /// embedding of `unit_pos`) into `grads`, reporting writes to `obs` in
     /// [`HashGrid::encode_into`]'s order: one
-    /// [`HashGrid::scatter_level_observed`] per level on a one-point batch.
+    /// [`GridLayout::scatter_level_observed`] per level on a one-point batch.
     ///
     /// # Panics
     ///
@@ -639,101 +603,6 @@ impl HashGrid {
         }
     }
 
-    /// Interpolation data for a full lane of [`F32x8::LANES`] points at one
-    /// level: per-corner addresses (`addrs[c][k]` = corner `c` of point `k`)
-    /// and lane-batched trilinear weights.
-    ///
-    /// Per-lane arithmetic is the exact IEEE operation sequence of
-    /// [`HashGrid::corners`], so every weight bit-matches the scalar
-    /// kernel's; hashed levels replace the `% table_size` with an equal
-    /// power-of-two mask (the table size is always `1 << log2_table_size`).
-    /// Always inlined so `#[target_feature]` callers (the AVX2 arms of
-    /// the `simd` grid kernels) compile the lane arithmetic with their
-    /// wider instruction set instead of calling a separately-compiled
-    /// baseline copy.
-    #[inline(always)]
-    fn corners_lanes(
-        level: &GridLevel,
-        pts: &[Vec3],
-        addrs: &mut [[u32; F32x8::LANES]; 8],
-        weights: &mut [F32x8; 8],
-    ) {
-        const LANES: usize = F32x8::LANES;
-        debug_assert_eq!(pts.len(), LANES);
-        let mut px = [0.0f32; LANES];
-        let mut py = [0.0f32; LANES];
-        let mut pz = [0.0f32; LANES];
-        for (k, p) in pts.iter().enumerate() {
-            px[k] = p.x;
-            py[k] = p.y;
-            pz[k] = p.z;
-        }
-        let n = F32x8::splat(level.resolution as f32);
-        let eps = 1e-6;
-        let sx = F32x8(px).clamp(0.0, 1.0 - eps) * n;
-        let sy = F32x8(py).clamp(0.0, 1.0 - eps) * n;
-        let sz = F32x8(pz).clamp(0.0, 1.0 - eps) * n;
-        let (cx, cy, cz) = (sx.floor(), sy.floor(), sz.floor());
-        let (fx, fy, fz) = (sx - cx, sy - cy, sz - cz);
-        let one = F32x8::splat(1.0);
-        let (gx, gy, gz) = (one - fx, one - fy, one - fz);
-        let mut ix = [0u32; LANES];
-        let mut iy = [0u32; LANES];
-        let mut iz = [0u32; LANES];
-        for k in 0..LANES {
-            ix[k] = cx[k] as u32;
-            iy[k] = cy[k] as u32;
-            iz[k] = cz[k] as u32;
-        }
-        // The scalar kernel computes (wx*wy)*wz left-associated; the four
-        // distinct wx*wy products are shared across corner pairs here —
-        // same association, same bits, 4 fewer lane multiplies.
-        let wxy = [gx * gy, fx * gy, gx * fy, fx * fy];
-        for (c, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
-            let wz = if dz == 1 { fz } else { gz };
-            weights[c] = wxy[(dx + dy * 2) as usize] * wz;
-        }
-        // Per-axis address terms, computed once per lane instead of once
-        // per corner. Unsigned arithmetic is exact mod 2^32, so combining
-        // precomputed y/z terms yields bit-identical addresses to the
-        // per-corner `spatial_hash` / `dense_index` calls.
-        let mut yt = [[0u32; LANES]; 2];
-        let mut zt = [[0u32; LANES]; 2];
-        match level.mode {
-            AddressMode::Hashed => {
-                // A hashed level's table is `1 << log2_table_size` entries,
-                // so the Eq. 3 modulo is a mask with the identical result.
-                let mask = level.table_size - 1;
-                for k in 0..LANES {
-                    yt[0][k] = iy[k].wrapping_mul(crate::hash::PI_2);
-                    yt[1][k] = (iy[k] + 1).wrapping_mul(crate::hash::PI_2);
-                    zt[0][k] = iz[k].wrapping_mul(crate::hash::PI_3);
-                    zt[1][k] = (iz[k] + 1).wrapping_mul(crate::hash::PI_3);
-                }
-                for (ac, &(dx, dy, dz)) in addrs.iter_mut().zip(&CORNER_OFFSETS) {
-                    for k in 0..LANES {
-                        // PI_1 == 1, so the x term is the coordinate itself.
-                        ac[k] = ((ix[k] + dx) ^ yt[dy as usize][k] ^ zt[dz as usize][k]) & mask;
-                    }
-                }
-            }
-            AddressMode::Dense => {
-                let n = level.resolution + 1;
-                for k in 0..LANES {
-                    yt[0][k] = iy[k] * n;
-                    yt[1][k] = (iy[k] + 1) * n;
-                    zt[0][k] = iz[k] * n * n;
-                    zt[1][k] = (iz[k] + 1) * n * n;
-                }
-                for (ac, &(dx, dy, dz)) in addrs.iter_mut().zip(&CORNER_OFFSETS) {
-                    for k in 0..LANES {
-                        ac[k] = (ix[k] + dx) + yt[dy as usize][k] + zt[dz as usize][k];
-                    }
-                }
-            }
-        }
-    }
-
     /// One level's encode, lane-batched: lanes of [`F32x8::LANES`] points
     /// move through the level together — trilinear weights and the
     /// 8-corner × F=2 accumulation run lane-parallel, table gathers stay
@@ -758,7 +627,7 @@ impl HashGrid {
         let base = self.param_offsets[l];
         let col = l * 2;
         for i in (0..full).step_by(LANES) {
-            Self::corners_lanes(
+            GridLayout::corners_lanes(
                 level,
                 &unit_positions[i..i + LANES],
                 &mut addrs,
@@ -864,6 +733,319 @@ impl HashGrid {
             });
     }
 
+    /// Parallel unobserved batched scatter through an explicit kernel
+    /// backend (see [`crate::kernels`]): one task per grid level, each
+    /// owning that level's disjoint slice of the gradient buffer and
+    /// walking all points in order. Per-parameter accumulation order is
+    /// point order — exactly the scalar kernel's — on every backend, so
+    /// results are bit-identical to `n` [`HashGrid::backward_into`] calls
+    /// across backends and worker counts.
+    pub fn par_backward_batch_with(
+        &self,
+        backend: &BackendHandle,
+        unit_positions: &[Vec3],
+        d_out: &[f32],
+        grads: &mut GridGradients,
+    ) {
+        let w = self.output_dim();
+        assert_eq!(
+            d_out.len(),
+            unit_positions.len() * w,
+            "SoA gradient buffer size mismatch"
+        );
+        assert_eq!(
+            grads.values.len(),
+            self.params.len(),
+            "gradient buffer mismatch"
+        );
+        for_each_level_slice(
+            0,
+            &mut grads.values,
+            &self.param_offsets,
+            &|l, level_grads| {
+                backend.grid_scatter_level(self, l, level_grads, unit_positions, d_out);
+            },
+        );
+        grads.count += unit_positions.len();
+    }
+
+    /// The engine's grid backward and optimizer tail, merged where the
+    /// gradients are produced. Each level is one unit of work: scatter
+    /// the level's embedding gradients through `backend`'s
+    /// [`Kernels::grid_scatter_level`](crate::kernels::Kernels::grid_scatter_level)
+    /// into a zeroed level-sized buffer from `buffers`, then run
+    /// [`HashGrid::apply_step_consuming`]'s sweep over the level's
+    /// parameters, moments and that buffer, which leaves the buffer zero
+    /// again. No grid-sized gradient column exists.
+    ///
+    /// One lane per worker (at most one per level) runs on the rayon pool,
+    /// each with a buffer of its own, and claims the levels one at a time
+    /// in ascending order, so `buffers` holds at most one buffer per
+    /// worker. On one worker the levels run in order on the calling
+    /// thread.
+    ///
+    /// Bit-identical to [`HashGrid::par_backward_batch_with`] into a
+    /// zeroed [`GridGradients`] followed by
+    /// [`HashGrid::apply_step_consuming`], at any worker count: a level's
+    /// scatter still accumulates in point order, and an element's update
+    /// reads only its own gradient, moments and parameter and the bias
+    /// correction of the tentative step `t + 1`. `Adam::steps` and the
+    /// version clock advance after the lanes join only if some level held
+    /// a non-zero gradient; the lanes report it through the join.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opt` doesn't match the parameter count or `d_out` the
+    /// batch.
+    pub fn par_backward_step_with(
+        &mut self,
+        backend: &BackendHandle,
+        unit_positions: &[Vec3],
+        d_out: &[f32],
+        opt: &mut Adam,
+        buffers: &mut LevelBuffers,
+    ) {
+        assert_eq!(
+            d_out.len(),
+            unit_positions.len() * self.output_dim(),
+            "SoA gradient buffer size mismatch"
+        );
+        if unit_positions.is_empty() {
+            return;
+        }
+        let scatter = |layout: &GridLayout, l: usize, level_grads: &mut [f32]| {
+            backend.grid_scatter_level(layout, l, level_grads, unit_positions, d_out);
+        };
+        self.backward_step(&scatter, consume_sweep, opt, buffers);
+    }
+
+    /// [`HashGrid::par_backward_step_with`] with its two bodies as
+    /// arguments, the level scatter and the consuming sweep, so a test can
+    /// run their portable arms.
+    fn backward_step<S>(
+        &mut self,
+        scatter: &S,
+        sweep: Sweep,
+        opt: &mut Adam,
+        buffers: &mut LevelBuffers,
+    ) where
+        S: Fn(&GridLayout, usize, &mut [f32]) + Sync,
+    {
+        debug_assert!(
+            self.storage_is_fp16_exact(),
+            "fp16 storage holds a non-representable value"
+        );
+        let version = self.version_clock + 1;
+        let layout = &self.layout;
+        let cuts = &layout.param_offsets[..];
+        if std::mem::replace(&mut buffers.dirty, true) {
+            buffers.bufs.iter_mut().for_each(|b| b.fill(0.0));
+        }
+        let bufs = buffers.reserve(layout);
+        let (params, versions) = (&mut self.params[..], &mut self.level_versions[..]);
+        let stepped = opt.step_with(|k, m, v| {
+            assert_eq!(m.len(), params.len(), "param count mismatch");
+            let queue = Mutex::new(LevelQueue {
+                next: 0,
+                cuts,
+                rest: StepColumns {
+                    params,
+                    m,
+                    v,
+                    versions,
+                },
+            });
+            for_each_lane(bufs, &|buf| {
+                let mut any = false;
+                loop {
+                    // The lock is held for the claim only.
+                    let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).claim();
+                    let Some((l, c)) = claimed else {
+                        return any;
+                    };
+                    let grads = &mut buf[..c.params.len()];
+                    scatter(layout, l, grads);
+                    if sweep(k, c.params, c.m, c.v, grads) {
+                        c.versions[0] = version;
+                        any = true;
+                    }
+                }
+            })
+        });
+        buffers.dirty = false;
+        if stepped {
+            self.version_clock = version;
+        }
+    }
+
+    /// Allocates a zeroed gradient buffer shaped like this grid.
+    pub fn zero_grads(&self) -> GridGradients {
+        GridGradients {
+            values: vec![0.0; self.params.len()],
+            count: 0,
+        }
+    }
+}
+
+impl GridLayout {
+    /// The grid configuration.
+    pub fn config(&self) -> &HashGridConfig {
+        &self.cfg
+    }
+
+    /// Per-level metadata.
+    pub fn levels(&self) -> &[GridLevel] {
+        &self.levels
+    }
+
+    /// Embedding width produced by [`HashGrid::encode`]: `L × F`.
+    pub fn output_dim(&self) -> usize {
+        self.cfg.levels * self.cfg.features_per_entry
+    }
+
+    /// Total trainable scalars.
+    pub fn num_params(&self) -> usize {
+        self.param_offsets[self.levels.len()]
+    }
+
+    /// Offset (in entries, across the concatenated table) of `level`.
+    pub fn entry_offset(&self, level: usize) -> u32 {
+        self.levels[level].entry_offset
+    }
+
+    /// Table reads performed per encoded point (8 corners × L levels).
+    pub fn reads_per_point(&self) -> usize {
+        8 * self.cfg.levels
+    }
+
+    /// Interpolation data for one point at one level: the 8 corner
+    /// addresses and trilinear weights.
+    #[inline]
+    fn corners(&self, level: &GridLevel, unit_pos: Vec3) -> ([u32; 8], [f32; 8]) {
+        let n = level.resolution as f32;
+        // Clamp strictly inside so `floor` stays below `resolution`.
+        let eps = 1e-6;
+        let sx = (unit_pos.x.clamp(0.0, 1.0 - eps)) * n;
+        let sy = (unit_pos.y.clamp(0.0, 1.0 - eps)) * n;
+        let sz = (unit_pos.z.clamp(0.0, 1.0 - eps)) * n;
+        let (cx, cy, cz) = (sx.floor(), sy.floor(), sz.floor());
+        let (fx, fy, fz) = (sx - cx, sy - cy, sz - cz);
+        let (ix, iy, iz) = (cx as u32, cy as u32, cz as u32);
+
+        let mut addrs = [0u32; 8];
+        let mut weights = [0f32; 8];
+        for (c, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
+            let wx = if dx == 1 { fx } else { 1.0 - fx };
+            let wy = if dy == 1 { fy } else { 1.0 - fy };
+            let wz = if dz == 1 { fz } else { 1.0 - fz };
+            weights[c] = wx * wy * wz;
+            addrs[c] = vertex_address(
+                level.mode,
+                ix + dx,
+                iy + dy,
+                iz + dz,
+                level.resolution,
+                level.table_size,
+            );
+        }
+        (addrs, weights)
+    }
+
+    /// Interpolation data for a full lane of [`F32x8::LANES`] points at one
+    /// level: per-corner addresses (`addrs[c][k]` = corner `c` of point `k`)
+    /// and lane-batched trilinear weights.
+    ///
+    /// Per-lane arithmetic is the exact IEEE operation sequence of
+    /// [`GridLayout::corners`], so every weight bit-matches the scalar
+    /// kernel's; hashed levels replace the `% table_size` with an equal
+    /// power-of-two mask (the table size is always `1 << log2_table_size`).
+    /// Always inlined so `#[target_feature]` callers (the AVX2 arms of
+    /// the `simd` grid kernels) compile the lane arithmetic with their
+    /// wider instruction set instead of calling a separately-compiled
+    /// baseline copy.
+    #[inline(always)]
+    fn corners_lanes(
+        level: &GridLevel,
+        pts: &[Vec3],
+        addrs: &mut [[u32; F32x8::LANES]; 8],
+        weights: &mut [F32x8; 8],
+    ) {
+        const LANES: usize = F32x8::LANES;
+        debug_assert_eq!(pts.len(), LANES);
+        let mut px = [0.0f32; LANES];
+        let mut py = [0.0f32; LANES];
+        let mut pz = [0.0f32; LANES];
+        for (k, p) in pts.iter().enumerate() {
+            px[k] = p.x;
+            py[k] = p.y;
+            pz[k] = p.z;
+        }
+        let n = F32x8::splat(level.resolution as f32);
+        let eps = 1e-6;
+        let sx = F32x8(px).clamp(0.0, 1.0 - eps) * n;
+        let sy = F32x8(py).clamp(0.0, 1.0 - eps) * n;
+        let sz = F32x8(pz).clamp(0.0, 1.0 - eps) * n;
+        let (cx, cy, cz) = (sx.floor(), sy.floor(), sz.floor());
+        let (fx, fy, fz) = (sx - cx, sy - cy, sz - cz);
+        let one = F32x8::splat(1.0);
+        let (gx, gy, gz) = (one - fx, one - fy, one - fz);
+        let mut ix = [0u32; LANES];
+        let mut iy = [0u32; LANES];
+        let mut iz = [0u32; LANES];
+        for k in 0..LANES {
+            ix[k] = cx[k] as u32;
+            iy[k] = cy[k] as u32;
+            iz[k] = cz[k] as u32;
+        }
+        // The scalar kernel computes (wx*wy)*wz left-associated; the four
+        // distinct wx*wy products are shared across corner pairs here —
+        // same association, same bits, 4 fewer lane multiplies.
+        let wxy = [gx * gy, fx * gy, gx * fy, fx * fy];
+        for (c, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
+            let wz = if dz == 1 { fz } else { gz };
+            weights[c] = wxy[(dx + dy * 2) as usize] * wz;
+        }
+        // Per-axis address terms, computed once per lane instead of once
+        // per corner. Unsigned arithmetic is exact mod 2^32, so combining
+        // precomputed y/z terms yields bit-identical addresses to the
+        // per-corner `spatial_hash` / `dense_index` calls.
+        let mut yt = [[0u32; LANES]; 2];
+        let mut zt = [[0u32; LANES]; 2];
+        match level.mode {
+            AddressMode::Hashed => {
+                // A hashed level's table is `1 << log2_table_size` entries,
+                // so the Eq. 3 modulo is a mask with the identical result.
+                let mask = level.table_size - 1;
+                for k in 0..LANES {
+                    yt[0][k] = iy[k].wrapping_mul(crate::hash::PI_2);
+                    yt[1][k] = (iy[k] + 1).wrapping_mul(crate::hash::PI_2);
+                    zt[0][k] = iz[k].wrapping_mul(crate::hash::PI_3);
+                    zt[1][k] = (iz[k] + 1).wrapping_mul(crate::hash::PI_3);
+                }
+                for (ac, &(dx, dy, dz)) in addrs.iter_mut().zip(&CORNER_OFFSETS) {
+                    for k in 0..LANES {
+                        // PI_1 == 1, so the x term is the coordinate itself.
+                        ac[k] = ((ix[k] + dx) ^ yt[dy as usize][k] ^ zt[dz as usize][k]) & mask;
+                    }
+                }
+            }
+            AddressMode::Dense => {
+                let n = level.resolution + 1;
+                for k in 0..LANES {
+                    yt[0][k] = iy[k] * n;
+                    yt[1][k] = (iy[k] + 1) * n;
+                    zt[0][k] = iz[k] * n * n;
+                    zt[1][k] = (iz[k] + 1) * n * n;
+                }
+                for (ac, &(dx, dy, dz)) in addrs.iter_mut().zip(&CORNER_OFFSETS) {
+                    for k in 0..LANES {
+                        ac[k] = (ix[k] + dx) + yt[dy as usize][k] + zt[dz as usize][k];
+                    }
+                }
+            }
+        }
+    }
+
     /// One level's scatter, scalar reference kernel: walks all points in
     /// order, accumulating into that level's disjoint gradient slice, with
     /// every gradient write reported to `obs` — the backward counterpart
@@ -921,7 +1103,7 @@ impl HashGrid {
     /// order* — scatters can collide on a table entry, so the accumulation
     /// itself stays sequential per parameter on every backend, and the
     /// result is deterministic for any worker count and bit-identical to
-    /// [`HashGrid::scatter_level_observed`]. `features_per_entry != 2`
+    /// [`GridLayout::scatter_level_observed`]. `features_per_entry != 2`
     /// falls back to the scalar kernel.
     #[inline(always)]
     pub(crate) fn scatter_level_lanes(
@@ -971,55 +1153,6 @@ impl HashGrid {
                 level_grads[dst + 1] += pw[c] * g1;
             }
         }
-    }
-
-    /// Parallel unobserved batched scatter through an explicit kernel
-    /// backend (see [`crate::kernels`]): one task per grid level, each
-    /// owning that level's disjoint slice of the gradient buffer and
-    /// walking all points in order. Per-parameter accumulation order is
-    /// point order — exactly the scalar kernel's — on every backend, so
-    /// results are bit-identical to `n` [`HashGrid::backward_into`] calls
-    /// across backends and worker counts.
-    pub fn par_backward_batch_with(
-        &self,
-        backend: &BackendHandle,
-        unit_positions: &[Vec3],
-        d_out: &[f32],
-        grads: &mut GridGradients,
-    ) {
-        let w = self.output_dim();
-        assert_eq!(
-            d_out.len(),
-            unit_positions.len() * w,
-            "SoA gradient buffer size mismatch"
-        );
-        assert_eq!(
-            grads.values.len(),
-            self.params.len(),
-            "gradient buffer mismatch"
-        );
-        for_each_level_slice(
-            0,
-            &mut grads.values,
-            &self.param_offsets,
-            &|l, level_grads| {
-                backend.grid_scatter_level(self, l, level_grads, unit_positions, d_out);
-            },
-        );
-        grads.count += unit_positions.len();
-    }
-
-    /// Allocates a zeroed gradient buffer shaped like this grid.
-    pub fn zero_grads(&self) -> GridGradients {
-        GridGradients {
-            values: vec![0.0; self.params.len()],
-            count: 0,
-        }
-    }
-
-    /// Table reads performed per encoded point (8 corners × L levels).
-    pub fn reads_per_point(&self) -> usize {
-        8 * self.cfg.levels
     }
 }
 
@@ -1102,9 +1235,117 @@ where
     );
 }
 
-/// Elements per parallel task of [`HashGrid::apply_step_consuming`]:
-/// 64 KB from each of the four columns it walks.
-const SWEEP_CHUNK: usize = 1 << 14;
+/// The consuming sweep over one level: `kernels::consume_sweep`, or in a
+/// test its portable body.
+type Sweep = fn(&SparseUpdate, &mut [f32], &mut [f32], &mut [f32], &mut [f32]) -> bool;
+
+/// Runs `lane` once per buffer, forking with `rayon::join`; returns
+/// whether any call returned `true`.
+fn for_each_lane<F>(bufs: &mut [Vec<f32>], lane: &F) -> bool
+where
+    F: Fn(&mut [f32]) -> bool + Sync,
+{
+    match bufs {
+        [] => false,
+        [buf] => lane(buf),
+        _ => {
+            let (lo, hi) = bufs.split_at_mut(bufs.len() / 2);
+            let (lo_any, hi_any) =
+                rayon::join(|| for_each_lane(lo, lane), || for_each_lane(hi, lane));
+            lo_any | hi_any
+        }
+    }
+}
+
+/// A run of levels' share of one [`HashGrid::par_backward_step_with`]:
+/// their parameters, both Adam moments and their versions.
+#[derive(Default)]
+struct StepColumns<'a> {
+    params: &'a mut [f32],
+    m: &'a mut [f32],
+    v: &'a mut [f32],
+    versions: &'a mut [u64],
+}
+
+/// The levels of one [`HashGrid::par_backward_step_with`] no lane has
+/// claimed yet: `rest` holds levels `next..`, cut by `cuts`.
+struct LevelQueue<'a> {
+    next: usize,
+    cuts: &'a [usize],
+    rest: StepColumns<'a>,
+}
+
+impl<'a> LevelQueue<'a> {
+    /// The next level and its columns, split off `rest` — disjoint from
+    /// every other claim by `split_at_mut`.
+    fn claim(&mut self) -> Option<(usize, StepColumns<'a>)> {
+        let l = self.next;
+        let len = self.cuts.get(l + 1)? - self.cuts[l];
+        let rest = std::mem::take(&mut self.rest);
+        let (params, params_rest) = rest.params.split_at_mut(len);
+        let (m, m_rest) = rest.m.split_at_mut(len);
+        let (v, v_rest) = rest.v.split_at_mut(len);
+        let (versions, versions_rest) = rest.versions.split_at_mut(1);
+        self.rest = StepColumns {
+            params: params_rest,
+            m: m_rest,
+            v: v_rest,
+            versions: versions_rest,
+        };
+        self.next += 1;
+        Some((
+            l,
+            StepColumns {
+                params,
+                m,
+                v,
+                versions,
+            },
+        ))
+    }
+}
+
+/// The gradient buffers of [`HashGrid::par_backward_step_with`]'s lanes:
+/// one per lane that ever ran, so at most one per worker, each all `+0.0`
+/// between steps and as long as the longest level it served. One set
+/// serves grids of any size; the batched engine's workspace owns one.
+#[derive(Debug, Default)]
+pub struct LevelBuffers {
+    bufs: Vec<Vec<f32>>,
+    /// Set while a step runs: a step that unwound may have left a buffer
+    /// holding gradients, so the next one zeroes them first.
+    dirty: bool,
+}
+
+impl LevelBuffers {
+    /// An empty set: buffers are made on first use.
+    pub fn new() -> Self {
+        LevelBuffers::default()
+    }
+
+    /// Buffers made so far.
+    pub fn count(&self) -> usize {
+        self.bufs.len()
+    }
+
+    /// Makes the buffers a step of `grid` on the current pool runs on:
+    /// one per worker, at most one per level, each as long as the
+    /// grid's longest level. A step does this itself; a caller that
+    /// reserves first keeps the allocation on its own thread.
+    pub fn reserve(&mut self, grid: &GridLayout) -> &mut [Vec<f32>] {
+        let lanes = rayon::current_num_threads().clamp(1, grid.levels.len());
+        let cuts = &grid.param_offsets;
+        let longest = cuts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        if self.bufs.len() < lanes {
+            self.bufs.resize_with(lanes, Vec::new);
+        }
+        let bufs = &mut self.bufs[..lanes];
+        for b in bufs.iter_mut().filter(|b| b.len() < longest) {
+            b.resize(longest, 0.0);
+        }
+        bufs
+    }
+}
 
 /// Accumulated gradients for a [`HashGrid`] (shape-matched flat buffer).
 #[derive(Debug, Clone)]
@@ -1411,6 +1652,107 @@ mod tests {
         g.apply_step_consuming(&mut opt, &mut buf);
         assert_eq!(g.level_versions(), &v3[..]);
         assert_eq!(opt.steps(), steps + 1);
+    }
+
+    /// Twenty-one points (two full lanes and a tail) and their embedding
+    /// gradients for `g`.
+    fn batch(g: &HashGrid, seed: u64) -> (Vec<Vec3>, Vec<f32>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let pts: Vec<Vec3> = (0..21)
+            .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
+            .collect();
+        let d_out = (0..pts.len() * g.output_dim())
+            .map(|_| rng.gen_range(-1.0..=1.0))
+            .collect();
+        (pts, d_out)
+    }
+
+    /// The bits a fused step leaves: parameters, moments, versions, steps.
+    fn fused_bits(g: &HashGrid, opt: &Adam) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u64>, u64) {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (m, v) = opt.moments();
+        let versions = g.level_versions().to_vec();
+        (bits(g.params()), bits(m), bits(v), versions, opt.steps())
+    }
+
+    #[test]
+    fn fused_step_has_the_same_bits_on_both_dispatch_arms() {
+        // `par_backward_step_with` runs the scatter and the sweep in their
+        // AVX2 arms where the host has AVX2; the portable bodies must give
+        // the same bits, on one lane and on two.
+        use crate::adam::AdamConfig;
+        let g0 = small_grid();
+        let (pts, d_out) = batch(&g0, 9);
+        let run = |portable: bool, workers: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let mut g = g0.clone();
+                let mut opt = Adam::new(AdamConfig::for_grid(), g.num_params());
+                let mut buffers = LevelBuffers::new();
+                let scatter = |layout: &GridLayout, l: usize, grads: &mut [f32]| {
+                    layout.scatter_level_lanes(l, grads, &pts, &d_out);
+                };
+                for _ in 0..2 {
+                    if portable {
+                        g.backward_step(&scatter, SparseUpdate::consume, &mut opt, &mut buffers);
+                    } else {
+                        let simd = crate::kernels::simd();
+                        g.par_backward_step_with(&simd, &pts, &d_out, &mut opt, &mut buffers);
+                    }
+                }
+                assert!(buffers.count() <= workers);
+                fused_bits(&g, &opt)
+            })
+        };
+        let dispatched = run(false, 1);
+        assert_eq!(dispatched.4, 2);
+        for workers in [1, 2] {
+            assert_eq!(
+                run(true, workers),
+                dispatched,
+                "portable, {workers} workers"
+            );
+            assert_eq!(
+                run(false, workers),
+                dispatched,
+                "dispatched, {workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn a_fused_step_that_unwound_leaves_no_gradient_behind() {
+        // A scatter that panics after writing leaves its lane's buffer
+        // dirty; the next step on the same buffers must not see it.
+        use crate::adam::AdamConfig;
+        let g0 = small_grid();
+        let (pts, d_out) = batch(&g0, 10);
+        let fresh = |g: &mut HashGrid, opt: &mut Adam, buffers: &mut LevelBuffers| {
+            let simd = crate::kernels::simd();
+            g.par_backward_step_with(&simd, &pts, &d_out, opt, buffers);
+        };
+        let mut buffers = LevelBuffers::new();
+        let mut g = g0.clone();
+        let mut opt = Adam::new(AdamConfig::for_grid(), g.num_params());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let scatter = |_: &GridLayout, _: usize, grads: &mut [f32]| {
+                grads.fill(1.0);
+                panic!("scatter failed");
+            };
+            let mut g = g0.clone();
+            g.backward_step(&scatter, consume_sweep, &mut opt, &mut buffers);
+        }));
+        assert!(unwound.is_err());
+        let mut opt = Adam::new(AdamConfig::for_grid(), g.num_params());
+        fresh(&mut g, &mut opt, &mut buffers);
+        let mut clean = g0.clone();
+        let mut clean_opt = Adam::new(AdamConfig::for_grid(), clean.num_params());
+        fresh(&mut clean, &mut clean_opt, &mut LevelBuffers::new());
+        assert_eq!(fused_bits(&g, &opt).0, fused_bits(&clean, &clean_opt).0);
+        assert_eq!(fused_bits(&g, &opt).1, fused_bits(&clean, &clean_opt).1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use super::Kernels;
 use crate::adam::SparseUpdate;
-use crate::grid::{HashGrid, NullObserver};
+use crate::grid::{GridLayout, HashGrid, NullObserver};
 use crate::math::Vec3;
 use crate::mlp::{self, Blocked, GradTile, Linear, Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
 use crate::render::{composite_slices, composite_slices_lanes, RenderOutput};
@@ -36,7 +36,7 @@ impl Kernels for ScalarKernels {
 
     fn grid_scatter_level(
         &self,
-        grid: &HashGrid,
+        grid: &GridLayout,
         level: usize,
         level_grads: &mut [f32],
         unit_positions: &[Vec3],
@@ -108,7 +108,7 @@ impl Kernels for SimdKernels {
 
     fn grid_scatter_level(
         &self,
-        grid: &HashGrid,
+        grid: &GridLayout,
         level: usize,
         level_grads: &mut [f32],
         unit_positions: &[Vec3],
@@ -156,9 +156,9 @@ dispatched_kernels! {
         grid.encode_level_lanes(l, unit_positions, out)
     }
 
-    /// One level's grid scatter: [`HashGrid::scatter_level_lanes`].
+    /// One level's grid scatter: [`GridLayout::scatter_level_lanes`].
     fn scatter_level(
-        grid: &HashGrid,
+        grid: &GridLayout,
         l: usize,
         level_grads: &mut [f32],
         unit_positions: &[Vec3],
@@ -208,7 +208,7 @@ dispatched_kernels! {
         composite_slices_lanes(t, dt, sigma, rgb, background, cache)
     }
 
-    /// One chunk of the hash-grid optimizer tail: [`SparseUpdate::consume`].
+    /// One level of the hash-grid optimizer tail: [`SparseUpdate::consume`].
     /// Not a [`Kernels`] seam — every backend's trainer runs it.
     pub(crate) fn consume_sweep(
         k: &SparseUpdate,
@@ -258,7 +258,7 @@ mod tests {
     /// tail — or the scalar reference's stand-in for each.
     struct LaneBodies {
         encode: fn(&HashGrid, usize, &[Vec3], &mut [f32]),
-        scatter: fn(&HashGrid, usize, &mut [f32], &[Vec3], &[f32]),
+        scatter: fn(&GridLayout, usize, &mut [f32], &[Vec3], &[f32]),
         sweeps: Sweeps,
         composite: Composite,
         consume: Consume,
@@ -273,7 +273,7 @@ mod tests {
         fn portable() -> LaneBodies {
             LaneBodies {
                 encode: HashGrid::encode_level_lanes,
-                scatter: HashGrid::scatter_level_lanes,
+                scatter: GridLayout::scatter_level_lanes,
                 sweeps: Sweeps {
                     forward_rows: Linear::forward_rows,
                     grad_rows: mlp::grad_rows,

@@ -21,7 +21,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use super::{Kernels, ScalarKernels, SimdKernels};
-use crate::grid::HashGrid;
+use crate::grid::{GridLayout, HashGrid};
 use crate::math::Vec3;
 use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
 use crate::render::RenderOutput;
@@ -119,7 +119,7 @@ impl Kernels for CheckedKernels {
 
     fn grid_scatter_level(
         &self,
-        grid: &HashGrid,
+        grid: &GridLayout,
         level: usize,
         level_grads: &mut [f32],
         unit_positions: &[Vec3],

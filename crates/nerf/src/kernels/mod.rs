@@ -114,9 +114,9 @@
 //!   whose reason says why it cannot.
 //! * Atomics — `clippy::disallowed_types` lists every
 //!   `std::sync::atomic` type in the workspace's `clippy.toml` files
-//!   (`vendor/rayon` excepted, see below). Each remaining site — the tile
-//!   renderer's work ticket and the optimizer's any-touched flag — carries
-//!   an `#[expect]` whose reason says why `Relaxed` is enough.
+//!   (`vendor/rayon` excepted, see below). The one remaining site, the
+//!   tile renderer's work ticket, carries an `#[expect]` whose reason says
+//!   why `Relaxed` is enough.
 //! * Panics — the kernel and trainer hot-path modules open with
 //!   `#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]`;
 //!   each remaining site carries an `#[expect]` whose reason argues why
@@ -134,10 +134,10 @@
 /// Stamps kernel wrappers whose bodies are compiled twice: as a safe
 /// `#[target_feature(enable = "avx2")]` fn, called when the host has AVX2,
 /// and portably otherwise (the six `simd` seam bodies and the grid
-/// optimizer tail, all in `builtin.rs`). AVX2 alone: with no FMA enabled
-/// an arm cannot contain a fused multiply-add whatever the compiler does,
-/// so `acc + w * x` stays two roundings on eight lanes, and without F16C
-/// it cannot narrow to fp16 in hardware either.
+/// optimizer tail's per-level sweep, all in `builtin.rs`). AVX2 alone:
+/// with no FMA enabled an arm cannot contain a fused multiply-add whatever
+/// the compiler does, so `acc + w * x` stays two roundings on eight lanes,
+/// and without F16C it cannot narrow to fp16 in hardware either.
 ///
 /// `@detect` is the guard: each expansion runs the CPUID check once per
 /// process and caches the answer; it is always `false` off x86_64.
@@ -191,7 +191,7 @@ pub(crate) use builtin::consume_sweep;
 pub use builtin::{ScalarKernels, SimdKernels};
 pub use checked::CheckedKernels;
 
-use crate::grid::HashGrid;
+use crate::grid::{GridLayout, HashGrid};
 use crate::math::Vec3;
 use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
 use crate::render::RenderOutput;
@@ -227,7 +227,7 @@ impl Tier {
 /// numerics to a built-in backend (see [`CheckedKernels`], which wraps
 /// [`SimdKernels`]); backends with their own kernels should build on
 /// the observed scalar bodies ([`HashGrid::encode_level_observed`],
-/// [`HashGrid::scatter_level_observed`]) or re-derive the scalar operation
+/// [`GridLayout::scatter_level_observed`]) or re-derive the scalar operation
 /// order exactly.
 ///
 /// All methods take `&self` and may run concurrently from multiple rayon
@@ -262,12 +262,16 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
     );
 
     /// Scatters the embedding gradients of one grid level: `level_grads`
-    /// is that level's disjoint slice of the flat gradient buffer, and
-    /// per-parameter accumulation must run in point order
-    /// ([`HashGrid::par_backward_batch_with`] calls this once per level).
+    /// is that level's gradient slice (a slice of the flat gradient buffer
+    /// or a level-sized buffer of its own), and per-parameter accumulation
+    /// must run in point order ([`HashGrid::par_backward_batch_with`] and
+    /// [`HashGrid::par_backward_step_with`] call this once per level).
+    /// The seam sees the grid's [`GridLayout`], not its table: a scatter
+    /// reads no feature, and another level's optimizer sweep may be
+    /// writing the table meanwhile.
     fn grid_scatter_level(
         &self,
-        grid: &HashGrid,
+        grid: &GridLayout,
         level: usize,
         level_grads: &mut [f32],
         unit_positions: &[Vec3],

@@ -15,10 +15,11 @@
 //!   per-level scalar kernels (`encode_level_observed`,
 //!   `scatter_level_observed`) are the one reference body: the per-point
 //!   `encode_into` / `backward_into` loop them over levels, and the batched
-//!   SoA dispatchers (`par_encode_batch_with`, `par_backward_batch_with`)
-//!   process whole point batches through a kernel backend — level-major
-//!   for cache locality, level-parallel for the scatter — with
-//!   bit-identical results.
+//!   SoA dispatchers (`par_encode_batch_with`, `par_backward_batch_with`,
+//!   and the engine's `par_backward_step_with`, which merges each level's
+//!   scatter with its optimizer sweep) process whole point batches
+//!   through a kernel backend — level-major for cache locality,
+//!   level-parallel for the scatter — with bit-identical results.
 //! * [`kernels`] — the **kernel-backend API**: the [`Kernels`] trait
 //!   the batched engine dispatches through — five seams: level-subset grid
 //!   encode (a full encode is every level), per-level scatter, MLP
@@ -90,7 +91,7 @@ pub mod ssim;
 
 pub use camera::Camera;
 pub use field::RadianceField;
-pub use grid::{HashGrid, HashGridConfig};
+pub use grid::{GridLayout, HashGrid, HashGridConfig};
 pub use image::{DepthImage, RgbImage};
 pub use kernels::{BackendHandle, Kernels};
 pub use math::{Aabb, Ray, Vec3};

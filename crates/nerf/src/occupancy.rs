@@ -199,23 +199,6 @@ impl OccupancyGrid {
         self.occupied_cell(cx, cy, cz)
     }
 
-    /// Ray-segment occupancy query: probes the `n` stratum centers of the
-    /// ray's `[t0, t1]` span (`t = t0 + (k + 0.5)·δt`, the jitter-free
-    /// sampling lattice of `sampler::sample_segments_into`) and reports
-    /// whether any lands in an occupied cell, returning at the first hit.
-    ///
-    /// The tile renderer uses this as the cheap "does this ray touch
-    /// anything?" pre-filter: rays through fully-empty space composite to
-    /// pure background, so their sample segments never need to be built.
-    /// Degenerate spans (`t1 <= t0`) and `n == 0` report unoccupied.
-    pub fn ray_segment_occupied(&self, ray: &crate::math::Ray, t0: f32, t1: f32, n: usize) -> bool {
-        if t1 <= t0 || n == 0 {
-            return false;
-        }
-        let dt = (t1 - t0) / n as f32;
-        (0..n).any(|k| self.occupied_at(ray.at(t0 + (k as f32 + 0.5) * dt)))
-    }
-
     /// A 64-bit FNV-1a digest of the grid's contents (resolution, AABB
     /// and the packed occupancy bits). Two grids with equal signatures
     /// cull the same sample points, so cached render results that only

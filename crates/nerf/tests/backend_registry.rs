@@ -6,7 +6,7 @@
     reason = "Relaxed is enough for the mock's call counters: they publish no other data and are read after the dispatching region joins"
 )]
 
-use instant3d_nerf::grid::{HashGrid, HashGridConfig};
+use instant3d_nerf::grid::{GridLayout, HashGrid, HashGridConfig};
 use instant3d_nerf::kernels::{self, BackendHandle, Kernels, ScalarKernels};
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::mlp::{Mlp, MlpBatchWorkspace, MlpConfig, MlpGradients};
@@ -44,7 +44,7 @@ impl Kernels for CountingKernels {
 
     fn grid_scatter_level(
         &self,
-        grid: &HashGrid,
+        grid: &GridLayout,
         level: usize,
         level_grads: &mut [f32],
         pts: &[Vec3],

@@ -1,33 +1,37 @@
-//! The differential harness pinning the hash-grid optimizer tail — the
-//! consuming sweep `HashGrid::apply_step_consuming` — to its reference,
-//! bit for bit: collect the `!= 0.0` gradient indices, call
-//! `HashGrid::apply_sparse_step`, then `GridGradients::zero`.
+//! The differential harness pinning the hash-grid optimizer tail, bit
+//! for bit, in both of its forms.
 //!
-//! The sweep is not a `Kernels` seam (there is one body for every
-//! backend), so the axes here are its own: dispatch (chunk lengths that
-//! divide a level, do not divide it, and exceed it), worker count,
-//! gradient patterns the `!= 0.0` filter and the
+//! The reference step's consuming sweep, `HashGrid::apply_step_consuming`,
+//! is pinned to its reference: collect the `!= 0.0` gradient indices,
+//! call `HashGrid::apply_sparse_step`, then `GridGradients::zero`. The
+//! sweep is not a `Kernels` seam (there is one body for every backend), so
+//! the axes here are gradient patterns the `!= 0.0` filter and the
 //! per-level version bumps must treat exactly as the reference does, and
 //! the edges of the eight-lane body: every tail length, fp16 boundary
 //! parameters, infinite gradients and overflowing steps, one touched lane
-//! in a group. Adam's moments are private, so every case runs a
-//! **second** identical step: a moment that differed after the first
-//! would show in the second's parameters.
+//! in a group.
+//!
+//! The engine's fused step, `HashGrid::par_backward_step_with`, is pinned
+//! to `HashGrid::par_backward_batch_with` followed by that sweep, for
+//! every registered backend in pools of 1, 2, 4 and 8 workers. The fused
+//! step dispatches the scatter and the sweep to their AVX2 arms where the
+//! host has AVX2; its unit test in `grid.rs` runs their portable arms.
+//!
+//! Every case runs two identical steps and compares the parameters, both
+//! Adam moments, the level versions and the step count after each.
 
 use instant3d_nerf::adam::{Adam, AdamConfig};
 use instant3d_nerf::fp16;
-use instant3d_nerf::grid::{GridGradients, HashGrid, HashGridConfig};
+use instant3d_nerf::grid::{GridGradients, HashGrid, HashGridConfig, LevelBuffers};
+use instant3d_nerf::hash::AddressMode;
+use instant3d_nerf::kernels;
+use instant3d_nerf::math::Vec3;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const WORKERS: [usize; 3] = [1, 4, 8];
-
-/// The level lengths of [`grid`] are 250 (dense) and 2048 (hashed)
-/// scalars: 1 and 64 divide 2048, 7 and 9 divide neither (a chunk of 7 is
-/// all lane tail, one of 9 a lane group and a one-element tail), 1 << 14
-/// is the production chunk and longer than any level.
-const CHUNKS: [usize; 5] = [1, 7, 9, 64, 1 << 14];
+/// The pools the fused step runs in.
+const WORKERS: [usize; 4] = [1, 2, 4, 8];
 
 fn grid(levels: usize, seed: u64) -> HashGrid {
     let cfg = HashGridConfig {
@@ -64,10 +68,16 @@ fn reference_step(g: &mut HashGrid, opt: &mut Adam, grads: &mut GridGradients) {
     grads.zero();
 }
 
+fn bits(xs: &[f32]) -> Vec<u32> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
 /// Everything of a grid + optimizer + gradient buffer visible from outside.
 #[derive(Debug, PartialEq)]
 struct State {
     params: Vec<u32>,
+    m: Vec<u32>,
+    v: Vec<u32>,
     level_versions: Vec<u64>,
     adam_steps: u64,
     grads: Vec<u32>,
@@ -75,11 +85,14 @@ struct State {
 }
 
 fn state(g: &HashGrid, opt: &Adam, grads: &GridGradients) -> State {
+    let (m, v) = opt.moments();
     State {
-        params: g.params().iter().map(|v| v.to_bits()).collect(),
+        params: bits(g.params()),
+        m: bits(m),
+        v: bits(v),
         level_versions: g.level_versions().to_vec(),
         adam_steps: opt.steps(),
-        grads: grads.values.iter().map(|v| v.to_bits()).collect(),
+        grads: bits(&grads.values),
         grad_count: grads.count,
     }
 }
@@ -103,9 +116,8 @@ fn two_steps(
     })
 }
 
-/// Asserts the sweep equals the reference on `g0` under `fill`, through
-/// the public entry point and through every chunk length × worker count.
-/// Returns the reference states for case-specific assertions.
+/// Asserts the sweep equals the reference on `g0` under `fill`. Returns
+/// the reference states for case-specific assertions.
 fn assert_sweep_matches_reference(
     label: &str,
     g0: &HashGrid,
@@ -125,24 +137,10 @@ fn assert_sweep_matches_reference_at(
     for s in &reference {
         assert!(s.grads.iter().all(|&b| b == 0) && s.grad_count == 0);
     }
-    let public = two_steps(g0, cfg, fill, &|g, opt, grads| {
+    let swept = two_steps(g0, cfg, fill, &|g, opt, grads| {
         g.apply_step_consuming(opt, grads)
     });
-    assert_eq!(public, reference, "{label}: apply_step_consuming");
-    for workers in WORKERS {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .build()
-            .unwrap();
-        for chunk in CHUNKS {
-            let swept = pool.install(|| {
-                two_steps(g0, cfg, fill, &|g, opt, grads| {
-                    g.apply_step_consuming_chunked(opt, grads, chunk)
-                })
-            });
-            assert_eq!(swept, reference, "{label}: t{workers} / chunk {chunk}");
-        }
-    }
+    assert_eq!(swept, reference, "{label}: apply_step_consuming");
     reference
 }
 
@@ -207,7 +205,7 @@ fn untouched_level_between_two_touched_ones_keeps_its_version() {
     let ranges = level_ranges(&g);
     let [first, second] = assert_sweep_matches_reference("gap level", &g, &|values| {
         // The last element of level 0 and the first of level 2: both sit
-        // on a chunk boundary of some dispatch arm.
+        // on a level boundary.
         values[ranges[0].1 - 1] = 0.75;
         values[ranges[2].0] = -0.5;
     });
@@ -325,8 +323,7 @@ fn one_touched_lane_in_a_group_matches_the_reference() {
     let ranges = level_ranges(&g);
     for lane in 0..8 {
         // One non-zero gradient in level 1's fourth lane group (lane groups
-        // count from the chunk start; under the production chunk that is
-        // the level start).
+        // count from the level start).
         let at = ranges[1].0 + 3 * 8 + lane;
         let [first, _] = assert_sweep_matches_reference(&format!("lane {lane}"), &g, &|values| {
             values[at] = -0.75;
@@ -337,6 +334,242 @@ fn one_touched_lane_in_a_group_matches_the_reference() {
             .collect();
         assert_eq!(changed, [at], "lane {lane}");
     }
+}
+
+/// A batch of unit-cube points and its embedding gradients, `n × L·F`
+/// row-major, for the fused step.
+struct Batch {
+    points: Vec<Vec3>,
+    d_out: Vec<f32>,
+}
+
+/// `n` random points and gradients in `[-1, 1]`, edited by `edit(point,
+/// column, value)`.
+fn batch(g: &HashGrid, n: usize, seed: u64, edit: &dyn Fn(usize, usize, f32) -> f32) -> Batch {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let points = (0..n)
+        .map(|_| Vec3::new(rng.gen(), rng.gen(), rng.gen()))
+        .collect();
+    let w = g.output_dim();
+    let d_out = (0..n * w)
+        .map(|i| edit(i / w, i % w, rng.gen_range(-1.0..=1.0)))
+        .collect();
+    Batch { points, d_out }
+}
+
+/// Two identical `step`s on a copy of `g0`, with a fresh optimizer; the
+/// state after each. There is no gradient buffer to compare.
+fn two_batch_steps(g0: &HashGrid, step: &mut dyn FnMut(&mut HashGrid, &mut Adam)) -> [State; 2] {
+    let mut g = g0.clone();
+    let mut opt = Adam::new(AdamConfig::for_grid(), g.num_params());
+    let none = GridGradients {
+        values: Vec::new(),
+        count: 0,
+    };
+    [(); 2].map(|()| {
+        step(&mut g, &mut opt);
+        state(&g, &opt, &none)
+    })
+}
+
+/// Asserts the fused step on `buffers` equals scatter → sweep, for every
+/// registered backend in every pool, and that the fused step makes at
+/// most one buffer per worker. Returns the states of the last run.
+fn assert_fused_matches_scatter_then_sweep(
+    label: &str,
+    g0: &HashGrid,
+    b: &Batch,
+    buffers: &mut LevelBuffers,
+) -> [State; 2] {
+    let mut reference = None;
+    for backend in kernels::registered() {
+        let expected = two_batch_steps(g0, &mut |g, opt| {
+            let mut grads = g.zero_grads();
+            g.par_backward_batch_with(&backend, &b.points, &b.d_out, &mut grads);
+            g.apply_step_consuming(opt, &mut grads);
+        });
+        for workers in WORKERS {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .build()
+                .unwrap();
+            let made = buffers.count();
+            let fused = pool.install(|| {
+                two_batch_steps(g0, &mut |g, opt| {
+                    g.par_backward_step_with(&backend, &b.points, &b.d_out, opt, buffers);
+                })
+            });
+            assert_eq!(fused, expected, "{label}: {backend} t{workers}");
+            assert!(
+                buffers.count() <= made.max(workers),
+                "{label}: {} buffers after a {workers}-worker step",
+                buffers.count()
+            );
+        }
+        reference = Some(expected);
+    }
+    reference.unwrap()
+}
+
+#[test]
+fn fused_step_bit_equals_scatter_then_sweep_on_dense_and_hashed_levels() {
+    let g = grid(3, 70);
+    assert_eq!(g.levels()[0].mode, AddressMode::Dense);
+    assert_eq!(g.levels()[2].mode, AddressMode::Hashed);
+    // Two full lanes of eight points and a five-point tail.
+    let b = batch(&g, 21, 71, &|_, _, d| d);
+    let mut buffers = LevelBuffers::new();
+    let [first, second] =
+        assert_fused_matches_scatter_then_sweep("dense+hashed", &g, &b, &mut buffers);
+    assert_eq!((first.adam_steps, second.adam_steps), (1, 2));
+    assert!(first
+        .level_versions
+        .iter()
+        .zip(g.level_versions())
+        .all(|(a, b)| a > b));
+    assert_ne!(first.params, second.params, "the second step moved nothing");
+    // One step at a time on one worker: one buffer, however many levels.
+    let mut one = LevelBuffers::new();
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    pool.install(|| {
+        two_batch_steps(&g, &mut |g, opt| {
+            g.par_backward_step_with(&kernels::simd(), &b.points, &b.d_out, opt, &mut one)
+        })
+    });
+    assert_eq!(one.count(), 1);
+}
+
+#[test]
+fn fused_step_leaves_a_level_no_gradient_reaches_alone() {
+    // Level 1's embedding gradient is zero at every point: its features,
+    // moments and version stay as they were while its neighbours step.
+    let g = grid(3, 72);
+    let f = g.config().features_per_entry;
+    let b = batch(&g, 21, 73, &|_, col, d| if col / f == 1 { 0.0 } else { d });
+    let [first, second] = assert_fused_matches_scatter_then_sweep(
+        "level 1 unreached",
+        &g,
+        &b,
+        &mut LevelBuffers::new(),
+    );
+    let v0 = g.level_versions();
+    assert_eq!(first.level_versions[1], v0[1]);
+    assert_eq!(second.level_versions[1], v0[1]);
+    assert!(first.level_versions[0] > v0[0] && first.level_versions[2] > v0[2]);
+    let r = &level_ranges(&g)[1];
+    assert_eq!(second.params[r.0..r.1], bits(&g.params()[r.0..r.1])[..]);
+    assert!(second.m[r.0..r.1].iter().all(|&b| b == 0));
+}
+
+#[test]
+fn fused_step_on_all_zero_embedding_gradients_takes_no_step() {
+    // ±0 everywhere scatters +0.0 everywhere: no level moves, and neither
+    // does `Adam::steps` or the version clock. An empty batch is the same.
+    let g = grid(3, 74);
+    let zeros = batch(&g, 21, 75, &|i, col, _| {
+        if (i + col) % 2 == 0 {
+            0.0
+        } else {
+            -0.0
+        }
+    });
+    let empty = Batch {
+        points: Vec::new(),
+        d_out: Vec::new(),
+    };
+    for (label, b) in [("±0", &zeros), ("empty", &empty)] {
+        let [first, second] =
+            assert_fused_matches_scatter_then_sweep(label, &g, b, &mut LevelBuffers::new());
+        assert_eq!(first, second, "{label}");
+        assert_eq!(first.adam_steps, 0, "{label}");
+        assert_eq!(first.level_versions, g.level_versions(), "{label}");
+        assert_eq!(first.params, bits(g.params()), "{label}");
+    }
+    // The clock did not move either: the next real step bumps by one.
+    let mut g1 = g.clone();
+    let mut opt = Adam::new(AdamConfig::for_grid(), g1.num_params());
+    let mut buffers = LevelBuffers::new();
+    g1.par_backward_step_with(
+        &kernels::simd(),
+        &zeros.points,
+        &zeros.d_out,
+        &mut opt,
+        &mut buffers,
+    );
+    let live = batch(&g, 3, 76, &|_, _, d| d);
+    g1.par_backward_step_with(
+        &kernels::simd(),
+        &live.points,
+        &live.d_out,
+        &mut opt,
+        &mut buffers,
+    );
+    let mut g2 = g.clone();
+    let mut opt2 = Adam::new(AdamConfig::for_grid(), g2.num_params());
+    g2.par_backward_step_with(
+        &kernels::simd(),
+        &live.points,
+        &live.d_out,
+        &mut opt2,
+        &mut buffers,
+    );
+    assert_eq!(g1.level_versions(), g2.level_versions());
+    assert_eq!(opt.steps(), 1);
+}
+
+#[test]
+fn fused_step_skips_negative_zero_and_applies_nan() {
+    // Point 0 carries NaN on level 2's first feature, point 1 `-0.0` on
+    // every column: the NaN reaches eight level-2 entries, the `-0.0`s
+    // add nothing.
+    let g = grid(3, 77);
+    let f = g.config().features_per_entry;
+    let b = batch(&g, 9, 78, &|i, col, d| match (i, col) {
+        (0, c) if c == 2 * f => f32::NAN,
+        (1, _) => -0.0,
+        _ => d,
+    });
+    let [first, _] =
+        assert_fused_matches_scatter_then_sweep("-0.0 / NaN", &g, &b, &mut LevelBuffers::new());
+    let nan = first
+        .params
+        .iter()
+        .filter(|&&p| f32::from_bits(p).is_nan())
+        .count();
+    assert!((1..=8).contains(&nan), "{nan} NaN parameters");
+}
+
+#[test]
+fn fused_step_reuses_one_buffer_set_across_grid_sizes() {
+    // Larger, smaller, larger: the smaller grid uses a prefix of each
+    // buffer, and the second large step is only right if the rest stayed
+    // zero.
+    let large = grid(4, 79);
+    let small = HashGrid::new_random(
+        HashGridConfig {
+            levels: 2,
+            log2_table_size: 6,
+            base_resolution: 2,
+            max_resolution: 8,
+            init_scale: 0.3,
+            ..HashGridConfig::default()
+        },
+        &mut StdRng::seed_from_u64(80),
+    );
+    assert!(small.num_params() < large.num_params());
+    let mut buffers = LevelBuffers::new();
+    for (label, g) in [
+        ("large", &large),
+        ("small", &small),
+        ("large again", &large),
+    ] {
+        let b = batch(g, 21, 81, &|_, _, d| d);
+        assert_fused_matches_scatter_then_sweep(label, g, &b, &mut buffers);
+    }
+    assert!(buffers.count() <= *WORKERS.iter().max().unwrap());
 }
 
 proptest! {

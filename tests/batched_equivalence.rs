@@ -18,7 +18,7 @@
 //! while a trainer-level observer never does.
 
 use instant3d::core::{GridTopology, TrainConfig, Trainer};
-use instant3d::nerf::grid::{AccessPhase, GridAccessObserver, GridBranch, HashGrid};
+use instant3d::nerf::grid::{AccessPhase, GridAccessObserver, GridBranch, GridLayout, HashGrid};
 use instant3d::nerf::kernels::{BackendHandle, Kernels, SimdKernels};
 use instant3d::nerf::math::Vec3;
 use instant3d::nerf::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 /// color table is a quarter of the density table).
 type Shape = (usize, usize);
 
-fn shape(grid: &HashGrid) -> Shape {
+fn shape(grid: &GridLayout) -> Shape {
     (grid.levels().len(), grid.num_params())
 }
 
@@ -59,7 +59,7 @@ impl Streams {
 }
 
 struct Sink<'a> {
-    grid: &'a HashGrid,
+    grid: &'a GridLayout,
     streams: &'a mut Streams,
 }
 
@@ -104,7 +104,7 @@ impl Kernels for Recorder {
 
     fn grid_scatter_level(
         &self,
-        grid: &HashGrid,
+        grid: &GridLayout,
         level: usize,
         grads: &mut [f32],
         pts: &[Vec3],
