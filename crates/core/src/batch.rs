@@ -1,4 +1,5 @@
-//! The batched SoA execution engine (the training hot path).
+//! The batched SoA execution engine (the training hot path, and the tile
+//! renderer's forward-only pass).
 //!
 //! Where the scalar reference path walks one point at a time through
 //! encode → heads → composite → backward, this module runs each pipeline
@@ -33,6 +34,17 @@
 //! 2. **Thread-count determinism** — results are bit-identical for any
 //!    worker count, because no reduction order depends on scheduling.
 //!
+//! The same workspace serves the tile renderer through a pass of its own,
+//! [`BatchWorkspace::render`]: forward only, so it runs both heads through
+//! the chunked forward driver
+//! ([`Mlp::forward_chunked_with`](instant3d_nerf::mlp::Mlp::forward_chunked_with))
+//! on a chunk of scratch per worker instead of retaining every sample's
+//! activations, and it runs the colour branch only on the samples each
+//! ray integrates before early termination. Its buffers — the prefix
+//! sample list, the gathered positions, the chunk scratch — live here
+//! too, so a pooled workspace renders a warm tile without allocating
+//! (`tests/render_alloc.rs`).
+//!
 //! The engine takes no access observer. Grid address streams have one
 //! recorder, the scalar reference step
 //! ([`Trainer::step_scalar_observed`](crate::Trainer::step_scalar_observed)):
@@ -47,8 +59,10 @@ use instant3d_nerf::adam::Adam;
 use instant3d_nerf::grid::LevelBuffers;
 use instant3d_nerf::kernels::BackendHandle;
 use instant3d_nerf::math::Vec3;
-use instant3d_nerf::mlp::MlpBatchWorkspace;
-use instant3d_nerf::render::{composite_backward_slices, RayBatch, RayBatchCache, RenderOutput};
+use instant3d_nerf::mlp::{MlpBatchWorkspace, MlpChunkWorkspace};
+use instant3d_nerf::render::{
+    composite_backward_slices, integrated_prefix, RayBatch, RayBatchCache, RenderOutput,
+};
 
 /// Preallocated SoA buffers for one training/eval iteration of the batched
 /// engine. Create once per trainer (or per eval worker) with
@@ -84,6 +98,17 @@ pub struct BatchWorkspace {
     /// (the tile renderer's `sample_segments_occupancy_into` buffer).
     /// Rides with the workspace so pooled reuse keeps its capacity.
     pub(crate) seg_scratch: Vec<(f32, f32)>,
+    /// The render pass's prefix samples: every sample a ray integrates
+    /// before early termination, in sample order.
+    prefix: Vec<u32>,
+    /// Unit positions of the prefix samples (decoupled grids only: the
+    /// colour-grid encode input).
+    prefix_positions: Vec<Vec3>,
+    /// The colour head's output rows for the prefix samples.
+    prefix_rgb: Vec<f32>,
+    /// Each head's forward chunk scratch for the render pass.
+    chunk_sigma: MlpChunkWorkspace,
+    chunk_color: MlpChunkWorkspace,
     /// Zeroed level-sized gradient buffers for [`BatchWorkspace::grid_step`],
     /// at most one per worker.
     grid_buffers: LevelBuffers,
@@ -161,6 +186,11 @@ impl BatchWorkspace {
             d_emb_d: Vec::new(),
             d_emb_c: Vec::new(),
             seg_scratch: Vec::new(),
+            prefix: Vec::new(),
+            prefix_positions: Vec::new(),
+            prefix_rgb: Vec::new(),
+            chunk_sigma: model.sigma_mlp().chunk_workspace(),
+            chunk_color: model.color_mlp().chunk_workspace(),
             grid_buffers: LevelBuffers::new(),
             sh_dim: model.sh_dim(),
             emb_d_dim: model.density_grid().output_dim(),
@@ -231,24 +261,32 @@ impl BatchWorkspace {
     /// Stage ③-① forward, batched: maps every sampled position into the
     /// unit cube and encodes the grid embeddings on the rayon pool.
     pub fn encode(&mut self, model: &NerfModel) {
-        let n = self.positions.len();
-        let aabb = model.aabb();
-        self.unit_positions.clear();
-        self.unit_positions
-            .extend(self.positions.iter().map(|p| aabb.to_unit(*p)));
-        self.emb_d.resize(n * self.emb_d_dim, 0.0);
-        self.emb_c.resize(n * self.emb_c_dim, 0.0);
-        model.density_grid().par_encode_batch_with(
-            &self.backend,
-            &self.unit_positions,
-            &mut self.emb_d,
-        );
+        self.encode_density(model);
+        self.emb_c
+            .resize(self.positions.len() * self.emb_c_dim, 0.0);
         match model.color_grid() {
             Some(cg) if model.topology() == GridTopology::Decoupled => {
                 cg.par_encode_batch_with(&self.backend, &self.unit_positions, &mut self.emb_c);
             }
             _ => self.emb_c.copy_from_slice(&self.emb_d),
         }
+    }
+
+    /// Maps every sampled position into the unit cube and encodes the
+    /// density grid there: the half of [`BatchWorkspace::encode`] the
+    /// render pass shares.
+    fn encode_density(&mut self, model: &NerfModel) {
+        let aabb = model.aabb();
+        self.unit_positions.clear();
+        self.unit_positions
+            .extend(self.positions.iter().map(|p| aabb.to_unit(*p)));
+        self.emb_d
+            .resize(self.positions.len() * self.emb_d_dim, 0.0);
+        model.density_grid().par_encode_batch_with(
+            &self.backend,
+            &self.unit_positions,
+            &mut self.emb_d,
+        );
     }
 
     /// Stage ③-② forward, batched: evaluates both MLP heads over every
@@ -303,8 +341,112 @@ impl BatchWorkspace {
         }
     }
 
+    /// The render pass: a forward-only evaluation of the batch that keeps
+    /// no activations and runs the colour branch only where the
+    /// compositor reads it, leaving each ray's output in
+    /// [`BatchWorkspace::output`]. Returns how many samples the colour
+    /// branch ran on.
+    ///
+    /// 1. The density branch runs over every sample, through the
+    ///    forward-only chunk driver.
+    /// 2. Each ray's integrated prefix follows from `σ` alone
+    ///    ([`integrated_prefix`]).
+    /// 3. The colour branch runs on the prefix samples only: coupled grids
+    ///    gather the samples' density-embedding rows, decoupled grids
+    ///    encode the colour grid at the samples' positions. Their `rgb`
+    ///    is scattered back; every other sample's `rgb` is never read.
+    /// 4. Every ray composites through the backend's unchanged
+    ///    `composite_ray`.
+    ///
+    /// Per-sample arithmetic is that of [`BatchWorkspace::encode`],
+    /// [`BatchWorkspace::heads_forward`] and
+    /// [`BatchWorkspace::composite_all`], so each output has their bits.
+    pub fn render(&mut self, model: &NerfModel, background: Vec3) -> usize {
+        let n = self.positions.len();
+        let (ed, ec, cw, sd) = (
+            self.emb_d_dim,
+            self.emb_c_dim,
+            self.color_in_dim,
+            self.sh_dim,
+        );
+        self.encode_density(model);
+        let emb_d = &self.emb_d;
+        model.sigma_mlp().forward_chunked_with(
+            &self.backend,
+            &mut self.chunk_sigma,
+            &mut self.rays.sigma[..n],
+            |items, rows| rows.copy_from_slice(&emb_d[items.start * ed..items.end * ed]),
+        );
+
+        self.prefix.clear();
+        for r in 0..self.rays.num_rays() {
+            let range = self.rays.ray_range(r);
+            let active = integrated_prefix(
+                &self.rays.dt[range.clone()],
+                &self.rays.sigma[range.clone()],
+            );
+            self.prefix
+                .extend(range.start as u32..(range.start + active) as u32);
+        }
+        let m = self.prefix.len();
+        let color_grid = model
+            .color_grid()
+            .filter(|_| model.topology() == GridTopology::Decoupled);
+        let emb_c: &[f32] = match color_grid {
+            Some(cg) => {
+                self.prefix_positions.clear();
+                self.prefix_positions
+                    .extend(self.prefix.iter().map(|&i| self.unit_positions[i as usize]));
+                self.emb_c.resize(m * ec, 0.0);
+                cg.par_encode_batch_with(&self.backend, &self.prefix_positions, &mut self.emb_c);
+                &self.emb_c
+            }
+            None => {
+                debug_assert_eq!(ed, ec);
+                &self.emb_d
+            }
+        };
+        let (prefix, point_ray, sh) = (&self.prefix, &self.point_ray, &self.sh);
+        self.prefix_rgb.resize(m * 3, 0.0);
+        model.color_mlp().forward_chunked_with(
+            &self.backend,
+            &mut self.chunk_color,
+            &mut self.prefix_rgb,
+            |items, rows| {
+                for (j, row) in items.zip(rows.chunks_exact_mut(cw)) {
+                    let i = prefix[j] as usize;
+                    // Decoupled rows are the prefix's own; coupled rows
+                    // are the sample's density embedding.
+                    let e = if color_grid.is_some() { j } else { i };
+                    row[..ec].copy_from_slice(&emb_c[e * ec..(e + 1) * ec]);
+                    let r = point_ray[i] as usize;
+                    row[ec..].copy_from_slice(&sh[r * sd..(r + 1) * sd]);
+                }
+            },
+        );
+        for (&i, c) in prefix.iter().zip(self.prefix_rgb.chunks_exact(3)) {
+            self.rays.rgb[i as usize] = Vec3::new(c[0], c[1], c[2]);
+        }
+
+        let rays = self.rays.num_rays();
+        self.cache.outputs.resize(rays, RenderOutput::default());
+        for r in 0..rays {
+            let range = self.rays.ray_range(r);
+            let (out, _) = self.backend.composite_ray(
+                &self.rays.t[range.clone()],
+                &self.rays.dt[range.clone()],
+                &self.rays.sigma[range.clone()],
+                &self.rays.rgb[range],
+                background,
+                None,
+            );
+            self.cache.outputs[r] = out;
+        }
+        m
+    }
+
     /// The forward render output of ray `r` (valid after
-    /// [`BatchWorkspace::composite_all`]).
+    /// [`BatchWorkspace::composite_all`] or [`BatchWorkspace::render`]).
     #[inline]
     pub fn output(&self, r: usize) -> &RenderOutput {
         &self.cache.outputs[r]

@@ -40,10 +40,17 @@
 //! kept in `crates/core/tests/tile_render.rs`) on every backend × worker
 //! count — pinned by that golden suite.
 //!
-//! Ray marching uses the same per-ray pipeline as training: stratified
-//! stratum-center samples, optional occupancy culling
-//! (`sample_segments_occupancy_into`), and transmittance early
-//! termination inside the backend's `composite_ray` kernel.
+//! Ray marching samples like training does: stratified stratum-center
+//! samples, with optional occupancy culling
+//! (`sample_segments_occupancy_into`). A tile is then evaluated by the
+//! workspace's forward-only render pass ([`BatchWorkspace::render`]), not
+//! by the training forward: no activation outlives its forward chunk, and
+//! the colour branch runs only on the samples each ray integrates before
+//! early termination. That count comes from `σ` alone
+//! ([`integrated_prefix`](instant3d_nerf::render::integrated_prefix)),
+//! through the transmittance recurrence the backend's `composite_ray`
+//! runs, so the compositor reads exactly the colours the pass computed.
+//! [`RenderTelemetry::color_points`] counts them.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -222,6 +229,9 @@ pub struct RenderTelemetry {
     pub rays: u64,
     /// Points sampled after occupancy culling.
     pub points: u64,
+    /// Points the colour branch ran on: the samples each ray integrates
+    /// before early termination (at most [`RenderTelemetry::points`]).
+    pub color_points: u64,
     /// `BatchWorkspace`s minted on pool miss (warmup).
     pub workspaces_minted: u64,
     /// Runner activations served by a pooled workspace (steady state).
@@ -238,6 +248,7 @@ impl RenderTelemetry {
         self.tiles_deadline_skipped += other.tiles_deadline_skipped;
         self.rays += other.rays;
         self.points += other.points;
+        self.color_points += other.color_points;
         self.workspaces_minted += other.workspaces_minted;
         self.workspaces_recycled += other.workspaces_recycled;
     }
@@ -421,19 +432,17 @@ impl FrameScheduler {
         // The selected tiles as an indexed work queue. Mutable borrows
         // are disjoint by construction (each tile appears once); the
         // per-item mutex only transfers that borrow to whichever runner
-        // claims the index — it is never contended.
-        let work: Vec<std::sync::Mutex<&mut TileState>> = self
-            .tiles
-            .iter_mut()
-            .filter_map(|t| {
-                if t.pending {
-                    t.pending = false;
-                    Some(std::sync::Mutex::new(t))
-                } else {
-                    None
-                }
-            })
-            .collect();
+        // claims the index — it is never contended. Sized up front, so a
+        // frame allocates the queue once whatever its tile count.
+        let mut work: Vec<std::sync::Mutex<&mut TileState>> = Vec::with_capacity(selected);
+        work.extend(self.tiles.iter_mut().filter_map(|t| {
+            if t.pending {
+                t.pending = false;
+                Some(std::sync::Mutex::new(t))
+            } else {
+                None
+            }
+        }));
         // Fixed runner tasks, fleet-style, each holding ONE workspace for
         // the whole frame: this is what hard-bounds workspace mints by
         // the worker count. (Per-tile checkout would over-mint — a worker
@@ -477,7 +486,7 @@ impl FrameScheduler {
                                 reason = "lock poisoning means a sibling tile worker already panicked; propagate it"
                             )]
                             let t: &mut TileState = &mut work[i].lock().unwrap();
-                            let (sampled_grid, tile_points) = render_tile(
+                            let (sampled_grid, tile_points, tile_color_points) = render_tile(
                                 model,
                                 &camera,
                                 &aabb,
@@ -495,6 +504,7 @@ impl FrameScheduler {
                             tally.tiles_rendered += 1;
                             tally.rays += u64::from(t.rect.w) * u64::from(t.rect.h);
                             tally.points += tile_points;
+                            tally.color_points += tile_color_points;
                         }
                         if let Some(ws) = ws {
                             pool.park_batch(ws);
@@ -553,9 +563,10 @@ fn grid_versions(model: &NerfModel) -> Vec<u64> {
     v
 }
 
-/// Marches one tile's rays through the batched pipeline into
-/// `colors`/`depths` (row-major within the tile). Returns whether any ray
-/// sampled the grid, and the sampled point count.
+/// Marches one tile's rays through the workspace's forward-only render
+/// pass ([`BatchWorkspace::render`]) into `colors`/`depths` (row-major
+/// within the tile). Returns whether any ray sampled the grid, the sampled
+/// point count, and the count the colour branch ran on.
 ///
 /// Without `occ` the sampling lattice is exactly the monolithic
 /// renderer's (`t = t0 + (k + 0.5)·δt` across the AABB span) — the
@@ -578,7 +589,7 @@ fn render_tile(
     bws: &mut BatchWorkspace,
     colors: &mut [Vec3],
     depths: &mut [f32],
-) -> (bool, u64) {
+) -> (bool, u64, u64) {
     let n = opts.samples_per_ray.max(1);
     let rays = (rect.w * rect.h) as usize;
     bws.clear();
@@ -625,9 +636,7 @@ fn render_tile(
     }
     let points = bws.positions.len() as u64;
     let sampled_grid = points > 0;
-    bws.encode(model);
-    bws.heads_forward(model);
-    bws.composite_all(opts.background);
+    let color_points = bws.render(model, opts.background) as u64;
     for r in 0..rays {
         if bws.rays.ray_range(r).is_empty() {
             colors[r] = opts.background;
@@ -638,7 +647,7 @@ fn render_tile(
             depths[r] = out.depth;
         }
     }
-    (sampled_grid, points)
+    (sampled_grid, points, color_points)
 }
 
 /// Renders one full view through the tile path at full budget — the

@@ -15,20 +15,25 @@ use instant3d_core::pool::WorkspacePool;
 use instant3d_core::render::{
     render_view, FrameBudget, FrameScheduler, RenderOptions, DEFAULT_TILE_SIZE,
 };
-use instant3d_core::{kernels, BackendHandle, BatchWorkspace, NerfModel, TrainConfig, Trainer};
+use instant3d_core::{
+    kernels, BackendHandle, BatchWorkspace, GridTopology, NerfModel, TrainConfig, Trainer,
+};
 use instant3d_nerf::camera::Camera;
 use instant3d_nerf::image::{DepthImage, RgbImage};
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::occupancy::OccupancyGrid;
+use instant3d_nerf::sampler::sample_segments_occupancy_into;
 use instant3d_scenes::{Dataset, SceneLibrary};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::time::Duration;
 
 /// The original monolithic renderer: rows are processed as ray batches —
 /// one grid encode, one MLP sweep and one composite per row — with row
-/// chunks running in parallel on per-chunk workspaces.
+/// chunks running in parallel on per-chunk workspaces. With `occ`, each
+/// ray keeps the strata `sample_segments_occupancy_into` keeps, and a ray
+/// left with none gets no samples (and no direction encoding).
 ///
 /// Kept as the executable specification for this golden suite: a
 /// full-budget tiled frame must match this bit-for-bit on every backend
@@ -40,6 +45,7 @@ fn render_model_view_monolithic(
     camera: &Camera,
     samples_per_ray: usize,
     background: Vec3,
+    occ: Option<&OccupancyGrid>,
 ) -> (RgbImage, DepthImage) {
     let w = camera.width;
     let h = camera.height;
@@ -55,6 +61,7 @@ fn render_model_view_monolithic(
         .for_each(|(tid, rows_chunk)| {
             let y0 = (tid * chunk) as u32;
             let mut bws = BatchWorkspace::new(model);
+            let mut segments = Vec::new();
             let n = samples_per_ray.max(1);
             for (dy, row) in rows_chunk.iter_mut().enumerate() {
                 let y = y0 + dy as u32;
@@ -65,10 +72,25 @@ fn render_model_view_monolithic(
                 for x in 0..w {
                     let ray = camera.pixel_center_ray(x, y);
                     if let Some((t0, t1)) = aabb.intersect(&ray) {
-                        model.encode_dir(ray.dir, bws.sh_row_mut(x as usize));
-                        let dt = (t1 - t0) / n as f32;
-                        for k in 0..n {
-                            let t = t0 + (k as f32 + 0.5) * dt;
+                        match occ {
+                            None => {
+                                let dt = (t1 - t0) / n as f32;
+                                segments.clear();
+                                segments.extend((0..n).map(|k| (t0 + (k as f32 + 0.5) * dt, dt)));
+                            }
+                            Some(g) => sample_segments_occupancy_into::<StdRng>(
+                                &ray,
+                                &aabb,
+                                n,
+                                g,
+                                None,
+                                &mut segments,
+                            ),
+                        }
+                        if !segments.is_empty() {
+                            model.encode_dir(ray.dir, bws.sh_row_mut(x as usize));
+                        }
+                        for &(t, dt) in &segments {
                             bws.rays.push_sample(t, dt);
                             bws.positions.push(ray.at(t));
                             bws.point_ray.push(x);
@@ -160,7 +182,8 @@ fn full_budget_tiled_matches_monolithic_across_backends_and_workers() {
                 .unwrap();
             pool.install(|| {
                 let tiled = render_view(trainer.model(), cam, 24, ds.background, None);
-                let mono = render_model_view_monolithic(trainer.model(), cam, 24, ds.background);
+                let mono =
+                    render_model_view_monolithic(trainer.model(), cam, 24, ds.background, None);
                 assert_frames_eq(&tiled, &mono, &format!("{}/t{}", backend.name(), workers));
 
                 let mut sched = FrameScheduler::new(*cam, RenderOptions::new(24, ds.background));
@@ -171,7 +194,8 @@ fn full_budget_tiled_matches_monolithic_across_backends_and_workers() {
                     &WorkspacePool::new(),
                 );
                 let t = sched.telemetry();
-                counts.push((t.rays, t.points, t.tiles_rendered));
+                assert!(t.color_points <= t.points, "{t:?}");
+                counts.push((t.rays, t.points, t.color_points, t.tiles_rendered));
             });
         }
         assert!(
@@ -179,6 +203,107 @@ fn full_budget_tiled_matches_monolithic_across_backends_and_workers() {
             "{}: telemetry differs across worker counts: {counts:?}",
             backend.name()
         );
+    }
+}
+
+/// `model` with its density head's output bias raised by `shift`: every
+/// density grows by `e^shift` (the head's output is a truncated
+/// exponential), so many rays terminate early.
+fn denser(model: &NerfModel, shift: f32) -> NerfModel {
+    let mut model = model.clone();
+    let mlp = model.sigma_mlp_mut();
+    let grads = mlp.zero_grads();
+    let last_bias = 2 * mlp.layers().len() - 1;
+    let mut slot = 0;
+    mlp.for_each_param_mut(&grads, |params, _| {
+        if slot == last_bias {
+            params[0] += shift;
+        }
+        slot += 1;
+    });
+    model
+}
+
+/// An occupancy grid over `aabb` with about three cells in four occupied,
+/// at random: it culls strata inside the volume, not just around it.
+fn patchy_occupancy(aabb: instant3d_nerf::math::Aabb) -> OccupancyGrid {
+    let mut occ = OccupancyGrid::new(aabb, 12);
+    let mut rng = StdRng::seed_from_u64(45);
+    for i in 0..occ.num_cells() {
+        occ.set_linear(i, rng.gen_range(0..4) != 0);
+    }
+    occ
+}
+
+/// The render pass runs the colour branch only on the samples each ray
+/// integrates before early termination. On models dense enough that many
+/// rays stop early — decoupled and coupled grids, without and with
+/// occupancy culling — the tiled frame still has the monolithic bits on
+/// every backend × worker count × tile shape, including tiles of more
+/// samples than one forward chunk, and the colour branch provably ran on
+/// fewer samples than were sampled.
+#[test]
+fn early_terminating_rays_match_monolithic_across_backends_workers_and_tiles() {
+    let ds = dataset(42);
+    let cam = ds.test_views[0].camera;
+    for topology in [GridTopology::Decoupled, GridTopology::Coupled] {
+        for backend in kernels::registered() {
+            let mut rng = StdRng::seed_from_u64(9);
+            let cfg = TrainConfig {
+                topology,
+                ..config(&backend)
+            };
+            let mut trainer = Trainer::new(cfg, &ds, &mut rng);
+            let mut train_rng = StdRng::seed_from_u64(11);
+            for _ in 0..8 {
+                trainer.step(&mut train_rng);
+            }
+            let model = denser(trainer.model(), 3.0);
+            let occ = patchy_occupancy(model.aabb());
+            for occ in [None, Some(&occ)] {
+                let label = format!("{topology:?}/{}/occ={}", backend.name(), occ.is_some());
+                let mono = render_model_view_monolithic(&model, &cam, 24, ds.background, occ);
+                let mut counts = Vec::new();
+                for workers in [1usize, 2, 4, 8] {
+                    let pool = rayon::ThreadPoolBuilder::new()
+                        .num_threads(workers)
+                        .build()
+                        .unwrap();
+                    pool.install(|| {
+                        for tile_size in [1u32, 7, DEFAULT_TILE_SIZE, cam.width.max(cam.height)] {
+                            let opts = RenderOptions {
+                                samples_per_ray: 24,
+                                background: ds.background,
+                                tile_size,
+                            };
+                            let mut sched = FrameScheduler::new(cam, opts);
+                            sched.render_frame(
+                                &model,
+                                occ,
+                                FrameBudget::full(),
+                                &WorkspacePool::new(),
+                            );
+                            let label = format!("{label}/t{workers}/tile{tile_size}");
+                            assert_frames_eq(&sched.frame(), &mono, &label);
+                            let t = sched.telemetry();
+                            assert!(
+                                t.color_points < t.points,
+                                "{label}: no ray stopped early: {t:?}"
+                            );
+                            counts.push((t.points, t.color_points));
+                        }
+                    });
+                }
+                assert!(
+                    counts.iter().all(|c| *c == counts[0]),
+                    "{label}: telemetry differs across worker counts and tiles: {counts:?}"
+                );
+                assert!(
+                    counts[0].0 > 256,
+                    "{label}: the frame must span several chunks"
+                );
+            }
+        }
     }
 }
 
@@ -196,7 +321,7 @@ fn tile_seams_and_odd_frame_sizes_are_exact() {
     let eye = center + Vec3::new(0.9, 0.7, 1.6);
     for (w, h) in [(1u32, 1u32), (13, 9), (3, 5), (33, 17)] {
         let cam = Camera::look_at(eye, center, Vec3::new(0.0, 1.0, 0.0), 0.9, w, h);
-        let mono = render_model_view_monolithic(model, &cam, 16, ds.background);
+        let mono = render_model_view_monolithic(model, &cam, 16, ds.background, None);
         for tile in [1u32, 3, 4, DEFAULT_TILE_SIZE, 64] {
             let pool = WorkspacePool::new();
             let mut sched = FrameScheduler::new(
@@ -226,7 +351,7 @@ fn budgeted_progressive_render_converges_to_full_budget_bits() {
     let backend = kernels::from_env_or_default();
     let trainer = trained(&backend, &ds, 6);
     let cam = &ds.test_views[0].camera;
-    let mono = render_model_view_monolithic(trainer.model(), cam, 20, ds.background);
+    let mono = render_model_view_monolithic(trainer.model(), cam, 20, ds.background, None);
 
     let pool = WorkspacePool::new();
     let mut sched = FrameScheduler::new(
@@ -289,7 +414,7 @@ fn deadline_skipped_tiles_are_counted_and_re_rendered() {
 
     let progress = sched.render_frame(trainer.model(), None, FrameBudget::full(), &pool);
     assert!(progress.complete);
-    let mono = render_model_view_monolithic(trainer.model(), &cam, 12, ds.background);
+    let mono = render_model_view_monolithic(trainer.model(), &cam, 12, ds.background, None);
     assert_frames_eq(&sched.frame(), &mono, "full frame after a deadline frame");
 }
 
@@ -320,7 +445,7 @@ fn cache_invalidates_on_level_version_bumps() {
     assert!(!sched.is_converged(trainer.model(), None));
     let p2 = sched.render_frame(trainer.model(), None, FrameBudget::full(), &pool);
     assert!(p2.tiles_rendered > 0 && p2.complete);
-    let mono = render_model_view_monolithic(trainer.model(), &cam, 16, ds.background);
+    let mono = render_model_view_monolithic(trainer.model(), &cam, 16, ds.background, None);
     assert_frames_eq(&sched.frame(), &mono, "post-step re-render");
     assert!(sched.telemetry().tiles_invalidated >= p2.tiles_rendered as u64);
 }

@@ -26,7 +26,12 @@
 //! 32-item block runs through every layer while it sits in L1 — and twice
 //! per backward pass: item blocks carry the gradient down through every
 //! layer, then tiles of every layer's parameter gradient sweep the items
-//! in order, one L2-sized run of blocks at a time.
+//! in order, one L2-sized run of blocks at a time. Callers that never run
+//! the backward (the tile renderer, the occupancy refresh) use the
+//! forward-only driver [`Mlp::forward_chunked_with`] instead: it runs the
+//! same forward over fixed-size chunks of items, one run of chunks per
+//! worker on one chunk of scratch each, so no activation outlives its
+//! chunk.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -789,6 +794,31 @@ pub struct MlpBatchWorkspace {
     wt: Vec<Vec<f32>>,
 }
 
+/// Items per chunk of the forward-only driver [`Mlp::forward_chunked_with`].
+/// A forward block of the presets' heads holds 0.6–0.7 KB per item (the
+/// input copy, every pre-activation, every hidden activation), so both
+/// heads together hold 1.2–1.4 KB per point, and a chunk of 256 points
+/// about 350 KB: it fits a 2 MB L2 and leaves room for a hyper-thread
+/// sibling's chunk. A chunk of 1024 rendered `preview_orbit` frames no
+/// faster and peaked about 10 MB higher.
+const CHUNK: usize = 256;
+
+/// Reusable scratch of the forward-only driver [`Mlp::forward_chunked_with`]:
+/// one lane per worker that takes part, each holding one chunk's input
+/// rows and activations and reusing them chunk after chunk, so a
+/// forward-only pass of any length holds no more than a chunk per worker.
+#[derive(Debug, Clone)]
+pub struct MlpChunkWorkspace {
+    lanes: Vec<ChunkLane>,
+}
+
+/// One lane of an [`MlpChunkWorkspace`].
+#[derive(Debug, Clone)]
+struct ChunkLane {
+    inputs: Vec<f32>,
+    ws: MlpBatchWorkspace,
+}
+
 impl MlpBatchWorkspace {
     /// Items stored by the most recent `forward_batch_with`.
     pub fn len(&self) -> usize {
@@ -1064,6 +1094,71 @@ impl Mlp {
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
         backend.mlp_forward_batch(self, inputs, ws)
+    }
+
+    /// Allocates the scratch of [`Mlp::forward_chunked_with`]; its lanes
+    /// are added by the first pass on each worker count.
+    pub fn chunk_workspace(&self) -> MlpChunkWorkspace {
+        MlpChunkWorkspace { lanes: Vec::new() }
+    }
+
+    /// The forward-only driver: a batched forward pass for callers that
+    /// never run the backward, in chunks of a fixed number of items, each
+    /// run through [`Mlp::forward_batch_with`] on `backend` on one chunk
+    /// of scratch from `ws`. `out` (`n × out_dim`, row-major) receives the
+    /// outputs of the `n` items, and `fill(items, rows)` writes the
+    /// `items`' input rows (`rows` is `items.len() × in_dim`, row-major)
+    /// as each chunk starts.
+    ///
+    /// On more than one worker the chunks split into one contiguous run
+    /// per worker, each on a scratch lane of its own, so the workers share
+    /// out whole chunks, not only the blocks of one chunk at a time.
+    /// Per-item arithmetic does not depend on the batch an item runs in,
+    /// so `out` has the bits of one [`Mlp::forward_batch_with`] over all
+    /// `n` items on any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` is not a multiple of `self.out_dim()`.
+    pub fn forward_chunked_with(
+        &self,
+        backend: &BackendHandle,
+        ws: &mut MlpChunkWorkspace,
+        out: &mut [f32],
+        fill: impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
+    ) {
+        let (iw, ow) = (self.in_dim(), self.out_dim());
+        assert_eq!(out.len() % ow, 0, "output batch width mismatch");
+        let chunks = (out.len() / ow).div_ceil(CHUNK);
+        let lanes = rayon::current_num_threads().min(chunks).max(1);
+        while ws.lanes.len() < lanes {
+            ws.lanes.push(ChunkLane {
+                inputs: Vec::new(),
+                ws: self.batch_workspace(0),
+            });
+        }
+        for lane in &mut ws.lanes[..lanes] {
+            lane.inputs.resize(CHUNK * iw, 0.0);
+        }
+        // The chunks of a run starting at item `first`, on `lane`.
+        let run = |lane: &mut ChunkLane, first: usize, out: &mut [f32]| {
+            for (c, yc) in out.chunks_mut(CHUNK * ow).enumerate() {
+                let start = first + c * CHUNK;
+                let items = start..start + yc.len() / ow;
+                let rows = &mut lane.inputs[..items.len() * iw];
+                fill(items, rows);
+                yc.copy_from_slice(backend.mlp_forward_batch(self, rows, &mut lane.ws));
+            }
+        };
+        if lanes == 1 {
+            return run(&mut ws.lanes[0], 0, out);
+        }
+        let span = chunks.div_ceil(lanes) * CHUNK;
+        ws.lanes[..lanes]
+            .par_chunks_mut(1)
+            .zip(out.par_chunks_mut(span * ow))
+            .enumerate()
+            .for_each(|(l, (lane, yc))| run(&mut lane[0], l * span, yc));
     }
 
     /// The one batched forward driver of the built-in backends: one

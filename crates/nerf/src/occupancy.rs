@@ -14,7 +14,8 @@
 //!   ([`OccupancyGrid::occupied_at`] is a couple of shifts + one load).
 //! * **Batched refresh** — [`OccupancyWorkspace::refresh`] probes cell
 //!   densities through the same SoA kernel seams the trainer uses
-//!   (`HashGrid::par_encode_batch_levels_with` + `Mlp::forward_batch_with`),
+//!   (`HashGrid::par_encode_batch_levels_with`, then the density head
+//!   through the forward-only driver `Mlp::forward_chunked_with`),
 //!   dispatched on the workspace's kernel backend ([`crate::kernels`])
 //!   and bit-identical to probing cell by cell.
 //! * **Amortisation** — the workspace keeps a persistent cell→embedding
@@ -34,7 +35,7 @@
 use crate::grid::HashGrid;
 use crate::kernels::BackendHandle;
 use crate::math::{Aabb, Vec3};
-use crate::mlp::{Mlp, MlpBatchWorkspace};
+use crate::mlp::{Mlp, MlpChunkWorkspace};
 
 /// Spreads the low 21 bits of `v`, inserting two zero bits between
 /// consecutive bits (the "part 1 by 2" step of 3D Morton encoding).
@@ -375,16 +376,16 @@ struct ShapeKey {
 
 /// Persistent state for batched occupancy refreshes: precomputed probe
 /// positions, the per-level-versioned cell→embedding cache, the per-cell
-/// density EMA store, and reusable MLP batch buffers. Create once per
+/// density EMA store, and a chunk of MLP scratch per worker. Create once per
 /// trainer and reuse across the run — steady-state refreshes allocate
 /// nothing.
 ///
 /// All refresh work runs through the batched kernel seams
-/// ([`HashGrid::par_encode_batch_levels_with`],
-/// [`Mlp::forward_batch_with`]), dispatched on the [`BackendHandle`] the
-/// workspace was created with, so results are bit-identical to probing
-/// each cell on its own, for every registered backend and rayon worker
-/// count.
+/// ([`HashGrid::par_encode_batch_levels_with`], and the MLP forward
+/// through the forward-only [`Mlp::forward_chunked_with`]), dispatched on
+/// the [`BackendHandle`] the workspace was created with, so results are
+/// bit-identical to probing each cell on its own, for every registered
+/// backend and rayon worker count.
 #[derive(Debug)]
 pub struct OccupancyWorkspace {
     /// The kernel backend every refresh dispatches to.
@@ -403,10 +404,15 @@ pub struct OccupancyWorkspace {
     ema: Vec<f32>,
     /// Rotating subset phase for the next refresh.
     phase: u32,
-    mlp_ws: Option<MlpBatchWorkspace>,
+    /// The density probe's chunk scratch ([`Mlp::forward_chunked_with`]):
+    /// only the densities are read, so no cell's activations outlive their
+    /// chunk.
+    mlp_ws: Option<MlpChunkWorkspace>,
     subset_cells: Vec<u32>,
     subset_pts: Vec<Vec3>,
     subset_emb: Vec<f32>,
+    /// The probed cells' densities, in probe order.
+    densities: Vec<f32>,
     /// This refresh's levels whose cached rows are stale.
     dirty: Vec<usize>,
 }
@@ -434,6 +440,7 @@ impl OccupancyWorkspace {
             subset_cells: Vec::new(),
             subset_pts: Vec::new(),
             subset_emb: Vec::new(),
+            densities: Vec::new(),
             dirty: Vec::new(),
         }
     }
@@ -525,7 +532,7 @@ impl OccupancyWorkspace {
         self.cached_versions
             .resize(key.levels * subset as usize, u64::MAX);
         if self.shape.map(|p| p.mlp_layers) != Some(key.mlp_layers) {
-            self.mlp_ws = Some(sigma_mlp.batch_workspace(0));
+            self.mlp_ws = Some(sigma_mlp.chunk_workspace());
         }
         self.shape = Some(key);
     }
@@ -600,13 +607,17 @@ impl OccupancyWorkspace {
             for &l in dirty {
                 this.cached_versions[l] = versions[l];
             }
-            let densities = sigma_mlp.forward_batch_with(&backend, &this.emb, mlp_ws);
+            this.densities.resize(n, 0.0);
+            let emb = &this.emb;
+            sigma_mlp.forward_chunked_with(&backend, mlp_ws, &mut this.densities, |cells, rows| {
+                rows.copy_from_slice(&emb[cells.start * w..cells.end * w]);
+            });
             let r = occ.resolution;
             let mut i = 0usize;
             for cz in 0..r {
                 for cy in 0..r {
                     for cx in 0..r {
-                        let bit = apply_mode(mode, &mut this.ema[i], densities[i], threshold);
+                        let bit = apply_mode(mode, &mut this.ema[i], this.densities[i], threshold);
                         occ.set_cell(cx, cy, cz, bit);
                         i += 1;
                     }
@@ -648,10 +659,14 @@ impl OccupancyWorkspace {
                     this.cached_versions[l * k + phase] = versions[l];
                 }
             }
-            let densities = sigma_mlp.forward_batch_with(&backend, &this.subset_emb, mlp_ws);
+            this.densities.resize(m, 0.0);
+            let subset_emb = &this.subset_emb;
+            sigma_mlp.forward_chunked_with(&backend, mlp_ws, &mut this.densities, |js, rows| {
+                rows.copy_from_slice(&subset_emb[js.start * w..js.end * w]);
+            });
             for (j, &i) in this.subset_cells.iter().enumerate() {
                 let i = i as usize;
-                let bit = apply_mode(mode, &mut this.ema[i], densities[j], threshold);
+                let bit = apply_mode(mode, &mut this.ema[i], this.densities[j], threshold);
                 occ.set_linear(i, bit);
             }
             cells_probed = m;

@@ -22,7 +22,10 @@
 //! pair [`composite_slices`] / [`composite_backward_slices`] is the one
 //! reference body: the `scalar` kernel backend, the point-at-a-time
 //! reference training steps and the field renderer
-//! ([`crate::field::render_ray`]) all call it.
+//! ([`crate::field::render_ray`]) all call it. [`integrated_prefix`] runs
+//! the same transmittance recurrence on `σ` alone: the samples a ray
+//! integrates before early termination, the only ones whose colour the
+//! compositor reads.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -188,6 +191,49 @@ impl RayBatchCache {
     }
 }
 
+/// The transmittance recurrence and the early-termination rule: the part
+/// of compositing that reads the densities alone. [`CompositeAccum`] runs
+/// it after integrating each sample, and [`integrated_prefix`] runs it on
+/// its own, so the compositor and the prefix rule cannot drift apart.
+struct March {
+    trans: f32,
+    active: usize,
+}
+
+impl March {
+    fn new() -> Self {
+        March {
+            trans: 1.0,
+            active: 0,
+        }
+    }
+
+    /// Passes sample `k`; returns `true` when the ray early-terminates. A
+    /// NaN transmittance compares false, so a NaN `σ` never terminates a
+    /// ray.
+    #[inline(always)]
+    fn pass(&mut self, k: usize, one_minus_alpha: f32) -> bool {
+        self.trans *= one_minus_alpha;
+        self.active = k + 1;
+        self.trans < EARLY_STOP_TRANSMITTANCE
+    }
+}
+
+/// The number of samples [`composite_slices`] — and so every backend's
+/// `composite_ray` — integrates on one ray: its prefix up to and including
+/// the early-terminating sample, or the whole ray. It reads only `δ` and
+/// `σ`, so a renderer can find it before evaluating any colour: the
+/// compositor reads `rgb[k]` for `k` below it and for no other `k`.
+pub fn integrated_prefix(dt: &[f32], sigma: &[f32]) -> usize {
+    let mut march = March::new();
+    for (k, (&d, &s)) in dt.iter().zip(sigma).enumerate() {
+        if march.pass(k, (-s * d).exp()) {
+            break;
+        }
+    }
+    march.active
+}
+
 /// The sequential per-ray compositing recurrence, shared verbatim by every
 /// compositing kernel — they only differ in how `one_minus_alpha` values
 /// are *produced* (per sample vs a lane-batched `−σδ` precompute); every
@@ -197,8 +243,7 @@ struct CompositeAccum {
     color: Vec3,
     depth: f32,
     opacity: f32,
-    trans: f32,
-    active: usize,
+    march: March,
 }
 
 impl CompositeAccum {
@@ -207,8 +252,7 @@ impl CompositeAccum {
             color: Vec3::ZERO,
             depth: 0.0,
             opacity: 0.0,
-            trans: 1.0,
-            active: 0,
+            march: March::new(),
         }
     }
 
@@ -223,10 +267,11 @@ impl CompositeAccum {
         cache: &mut Option<(&mut [f32], &mut [f32], &mut [f32])>,
     ) -> bool {
         let alpha = 1.0 - one_minus_alpha;
-        let w = self.trans * alpha;
+        let trans = self.march.trans;
+        let w = trans * alpha;
         if let Some((cw, ct, co)) = cache.as_mut() {
             cw[k] = w;
-            ct[k] = self.trans;
+            ct[k] = trans;
             co[k] = one_minus_alpha;
         }
         self.color.x += w * rgb[k].x;
@@ -234,21 +279,20 @@ impl CompositeAccum {
         self.color.z += w * rgb[k].z;
         self.depth += w * t[k];
         self.opacity += w;
-        self.trans *= one_minus_alpha;
-        self.active = k + 1;
-        self.trans < EARLY_STOP_TRANSMITTANCE
+        self.march.pass(k, one_minus_alpha)
     }
 
     fn finish(mut self, background: Vec3) -> (RenderOutput, usize) {
-        self.color += background * self.trans;
+        let March { trans, active } = self.march;
+        self.color += background * trans;
         (
             RenderOutput {
                 color: self.color,
                 depth: self.depth,
                 opacity: self.opacity,
-                transmittance: self.trans,
+                transmittance: trans,
             },
-            self.active,
+            active,
         )
     }
 }

@@ -23,7 +23,9 @@ use instant3d_nerf::grid::{HashGrid, HashGridConfig};
 use instant3d_nerf::kernels::{self, BackendHandle};
 use instant3d_nerf::math::Vec3;
 use instant3d_nerf::mlp::{Mlp, MlpConfig};
-use instant3d_nerf::render::{composite_slices, RenderOutput};
+use instant3d_nerf::render::{
+    composite_slices, integrated_prefix, RenderOutput, EARLY_STOP_TRANSMITTANCE,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -567,6 +569,40 @@ fn mlp_tile_and_block_edges_bit_equal_scalar_at_every_worker_count() {
 }
 
 #[test]
+fn mlp_forward_only_chunks_bit_equal_one_batch_at_every_worker_count() {
+    // The forward-only driver runs chunks of 256 items in one contiguous
+    // run per worker; these sizes put the chunk and run edges on, before
+    // and after item boundaries, with more runs than chunks at 8 workers.
+    let mut rng = StdRng::seed_from_u64(256);
+    let mlp = Mlp::new(
+        MlpConfig::new(17, &[64], 3, Activation::Relu, Activation::Sigmoid),
+        &mut rng,
+    );
+    let iw = mlp.in_dim();
+    for n in [0usize, 1, 255, 256, 257, 513, 1000, 2049] {
+        let inputs: Vec<f32> = (0..n * iw).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+        let want =
+            bits(mlp.forward_batch_with(&kernels::scalar(), &inputs, &mut mlp.batch_workspace(n)));
+        for backend in kernels::registered() {
+            let mut ws = mlp.chunk_workspace();
+            for workers in [1usize, 2, 3, 8] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(workers)
+                    .build()
+                    .unwrap();
+                let mut out = vec![f32::NAN; n * mlp.out_dim()];
+                pool.install(|| {
+                    mlp.forward_chunked_with(&backend, &mut ws, &mut out, |items, rows| {
+                        rows.copy_from_slice(&inputs[items.start * iw..items.end * iw]);
+                    });
+                });
+                assert_eq!(bits(&out), want, "{backend} n={n} t{workers}");
+            }
+        }
+    }
+}
+
+#[test]
 fn mlp_parameter_gradient_runs_bit_equal_scalar_across_run_boundaries() {
     // The parameter-gradient sweep runs its tiles over runs of 16 blocks
     // of 32 items (`mlp::RUN` × `mlp::BLOCK`). These batches span two full
@@ -678,6 +714,89 @@ fn composite_backends_bit_equal_scalar_including_early_termination() {
             }
         }
     }
+}
+
+/// Asserts that the σ-only prefix rule counts the samples the scalar
+/// compositor and every registered backend's `composite_ray` integrate on
+/// the ray `(dt, sigma)`. A debug build's compositor asserts `σ ≥ 0`, which
+/// a NaN fails, so there a NaN ray is held to the rule instead: a NaN never
+/// terminates, so the count is the ray length unless the NaN-free head
+/// before the first NaN terminates on its own.
+fn assert_prefix_is_the_integrated_count(dt: &[f32], sigma: &[f32], label: &str) {
+    let n = dt.len();
+    let t: Vec<f32> = (0..n).map(|k| k as f32).collect();
+    let rgb = vec![Vec3::new(0.3, 0.6, 0.9); n];
+    let bg = Vec3::new(0.2, 0.4, 0.8);
+    let prefix = integrated_prefix(dt, sigma);
+    if let Some(q) = sigma.iter().position(|s| s.is_nan()) {
+        if cfg!(debug_assertions) {
+            let (out, head) = composite_slices(&t[..q], &dt[..q], &sigma[..q], &rgb[..q], bg, None);
+            let stops = out.transmittance < EARLY_STOP_TRANSMITTANCE;
+            let expect = if stops { head } else { n };
+            assert_eq!(prefix, expect, "{label}: NaN at {q} of {n}");
+            return;
+        }
+    }
+    let (_, active) = composite_slices(&t, dt, sigma, &rgb, bg, None);
+    assert_eq!(prefix, active, "{label}: scalar compositor");
+    for backend in kernels::registered() {
+        let (_, active) = backend.composite_ray(&t, dt, sigma, &rgb, bg, None);
+        assert_eq!(prefix, active, "{label}: {backend} composite_ray");
+    }
+}
+
+#[test]
+fn integrated_prefix_equals_every_compositor_count() {
+    // σ edge values: zero, the smallest subnormal, +∞ (which terminates
+    // at δ > 0 and is a NaN product at δ = 0) and NaN.
+    let specials = [0.0f32, f32::from_bits(1), f32::INFINITY, f32::NAN];
+    let mut rng = StdRng::seed_from_u64(45);
+    for n in [0usize, 1, 7, 8, 9, 65] {
+        for case in 0..64 {
+            let dense = [0.5f32, 50.0, 5000.0][case % 3];
+            let sigma: Vec<f32> = (0..n)
+                .map(|_| match rng.gen_range(0..8) {
+                    0 => specials[rng.gen_range(0..specials.len())],
+                    _ => rng.gen::<f32>() * dense,
+                })
+                .collect();
+            let dt: Vec<f32> = (0..n)
+                .map(|_| match rng.gen_range(0..6) {
+                    0 => 0.0,
+                    _ => rng.gen::<f32>() / n as f32,
+                })
+                .collect();
+            assert_prefix_is_the_integrated_count(&dt, &sigma, &format!("n={n} case={case}"));
+        }
+    }
+
+    // A transmittance that lands exactly on the threshold does not stop
+    // the ray: the rule is a strict `<`. The first sample takes the
+    // transmittance to just above it, the second (δ = 1) multiplies it
+    // down by a factor `1 − j·2⁻²⁴`; search `j` for an exact landing.
+    let first = 9.2103f32;
+    let step = f32::EPSILON / 2.0;
+    let landing = (1..4096)
+        .map(|j| j as f32 * step)
+        .find(|&s| (-first).exp() * (-s).exp() == EARLY_STOP_TRANSMITTANCE)
+        .expect("some factor lands on the threshold");
+    let dt = [1.0f32, 1.0, 1.0];
+    let sigma = [first, landing, 0.25];
+    let (out, _) = composite_slices(
+        &[0.0, 1.0],
+        &dt[..2],
+        &sigma[..2],
+        &[Vec3::ONE; 2],
+        Vec3::ZERO,
+        None,
+    );
+    assert_eq!(out.transmittance, EARLY_STOP_TRANSMITTANCE, "lands exactly");
+    assert_eq!(
+        integrated_prefix(&dt, &sigma),
+        3,
+        "a landing does not stop the ray"
+    );
+    assert_prefix_is_the_integrated_count(&dt, &sigma, "exact landing");
 }
 
 fn flat(o: &RenderOutput) -> [f32; 6] {
@@ -911,6 +1030,7 @@ proptest! {
         );
         prop_assert_eq!(oa, ob);
         prop_assert_eq!(aa, ab);
+        prop_assert_eq!(integrated_prefix(&dt, &sigmas), aa);
         prop_assert_eq!(bits(&cw_a), bits(&cw_b));
         prop_assert_eq!(bits(&ct_a), bits(&ct_b));
         prop_assert_eq!(bits(&co_a), bits(&co_b));

@@ -7,7 +7,9 @@
 //! sampled the bumped grids, re-renders the stalest ones round-robin, and
 //! keeps the rest cached. After training stops, the same budget converges
 //! the frame to bits identical to the one-shot full renderer — the
-//! progressive path is a schedule, not an approximation.
+//! progressive path is a schedule, not an approximation. The last line
+//! prints the share of samples the colour branch ran on: the renderer
+//! skips it past each ray's early termination.
 //!
 //! ```text
 //! cargo run --release --example tile_preview
@@ -118,5 +120,11 @@ fn main() {
         t.tiles_invalidated,
         t.workspaces_minted,
         t.workspaces_recycled
+    );
+    println!(
+        "colour branch ran on {} of {} samples ({:.1}%): the rest lie past early ray termination",
+        t.color_points,
+        t.points,
+        100.0 * t.color_points as f64 / t.points.max(1) as f64
     );
 }
