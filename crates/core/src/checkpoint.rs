@@ -7,8 +7,8 @@
 //! (de)serialization. The format is a minimal versioned container: magic,
 //! version, per-tensor lengths and coding flags, then raw little-endian
 //! values. Grid features are written as fp16 — the grids' own storage
-//! format, so nothing is lost — which roughly halves checkpoint size; MLP
-//! weights are written as `f32`.
+//! format, copied as the tables lie, so nothing is lost — which roughly
+//! halves checkpoint size; MLP weights are written as `f32`.
 
 use crate::model::NerfModel;
 use instant3d_nerf::fp16::F16;
@@ -85,20 +85,23 @@ impl Writer {
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn f32_slice_fp16(&mut self, values: &[f32]) {
+    /// One tensor: its length, its coding flag, then each value's `N`
+    /// little-endian bytes.
+    fn tensor<T: Copy, const N: usize>(&mut self, flag: u8, values: &[T], le: fn(T) -> [u8; N]) {
         self.u32(values.len() as u32);
-        self.buf.push(1); // fp16-coded
-        for &v in values {
-            self.buf
-                .extend_from_slice(&F16::from_f32(v).0.to_le_bytes());
+        self.buf.push(flag);
+        let start = self.buf.len();
+        self.buf.resize(start + N * values.len(), 0);
+        for (out, &v) in self.buf[start..].chunks_exact_mut(N).zip(values) {
+            out.copy_from_slice(&le(v));
         }
     }
+    /// An fp16-coded tensor: the table's bits as they lie.
+    fn f16_slice(&mut self, values: &[F16]) {
+        self.tensor(1, values, |h| h.0.to_le_bytes());
+    }
     fn f32_slice(&mut self, values: &[f32]) {
-        self.u32(values.len() as u32);
-        self.buf.push(0); // f32-coded
-        for &v in values {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
+        self.tensor(0, values, f32::to_le_bytes);
     }
 }
 
@@ -132,17 +135,20 @@ impl<'a> Reader<'a> {
     }
 
     /// Decodes one tensor (length, coding flag, payload) into `out`,
-    /// which ends up holding exactly the stored number of values.
+    /// which ends up holding exactly the stored number of values, each
+    /// fp16-coded one through `fp16` and each f32-coded one through `f32`.
     ///
     /// The stored length is validated against the bytes actually left in
     /// the blob *before* any memory is reserved from it: a corrupt or
     /// adversarial length field costs at most `remaining` scratch bytes
     /// and a [`CheckpointError::Truncated`], never an unbounded
     /// allocation (and the OOM abort that follows).
-    fn f32_tensor_into(
+    fn tensor_into<T>(
         &mut self,
         tensor: usize,
-        out: &mut Vec<f32>,
+        out: &mut Vec<T>,
+        fp16: fn(F16) -> T,
+        f32: fn(f32) -> T,
     ) -> Result<(), CheckpointError> {
         let n = self.u32()? as usize;
         let flag = self.take(1)?[0];
@@ -158,59 +164,73 @@ impl<'a> Reader<'a> {
         out.clear();
         out.reserve(n);
         if elem == 2 {
-            for i in 0..n {
-                let bits = u16::from_le_bytes([bytes[2 * i], bytes[2 * i + 1]]);
-                out.push(F16(bits).to_f32());
-            }
+            let values = bytes
+                .chunks_exact(2)
+                .map(|b| F16(u16::from_le_bytes([b[0], b[1]])));
+            out.extend(values.map(fp16));
         } else {
-            for i in 0..n {
-                out.push(f32::from_le_bytes(
-                    bytes[4 * i..4 * i + 4].try_into().unwrap(),
-                ));
-            }
+            let values = bytes
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+            out.extend(values.map(f32));
         }
         Ok(())
     }
+
+    /// A grid tensor: fp16-coded values kept as stored, f32-coded ones
+    /// narrowed through [`F16::from_f32`].
+    fn grid_tensor_into(
+        &mut self,
+        tensor: usize,
+        out: &mut Vec<F16>,
+    ) -> Result<(), CheckpointError> {
+        self.tensor_into(tensor, out, |h| h, F16::from_f32)
+    }
+
+    /// An MLP tensor: fp16-coded values widened, f32-coded ones as stored.
+    fn f32_tensor_into(
+        &mut self,
+        tensor: usize,
+        out: &mut Vec<f32>,
+    ) -> Result<(), CheckpointError> {
+        self.tensor_into(tensor, out, F16::to_f32, |v| v)
+    }
+}
+
+/// The MLP tensors in serialization order: each layer's weights then its
+/// bias, the sigma head's layers before the color head's — the order of
+/// [`instant3d_nerf::mlp::Mlp::for_each_param_mut`], which [`load`]
+/// writes them back through.
+fn mlp_tensors(model: &NerfModel) -> impl Iterator<Item = &[f32]> {
+    let layers = model.sigma_mlp().layers().iter();
+    layers
+        .chain(model.color_mlp().layers())
+        .flat_map(|l| [l.weights(), l.bias()])
 }
 
 /// Serializes a model's parameters (grids fp16, MLPs f32).
 pub fn save(model: &NerfModel) -> Vec<u8> {
-    let mut w = Writer { buf: Vec::new() };
+    let density = model.density_grid().params();
+    let color = model.color_grid().map_or(&[][..], |g| g.params());
+    // Header, two grid tensors, the MLP tensor count, the MLP tensors.
+    let tensor = 4 + 1;
+    let mlp: usize = mlp_tensors(model).map(|t| tensor + 4 * t.len()).sum();
+    let len = MAGIC.len() + 2 + 2 * tensor + 2 * (density.len() + color.len()) + 4 + mlp;
+    let mut w = Writer {
+        buf: Vec::with_capacity(len),
+    };
     w.buf.extend_from_slice(MAGIC);
     w.u16(VERSION);
     // Tensor 0: density grid. Tensor 1: color grid (possibly empty).
-    w.f32_slice_fp16(model.density_grid().params());
-    match model.color_grid() {
-        Some(g) => w.f32_slice_fp16(g.params()),
-        None => w.f32_slice_fp16(&[]),
-    }
+    w.f16_slice(density);
+    w.f16_slice(color);
     // MLP tensors in visitor order, f32.
-    let mut mlp_params: Vec<Vec<f32>> = Vec::new();
-    collect_mlp(model.sigma_mlp(), &mut mlp_params);
-    collect_mlp(model.color_mlp(), &mut mlp_params);
-    w.u32(mlp_params.len() as u32);
-    for t in &mlp_params {
+    w.u32(mlp_tensors(model).count() as u32);
+    for t in mlp_tensors(model) {
         w.f32_slice(t);
     }
+    debug_assert_eq!(w.buf.len(), len, "checkpoint size drifted from its layout");
     w.buf
-}
-
-fn collect_mlp(mlp: &instant3d_nerf::mlp::Mlp, out: &mut Vec<Vec<f32>>) {
-    // The visitor needs &mut; clone a scratch copy to read tensors.
-    let mut scratch = mlp.clone();
-    let grads = mlp.zero_grads();
-    scratch.for_each_param_mut(&grads, |params, _| out.push(params.to_vec()));
-}
-
-/// The expected MLP tensor lengths in serialization (visitor) order:
-/// weights then bias per layer, matching `collect_mlp` /
-/// [`instant3d_nerf::mlp::Mlp::for_each_param_mut`].
-fn mlp_tensor_shapes(mlp: &instant3d_nerf::mlp::Mlp, out: &mut Vec<usize>) {
-    for l in mlp.layers() {
-        let s = l.spec();
-        out.push(s.in_dim * s.out_dim);
-        out.push(s.out_dim);
-    }
 }
 
 /// Restores parameters into a shape-compatible model (same config).
@@ -223,6 +243,9 @@ fn mlp_tensor_shapes(mlp: &instant3d_nerf::mlp::Mlp, out: &mut Vec<usize>) {
 /// the old weights) cannot be observed. The serve layer's checkpoint
 /// streaming relies on this: a corrupt blob arriving over the wire must
 /// not poison a resident job.
+///
+/// Grid tensors land in the fp16 tables as stored; an f32-coded grid
+/// tensor is narrowed through [`F16::from_f32`], the grids' one rounding.
 ///
 /// # Errors
 ///
@@ -241,9 +264,9 @@ pub fn load(model: &mut NerfModel, data: &[u8]) -> Result<(), CheckpointError> {
         return Err(CheckpointError::BadVersion(version));
     }
     let mut density = Vec::new();
-    r.f32_tensor_into(0, &mut density)?;
+    r.grid_tensor_into(0, &mut density)?;
     let mut color = Vec::new();
-    r.f32_tensor_into(1, &mut color)?;
+    r.grid_tensor_into(1, &mut color)?;
     let n_mlp = r.u32()? as usize;
     // Every stored tensor occupies at least 5 bytes (u32 length + coding
     // flag), which bounds a corrupt tensor count before `with_capacity`.
@@ -274,10 +297,8 @@ pub fn load(model: &mut NerfModel, data: &[u8]) -> Result<(), CheckpointError> {
             expected: expected_color,
         });
     }
-    let mut shapes: Vec<usize> = Vec::new();
-    mlp_tensor_shapes(model.sigma_mlp(), &mut shapes);
-    mlp_tensor_shapes(model.color_mlp(), &mut shapes);
-    for (i, &expected) in shapes.iter().enumerate() {
+    let mut expected_mlp = 0;
+    for (i, expected) in mlp_tensors(model).map(<[f32]>::len).enumerate() {
         match tensors.get(i) {
             Some(t) if t.len() == expected => {}
             Some(t) => {
@@ -289,27 +310,25 @@ pub fn load(model: &mut NerfModel, data: &[u8]) -> Result<(), CheckpointError> {
             }
             None => return Err(CheckpointError::Truncated),
         }
+        expected_mlp += 1;
     }
-    if tensors.len() != shapes.len() {
+    if tensors.len() != expected_mlp {
         return Err(CheckpointError::ShapeMismatch {
-            tensor: 2 + shapes.len(),
+            tensor: 2 + expected_mlp,
             stored: tensors.len(),
-            expected: shapes.len(),
+            expected: expected_mlp,
         });
     }
 
     // Phase 3 — commit. Every shape was proven above, so nothing below
     // can fail: the model transitions atomically from its old parameter
     // set to the checkpoint's.
-    // `quantize_storage` changes no bit of an fp16-coded tensor; an
-    // f32-coded one can carry values fp16 storage cannot hold, and the
-    // grid optimizer only re-quantises the elements it updates.
-    let density_grid = model.density_grid_mut();
-    density_grid.params_mut().copy_from_slice(&density);
-    density_grid.quantize_storage();
+    model
+        .density_grid_mut()
+        .params_mut()
+        .copy_from_slice(&density);
     if let Some(g) = model.color_grid_mut() {
         g.params_mut().copy_from_slice(&color);
-        g.quantize_storage();
     }
     let mut idx = 0usize;
     let mut apply = |mlp: &mut instant3d_nerf::mlp::Mlp| {
@@ -365,7 +384,12 @@ mod tests {
         // Tensor 0 re-coded as f32 with a value fp16 cannot represent.
         let original = model(8, GridTopology::Decoupled);
         let blob = save(&original);
-        let mut density = original.density_grid().params().to_vec();
+        let mut density: Vec<f32> = original
+            .density_grid()
+            .params()
+            .iter()
+            .map(|h| h.to_f32())
+            .collect();
         density[0] = 0.1;
         let mut w = Writer { buf: Vec::new() };
         w.buf.extend_from_slice(MAGIC);
@@ -376,7 +400,10 @@ mod tests {
         let mut restored = model(9, GridTopology::Decoupled);
         load(&mut restored, &w.buf).unwrap();
         let q = instant3d_nerf::fp16::quantize(0.1);
-        assert_eq!(restored.density_grid().params()[0].to_bits(), q.to_bits());
+        assert_eq!(
+            restored.density_grid().params()[0].to_f32().to_bits(),
+            q.to_bits()
+        );
         assert_eq!(
             restored.density_grid().params()[1..],
             original.density_grid().params()[1..]

@@ -437,6 +437,7 @@ impl RadianceField for NerfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use instant3d_nerf::fp16::F16;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -545,13 +546,16 @@ mod tests {
             .collect();
         assert!(!touched.is_empty(), "density grid got no gradient");
         for i in touched {
+            // The table holds fp16: divide by the perturbation it stored.
             let orig = m.density_grid().params()[i];
-            m.density_grid_mut().params_mut()[i] = orig + eps;
+            let plus = F16::from_f32(orig.to_f32() + eps);
+            let minus = F16::from_f32(orig.to_f32() - eps);
+            m.density_grid_mut().params_mut()[i] = plus;
             let lp = loss(&m);
-            m.density_grid_mut().params_mut()[i] = orig - eps;
+            m.density_grid_mut().params_mut()[i] = minus;
             let lm = loss(&m);
             m.density_grid_mut().params_mut()[i] = orig;
-            let fd = (lp - lm) / (2.0 * eps);
+            let fd = (lp - lm) / (plus.to_f32() - minus.to_f32());
             let an = grads.density_grid.values[i];
             assert!(
                 (fd - an).abs() < 2e-2 * (1.0 + an.abs()),

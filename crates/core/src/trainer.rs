@@ -281,7 +281,7 @@ impl Trainer {
     /// ③-② fwd; compositing and its backward → Step ④; loss → Step ⑤;
     /// head backward + zeroing the MLP gradients + MLP Adam → ③-② bwd;
     /// grid scatter merged per level with the grid optimizer sweep (sparse
-    /// Adam, fp16 re-quantise and gradient zeroing in one pass) + occupancy
+    /// Adam, fp16 narrowing and gradient zeroing in one pass) + occupancy
     /// upkeep → ③-① bwd.
     pub fn timer(&self) -> &StepTimer {
         &self.timer
@@ -700,7 +700,7 @@ impl Trainer {
 
     /// The scalar reference step's grid optimizer tail, gated by the update
     /// schedules: one consuming sweep per updating grid (sparse Adam + fp16
-    /// re-quantise + precise per-level version bumps + gradient zeroing;
+    /// narrowing + precise per-level version bumps + gradient zeroing;
     /// levels no step touched keep their cached occupancy embeddings
     /// valid). The engine runs the same sweep per level inside
     /// `BatchWorkspace::grid_step`.

@@ -6,13 +6,14 @@
 //!
 //! The update is written without fused multiply-adds and with real
 //! divisions in all three entry points. The two sparse ones serve the
-//! fp16-stored hash grids: the sparse step's per-element update and the
-//! consuming sweep's branch-free lane write the same expression tree, both
-//! round the parameter to fp16, and the golden suites pin their bits equal.
+//! hash grids, whose parameters are [`F16`]s: the sparse step's
+//! per-element update and the consuming sweep's branch-free lane widen the
+//! parameter, write the same expression tree and narrow the result back to
+//! fp16, and the golden suites pin their bits equal.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::fp16;
+use crate::fp16::{self, F16};
 use crate::kernels::consume_sweep;
 
 /// Adam hyper-parameters.
@@ -141,15 +142,15 @@ impl Adam {
         }
     }
 
-    /// Sparse variant for an fp16-stored hash grid: updates only the listed
-    /// indices, each rounded through fp16 (most table entries receive no
+    /// Sparse variant for an fp16 hash grid: updates only the listed
+    /// indices, each narrowed back to fp16 (most table entries receive no
     /// gradient in an iteration).
     ///
     /// # Panics
     ///
     /// Panics if `params` or `grads` don't match the state size, or if any
     /// index is out of range.
-    pub(crate) fn step_sparse(&mut self, params: &mut [f32], grads: &[f32], touched: &[usize]) {
+    pub(crate) fn step_sparse(&mut self, params: &mut [F16], grads: &[f32], touched: &[usize]) {
         assert_eq!(params.len(), self.m.len(), "param count mismatch");
         assert_eq!(grads.len(), self.m.len(), "grad count mismatch");
         self.t += 1;
@@ -174,7 +175,7 @@ impl Adam {
     /// Consuming variant of [`Adam::step_sparse`] for a level-major table:
     /// one pass over `params`, the moments and `grads` that updates every
     /// element whose gradient is `!= 0.0` (so `-0.0` is skipped and NaN is
-    /// applied) exactly as `step_sparse` would, fp16 rounding included, and
+    /// applied) exactly as `step_sparse` would, fp16 narrowing included, and
     /// leaves every gradient `+0.0`. Level `l` is `cuts[l]..cuts[l + 1]`;
     /// the levels are swept in order on the calling thread, and
     /// `level_touched(l)` is called for each level that held a non-zero
@@ -187,7 +188,7 @@ impl Adam {
     /// is not an ascending partition of it.
     pub(crate) fn step_consuming(
         &mut self,
-        params: &mut [f32],
+        params: &mut [F16],
         grads: &mut [f32],
         cuts: &[usize],
         mut level_touched: impl FnMut(usize),
@@ -243,35 +244,39 @@ pub(crate) struct SparseUpdate {
 }
 
 impl SparseUpdate {
-    /// Adam on one element, the parameter rounded through
-    /// [`fp16::quantize`]. The expression tree is the pinned one: two
-    /// roundings per multiply-add, real divisions, no reciprocal.
+    /// Adam on one element: the parameter widened through
+    /// [`F16::to_f32`], the result narrowed through [`F16::from_f32`]. The
+    /// expression tree is the pinned one: two roundings per multiply-add,
+    /// real divisions, no reciprocal.
     #[inline(always)]
-    pub(crate) fn apply(&self, p: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
+    pub(crate) fn apply(&self, p: &mut F16, m: &mut f32, v: &mut f32, g: f32) {
         *m = self.b1 * *m + (1.0 - self.b1) * g;
         *v = self.b2 * *v + (1.0 - self.b2) * g * g;
         let m_hat = *m / self.bias1;
         let v_hat = *v / self.bias2;
-        *p = fp16::quantize(*p - self.lr * m_hat / (v_hat.sqrt() + self.eps));
+        *p = F16::from_f32(p.to_f32() - self.lr * m_hat / (v_hat.sqrt() + self.eps));
     }
 
     /// [`SparseUpdate::apply`] without a branch: the same expression tree
-    /// computed whatever `g` is, the parameter rounded through
-    /// [`fp16::quantize_branch_free`], and the old `p`, `m`, `v` selected
-    /// back by bit mask where `g == 0.0` (so `-0.0` is skipped and NaN is
-    /// applied). Returns the new `[p, m, v]`.
+    /// computed whatever `g` is, the parameter widened through
+    /// [`fp16::widen_branch_free`] and narrowed through
+    /// [`fp16::narrow_branch_free`], and the old `p`, `m`, `v` bits
+    /// selected back by mask where `g == 0.0` (so `-0.0` is skipped and NaN
+    /// is applied). Returns the new `(p, m, v)`.
     #[inline(always)]
-    fn lane(&self, p: f32, m: f32, v: f32, g: f32) -> [f32; 3] {
+    fn lane(&self, p: F16, m: f32, v: f32, g: f32) -> (F16, f32, f32) {
         let m_new = self.b1 * m + (1.0 - self.b1) * g;
         let v_new = self.b2 * v + (1.0 - self.b2) * g * g;
         let m_hat = m_new / self.bias1;
         let v_hat = v_new / self.bias2;
-        let p_new = fp16::quantize_branch_free(p - self.lr * m_hat / (v_hat.sqrt() + self.eps));
+        let step = self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let p_new = fp16::narrow_branch_free(fp16::widen_branch_free(p) - step);
         // All ones where the element keeps its old value.
         let keep = u32::from(g != 0.0).wrapping_sub(1);
-        let pick =
-            |new: f32, old: f32| f32::from_bits(new.to_bits() & !keep | old.to_bits() & keep);
-        [pick(p_new, p), pick(m_new, m), pick(v_new, v)]
+        let pick = |new: u32, old: u32| new & !keep | old & keep;
+        let pick_f32 = |new: f32, old: f32| f32::from_bits(pick(new.to_bits(), old.to_bits()));
+        let p = F16(pick(u32::from(p_new.0), u32::from(p.0)) as u16);
+        (p, pick_f32(m_new, m), pick_f32(v_new, v))
     }
 
     /// Applies and clears one level's gradients; true if any was non-zero.
@@ -287,7 +292,7 @@ impl SparseUpdate {
     #[inline(always)]
     pub(crate) fn consume(
         &self,
-        p: &mut [f32],
+        p: &mut [F16],
         m: &mut [f32],
         v: &mut [f32],
         g: &mut [f32],
@@ -302,14 +307,14 @@ impl SparseUpdate {
         let mut touched = [false; LANES];
         for (((p, m), v), g) in p8.iter_mut().zip(m8).zip(v8).zip(g8) {
             for k in 0..LANES {
-                [p[k], m[k], v[k]] = self.lane(p[k], m[k], v[k], g[k]);
+                (p[k], m[k], v[k]) = self.lane(p[k], m[k], v[k], g[k]);
                 touched[k] |= g[k] != 0.0;
             }
             *g = [0.0; LANES];
         }
         let mut any = touched.contains(&true);
         for (((p, m), v), g) in p_tail.iter_mut().zip(m_tail).zip(v_tail).zip(g_tail) {
-            [*p, *m, *v] = self.lane(*p, *m, *v, *g);
+            (*p, *m, *v) = self.lane(*p, *m, *v, *g);
             any |= *g != 0.0;
             *g = 0.0;
         }
@@ -367,13 +372,13 @@ mod tests {
     #[test]
     fn sparse_step_only_touches_listed_indices() {
         let mut opt = Adam::new(AdamConfig::default(), 4);
-        let mut p = vec![1.0f32; 4];
+        let mut p = vec![F16::ONE; 4];
         let g = vec![1.0f32; 4];
         opt.step_sparse(&mut p, &g, &[1, 3]);
-        assert_eq!(p[0], 1.0);
-        assert_eq!(p[2], 1.0);
-        assert!(p[1] < 1.0);
-        assert!(p[3] < 1.0);
+        assert_eq!(p[0], F16::ONE);
+        assert_eq!(p[2], F16::ONE);
+        assert!(p[1].to_f32() < 1.0);
+        assert!(p[3].to_f32() < 1.0);
     }
 
     #[test]
@@ -398,7 +403,7 @@ mod tests {
         let mut opt = Adam::new(AdamConfig::default(), 1);
         assert_eq!(opt.steps(), 0);
         opt.step(&mut [0.0], &[1.0]);
-        opt.step_sparse(&mut [0.0], &[1.0], &[0]);
+        opt.step_sparse(&mut [F16::ZERO], &[1.0], &[0]);
         assert_eq!(opt.steps(), 2);
     }
 
@@ -415,13 +420,13 @@ mod tests {
         // The touched index is inside the short slice, so only the length
         // check can object.
         let mut opt = Adam::new(AdamConfig::default(), 4);
-        opt.step_sparse(&mut [0.0; 4], &[1.0; 2], &[0]);
+        opt.step_sparse(&mut [F16::ZERO; 4], &[1.0; 2], &[0]);
     }
 
     #[test]
     #[should_panic(expected = "grad count mismatch")]
     fn consuming_step_short_grads_panics() {
         let mut opt = Adam::new(AdamConfig::default(), 4);
-        opt.step_consuming(&mut [0.0; 4], &mut [1.0; 2], &[0, 4], |_| {});
+        opt.step_consuming(&mut [F16::ZERO; 4], &mut [1.0; 2], &[0, 4], |_| {});
     }
 }

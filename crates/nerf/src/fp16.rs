@@ -2,10 +2,19 @@
 //!
 //! The Instant-3D accelerator uses "16-bit half-precision floating-point
 //! arithmetic for all algorithm-related computations" (§5.1). The hash-grid
-//! feature tables in this reproduction are therefore *stored* as fp16 and
-//! widened to `f32` for arithmetic, mirroring fp16 multiply / f32 accumulate
-//! hardware. Conversion uses round-to-nearest-even, the IEEE default, with
-//! one pinned exception below the subnormal range (see [`F16::from_f32`]).
+//! feature tables in this reproduction are therefore *stored* as [`F16`]
+//! (`HashGrid::params` is a `[F16]`, 2 bytes per feature) and widened to
+//! `f32` for arithmetic, mirroring fp16 multiply / f32 accumulate hardware.
+//! Conversion uses round-to-nearest-even, the IEEE default, with one pinned
+//! exception below the subnormal range (see [`F16::from_f32`]).
+//!
+//! The grid's lane bodies convert without branches: the encode gather
+//! widens through `widen_branch_free` (equal to [`F16::to_f32`] on all 2^16
+//! patterns) and the optimizer narrows through `narrow_branch_free` (equal
+//! to [`F16::from_f32`] on all 2^32 inputs), both integer and `f32`
+//! operations plus selects that vectorise eight lanes side by side. Neither
+//! uses F16C: its narrowing rounds below the subnormal range differently,
+//! and the exhaustive tests pin both directions.
 
 /// A 16-bit IEEE 754 binary16 value stored as its raw bit pattern.
 ///
@@ -150,44 +159,71 @@ pub fn quantize(v: f32) -> f32 {
     F16::from_f32(v).to_f32()
 }
 
-/// [`quantize`] without a branch: the same bits for every `f32` input,
-/// written as integer and `f32` operations plus selects so that eight of
-/// them vectorise side by side in the grid optimizer's lane body.
+/// [`F16::from_f32`] without a branch: the same bits for every `f32`
+/// input, written as integer and `f32` operations plus selects so that
+/// eight of them vectorise side by side in the grid optimizer's lane body.
 ///
-/// On the magnitude bits `abs`: the fp16-normal range rounds the f32
-/// mantissa to ten bits, ties to even (a carry into the exponent is still
-/// the right answer); the fp16-subnormal range is `(|x| + 0.5) - 0.5` in
-/// f32, since 0.5's ulp is 2^-24, fp16's subnormal spacing; magnitudes
-/// under 2^-24 flush to zero as [`F16::from_f32`] does; a rounded
-/// magnitude of at least 2^16 (or an infinite input) is infinity; NaN
-/// becomes the quiet NaN that [`F16::to_f32`] widens to. The sign is put
-/// back last.
+/// On the magnitude bits `abs`: the fp16-normal range re-biases the
+/// exponent from 127 to 15 and rounds the f32 mantissa to ten bits, ties
+/// to even (a carry into the exponent is still the right answer), so a
+/// rounded magnitude of 2^16 or more (or an infinite input) lands at or
+/// above infinity's bits and saturates there; the fp16-subnormal range is
+/// `|x| + 0.5` in f32, since 0.5's ulp is 2^-24, fp16's subnormal spacing,
+/// which leaves the rounded count of 2^-24 units in the low mantissa bits;
+/// magnitudes under 2^-24 flush to zero as [`F16::from_f32`] does; NaN
+/// becomes the quiet NaN `F16::from_f32` makes. The sign is put back last.
 #[inline(always)]
-pub(crate) fn quantize_branch_free(v: f32) -> f32 {
+pub(crate) fn narrow_branch_free(v: f32) -> F16 {
     let bits = v.to_bits();
-    let sign = bits & 0x8000_0000;
     let abs = bits & 0x7FFF_FFFF;
-    // At most 0x8000_0FFF: no overflow.
-    let normal = (abs + 0x0FFF + ((abs >> 13) & 1)) & !0x1FFF;
-    let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
-    let rounded = if abs < 0x3880_0000 { subnormal } else { normal };
-    let magnitude = if abs > 0x7F80_0000 {
-        0x7FC0_0000
-    } else if rounded >= 0x4780_0000 {
-        0x7F80_0000
-    } else if abs < 0x3380_0000 {
+    // Wraps below 2^-14, where it is not selected; saturates at infinity.
+    let odd = (abs >> 13) & 1;
+    let biased = abs.wrapping_sub(0x3800_0000 - 0x0FFF).wrapping_add(odd);
+    let normal = (biased >> 13).min(0x7C00);
+    // `|x| + 0.5` is at least 0.5: no underflow.
+    let a = f32::from_bits(abs);
+    let subnormal = (a + 0.5).to_bits() - 0x3F00_0000;
+    // The ranges compare as `f32`s: one instruction per lane.
+    let subnormal = if a < f32::from_bits(0x3380_0000) {
         0
     } else {
-        rounded
+        subnormal
     };
-    f32::from_bits(sign | magnitude)
+    let magnitude = if a < f32::from_bits(0x3880_0000) {
+        subnormal
+    } else {
+        normal
+    };
+    let magnitude = if a.is_nan() { 0x7E00 } else { magnitude };
+    F16(((bits >> 16) & 0x8000 | magnitude) as u16)
 }
 
-/// Quantises a whole slice in place (used when flushing grid updates).
-pub fn quantize_slice(values: &mut [f32]) {
-    for v in values {
-        *v = quantize(*v);
-    }
+/// [`F16::to_f32`] without a branch, so gathered table entries widen eight
+/// lanes at a time in the grid's lane bodies. The exponent and mantissa
+/// move up thirteen bits and the exponent is re-biased from 15 to 127,
+/// which is the value for a normal; infinity and NaN re-bias once more,
+/// which saturates the `f32` exponent and keeps the payload; zero and the
+/// subnormals, `k` units of 2^-24, re-bias one step further to
+/// `2^-14 + k·2^-24` and subtract 2^-14, exactly. The sign is put back
+/// last.
+#[inline(always)]
+pub(crate) fn widen_branch_free(h: F16) -> f32 {
+    let h = u32::from(h.0);
+    let shifted = (h << 13) & 0x0FFF_E000;
+    let normal = shifted + 0x3800_0000;
+    let normal = normal
+        + if shifted >= 0x0F80_0000 {
+            0x3800_0000
+        } else {
+            0
+        };
+    let subnormal = f32::from_bits(normal + 0x0080_0000) - f32::from_bits(0x3880_0000);
+    let magnitude = if shifted < 0x0080_0000 {
+        subnormal.to_bits()
+    } else {
+        normal
+    };
+    f32::from_bits((h << 16) & 0x8000_0000 | magnitude)
 }
 
 #[cfg(test)]
@@ -275,14 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn quantize_slice_matches_scalar() {
-        let mut xs = vec![0.1, 0.2, 0.3, 1234.5678];
-        let expect: Vec<f32> = xs.iter().map(|&x| quantize(x)).collect();
-        quantize_slice(&mut xs);
-        assert_eq!(xs, expect);
-    }
-
-    #[test]
     fn below_the_smallest_subnormal_flushes_to_zero() {
         // IEEE round-to-nearest-even would take 1.5·2^-25 up to 2^-24
         // (and tie 2^-25 to zero); the pinned conversion flushes the whole
@@ -304,8 +332,8 @@ mod tests {
     fn assert_branch_free_matches(bits: u32) {
         let x = f32::from_bits(bits);
         assert_eq!(
-            quantize_branch_free(x).to_bits(),
-            quantize(x).to_bits(),
+            narrow_branch_free(x),
+            F16::from_f32(x),
             "input {bits:#010x}"
         );
     }
@@ -346,10 +374,22 @@ mod tests {
         let mismatches = (0..=u32::MAX)
             .filter(|&b| {
                 let x = f32::from_bits(b);
-                quantize_branch_free(x).to_bits() != quantize(x).to_bits()
+                narrow_branch_free(x) != F16::from_f32(x)
             })
             .count();
         assert_eq!(mismatches, 0);
+    }
+
+    #[test]
+    fn branch_free_widen_matches_on_every_f16() {
+        for b in 0..=u16::MAX {
+            let h = F16(b);
+            assert_eq!(
+                widen_branch_free(h).to_bits(),
+                h.to_f32().to_bits(),
+                "input {b:#06x}"
+            );
+        }
     }
 
     #[test]

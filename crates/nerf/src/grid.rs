@@ -2,9 +2,16 @@
 //!
 //! A [`HashGrid`] is a stack of `L` levels; level `l` overlays the unit cube
 //! with a virtual grid of resolution `N_l` and stores per-vertex feature
-//! vectors (`F` floats each) in a 1D table. Coarse levels whose full vertex
+//! vectors (`F` values each) in a 1D table. Coarse levels whose full vertex
 //! set fits the table are stored densely (collision-free); fine levels use
 //! the spatial hash of Eq. 3 ([`crate::hash::spatial_hash`]).
+//!
+//! The tables hold [`F16`]s, the half precision §5.1 computes in: 2 bytes
+//! per feature, the `F × 2` bytes per access the accelerator and workload
+//! models charge. The encode widens every gathered entry to `f32` exactly
+//! and accumulates in `f32`; the optimizer narrows only the parameters it
+//! updates (round to nearest even, see [`F16::from_f32`]), so the rest keep
+//! their bits.
 //!
 //! Querying a 3D point trilinearly interpolates the 8 surrounding vertex
 //! features at every level and concatenates the per-level results — this is
@@ -21,7 +28,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::adam::{Adam, SparseUpdate};
-use crate::fp16;
+use crate::fp16::{self, F16};
 use crate::hash::{vertex_address, AddressMode, CORNER_OFFSETS};
 use crate::kernels::{consume_sweep, BackendHandle};
 use crate::math::Vec3;
@@ -100,9 +107,10 @@ impl BranchObserver for NullBranchObserver {
 
 /// Configuration of a multiresolution hash grid.
 ///
-/// Features are always stored quantised to fp16, the accelerator's storage
-/// format (the paper's §5.1 runs every algorithm-side computation in
-/// half precision); the tables hold `f32`s that are fp16-exact.
+/// Features are stored as [`F16`], the accelerator's storage format (the
+/// paper's §5.1 runs every algorithm-side computation in half precision):
+/// 2 bytes per scalar, so [`HashGridConfig::table_bytes_fp16`] is the
+/// table's resident size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HashGridConfig {
     /// Number of resolution levels `L`.
@@ -256,8 +264,9 @@ pub struct GridLayout {
 pub struct HashGrid {
     layout: GridLayout,
     /// All feature scalars, level-major: level l occupies
-    /// `params[offset_l .. offset_l + table_size_l * F]`.
-    params: Vec<f32>,
+    /// `params[offset_l .. offset_l + table_size_l * F]`. Arithmetic widens
+    /// them to `f32` exactly; the optimizer narrows what it updates.
+    params: Vec<F16>,
     /// Per-level parameter versions: `level_versions[l]` changes whenever
     /// level `l`'s features may have changed. Consumers (the occupancy
     /// subsystem's embedding cache) compare versions to skip re-encoding
@@ -317,7 +326,7 @@ impl HashGrid {
                 param_offsets,
                 level_ids: (0..num_levels).collect(),
             },
-            params: vec![0.0; param_cursor],
+            params: vec![F16::ZERO; param_cursor],
             level_versions: vec![0; num_levels],
             version_clock: 0,
         }
@@ -330,19 +339,18 @@ impl HashGrid {
         g
     }
 
-    /// Re-initialises all features uniformly in `±init_scale`, quantised to
-    /// fp16 storage.
+    /// Re-initialises all features uniformly in `±init_scale`, each drawn
+    /// as an `f32` and narrowed to fp16.
     pub fn init_random<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let s = self.cfg.init_scale;
         for p in &mut self.params {
-            *p = rng.gen_range(-s..=s);
+            *p = F16::from_f32(rng.gen_range(-s..=s));
         }
-        fp16::quantize_slice(&mut self.params);
         self.bump_all_levels();
     }
 
     /// Read-only view of all parameters (level-major).
-    pub fn params(&self) -> &[f32] {
+    pub fn params(&self) -> &[F16] {
         &self.params
     }
 
@@ -353,31 +361,9 @@ impl HashGrid {
     /// ([`HashGrid::par_backward_step_with`],
     /// [`HashGrid::apply_step_consuming`], [`HashGrid::apply_sparse_step`])
     /// bump only the levels a step actually touched.
-    ///
-    /// Storage is fp16, so every stored value must round-trip through
-    /// [`fp16::quantize`]: the optimizer re-quantises only the elements it
-    /// updates and relies on the rest already being representable. A
-    /// caller that writes other values owes a
-    /// [`HashGrid::quantize_storage`] before the next optimizer step
-    /// (debug builds assert it on entry to both).
-    pub fn params_mut(&mut self) -> &mut [f32] {
+    pub fn params_mut(&mut self) -> &mut [F16] {
         self.bump_all_levels();
         &mut self.params
-    }
-
-    /// Quantises all parameters to fp16 storage (call after writing
-    /// values that may not be fp16-exact through [`HashGrid::params_mut`]).
-    pub fn quantize_storage(&mut self) {
-        fp16::quantize_slice(&mut self.params);
-        self.bump_all_levels();
-    }
-
-    /// The storage invariant the optimizer entry points rely on: every
-    /// parameter is bit-equal to its fp16 round trip.
-    fn storage_is_fp16_exact(&self) -> bool {
-        self.params
-            .iter()
-            .all(|p| fp16::quantize(*p).to_bits() == p.to_bits())
     }
 
     /// Per-level parameter version counters. A consumer caching derived
@@ -391,7 +377,7 @@ impl HashGrid {
 
     /// The grid optimizer tail of the scalar reference step, as one pass:
     /// applies a sparse Adam step to every parameter whose gradient is
-    /// `!= 0.0`, rounds each updated parameter through fp16, bumps the
+    /// `!= 0.0`, narrows each updated parameter to fp16, bumps the
     /// version of exactly the levels that held a non-zero gradient (all to
     /// the same new value) and leaves `grads` all `+0.0` with a zero point
     /// count. `Adam::steps` and the version clock advance only if some
@@ -407,10 +393,6 @@ impl HashGrid {
     ///
     /// Panics if `opt` or `grads` don't match the parameter count.
     pub fn apply_step_consuming(&mut self, opt: &mut Adam, grads: &mut GridGradients) {
-        debug_assert!(
-            self.storage_is_fp16_exact(),
-            "fp16 storage holds a non-representable value"
-        );
         let version = self.version_clock + 1;
         let versions = &mut self.level_versions;
         let stepped = opt.step_consuming(
@@ -426,16 +408,12 @@ impl HashGrid {
     }
 
     /// Applies one sparse Adam step to the listed parameter indices,
-    /// re-quantises them to fp16 storage, and bumps the version of exactly
-    /// the levels containing a touched index. A no-op when `touched` is
-    /// empty. Unlike [`HashGrid::apply_step_consuming`] it applies any
+    /// narrows them back to fp16, and bumps the version of exactly the
+    /// levels containing a touched index. A no-op when `touched` is empty.
+    /// Unlike [`HashGrid::apply_step_consuming`] it applies any
     /// caller-chosen subset and leaves the gradients alone; it is the
-    /// reference the consuming sweep is pinned against.
-    ///
-    /// Only the touched parameters are re-quantised: every other stored
-    /// value is already fp16-representable (see [`HashGrid::params_mut`]),
-    /// so untouched levels' features are bit-unchanged and their cached
-    /// embeddings stay valid.
+    /// reference the consuming sweep is pinned against. Untouched levels'
+    /// features are bit-unchanged, so their cached embeddings stay valid.
     ///
     /// # Panics
     ///
@@ -449,10 +427,6 @@ impl HashGrid {
         debug_assert!(
             touched.windows(2).all(|w| w[0] < w[1]),
             "touched indices must be strictly ascending"
-        );
-        debug_assert!(
-            self.storage_is_fp16_exact(),
-            "fp16 storage holds a non-representable value"
         );
         opt.step_sparse(&mut self.params, grad_values, touched);
         self.bump_levels_touching(touched);
@@ -549,7 +523,8 @@ impl HashGrid {
     // ------------------------------------------------------------------
 
     /// One level's encode, scalar reference kernel: streams level `l`'s
-    /// table over all points, writing that level's `F` columns of the
+    /// table over all points, widening each gathered entry through
+    /// [`F16::to_f32`], writing that level's `F` columns of the
     /// `n × output_dim` SoA buffer (all other columns are untouched), with
     /// table reads reported to `obs` — the body behind
     /// [`HashGrid::encode_into`] and the `scalar` backend, and the building
@@ -579,8 +554,8 @@ impl HashGrid {
                     obs.on_access(AccessPhase::FeedForward, l as u32, c as u8, addrs[c]);
                     let src = base + addrs[c] as usize * 2;
                     let wgt = weights[c];
-                    acc0 += wgt * self.params[src];
-                    acc1 += wgt * self.params[src + 1];
+                    acc0 += wgt * self.params[src].to_f32();
+                    acc1 += wgt * self.params[src + 1].to_f32();
                 }
                 let dst = i * w + col;
                 out[dst] = acc0;
@@ -596,21 +571,26 @@ impl HashGrid {
                     let wgt = weights[c];
                     let src = base + addrs[c] as usize * f;
                     for (d, p) in dst.iter_mut().zip(&self.params[src..src + f]) {
-                        *d += wgt * p;
+                        *d += wgt * p.to_f32();
                     }
                 }
             }
         }
     }
 
-    /// One level's encode, lane-batched: lanes of [`F32x8::LANES`] points
-    /// move through the level together — trilinear weights and the
-    /// 8-corner × F=2 accumulation run lane-parallel, table gathers stay
-    /// per-lane, and the remainder tail (< LANES points) runs the same
-    /// per-point sequence on scalars, so results do not depend on where a
-    /// point falls in the batch. Every accumulate is a distinct multiply
-    /// then a distinct add (see [`crate::simd`]), so every output bit
-    /// matches [`HashGrid::encode_level_observed`]. Grids with
+    /// One level's encode, lane-batched: blocks of up to four lanes of
+    /// [`F32x8::LANES`] points. Each lane's trilinear weights and corner
+    /// addresses are computed lane-parallel and its 8 × 8 entries gathered
+    /// per lane (one 4-byte load per F = 2 entry); then one loop over the
+    /// block widens every gathered feature through
+    /// [`fp16::widen_branch_free`] (an integer widen equal to
+    /// [`F16::to_f32`]) and multiplies it by its corner weight, eight lanes
+    /// per instruction; the products are summed per point in corner order,
+    /// from zero, lane-parallel. The remainder tail (< LANES points) runs
+    /// the same per-point sequence on scalars, so results do not depend on
+    /// where a point falls in the batch. Every accumulate is a distinct
+    /// multiply then a distinct add (see [`crate::simd`]), so every output
+    /// bit matches [`HashGrid::encode_level_observed`]. Grids with
     /// `features_per_entry != 2` fall back to the scalar kernel.
     #[inline(always)]
     pub(crate) fn encode_level_lanes(&self, l: usize, unit_positions: &[Vec3], out: &mut [f32]) {
@@ -618,38 +598,58 @@ impl HashGrid {
         if self.cfg.features_per_entry != 2 {
             return self.encode_level_observed(l, unit_positions, out, &mut NullObserver);
         }
+        // Lanes per block: the block's GROUPS × 8 corners × LANES entries
+        // widen in one loop, long enough to stay a vector loop (a lane's 64
+        // alone unroll into spilled scalar code).
+        const GROUPS: usize = 4;
         let w = self.output_dim();
         let n = unit_positions.len();
         let full = n - n % LANES;
         let mut addrs = [[0u32; LANES]; 8];
-        let mut weights = [F32x8::ZERO; 8];
+        let mut weights = [[[0.0f32; LANES]; 8]; GROUPS];
+        // Each entry's two features packed as `f0 | f1 << 16`, then each
+        // feature times its corner weight.
+        let mut e = [0u32; GROUPS * 8 * LANES];
+        let mut p0 = [0.0f32; GROUPS * 8 * LANES];
+        let mut p1 = [0.0f32; GROUPS * 8 * LANES];
         let level = &self.levels[l];
-        let base = self.param_offsets[l];
         let col = l * 2;
-        for i in (0..full).step_by(LANES) {
-            GridLayout::corners_lanes(
-                level,
-                &unit_positions[i..i + LANES],
-                &mut addrs,
-                &mut weights,
-            );
-            let mut acc0 = F32x8::ZERO;
-            let mut acc1 = F32x8::ZERO;
-            for c in 0..8 {
-                let mut f0 = [0.0f32; LANES];
-                let mut f1 = [0.0f32; LANES];
-                for k in 0..LANES {
-                    let src = base + addrs[c][k] as usize * 2;
-                    f0[k] = self.params[src];
-                    f1[k] = self.params[src + 1];
+        // The level's table as F = 2 entries: one gather per corner.
+        let (entries, _) =
+            self.params[self.param_offsets[l]..self.param_offsets[l + 1]].as_chunks::<2>();
+        for block in (0..full).step_by(GROUPS * LANES) {
+            let groups = ((full - block) / LANES).min(GROUPS);
+            for (g, wg) in weights.iter_mut().enumerate().take(groups) {
+                let i = block + g * LANES;
+                GridLayout::corners_lanes(level, &unit_positions[i..i + LANES], &mut addrs, wg);
+                let eg = &mut e[g * 8 * LANES..(g + 1) * 8 * LANES];
+                for (ec, ac) in eg.chunks_exact_mut(LANES).zip(&addrs) {
+                    for (ek, &a) in ec.iter_mut().zip(ac) {
+                        let [h0, h1] = entries[a as usize];
+                        *ek = u32::from(h0.0) | u32::from(h1.0) << 16;
+                    }
                 }
-                acc0 += weights[c] * F32x8(f0);
-                acc1 += weights[c] * F32x8(f1);
             }
-            for k in 0..LANES {
-                let dst = (i + k) * w + col;
-                out[dst] = acc0[k];
-                out[dst + 1] = acc1[k];
+            let len = groups * 8 * LANES;
+            let wflat = weights[..groups].as_flattened().as_flattened();
+            let products = p0[..len].iter_mut().zip(&mut p1[..len]);
+            for (((p0, p1), &ek), &wk) in products.zip(&e[..len]).zip(wflat) {
+                *p0 = wk * fp16::widen_branch_free(F16(ek as u16));
+                *p1 = wk * fp16::widen_branch_free(F16((ek >> 16) as u16));
+            }
+            for g in 0..groups {
+                let mut acc0 = F32x8::ZERO;
+                let mut acc1 = F32x8::ZERO;
+                for c in 0..8 {
+                    let at = (g * 8 + c) * LANES;
+                    acc0 += F32x8::from_slice(&p0[at..]);
+                    acc1 += F32x8::from_slice(&p1[at..]);
+                }
+                for k in 0..LANES {
+                    let dst = (block + g * LANES + k) * w + col;
+                    out[dst] = acc0[k];
+                    out[dst + 1] = acc1[k];
+                }
             }
         }
         for (i, p) in unit_positions.iter().enumerate().skip(full) {
@@ -657,9 +657,9 @@ impl HashGrid {
             let mut acc0 = 0.0f32;
             let mut acc1 = 0.0f32;
             for c in 0..8 {
-                let src = base + pa[c] as usize * 2;
-                acc0 += pw[c] * self.params[src];
-                acc1 += pw[c] * self.params[src + 1];
+                let [f0, f1] = entries[pa[c] as usize];
+                acc0 += pw[c] * fp16::widen_branch_free(f0);
+                acc1 += pw[c] * fp16::widen_branch_free(f1);
             }
             let dst = i * w + col;
             out[dst] = acc0;
@@ -831,10 +831,6 @@ impl HashGrid {
     ) where
         S: Fn(&GridLayout, usize, &mut [f32]) + Sync,
     {
-        debug_assert!(
-            self.storage_is_fp16_exact(),
-            "fp16 storage holds a non-representable value"
-        );
         let version = self.version_clock + 1;
         let layout = &self.layout;
         let cuts = &layout.param_offsets[..];
@@ -968,7 +964,7 @@ impl GridLayout {
         level: &GridLevel,
         pts: &[Vec3],
         addrs: &mut [[u32; F32x8::LANES]; 8],
-        weights: &mut [F32x8; 8],
+        weights: &mut [[f32; F32x8::LANES]; 8],
     ) {
         const LANES: usize = F32x8::LANES;
         debug_assert_eq!(pts.len(), LANES);
@@ -1003,7 +999,7 @@ impl GridLayout {
         let wxy = [gx * gy, fx * gy, gx * fy, fx * fy];
         for (c, &(dx, dy, dz)) in CORNER_OFFSETS.iter().enumerate() {
             let wz = if dz == 1 { fz } else { gz };
-            weights[c] = wxy[(dx + dy * 2) as usize] * wz;
+            weights[c] = (wxy[(dx + dy * 2) as usize] * wz).0;
         }
         // Per-axis address terms, computed once per lane instead of once
         // per corner. Unsigned arithmetic is exact mod 2^32, so combining
@@ -1124,7 +1120,7 @@ impl GridLayout {
         let n = unit_positions.len();
         let full = n - n % LANES;
         let mut addrs = [[0u32; LANES]; 8];
-        let mut weights = [F32x8::ZERO; 8];
+        let mut weights = [[0.0f32; LANES]; 8];
         for i in (0..full).step_by(LANES) {
             Self::corners_lanes(
                 level,
@@ -1237,7 +1233,7 @@ where
 
 /// The consuming sweep over one level: `kernels::consume_sweep`, or in a
 /// test its portable body.
-type Sweep = fn(&SparseUpdate, &mut [f32], &mut [f32], &mut [f32], &mut [f32]) -> bool;
+type Sweep = fn(&SparseUpdate, &mut [F16], &mut [f32], &mut [f32], &mut [f32]) -> bool;
 
 /// Runs `lane` once per buffer, forking with `rayon::join`; returns
 /// whether any call returned `true`.
@@ -1261,7 +1257,7 @@ where
 /// their parameters, both Adam moments and their versions.
 #[derive(Default)]
 struct StepColumns<'a> {
-    params: &'a mut [f32],
+    params: &'a mut [F16],
     m: &'a mut [f32],
     v: &'a mut [f32],
     versions: &'a mut [u64],
@@ -1429,7 +1425,7 @@ mod tests {
         let f = g.config().features_per_entry;
         let base = addr * f; // level 0 param offset is 0
         for (k, (e, p)) in emb[..f].iter().zip(&g.params()[base..base + f]).enumerate() {
-            assert!((e - p).abs() < 1e-5, "feature {k}: {e} vs {p}");
+            assert!((e - p.to_f32()).abs() < 1e-5, "feature {k}: {e} vs {p}");
         }
     }
 
@@ -1495,13 +1491,18 @@ mod tests {
             .collect();
         assert!(!touched.is_empty());
         for i in touched {
+            // The table holds fp16: divide by the perturbation it stored.
             let orig = g.params()[i];
-            g.params_mut()[i] = orig + eps;
+            let (plus, minus) = (
+                F16::from_f32(orig.to_f32() + eps),
+                F16::from_f32(orig.to_f32() - eps),
+            );
+            g.params_mut()[i] = plus;
             let lp = loss(&g);
-            g.params_mut()[i] = orig - eps;
+            g.params_mut()[i] = minus;
             let lm = loss(&g);
             g.params_mut()[i] = orig;
-            let fd = (lp - lm) / (2.0 * eps);
+            let fd = (lp - lm) / (plus.to_f32() - minus.to_f32());
             assert!(
                 (fd - grads.values[i]).abs() < 1e-2,
                 "param {i}: fd {fd} vs analytic {}",
@@ -1577,11 +1578,17 @@ mod tests {
 
     #[test]
     fn fp16_storage_quantises() {
+        // Storage is two bytes per scalar, and a stored value is its fp16
+        // rounding: 0.1 is not representable.
         let mut rng = StdRng::seed_from_u64(3);
         let mut g = HashGrid::new_random(HashGridConfig::default(), &mut rng);
-        g.params_mut()[0] = 0.1; // not fp16-representable
-        g.quantize_storage();
-        assert_eq!(g.params()[0], fp16::quantize(0.1));
+        assert_eq!(
+            std::mem::size_of_val(g.params()),
+            g.config().table_bytes_fp16()
+        );
+        g.params_mut()[0] = F16::from_f32(0.1);
+        assert_eq!(g.params()[0].to_f32(), fp16::quantize(0.1));
+        assert_ne!(g.params()[0].to_f32(), 0.1);
     }
 
     #[test]
@@ -1670,9 +1677,10 @@ mod tests {
     /// The bits a fused step leaves: parameters, moments, versions, steps.
     fn fused_bits(g: &HashGrid, opt: &Adam) -> (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u64>, u64) {
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let params = g.params().iter().map(|h| u32::from(h.0)).collect();
         let (m, v) = opt.moments();
         let versions = g.level_versions().to_vec();
-        (bits(g.params()), bits(m), bits(v), versions, opt.steps())
+        (params, bits(m), bits(v), versions, opt.steps())
     }
 
     #[test]

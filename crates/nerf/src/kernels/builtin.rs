@@ -5,6 +5,7 @@
 
 use super::Kernels;
 use crate::adam::SparseUpdate;
+use crate::fp16::F16;
 use crate::grid::{GridLayout, HashGrid, NullObserver};
 use crate::math::Vec3;
 use crate::mlp::{self, Blocked, GradTile, Linear, Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
@@ -212,7 +213,7 @@ dispatched_kernels! {
     /// Not a [`Kernels`] seam — every backend's trainer runs it.
     pub(crate) fn consume_sweep(
         k: &SparseUpdate,
-        p: &mut [f32],
+        p: &mut [F16],
         m: &mut [f32],
         v: &mut [f32],
         g: &mut [f32],
@@ -236,7 +237,6 @@ mod tests {
     use super::*;
     use crate::activation::Activation;
     use crate::adam::{Adam, AdamConfig};
-    use crate::fp16;
     use crate::grid::HashGridConfig;
     use crate::mlp::MlpConfig;
     use rand::rngs::StdRng;
@@ -251,7 +251,7 @@ mod tests {
         Option<(&mut [f32], &mut [f32], &mut [f32])>,
     ) -> (RenderOutput, usize);
 
-    type Consume = fn(&SparseUpdate, &mut [f32], &mut [f32], &mut [f32], &mut [f32]) -> bool;
+    type Consume = fn(&SparseUpdate, &mut [F16], &mut [f32], &mut [f32], &mut [f32]) -> bool;
 
     /// One arm of the seven shared lane bodies — grid encode, grid
     /// scatter, the three MLP sweeps, compositing, the grid optimizer
@@ -419,10 +419,10 @@ mod tests {
                     _ => rng.gen_range(-1.0..=1.0),
                 })
                 .collect();
-            let p0: Vec<f32> = (0..45)
+            let p0: Vec<F16> = (0..45)
                 .map(|i| match i % 7 {
-                    0..=3 => boundaries[i % 4],
-                    _ => fp16::quantize(rng.gen_range(-1.0..=1.0)),
+                    0..=3 => F16::from_f32(boundaries[i % 4]),
+                    _ => F16::from_f32(rng.gen_range(-1.0..=1.0)),
                 })
                 .collect();
             let m0: Vec<f32> = (0..45).map(|_| rng.gen_range(-0.1..=0.1)).collect();
@@ -436,7 +436,8 @@ mod tests {
                     let (mut p, mut m) = (p0[..n].to_vec(), m0[..n].to_vec());
                     let (mut v, mut g) = (v0[..n].to_vec(), g0[..n].to_vec());
                     let any = (self.consume)(&k, &mut p, &mut m, &mut v, &mut g);
-                    consume_bits.extend([bits(&p), bits(&m), bits(&v), bits(&g)]);
+                    let p = p.iter().map(|h| u32::from(h.0)).collect();
+                    consume_bits.extend([p, bits(&m), bits(&v), bits(&g)]);
                     consume_bits.push(vec![u32::from(any)]);
                 }
             }

@@ -84,6 +84,16 @@ impl Linear {
         self.w.len() + self.b.len()
     }
 
+    /// The weights, row-major (`out_dim` rows × `in_dim` columns).
+    pub fn weights(&self) -> &[f32] {
+        &self.w
+    }
+
+    /// The biases, one per output.
+    pub fn bias(&self) -> &[f32] {
+        &self.b
+    }
+
     /// FLOPs of one forward evaluation: `2 · in_dim · out_dim`, a multiply
     /// and an add per weight.
     pub fn flops(&self) -> usize {

@@ -851,7 +851,7 @@ mod tests {
         assert_eq!(ws.ema(), &d1[..], "first refresh seeds ema from max(0, d)");
 
         // Kill the density field; the EMA must decay, not vanish.
-        grid.params_mut().fill(0.0);
+        grid.params_mut().fill(crate::fp16::F16::ZERO);
         ws.refresh(
             &mut occ,
             &grid,

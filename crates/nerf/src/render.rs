@@ -313,7 +313,12 @@ pub fn composite_slices(
 ) -> (RenderOutput, usize) {
     let mut acc = CompositeAccum::new();
     for k in 0..t.len() {
-        debug_assert!(sigma[k] >= 0.0, "density must be non-negative");
+        // Rejects a negative density; a NaN composites (and never
+        // terminates the ray) in every build profile.
+        debug_assert!(
+            sigma[k] >= 0.0 || sigma[k].is_nan(),
+            "density must be non-negative"
+        );
         let one_minus_alpha = (-sigma[k] * dt[k]).exp();
         if acc.step(k, one_minus_alpha, t, rgb, &mut cache) {
             break;
@@ -359,7 +364,10 @@ pub(crate) fn composite_slices_lanes(
         }
         for (k, &one_minus_alpha) in oma.iter().enumerate().take(m) {
             let kk = c0 + k;
-            debug_assert!(sigma[kk] >= 0.0, "density must be non-negative");
+            debug_assert!(
+                sigma[kk] >= 0.0 || sigma[kk].is_nan(),
+                "density must be non-negative"
+            );
             if acc.step(kk, one_minus_alpha, t, rgb, &mut cache) {
                 break 'rays;
             }

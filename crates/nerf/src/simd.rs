@@ -47,7 +47,8 @@
 //! two roundings. The hash-grid optimizer tail (`adam::SparseUpdate::consume`)
 //! is a lane body of the same kind on plain eight-element arrays: the
 //! Adam expression tree with real divisions and an exact square root on
-//! every lane, a branch-free fp16 round, and a select on `g != 0.0`.
+//! every lane, a branch-free fp16 widen and narrow of the parameter, and
+//! a select on `g != 0.0`.
 //!
 //! # Implementation notes
 //!

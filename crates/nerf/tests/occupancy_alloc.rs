@@ -10,6 +10,7 @@
 )]
 
 use instant3d_nerf::activation::Activation;
+use instant3d_nerf::fp16::F16;
 use instant3d_nerf::grid::{HashGrid, HashGridConfig};
 use instant3d_nerf::kernels;
 use instant3d_nerf::math::Aabb;
@@ -82,7 +83,8 @@ fn warm_refresh_after_a_parameter_update_allocates_nothing() {
         for _ in 0..2 {
             ws.refresh(&mut occ, &grid, &mlp, aabb, 0.5, mode, 1);
         }
-        grid.params_mut()[0] += 0.25;
+        let p = &mut grid.params_mut()[0];
+        *p = F16::from_f32(p.to_f32() + 0.25);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         let stats = ws.refresh(&mut occ, &grid, &mlp, aabb, 0.5, mode, 1);
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;

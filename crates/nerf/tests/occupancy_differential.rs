@@ -13,6 +13,7 @@
 
 use instant3d_nerf::activation::Activation;
 use instant3d_nerf::adam::{Adam, AdamConfig};
+use instant3d_nerf::fp16::F16;
 use instant3d_nerf::grid::{HashGrid, HashGridConfig, NullObserver};
 use instant3d_nerf::kernels::{self, BackendHandle};
 use instant3d_nerf::math::{Aabb, Vec3};
@@ -218,7 +219,8 @@ fn cache_invalidates_per_level_after_sparse_step() {
     // A conservative params_mut write dirties everything: the *same*
     // (warm-cached) workspace must re-encode every level on its next
     // refresh.
-    g.params_mut()[0] += 0.5;
+    let p = &mut g.params_mut()[0];
+    *p = F16::from_f32(p.to_f32() + 0.5);
     let stats = refresh(g);
     assert_eq!(stats.levels_encoded, g.levels().len());
 }
@@ -380,7 +382,9 @@ fn decayed_ema_refresh_is_backend_and_worker_invariant() {
                     2,
                 );
                 if round == 1 {
-                    g.params_mut().iter_mut().for_each(|p| *p *= 0.5);
+                    g.params_mut()
+                        .iter_mut()
+                        .for_each(|p| *p = F16::from_f32(p.to_f32() * 0.5));
                 }
             }
             let ema_bits: Vec<u32> = ws.ema().iter().map(|v| v.to_bits()).collect();
@@ -452,7 +456,9 @@ fn ema_scenarios() -> Vec<EmaScenario> {
         threshold: 1.0,
         update: Box::new(|round, grid, _| {
             if round % 2 == 0 {
-                grid.params_mut().iter_mut().for_each(|p| *p = -*p);
+                grid.params_mut()
+                    .iter_mut()
+                    .for_each(|p| *p = F16::from_f32(-p.to_f32()));
             }
         }),
     }];

@@ -21,7 +21,7 @@
 //! Adam moments, the level versions and the step count after each.
 
 use instant3d_nerf::adam::{Adam, AdamConfig};
-use instant3d_nerf::fp16;
+use instant3d_nerf::fp16::{self, F16};
 use instant3d_nerf::grid::{GridGradients, HashGrid, HashGridConfig, LevelBuffers};
 use instant3d_nerf::hash::AddressMode;
 use instant3d_nerf::kernels;
@@ -72,6 +72,11 @@ fn bits(xs: &[f32]) -> Vec<u32> {
     xs.iter().map(|v| v.to_bits()).collect()
 }
 
+/// The stored fp16 bits of a table, widened losslessly to `u32`.
+fn table_bits(xs: &[F16]) -> Vec<u32> {
+    xs.iter().map(|h| u32::from(h.0)).collect()
+}
+
 /// Everything of a grid + optimizer + gradient buffer visible from outside.
 #[derive(Debug, PartialEq)]
 struct State {
@@ -87,7 +92,7 @@ struct State {
 fn state(g: &HashGrid, opt: &Adam, grads: &GridGradients) -> State {
     let (m, v) = opt.moments();
     State {
-        params: bits(g.params()),
+        params: table_bits(g.params()),
         m: bits(m),
         v: bits(v),
         level_versions: g.level_versions().to_vec(),
@@ -164,8 +169,11 @@ fn sweep_bit_equals_reference_on_training_like_gradients() {
             assert_sweep_matches_reference(&format!("levels={levels}"), &g, &sparse_random(7));
         assert_eq!((first.adam_steps, second.adam_steps), (1, 2));
         assert_ne!(first.params, second.params, "the second step moved nothing");
-        let exact = |b: &u32| fp16::quantize(f32::from_bits(*b)).to_bits() == *b;
-        assert!(second.params.iter().all(exact));
+        let round_trips = |b: &u32| {
+            let h = F16(*b as u16);
+            F16::from_f32(h.to_f32()) == h
+        };
+        assert!(second.params.iter().all(round_trips));
     }
 }
 
@@ -176,8 +184,7 @@ fn all_zero_gradients_take_no_step_and_bump_nothing() {
     assert_eq!(first, second);
     assert_eq!(first.adam_steps, 0);
     assert_eq!(first.level_versions, g.level_versions());
-    let before: Vec<u32> = g.params().iter().map(|v| v.to_bits()).collect();
-    assert_eq!(first.params, before);
+    assert_eq!(first.params, table_bits(g.params()));
 }
 
 #[test]
@@ -191,8 +198,11 @@ fn negative_zero_is_skipped_and_nan_is_applied() {
         values[neg_zero_at] = -0.0;
         values[nan_at] = f32::NAN;
     });
-    assert_eq!(first.params[neg_zero_at], g.params()[neg_zero_at].to_bits());
-    assert!(f32::from_bits(first.params[nan_at]).is_nan());
+    assert_eq!(
+        first.params[neg_zero_at],
+        u32::from(g.params()[neg_zero_at].0)
+    );
+    assert!(F16(first.params[nan_at] as u16).is_nan());
     assert_eq!(first.level_versions[0], g.level_versions()[0]);
     assert_eq!(first.level_versions[1], g.level_versions()[1]);
     assert!(first.level_versions[2] > g.level_versions()[2]);
@@ -278,7 +288,7 @@ fn fp16_boundary_parameters_match_the_reference() {
     let mut g = grid(3, 54);
     for (i, p) in g.params_mut().iter_mut().enumerate() {
         let edge = edges[i % 3];
-        *p = if i % 6 < 3 { edge } else { -edge };
+        *p = F16::from_f32(if i % 6 < 3 { edge } else { -edge });
     }
     for lr in lrs {
         let cfg = AdamConfig {
@@ -294,7 +304,7 @@ fn fp16_boundary_parameters_match_the_reference() {
             });
         if lr >= 32.0 {
             // 65504 + 32 rounds to 2^16: the step overflows to ±inf.
-            let params = first.params.iter().map(|&b| f32::from_bits(b));
+            let params = first.params.iter().map(|&b| F16(b as u16).to_f32());
             assert!(params.clone().any(|p| p == f32::INFINITY));
             assert!(params.clone().any(|p| p == f32::NEG_INFINITY));
         }
@@ -312,9 +322,12 @@ fn infinite_gradients_match_the_reference() {
         values[pos_at + 1] = 0.5;
     });
     // m̂ / √v̂ is ∞ / ∞: the parameter becomes NaN, as in the reference.
-    assert!(f32::from_bits(first.params[pos_at]).is_nan());
-    assert!(f32::from_bits(first.params[neg_at]).is_nan());
-    assert_ne!(first.params[pos_at + 1], g.params()[pos_at + 1].to_bits());
+    assert!(F16(first.params[pos_at] as u16).is_nan());
+    assert!(F16(first.params[neg_at] as u16).is_nan());
+    assert_ne!(
+        first.params[pos_at + 1],
+        u32::from(g.params()[pos_at + 1].0)
+    );
 }
 
 #[test]
@@ -328,7 +341,7 @@ fn one_touched_lane_in_a_group_matches_the_reference() {
         let [first, _] = assert_sweep_matches_reference(&format!("lane {lane}"), &g, &|values| {
             values[at] = -0.75;
         });
-        let before: Vec<u32> = g.params().iter().map(|v| v.to_bits()).collect();
+        let before = table_bits(g.params());
         let changed: Vec<usize> = (0..before.len())
             .filter(|&i| first.params[i] != before[i])
             .collect();
@@ -460,7 +473,10 @@ fn fused_step_leaves_a_level_no_gradient_reaches_alone() {
     assert_eq!(second.level_versions[1], v0[1]);
     assert!(first.level_versions[0] > v0[0] && first.level_versions[2] > v0[2]);
     let r = &level_ranges(&g)[1];
-    assert_eq!(second.params[r.0..r.1], bits(&g.params()[r.0..r.1])[..]);
+    assert_eq!(
+        second.params[r.0..r.1],
+        table_bits(&g.params()[r.0..r.1])[..]
+    );
     assert!(second.m[r.0..r.1].iter().all(|&b| b == 0));
 }
 
@@ -486,7 +502,7 @@ fn fused_step_on_all_zero_embedding_gradients_takes_no_step() {
         assert_eq!(first, second, "{label}");
         assert_eq!(first.adam_steps, 0, "{label}");
         assert_eq!(first.level_versions, g.level_versions(), "{label}");
-        assert_eq!(first.params, bits(g.params()), "{label}");
+        assert_eq!(first.params, table_bits(g.params()), "{label}");
     }
     // The clock did not move either: the next real step bumps by one.
     let mut g1 = g.clone();
@@ -537,7 +553,7 @@ fn fused_step_skips_negative_zero_and_applies_nan() {
     let nan = first
         .params
         .iter()
-        .filter(|&&p| f32::from_bits(p).is_nan())
+        .filter(|&&p| F16(p as u16).is_nan())
         .count();
     assert!((1..=8).contains(&nan), "{nan} NaN parameters");
 }
@@ -573,9 +589,10 @@ fn fused_step_reuses_one_buffer_set_across_grid_sizes() {
 }
 
 proptest! {
-    /// The storage invariant the touched-only re-quantise rests on: from a
-    /// random fp16 init, any number of consuming steps with random sparse
-    /// gradients of any magnitude leaves every parameter fp16-exact.
+    /// The storage the optimizer narrows into: from a random fp16 init, any
+    /// number of consuming steps with random sparse gradients of any
+    /// magnitude leaves every parameter a value whose widen → narrow round
+    /// trip returns its bits, and every gradient `+0.0`.
     #[test]
     fn prop_fp16_storage_stays_representable(
         seed in 0u64..1000,
@@ -597,7 +614,7 @@ proptest! {
             prop_assert!(g
                 .params()
                 .iter()
-                .all(|p| fp16::quantize(*p).to_bits() == p.to_bits()));
+                .all(|&p| F16::from_f32(p.to_f32()) == p));
             prop_assert!(grads.values.iter().all(|v| v.to_bits() == 0));
         }
     }

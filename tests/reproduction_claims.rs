@@ -4,11 +4,13 @@
 //! crossovers) are asserted tightly.
 
 use instant3d::accel::energy::AreaModel;
-use instant3d::accel::{Accelerator, FeatureSet};
+use instant3d::accel::{AccelConfig, Accelerator, FeatureSet};
 use instant3d::core::{PipelineWorkload, TrainConfig};
 use instant3d::devices::breakdown::StepBreakdown;
 use instant3d::devices::perf::{ITERS_TO_PSNR25, ITERS_TO_PSNR26};
 use instant3d::devices::DeviceModel;
+use instant3d::nerf::fp16::F16;
+use instant3d::nerf::grid::{HashGrid, HashGridConfig};
 
 fn ngp() -> PipelineWorkload {
     PipelineWorkload::paper_scale_instant_ngp(ITERS_TO_PSNR26)
@@ -207,5 +209,24 @@ fn instant3d_workload(cfg: &TrainConfig, iterations: f64) -> PipelineWorkload {
         density_table_bytes: ((1 << 20) as f64 * cfg.density_size_factor) as usize,
         color_table_bytes: ((1 << 20) as f64 * cfg.color_size_factor) as usize,
         bytes_per_access: 4,
+    }
+}
+
+#[test]
+fn engine_table_entries_are_the_modelled_bytes_per_access() {
+    // The workload model and the accelerator charge one table access as
+    // F features × fp16 (§5.1); the engine's tables store exactly that.
+    for cfg in [TrainConfig::instant_ngp(), TrainConfig::instant3d()] {
+        let f = cfg.grid.features_per_entry;
+        let entry = std::mem::size_of::<F16>() * f;
+        let modelled = PipelineWorkload::paper_scale(&cfg, 1.0).bytes_per_access;
+        assert_eq!(entry, modelled, "PipelineWorkload bytes per access");
+        assert_eq!(entry, AccelConfig::default().bytes_per_access, "accel");
+        let grid = HashGrid::new(HashGridConfig {
+            features_per_entry: f,
+            ..HashGridConfig::default()
+        });
+        let entries: usize = grid.levels().iter().map(|l| l.table_size as usize).sum();
+        assert_eq!(std::mem::size_of_val(grid.params()), entries * entry);
     }
 }
