@@ -35,14 +35,19 @@
 //!    worker count, because no reduction order depends on scheduling.
 //!
 //! The same workspace serves the tile renderer through a pass of its own,
-//! [`BatchWorkspace::render`]: forward only, so it runs both heads through
-//! the chunked forward driver
-//! ([`Mlp::forward_chunked_with`](instant3d_nerf::mlp::Mlp::forward_chunked_with))
-//! on a chunk of scratch per worker instead of retaining every sample's
-//! activations, and it runs the colour branch only on the samples each
-//! ray integrates before early termination. Its buffers — the prefix
-//! sample list, the gathered positions, the chunk scratch — live here
-//! too, so a pooled workspace renders a warm tile without allocating
+//! [`BatchWorkspace::render`]. Both passes run the heads through the one
+//! MLP forward driver of `instant3d-nerf`, and both build the colour
+//! head's input rows, `[emb ‖ sh(ray)]`, with one row fill that writes
+//! them straight into the driver's blocks. They differ in two things
+//! only: the training forward visits every sample and keeps every
+//! block's activations for the backward
+//! ([`Mlp::forward_batch_with`](instant3d_nerf::mlp::Mlp::forward_batch_with)),
+//! and the render pass runs the colour head on the samples each ray
+//! integrates before early termination, in the driver's forward-only mode
+//! ([`MlpBatchWorkspace::forward_only`]: one block of scratch per worker
+//! run, no activation kept). The render pass's buffers — the prefix
+//! sample list, the gathered positions — live here too, so a pooled
+//! workspace renders a warm tile without allocating
 //! (`tests/render_alloc.rs`).
 //!
 //! The engine takes no access observer. Grid address streams have one
@@ -56,13 +61,15 @@
 use crate::config::GridTopology;
 use crate::model::{ModelGradients, NerfModel};
 use instant3d_nerf::adam::Adam;
+use instant3d_nerf::grid::HashGrid;
 use instant3d_nerf::grid::LevelBuffers;
 use instant3d_nerf::kernels::BackendHandle;
 use instant3d_nerf::math::Vec3;
-use instant3d_nerf::mlp::{MlpBatchWorkspace, MlpChunkWorkspace};
+use instant3d_nerf::mlp::MlpBatchWorkspace;
 use instant3d_nerf::render::{
     composite_backward_slices, integrated_prefix, RayBatch, RayBatchCache, RenderOutput,
 };
+use std::ops::Range;
 
 /// Preallocated SoA buffers for one training/eval iteration of the batched
 /// engine. Create once per trainer (or per eval worker) with
@@ -85,8 +92,9 @@ pub struct BatchWorkspace {
 
     pub(crate) unit_positions: Vec<Vec3>,
     pub(crate) emb_d: Vec<f32>,
+    /// The colour-grid embeddings (decoupled grids only: a coupled model's
+    /// colour head reads `emb_d`).
     pub(crate) emb_c: Vec<f32>,
-    pub(crate) color_in: Vec<f32>,
     pub(crate) ws_sigma: MlpBatchWorkspace,
     pub(crate) ws_color: MlpBatchWorkspace,
     pub(crate) d_sigma: Vec<f32>,
@@ -104,11 +112,6 @@ pub struct BatchWorkspace {
     /// Unit positions of the prefix samples (decoupled grids only: the
     /// colour-grid encode input).
     prefix_positions: Vec<Vec3>,
-    /// The colour head's output rows for the prefix samples.
-    prefix_rgb: Vec<f32>,
-    /// Each head's forward chunk scratch for the render pass.
-    chunk_sigma: MlpChunkWorkspace,
-    chunk_color: MlpChunkWorkspace,
     /// Zeroed level-sized gradient buffers for [`BatchWorkspace::grid_step`],
     /// at most one per worker.
     grid_buffers: LevelBuffers,
@@ -117,16 +120,14 @@ pub struct BatchWorkspace {
     emb_d_dim: usize,
     emb_c_dim: usize,
     color_in_dim: usize,
-    sigma_layers: usize,
-    color_layers: usize,
     backend: BackendHandle,
 }
 
 /// Structural compatibility key for sharing a [`BatchWorkspace`] across
 /// models — the serve layer's workspace reuse pool hands a parked
 /// workspace to any job whose model has the same shape. Every internal
-/// buffer is (re)sized per call from these dimensions (and the per-layer
-/// scratch vector counts), so equal shapes ⇒ safe reuse; the buffers
+/// buffer is (re)sized per call from these dimensions (the MLP scratch
+/// serves any network), so equal shapes ⇒ safe reuse; the buffers
 /// themselves carry no cross-iteration state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkspaceShape {
@@ -141,10 +142,6 @@ pub struct WorkspaceShape {
     pub emb_c_dim: usize,
     /// Color-head input width.
     pub color_in_dim: usize,
-    /// Sigma-head layer count (the MLP scratch holds per-layer buffers).
-    pub sigma_layers: usize,
-    /// Color-head layer count.
-    pub color_layers: usize,
 }
 
 impl WorkspaceShape {
@@ -156,8 +153,6 @@ impl WorkspaceShape {
             emb_d_dim: model.density_grid().output_dim(),
             emb_c_dim: model.color_mlp().in_dim() - model.sh_dim(),
             color_in_dim: model.color_mlp().in_dim(),
-            sigma_layers: model.sigma_mlp().layers().len(),
-            color_layers: model.color_mlp().layers().len(),
         }
     }
 }
@@ -177,7 +172,6 @@ impl BatchWorkspace {
             unit_positions: Vec::new(),
             emb_d: Vec::new(),
             emb_c: Vec::new(),
-            color_in: Vec::new(),
             ws_sigma: model.sigma_mlp().batch_workspace(0),
             ws_color: model.color_mlp().batch_workspace(0),
             d_sigma: Vec::new(),
@@ -188,16 +182,11 @@ impl BatchWorkspace {
             seg_scratch: Vec::new(),
             prefix: Vec::new(),
             prefix_positions: Vec::new(),
-            prefix_rgb: Vec::new(),
-            chunk_sigma: model.sigma_mlp().chunk_workspace(),
-            chunk_color: model.color_mlp().chunk_workspace(),
             grid_buffers: LevelBuffers::new(),
             sh_dim: model.sh_dim(),
             emb_d_dim: model.density_grid().output_dim(),
             emb_c_dim,
             color_in_dim: model.color_mlp().in_dim(),
-            sigma_layers: model.sigma_mlp().layers().len(),
-            color_layers: model.color_mlp().layers().len(),
             backend: model.kernel_backend().clone(),
         }
     }
@@ -215,8 +204,6 @@ impl BatchWorkspace {
             emb_d_dim: self.emb_d_dim,
             emb_c_dim: self.emb_c_dim,
             color_in_dim: self.color_in_dim,
-            sigma_layers: self.sigma_layers,
-            color_layers: self.color_layers,
         }
     }
 
@@ -245,8 +232,9 @@ impl BatchWorkspace {
         self.seg_scratch.clear();
     }
 
-    /// Reserves the per-ray SH rows for `rays` rays and returns the flat
-    /// buffer (callers fill row `r` via [`NerfModel::encode_dir`]).
+    /// Sizes the per-ray SH rows and colour gradients for `rays` rays
+    /// (callers then fill SH row `r` through
+    /// [`BatchWorkspace::sh_row_mut`] and [`NerfModel::encode_dir`]).
     pub fn reserve_rays(&mut self, rays: usize) {
         self.sh.resize(rays * self.sh_dim, 0.0);
         self.d_color.resize(rays, Vec3::ZERO);
@@ -259,16 +247,15 @@ impl BatchWorkspace {
     }
 
     /// Stage ③-① forward, batched: maps every sampled position into the
-    /// unit cube and encodes the grid embeddings on the rayon pool.
+    /// unit cube and encodes the grid embeddings on the rayon pool. A
+    /// coupled model's colour head reads the density embeddings, so only a
+    /// decoupled colour grid is encoded.
     pub fn encode(&mut self, model: &NerfModel) {
         self.encode_density(model);
-        self.emb_c
-            .resize(self.positions.len() * self.emb_c_dim, 0.0);
-        match model.color_grid() {
-            Some(cg) if model.topology() == GridTopology::Decoupled => {
-                cg.par_encode_batch_with(&self.backend, &self.unit_positions, &mut self.emb_c);
-            }
-            _ => self.emb_c.copy_from_slice(&self.emb_d),
+        if let Some(cg) = decoupled_color_grid(model) {
+            self.emb_c
+                .resize(self.positions.len() * self.emb_c_dim, 0.0);
+            cg.par_encode_batch_with(&self.backend, &self.unit_positions, &mut self.emb_c);
         }
     }
 
@@ -292,27 +279,32 @@ impl BatchWorkspace {
     /// Stage ③-② forward, batched: evaluates both MLP heads over every
     /// sample and writes `σ` / `rgb` into [`BatchWorkspace::rays`].
     /// Activations stay in the MLP batch workspaces for the backward pass.
+    /// The colour head's input rows, `[emb ‖ sh(ray)]`, are written
+    /// straight into the driver's blocks by the row fill the render pass
+    /// shares.
     pub fn heads_forward(&mut self, model: &NerfModel) {
         let n = self.positions.len();
         debug_assert_eq!(self.point_ray.len(), n);
-        // Assemble the color-head input rows: [emb_c ‖ sh(ray)].
-        let (ec, cw, sd) = (self.emb_c_dim, self.color_in_dim, self.sh_dim);
-        self.color_in.resize(n * cw, 0.0);
-        for i in 0..n {
-            let row = &mut self.color_in[i * cw..(i + 1) * cw];
-            row[..ec].copy_from_slice(&self.emb_c[i * ec..(i + 1) * ec]);
-            let r = self.point_ray[i] as usize;
-            row[ec..].copy_from_slice(&self.sh[r * sd..(r + 1) * sd]);
-        }
         let sigma_out =
             model
                 .sigma_mlp()
                 .forward_batch_with(&self.backend, &self.emb_d, &mut self.ws_sigma);
         self.rays.sigma[..n].copy_from_slice(sigma_out);
+        let rows = ColorRows {
+            emb: if decoupled_color_grid(model).is_some() {
+                &self.emb_c
+            } else {
+                &self.emb_d
+            },
+            sh: &self.sh,
+            point_ray: &self.point_ray,
+            ec: self.emb_c_dim,
+            sd: self.sh_dim,
+        };
+        let fill = |visits: Range<usize>, out: &mut [f32]| rows.fill(visits, out, |i| (i, i));
         let rgb_out =
-            model
-                .color_mlp()
-                .forward_batch_with(&self.backend, &self.color_in, &mut self.ws_color);
+            self.backend
+                .mlp_forward_batch(model.color_mlp(), n, &fill, true, &mut self.ws_color);
         for (i, chunk) in rgb_out.chunks_exact(3).enumerate() {
             self.rays.rgb[i] = Vec3::new(chunk[0], chunk[1], chunk[2]);
         }
@@ -347,14 +339,16 @@ impl BatchWorkspace {
     /// [`BatchWorkspace::output`]. Returns how many samples the colour
     /// branch ran on.
     ///
-    /// 1. The density branch runs over every sample, through the
-    ///    forward-only chunk driver.
+    /// 1. The density branch runs over every sample, in the MLP driver's
+    ///    forward-only mode ([`MlpBatchWorkspace::forward_only`]).
     /// 2. Each ray's integrated prefix follows from `σ` alone
     ///    ([`integrated_prefix`]).
-    /// 3. The colour branch runs on the prefix samples only: coupled grids
-    ///    gather the samples' density-embedding rows, decoupled grids
-    ///    encode the colour grid at the samples' positions. Their `rgb`
-    ///    is scattered back; every other sample's `rgb` is never read.
+    /// 3. The colour branch runs on the prefix samples only, forward-only,
+    ///    through the training forward's colour-row fill: coupled
+    ///    grids read the samples' density-embedding rows, decoupled grids
+    ///    encode the colour grid at the samples' positions first. Their
+    ///    `rgb` is scattered back; every other sample's `rgb` is never
+    ///    read.
     /// 4. Every ray composites through the backend's unchanged
     ///    `composite_ray`.
     ///
@@ -363,20 +357,15 @@ impl BatchWorkspace {
     /// [`BatchWorkspace::composite_all`], so each output has their bits.
     pub fn render(&mut self, model: &NerfModel, background: Vec3) -> usize {
         let n = self.positions.len();
-        let (ed, ec, cw, sd) = (
-            self.emb_d_dim,
-            self.emb_c_dim,
-            self.color_in_dim,
-            self.sh_dim,
-        );
+        let ed = self.emb_d_dim;
         self.encode_density(model);
         let emb_d = &self.emb_d;
-        model.sigma_mlp().forward_chunked_with(
-            &self.backend,
-            &mut self.chunk_sigma,
-            &mut self.rays.sigma[..n],
-            |items, rows| rows.copy_from_slice(&emb_d[items.start * ed..items.end * ed]),
-        );
+        let sigma =
+            self.ws_sigma
+                .forward_only(&self.backend, model.sigma_mlp(), n, |items, rows| {
+                    rows.copy_from_slice(&emb_d[items.start * ed..items.end * ed]);
+                });
+        self.rays.sigma[..n].copy_from_slice(sigma);
 
         self.prefix.clear();
         for r in 0..self.rays.num_rays() {
@@ -389,42 +378,38 @@ impl BatchWorkspace {
                 .extend(range.start as u32..(range.start + active) as u32);
         }
         let m = self.prefix.len();
-        let color_grid = model
-            .color_grid()
-            .filter(|_| model.topology() == GridTopology::Decoupled);
-        let emb_c: &[f32] = match color_grid {
-            Some(cg) => {
-                self.prefix_positions.clear();
-                self.prefix_positions
-                    .extend(self.prefix.iter().map(|&i| self.unit_positions[i as usize]));
-                self.emb_c.resize(m * ec, 0.0);
-                cg.par_encode_batch_with(&self.backend, &self.prefix_positions, &mut self.emb_c);
+        let color_grid = decoupled_color_grid(model);
+        if let Some(cg) = color_grid {
+            self.prefix_positions.clear();
+            self.prefix_positions
+                .extend(self.prefix.iter().map(|&i| self.unit_positions[i as usize]));
+            self.emb_c.resize(m * self.emb_c_dim, 0.0);
+            cg.par_encode_batch_with(&self.backend, &self.prefix_positions, &mut self.emb_c);
+        }
+        let rows = ColorRows {
+            emb: if color_grid.is_some() {
                 &self.emb_c
-            }
-            None => {
-                debug_assert_eq!(ed, ec);
+            } else {
                 &self.emb_d
-            }
-        };
-        let (prefix, point_ray, sh) = (&self.prefix, &self.point_ray, &self.sh);
-        self.prefix_rgb.resize(m * 3, 0.0);
-        model.color_mlp().forward_chunked_with(
-            &self.backend,
-            &mut self.chunk_color,
-            &mut self.prefix_rgb,
-            |items, rows| {
-                for (j, row) in items.zip(rows.chunks_exact_mut(cw)) {
-                    let i = prefix[j] as usize;
-                    // Decoupled rows are the prefix's own; coupled rows
-                    // are the sample's density embedding.
-                    let e = if color_grid.is_some() { j } else { i };
-                    row[..ec].copy_from_slice(&emb_c[e * ec..(e + 1) * ec]);
-                    let r = point_ray[i] as usize;
-                    row[ec..].copy_from_slice(&sh[r * sd..(r + 1) * sd]);
-                }
             },
-        );
-        for (&i, c) in prefix.iter().zip(self.prefix_rgb.chunks_exact(3)) {
+            sh: &self.sh,
+            point_ray: &self.point_ray,
+            ec: self.emb_c_dim,
+            sd: self.sh_dim,
+        };
+        let prefix = &self.prefix;
+        // Decoupled rows are the prefix's own; coupled rows are the
+        // sample's density embedding.
+        let at = |j: usize| {
+            let i = prefix[j] as usize;
+            (if color_grid.is_some() { j } else { i }, i)
+        };
+        let rgb = self
+            .ws_color
+            .forward_only(&self.backend, model.color_mlp(), m, |visits, out| {
+                rows.fill(visits, out, at)
+            });
+        for (&i, c) in prefix.iter().zip(rgb.chunks_exact(3)) {
             self.rays.rgb[i as usize] = Vec3::new(c[0], c[1], c[2]);
         }
 
@@ -573,6 +558,44 @@ impl BatchWorkspace {
                     &mut self.grid_buffers,
                 );
             }
+        }
+    }
+}
+
+/// The colour grid a model encodes separately: a decoupled model's colour
+/// grid; `None` when the colour head reads the density embeddings.
+fn decoupled_color_grid(model: &NerfModel) -> Option<&HashGrid> {
+    model
+        .color_grid()
+        .filter(|_| model.topology() == GridTopology::Decoupled)
+}
+
+/// The colour head's input rows, `[emb ‖ sh(ray)]`: the one row fill of
+/// both colour-head forwards ([`BatchWorkspace::heads_forward`] visits
+/// every sample, [`BatchWorkspace::render`] the prefix samples).
+struct ColorRows<'a> {
+    /// Embedding rows, `ec` wide.
+    emb: &'a [f32],
+    /// SH rows per ray, `sd` wide.
+    sh: &'a [f32],
+    /// Owning ray per sample.
+    point_ray: &'a [u32],
+    ec: usize,
+    sd: usize,
+}
+
+impl ColorRows<'_> {
+    /// Writes the rows of `visits` into `out` (`visits.len()` rows): visit
+    /// `j` reads embedding row `at(j).0` and the SH row of sample
+    /// `at(j).1`'s ray.
+    #[inline]
+    fn fill(&self, visits: Range<usize>, out: &mut [f32], at: impl Fn(usize) -> (usize, usize)) {
+        let (ec, sd) = (self.ec, self.sd);
+        for (j, row) in visits.zip(out.chunks_exact_mut(ec + sd)) {
+            let (e, i) = at(j);
+            row[..ec].copy_from_slice(&self.emb[e * ec..(e + 1) * ec]);
+            let r = self.point_ray[i] as usize;
+            row[ec..].copy_from_slice(&self.sh[r * sd..(r + 1) * sd]);
         }
     }
 }

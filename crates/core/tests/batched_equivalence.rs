@@ -152,10 +152,12 @@ fn runtime_registered_backend_enters_the_golden_gate_and_reports_stats() {
         fn mlp_forward_batch<'w>(
             &self,
             mlp: &instant3d_nerf::mlp::Mlp,
-            inputs: &[f32],
+            n: usize,
+            fill: &instant3d_nerf::mlp::RowFill<'_>,
+            retain: bool,
             ws: &'w mut instant3d_nerf::mlp::MlpBatchWorkspace,
         ) -> &'w [f32] {
-            self.0.mlp_forward_batch(mlp, inputs, ws)
+            self.0.mlp_forward_batch(mlp, n, fill, retain, ws)
         }
         fn mlp_backward_batch(
             &self,

@@ -8,7 +8,9 @@ use crate::adam::SparseUpdate;
 use crate::fp16::F16;
 use crate::grid::{GridLayout, HashGrid, NullObserver};
 use crate::math::Vec3;
-use crate::mlp::{self, Blocked, GradTile, Linear, Mlp, MlpBatchWorkspace, MlpGradients, Sweeps};
+use crate::mlp::{
+    self, Blocked, GradTile, Linear, Mlp, MlpBatchWorkspace, MlpGradients, RowFill, Sweeps,
+};
 use crate::render::{composite_slices, composite_slices_lanes, RenderOutput};
 
 /// The scalar reference backend (`"scalar"`): level-major scalar grid
@@ -50,10 +52,12 @@ impl Kernels for ScalarKernels {
     fn mlp_forward_batch<'w>(
         &self,
         mlp: &Mlp,
-        inputs: &[f32],
+        n: usize,
+        fill: &RowFill<'_>,
+        retain: bool,
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        mlp.forward_batch_impl(&Sweeps::SCALAR, inputs, ws)
+        mlp.forward_batch_impl(&Sweeps::SCALAR, n, fill, retain, ws)
     }
 
     fn mlp_backward_batch(
@@ -121,10 +125,12 @@ impl Kernels for SimdKernels {
     fn mlp_forward_batch<'w>(
         &self,
         mlp: &Mlp,
-        inputs: &[f32],
+        n: usize,
+        fill: &RowFill<'_>,
+        retain: bool,
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        mlp.forward_batch_impl(&Sweeps::SIMD, inputs, ws)
+        mlp.forward_batch_impl(&Sweeps::SIMD, n, fill, retain, ws)
     }
 
     fn mlp_backward_batch(
@@ -331,7 +337,11 @@ mod tests {
             let x: Vec<f32> = (0..n * iw).map(|_| rng.gen_range(-1.0..=1.0)).collect();
             let dy: Vec<f32> = (0..n * ow).map(|_| rng.gen_range(-1.0..=1.0)).collect();
             let mut ws = net.batch_workspace(n);
-            let mut mlp_bits = vec![bits(net.forward_batch_impl(&self.sweeps, &x, &mut ws))];
+            let fill = |items: std::ops::Range<usize>, rows: &mut [f32]| {
+                rows.copy_from_slice(&x[items.start * iw..items.end * iw]);
+            };
+            let out = net.forward_batch_impl(&self.sweeps, n, &fill, true, &mut ws);
+            let mut mlp_bits = vec![bits(out)];
             let mut grads = net.zero_grads();
             let mut dx = vec![0.0; n * iw];
             // Twice, so the second pass accumulates onto non-zero gradients.

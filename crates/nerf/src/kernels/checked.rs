@@ -23,7 +23,7 @@
 use super::{Kernels, ScalarKernels, SimdKernels};
 use crate::grid::{GridLayout, HashGrid};
 use crate::math::Vec3;
-use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
+use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients, RowFill};
 use crate::render::RenderOutput;
 
 /// Panics with the kernel identity and first diverging element when a
@@ -140,14 +140,17 @@ impl Kernels for CheckedKernels {
     fn mlp_forward_batch<'w>(
         &self,
         mlp: &Mlp,
-        inputs: &[f32],
+        n: usize,
+        fill: &RowFill<'_>,
+        retain: bool,
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        let mut shadow_ws = mlp.batch_workspace(inputs.len() / mlp.in_dim().max(1));
+        // The shadow runs in the same mode, so both modes are checked.
+        let mut shadow_ws = MlpBatchWorkspace::default();
         let shadow = self
             .reference
-            .mlp_forward_batch(mlp, inputs, &mut shadow_ws);
-        let out = self.inner.mlp_forward_batch(mlp, inputs, ws);
+            .mlp_forward_batch(mlp, n, fill, retain, &mut shadow_ws);
+        let out = self.inner.mlp_forward_batch(mlp, n, fill, retain, ws);
         compare_bits("mlp forward batch", out, shadow);
         out
     }

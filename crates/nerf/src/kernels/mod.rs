@@ -7,7 +7,10 @@
 //! a full encode is the subset of every level), the per-level gradient
 //! scatter ([`Kernels::grid_scatter_level`]), the MLP batched forward and
 //! backward ([`Kernels::mlp_forward_batch`], [`Kernels::mlp_backward_batch`])
-//! and per-ray compositing ([`Kernels::composite_ray`]). Three backends
+//! and per-ray compositing ([`Kernels::composite_ray`]). The forward seam
+//! serves both forward modes: one call reads its input rows through a row
+//! fill and either keeps the activations for the backward (training) or
+//! keeps none (the tile renderer, the occupancy refresh). Three backends
 //! ship in-tree:
 //!
 //! * [`ScalarKernels`] (`"scalar"`) — the scalar reference kernels, the
@@ -193,7 +196,7 @@ pub use checked::CheckedKernels;
 
 use crate::grid::{GridLayout, HashGrid};
 use crate::math::Vec3;
-use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
+use crate::mlp::{Mlp, MlpBatchWorkspace, MlpGradients, RowFill};
 use crate::render::RenderOutput;
 use std::sync::{Arc, OnceLock};
 
@@ -278,12 +281,19 @@ pub trait Kernels: Send + Sync + std::fmt::Debug {
         d_out: &[f32],
     );
 
-    /// Batched MLP forward over row-major inputs; returns the output slice
-    /// living inside `ws` (the seam behind [`Mlp::forward_batch_with`]).
+    /// Batched MLP forward over `n` items whose input rows `fill` writes
+    /// (see [`RowFill`]); returns the `n × out_dim` output slice living
+    /// inside `ws`. With `retain` the activations stay in `ws` for
+    /// [`Kernels::mlp_backward_batch`] (the seam behind
+    /// [`Mlp::forward_batch_with`]); without it none is kept (the seam
+    /// behind [`MlpBatchWorkspace::forward_only`]). Both modes have the
+    /// same output bits.
     fn mlp_forward_batch<'w>(
         &self,
         mlp: &Mlp,
-        inputs: &[f32],
+        n: usize,
+        fill: &RowFill<'_>,
+        retain: bool,
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32];
 

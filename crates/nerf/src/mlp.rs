@@ -26,12 +26,13 @@
 //! 32-item block runs through every layer while it sits in L1 — and twice
 //! per backward pass: item blocks carry the gradient down through every
 //! layer, then tiles of every layer's parameter gradient sweep the items
-//! in order, one L2-sized run of blocks at a time. Callers that never run
-//! the backward (the tile renderer, the occupancy refresh) use the
-//! forward-only driver [`Mlp::forward_chunked_with`] instead: it runs the
-//! same forward over fixed-size chunks of items, one run of chunks per
-//! worker on one chunk of scratch each, so no activation outlives its
-//! chunk.
+//! in order, one L2-sized run of blocks at a time. There is one forward
+//! driver. It reads each block's input rows through a row fill
+//! ([`RowFill`]) and either keeps every block's activations for the
+//! backward ([`Mlp::forward_batch_with`]) or, for callers that never run
+//! the backward (the tile renderer, the occupancy refresh), reuses one
+//! block of scratch per worker run ([`MlpBatchWorkspace::forward_only`]),
+//! so no activation outlives its block.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -39,6 +40,13 @@ use crate::activation::Activation;
 use crate::kernels::BackendHandle;
 use rand::Rng;
 use rayon::prelude::*;
+use std::ops::Range;
+
+/// The row fill of a batched forward: `fill(items, rows)` writes the input
+/// rows of `items` into `rows` (`items.len() × in_dim`, row-major). The
+/// driver calls it once per 32-item block, from any worker, with the
+/// block's input sub-block as `rows`.
+pub type RowFill<'a> = dyn Fn(Range<usize>, &mut [f32]) + Sync + 'a;
 
 /// Shape and activation of one dense layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -786,11 +794,17 @@ const RUN: usize = 16;
 /// backward keeps every layer's `dz` in the same blocked layout,
 /// `Σ out_dim` floats per item.
 ///
+/// A forward-only pass ([`MlpBatchWorkspace::forward_only`]) keeps no
+/// block: each worker's run of blocks reuses one block of scratch, so the
+/// pass holds one block per worker whatever its length.
+///
 /// All buffers grow once to the high-water batch size and are reused —
-/// zero steady-state allocation.
-#[derive(Debug, Clone)]
+/// zero steady-state allocation. Every buffer is sized by the network of
+/// each call, so one workspace serves any [`Mlp`].
+#[derive(Debug, Clone, Default)]
 pub struct MlpBatchWorkspace {
-    /// Items currently stored (set by the last `forward_batch_with`).
+    /// Items whose activations the blocks hold (set by each forward: 0
+    /// after a forward-only pass).
     n: usize,
     /// The forward blocks: input, pre-activations, hidden activations.
     blocks: Vec<f32>,
@@ -804,41 +818,45 @@ pub struct MlpBatchWorkspace {
     wt: Vec<Vec<f32>>,
 }
 
-/// Items per chunk of the forward-only driver [`Mlp::forward_chunked_with`].
-/// A forward block of the presets' heads holds 0.6–0.7 KB per item (the
-/// input copy, every pre-activation, every hidden activation), so both
-/// heads together hold 1.2–1.4 KB per point, and a chunk of 256 points
-/// about 350 KB: it fits a 2 MB L2 and leaves room for a hyper-thread
-/// sibling's chunk. A chunk of 1024 rendered `preview_orbit` frames no
-/// faster and peaked about 10 MB higher.
-const CHUNK: usize = 256;
-
-/// Reusable scratch of the forward-only driver [`Mlp::forward_chunked_with`]:
-/// one lane per worker that takes part, each holding one chunk's input
-/// rows and activations and reusing them chunk after chunk, so a
-/// forward-only pass of any length holds no more than a chunk per worker.
-#[derive(Debug, Clone)]
-pub struct MlpChunkWorkspace {
-    lanes: Vec<ChunkLane>,
-}
-
-/// One lane of an [`MlpChunkWorkspace`].
-#[derive(Debug, Clone)]
-struct ChunkLane {
-    inputs: Vec<f32>,
-    ws: MlpBatchWorkspace,
-}
-
 impl MlpBatchWorkspace {
-    /// Items stored by the most recent `forward_batch_with`.
+    /// Items whose activations the most recent forward kept for the
+    /// backward (0 after a forward-only pass).
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// True before any batch has been run.
+    /// True when no activations are kept.
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
+
+    /// The forward-only pass: `mlp`'s batched forward over `n` items whose
+    /// input rows `fill` writes (see [`RowFill`]), through `backend`, with
+    /// no activation kept for a backward. Returns the `n × out_dim` output
+    /// slice living inside this workspace.
+    ///
+    /// It runs the driver of [`Mlp::forward_batch_with`] with the same
+    /// blocks and per-item arithmetic, so the outputs have its bits on
+    /// any worker count. Where the pass splits, it splits into one
+    /// contiguous run of blocks per worker, each reusing one block of
+    /// scratch.
+    pub fn forward_only<'w>(
+        &'w mut self,
+        backend: &BackendHandle,
+        mlp: &Mlp,
+        n: usize,
+        fill: impl Fn(Range<usize>, &mut [f32]) + Sync,
+    ) -> &'w [f32] {
+        backend.mlp_forward_batch(mlp, n, &fill, false, self)
+    }
+}
+
+/// The first `len` elements of `buf`, grown with zeros to hold them.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
 /// Per-layer gradient buffers, shape-matched to an [`Mlp`].
@@ -1022,23 +1040,13 @@ impl Mlp {
     /// Allocates a batch workspace; buffers grow lazily to the high-water
     /// batch size, so `capacity` is only a pre-sizing hint.
     pub fn batch_workspace(&self, capacity: usize) -> MlpBatchWorkspace {
-        let mut ws = MlpBatchWorkspace {
-            n: 0,
-            blocks: Vec::new(),
-            out: Vec::new(),
-            dz: Vec::new(),
-            wt: vec![Vec::new(); self.layers.len()],
-        };
-        self.reserve_batch(&mut ws, capacity);
+        let mut ws = MlpBatchWorkspace::default();
+        grown(
+            &mut ws.blocks,
+            capacity.div_ceil(BLOCK) * BLOCK * self.block_width(),
+        );
+        grown(&mut ws.out, capacity * self.out_dim());
         ws
-    }
-
-    /// Sizes the forward buffers for `n` items (the `dz` blocks grow in
-    /// the backward, so forward-only callers never hold them).
-    fn reserve_batch(&self, ws: &mut MlpBatchWorkspace, n: usize) {
-        ws.blocks
-            .resize(n.div_ceil(BLOCK) * BLOCK * self.block_width(), 0.0);
-        ws.out.resize(n * self.out_dim(), 0.0);
     }
 
     /// Floats per item of a forward block: the input, every
@@ -1092,7 +1100,8 @@ impl Mlp {
     /// parallel writes are disjoint rows, so results are bit-identical to
     /// the scalar path for any batch size and worker count. Activations
     /// stay in `ws` for [`Mlp::backward_batch_with`] — no re-forward
-    /// needed.
+    /// needed. This is the driver's retaining mode with a row fill that
+    /// copies `inputs`.
     ///
     /// # Panics
     ///
@@ -1103,129 +1112,92 @@ impl Mlp {
         inputs: &[f32],
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        backend.mlp_forward_batch(self, inputs, ws)
-    }
-
-    /// Allocates the scratch of [`Mlp::forward_chunked_with`]; its lanes
-    /// are added by the first pass on each worker count.
-    pub fn chunk_workspace(&self) -> MlpChunkWorkspace {
-        MlpChunkWorkspace { lanes: Vec::new() }
-    }
-
-    /// The forward-only driver: a batched forward pass for callers that
-    /// never run the backward, in chunks of a fixed number of items, each
-    /// run through [`Mlp::forward_batch_with`] on `backend` on one chunk
-    /// of scratch from `ws`. `out` (`n × out_dim`, row-major) receives the
-    /// outputs of the `n` items, and `fill(items, rows)` writes the
-    /// `items`' input rows (`rows` is `items.len() × in_dim`, row-major)
-    /// as each chunk starts.
-    ///
-    /// On more than one worker the chunks split into one contiguous run
-    /// per worker, each on a scratch lane of its own, so the workers share
-    /// out whole chunks, not only the blocks of one chunk at a time.
-    /// Per-item arithmetic does not depend on the batch an item runs in,
-    /// so `out` has the bits of one [`Mlp::forward_batch_with`] over all
-    /// `n` items on any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` is not a multiple of `self.out_dim()`.
-    pub fn forward_chunked_with(
-        &self,
-        backend: &BackendHandle,
-        ws: &mut MlpChunkWorkspace,
-        out: &mut [f32],
-        fill: impl Fn(std::ops::Range<usize>, &mut [f32]) + Sync,
-    ) {
-        let (iw, ow) = (self.in_dim(), self.out_dim());
-        assert_eq!(out.len() % ow, 0, "output batch width mismatch");
-        let chunks = (out.len() / ow).div_ceil(CHUNK);
-        let lanes = rayon::current_num_threads().min(chunks).max(1);
-        while ws.lanes.len() < lanes {
-            ws.lanes.push(ChunkLane {
-                inputs: Vec::new(),
-                ws: self.batch_workspace(0),
-            });
-        }
-        for lane in &mut ws.lanes[..lanes] {
-            lane.inputs.resize(CHUNK * iw, 0.0);
-        }
-        // The chunks of a run starting at item `first`, on `lane`.
-        let run = |lane: &mut ChunkLane, first: usize, out: &mut [f32]| {
-            for (c, yc) in out.chunks_mut(CHUNK * ow).enumerate() {
-                let start = first + c * CHUNK;
-                let items = start..start + yc.len() / ow;
-                let rows = &mut lane.inputs[..items.len() * iw];
-                fill(items, rows);
-                yc.copy_from_slice(backend.mlp_forward_batch(self, rows, &mut lane.ws));
-            }
+        let iw = self.in_dim();
+        assert_eq!(inputs.len() % iw, 0, "input batch width mismatch");
+        let fill = |items: Range<usize>, rows: &mut [f32]| {
+            rows.copy_from_slice(&inputs[items.start * iw..items.end * iw]);
         };
-        if lanes == 1 {
-            return run(&mut ws.lanes[0], 0, out);
-        }
-        let span = chunks.div_ceil(lanes) * CHUNK;
-        ws.lanes[..lanes]
-            .par_chunks_mut(1)
-            .zip(out.par_chunks_mut(span * ow))
-            .enumerate()
-            .for_each(|(l, (lane, yc))| run(&mut lane[0], l * span, yc));
+        backend.mlp_forward_batch(self, inputs.len() / iw, &fill, true, ws)
     }
 
-    /// The one batched forward driver of the built-in backends: one
-    /// parallel region over item blocks, each block running every layer's
-    /// `sweeps.forward_rows` back to back while its rows sit in L1. The
-    /// per-layer transposed weights are rebuilt each call (weights change
-    /// between optimizer steps).
+    /// The one batched forward driver of the built-in backends, over `n`
+    /// items whose input rows `fill` writes straight into each block's
+    /// input sub-block. Each block runs every layer's `sweeps.forward_rows`
+    /// back to back while its rows sit in L1. The per-layer transposed
+    /// weights are rebuilt once per call (weights change between optimizer
+    /// steps), and the pass enters the pool at most once, when
+    /// [`Mlp::parallel`] says so.
+    ///
+    /// With `retain` every block keeps its activations for the backward,
+    /// and a split pass runs one task per block. Without it (forward
+    /// only) a split pass runs one contiguous run of blocks per worker, and
+    /// every block of a run reuses the run's one block of scratch.
     pub(crate) fn forward_batch_impl<'w>(
         &self,
         sweeps: &Sweeps,
-        inputs: &[f32],
+        n: usize,
+        fill: &RowFill<'_>,
+        retain: bool,
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        let (iw, ow) = (self.in_dim(), self.out_dim());
-        assert_eq!(inputs.len() % iw, 0, "input batch width mismatch");
-        let n = inputs.len() / iw;
-        ws.n = n;
-        self.reserve_batch(ws, n);
+        let blocks = n.div_ceil(BLOCK);
+        let parallel = self.parallel(n);
+        // Blocks per task.
+        let span = match (parallel, retain) {
+            (false, _) => blocks.max(1),
+            (true, true) => 1,
+            (true, false) => blocks.div_ceil(rayon::current_num_threads()),
+        };
+        let kept = if retain {
+            blocks
+        } else {
+            blocks.div_ceil(span)
+        };
+        ws.n = if retain { n } else { 0 };
+        ws.wt.resize_with(self.layers.len(), Vec::new);
         for (layer, wt) in self.layers.iter().zip(&mut ws.wt) {
             layer.fill_transposed(wt);
         }
-        let MlpBatchWorkspace {
-            blocks, out, wt, ..
-        } = ws;
-        let out = &mut out[..n * ow];
-        if self.parallel(n) {
-            blocks
-                .par_chunks_mut(BLOCK * self.block_width())
-                .zip(out.par_chunks_mut(BLOCK * ow))
-                .zip(inputs.par_chunks(BLOCK * iw))
-                .for_each(|((blk, yc), xc)| self.forward_blocks(sweeps, wt, blk, yc, xc));
+        let bw = BLOCK * self.block_width();
+        let scratch = grown(&mut ws.blocks, kept * bw);
+        let out = grown(&mut ws.out, n * self.out_dim());
+        let wt = &ws.wt[..];
+        if parallel {
+            scratch
+                .par_chunks_mut(bw)
+                .zip(out.par_chunks_mut(span * BLOCK * self.out_dim()))
+                .enumerate()
+                .for_each(|(t, (blk, yc))| {
+                    self.forward_blocks(sweeps, wt, fill, t * span * BLOCK, blk, yc)
+                });
         } else {
-            self.forward_blocks(sweeps, wt, blocks, out, inputs);
+            self.forward_blocks(sweeps, wt, fill, 0, scratch, out);
         }
         out
     }
 
-    /// Runs every layer over each block of a run of forward blocks
-    /// (`blocks`, with its items' `inputs` and output rows `out`).
+    /// Runs every layer over each block of a run of output rows `out`,
+    /// whose first item is `first`. `blocks` holds either one forward
+    /// block per output block (kept for the backward) or one block that
+    /// every block of the run reuses.
     fn forward_blocks(
         &self,
         sweeps: &Sweeps,
         wt: &[Vec<f32>],
+        fill: &RowFill<'_>,
+        first: usize,
         blocks: &mut [f32],
         out: &mut [f32],
-        inputs: &[f32],
     ) {
         let (iw, ow) = (self.in_dim(), self.out_dim());
-        let last = self.layers.len() - 1;
-        for ((blk, yc), xc) in blocks
-            .chunks_mut(BLOCK * self.block_width())
-            .zip(out.chunks_mut(BLOCK * ow))
-            .zip(inputs.chunks(BLOCK * iw))
-        {
-            let m = xc.len() / iw;
+        let bw = BLOCK * self.block_width();
+        let (last, held) = (self.layers.len() - 1, blocks.len());
+        for (b, yc) in out.chunks_mut(BLOCK * ow).enumerate() {
+            let m = yc.len() / ow;
+            let blk = &mut blocks[(b * bw) % held..][..bw];
             let (x0, mut rest) = blk.split_at_mut(BLOCK * iw);
-            x0[..m * iw].copy_from_slice(xc);
+            let start = first + b * BLOCK;
+            fill(start..start + m, &mut x0[..m * iw]);
             let mut x: &[f32] = &x0[..m * iw];
             for (l, (layer, wt)) in self.layers.iter().zip(wt).enumerate() {
                 let lw = layer.spec.out_dim;

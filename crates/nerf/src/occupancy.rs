@@ -15,7 +15,8 @@
 //! * **Batched refresh** — [`OccupancyWorkspace::refresh`] probes cell
 //!   densities through the same SoA kernel seams the trainer uses
 //!   (`HashGrid::par_encode_batch_levels_with`, then the density head
-//!   through the forward-only driver `Mlp::forward_chunked_with`),
+//!   through the MLP driver's forward-only mode,
+//!   `MlpBatchWorkspace::forward_only`, which keeps no activation),
 //!   dispatched on the workspace's kernel backend ([`crate::kernels`])
 //!   and bit-identical to probing cell by cell.
 //! * **Amortisation** — the workspace keeps a persistent cell→embedding
@@ -35,7 +36,7 @@
 use crate::grid::HashGrid;
 use crate::kernels::BackendHandle;
 use crate::math::{Aabb, Vec3};
-use crate::mlp::{Mlp, MlpChunkWorkspace};
+use crate::mlp::{Mlp, MlpBatchWorkspace};
 
 /// Spreads the low 21 bits of `v`, inserting two zero bits between
 /// consecutive bits (the "part 1 by 2" step of 3D Morton encoding).
@@ -370,19 +371,18 @@ struct ShapeKey {
     model_aabb: Aabb,
     levels: usize,
     emb_dim: usize,
-    mlp_layers: usize,
     subset: u32,
 }
 
 /// Persistent state for batched occupancy refreshes: precomputed probe
 /// positions, the per-level-versioned cell→embedding cache, the per-cell
-/// density EMA store, and a chunk of MLP scratch per worker. Create once per
-/// trainer and reuse across the run — steady-state refreshes allocate
-/// nothing.
+/// density EMA store, and the density probe's MLP scratch (one block per
+/// worker). Create once per trainer and reuse across the run —
+/// steady-state refreshes allocate nothing.
 ///
 /// All refresh work runs through the batched kernel seams
 /// ([`HashGrid::par_encode_batch_levels_with`], and the MLP forward
-/// through the forward-only [`Mlp::forward_chunked_with`]), dispatched on
+/// through the forward-only [`MlpBatchWorkspace::forward_only`]), dispatched on
 /// the [`BackendHandle`] the workspace was created with, so results are
 /// bit-identical to probing each cell on its own, for every registered
 /// backend and rayon worker count.
@@ -404,15 +404,13 @@ pub struct OccupancyWorkspace {
     ema: Vec<f32>,
     /// Rotating subset phase for the next refresh.
     phase: u32,
-    /// The density probe's chunk scratch ([`Mlp::forward_chunked_with`]):
-    /// only the densities are read, so no cell's activations outlive their
-    /// chunk.
-    mlp_ws: Option<MlpChunkWorkspace>,
+    /// The density probe's forward-only MLP scratch: only the densities
+    /// are read, so no cell's activations outlive their block. Its output
+    /// holds the probed cells' densities, in probe order.
+    mlp_ws: MlpBatchWorkspace,
     subset_cells: Vec<u32>,
     subset_pts: Vec<Vec3>,
     subset_emb: Vec<f32>,
-    /// The probed cells' densities, in probe order.
-    densities: Vec<f32>,
     /// This refresh's levels whose cached rows are stale.
     dirty: Vec<usize>,
 }
@@ -436,11 +434,10 @@ impl OccupancyWorkspace {
             cached_versions: Vec::new(),
             ema: Vec::new(),
             phase: 0,
-            mlp_ws: None,
+            mlp_ws: MlpBatchWorkspace::default(),
             subset_cells: Vec::new(),
             subset_pts: Vec::new(),
             subset_emb: Vec::new(),
-            densities: Vec::new(),
             dirty: Vec::new(),
         }
     }
@@ -483,7 +480,6 @@ impl OccupancyWorkspace {
         &mut self,
         occ: &OccupancyGrid,
         grid: &HashGrid,
-        sigma_mlp: &Mlp,
         model_aabb: Aabb,
         subset: u32,
     ) {
@@ -493,7 +489,6 @@ impl OccupancyWorkspace {
             model_aabb,
             levels: grid.levels().len(),
             emb_dim: grid.output_dim(),
-            mlp_layers: sigma_mlp.layers().len(),
             subset,
         };
         if self.shape == Some(key) {
@@ -531,9 +526,6 @@ impl OccupancyWorkspace {
         self.cached_versions.clear();
         self.cached_versions
             .resize(key.levels * subset as usize, u64::MAX);
-        if self.shape.map(|p| p.mlp_layers) != Some(key.mlp_layers) {
-            self.mlp_ws = Some(sigma_mlp.chunk_workspace());
-        }
         self.shape = Some(key);
     }
 
@@ -582,7 +574,7 @@ impl OccupancyWorkspace {
             "density MLP input width must match the grid embedding"
         );
         assert_eq!(sigma_mlp.out_dim(), 1, "density MLP must be scalar-valued");
-        self.ensure_shape(occ, grid, sigma_mlp, model_aabb, subset);
+        self.ensure_shape(occ, grid, model_aabb, subset);
 
         let k = subset as usize;
         let phase = (self.phase as usize) % k;
@@ -598,7 +590,6 @@ impl OccupancyWorkspace {
         let dirty = &this.dirty;
         let n = occ.num_cells();
         let w = grid.output_dim();
-        let mlp_ws = this.mlp_ws.as_mut().expect("workspace shaped");
         let cells_probed;
         if k == 1 {
             // Full refresh: encode dirty levels straight into the cache,
@@ -607,17 +598,18 @@ impl OccupancyWorkspace {
             for &l in dirty {
                 this.cached_versions[l] = versions[l];
             }
-            this.densities.resize(n, 0.0);
             let emb = &this.emb;
-            sigma_mlp.forward_chunked_with(&backend, mlp_ws, &mut this.densities, |cells, rows| {
-                rows.copy_from_slice(&emb[cells.start * w..cells.end * w]);
-            });
+            let densities = this
+                .mlp_ws
+                .forward_only(&backend, sigma_mlp, n, |cells, rows| {
+                    rows.copy_from_slice(&emb[cells.start * w..cells.end * w]);
+                });
             let r = occ.resolution;
             let mut i = 0usize;
             for cz in 0..r {
                 for cy in 0..r {
                     for cx in 0..r {
-                        let bit = apply_mode(mode, &mut this.ema[i], this.densities[i], threshold);
+                        let bit = apply_mode(mode, &mut this.ema[i], densities[i], threshold);
                         occ.set_cell(cx, cy, cz, bit);
                         i += 1;
                     }
@@ -659,14 +651,15 @@ impl OccupancyWorkspace {
                     this.cached_versions[l * k + phase] = versions[l];
                 }
             }
-            this.densities.resize(m, 0.0);
             let subset_emb = &this.subset_emb;
-            sigma_mlp.forward_chunked_with(&backend, mlp_ws, &mut this.densities, |js, rows| {
-                rows.copy_from_slice(&subset_emb[js.start * w..js.end * w]);
-            });
+            let densities = this
+                .mlp_ws
+                .forward_only(&backend, sigma_mlp, m, |js, rows| {
+                    rows.copy_from_slice(&subset_emb[js.start * w..js.end * w]);
+                });
             for (j, &i) in this.subset_cells.iter().enumerate() {
                 let i = i as usize;
-                let bit = apply_mode(mode, &mut this.ema[i], this.densities[j], threshold);
+                let bit = apply_mode(mode, &mut this.ema[i], densities[j], threshold);
                 occ.set_linear(i, bit);
             }
             cells_probed = m;

@@ -53,22 +53,19 @@
 //! # Implementation notes
 //!
 //! [`F32x8`] is a plain aligned array with `#[inline(always)]`
-//! elementwise operators — a form stable rustc reliably autovectorizes to
-//! SSE/NEON without any nightly features. On `x86_64`, where SSE2 is part
-//! of the baseline ISA, each arithmetic op runs as two halves of a private
-//! four-lane type specialized to `core::arch` intrinsics (`_mm_add_ps`
-//! etc. — exact per-lane IEEE operations, so the contract above is
-//! preserved). Every other architecture uses the autovectorized array
-//! loops.
+//! elementwise operators, one element loop per operator on every target —
+//! a form stable rustc autovectorizes without intrinsics or `unsafe`. Each
+//! lane's operation is the `f32` operator itself, so the contract above
+//! holds by construction.
 //!
 //! The kernel bodies are always inlined into their callers, the `simd`
 //! backend's `#[target_feature]` wrappers, stamped by one dispatch macro
-//! in [`crate::kernels`] that enables AVX2 and nothing else. Inside an
-//! AVX2 arm the same intrinsics compile to VEX-encoded instructions and
-//! the compiler may pair two halves into one 256-bit operation — still one
-//! exact IEEE operation per lane. Rust never contracts `a * b + c` into a
-//! fused multiply-add on its own, and an arm without FMA has nothing to
-//! contract into, so the AVX2 arm has the portable arm's bits.
+//! in [`crate::kernels`] that enables AVX2 and nothing else. The portable
+//! arm compiles an operator to two four-lane SSE ops; inside an AVX2 arm
+//! it is one eight-lane `%ymm` op — either way one exact IEEE operation
+//! per lane. Rust never contracts `a * b + c` into a fused multiply-add on
+//! its own, and an arm without FMA has nothing to contract into, so the
+//! AVX2 arm has the portable arm's bits.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
@@ -145,88 +142,25 @@ impl std::ops::MulAssign for F32x8 {
     }
 }
 
-/// Four `f32` lanes, 16-byte aligned: one SSE2 register, and one half of
-/// an [`F32x8`] operator on x86_64.
-#[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-#[repr(C, align(16))]
-struct F32x4([f32; 4]);
-
-#[cfg(target_arch = "x86_64")]
-impl F32x4 {
-    const ZERO: F32x4 = F32x4([0.0; 4]);
-
-    #[inline(always)]
-    fn from_slice(s: &[f32]) -> F32x4 {
-        let mut v = [0.0f32; 4];
-        v.copy_from_slice(&s[..4]);
-        F32x4(v)
-    }
-}
-
-// --- F32x4 arithmetic: SSE2 intrinsics (baseline ISA on x86_64) — exact
-// --- per-lane IEEE add/sub/mul, no FMA, no approximation.
-
-macro_rules! f32x4_binop {
-    ($trait:ident, $method:ident, $intrin:ident) => {
-        #[cfg(target_arch = "x86_64")]
-        impl std::ops::$trait for F32x4 {
-            type Output = F32x4;
-            #[inline(always)]
-            #[allow(unsafe_code, reason = "SSE2 lane intrinsics")]
-            fn $method(self, rhs: F32x4) -> F32x4 {
-                // SAFETY: SSE2 is part of the x86_64 baseline ISA, and
-                // F32x4 is 16-byte aligned, so aligned loads are valid.
-                unsafe {
-                    use std::arch::x86_64::*;
-                    let a = _mm_load_ps(self.0.as_ptr());
-                    let b = _mm_load_ps(rhs.0.as_ptr());
-                    let mut out = F32x4::ZERO;
-                    _mm_store_ps(out.0.as_mut_ptr(), $intrin(a, b));
-                    out
-                }
-            }
-        }
-    };
-}
-
-f32x4_binop!(Add, add, _mm_add_ps);
-f32x4_binop!(Sub, sub, _mm_sub_ps);
-f32x4_binop!(Mul, mul, _mm_mul_ps);
-
 macro_rules! f32x8_binop {
     ($trait:ident, $method:ident, $op:tt) => {
         impl std::ops::$trait for F32x8 {
             type Output = F32x8;
             #[inline(always)]
             fn $method(self, rhs: F32x8) -> F32x8 {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    // Two SSE2 halves (keeps the intrinsic path without
-                    // requiring AVX, which is not baseline).
-                    let lo = F32x4::from_slice(&self.0[..4]) $op F32x4::from_slice(&rhs.0[..4]);
-                    let hi = F32x4::from_slice(&self.0[4..]) $op F32x4::from_slice(&rhs.0[4..]);
-                    let mut v = [0.0f32; 8];
-                    v[..4].copy_from_slice(&lo.0);
-                    v[4..].copy_from_slice(&hi.0);
-                    F32x8(v)
+                let mut v = self.0;
+                for (x, y) in v.iter_mut().zip(&rhs.0) {
+                    *x $op *y;
                 }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    let mut v = self.0;
-                    for (x, y) in v.iter_mut().zip(&rhs.0) {
-                        *x = *x $op *y;
-                    }
-                    F32x8(v)
-                }
+                F32x8(v)
             }
         }
     };
 }
 
-f32x8_binop!(Add, add, +);
-f32x8_binop!(Sub, sub, -);
-f32x8_binop!(Mul, mul, *);
+f32x8_binop!(Add, add, +=);
+f32x8_binop!(Sub, sub, -=);
+f32x8_binop!(Mul, mul, *=);
 
 #[cfg(test)]
 mod tests {
@@ -234,7 +168,8 @@ mod tests {
 
     #[test]
     fn lane_ops_match_scalar_ops_bitwise() {
-        // On x86_64 lanes 0..4 and 4..8 are the two `F32x4` halves.
+        // Lanes 0..4 and 4..8 are the two halves of the portable arm's
+        // four-lane ops.
         let a = [1.5f32, -0.25, 3.207_18e-3, 65504.0, -2.5, 0.1, 7.0, -0.0];
         let b = [0.3f32, 123.456, -9.87, 2.0e-4, 0.5, -0.1, 3.0, 4.0];
         let va = F32x8::from_slice(&a);

@@ -9,7 +9,7 @@
 use instant3d_nerf::grid::{GridLayout, HashGrid, HashGridConfig};
 use instant3d_nerf::kernels::{self, BackendHandle, Kernels, ScalarKernels};
 use instant3d_nerf::math::Vec3;
-use instant3d_nerf::mlp::{Mlp, MlpBatchWorkspace, MlpConfig, MlpGradients};
+use instant3d_nerf::mlp::{Mlp, MlpBatchWorkspace, MlpConfig, MlpGradients, RowFill};
 use instant3d_nerf::render::RenderOutput;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,11 +58,13 @@ impl Kernels for CountingKernels {
     fn mlp_forward_batch<'w>(
         &self,
         mlp: &Mlp,
-        inputs: &[f32],
+        n: usize,
+        fill: &RowFill<'_>,
+        retain: bool,
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
         self.mlp_calls.fetch_add(1, Ordering::Relaxed);
-        self.inner.mlp_forward_batch(mlp, inputs, ws)
+        self.inner.mlp_forward_batch(mlp, n, fill, retain, ws)
     }
 
     fn mlp_backward_batch(
@@ -177,4 +179,40 @@ fn unregistered_handles_drive_the_engine_without_registration() {
         .to_vec();
     assert_eq!(a, b);
     assert_eq!(mlp_calls.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn a_forward_only_pass_is_one_seam_call() {
+    // The forward-only pass is one call of the batch forward seam, however
+    // many blocks and worker runs it spans.
+    let mock = CountingKernels::default();
+    let mlp_calls = Arc::clone(&mock.mlp_calls);
+    let handle = BackendHandle::new(mock);
+    let mlp = Mlp::new(
+        MlpConfig::new(
+            16,
+            &[64],
+            1,
+            instant3d_nerf::activation::Activation::Relu,
+            instant3d_nerf::activation::Activation::TruncExp,
+        ),
+        &mut StdRng::seed_from_u64(9),
+    );
+    let n = 2049;
+    let inputs: Vec<f32> = (0..n * 16).map(|i| ((i % 13) as f32 - 6.0) * 0.1).collect();
+    let fill = |items: std::ops::Range<usize>, rows: &mut [f32]| {
+        rows.copy_from_slice(&inputs[items.start * 16..items.end * 16]);
+    };
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    let mut ws = MlpBatchWorkspace::default();
+    let got = pool.install(|| ws.forward_only(&handle, &mlp, n, fill).to_vec());
+    assert_eq!(mlp_calls.load(Ordering::Relaxed), 1);
+    let mut want = mlp.batch_workspace(n);
+    assert_eq!(
+        got,
+        mlp.forward_batch_with(&kernels::scalar(), &inputs, &mut want)
+    );
 }

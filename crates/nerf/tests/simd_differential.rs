@@ -22,7 +22,7 @@ use instant3d_nerf::fp16::{self, F16};
 use instant3d_nerf::grid::{HashGrid, HashGridConfig};
 use instant3d_nerf::kernels::{self, BackendHandle};
 use instant3d_nerf::math::Vec3;
-use instant3d_nerf::mlp::{Mlp, MlpConfig};
+use instant3d_nerf::mlp::{Mlp, MlpBatchWorkspace, MlpConfig};
 use instant3d_nerf::render::{
     composite_slices, integrated_prefix, RenderOutput, EARLY_STOP_TRANSMITTANCE,
 };
@@ -569,36 +569,74 @@ fn mlp_tile_and_block_edges_bit_equal_scalar_at_every_worker_count() {
 }
 
 #[test]
-fn mlp_forward_only_chunks_bit_equal_one_batch_at_every_worker_count() {
-    // The forward-only driver runs chunks of 256 items in one contiguous
-    // run per worker; these sizes put the chunk and run edges on, before
-    // and after item boundaries, with more runs than chunks at 8 workers.
+fn mlp_forward_only_bit_equal_retained_at_every_worker_count() {
+    // A forward-only pass runs one contiguous run of 32-item blocks per
+    // worker on one block of scratch; these sizes put the block edges on,
+    // before and after item boundaries, with more workers than blocks at
+    // 8 workers (65 items are three blocks).
     let mut rng = StdRng::seed_from_u64(256);
     let mlp = Mlp::new(
         MlpConfig::new(17, &[64], 3, Activation::Relu, Activation::Sigmoid),
         &mut rng,
     );
     let iw = mlp.in_dim();
-    for n in [0usize, 1, 255, 256, 257, 513, 1000, 2049] {
+    for n in [0usize, 1, 31, 32, 33, 65, 1000, 2049] {
         let inputs: Vec<f32> = (0..n * iw).map(|_| rng.gen_range(-1.0..=1.0)).collect();
         let want =
             bits(mlp.forward_batch_with(&kernels::scalar(), &inputs, &mut mlp.batch_workspace(n)));
         for backend in kernels::registered() {
-            let mut ws = mlp.chunk_workspace();
+            let mut ws = MlpBatchWorkspace::default();
             for workers in [1usize, 2, 3, 8] {
                 let pool = rayon::ThreadPoolBuilder::new()
                     .num_threads(workers)
                     .build()
                     .unwrap();
-                let mut out = vec![f32::NAN; n * mlp.out_dim()];
-                pool.install(|| {
-                    mlp.forward_chunked_with(&backend, &mut ws, &mut out, |items, rows| {
+                let (retained, forward_only) = pool.install(|| {
+                    let retained = bits(mlp.forward_batch_with(
+                        &backend,
+                        &inputs,
+                        &mut mlp.batch_workspace(0),
+                    ));
+                    let out = ws.forward_only(&backend, &mlp, n, |items, rows| {
                         rows.copy_from_slice(&inputs[items.start * iw..items.end * iw]);
                     });
+                    (retained, bits(out))
                 });
-                assert_eq!(bits(&out), want, "{backend} n={n} t{workers}");
+                assert_eq!(retained, want, "{backend} n={n} t{workers} retained");
+                assert_eq!(
+                    forward_only, want,
+                    "{backend} n={n} t{workers} forward-only"
+                );
+                assert!(ws.is_empty(), "a forward-only pass keeps no activations");
             }
         }
+    }
+}
+
+#[test]
+fn mlp_batch_workspace_serves_a_deeper_network() {
+    // A workspace shaped by a one-hidden-layer network, reused on a
+    // two-hidden-layer one, must give a fresh workspace's bits in both
+    // modes: the driver sizes its per-layer scratch on every call.
+    let mut rng = StdRng::seed_from_u64(48);
+    let cfg = |hidden: &[usize]| MlpConfig::new(9, hidden, 3, Activation::Relu, Activation::None);
+    let shallow = Mlp::new(cfg(&[16]), &mut rng);
+    let deep = Mlp::new(cfg(&[16, 16]), &mut rng);
+    let n = 70;
+    let inputs: Vec<f32> = (0..n * 9).map(|_| rng.gen_range(-1.0..=1.0)).collect();
+    let fill = |items: std::ops::Range<usize>, rows: &mut [f32]| {
+        rows.copy_from_slice(&inputs[items.start * 9..items.end * 9]);
+    };
+    for backend in kernels::registered() {
+        let want = bits(deep.forward_batch_with(&backend, &inputs, &mut deep.batch_workspace(n)));
+        let mut ws = shallow.batch_workspace(n);
+        shallow.forward_batch_with(&backend, &inputs, &mut ws);
+        let got = bits(deep.forward_batch_with(&backend, &inputs, &mut ws));
+        assert_eq!(got, want, "{backend} retained");
+        let mut ws = shallow.batch_workspace(n);
+        ws.forward_only(&backend, &shallow, n, fill);
+        let got = bits(ws.forward_only(&backend, &deep, n, fill));
+        assert_eq!(got, want, "{backend} forward-only");
     }
 }
 

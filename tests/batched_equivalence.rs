@@ -21,7 +21,7 @@ use instant3d::core::{GridTopology, TrainConfig, Trainer};
 use instant3d::nerf::grid::{AccessPhase, GridAccessObserver, GridBranch, GridLayout, HashGrid};
 use instant3d::nerf::kernels::{BackendHandle, Kernels, SimdKernels};
 use instant3d::nerf::math::Vec3;
-use instant3d::nerf::mlp::{Mlp, MlpBatchWorkspace, MlpGradients};
+use instant3d::nerf::mlp::{Mlp, MlpBatchWorkspace, MlpGradients, RowFill};
 use instant3d::nerf::render::RenderOutput;
 use instant3d::scenes::SceneLibrary;
 use instant3d::trace::record::Trace;
@@ -117,10 +117,12 @@ impl Kernels for Recorder {
     fn mlp_forward_batch<'w>(
         &self,
         mlp: &Mlp,
-        inputs: &[f32],
+        n: usize,
+        fill: &RowFill<'_>,
+        retain: bool,
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        SimdKernels.mlp_forward_batch(mlp, inputs, ws)
+        SimdKernels.mlp_forward_batch(mlp, n, fill, retain, ws)
     }
 
     fn mlp_backward_batch(
