@@ -17,7 +17,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::batch::BatchWorkspace;
+use crate::batch::{grid_grads_read, BatchWorkspace};
 use crate::config::{GridTopology, TrainConfig};
 use crate::eval::EvalResult;
 use crate::model::{BranchObserver, ModelGradients, ModelWorkspace, NerfModel, NullBranchObserver};
@@ -277,7 +277,8 @@ impl Trainer {
     /// it untouched.
     ///
     /// Step mapping: batch sampling → Step ①; per-ray segment sampling and
-    /// direction encoding → Step ②; grid reads → ③-① fwd; MLP heads →
+    /// direction encoding → Step ②; sizing the step's buffers, the unit
+    /// mapping and grid reads → ③-① fwd; MLP heads →
     /// ③-② fwd; compositing and its backward → Step ④; loss → Step ⑤;
     /// head backward + zeroing the MLP gradients + MLP Adam → ③-② bwd;
     /// grid scatter merged per level with the grid optimizer sweep (sparse
@@ -368,12 +369,19 @@ impl Trainer {
 
     /// Runs one training iteration on the batched SoA engine — the hot
     /// path and the engine's only entry point. Rays are sampled into
-    /// structure-of-arrays buffers, every pipeline stage runs once over
-    /// the whole batch, and the grid/MLP stages execute on the rayon pool,
-    /// which a caller outside it enters once per step.
+    /// structure-of-arrays buffers on the calling thread, which then
+    /// sizes every buffer the rest of the step writes. The per-ray half —
+    /// grid encode, both MLP heads, compositing, the loss and the
+    /// backward through compositing and heads — runs over consecutive
+    /// chunks of whole rays, at most 4,096 samples each, so the step
+    /// keeps MLP activations for one chunk, not the whole batch. The grid
+    /// scatter and optimizer, the MLP optimizer and the occupancy refresh
+    /// then run once over the whole batch. Everything after sampling runs
+    /// on the rayon pool, which a caller outside it enters once per step;
+    /// no pool worker allocates (see [`crate::batch`]).
     /// Results are bit-identical to [`Trainer::step_scalar`] and
     /// independent of the worker count. Every stage's wall-clock time is
-    /// charged to [`Trainer::timer`].
+    /// charged to [`Trainer::timer`] (a chunked stage's laps add up).
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) -> StepStats {
         self.step_batched_impl(rng)
     }
@@ -467,8 +475,22 @@ impl Trainer {
             bws.rays.end_ray();
         }
         let total_points = bws.num_points();
-        bws.reserve_grid_buffers(&self.model);
         lap(&mut self.timer, &mut last, Ps::MapRays);
+
+        // Every buffer the pool entry below writes is sized here, on the
+        // calling thread, so no worker allocates (see `crate::batch`).
+        let reads = grid_grads_read(&self.model, update_density, update_color);
+        bws.prepare_step(&self.model, reads);
+        if let Some(occ) = self.occupancy.as_ref().filter(|_| self.refresh_due()) {
+            self.occ_ws.reserve(
+                occ,
+                self.model.density_grid(),
+                self.model.sigma_mlp(),
+                self.model.aabb(),
+                self.cfg.occupancy_subset,
+            );
+        }
+        lap(&mut self.timer, &mut last, Ps::GridForward);
 
         // Stages ③ through the occupancy refresh are one pool entry: a
         // caller outside the pool bridges into it once per step, and every
@@ -477,30 +499,33 @@ impl Trainer {
         // need not be `Send`).
         let inv_batch = 1.0 / self.ray_scratch.len().max(1) as f32;
         let (total_loss, occ_refresh) = rayon::scope(|_| {
-            // Step ③ forward, batched.
-            bws.encode(&self.model);
-            lap(&mut self.timer, &mut last, Ps::GridForward);
-            bws.heads_forward(&self.model);
-            lap(&mut self.timer, &mut last, Ps::MlpForward);
-
-            // Step ④: composite; Step ⑤: loss.
-            bws.composite_all(self.background);
-            lap(&mut self.timer, &mut last, Ps::VolumeRender);
+            // The per-ray half, one chunk of whole rays at a time: the
+            // loss and the MLP parameter gradients carry over from chunk
+            // to chunk in ray and sample order.
             let mut total_loss = 0.0f32;
-            for (r, tr) in self.ray_scratch.iter().enumerate() {
-                let (loss, d_raw) = pixel_loss(bws.output(r).color, tr.target);
-                total_loss += loss;
-                bws.d_color[r] = d_raw * inv_batch;
-            }
-            lap(&mut self.timer, &mut last, Ps::ComputeLoss);
+            for c in 0..bws.num_chunks() {
+                let chunk = bws.chunk(c);
+                // Step ③ forward.
+                bws.encode_chunk(&self.model, &chunk);
+                lap(&mut self.timer, &mut last, Ps::GridForward);
+                bws.heads_forward_chunk(&self.model, &chunk);
+                lap(&mut self.timer, &mut last, Ps::MlpForward);
 
-            // Step ⑥: backward through rendering, heads and grids.
-            bws.render_backward(self.background);
-            lap(&mut self.timer, &mut last, Ps::VolumeRender);
-            bws.heads_backward(&self.model, &mut self.grads);
-            lap(&mut self.timer, &mut last, Ps::MlpBackward);
-            // Grid scatter and grid Adam, merged per level: one ③-①
-            // backward lap.
+                // Step ④: composite; Step ⑤: loss.
+                bws.composite_chunk(&chunk, self.background);
+                lap(&mut self.timer, &mut last, Ps::VolumeRender);
+                let rays = &self.ray_scratch;
+                bws.loss_chunk(&chunk, |r| rays[r].target, inv_batch, &mut total_loss);
+                lap(&mut self.timer, &mut last, Ps::ComputeLoss);
+
+                // Step ⑥: backward through rendering and heads.
+                bws.render_backward_chunk(&chunk, self.background);
+                lap(&mut self.timer, &mut last, Ps::VolumeRender);
+                bws.heads_backward_chunk(&self.model, &mut self.grads, &chunk, reads);
+                lap(&mut self.timer, &mut last, Ps::MlpBackward);
+            }
+            // Grid scatter and grid Adam over the whole batch, merged per
+            // level: one ③-① backward lap.
             bws.grid_step(
                 &mut self.model,
                 &mut self.grid_d_opt,
@@ -760,19 +785,25 @@ impl Trainer {
     /// dispatch on the configured backend — identical bits for every
     /// backend and worker count.
     fn refresh_occupancy(&mut self) -> Option<OccupancyRefreshStats> {
+        if !self.refresh_due() {
+            return None;
+        }
         let occ = self.occupancy.as_mut()?;
+        Some(self.occ_ws.refresh(
+            occ,
+            self.model.density_grid(),
+            self.model.sigma_mlp(),
+            self.model.aabb(),
+            self.cfg.occupancy_threshold,
+            RefreshMode::DecayedEma,
+            self.cfg.occupancy_subset,
+        ))
+    }
+
+    /// Whether this iteration ends with an occupancy refresh.
+    fn refresh_due(&self) -> bool {
         let every = self.cfg.occupancy_update_every as u64;
-        (self.iter % every == every - 1).then(|| {
-            self.occ_ws.refresh(
-                occ,
-                self.model.density_grid(),
-                self.model.sigma_mlp(),
-                self.model.aabb(),
-                self.cfg.occupancy_threshold,
-                RefreshMode::DecayedEma,
-                self.cfg.occupancy_subset,
-            )
-        })
+        self.occupancy.is_some() && self.iter % every == every - 1
     }
 
     /// Learning-rate decay, workload accounting and the iteration counter.

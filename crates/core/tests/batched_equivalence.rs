@@ -12,6 +12,7 @@
 //! reference path on every run. A backend cannot register without
 //! entering this gate — that is the point of the open API.
 
+use instant3d_core::checkpoint;
 use instant3d_core::render::render_view;
 use instant3d_core::{kernels, BackendHandle, GridTopology, TrainConfig, Trainer};
 use instant3d_scenes::{Dataset, SceneLibrary};
@@ -363,6 +364,75 @@ fn subset_refresh_batched_matches_scalar_reference_path() {
         assert_eq!(batched.occupancy_fraction(), scalar.occupancy_fraction());
         assert_eq!(batched.stats(), scalar.stats());
         assert!(batched.stats().occupancy_refreshes >= 4);
+    }
+}
+
+/// The engine's per-ray half runs in chunks of whole rays holding at most
+/// this many samples (`CHUNK_SAMPLES` in `instant3d_core::batch`).
+const CHUNK_SAMPLES: usize = 4096;
+
+#[test]
+fn multi_chunk_batches_match_the_scalar_reference_on_every_backend_and_worker_count() {
+    // Batches of three or more chunks, the last one partial, whose rays
+    // keep unequal sample counts once occupancy culling starts (a refresh
+    // every second step, at a threshold that culls from the first one):
+    // losses, workload counters, occupancy and every model parameter must
+    // have the scalar reference step's bits, on every backend and worker
+    // count.
+    const STEPS: usize = 6;
+    let ds = dataset(61);
+    let run = |backend: &BackendHandle, threads: usize, reference: bool| {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        pool.install(|| {
+            let mut cfg = config(GridTopology::Decoupled, backend);
+            cfg.rays_per_batch = 640;
+            cfg.samples_per_ray = 32;
+            cfg.occupancy_update_every = 2;
+            cfg.occupancy_threshold = 1.0;
+            let mut trainer = Trainer::new(cfg, &ds, &mut StdRng::seed_from_u64(17));
+            let mut rng = StdRng::seed_from_u64(18);
+            let steps: Vec<(u32, usize)> = (0..STEPS)
+                .map(|_| {
+                    let s = if reference {
+                        trainer.step_scalar(&mut rng)
+                    } else {
+                        trainer.step(&mut rng)
+                    };
+                    (s.loss.to_bits(), s.points)
+                })
+                .collect();
+            let mut stats = *trainer.stats();
+            stats.backend = ""; // normalise provenance
+            let occupancy = trainer.occupancy_fraction().to_bits();
+            let params = checkpoint::save(trainer.model());
+            (steps, stats, occupancy, params)
+        })
+    };
+    let reference = run(&kernels::scalar(), 1, true);
+    let (steps, stats, occupancy, _) = &reference;
+    assert!(
+        steps.iter().all(|&(_, points)| points > 2 * CHUNK_SAMPLES),
+        "every batch must span three chunks: {steps:?}"
+    );
+    assert!(
+        steps.iter().any(|&(_, points)| points % CHUNK_SAMPLES != 0),
+        "some batch must end in a partial chunk: {steps:?}"
+    );
+    assert!(stats.occupancy_refreshes >= 2, "{stats:?}");
+    assert!(
+        f32::from_bits(*occupancy) < 1.0,
+        "occupancy culling must shorten some rays"
+    );
+    for backend in kernels::registered() {
+        for threads in [1, 2, 4, 8] {
+            assert!(
+                run(&backend, threads, false) == reference,
+                "{backend} / {threads} workers: the engine left the scalar reference's bits"
+            );
+        }
     }
 }
 

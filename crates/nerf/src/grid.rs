@@ -988,10 +988,18 @@ impl GridLayout {
         let mut ix = [0u32; LANES];
         let mut iy = [0u32; LANES];
         let mut iz = [0u32; LANES];
-        for k in 0..LANES {
-            ix[k] = cx[k] as u32;
-            iy[k] = cy[k] as u32;
-            iz[k] = cz[k] as u32;
+        if level.resolution < EXACT_CELL_LIMIT {
+            for k in 0..LANES {
+                ix[k] = small_cell_index(cx[k]);
+                iy[k] = small_cell_index(cy[k]);
+                iz[k] = small_cell_index(cz[k]);
+            }
+        } else {
+            for k in 0..LANES {
+                ix[k] = cx[k] as u32;
+                iy[k] = cy[k] as u32;
+                iz[k] = cz[k] as u32;
+            }
         }
         // The scalar kernel computes (wx*wy)*wz left-associated; the four
         // distinct wx*wy products are shared across corner pairs here —
@@ -1150,6 +1158,22 @@ impl GridLayout {
             }
         }
     }
+}
+
+/// Levels with a resolution below this (2^23) have every floored cell
+/// coordinate in `[0, 2^23)`, where [`small_cell_index`] converts it.
+const EXACT_CELL_LIMIT: u32 = 1 << 23;
+
+/// `c as u32` for a floored cell coordinate `c` that is NaN or in
+/// `[-0.0, 2^23)`, in lane instructions: NaN selects 0 (as the saturating
+/// cast does), and adding 2^23 puts the integer `c` in the low mantissa
+/// bits exactly. The saturating cast compiles to a scalar conversion
+/// behind range checks and branches per lane.
+#[inline(always)]
+fn small_cell_index(c: f32) -> u32 {
+    const BIAS: f32 = EXACT_CELL_LIMIT as f32;
+    let c = if c.is_nan() { 0.0 } else { c };
+    (c + BIAS).to_bits() - BIAS.to_bits()
 }
 
 /// The level partition behind [`HashGrid::par_backward_batch_with`]:
@@ -1377,6 +1401,14 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(7);
         HashGrid::new_random(cfg, &mut rng)
+    }
+
+    #[test]
+    fn small_cell_index_is_the_saturating_cast_below_two_to_the_23() {
+        let top = (EXACT_CELL_LIMIT - 1) as f32;
+        for c in [f32::NAN, -0.0, 0.0, 1.0, 2.0, 12_345.0, top] {
+            assert_eq!(small_cell_index(c), c as u32, "{c}");
+        }
     }
 
     #[test]

@@ -849,6 +849,34 @@ impl MlpBatchWorkspace {
     ) -> &'w [f32] {
         backend.mlp_forward_batch(mlp, n, &fill, false, self)
     }
+
+    /// Grows every buffer a pass of `mlp` over `n` items uses to its size,
+    /// so the pass allocates nothing: with `retain`, the retaining forward
+    /// and the backward after it; without, the forward-only pass at the
+    /// current worker count. A caller about to enter the worker pool calls
+    /// this first, so the buffers come from its own thread's allocator
+    /// arena rather than from whichever worker grows them.
+    pub fn reserve(&mut self, mlp: &Mlp, n: usize, retain: bool) {
+        let (_, _, kept) = mlp.forward_plan(n, retain);
+        grown(&mut self.blocks, kept * BLOCK * mlp.block_width());
+        grown(&mut self.out, n * mlp.out_dim());
+        if retain {
+            grown(&mut self.dz, n.div_ceil(BLOCK) * BLOCK * mlp.dz_width());
+        }
+        if self.wt.len() < mlp.layers.len() {
+            self.wt.resize_with(mlp.layers.len(), Vec::new);
+        }
+        for (layer, wt) in mlp.layers.iter().zip(&mut self.wt) {
+            grown(wt, layer.w.len());
+        }
+    }
+
+    /// Items a retaining forward of `mlp` fits in this workspace's blocks
+    /// without growing them: the most items such a pass has held here
+    /// (rounded up to whole 32-item blocks).
+    pub fn retained_capacity(&self, mlp: &Mlp) -> usize {
+        self.blocks.len() / mlp.block_width() / BLOCK * BLOCK
+    }
 }
 
 /// The first `len` elements of `buf`, grown with zeros to hold them.
@@ -1140,19 +1168,7 @@ impl Mlp {
         retain: bool,
         ws: &'w mut MlpBatchWorkspace,
     ) -> &'w [f32] {
-        let blocks = n.div_ceil(BLOCK);
-        let parallel = self.parallel(n);
-        // Blocks per task.
-        let span = match (parallel, retain) {
-            (false, _) => blocks.max(1),
-            (true, true) => 1,
-            (true, false) => blocks.div_ceil(rayon::current_num_threads()),
-        };
-        let kept = if retain {
-            blocks
-        } else {
-            blocks.div_ceil(span)
-        };
+        let (parallel, span, kept) = self.forward_plan(n, retain);
         ws.n = if retain { n } else { 0 };
         ws.wt.resize_with(self.layers.len(), Vec::new);
         for (layer, wt) in self.layers.iter().zip(&mut ws.wt) {
@@ -1174,6 +1190,25 @@ impl Mlp {
             self.forward_blocks(sweeps, wt, fill, 0, scratch, out);
         }
         out
+    }
+
+    /// How a forward pass over `n` items splits: whether it takes the
+    /// pool, the blocks per task, and the forward blocks it holds (every
+    /// block when it retains them, else one per task).
+    fn forward_plan(&self, n: usize, retain: bool) -> (bool, usize, usize) {
+        let blocks = n.div_ceil(BLOCK);
+        let parallel = self.parallel(n);
+        let span = match (parallel, retain) {
+            (false, _) => blocks.max(1),
+            (true, true) => 1,
+            (true, false) => blocks.div_ceil(rayon::current_num_threads()),
+        };
+        let kept = if retain {
+            blocks
+        } else {
+            blocks.div_ceil(span)
+        };
+        (parallel, span, kept)
     }
 
     /// Runs every layer over each block of a run of output rows `out`,

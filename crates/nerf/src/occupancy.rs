@@ -529,6 +529,41 @@ impl OccupancyWorkspace {
         self.shape = Some(key);
     }
 
+    /// Sizes every buffer the next [`OccupancyWorkspace::refresh`] with
+    /// the same arguments writes, so that refresh allocates nothing. A
+    /// caller about to run the refresh on the worker pool calls this
+    /// first, so the buffers come from its own thread's allocator arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subset == 0`.
+    pub fn reserve(
+        &mut self,
+        occ: &OccupancyGrid,
+        grid: &HashGrid,
+        sigma_mlp: &Mlp,
+        model_aabb: Aabb,
+        subset: u32,
+    ) {
+        assert!(subset >= 1, "subset stride must be at least 1");
+        let k = subset as usize;
+        self.ensure_shape(occ, grid, model_aabb, subset);
+        self.dirty.clear();
+        self.dirty.reserve(grid.levels().len());
+        // The first phase probes the most cells.
+        let m = occ.num_cells().div_ceil(k);
+        if k > 1 {
+            self.subset_cells.clear();
+            self.subset_cells.reserve(m);
+            self.subset_pts.clear();
+            self.subset_pts.reserve(m);
+            let w = grid.output_dim();
+            self.subset_emb
+                .reserve((m * w).saturating_sub(self.subset_emb.len()));
+        }
+        self.mlp_ws.reserve(sigma_mlp, m, false);
+    }
+
     /// One batched occupancy refresh: probes the density of this round's
     /// cell subset through the SoA kernel seams (on the workspace's
     /// backend — bits are identical for every backend and worker count),

@@ -185,6 +185,97 @@ fn grid_kernels_agree_under_hash_collision_aliasing() {
     }
 }
 
+/// Points whose coordinates are the cell-conversion edge cases of the
+/// lane kernels — NaN, ±0, 1, just below 1, above 1 and below 0 — in
+/// every combination, each after a run of ordinary points so they land
+/// on every lane, then a lane tail.
+fn edge_points() -> Vec<Vec3> {
+    let edges = [
+        f32::NAN,
+        -0.0,
+        0.0,
+        1.0,
+        1.0 - 1e-6,
+        1.7,
+        -0.3,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+    ];
+    let mut pts = Vec::new();
+    let filler = points(edges.len().pow(3) + 5, 4200);
+    for (i, &x) in edges.iter().enumerate() {
+        for (j, &y) in edges.iter().enumerate() {
+            for (k, &z) in edges.iter().enumerate() {
+                pts.push(filler[(i * 7 + j * 3 + k) % filler.len()]);
+                pts.push(Vec3::new(x, y, z));
+            }
+        }
+    }
+    pts.extend_from_slice(&filler[..5]);
+    pts
+}
+
+/// Grids whose levels straddle a resolution of 2^23, where the lane
+/// kernels switch from the biased conversion to the saturating cast,
+/// next to the training-shaped grid.
+fn edge_grids() -> Vec<HashGrid> {
+    let wide = HashGridConfig {
+        levels: 3,
+        log2_table_size: 10,
+        base_resolution: 1 << 22,
+        max_resolution: 1 << 24,
+        ..HashGridConfig::default()
+    };
+    let resolutions: Vec<u32> = wide.level_resolutions().collect();
+    assert!(resolutions.iter().any(|&r| r < 1 << 23));
+    assert!(resolutions.iter().any(|&r| r >= 1 << 23));
+    let huge = HashGridConfig {
+        levels: 2,
+        log2_table_size: 10,
+        base_resolution: 1 << 23,
+        max_resolution: u32::MAX,
+        ..HashGridConfig::default()
+    };
+    vec![training_grid(31), grid(wide, 32), grid(huge, 33)]
+}
+
+#[test]
+fn grid_encode_bit_equal_scalar_on_cell_edge_positions() {
+    let pts = edge_points();
+    for (gi, g) in edge_grids().iter().enumerate() {
+        let w = g.output_dim();
+        let mut scalar = vec![0.0f32; pts.len() * w];
+        encode_chunk(&kernels::scalar(), g, &pts, &mut scalar);
+        for backend in kernels::registered() {
+            let mut out = vec![0.0f32; pts.len() * w];
+            encode_chunk(&backend, g, &pts, &mut out);
+            assert_eq!(bits(&scalar), bits(&out), "edge encode {backend} grid {gi}");
+        }
+    }
+}
+
+#[test]
+fn grid_scatter_bit_equal_scalar_on_cell_edge_positions() {
+    let pts = edge_points();
+    for (gi, g) in edge_grids().iter().enumerate() {
+        let w = g.output_dim();
+        let d_out: Vec<f32> = (0..pts.len() * w)
+            .map(|i| 0.29 * ((i % 13) as f32 - 6.0))
+            .collect();
+        let mut scalar = g.zero_grads();
+        g.par_backward_batch_with(&kernels::scalar(), &pts, &d_out, &mut scalar);
+        for backend in kernels::registered() {
+            let mut grads = g.zero_grads();
+            g.par_backward_batch_with(&backend, &pts, &d_out, &mut grads);
+            assert_eq!(
+                bits(&scalar.values),
+                bits(&grads.values),
+                "edge scatter {backend} grid {gi}"
+            );
+        }
+    }
+}
+
 #[test]
 fn grid_encode_agrees_on_fp16_edge_features() {
     for seed in 0..4u64 {
